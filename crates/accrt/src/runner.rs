@@ -219,10 +219,10 @@ impl AccRunner {
     }
 
     /// Select the simulator execution tier for every subsequent launch
-    /// (see [`gpsim::ExecTier`]): the reference interpreter, the compiled
-    /// tier, or `Auto` (compiled with interpreter fallback). Observable
-    /// results are bit-identical across tiers; this knob only changes
-    /// wall-clock simulation time.
+    /// (see [`gpsim::ExecTier`]): `Auto` (the typed tier, or the
+    /// interpreter for a kernel it declines) or the reference interpreter.
+    /// Observable results are bit-identical across tiers; this knob only
+    /// changes wall-clock simulation time.
     pub fn set_exec_tier(&mut self, tier: gpsim::ExecTier) {
         self.device.set_exec_tier(tier);
     }

@@ -214,10 +214,10 @@ fn profile(red_n: usize) {
     println!("wrote BENCH_profile.json ({} bytes)", pc.json.len());
 }
 
-/// Race the simulator execution tiers (reference interpreter vs the
-/// compiled tier) on Table 2 workloads and write the measurements to
+/// Race the simulator's two engines (reference interpreter vs the typed
+/// tier `auto` selects) on Table 2 workloads and write the measurements to
 /// `BENCH_sim_throughput.json`. The committed copy is the regression
-/// baseline: CI re-measures and fails if the compiled tier's speedup
+/// baseline: CI re-measures and fails if the typed tier's speedup
 /// ratio (which, unlike raw wall-clock, is roughly machine-independent)
 /// regresses by more than 20%.
 fn sim_throughput(red_n: usize) {
@@ -238,8 +238,8 @@ fn sim_throughput(red_n: usize) {
         ),
     ];
     const REPS: usize = 3;
-    eprintln!("[sim-throughput] racing interpret vs compiled tiers (red_n = {red_n}) ...");
-    println!("Simulator instruction throughput: reference interpreter vs compiled tier");
+    eprintln!("[sim-throughput] racing interpreter vs typed tier (red_n = {red_n}) ...");
+    println!("Simulator instruction throughput: reference interpreter vs typed tier");
     let mut rows = String::new();
     for (name, pos, op, t) in workloads {
         // Best-of-REPS per tier; a fresh session every rep so caches and
@@ -261,7 +261,7 @@ fn sim_throughput(red_n: usize) {
             (best, insts)
         };
         let (int_secs, int_insts) = measure(ExecTier::Interpret);
-        let (cmp_secs, cmp_insts) = measure(ExecTier::Compiled);
+        let (cmp_secs, cmp_insts) = measure(ExecTier::Auto);
         assert_eq!(
             int_insts, cmp_insts,
             "{name}: tiers disagree on simulated instruction count"

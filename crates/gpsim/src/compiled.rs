@@ -1,13 +1,36 @@
-//! The compiled execution tier: pre-decoded basic-block runs, an SoA
-//! register file, and warp-uniform fast paths.
+//! The typed execution tier: pre-decoded basic-block runs, statically
+//! typed bit-row registers, and warp-uniform fast paths.
 //!
-//! The reference interpreter ([`crate::exec`]) dispatches one [`Inst`] per
-//! warp-step: it re-scans the warp for the minimum PC, re-collects the
-//! active mask, clones the instruction, resolves branch labels, and
-//! allocates hash containers for the coalescing model — every step. This
-//! tier removes all of that from the hot path while staying **bit-identical
-//! in every observable output**: memory contents, [`crate::stats::LaunchStats`],
-//! modelled cycles, traces, hazard reports, profiles, and error values.
+//! `gpsim` has two engines for one IR semantics. The reference interpreter
+//! ([`crate::exec`]) is the plainly written oracle: it dispatches one
+//! [`Inst`] per warp-step, re-scanning the warp for the minimum PC,
+//! re-collecting the active mask, cloning the instruction and resolving
+//! branch labels every step. This tier removes all of that from the hot
+//! path while staying **bit-identical in every observable output**:
+//! memory contents, [`crate::stats::LaunchStats`], modelled cycles,
+//! traces, hazard reports, profiles, and error values. The differential
+//! suite (`tests/differential.rs`) compares the two.
+//!
+//! # Tier selection
+//!
+//! `TypedKernel::select` is the one place an engine is chosen. Under
+//! [`ExecTier::Auto`] a launch runs here iff [`CompiledKernel::compile`]
+//! **and** the per-launch `CompiledKernel::specialize` both succeed;
+//! otherwise — and always under [`ExecTier::Interpret`] — the interpreter
+//! runs it. The tier declines:
+//!
+//! * empty kernels, kernels whose last instruction is not a hard
+//!   terminator, and kernels with a branch target past the end of the
+//!   instruction stream (`compile` returns `None`; the interpreter's
+//!   handling of a lane reaching `pc == len` is kept by not modelling it);
+//! * kernels that write one register at two types, and kernels with a
+//!   `Select` whose arms carry two types (`specialize` returns `None`;
+//!   the interpreter's registers are dynamically typed, the rows here are
+//!   not).
+//!
+//! No kernel `uhacc_core` codegen emits is declined. A decline costs the
+//! interpreter's 7–14× slowdown, so [`crate::Device::tier_declines`]
+//! counts them.
 //!
 //! # Pre-decoded runs
 //!
@@ -32,12 +55,6 @@
 //! run boundaries: the min-PC scan, barrier bookkeeping, and hazard
 //! details all happen when every warp is blocked or between runs).
 //!
-//! # SoA register file
-//!
-//! Registers live in one flat `Vec<Value>` indexed `reg * n_threads +
-//! lane` instead of a per-thread `Vec` each — one allocation per block
-//! and cache-friendly per-register rows for the broadcast paths.
-//!
 //! # Warp-uniform fast paths
 //!
 //! A divergence analysis in the style of kverify's `DivPart` domain runs
@@ -56,36 +73,26 @@
 //! counts by construction — M identical accesses occupy exactly the
 //! segments/banks of one — and the sanitizer is still fed per-lane.
 //!
-//! # Typed fast mode
+//! # Typed bit rows
 //!
-//! On top of the pre-decoded runs, [`CompiledKernel::specialize`] tries
-//! to assign every virtual register a single static [`Ty`] (a
-//! flow-insensitive merge over all of its definitions; `Mov`/`Select`
-//! propagate to a fixpoint). When that succeeds, the block's registers
-//! become raw `u64` *bit rows* — `I32`/`F32`/`Pred` zero-extended,
-//! `I64`/`U64`/`F64` as their 64-bit representation — and every
-//! instruction is lowered to a [`TOp`] whose operand conversions
-//! ([`Conv`]) are resolved at compile time to mirror [`Value::convert`]
-//! / `as_u64` / `as_i64` / `as_bool` *exactly*, immediates are
-//! pre-converted into broadcast constant rows, and the `(op, ty)`
-//! dispatch is hoisted out of the lane loops. Registers the kernel
-//! never writes hold the interpreter's `Value::I32(0)`; a zero bit row
-//! reproduces that under any static type because zero is a fixed point
-//! of every conversion in the table. Kernels that reuse one register at
-//! several types fall back to the generic [`Value`]-based tier below —
-//! same results, slower.
-//!
-//! # Tier selection
-//!
-//! [`CompiledKernel::compile`] returns `None` for the degenerate shapes
-//! the tier does not model (empty kernels, kernels that can fall or
-//! branch past the end of the instruction stream); the launch path then
-//! uses the interpreter regardless of the configured
-//! [`crate::cost::ExecTier`].
+//! [`CompiledKernel::specialize`] assigns every virtual register a single
+//! static [`Ty`] (a flow-insensitive merge over all of its definitions;
+//! `Mov`/`Select` propagate to a fixpoint). The block's registers are raw
+//! `u64` *bit rows* indexed `row * n_threads + lane` — `I32`/`F32`/`Pred`
+//! zero-extended, `I64`/`U64`/`F64` as their 64-bit representation — and
+//! every [`Inst`] is lowered to a [`TOp`]: branch labels resolved,
+//! operand conversions ([`Conv`]) resolved to mirror [`Value::convert`] /
+//! `as_u64` / `as_i64` / `as_bool` *exactly*, immediates pre-converted
+//! into broadcast constant rows, SFU surcharges and access sizes
+//! classified, and the `(op, ty)` dispatch hoisted out of the lane loops.
+//! Registers the kernel never writes hold the interpreter's
+//! `Value::I32(0)`; a zero bit row reproduces that under any static type
+//! because zero is a fixed point of every conversion in the table.
 
+use crate::cost::ExecTier;
 use crate::error::SimError;
-use crate::exec::{alu_cost, eval_bin, eval_cmp, eval_un, mref_addr, BlockExec, MemView};
-use crate::ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, SpecialReg, UnOp};
+use crate::exec::{alu_cost, mref_addr, BlockExec, MemView};
+use crate::ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, Reg, SpecialReg, UnOp};
 use crate::memory::AccessAbort;
 use crate::profile::PcCounters;
 use crate::sanitizer::AccessKind;
@@ -93,111 +100,13 @@ use crate::trace::{MemTouch, TraceEvent, TraceSpace};
 use crate::types::{Ty, Value};
 use crate::verify;
 
-/// A pre-decoded operand: register index or immediate.
+/// How a run ends (rendered by [`CompiledKernel::describe`]).
 #[derive(Debug, Clone, Copy)]
-enum COpnd {
-    Reg(usize),
-    Imm(Value),
-}
-
-/// A pre-decoded memory reference: operand, index register, scale and
-/// displacement already widened, access size already resolved.
-#[derive(Debug, Clone, Copy)]
-struct CMem {
-    base: COpnd,
-    index: Option<usize>,
-    scale: i64,
-    disp: i64,
-    size: usize,
-}
-
-/// One pre-decoded instruction: branch labels resolved to instruction
-/// indices, registers widened to array indices, SFU/FP64 surcharges
-/// pre-classified.
-#[derive(Debug, Clone)]
-enum COp {
-    MovImm {
-        dst: usize,
-        value: Value,
-    },
-    Mov {
-        dst: usize,
-        src: usize,
-    },
-    ReadSpecial {
-        dst: usize,
-        sr: SpecialReg,
-    },
-    ReadParam {
-        dst: usize,
-        idx: usize,
-    },
-    Bin {
-        op: BinOp,
-        ty: Ty,
-        dst: usize,
-        a: COpnd,
-        b: COpnd,
-        sfu: bool,
-    },
-    Cmp {
-        op: CmpOp,
-        ty: Ty,
-        dst: usize,
-        a: COpnd,
-        b: COpnd,
-    },
-    Un {
-        op: UnOp,
-        ty: Ty,
-        dst: usize,
-        a: COpnd,
-        sfu: bool,
-    },
-    Select {
-        dst: usize,
-        cond: usize,
-        a: COpnd,
-        b: COpnd,
-    },
-    Cvt {
-        dst: usize,
-        ty: Ty,
-        src: COpnd,
-    },
-    LdGlobal {
-        ty: Ty,
-        dst: usize,
-        mem: CMem,
-    },
-    StGlobal {
-        ty: Ty,
-        src: COpnd,
-        mem: CMem,
-    },
-    LdShared {
-        ty: Ty,
-        dst: usize,
-        mem: CMem,
-    },
-    StShared {
-        ty: Ty,
-        src: COpnd,
-        mem: CMem,
-    },
-    AtomGlobal {
-        op: AtomOp,
-        ty: Ty,
-        mem: CMem,
-        src: COpnd,
-        dst: Option<usize>,
-    },
-    Bar,
-    Bra {
-        target: usize,
-        cond: Option<(usize, bool)>,
-    },
+enum Term {
+    Bra { target: usize, cond: bool },
     Ret,
+    Bar,
+    Fallthrough,
 }
 
 /// A maximal straight-line span `[start, end)`; `end - 1` is a
@@ -207,15 +116,15 @@ enum COp {
 struct Run {
     start: usize,
     end: usize,
+    term: Term,
 }
 
-/// A kernel pre-decoded for the compiled execution tier. Compile once per
-/// launch ([`crate::exec::run_kernel_instrumented`]) and share across all
-/// blocks and host worker threads.
+/// The launch-independent part of the typed tier's pre-decoding: run
+/// structure and uniformity verdicts. `specialize` lowers the
+/// instructions themselves once the parameter types are known.
 #[derive(Debug)]
 pub struct CompiledKernel {
     num_regs: usize,
-    ops: Vec<COp>,
     runs: Vec<Run>,
     /// `run_of[pc]` = index of the run containing `pc`.
     run_of: Vec<usize>,
@@ -223,54 +132,40 @@ pub struct CompiledKernel {
     run_uniform: Vec<bool>,
     /// Per-register uniformity verdict (exposed via [`Self::describe`]).
     uniform_regs: Vec<bool>,
-    /// Statically-typed lowering (see module docs); built per launch by
-    /// [`Self::specialize`] because parameter types feed the inference.
-    typed: Option<TypedPlan>,
 }
 
 impl CompiledKernel {
     /// Pre-decode `kernel`. Returns `None` for shapes the tier does not
     /// model (empty kernels, kernels whose control flow can leave the
-    /// instruction stream) — the launch path falls back to the
-    /// interpreter, preserving its behavior exactly.
+    /// instruction stream) — the launch runs on the interpreter,
+    /// preserving its behavior exactly.
     pub fn compile(kernel: &Kernel) -> Option<CompiledKernel> {
         let n = kernel.insts.len();
-        if n == 0 {
-            return None;
-        }
         // The last instruction must be a hard terminator, otherwise a lane
         // can advance to pc == n (the interpreter treats that as a
-        // malformed kernel; keep its behavior by falling back).
-        match kernel.insts[n - 1] {
+        // malformed kernel; keep its behavior by declining).
+        match kernel.insts.last()? {
             Inst::Ret | Inst::Bra { cond: None, .. } => {}
             _ => return None,
         }
-        // Resolve every branch target up front; a target of n (one past
-        // the end — the builder permits labels placed after the final
-        // `ret`) is likewise left to the interpreter.
-        let resolve = |l: crate::ir::Label| -> Option<usize> {
-            let t = *kernel.label_targets.get(l.0 as usize)?;
-            (t < n).then_some(t)
-        };
-
-        let mut ops = Vec::with_capacity(n);
-        for inst in &kernel.insts {
-            ops.push(decode(inst, &resolve)?);
-        }
 
         // Leaders: 0, branch targets, and the instruction after every
-        // Bra/Ret/Bar (lanes rest one past a barrier while waiting).
+        // Bra/Ret/Bar (lanes rest one past a barrier while waiting). A
+        // target of n (one past the end — the builder permits labels
+        // placed after the final `ret`) is likewise left to the
+        // interpreter.
         let mut leader = vec![false; n];
         leader[0] = true;
-        for (pc, op) in ops.iter().enumerate() {
-            match op {
-                COp::Bra { target, .. } => {
-                    leader[*target] = true;
+        for (pc, inst) in kernel.insts.iter().enumerate() {
+            match inst {
+                Inst::Bra { target, .. } => {
+                    let t = *kernel.label_targets.get(target.0 as usize)?;
+                    *leader.get_mut(t)? = true;
                     if pc + 1 < n {
                         leader[pc + 1] = true;
                     }
                 }
-                COp::Ret | COp::Bar if pc + 1 < n => leader[pc + 1] = true,
+                Inst::Ret | Inst::Bar if pc + 1 < n => leader[pc + 1] = true,
                 _ => {}
             }
         }
@@ -278,9 +173,18 @@ impl CompiledKernel {
         let runs: Vec<Run> = starts
             .iter()
             .enumerate()
-            .map(|(i, &s)| Run {
-                start: s,
-                end: starts.get(i + 1).copied().unwrap_or(n),
+            .map(|(i, &start)| {
+                let end = starts.get(i + 1).copied().unwrap_or(n);
+                let term = match &kernel.insts[end - 1] {
+                    Inst::Bra { target, cond } => Term::Bra {
+                        target: kernel.target(*target),
+                        cond: cond.is_some(),
+                    },
+                    Inst::Ret => Term::Ret,
+                    Inst::Bar => Term::Bar,
+                    _ => Term::Fallthrough,
+                };
+                Run { start, end, term }
             })
             .collect();
         let mut run_of = vec![0usize; n];
@@ -302,20 +206,11 @@ impl CompiledKernel {
 
         Some(CompiledKernel {
             num_regs: kernel.num_regs as usize,
-            ops,
             runs,
             run_of,
             run_uniform,
             uniform_regs,
-            typed: None,
         })
-    }
-
-    /// Attempt the statically-typed lowering for a concrete parameter
-    /// list (parameter types feed the register type inference). Called
-    /// once per launch; on failure the generic tier runs.
-    pub(crate) fn specialize(&mut self, params: &[Value]) {
-        self.typed = TypedPlan::build(&self.ops, self.num_regs, params);
     }
 
     /// Textual dump of the pre-decoded form (run boundaries, terminators,
@@ -330,15 +225,15 @@ impl CompiledKernel {
             self.runs.len()
         );
         for (i, r) in self.runs.iter().enumerate() {
-            let term = match &self.ops[r.end - 1] {
-                COp::Bra {
+            let term = match r.term {
+                Term::Bra { target, cond: true } => format!("bra.cond -> {target} | {}", r.end),
+                Term::Bra {
                     target,
-                    cond: Some(_),
-                } => format!("bra.cond -> {target} | {}", r.end),
-                COp::Bra { target, cond: None } => format!("bra -> {target}"),
-                COp::Ret => "ret".to_string(),
-                COp::Bar => format!("bar -> {}", r.end),
-                _ => format!("fallthrough -> {}", r.end),
+                    cond: false,
+                } => format!("bra -> {target}"),
+                Term::Ret => "ret".to_string(),
+                Term::Bar => format!("bar -> {}", r.end),
+                Term::Fallthrough => format!("fallthrough -> {}", r.end),
             };
             let _ = writeln!(
                 out,
@@ -362,110 +257,6 @@ impl CompiledKernel {
         let _ = writeln!(out, "  uniform regs: {}", uni.join(" "));
         out
     }
-}
-
-fn decode(inst: &Inst, resolve: &dyn Fn(crate::ir::Label) -> Option<usize>) -> Option<COp> {
-    let opnd = |o: &Operand| match o {
-        Operand::Reg(r) => COpnd::Reg(r.0 as usize),
-        Operand::Imm(v) => COpnd::Imm(*v),
-    };
-    let cmem = |m: &MemRef, ty: Ty| CMem {
-        base: opnd(&m.base),
-        index: m.index.map(|r| r.0 as usize),
-        scale: m.scale as i64,
-        disp: m.disp,
-        size: ty.size(),
-    };
-    Some(match inst {
-        Inst::MovImm { dst, value } => COp::MovImm {
-            dst: dst.0 as usize,
-            value: *value,
-        },
-        Inst::Mov { dst, src } => COp::Mov {
-            dst: dst.0 as usize,
-            src: src.0 as usize,
-        },
-        Inst::ReadSpecial { dst, sr } => COp::ReadSpecial {
-            dst: dst.0 as usize,
-            sr: *sr,
-        },
-        Inst::ReadParam { dst, idx } => COp::ReadParam {
-            dst: dst.0 as usize,
-            idx: *idx as usize,
-        },
-        Inst::Bin { op, ty, dst, a, b } => COp::Bin {
-            op: *op,
-            ty: *ty,
-            dst: dst.0 as usize,
-            a: opnd(a),
-            b: opnd(b),
-            sfu: matches!(op, BinOp::Div | BinOp::Rem),
-        },
-        Inst::Cmp { op, ty, dst, a, b } => COp::Cmp {
-            op: *op,
-            ty: *ty,
-            dst: dst.0 as usize,
-            a: opnd(a),
-            b: opnd(b),
-        },
-        Inst::Un { op, ty, dst, a } => COp::Un {
-            op: *op,
-            ty: *ty,
-            dst: dst.0 as usize,
-            a: opnd(a),
-            sfu: matches!(op, UnOp::Sqrt),
-        },
-        Inst::Select { dst, cond, a, b } => COp::Select {
-            dst: dst.0 as usize,
-            cond: cond.0 as usize,
-            a: opnd(a),
-            b: opnd(b),
-        },
-        Inst::Cvt { dst, ty, src } => COp::Cvt {
-            dst: dst.0 as usize,
-            ty: *ty,
-            src: opnd(src),
-        },
-        Inst::LdGlobal { ty, dst, mref } => COp::LdGlobal {
-            ty: *ty,
-            dst: dst.0 as usize,
-            mem: cmem(mref, *ty),
-        },
-        Inst::StGlobal { ty, src, mref } => COp::StGlobal {
-            ty: *ty,
-            src: opnd(src),
-            mem: cmem(mref, *ty),
-        },
-        Inst::LdShared { ty, dst, mref } => COp::LdShared {
-            ty: *ty,
-            dst: dst.0 as usize,
-            mem: cmem(mref, *ty),
-        },
-        Inst::StShared { ty, src, mref } => COp::StShared {
-            ty: *ty,
-            src: opnd(src),
-            mem: cmem(mref, *ty),
-        },
-        Inst::AtomGlobal {
-            op,
-            ty,
-            mref,
-            src,
-            dst,
-        } => COp::AtomGlobal {
-            op: *op,
-            ty: *ty,
-            mem: cmem(mref, *ty),
-            src: opnd(src),
-            dst: dst.map(|r| r.0 as usize),
-        },
-        Inst::Bar => COp::Bar,
-        Inst::Bra { target, cond } => COp::Bra {
-            target: resolve(*target)?,
-            cond: cond.map(|(r, e)| (r.0 as usize, e)),
-        },
-        Inst::Ret => COp::Ret,
-    })
 }
 
 /// Per-lane special registers: different lanes of one warp read different
@@ -538,7 +329,7 @@ fn inst_uniform(inst: &Inst, uniform: &[bool]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Typed fast mode: static register types over raw bit rows
+// Lowering: static register types over raw bit rows
 // ---------------------------------------------------------------------------
 
 /// Bit encoding of a [`Value`] in a typed register row: `I32`/`F32`/
@@ -594,6 +385,8 @@ enum Conv {
     U64ToF32,
     /// `F32` -> `F32` is *not* the identity: `convert` round-trips
     /// through `f64` (`as_f64() as f32`), which quiets signaling NaNs.
+    /// Spelled out as "set the quiet bit of a NaN" because the compiler
+    /// folds a literal `x as f64 as f32` to `x`, signaling NaNs included.
     F32Round,
     F64ToF32,
     PredToF32,
@@ -623,7 +416,8 @@ impl Conv {
             Conv::I32ToF32 => (((b as u32 as i32) as f64) as f32).to_bits() as u64,
             Conv::I64ToF32 => (((b as i64) as f64) as f32).to_bits() as u64,
             Conv::U64ToF32 => ((b as f64) as f32).to_bits() as u64,
-            Conv::F32Round => ((f32::from_bits(b as u32) as f64) as f32).to_bits() as u64,
+            Conv::F32Round if f32::from_bits(b as u32).is_nan() => b | 0x0040_0000,
+            Conv::F32Round => b,
             Conv::F64ToF32 => (f64::from_bits(b) as f32).to_bits() as u64,
             Conv::PredToF32 => ((b as f64) as f32).to_bits() as u64,
             Conv::I32ToF64 => ((b as u32 as i32) as f64).to_bits(),
@@ -805,52 +599,31 @@ enum TOp {
     Ret,
 }
 
-/// The statically-typed lowering of a kernel for one launch.
-#[derive(Debug)]
-struct TypedPlan {
-    tops: Vec<TOp>,
-    /// Register rows, then `consts.len()` broadcast constant rows.
-    num_regs: usize,
-    /// Bits of each constant row (pre-converted immediates).
-    consts: Vec<u64>,
+fn ri(r: Reg) -> usize {
+    r.0 as usize
 }
 
 /// Flow-insensitive register type inference: every definition of a
 /// register must produce one type (`Mov`/`Select` propagate their
 /// source types to a fixpoint; never-written registers keep the
 /// interpreter's `I32` zero). Returns `None` when a register is written
-/// at two types — the kernel falls back to the generic tier.
-fn infer_reg_types(ops: &[COp], num_regs: usize, params: &[Value]) -> Option<Vec<Ty>> {
-    let opnd_ty = |tys: &[Option<Ty>], o: &COpnd| match o {
-        COpnd::Reg(r) => tys[*r],
-        COpnd::Imm(v) => Some(v.ty()),
+/// at two types — the launch runs on the interpreter.
+fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Option<Vec<Ty>> {
+    let opnd_ty = |tys: &[Option<Ty>], o: &Operand| match o {
+        Operand::Reg(r) => tys[ri(*r)],
+        Operand::Imm(v) => Some(v.ty()),
     };
-    let mut defined = vec![false; num_regs];
-    for op in ops {
-        match op {
-            COp::MovImm { dst, .. }
-            | COp::Mov { dst, .. }
-            | COp::ReadSpecial { dst, .. }
-            | COp::ReadParam { dst, .. }
-            | COp::Bin { dst, .. }
-            | COp::Cmp { dst, .. }
-            | COp::Un { dst, .. }
-            | COp::Select { dst, .. }
-            | COp::Cvt { dst, .. }
-            | COp::LdGlobal { dst, .. }
-            | COp::LdShared { dst, .. } => defined[*dst] = true,
-            COp::AtomGlobal { dst: Some(d), .. } => defined[*d] = true,
-            _ => {}
+    let mut tys = vec![Some(Ty::I32); kernel.num_regs as usize];
+    for inst in &kernel.insts {
+        if let Some(d) = inst.def() {
+            tys[ri(d)] = None;
         }
     }
-    let mut tys: Vec<Option<Ty>> = (0..num_regs)
-        .map(|r| (!defined[r]).then_some(Ty::I32))
-        .collect();
-    // Fixpoint: each pass resolves defs whose inputs are known; `set`
-    // fails on a two-type register. The final validation pass re-checks
-    // every def against the defaulted assignment so unresolved cycles
-    // (only ever holding initial zeros) stay consistent.
-    for validate in [false, false, true] {
+    // Fixpoint: each pass resolves defs whose inputs are known; a
+    // two-type register fails. The validation pass re-checks every def
+    // against the defaulted assignment so unresolved cycles (only ever
+    // holding initial zeros) stay consistent.
+    for validate in [false, true] {
         if validate {
             for t in tys.iter_mut() {
                 t.get_or_insert(Ty::I32);
@@ -858,44 +631,43 @@ fn infer_reg_types(ops: &[COp], num_regs: usize, params: &[Value]) -> Option<Vec
         }
         loop {
             let mut changed = false;
-            for op in ops {
-                let (d, t) = match op {
-                    COp::MovImm { dst, value } => (*dst, Some(value.ty())),
-                    COp::Mov { dst, src } => (*dst, tys[*src]),
-                    COp::ReadSpecial { dst, .. } => (*dst, Some(Ty::I32)),
-                    COp::ReadParam { dst, idx } => {
-                        (*dst, Some(params.get(*idx).map_or(Ty::I32, |v| v.ty())))
+            for inst in &kernel.insts {
+                let Some(d) = inst.def() else { continue };
+                let t = match inst {
+                    Inst::MovImm { value, .. } => Some(value.ty()),
+                    Inst::Mov { src, .. } => tys[ri(*src)],
+                    Inst::ReadSpecial { .. } => Some(Ty::I32),
+                    Inst::ReadParam { idx, .. } => {
+                        Some(params.get(*idx as usize).map_or(Ty::I32, |v| v.ty()))
                     }
-                    COp::Bin { ty, dst, .. }
-                    | COp::Un { ty, dst, .. }
-                    | COp::Cvt { dst, ty, .. } => (*dst, Some(*ty)),
-                    COp::Cmp { dst, .. } => (*dst, Some(Ty::Pred)),
-                    COp::Select { dst, a, b, .. } => {
-                        match (opnd_ty(&tys, a), opnd_ty(&tys, b)) {
-                            (Some(x), Some(y)) if x == y => (*dst, Some(x)),
-                            // A select whose arms carry two types passes
-                            // values through unconverted: not typeable.
-                            (Some(_), Some(_)) => return None,
-                            _ => (*dst, None),
-                        }
-                    }
-                    COp::LdGlobal { ty, dst, .. } | COp::LdShared { ty, dst, .. } => {
-                        (*dst, Some(*ty))
-                    }
-                    COp::AtomGlobal {
-                        ty, dst: Some(d), ..
-                    } => (*d, Some(*ty)),
-                    _ => continue,
+                    Inst::Cmp { .. } => Some(Ty::Pred),
+                    Inst::Select { a, b, .. } => match (opnd_ty(&tys, a), opnd_ty(&tys, b)) {
+                        (Some(x), Some(y)) if x == y => Some(x),
+                        // A select whose arms carry two types passes
+                        // values through unconverted: not typeable.
+                        (Some(_), Some(_)) => return None,
+                        _ => None,
+                    },
+                    Inst::Bin { ty, .. }
+                    | Inst::Un { ty, .. }
+                    | Inst::Cvt { ty, .. }
+                    | Inst::LdGlobal { ty, .. }
+                    | Inst::LdShared { ty, .. }
+                    | Inst::AtomGlobal { ty, .. } => Some(*ty),
+                    Inst::StGlobal { .. }
+                    | Inst::StShared { .. }
+                    | Inst::Bar
+                    | Inst::Bra { .. }
+                    | Inst::Ret => continue,
                 };
-                if let Some(t) = t {
-                    match tys[d] {
-                        None => {
-                            tys[d] = Some(t);
-                            changed = true;
-                        }
-                        Some(u) if u == t => {}
-                        Some(_) => return None,
+                match (tys[ri(d)], t) {
+                    (_, None) => {}
+                    (None, Some(_)) => {
+                        tys[ri(d)] = t;
+                        changed = true;
                     }
+                    (Some(u), Some(t)) if u == t => {}
+                    (Some(_), Some(_)) => return None,
                 }
             }
             if !changed {
@@ -928,10 +700,13 @@ impl Lower {
     /// An operand used at type `to`: register rows get the static
     /// conversion, immediates are converted now and become constant
     /// rows (so the lane loops never branch on operand shape).
-    fn row(&mut self, o: &COpnd, to: Option<Ty>) -> (usize, Conv) {
+    fn row(&mut self, o: &Operand, to: Option<Ty>) -> (usize, Conv) {
         match o {
-            COpnd::Reg(r) => (*r, to.map_or(Conv::Id, |t| conv_for(self.rt[*r], t))),
-            COpnd::Imm(v) => {
+            Operand::Reg(r) => (
+                ri(*r),
+                to.map_or(Conv::Id, |t| conv_for(self.rt[ri(*r)], t)),
+            ),
+            Operand::Imm(v) => {
                 let v = to.map_or(*v, |t| v.convert(t));
                 (self.row_for(value_bits(v)), Conv::Id)
             }
@@ -939,155 +714,171 @@ impl Lower {
     }
 
     /// Address rows: base as `as_u64`, index as `as_i64` — exactly the
-    /// conversions [`mem_addr`] applies in the generic tier.
-    fn tmem(&mut self, m: &CMem) -> TMem {
+    /// conversions the interpreter's `resolve_mref` applies.
+    fn tmem(&mut self, m: &MemRef, ty: Ty) -> TMem {
         let (base, bc) = self.row(&m.base, Some(Ty::U64));
         TMem {
             base,
             bc,
-            index: m.index.map(|r| (r, conv_for(self.rt[r], Ty::I64))),
-            scale: m.scale,
+            index: m.index.map(|r| (ri(r), conv_for(self.rt[ri(r)], Ty::I64))),
+            scale: m.scale as i64,
             disp: m.disp,
-            size: m.size,
+            size: ty.size(),
         }
     }
 }
 
-impl TypedPlan {
-    fn build(ops: &[COp], num_regs: usize, params: &[Value]) -> Option<TypedPlan> {
-        let rt = infer_reg_types(ops, num_regs, params)?;
+/// A [`CompiledKernel`] lowered for one launch's parameter list: what the
+/// typed tier executes, shared across all blocks and host worker threads.
+#[derive(Debug)]
+pub(crate) struct TypedKernel {
+    ck: CompiledKernel,
+    tops: Vec<TOp>,
+    /// Bits of each broadcast constant row (pre-converted immediates);
+    /// they follow the `ck.num_regs` register rows.
+    consts: Vec<u64>,
+}
+
+impl TypedKernel {
+    /// The engine for one launch: `Some` runs on the typed tier, `None`
+    /// on the interpreter (see the module docs for the decline reasons).
+    /// The only place `(tier, kernel, params)` maps to an engine.
+    pub(crate) fn select(tier: ExecTier, kernel: &Kernel, params: &[Value]) -> Option<Self> {
+        match tier {
+            ExecTier::Interpret => None,
+            ExecTier::Auto => CompiledKernel::compile(kernel)?.specialize(kernel, params),
+        }
+    }
+}
+
+impl CompiledKernel {
+    /// Lower `kernel` (the one `self` was compiled from) to [`TOp`]s for a
+    /// concrete parameter list — parameter types feed the register type
+    /// inference, so this happens once per launch. `None` when the kernel
+    /// is not statically typeable.
+    pub(crate) fn specialize(self, kernel: &Kernel, params: &[Value]) -> Option<TypedKernel> {
         let mut lo = Lower {
-            rt,
-            num_regs,
+            rt: infer_reg_types(kernel, params)?,
+            num_regs: self.num_regs,
             consts: Vec::new(),
         };
-        let mut tops = Vec::with_capacity(ops.len());
-        for op in ops {
-            tops.push(match op {
-                COp::MovImm { dst, value } => TOp::Broadcast {
-                    dst: *dst,
+        let mut tops = Vec::with_capacity(kernel.insts.len());
+        for inst in &kernel.insts {
+            tops.push(match inst {
+                Inst::MovImm { dst, value } => TOp::Broadcast {
+                    dst: ri(*dst),
                     bits: value_bits(*value),
                 },
-                COp::Mov { dst, src } => TOp::Cvt {
-                    dst: *dst,
-                    src: *src,
+                Inst::Mov { dst, src } => TOp::Cvt {
+                    dst: ri(*dst),
+                    src: ri(*src),
                     cv: Conv::Id,
                 },
-                COp::ReadSpecial { dst, sr } => TOp::ReadSpecial { dst: *dst, sr: *sr },
-                COp::ReadParam { dst, idx } => match params.get(*idx) {
+                Inst::ReadSpecial { dst, sr } => TOp::ReadSpecial {
+                    dst: ri(*dst),
+                    sr: *sr,
+                },
+                Inst::ReadParam { dst, idx } => match params.get(*idx as usize) {
                     Some(v) => TOp::Broadcast {
-                        dst: *dst,
+                        dst: ri(*dst),
                         bits: value_bits(*v),
                     },
                     None => TOp::BadParams,
                 },
-                COp::Bin {
-                    op,
-                    ty,
-                    dst,
-                    a,
-                    b,
-                    sfu,
-                } => {
+                Inst::Bin { op, ty, dst, a, b } => {
                     let (a, ca) = lo.row(a, Some(*ty));
                     let (b, cb) = lo.row(b, Some(*ty));
                     TOp::Bin {
                         op: *op,
                         ty: *ty,
-                        dst: *dst,
+                        dst: ri(*dst),
                         a,
                         b,
                         ca,
                         cb,
-                        sfu: *sfu,
+                        sfu: matches!(op, BinOp::Div | BinOp::Rem),
                     }
                 }
-                COp::Cmp { op, ty, dst, a, b } => {
+                Inst::Cmp { op, ty, dst, a, b } => {
                     let (a, ca) = lo.row(a, Some(*ty));
                     let (b, cb) = lo.row(b, Some(*ty));
                     TOp::Cmp {
                         op: *op,
                         ty: *ty,
-                        dst: *dst,
+                        dst: ri(*dst),
                         a,
                         b,
                         ca,
                         cb,
                     }
                 }
-                COp::Un {
-                    op,
-                    ty,
-                    dst,
-                    a,
-                    sfu,
-                } => {
+                Inst::Un { op, ty, dst, a } => {
                     let (a, ca) = lo.row(a, Some(*ty));
                     TOp::Un {
                         op: *op,
                         ty: *ty,
-                        dst: *dst,
+                        dst: ri(*dst),
                         a,
                         ca,
-                        sfu: *sfu,
+                        sfu: matches!(op, UnOp::Sqrt),
                     }
                 }
-                COp::Select { dst, cond, a, b } => {
+                Inst::Select { dst, cond, a, b } => {
                     // Select passes values through unconverted; the
                     // inference guaranteed both arms are the dst type.
                     let (a, _) = lo.row(a, None);
                     let (b, _) = lo.row(b, None);
                     TOp::Select {
-                        dst: *dst,
-                        cond: *cond,
-                        kind: cond_kind(lo.rt[*cond]),
+                        dst: ri(*dst),
+                        cond: ri(*cond),
+                        kind: cond_kind(lo.rt[ri(*cond)]),
                         a,
                         b,
                     }
                 }
-                COp::Cvt { dst, ty, src } => match src {
-                    COpnd::Reg(r) => TOp::Cvt {
-                        dst: *dst,
-                        src: *r,
-                        cv: conv_for(lo.rt[*r], *ty),
+                Inst::Cvt { dst, ty, src } => match src {
+                    Operand::Reg(r) => TOp::Cvt {
+                        dst: ri(*dst),
+                        src: ri(*r),
+                        cv: conv_for(lo.rt[ri(*r)], *ty),
                     },
-                    COpnd::Imm(v) => TOp::Broadcast {
-                        dst: *dst,
+                    Operand::Imm(v) => TOp::Broadcast {
+                        dst: ri(*dst),
                         bits: value_bits(v.convert(*ty)),
                     },
                 },
-                COp::LdGlobal { ty, dst, mem } => TOp::LdGlobal {
+                Inst::LdGlobal { ty, dst, mref } => TOp::LdGlobal {
                     ty: *ty,
-                    dst: *dst,
-                    mem: lo.tmem(mem),
+                    dst: ri(*dst),
+                    mem: lo.tmem(mref, *ty),
                 },
-                COp::StGlobal { ty, src, mem } => {
+                Inst::StGlobal { ty, src, mref } => {
                     let (src, sc) = lo.row(src, Some(*ty));
                     TOp::StGlobal {
                         ty: *ty,
                         src,
                         sc,
-                        mem: lo.tmem(mem),
+                        mem: lo.tmem(mref, *ty),
                     }
                 }
-                COp::LdShared { ty, dst, mem } => TOp::LdShared {
+                Inst::LdShared { ty, dst, mref } => TOp::LdShared {
                     ty: *ty,
-                    dst: *dst,
-                    mem: lo.tmem(mem),
+                    dst: ri(*dst),
+                    mem: lo.tmem(mref, *ty),
                 },
-                COp::StShared { ty, src, mem } => {
+                Inst::StShared { ty, src, mref } => {
                     let (src, sc) = lo.row(src, Some(*ty));
                     TOp::StShared {
                         ty: *ty,
                         src,
                         sc,
-                        mem: lo.tmem(mem),
+                        mem: lo.tmem(mref, *ty),
                     }
                 }
-                COp::AtomGlobal {
+                Inst::AtomGlobal {
                     op,
                     ty,
-                    mem,
+                    mref,
                     src,
                     dst,
                 } => {
@@ -1095,23 +886,24 @@ impl TypedPlan {
                     TOp::AtomGlobal {
                         op: *op,
                         ty: *ty,
-                        mem: lo.tmem(mem),
+                        mem: lo.tmem(mref, *ty),
                         src,
                         sc,
-                        dst: *dst,
+                        dst: dst.map(ri),
                     }
                 }
-                COp::Bar => TOp::Bar,
-                COp::Bra { target, cond } => TOp::Bra {
-                    target: *target,
-                    cond: cond.map(|(r, e)| (r, cond_kind(lo.rt[r]), e)),
+                Inst::Bar => TOp::Bar,
+                // `compile` checked every target is inside the stream.
+                Inst::Bra { target, cond } => TOp::Bra {
+                    target: kernel.target(*target),
+                    cond: cond.map(|(r, e)| (ri(r), cond_kind(lo.rt[ri(r)]), e)),
                 },
-                COp::Ret => TOp::Ret,
+                Inst::Ret => TOp::Ret,
             });
         }
-        Some(TypedPlan {
+        Some(TypedKernel {
+            ck: self,
             tops,
-            num_regs,
             consts: lo.consts,
         })
     }
@@ -1120,125 +912,6 @@ impl TypedPlan {
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
-
-/// Per-block mutable state owned by the compiled tier: the SoA register
-/// file plus reusable scratch buffers (the interpreter allocates fresh
-/// containers for these on every warp-step).
-struct BlockState {
-    /// `regs[reg * n + lane]`.
-    regs: Vec<Value>,
-    n: usize,
-    /// Active lanes of the current group (constant across a run).
-    mask: Vec<usize>,
-    /// Segment/word index scratch for the coalescing model.
-    seg_buf: Vec<u64>,
-    /// Per-bank occupancy scratch for the conflict model.
-    bank_counts: Vec<u32>,
-}
-
-/// Control disposition of one executed instruction.
-enum Flow {
-    /// Fall through to the next instruction of the run.
-    Next,
-    /// Terminator executed (PCs already updated); the run is over.
-    Stop,
-}
-
-/// Run one block through the compiled tier. Drives the same
-/// [`BlockExec`] the interpreter uses — barrier bookkeeping, watchdog,
-/// overlap folding, traces, sanitizer shadows, and profiles are shared
-/// code, not re-implementations.
-pub(crate) fn run_block(ck: &CompiledKernel, exec: &mut BlockExec) -> Result<(), AccessAbort> {
-    if let Some(plan) = &ck.typed {
-        return run_block_typed(ck, plan, exec);
-    }
-    let warp = exec.dev.warp_size as usize;
-    let n = exec.threads.len();
-    let num_warps = n.div_ceil(warp);
-    let mut st = BlockState {
-        regs: vec![Value::I32(0); ck.num_regs * n],
-        n,
-        mask: Vec::with_capacity(warp),
-        seg_buf: Vec::with_capacity(2 * warp),
-        bank_counts: vec![0; exec.dev.shared_banks as usize],
-    };
-    loop {
-        for w in 0..num_warps {
-            let lo = w * warp;
-            let hi = ((w + 1) * warp).min(n);
-            let warp_id = w as u32;
-            loop {
-                // Min leader among runnable lanes; the group is every
-                // runnable lane resting there.
-                let mut min_pc = usize::MAX;
-                for l in lo..hi {
-                    let t = &exec.threads[l];
-                    if t.runnable() && t.pc < min_pc {
-                        min_pc = t.pc;
-                    }
-                }
-                if min_pc == usize::MAX {
-                    break; // warp fully blocked or exited
-                }
-                st.mask.clear();
-                for l in lo..hi {
-                    let t = &exec.threads[l];
-                    if t.runnable() && t.pc == min_pc {
-                        st.mask.push(l);
-                    }
-                }
-                run_group(ck, exec, &mut st, warp_id, min_pc)?;
-            }
-        }
-        if !exec.barrier_round()? {
-            break;
-        }
-    }
-    exec.finish_block(num_warps);
-    Ok(())
-}
-
-/// Execute one full run for the current group (constant mask; see module
-/// docs for why this is exact).
-fn run_group(
-    ck: &CompiledKernel,
-    exec: &mut BlockExec,
-    st: &mut BlockState,
-    warp_id: u32,
-    leader: usize,
-) -> Result<(), AccessAbort> {
-    let ri = ck.run_of[leader];
-    let run = ck.runs[ri];
-    debug_assert_eq!(run.start, leader, "groups rest only at leaders");
-    let uniform = ck.run_uniform[ri];
-    for pc in run.start..run.end {
-        let flow = exec_op(ck, exec, st, warp_id, pc, uniform)?;
-        exec.watchdog()?;
-        if let Flow::Stop = flow {
-            return Ok(());
-        }
-    }
-    // Fallthrough into the next run: lanes rest at its leader.
-    for &l in &st.mask {
-        exec.threads[l].pc = run.end;
-    }
-    Ok(())
-}
-
-#[inline]
-fn opnd(regs: &[Value], n: usize, o: COpnd, lane: usize) -> Value {
-    match o {
-        COpnd::Reg(r) => regs[r * n + lane],
-        COpnd::Imm(v) => v,
-    }
-}
-
-#[inline]
-fn mem_addr(regs: &[Value], n: usize, mem: &CMem, lane: usize) -> u64 {
-    let base = opnd(regs, n, mem.base, lane).as_u64();
-    let idx = mem.index.map_or(0, |r| regs[r * n + lane].as_i64());
-    mref_addr(base, idx, mem.scale, mem.disp)
-}
 
 /// Allocation-free twin of [`crate::coalesce::global_transactions`].
 /// Monotonically non-decreasing segment sequences (every coalesced or
@@ -1406,468 +1079,6 @@ fn observe_mem_uniform(
     }
 }
 
-/// Execute one pre-decoded instruction for the current group. A faithful
-/// port of the interpreter's `step` — same instrumentation in the same
-/// order, same error points — over the SoA register file, with a
-/// one-lane-and-broadcast path for uniform runs.
-fn exec_op(
-    ck: &CompiledKernel,
-    exec: &mut BlockExec,
-    st: &mut BlockState,
-    warp_id: u32,
-    pc: usize,
-    uniform: bool,
-) -> Result<Flow, AccessAbort> {
-    let mlen = st.mask.len();
-    debug_assert!(mlen > 0);
-    let recorded = match exec.trace.as_mut() {
-        Some(t) => t.record(TraceEvent {
-            block: exec.block_idx,
-            warp: warp_id,
-            pc,
-            active: mlen as u32,
-            text: crate::ir::format_inst(&exec.kernel.insts[pc]),
-            mem: None,
-        }),
-        None => false,
-    };
-    exec.stats.warp_insts += 1;
-    exec.stats.lane_insts += mlen as u64;
-    let mut d = PcCounters {
-        warp_insts: 1,
-        lane_insts: mlen as u64,
-        issue_cycles: exec.cost.issue,
-        ..PcCounters::default()
-    };
-    let n = st.n;
-    let l0 = st.mask[0];
-    let mut flow = Flow::Next;
-    match &ck.ops[pc] {
-        COp::MovImm { dst, value } => {
-            for &l in &st.mask {
-                st.regs[dst * n + l] = *value;
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::Mov { dst, src } => {
-            if uniform {
-                let v = st.regs[src * n + l0];
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                for &l in &st.mask {
-                    let v = st.regs[src * n + l];
-                    st.regs[dst * n + l] = v;
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::ReadSpecial { dst, sr } => {
-            if uniform {
-                let v = exec.special(l0, *sr);
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                for &l in &st.mask {
-                    let v = exec.special(l, *sr);
-                    st.regs[dst * n + l] = v;
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::ReadParam { dst, idx } => {
-            let v = *exec.params.get(*idx).ok_or(SimError::BadParams {
-                expected: exec.kernel.num_params,
-                got: exec.params.len() as u32,
-            })?;
-            for &l in &st.mask {
-                st.regs[dst * n + l] = v;
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::Bin {
-            op,
-            ty,
-            dst,
-            a,
-            b,
-            sfu,
-        } => {
-            if uniform {
-                let r = eval_bin(
-                    *op,
-                    *ty,
-                    opnd(&st.regs, n, *a, l0),
-                    opnd(&st.regs, n, *b, l0),
-                )?;
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = r;
-                }
-            } else {
-                for &l in &st.mask {
-                    let av = opnd(&st.regs, n, *a, l);
-                    let bv = opnd(&st.regs, n, *b, l);
-                    st.regs[dst * n + l] = eval_bin(*op, *ty, av, bv)?;
-                }
-            }
-            d.alu_cycles = alu_cost(exec.cost, *ty, *sfu);
-        }
-        COp::Cmp { op, ty, dst, a, b } => {
-            if uniform {
-                let av = opnd(&st.regs, n, *a, l0).convert(*ty);
-                let bv = opnd(&st.regs, n, *b, l0).convert(*ty);
-                let r = Value::Pred(eval_cmp(*op, *ty, av, bv));
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = r;
-                }
-            } else {
-                for &l in &st.mask {
-                    let av = opnd(&st.regs, n, *a, l).convert(*ty);
-                    let bv = opnd(&st.regs, n, *b, l).convert(*ty);
-                    st.regs[dst * n + l] = Value::Pred(eval_cmp(*op, *ty, av, bv));
-                }
-            }
-            d.alu_cycles = alu_cost(exec.cost, *ty, false);
-        }
-        COp::Un {
-            op,
-            ty,
-            dst,
-            a,
-            sfu,
-        } => {
-            if uniform {
-                let r = eval_un(*op, *ty, opnd(&st.regs, n, *a, l0))?;
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = r;
-                }
-            } else {
-                for &l in &st.mask {
-                    let av = opnd(&st.regs, n, *a, l);
-                    st.regs[dst * n + l] = eval_un(*op, *ty, av)?;
-                }
-            }
-            d.alu_cycles = alu_cost(exec.cost, *ty, *sfu);
-        }
-        COp::Select { dst, cond, a, b } => {
-            if uniform {
-                let c = st.regs[cond * n + l0].as_bool();
-                let v = if c {
-                    opnd(&st.regs, n, *a, l0)
-                } else {
-                    opnd(&st.regs, n, *b, l0)
-                };
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                for &l in &st.mask {
-                    let c = st.regs[cond * n + l].as_bool();
-                    let v = if c {
-                        opnd(&st.regs, n, *a, l)
-                    } else {
-                        opnd(&st.regs, n, *b, l)
-                    };
-                    st.regs[dst * n + l] = v;
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::Cvt { dst, ty, src } => {
-            if uniform {
-                let v = opnd(&st.regs, n, *src, l0).convert(*ty);
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                for &l in &st.mask {
-                    let v = opnd(&st.regs, n, *src, l).convert(*ty);
-                    st.regs[dst * n + l] = v;
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::LdGlobal { ty, dst, mem } => {
-            let tx;
-            if uniform {
-                let a = mem_addr(&st.regs, n, mem, l0);
-                tx = transactions(&[(a, mem.size)], exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                let v = exec.view.read(*ty, a)?;
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((mem_addr(&st.regs, n, mem, l), mem.size));
-                }
-                tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                for (i, &l) in st.mask.iter().enumerate() {
-                    let v = exec.view.read(*ty, exec.scratch_addr[i].0)?;
-                    st.regs[dst * n + l] = v;
-                }
-                exec.observe_mem(
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                );
-            }
-        }
-        COp::StGlobal { ty, src, mem } => {
-            if uniform {
-                let a = mem_addr(&st.regs, n, mem, l0);
-                let tx = transactions(&[(a, mem.size)], exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                let v = opnd(&st.regs, n, *src, l0).convert(*ty);
-                // M identical writes to one address are one write.
-                exec.view.write(a, v)?;
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((mem_addr(&st.regs, n, mem, l), mem.size));
-                }
-                let tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                for (i, &l) in st.mask.iter().enumerate() {
-                    let v = opnd(&st.regs, n, *src, l).convert(*ty);
-                    exec.view.write(exec.scratch_addr[i].0, v)?;
-                }
-                exec.observe_mem(
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                );
-            }
-        }
-        COp::LdShared { ty, dst, mem } => {
-            if uniform {
-                let a = mem_addr(&st.regs, n, mem, l0);
-                let ways = conflict_ways(
-                    &[(a, mem.size)],
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                // Observation precedes the access, as in the interpreter
-                // (the sanitizer sees even out-of-bounds shared reads).
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-                let v = exec.shared.read(*ty, a)?;
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((mem_addr(&st.regs, n, mem, l), mem.size));
-                }
-                let ways = conflict_ways(
-                    &exec.scratch_addr,
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                exec.observe_mem(
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                );
-                for (i, &l) in st.mask.iter().enumerate() {
-                    let v = exec.shared.read(*ty, exec.scratch_addr[i].0)?;
-                    st.regs[dst * n + l] = v;
-                }
-            }
-        }
-        COp::StShared { ty, src, mem } => {
-            if uniform {
-                let a = mem_addr(&st.regs, n, mem, l0);
-                let ways = conflict_ways(
-                    &[(a, mem.size)],
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                let v = opnd(&st.regs, n, *src, l0).convert(*ty);
-                exec.shared.write(a, v)?;
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((mem_addr(&st.regs, n, mem, l), mem.size));
-                }
-                let ways = conflict_ways(
-                    &exec.scratch_addr,
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                for (i, &l) in st.mask.iter().enumerate() {
-                    let v = opnd(&st.regs, n, *src, l).convert(*ty);
-                    exec.shared.write(exec.scratch_addr[i].0, v)?;
-                }
-                exec.observe_mem(
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                );
-            }
-        }
-        COp::AtomGlobal {
-            op,
-            ty,
-            mem,
-            src,
-            dst,
-        } => {
-            // Never on the uniform path (serialized applications differ
-            // from one application); faithful port of the interpreter arm.
-            exec.stats.atomics += 1;
-            exec.stats.global_accesses += 1;
-            d.atomics = 1;
-            d.global_accesses = 1;
-            d.global_transactions = mlen as u64;
-            d.atomic_cycles = mlen as u64 * exec.cost.atomic_lane;
-            exec.scratch_addr.clear();
-            for &l in &st.mask {
-                exec.scratch_addr
-                    .push((mem_addr(&st.regs, n, mem, l), mem.size));
-            }
-            exec.observe_mem(
-                TraceSpace::Global,
-                &st.mask,
-                warp_id,
-                pc,
-                AccessKind::Atomic,
-                recorded,
-            );
-            if dst.is_some() && matches!(exec.view, MemView::Overlay(_)) {
-                return Err(AccessAbort::NeedsSequential("atomic with a result operand"));
-            }
-            for (i, &l) in st.mask.iter().enumerate() {
-                let addr = exec.scratch_addr[i].0;
-                let v = opnd(&st.regs, n, *src, l).convert(*ty);
-                if let Some(old) = exec.view.atom(*op, *ty, addr, v)? {
-                    if let Some(dr) = dst {
-                        st.regs[dr * n + l] = old;
-                    }
-                }
-            }
-            exec.stats.global_transactions += mlen as u64;
-        }
-        COp::Bar => {
-            exec.stats.barriers += 1;
-            d.barriers = 1;
-            d.barrier_cycles = exec.cost.barrier;
-            for &l in &st.mask {
-                exec.threads[l].at_barrier = true;
-                exec.threads[l].pc = pc + 1;
-            }
-            flow = Flow::Stop;
-        }
-        COp::Bra { target, cond } => {
-            match cond {
-                None => {
-                    for &l in &st.mask {
-                        exec.threads[l].pc = *target;
-                    }
-                }
-                Some((r, expect)) => {
-                    if uniform {
-                        let take = st.regs[r * n + l0].as_bool() == *expect;
-                        let to = if take { *target } else { pc + 1 };
-                        for &l in &st.mask {
-                            exec.threads[l].pc = to;
-                        }
-                    } else {
-                        for &l in &st.mask {
-                            let take = st.regs[r * n + l].as_bool() == *expect;
-                            exec.threads[l].pc = if take { *target } else { pc + 1 };
-                        }
-                    }
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-            flow = Flow::Stop;
-        }
-        COp::Ret => {
-            for &l in &st.mask {
-                exec.threads[l].exited = true;
-            }
-            flow = Flow::Stop;
-        }
-    }
-    exec.cycles_raw += d.cycles();
-    if let Some(p) = exec.prof.as_mut() {
-        p.record(pc, warp_id, &d);
-    }
-    Ok(flow)
-}
-
 /// Global-memory charge shared by the load/store arms (identical to the
 /// interpreter's bookkeeping).
 #[inline]
@@ -1894,10 +1105,6 @@ fn charge_shared(exec: &mut BlockExec, d: &mut PcCounters, ways: u64) {
     d.shared_cycles = exec.cost.shared_way;
     d.conflict_cycles = (ways - 1) * exec.cost.shared_way;
 }
-
-// ---------------------------------------------------------------------------
-// Typed execution
-// ---------------------------------------------------------------------------
 
 /// Per-block state of the typed tier: one flat bit row per register and
 /// constant (`bits[row * n + lane]`), plus the scratch buffers.
@@ -2246,28 +1453,28 @@ fn tmem_addr(bits: &[u64], n: usize, mem: &TMem, lane: usize) -> u64 {
 
 /// True when the warp's per-lane accesses form one dense ascending span
 /// (`addrs[i] == addrs[0] + i * size`): the perfectly coalesced pattern
-/// that can be served by a single span read/write.
+/// that can be served by a single span read/write. A sequence that wraps
+/// past `u64::MAX` is not a span (and must not overflow here: wild
+/// addresses are values until the access bounds-checks them).
 #[inline]
 fn coalesced(addrs: &[(u64, usize)], size: usize) -> bool {
     addrs.len() > 1
         && addrs
             .iter()
             .enumerate()
-            .all(|(i, &(a, _))| a == addrs[0].0 + (i * size) as u64)
+            .all(|(i, &(a, _))| addrs[0].0.checked_add((i * size) as u64) == Some(a))
 }
 
-/// Typed twin of [`run_block`]: same warp scheduling, bit rows instead
-/// of [`Value`] rows.
-fn run_block_typed(
-    ck: &CompiledKernel,
-    plan: &TypedPlan,
-    exec: &mut BlockExec,
-) -> Result<(), AccessAbort> {
+/// Run one block on the typed tier. Drives the same [`BlockExec`] the
+/// interpreter uses — barrier bookkeeping, watchdog, overlap folding,
+/// traces, sanitizer shadows, and profiles are shared code, not
+/// re-implementations.
+pub(crate) fn run_block(tk: &TypedKernel, exec: &mut BlockExec) -> Result<(), AccessAbort> {
     let warp = exec.dev.warp_size as usize;
     let n = exec.threads.len();
     let num_warps = n.div_ceil(warp);
     let mut st = TypedState {
-        bits: vec![0u64; (plan.num_regs + plan.consts.len()) * n],
+        bits: vec![0u64; (tk.ck.num_regs + tk.consts.len()) * n],
         n,
         mask: Vec::with_capacity(warp),
         contig: true,
@@ -2275,8 +1482,8 @@ fn run_block_typed(
         bank_counts: vec![0; exec.dev.shared_banks as usize],
         tmp: Vec::with_capacity(warp),
     };
-    for (i, &c) in plan.consts.iter().enumerate() {
-        let r = (plan.num_regs + i) * n;
+    for (i, &c) in tk.consts.iter().enumerate() {
+        let r = (tk.ck.num_regs + i) * n;
         st.bits[r..r + n].fill(c);
     }
     loop {
@@ -2285,6 +1492,8 @@ fn run_block_typed(
             let hi = ((w + 1) * warp).min(n);
             let warp_id = w as u32;
             loop {
+                // Min leader among runnable lanes; the group is every
+                // runnable lane resting there.
                 let mut min_pc = usize::MAX;
                 let mut runnable = 0usize;
                 for l in lo..hi {
@@ -2297,7 +1506,7 @@ fn run_block_typed(
                     }
                 }
                 if min_pc == usize::MAX {
-                    break;
+                    break; // warp fully blocked or exited
                 }
                 st.mask.clear();
                 for l in lo..hi {
@@ -2308,7 +1517,7 @@ fn run_block_typed(
                 }
                 st.contig = st.mask[st.mask.len() - 1] - st.mask[0] + 1 == st.mask.len();
                 let whole = st.mask.len() == runnable;
-                run_group_typed(ck, plan, exec, &mut st, warp_id, min_pc, whole)?;
+                run_group_typed(tk, exec, &mut st, warp_id, min_pc, whole)?;
             }
         }
         if !exec.barrier_round()? {
@@ -2329,15 +1538,15 @@ enum TFlow {
     Goto(usize),
 }
 
-/// Typed twin of [`run_group`], extended to chase the group across runs:
-/// as long as every active lane leaves a run together (fallthrough or a
-/// branch every lane takes the same way), keep executing with the same
-/// mask instead of handing back to the per-warp min-pc scan. Thread `pc`s
-/// are only materialized at the points the scheduler can observe them
-/// (barrier, exit, divergence).
+/// Execute the current group's run (constant mask; see module docs for
+/// why this is exact), then chase the group across runs: as long as every
+/// active lane leaves a run together (fallthrough or a branch every lane
+/// takes the same way), keep executing with the same mask instead of
+/// handing back to the per-warp min-pc scan. Thread `pc`s are only
+/// materialized at the points the scheduler can observe them (barrier,
+/// exit, divergence).
 fn run_group_typed(
-    ck: &CompiledKernel,
-    plan: &TypedPlan,
+    tk: &TypedKernel,
     exec: &mut BlockExec,
     st: &mut TypedState,
     warp_id: u32,
@@ -2346,13 +1555,13 @@ fn run_group_typed(
 ) -> Result<(), AccessAbort> {
     let mut leader = leader;
     loop {
-        let ri = ck.run_of[leader];
-        let run = ck.runs[ri];
+        let ri = tk.ck.run_of[leader];
+        let run = tk.ck.runs[ri];
         debug_assert_eq!(run.start, leader, "groups rest only at leaders");
-        let uniform = ck.run_uniform[ri];
+        let uniform = tk.ck.run_uniform[ri];
         let mut next = run.end;
         for pc in run.start..run.end {
-            let flow = exec_top(plan, exec, st, warp_id, pc, uniform)?;
+            let flow = exec_top(tk, exec, st, warp_id, pc, uniform)?;
             exec.watchdog()?;
             match flow {
                 TFlow::Next => {}
@@ -2377,10 +1586,11 @@ fn run_group_typed(
 }
 
 /// Execute one typed instruction for the current group. The
-/// instrumentation sequence is byte-for-byte the interpreter's (and
-/// [`exec_op`]'s); only the register representation differs.
+/// instrumentation sequence — same bookkeeping in the same order, same
+/// error points — is byte-for-byte the interpreter's `step`; only the
+/// register representation differs.
 fn exec_top(
-    plan: &TypedPlan,
+    tk: &TypedKernel,
     exec: &mut BlockExec,
     st: &mut TypedState,
     warp_id: u32,
@@ -2411,7 +1621,7 @@ fn exec_top(
     let n = st.n;
     let l0 = st.mask[0];
     let mut flow = TFlow::Next;
-    match &plan.tops[pc] {
+    match &tk.tops[pc] {
         TOp::Broadcast { dst, bits } => {
             fill(&mut st.bits, n, &st.mask, st.contig, *dst, *bits);
             d.alu_cycles = exec.cost.alu;
@@ -2889,7 +2099,7 @@ mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
     use crate::coalesce;
-    use crate::ir::MemRef;
+    use crate::exec::{eval_bin, eval_cmp, eval_un};
 
     /// A kernel with uniform and divergent runs, a loop, and a barrier:
     /// tree-reduction-shaped control flow.
@@ -3080,10 +2290,9 @@ mod tests {
     #[test]
     fn typed_plan_builds_for_single_typed_kernels() {
         let k = shaped_kernel();
-        let mut ck = CompiledKernel::compile(&k).expect("compiles");
-        ck.specialize(&[Value::U64(0x1000)]);
+        let ck = CompiledKernel::compile(&k).expect("compiles");
         assert!(
-            ck.typed.is_some(),
+            ck.specialize(&k, &[Value::U64(0x1000)]).is_some(),
             "single-typed kernel should get a typed plan"
         );
     }
@@ -3094,11 +2303,174 @@ mod tests {
         let r = b.mov_imm(Value::I32(1));
         b.bin_to(r, BinOp::Add, Ty::F32, r, Value::F32(1.0));
         let k = b.finish();
-        let mut ck = CompiledKernel::compile(&k).expect("compiles");
-        ck.specialize(&[]);
+        let ck = CompiledKernel::compile(&k).expect("compiles");
         assert!(
-            ck.typed.is_none(),
-            "a register written at two types must fall back to the generic tier"
+            ck.specialize(&k, &[]).is_none(),
+            "a register written at two types must decline to the interpreter"
         );
+    }
+
+    const TYS: [Ty; 6] = [Ty::I32, Ty::I64, Ty::U64, Ty::F32, Ty::F64, Ty::Pred];
+    const BIN_OPS: [BinOp; 12] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+    ];
+    const CMP_OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    const UN_OPS: [UnOp; 4] = [UnOp::Neg, UnOp::Abs, UnOp::Sqrt, UnOp::Not];
+
+    /// Adding a type or operator must extend the tables above: these
+    /// wildcard-free matches stop compiling until it is listed here.
+    #[allow(dead_code)]
+    fn tables_are_exhaustive(ty: Ty, b: BinOp, c: CmpOp, u: UnOp) {
+        match ty {
+            Ty::I32 | Ty::I64 | Ty::U64 | Ty::F32 | Ty::F64 | Ty::Pred => {}
+        }
+        match b {
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem | BinOp::Min => {}
+            BinOp::Max | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr => {}
+        }
+        match c {
+            CmpOp::Eq | CmpOp::Ne | CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {}
+        }
+        match u {
+            UnOp::Neg | UnOp::Abs | UnOp::Sqrt | UnOp::Not => {}
+        }
+    }
+
+    /// Edge values of every register type: zeros, units, extremes, shift
+    /// counts at and past the operand width, both zeros and infinities,
+    /// quiet and signalling NaNs, subnormals, and floats beyond the `i32`,
+    /// `i64` and `f32` ranges (saturating casts, overflow to infinity).
+    #[rustfmt::skip]
+    fn edge_values() -> Vec<Value> {
+        let (above32, below32) = (i32::MAX as i64 + 1, i32::MIN as i64 - 1);
+        let i32s = [0, 1, -1, i32::MIN, i32::MAX, 31, 32, 63, 64];
+        let i64s = [0, 1, -1, i64::MIN, i64::MAX, 31, 32, 63, 64, above32, below32];
+        let u64s = [0, 1, u64::MAX, 31, 32, 63, 64, 1 << 63, 1 << 32];
+        let (inf, snan, sub) = (f32::INFINITY, f32::from_bits(0x7f80_0001), f32::from_bits(1));
+        let f32s = [0.0, -0.0, 1.0, -1.0, 0.5, -1.5, 64.0, inf, -inf, f32::NAN, snan, sub, -sub,
+                    3e9, -3e9, 1e19, -1e19];
+        let (inf, snan, sub) =
+            (f64::INFINITY, f64::from_bits(0x7ff0_0000_0000_0001), f64::from_bits(1));
+        let f64s = [0.0, -0.0, 1.0, -1.0, 0.5, -1.5, 32.0, inf, -inf, f64::NAN, snan, sub, -sub,
+                    3e9, -3e9, 1e19, -1e19, 1e300];
+        let mut v: Vec<Value> = i32s.map(Value::I32).to_vec();
+        v.extend(i64s.map(Value::I64));
+        v.extend(u64s.map(Value::U64));
+        v.extend(f32s.map(Value::F32));
+        v.extend(f64s.map(Value::F64));
+        v.extend([false, true].map(Value::Pred));
+        v
+    }
+
+    /// The three ways an ALU op walks its lanes: one-lane-and-broadcast,
+    /// contiguous range, scattered mask. `(contig, uniform)`.
+    const MODES: [(bool, bool); 3] = [(true, true), (true, false), (false, false)];
+    const POISON: u64 = 0xdead_beef_dead_beef;
+
+    /// The typed ALU tables are written separately from the interpreter's
+    /// (`eval_bin`/`eval_cmp`/`eval_un`) and must equal them bit-for-bit on
+    /// every `(op, ty)` and every operand type — results, result types, and
+    /// the `Err` values (`DivisionByZero`, `TypeError` and its message).
+    #[test]
+    fn alu_tables_match_the_interpreter_exhaustively() {
+        let edges = edge_values();
+        for ty in TYS {
+            for &a in &edges {
+                let ca = conv_for(a.ty(), ty);
+                for op in UN_OPS {
+                    let want = eval_un(op, ty, a).map(|v| {
+                        assert_eq!(v.ty(), ty, "{op} {ty} {a:?}");
+                        value_bits(v)
+                    });
+                    for (contig, uniform) in MODES {
+                        let mut bits = [value_bits(a), POISON];
+                        let got = un_bits(op, ty, &mut bits, 1, &[0], contig, uniform, 1, 0, ca)
+                            .map(|()| bits[1]);
+                        assert_eq!(
+                            got, want,
+                            "{op} {ty} {a:?} contig={contig} uniform={uniform}"
+                        );
+                    }
+                }
+                for &b in &edges {
+                    let cb = conv_for(b.ty(), ty);
+                    let at = |what: &dyn std::fmt::Display, contig: bool, uniform: bool| {
+                        format!("{what} {ty} {a:?} {b:?} contig={contig} uniform={uniform}")
+                    };
+                    for op in BIN_OPS {
+                        let want = eval_bin(op, ty, a, b).map(|v| {
+                            assert_eq!(v.ty(), ty, "{op} {ty} {a:?} {b:?}");
+                            value_bits(v)
+                        });
+                        for (contig, uniform) in MODES {
+                            let mut bits = [value_bits(a), value_bits(b), POISON];
+                            let got = bin_bits(
+                                op,
+                                ty,
+                                &mut bits,
+                                1,
+                                &[0],
+                                contig,
+                                uniform,
+                                2,
+                                0,
+                                1,
+                                ca,
+                                cb,
+                            )
+                            .map(|()| bits[2]);
+                            assert_eq!(got, want, "{}", at(&op, contig, uniform));
+                        }
+                    }
+                    for op in CMP_OPS {
+                        let want = eval_cmp(op, ty, a.convert(ty), b.convert(ty)) as u64;
+                        for (contig, uniform) in MODES {
+                            let mut bits = [value_bits(a), value_bits(b), POISON];
+                            cmp_bits(op, ty, &mut bits, 1, &[0], contig, uniform, 2, 0, 1, ca, cb);
+                            assert_eq!(bits[2], want, "{}", at(&op, contig, uniform));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every `conv_for(from, to)` entry is the bit-level image of
+    /// [`Value::convert`] (which is also `as_u64`/`as_i64` for address
+    /// operands), `bits_value` inverts `value_bits`, and `cond_true` is
+    /// `as_bool`.
+    #[test]
+    fn conv_table_matches_value_convert_exhaustively() {
+        for v in edge_values() {
+            let bits = value_bits(v);
+            // NaN payloads survive the round trip, so compare encodings.
+            assert_eq!(value_bits(bits_value(v.ty(), bits)), bits, "{v:?}");
+            assert_eq!(cond_true(cond_kind(v.ty()), bits), v.as_bool(), "{v:?}");
+            for to in TYS {
+                assert_eq!(
+                    conv_for(v.ty(), to).apply(bits),
+                    value_bits(v.convert(to)),
+                    "{v:?} -> {to}"
+                );
+            }
+        }
     }
 }

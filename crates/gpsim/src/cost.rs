@@ -10,24 +10,23 @@
 //! All knobs live in [`CostModel`] so experiments can recalibrate; the
 //! defaults are Kepler-class (K20c) values matching the paper's platform.
 
-/// Which executor runs kernel launches.
+/// Which engine runs kernel launches.
 ///
-/// Both tiers are **bit-identical** in every observable output — results,
-/// [`crate::stats::LaunchStats`], modelled cycles, traces, hazard reports,
-/// profiles, and error values — so this is purely a speed knob (like
-/// [`DeviceConfig::host_threads`], a simulator property, not a modelled
-/// device property).
+/// Both engines are **bit-identical** in every observable output —
+/// results, [`crate::stats::LaunchStats`], modelled cycles, traces, hazard
+/// reports, profiles, and error values — so this is purely a speed knob
+/// (like [`DeviceConfig::host_threads`], a simulator property, not a
+/// modelled device property).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
-    /// Pick the fastest tier that can run the kernel (currently: the
-    /// compiled tier whenever the kernel is non-empty).
+    /// The typed tier ([`crate::compiled`]) whenever it accepts the kernel
+    /// and its parameter types, else the interpreter; a decline is counted
+    /// by [`crate::Device::tier_declines`].
     #[default]
     Auto,
-    /// Force the reference interpreter (one `Inst` dispatch per warp-step).
+    /// Force the reference interpreter (one `Inst` dispatch per warp-step),
+    /// the oracle the typed tier is compared against.
     Interpret,
-    /// Force the compiled tier: pre-decoded basic-block runs, an SoA
-    /// register file, and warp-uniform fast paths (see [`crate::compiled`]).
-    Compiled,
 }
 
 impl std::str::FromStr for ExecTier {
@@ -36,9 +35,8 @@ impl std::str::FromStr for ExecTier {
         match s {
             "auto" => Ok(ExecTier::Auto),
             "interpret" => Ok(ExecTier::Interpret),
-            "compiled" => Ok(ExecTier::Compiled),
             other => Err(format!(
-                "invalid execution tier `{other}` (expected auto|interpret|compiled)"
+                "invalid execution tier `{other}` (expected auto|interpret)"
             )),
         }
     }
@@ -49,7 +47,6 @@ impl std::fmt::Display for ExecTier {
         f.write_str(match self {
             ExecTier::Auto => "auto",
             ExecTier::Interpret => "interpret",
-            ExecTier::Compiled => "compiled",
         })
     }
 }
@@ -88,7 +85,7 @@ pub struct DeviceConfig {
     /// attribution cost). Like `host_threads`, a *simulator* knob:
     /// enabling it never changes modelled cycles.
     pub profile: Option<crate::profile::ProfileConfig>,
-    /// Which executor runs launches (interpreter vs compiled tier). Like
+    /// Which engine runs launches (typed tier vs interpreter). Like
     /// `host_threads`, a *simulator* knob: every observable output is
     /// bit-identical across tiers.
     pub exec_tier: ExecTier,
@@ -285,10 +282,14 @@ mod tests {
 
     #[test]
     fn exec_tier_parse_roundtrip() {
-        for t in [ExecTier::Auto, ExecTier::Interpret, ExecTier::Compiled] {
+        for t in [ExecTier::Auto, ExecTier::Interpret] {
             assert_eq!(t.to_string().parse::<ExecTier>(), Ok(t));
         }
         assert!("jit".parse::<ExecTier>().is_err());
+        assert_eq!(
+            "compiled".parse::<ExecTier>().unwrap_err(),
+            "invalid execution tier `compiled` (expected auto|interpret)"
+        );
         assert_eq!(ExecTier::default(), ExecTier::Auto);
     }
 

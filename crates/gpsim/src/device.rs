@@ -2,7 +2,8 @@
 //! session statistics behind one handle — the simulated analogue of a CUDA
 //! context.
 
-use crate::cost::{CostModel, DeviceConfig};
+use crate::compiled::TypedKernel;
+use crate::cost::{CostModel, DeviceConfig, ExecTier};
 use crate::error::SimError;
 use crate::exec::{run_kernel_instrumented, LaunchConfig};
 use crate::ir::Kernel;
@@ -21,6 +22,7 @@ pub struct Device {
     cost: CostModel,
     global: GlobalMemory,
     stats: SessionStats,
+    tier_declines: u64,
     sanitizer: SanitizerConfig,
     hazards: Vec<HazardReport>,
     verifier: Option<VerifyConfig>,
@@ -56,6 +58,7 @@ impl Device {
             cost,
             global,
             stats: SessionStats::default(),
+            tier_declines: 0,
             sanitizer: SanitizerConfig::default(),
             hazards: Vec::new(),
             verifier: None,
@@ -74,10 +77,19 @@ impl Device {
     }
 
     /// Select the execution tier for subsequent launches (see
-    /// [`crate::cost::ExecTier`]). Results are bit-identical at any
-    /// setting; this is purely a simulator speed knob.
-    pub fn set_exec_tier(&mut self, tier: crate::cost::ExecTier) {
+    /// [`ExecTier`]). Results are bit-identical at any setting; this is
+    /// purely a simulator speed knob.
+    pub fn set_exec_tier(&mut self, tier: ExecTier) {
         self.config.exec_tier = tier;
+    }
+
+    /// Launches that asked for [`ExecTier::Auto`] and ran on the
+    /// interpreter because the typed tier declined the kernel (see
+    /// [`crate::compiled`] for the reasons). Kept beside, not inside,
+    /// [`SessionStats`]: those are bit-identical across tiers, this is a
+    /// property of the tier choice itself.
+    pub fn tier_declines(&self) -> u64 {
+        self.tier_declines
     }
 
     /// Set the sanitizer configuration for subsequent launches (see
@@ -323,6 +335,10 @@ impl Device {
             .profile
             .as_ref()
             .map(|pc| LaunchProfile::new(kernel, cfg, self.config.num_sms, pc));
+        let ck = TypedKernel::select(self.config.exec_tier, kernel, params);
+        if ck.is_none() && self.config.exec_tier == ExecTier::Auto {
+            self.tier_declines += 1;
+        }
         let result = run_kernel_instrumented(
             kernel,
             cfg,
@@ -330,6 +346,7 @@ impl Device {
             &mut self.global,
             &self.config,
             &self.cost,
+            ck.as_ref(),
             trace,
             san.as_mut(),
             prof.as_mut(),

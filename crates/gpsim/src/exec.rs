@@ -56,6 +56,7 @@
 //! one returned — the same partial state a sequential run leaves behind.
 
 use crate::coalesce::{bank_conflict_degree, global_transactions};
+use crate::compiled::TypedKernel;
 use crate::cost::{CostModel, DeviceConfig};
 use crate::error::SimError;
 use crate::ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, SpecialReg, UnOp};
@@ -185,8 +186,8 @@ impl MemView<'_> {
         }
     }
 
-    /// Bit-encoding read for the compiled tier's typed fast mode (identical
-    /// bounds, fallback, and bit semantics to [`MemView::read`]).
+    /// Bit-encoding read for the typed tier (identical bounds, fallback,
+    /// and bit semantics to [`MemView::read`]).
     pub(crate) fn read_bits(&mut self, ty: Ty, addr: u64) -> Result<u64, AccessAbort> {
         match self {
             MemView::Direct(g) => Ok(g.read_bits(ty, addr)?),
@@ -194,7 +195,7 @@ impl MemView<'_> {
         }
     }
 
-    /// Bit-encoding write for the compiled tier's typed fast mode.
+    /// Bit-encoding write for the typed tier.
     pub(crate) fn write_bits(&mut self, ty: Ty, addr: u64, bits: u64) -> Result<(), AccessAbort> {
         match self {
             MemView::Direct(g) => Ok(g.write_bits(ty, addr, bits)?),
@@ -288,9 +289,9 @@ pub(crate) struct BlockExec<'a, 'g> {
     pub(crate) trace: Option<Trace>,
     pub(crate) san: Option<BlockSanitizer>,
     pub(crate) prof: Option<BlockProfile>,
-    /// Pre-decoded form of `kernel`; `Some` routes [`BlockExec::run`]
-    /// through the compiled tier (see [`crate::compiled`]).
-    pub(crate) ck: Option<&'a crate::compiled::CompiledKernel>,
+    /// Typed lowering of `kernel` for this launch; `Some` routes
+    /// [`BlockExec::run`] through the typed tier (see [`crate::compiled`]).
+    pub(crate) ck: Option<&'a TypedKernel>,
 }
 
 impl<'a, 'g> BlockExec<'a, 'g> {
@@ -303,10 +304,10 @@ impl<'a, 'g> BlockExec<'a, 'g> {
         dev: &'a DeviceConfig,
         cost: &'a CostModel,
         view: MemView<'g>,
-        ck: Option<&'a crate::compiled::CompiledKernel>,
+        ck: Option<&'a TypedKernel>,
     ) -> Self {
         let n = cfg.threads_per_block() as usize;
-        // The compiled tier keeps registers in its own SoA file; skip the
+        // The typed tier keeps registers in its own bit rows; skip the
         // per-thread register vectors entirely on that path.
         let thread_regs = if ck.is_some() {
             0
@@ -423,8 +424,8 @@ impl<'a, 'g> BlockExec<'a, 'g> {
     /// Run the block to completion. On success, `stats.cycles` holds the
     /// block's modelled cycle count.
     fn run(&mut self) -> Result<(), AccessAbort> {
-        if let Some(ck) = self.ck {
-            return crate::compiled::run_block(ck, self);
+        if let Some(tk) = self.ck {
+            return crate::compiled::run_block(tk, self);
         }
         let warp = self.dev.warp_size as usize;
         let n = self.threads.len();
@@ -942,7 +943,7 @@ pub fn eval_bin(op: BinOp, ty: Ty, a: Value, b: Value) -> Result<Value, SimError
     }
     // Float results are NaN-canonicalized (see [`crate::types::canon_f32`]):
     // payload propagation would differ between the interpreter and the
-    // compiled tier depending on host codegen operand order.
+    // typed tier depending on host codegen operand order.
     macro_rules! float_case {
         ($av:expr, $bv:expr, $ctor:ident, $canon:path) => {{
             let (x, y) = ($av, $bv);
@@ -1075,7 +1076,19 @@ pub fn run_kernel_traced(
     cost: &CostModel,
     trace: Option<&mut Trace>,
 ) -> Result<LaunchStats, SimError> {
-    run_kernel_instrumented(kernel, cfg, params, global, dev, cost, trace, None, None)
+    let ck = TypedKernel::select(dev.exec_tier, kernel, params);
+    run_kernel_instrumented(
+        kernel,
+        cfg,
+        params,
+        global,
+        dev,
+        cost,
+        ck.as_ref(),
+        trace,
+        None,
+        None,
+    )
 }
 
 /// Does the kernel use value-returning global atomics? Their "old value"
@@ -1089,18 +1102,21 @@ fn kernel_returns_atomics(kernel: &Kernel) -> bool {
         .any(|i| matches!(i, Inst::AtomGlobal { dst: Some(_), .. }))
 }
 
-/// The full-fat entry point: [`run_kernel`] with an optional bounded trace,
-/// an optional hazard sanitizer observing every memory access and barrier
+/// The full-fat entry point: [`run_kernel`] on the engine the caller
+/// selected (`ck` from [`TypedKernel::select`], shared across every
+/// block/worker; `None` interprets), with an optional bounded trace, an
+/// optional hazard sanitizer observing every memory access and barrier
 /// (see [`crate::sanitizer`]), and an optional launch profiler collecting
 /// per-PC / per-barrier-interval stall attribution (see [`crate::profile`]).
 #[allow(clippy::too_many_arguments)]
-pub fn run_kernel_instrumented(
+pub(crate) fn run_kernel_instrumented(
     kernel: &Kernel,
     cfg: LaunchConfig,
     params: &[Value],
     global: &mut GlobalMemory,
     dev: &DeviceConfig,
     cost: &CostModel,
+    ck: Option<&TypedKernel>,
     mut trace: Option<&mut Trace>,
     mut san: Option<&mut LaunchSanitizer>,
     mut profile: Option<&mut LaunchProfile>,
@@ -1119,22 +1135,6 @@ pub fn run_kernel_instrumented(
             got: params.len() as u32,
         });
     }
-    // Tier selection: pre-decode once per launch and share the compiled
-    // form across every block/worker. `compile` returns `None` for the
-    // (degenerate) kernels the compiled tier does not handle, in which
-    // case the interpreter runs even when the tier was forced.
-    let compiled = match dev.exec_tier {
-        crate::cost::ExecTier::Interpret => None,
-        crate::cost::ExecTier::Auto | crate::cost::ExecTier::Compiled => {
-            crate::compiled::CompiledKernel::compile(kernel).map(|mut ck| {
-                // Parameter types feed the typed tier's register type
-                // inference, so specialization happens per launch.
-                ck.specialize(params);
-                ck
-            })
-        }
-    };
-    let ck = compiled.as_ref();
     let host_threads = dev.resolved_host_threads();
     if host_threads >= 2 && cfg.num_blocks() >= 2 && !kernel_returns_atomics(kernel) {
         if let Some(stats) = run_parallel(
@@ -1173,7 +1173,7 @@ fn run_sequential(
     global: &mut GlobalMemory,
     dev: &DeviceConfig,
     cost: &CostModel,
-    ck: Option<&crate::compiled::CompiledKernel>,
+    ck: Option<&TypedKernel>,
     mut trace: Option<&mut Trace>,
     mut san: Option<&mut LaunchSanitizer>,
     mut profile: Option<&mut LaunchProfile>,
@@ -1259,7 +1259,7 @@ fn run_block_overlay(
     base: &GlobalMemory,
     dev: &DeviceConfig,
     cost: &CostModel,
-    ck: Option<&crate::compiled::CompiledKernel>,
+    ck: Option<&TypedKernel>,
     block_idx: (u32, u32),
     trace_limit: Option<usize>,
     san_cfg: Option<&SanitizerConfig>,
@@ -1327,7 +1327,7 @@ fn run_parallel(
     dev: &DeviceConfig,
     cost: &CostModel,
     host_threads: usize,
-    ck: Option<&crate::compiled::CompiledKernel>,
+    ck: Option<&TypedKernel>,
     mut trace: Option<&mut Trace>,
     mut san: Option<&mut LaunchSanitizer>,
     mut profile: Option<&mut LaunchProfile>,
@@ -2245,13 +2245,16 @@ mod tests {
                 level: SanitizerLevel::Full,
                 ..Default::default()
             });
+            let params = [Value::U64(buf.addr)];
+            let ck = TypedKernel::select(crate::cost::ExecTier::Auto, &k, &params);
             run_kernel_instrumented(
                 &k,
                 cfg,
-                &[Value::U64(buf.addr)],
+                &params,
                 &mut mem,
                 &dev_threads(threads),
                 &CostModel::default(),
+                ck.as_ref(),
                 None,
                 Some(&mut s),
                 None,

@@ -65,9 +65,7 @@ pub use cost::{CostModel, DeviceConfig, ExecTier};
 pub use device::Device;
 pub use disasm::parse_kernel;
 pub use error::SimError;
-pub use exec::{
-    eval_bin, eval_cmp, eval_un, run_kernel_instrumented, run_kernel_traced, LaunchConfig,
-};
+pub use exec::{eval_bin, eval_cmp, eval_un, run_kernel_traced, LaunchConfig};
 pub use ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, Label, MemRef, Operand, Reg, SpecialReg, UnOp};
 pub use memory::{BufferHandle, GlobalMemory, SharedMemory};
 pub use profile::{

@@ -37,6 +37,7 @@
 //! hazard reports have. All exports use integer cycle counts and sorted
 //! containers; nothing depends on wall-clock time or map iteration order.
 
+use crate::cert::json_escape;
 use crate::exec::LaunchConfig;
 use crate::ir::Kernel;
 use std::fmt::Write as _;
@@ -795,22 +796,6 @@ fn render_launch(out: &mut String, lp: &LaunchProfile, src_lines: &[&str]) {
             lp.spans_dropped, lp.cfg.timeline_blocks
         );
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -370,7 +370,9 @@ impl BlockSanitizer {
                 AccessKind::Read
             },
         };
-        for b in off..off + size as u64 {
+        // Saturating: a wild offset near `u64::MAX` is observed before the
+        // access rejects it and must not overflow here.
+        for b in off..off.saturating_add(size as u64) {
             let Some(cell) = self.shared.get(b as usize) else {
                 continue; // out of bounds: the interpreter reports that itself
             };
@@ -568,7 +570,7 @@ impl LaunchSanitizer {
     /// shadow (level/ignore-range filtering already happened at log time).
     fn replay_global(&mut self, acc: AccessInfo, addr: u64, size: usize) {
         let kind = acc.kind;
-        for b in addr..addr + size as u64 {
+        for b in addr..addr.saturating_add(size as u64) {
             let cell = self.global.entry(b).or_default();
             let prior = match kind {
                 AccessKind::Read => cell.last_write.filter(|p| p.block != acc.block),

@@ -66,23 +66,30 @@ impl fmt::Display for Ty {
 /// two-NaN `a + b` (x86 `addss` returns the *first* operand's payload),
 /// so payload propagation would make results depend on which execution
 /// tier's machine code the optimizer happened to emit.
+///
+/// The test is on the bit pattern, not `x.is_nan()`: in the float domain
+/// the optimizer treats NaNs as interchangeable and folds
+/// `if x.is_nan() { CANONICAL } else { x }` to `x` (observed: release
+/// builds kept `sqrt(-1.0)`'s sign bit, `0xffc00000`).
 #[inline(always)]
 pub(crate) fn canon_f32(x: f32) -> f32 {
-    if x.is_nan() {
-        f32::from_bits(0x7fc0_0000)
+    let b = x.to_bits();
+    f32::from_bits(if b & 0x7fff_ffff > 0x7f80_0000 {
+        0x7fc0_0000
     } else {
-        x
-    }
+        b
+    })
 }
 
 /// `f64` counterpart of [`canon_f32`]: NaN results become `0x7ff8…0`.
 #[inline(always)]
 pub(crate) fn canon_f64(x: f64) -> f64 {
-    if x.is_nan() {
-        f64::from_bits(0x7ff8_0000_0000_0000)
+    let b = x.to_bits();
+    f64::from_bits(if b & (u64::MAX >> 1) > 0x7ff0_0000_0000_0000 {
+        0x7ff8_0000_0000_0000
     } else {
-        x
-    }
+        b
+    })
 }
 
 /// A dynamically typed scalar value held in a virtual register.

@@ -1,4 +1,4 @@
-//! Differential tests: the compiled execution tier must be **bit-identical**
+//! Differential tests: the typed execution tier must be **bit-identical**
 //! to the reference interpreter in every observable output — memory
 //! contents, [`LaunchStats`], modelled cycles, profile attribution, hazard
 //! reports, traces, and error values — across randomly generated kernels
@@ -327,13 +327,15 @@ struct Outcome {
     trace: String,
 }
 
+/// Run `kernel` once; returns the observables and the device's count of
+/// launches the typed tier declined.
 fn run_once(
     kernel: &Kernel,
     tier: ExecTier,
     host_threads: u32,
     sanitize: bool,
     profile: bool,
-) -> Outcome {
+) -> (Outcome, u64) {
     let mut dev = Device::test_small();
     dev.set_exec_tier(tier);
     dev.set_host_threads(host_threads);
@@ -367,23 +369,27 @@ fn run_once(
     dev.memcpy_d2h(data, &mut data_bytes).unwrap();
     let mut out_bytes = vec![0u8; 4 * 96 * 4];
     dev.memcpy_d2h(out, &mut out_bytes).unwrap();
-    Outcome {
+    let outcome = Outcome {
         result: res_str,
         data: data_bytes,
         out: out_bytes,
         hazards: format!("{:?}", dev.take_hazards()),
         profile: profile.then(|| format!("{:?}", dev.take_profile())),
         trace: trace_str,
-    }
+    };
+    (outcome, dev.tier_declines())
 }
 
-/// Assert interpreter ≡ compiled for one kernel across the harness matrix.
-fn assert_tiers_agree(kernel: &Kernel, seed: u64) {
+/// Assert interpreter ≡ `auto` for one kernel across the harness matrix,
+/// and that `auto` really ran the typed tier (`declines` = 0) — or, for
+/// the rows that pin a decline, really took the decline path (1).
+fn assert_tiers_agree(kernel: &Kernel, seed: u64, declines: u64) {
     for &host_threads in &[1u32, 4] {
         for &sanitize in &[false, true] {
             for &profile in &[false, true] {
-                let a = run_once(kernel, ExecTier::Interpret, host_threads, sanitize, profile);
-                let b = run_once(kernel, ExecTier::Compiled, host_threads, sanitize, profile);
+                let (a, _) = run_once(kernel, ExecTier::Interpret, host_threads, sanitize, profile);
+                let (b, declined) =
+                    run_once(kernel, ExecTier::Auto, host_threads, sanitize, profile);
                 assert_eq!(
                     a,
                     b,
@@ -391,6 +397,7 @@ fn assert_tiers_agree(kernel: &Kernel, seed: u64) {
                      sanitize={sanitize} profile={profile}\n{}",
                     kernel.disasm()
                 );
+                assert_eq!(declined, declines, "typed-tier declines: seed={seed}");
             }
         }
     }
@@ -400,7 +407,7 @@ fn assert_tiers_agree(kernel: &Kernel, seed: u64) {
 fn random_kernels_bit_identical_across_tiers() {
     for seed in 1..=24u64 {
         let kernel = gen_kernel(seed);
-        assert_tiers_agree(&kernel, seed);
+        assert_tiers_agree(&kernel, seed, 0);
     }
 }
 
@@ -408,18 +415,22 @@ fn random_kernels_bit_identical_across_tiers() {
 fn random_float_kernels_bit_identical_across_tiers() {
     for seed in 1..=12u64 {
         let kernel = gen_float_kernel(seed);
-        assert_tiers_agree(&kernel, seed);
+        assert_tiers_agree(&kernel, seed, 0);
     }
 }
 
 /// Curated NaN factory: 0/0, sqrt(-1), min/max against NaN, NaN compare
 /// driving a select, signaling-NaN quieting through an F64 round-trip,
-/// and the saturating NaN→0 integer conversion. Every resulting bit
-/// pattern lands in memory and must match across tiers.
+/// and the saturating NaN→0 integer conversion. Two NaNs are also stored
+/// raw, on alternating lanes: `sqrt(-1)` (the host's NaN has the sign bit
+/// set; the canonical one does not) and a signaling NaN moved to a
+/// same-type `F32` store (the store converts, and the conversion
+/// quiets). Every resulting bit pattern lands in memory and must match
+/// across tiers.
 #[test]
 fn nan_edge_cases_bit_identical_across_tiers() {
     let mut b = KernelBuilder::new("nan_edges");
-    let _data = b.param(0);
+    let data = b.param(0);
     let out = b.param(1);
     let tid = b.special(SpecialReg::TidX);
     let ctaid = b.special(SpecialReg::CtaIdX);
@@ -450,13 +461,18 @@ fn nan_edge_cases_bit_identical_across_tiers() {
     }
     let i = b.cvt(Ty::I64, lin);
     b.st_global(Ty::F32, MemRef::indexed(out, i, 4), acc);
+    let odd = b.bin(BinOp::And, Ty::I32, lin, Value::I32(1));
+    let odd = b.cmp(CmpOp::Ne, Ty::I32, odd, Value::I32(0));
+    let raw = b.select(odd, snan, s);
+    let di = b.bin(BinOp::And, Ty::I64, i, Value::I64(DATA_ELEMS as i64 - 1));
+    b.st_global(Ty::F32, MemRef::indexed(data, di, 4), raw);
     let k = b.finish();
-    assert_tiers_agree(&k, 0);
+    assert_tiers_agree(&k, 0, 0);
 }
 
-/// A register reused at two different types defeats the typed plan's
-/// flow-insensitive inference; the compiled tier must fall back to its
-/// generic `Value` rows and still agree bit-for-bit.
+/// A register reused at two different types defeats the typed tier's
+/// flow-insensitive inference: `auto` must decline to the interpreter
+/// (counted, once per launch) instead of mis-executing.
 #[test]
 fn mixed_type_register_reuse_agrees_across_tiers() {
     let mut b = KernelBuilder::new("mixed_reuse");
@@ -479,7 +495,7 @@ fn mixed_type_register_reuse_agrees_across_tiers() {
     let i = b.cvt(Ty::I64, lin);
     b.st_global(Ty::I32, MemRef::indexed(out, i, 4), fold);
     let k = b.finish();
-    assert_tiers_agree(&k, 0);
+    assert_tiers_agree(&k, 0, 1);
 }
 
 /// Lane-dependent trip counts around a backward branch: the warp
@@ -537,7 +553,7 @@ fn divergent_backward_loops_bit_identical_across_tiers() {
     let oi = b.cvt(Ty::I64, lin);
     b.st_global(Ty::I32, MemRef::indexed(out, oi, 4), acc);
     let k = b.finish();
-    assert_tiers_agree(&k, 0);
+    assert_tiers_agree(&k, 0, 0);
 }
 
 /// Error values must match bit-for-bit too: a wild global address aborts
@@ -551,7 +567,43 @@ fn error_paths_bit_identical_across_tiers() {
     let i = b.cvt(Ty::I64, big);
     b.st_global(Ty::I32, MemRef::indexed(out, i, 4), tid);
     let k = b.finish();
-    assert_tiers_agree(&k, 0);
+    assert_tiers_agree(&k, 0, 0);
+
+    // Wild base: a warp's addresses `u64::MAX - 3 + 4 * tid` wrap past the
+    // end of the address space after lane 0. Addresses are values until
+    // the access bounds-checks them, so both tiers must report lane 0's
+    // out-of-bounds access — in debug builds too, where an unchecked
+    // add in the coalescing test would panic instead.
+    // The sanitizer observes shared loads and atomics *before* the access
+    // rejects them, so its byte ranges must not overflow either.
+    for access in 0..5 {
+        let mut b = KernelBuilder::new("wild_base");
+        let tid = b.special(SpecialReg::TidX);
+        let i = b.cvt(Ty::I64, tid);
+        let m = MemRef::indexed(Value::U64(u64::MAX - 3), i, 4);
+        b.alloc_shared(64 * 4, 4);
+        match access {
+            0 => {
+                b.ld_global(Ty::I32, m);
+            }
+            1 => b.st_global(Ty::I32, m, tid),
+            2 => {
+                b.ld_shared(Ty::I32, m);
+            }
+            3 => b.st_shared(Ty::I32, m, tid),
+            _ => {
+                b.atom_global(AtomOp::Add, Ty::I32, m, tid, false);
+            }
+        }
+        let k = b.finish();
+        assert_tiers_agree(&k, access, 0);
+        let (o, _) = run_once(&k, ExecTier::Auto, 1, false, false);
+        assert!(
+            o.result.contains("OutOfBounds") && o.result.contains("18446744073709551612, len: 4"),
+            "lane 0's access must be the reported one: {}",
+            o.result
+        );
+    }
 
     // Missing parameter: the BadParams error (and its payload) must match.
     let mut b = KernelBuilder::new("badparams");
@@ -560,7 +612,7 @@ fn error_paths_bit_identical_across_tiers() {
     let i = b.cvt(Ty::I64, tid);
     b.st_global(Ty::I32, MemRef::indexed(p, i, 4), tid);
     let k = b.finish();
-    for &tier in &[ExecTier::Interpret, ExecTier::Compiled] {
+    for &tier in &[ExecTier::Interpret, ExecTier::Auto] {
         let mut dev = Device::test_small();
         dev.set_exec_tier(tier);
         let r = dev.launch(&k, LaunchConfig::d1(1, 32), &[Value::U64(0)]);
@@ -584,7 +636,7 @@ fn watchdog_trips_identically_across_tiers() {
     b.ret();
     let k = b.finish();
     let mut outcomes = Vec::new();
-    for &tier in &[ExecTier::Interpret, ExecTier::Compiled] {
+    for &tier in &[ExecTier::Interpret, ExecTier::Auto] {
         let mut dev = Device::test_small();
         dev.set_exec_tier(tier);
         dev.cost_model_mut().watchdog_warp_insts = 10_000;
@@ -595,8 +647,8 @@ fn watchdog_trips_identically_across_tiers() {
     assert_eq!(outcomes[0], outcomes[1]);
 }
 
-/// Forcing the compiled tier on a kernel it cannot model silently falls
-/// back to the interpreter instead of failing.
+/// A kernel shape the typed tier does not model runs on the interpreter
+/// under `auto` instead of failing, and the decline is counted.
 #[test]
 fn compiled_tier_falls_back_on_unmodelled_shapes() {
     let mut b = KernelBuilder::new("tailbar");
@@ -633,6 +685,6 @@ fn compiled_tier_falls_back_on_unmodelled_shapes() {
     };
     assert!(gpsim::CompiledKernel::compile(&k2).is_none());
     let mut dev = Device::test_small();
-    dev.set_exec_tier(ExecTier::Compiled);
     dev.launch(&k2, LaunchConfig::d1(1, 32), &[]).unwrap();
+    assert_eq!(dev.tier_declines(), 1);
 }

@@ -80,8 +80,9 @@ fn main() {
                      --quick      small sizes for smoke testing\n\
                      --host-threads N  simulator host worker threads (0 = auto, 1 = sequential;\n\
                                        results are bit-identical at any setting)\n\
-                     --exec-tier T  simulator execution tier: auto (default), interpret,\n\
-                                    or compiled; results are bit-identical at any setting\n\
+                     --exec-tier T  simulator execution tier: auto (default; the typed tier,\n\
+                                    or the interpreter when it declines a kernel) or\n\
+                                    interpret; results are bit-identical at either setting\n\
                      --all-ops    run all nine OpenACC reduction operators (not just + and *)\n\
                      --fig11      also print the Figure 11 per-position series\n\
                      --sanitize   run the hazard-sanitizer detection matrix instead\n\

@@ -26,7 +26,7 @@ pub struct SuiteConfig {
     /// at any setting.
     pub host_threads: u32,
     /// Simulator execution tier (see [`gpsim::ExecTier`]). Results are
-    /// bit-identical at any setting.
+    /// bit-identical at either setting.
     pub exec_tier: gpsim::ExecTier,
 }
 
@@ -178,6 +178,19 @@ pub fn values_match(got: Value, want: Value, t: CType) -> bool {
     }
 }
 
+/// A launch that asked for `auto` but ran on the interpreter means codegen
+/// emitted a kernel the typed tier declines — correct, but 7–14× slower to
+/// simulate. Every case run here treats that as a failure, so the sweeps
+/// over the Table 2 and strategy grids guard codegen against it.
+fn no_declines(r: &AccRunner) -> Result<(), String> {
+    match r.device().tier_declines() {
+        0 => Ok(()),
+        n => Err(format!(
+            "typed tier declined {n} launch(es); they ran on the interpreter"
+        )),
+    }
+}
+
 /// Run one case under one compiler personality and verify it.
 pub fn run_case(
     compiler: Compiler,
@@ -237,6 +250,9 @@ fn run_case_inner(
                 detail: other.to_string(),
             },
         };
+    }
+    if let Err(detail) = no_declines(&r) {
+        return CaseStatus::Fail { detail };
     }
     // Verify.
     if let Some(want) = expected.scalar {
@@ -331,6 +347,7 @@ pub fn profile_case(
             .map_err(|e| e.to_string())?;
     }
     r.run().map_err(|e| e.to_string())?;
+    no_declines(&r)?;
     Ok(ProfiledCase {
         report: r.profile_report(),
         json: r.profile_json(),
@@ -379,6 +396,7 @@ pub fn time_case(
     let start = std::time::Instant::now();
     r.run().map_err(|e| e.to_string())?;
     let secs = start.elapsed().as_secs_f64();
+    no_declines(&r)?;
     Ok(TimedCase {
         secs,
         lane_insts: r.device().stats().totals.lane_insts,

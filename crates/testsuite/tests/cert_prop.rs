@@ -75,7 +75,6 @@ proptest! {
         tier in prop::sample::select(vec![
             gpsim::ExecTier::Auto,
             gpsim::ExecTier::Interpret,
-            gpsim::ExecTier::Compiled,
         ]),
         profiler in any::<bool>(),
         sanitizer in any::<bool>(),

@@ -299,6 +299,15 @@ fn validation_errors_are_strict_and_rendered() {
     assert_eq!(status, 400);
     assert!(resp.contains("invalid value for host_threads"), "{resp}");
 
+    // An unknown execution tier (`compiled` was removed): the CLI's diagnostic.
+    let body = format!("{{\"source\":{},\"exec_tier\":\"compiled\"}}", src_json());
+    let (status, resp) = http::post(addr, "/run", &body).unwrap();
+    assert_eq!(status, 400);
+    assert!(
+        resp.contains("invalid execution tier `compiled` (expected auto|interpret)"),
+        "{resp}"
+    );
+
     let body = format!("{{\"source\":{},\"dims\":[192,8]}}", src_json());
     let (status, resp) = http::post(addr, "/run", &body).unwrap();
     assert_eq!(status, 400);

@@ -93,7 +93,6 @@ proptest! {
         tier in prop::sample::select(vec![
             gpsim::ExecTier::Auto,
             gpsim::ExecTier::Interpret,
-            gpsim::ExecTier::Compiled,
         ]),
         sanitizer in any::<bool>(),
     ) {

@@ -112,9 +112,10 @@ fn usage() -> ! {
                                --run and --profile (0 = auto, 1 = sequential;\n\
                                results are bit-identical at any setting)\n\
            --exec-tier T       simulator execution tier for --sanitize, --run\n\
-                               and --profile: auto (default), interpret, or\n\
-                               compiled; results are bit-identical at any\n\
-                               setting\n\
+                               and --profile: auto (default; the typed tier,\n\
+                               or the interpreter when it declines a kernel)\n\
+                               or interpret; results are bit-identical at\n\
+                               either setting\n\
            -h, --help          this message\n\
          \n\
          --verify, --lint, --fusion-plan and --certify compose: one invocation\n\

@@ -94,3 +94,16 @@ fn garbage_certify_format_is_a_flag_error() {
         "{stderr}"
     );
 }
+
+/// `compiled` was a second spelling of `auto`; it is now rejected like any
+/// other unknown tier, with the diagnostic the daemon also renders.
+#[test]
+fn removed_exec_tier_spelling_is_a_flag_error() {
+    let out = uhacc_cc(&[&example("grid.c"), "--run", "--exec-tier", "compiled"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("invalid execution tier `compiled` (expected auto|interpret)"),
+        "{stderr}"
+    );
+}
