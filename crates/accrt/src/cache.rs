@@ -1,23 +1,26 @@
-//! Shared compiled-artifact cache.
+//! Shared content-addressed caches.
 //!
-//! A [`RegionCache`] maps `(program fingerprint, region index, launch
-//! dims)` to the immutable [`CompiledRegion`] artifact, so one
-//! compilation serves every concurrent session running the same
-//! `(source, options)` pair — the artifact half of the `uhaccd`
-//! content-addressed cache. The program fingerprint is the caller's
-//! responsibility and should come from
+//! [`Cache`] is one bounded, thread-safe LRU with counted outcomes,
+//! instantiated twice. A [`RegionCache`] maps `(program fingerprint,
+//! region index, launch dims)` to the immutable [`CompiledRegion`]
+//! artifact, so one compilation serves every concurrent session running
+//! the same `(source, options)` pair — the artifact half of the `uhaccd`
+//! content-addressed cache; the daemon's program cache (fingerprint →
+//! analyzed program) is the other half. The program fingerprint is the
+//! caller's responsibility and should come from
 //! [`uhacc_core::program_key`]`(source, options)` so that both the
 //! source text *and* every codegen knob participate in the key.
 //!
-//! The cache is `Send + Sync`; entries are `Arc`s of immutable artifacts
+//! The cache is `Send + Sync`; entries are `Arc`s of immutable values
 //! (kernels are themselves `Arc`s inside [`CompiledRegion`]), so a hit is
 //! a pointer bump. Eviction is least-recently-used with a configurable
 //! entry capacity, and every outcome is counted: hits, misses, evictions
 //! and actual compiles (a miss that lost an insert race still counts the
-//! compile it performed — the counters answer "how much codegen work did
-//! we do", not just "how often did lookup fail").
+//! compile it performed — the counters answer "how much front-end or
+//! codegen work did we do", not just "how often did lookup fail").
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use uhacc_core::{CompiledRegion, LaunchDims};
@@ -41,44 +44,48 @@ pub struct CacheCounters {
     pub misses: u64,
     pub evictions: u64,
     /// Number of times the compile closure actually ran (parse/codegen
-    /// work performed). A warm path leaves this unchanged.
+    /// work performed; the program cache reports it as `parses`). A warm
+    /// path leaves this unchanged.
     pub compiles: u64,
     /// Entries currently resident.
     pub entries: u64,
 }
 
-struct Inner {
-    map: HashMap<RegionKey, Arc<CompiledRegion>>,
+struct Inner<K, V> {
+    map: HashMap<K, Arc<V>>,
     /// Keys in least-recently-used-first order.
-    lru: Vec<RegionKey>,
+    lru: Vec<K>,
 }
 
-/// A bounded, thread-safe, LRU cache of compiled region artifacts.
-pub struct RegionCache {
+/// A bounded, thread-safe, LRU cache of immutable compile products.
+pub struct Cache<K, V> {
     cap: usize,
-    inner: Mutex<Inner>,
+    inner: Mutex<Inner<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     compiles: AtomicU64,
 }
 
-impl std::fmt::Debug for RegionCache {
+/// The cache of compiled region artifacts.
+pub type RegionCache = Cache<RegionKey, CompiledRegion>;
+
+impl<K: Copy + Eq + Hash, V> std::fmt::Debug for Cache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let c = self.counters();
-        f.debug_struct("RegionCache")
+        f.debug_struct("Cache")
             .field("cap", &self.cap)
             .field("counters", &c)
             .finish()
     }
 }
 
-impl RegionCache {
-    /// A cache holding at most `cap` compiled regions (`cap == 0` is
-    /// clamped to 1: a cache that can hold nothing would turn every
-    /// lookup into a miss while still paying the bookkeeping).
+impl<K: Copy + Eq + Hash, V> Cache<K, V> {
+    /// A cache holding at most `cap` entries (`cap == 0` is clamped to
+    /// 1: a cache that can hold nothing would turn every lookup into a
+    /// miss while still paying the bookkeeping).
     pub fn new(cap: usize) -> Self {
-        RegionCache {
+        Cache {
             cap: cap.max(1),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -103,21 +110,32 @@ impl RegionCache {
     /// compile is still counted in [`CacheCounters::compiles`]).
     pub fn get_or_compile<E>(
         &self,
-        key: RegionKey,
-        compile: impl FnOnce() -> Result<CompiledRegion, E>,
-    ) -> Result<Arc<CompiledRegion>, E> {
+        key: K,
+        compile: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        self.get_or_compile_hit(key, compile).map(|(v, _)| v)
+    }
+
+    /// [`Self::get_or_compile`] that also says whether this call was a
+    /// hit (`true`) or ran `compile` (`false`) — per-request accounting
+    /// for callers that cannot diff the shared counters.
+    pub fn get_or_compile_hit<E>(
+        &self,
+        key: K,
+        compile: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, bool), E> {
         if let Some(hit) = self.lookup(key) {
-            return Ok(hit);
+            return Ok((hit, true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let compiled = Arc::new(compile()?);
-        Ok(self.insert(key, compiled))
+        Ok((self.insert(key, compiled), false))
     }
 
     /// Plain lookup (counts a hit and refreshes LRU order on success;
     /// does *not* count a miss — `get_or_compile` owns that).
-    pub fn lookup(&self, key: RegionKey) -> Option<Arc<CompiledRegion>> {
+    pub fn lookup(&self, key: K) -> Option<Arc<V>> {
         let mut inner = self.inner.lock().unwrap();
         if let Some(v) = inner.map.get(&key).cloned() {
             if let Some(pos) = inner.lru.iter().position(|k| *k == key) {
@@ -133,7 +151,7 @@ impl RegionCache {
     /// Insert `compiled` under `key`, evicting the least-recently-used
     /// entry if over capacity. Returns the resident artifact (the
     /// existing one if another session filled the key first).
-    fn insert(&self, key: RegionKey, compiled: Arc<CompiledRegion>) -> Arc<CompiledRegion> {
+    fn insert(&self, key: K, compiled: Arc<V>) -> Arc<V> {
         let mut inner = self.inner.lock().unwrap();
         if let Some(existing) = inner.map.get(&key).cloned() {
             return existing;

@@ -32,7 +32,7 @@ pub mod hostbuf;
 pub mod hosteval;
 pub mod runner;
 
-pub use cache::{CacheCounters, RegionCache, RegionKey};
+pub use cache::{Cache, CacheCounters, RegionCache, RegionKey};
 pub use error::AccError;
 pub use hostbuf::HostBuffer;
 pub use hosteval::{eval_host_expr, eval_host_extent};

@@ -50,7 +50,7 @@ pub enum ReportFormat {
 
 /// Parse a report format. `what` names the flag or field in the
 /// diagnostic, so `--certify=yaml` on the CLI (exit 2) and
-/// `"format":"yaml"` in a daemon body (HTTP 422) reject with the same
+/// `"format":"yaml"` in a daemon body (HTTP 400) reject with the same
 /// rendered text.
 pub fn parse_report_format(what: &str, s: &str) -> Result<ReportFormat, String> {
     match s.trim() {

@@ -6,13 +6,45 @@
 
 use acc_baselines::Compiler;
 use acc_testsuite::{
-    cert_config, format_cert_sweep, format_fig11, format_lint_sweep, format_matrix,
-    format_redflow_sweep, format_summary, format_table2, format_verify_sweep, profile_case,
-    run_cert_sweep, run_lint_sweep, run_redflow_sweep, run_sanitize_matrix, run_suite,
-    run_verify_sweep, Position, SuiteConfig,
+    certsweep, format_fig11, format_summary, format_table2, lintsweep, profile_case, redflowsweep,
+    run_suite, sanitize, Position, SuiteConfig,
 };
 use accparse::ast::{CType, RedOp};
 use uhacc_core::flags::{host_threads_from_env, parse_count, parse_count_u32};
+
+/// A sweep module's entry point: the report and whether every row passed.
+type Sweep = fn(&SuiteConfig) -> (String, bool);
+
+/// The sweeps that replace the Table 2 run: `(flag, banner, sweep)`. The
+/// first one requested, in this order, runs; it prints its report and
+/// the process exits 1 unless every row passed. A new sweep is one row.
+const SWEEPS: [(&str, &str, Sweep); 5] = [
+    (
+        "--lint",
+        "running stripped-clause lint sweep over the \u{00a7}6 grid (no simulation)",
+        lintsweep::sweep,
+    ),
+    (
+        "--certify",
+        "running translation-validation sweep over the \u{00a7}6 grid",
+        certsweep::sweep,
+    ),
+    (
+        "--redflow",
+        "running redflow legality sweep (no simulation)",
+        redflowsweep::sweep,
+    ),
+    (
+        "--verify",
+        "statically verifying the \u{00a7}6 kernel grid (no simulation)",
+        sanitize::verify_sweep,
+    ),
+    (
+        "--sanitize",
+        "running sanitizer detection matrix (red_n = {red_n})",
+        sanitize::sweep,
+    ),
+];
 
 /// Reject a malformed option value: rendered diagnostic, exit code 2.
 fn flag_err(msg: String) -> ! {
@@ -28,11 +60,7 @@ fn main() {
     let mut cfg = SuiteConfig::default();
     let mut fig11 = false;
     let mut all_ops = false;
-    let mut sanitize = false;
-    let mut verify = false;
-    let mut lint = false;
-    let mut redflow = false;
-    let mut certify = false;
+    let mut sweeps: Vec<&str> = Vec::new();
     let mut profile: Option<&str> = None;
     let mut i = 0;
     let need_val = |args: &[String], i: usize, flag: &str| -> String {
@@ -65,11 +93,7 @@ fn main() {
             }
             "--fig11" => fig11 = true,
             "--all-ops" => all_ops = true,
-            "--sanitize" => sanitize = true,
-            "--verify" => verify = true,
-            "--lint" => lint = true,
-            "--redflow" => redflow = true,
-            "--certify" => certify = true,
+            flag if SWEEPS.iter().any(|s| s.0 == flag) => sweeps.push(flag),
             "--profile" => profile = Some("text"),
             "--profile=json" => profile = Some("json"),
             "--profile=trace" => profile = Some("trace"),
@@ -140,56 +164,11 @@ fn main() {
         }
         return;
     }
-    if lint {
-        eprintln!("running stripped-clause lint sweep over the \u{00a7}6 grid (no simulation) ...");
-        let rows = run_lint_sweep();
-        print!("{}", format_lint_sweep(&rows));
-        if rows.iter().any(|r| !r.ok()) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if certify {
-        eprintln!("running translation-validation sweep over the \u{00a7}6 grid ...");
-        let mut ccfg = cert_config();
-        ccfg.host_threads = cfg.host_threads;
-        ccfg.exec_tier = cfg.exec_tier;
-        let rows = run_cert_sweep(&ccfg);
-        print!("{}", format_cert_sweep(&rows));
-        if rows.iter().any(|r| !r.ok()) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if redflow {
-        eprintln!("running redflow legality sweep (no simulation) ...");
-        let rows = run_redflow_sweep();
-        print!("{}", format_redflow_sweep(&rows));
-        if rows.iter().any(|r| !r.ok) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if verify {
-        eprintln!("statically verifying the §6 kernel grid (no simulation) ...");
-        let rows = run_verify_sweep(&cfg);
-        print!("{}", format_verify_sweep(&rows));
-        if rows.iter().any(|r| !r.ok()) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if sanitize {
-        eprintln!(
-            "running sanitizer detection matrix (red_n = {}) ...",
-            cfg.red_n
-        );
-        let rows = run_sanitize_matrix(&cfg);
-        print!("{}", format_matrix(&rows));
-        if rows.iter().any(|r| !r.ok()) {
-            std::process::exit(1);
-        }
-        return;
+    if let Some((_, banner, sweep)) = SWEEPS.iter().find(|s| sweeps.contains(&s.0)) {
+        eprintln!("{} ...", banner.replace("{red_n}", &cfg.red_n.to_string()));
+        let (report, ok) = sweep(&cfg);
+        print!("{report}");
+        std::process::exit(if ok { 0 } else { 1 });
     }
 
     let ops: Vec<RedOp> = if all_ops {

@@ -375,6 +375,18 @@ pub fn run_cert_sweep(cfg: &SuiteConfig) -> Vec<CertSweepRow> {
     rows
 }
 
+/// The whole sweep as `acc-testsuite --certify` runs it — at the small
+/// certification geometry, under `cfg`'s execution knobs: the report and
+/// whether every row passed.
+pub fn sweep(cfg: &SuiteConfig) -> (String, bool) {
+    let rows = run_cert_sweep(&SuiteConfig {
+        host_threads: cfg.host_threads,
+        exec_tier: cfg.exec_tier,
+        ..cert_config()
+    });
+    (format_cert_sweep(&rows), rows.iter().all(|r| r.ok()))
+}
+
 /// Format the sweep as an aligned text table.
 pub fn format_cert_sweep(rows: &[CertSweepRow]) -> String {
     use std::fmt::Write;

@@ -13,6 +13,7 @@
 //!    protect.
 
 use crate::cases::{case_source, combo_legal, ctype_name, Position};
+use crate::run::SuiteConfig;
 use accparse::ast::{CType, RedOp};
 use accparse::lint::{lint_source, FindingKind};
 
@@ -160,6 +161,13 @@ pub fn run_lint_sweep() -> Vec<LintSweepRow> {
         }
     }
     rows
+}
+
+/// The whole sweep as `acc-testsuite --lint` runs it: the report and
+/// whether every row passed. (No simulation: `cfg` is not consulted.)
+pub fn sweep(_cfg: &SuiteConfig) -> (String, bool) {
+    let rows = run_lint_sweep();
+    (format_lint_sweep(&rows), rows.iter().all(|r| r.ok()))
 }
 
 /// Format the sweep as a fixed-width table with a summary line.

@@ -21,6 +21,7 @@
 //!    with its specific reason. Plans must render byte-identically when
 //!    analyzed twice (the committed golden relies on this).
 
+use crate::run::SuiteConfig;
 use accparse::ast::RedOp;
 use accparse::lint::lint_source;
 use accparse::redflow::{fusion_plan, fusion_plan_json};
@@ -336,6 +337,13 @@ pub fn run_redflow_sweep() -> Vec<RedflowRow> {
     }
 
     rows
+}
+
+/// The whole sweep as `acc-testsuite --redflow` runs it: the report and
+/// whether every row passed. (No simulation: `cfg` is not consulted.)
+pub fn sweep(_cfg: &SuiteConfig) -> (String, bool) {
+    let rows = run_redflow_sweep();
+    (format_redflow_sweep(&rows), rows.iter().all(|r| r.ok))
 }
 
 /// Format the sweep as a fixed-width table with a summary line.

@@ -352,6 +352,14 @@ pub fn run_sanitize_matrix(cfg: &SuiteConfig) -> Vec<SanitizeRow> {
     rows
 }
 
+/// The detection matrix as `acc-testsuite --sanitize` and
+/// `uhacc-cc --sanitize` run it: the report and whether every row got
+/// its expected verdict.
+pub fn sweep(cfg: &SuiteConfig) -> (String, bool) {
+    let rows = run_sanitize_matrix(cfg);
+    (format_matrix(&rows), rows.iter().all(|r| r.ok()))
+}
+
 /// Format the matrix as an aligned text table: the dynamic sanitizer's
 /// per-class counts and verdict next to the static verifier's.
 pub fn format_matrix(rows: &[SanitizeRow]) -> String {
@@ -499,6 +507,13 @@ pub fn run_verify_sweep(cfg: &SuiteConfig) -> Vec<VerifySweepRow> {
         }
     }
     rows
+}
+
+/// The static sweep as `acc-testsuite --verify` runs it: the report and
+/// whether every row passed.
+pub fn verify_sweep(cfg: &SuiteConfig) -> (String, bool) {
+    let rows = run_verify_sweep(cfg);
+    (format_verify_sweep(&rows), rows.iter().all(|r| r.ok()))
 }
 
 /// Format the sweep as an aligned text table.

@@ -67,12 +67,22 @@ impl Json {
         }
     }
 
-    /// Render this value's source-level literal form — what a user wrote
-    /// for a scalar field. Used to route numeric request fields through
-    /// the same strict validation as CLI flags (`uhacc_core::flags`).
+    /// Render this value's source-level literal form — what a user would
+    /// have typed after the matching CLI flag, which is how every request
+    /// field reaches the one option decoder
+    /// (`uhacc::driver::Options::set`). An array of scalars is its
+    /// comma-joined items: `[192,8,128]` is `--dims 192,8,128`.
     pub fn literal(&self) -> String {
         match self {
             Json::Str(s) => s.clone(),
+            Json::Arr(items)
+                if !items
+                    .iter()
+                    .any(|i| matches!(i, Json::Arr(_) | Json::Obj(_))) =>
+            {
+                let items: Vec<String> = items.iter().map(Json::literal).collect();
+                items.join(",")
+            }
             other => other.to_string(),
         }
     }
@@ -130,19 +140,7 @@ impl std::fmt::Display for Json {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    out.push_str(&uhobs::json_escape(s));
     out.push('"');
 }
 
@@ -413,5 +411,8 @@ mod tests {
         assert_eq!(parse("-3.5").unwrap().literal(), "-3.5");
         assert_eq!(parse("\"abc\"").unwrap().literal(), "abc");
         assert_eq!(parse("true").unwrap().literal(), "true");
+        assert_eq!(parse("[192,\"8\",128]").unwrap().literal(), "192,8,128");
+        assert_eq!(parse("[]").unwrap().literal(), "");
+        assert_eq!(parse("[[1],2]").unwrap().literal(), "[[1],2]");
     }
 }

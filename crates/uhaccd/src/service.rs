@@ -1,43 +1,43 @@
-//! The daemon: request decoding, the content-addressed program cache,
-//! and the endpoint handlers.
+//! The daemon: the `uhacc::driver` passes behind HTTP. What stays here
+//! is what only a server has — body → `(key, literal)` for the one option
+//! decoder, the two caches, the per-pass response envelopes and the
+//! status map (400 = the request is malformed, 422 = the program fails).
+//! The pass list, the option vocabulary with its defaults and every
+//! pass/fail decision are `uhacc::driver`'s (DESIGN.md, "The front
+//! door"), and every body that has a single-shot CLI equivalent is
+//! rendered by the driver function the CLI prints, so the two surfaces
+//! agree byte for byte — `tests/cli_daemon_identity.rs` holds the built
+//! binary against a spawned daemon for every pass:
 //!
-//! Every response body that has a single-shot CLI equivalent is built by
-//! the same `uhacc::driver` function the CLI calls, so the two surfaces
-//! agree byte for byte by construction:
-//!
-//! | endpoint   | CLI equivalent                         |
-//! |------------|----------------------------------------|
-//! | `/compile` | `uhacc-cc <src> [--emit ...]` (text)   |
-//! | `/lint`    | `uhacc-cc <src> --lint --json`         |
-//! | `/analyze` | `uhacc-cc <src> --fusion-plan=json`    |
-//! | `/verify`  | `uhacc-cc <src> --verify` (section)    |
-//! | `/run`     | `uhacc-cc <src> --run`                 |
-//! | `/profile` | `uhacc-cc <src> --profile=json`        |
-//! | `/certify` | `uhacc-cc <src> --certify=json`        |
+//! | pass (`Pass::route`) | spliced field          | `uhacc-cc <src> ...` stdout            |
+//! |----------------------|------------------------|----------------------------------------|
+//! | compile              | `text`                 | `[--emit ...] [--verify]`              |
+//! | lint                 | `diagnostics`          | `--lint --json` (the envelope's array) |
+//! | analyze              | `analysis`             | `--fusion-plan=json`                   |
+//! | verify               | `text`                 | `--verify` (header + verify sections)  |
+//! | run                  | `results`              | `--run`                                |
+//! | profile              | `profile`              | `--profile=json`                       |
+//! | certify              | `certification`/`text` | `--certify=json` / `--certify`         |
 //!
 //! Caching is two-layer and content-addressed on
 //! `program_key(source, options)` (stable FNV-1a, see
-//! `uhacc_core::stablehash`): analyzed programs (`Arc<AnalyzedProgram>`,
-//! daemon-side LRU) and compiled region artifacts
-//! (`accrt::RegionCache`, shared by every session via
-//! `AccRunner::set_region_cache`). A warm request re-parses nothing and
-//! re-compiles nothing — the end-to-end tests pin that with the compile
-//! counters.
+//! `uhacc_core::stablehash`): analyzed programs and compiled region
+//! artifacts, two instances of `accrt::Cache`, the latter shared by every
+//! session via `AccRunner::set_region_cache`. A warm request re-parses
+//! nothing and re-compiles nothing — the end-to-end tests pin that with
+//! the compile counters.
 
 use crate::http::{read_request, write_response, write_response_typed, Request};
 use crate::json::{obj, parse, Json};
 use crate::pool::{QueueSlip, WorkerPool};
-use acc_baselines::Compiler;
 use accparse::hir::AnalyzedProgram;
-use accrt::{AccRunner, RegionCache};
-use gpsim::Device;
+use accrt::{Cache, RegionCache, RegionKey, RunnerObs};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use uhacc::driver::{self, EmitFlags, RunRequest};
-use uhacc_core::flags::parse_count_u32;
+use uhacc::driver::{self, Artifacts, Options, Pass};
+use uhacc_core::flags::ReportFormat;
 use uhacc_core::{program_key, LaunchDims};
 use uhobs::metrics::LATENCY_BUCKETS_US;
 
@@ -69,10 +69,6 @@ impl Default for DaemonConfig {
         }
     }
 }
-
-/// A POST handler: decoded request JSON in (plus the request's trace
-/// id), response JSON out, or a `(status, message)` error.
-type Endpoint = fn(&Daemon, &Json, u64) -> Result<Json, (u16, String)>;
 
 /// The daemon's observability bundle: one clock, one tracer, one metric
 /// registry, shared by the accept loop, the worker pool, every endpoint
@@ -131,32 +127,10 @@ impl Obs {
 /// everything else collapsed to `other` to bound series cardinality.
 fn endpoint_label(path: &str) -> &'static str {
     match path {
-        "/compile" => "/compile",
-        "/lint" => "/lint",
-        "/analyze" => "/analyze",
-        "/verify" => "/verify",
-        "/run" => "/run",
-        "/profile" => "/profile",
-        "/certify" => "/certify",
         "/health" => "/health",
         "/metrics" => "/metrics",
         "/trace" => "/trace",
-        _ => "other",
-    }
-}
-
-/// Daemon-side LRU of analyzed programs, keyed by
-/// `program_key(source, options)`.
-struct ProgramCache {
-    cap: usize,
-    map: HashMap<u64, Arc<AnalyzedProgram>>,
-    lru: Vec<u64>,
-}
-
-impl ProgramCache {
-    fn touch(&mut self, key: u64) {
-        self.lru.retain(|&k| k != key);
-        self.lru.push(key);
+        _ => Pass::from_route(path).map_or("other", Pass::route),
     }
 }
 
@@ -164,12 +138,9 @@ impl ProgramCache {
 /// handles requests against the same caches.
 pub struct Daemon {
     cfg: DaemonConfig,
-    programs: Mutex<ProgramCache>,
-    prog_hits: AtomicU64,
-    prog_misses: AtomicU64,
-    prog_evictions: AtomicU64,
-    /// Full front-end parses actually performed (miss path).
-    parses: AtomicU64,
+    /// Analyzed programs by `program_key(source, options)`; the cache's
+    /// `compiles` counter is the full front-end parses performed.
+    programs: Cache<u64, AnalyzedProgram>,
     /// Shared compiled-artifact cache, injected into every session.
     pub regions: Arc<RegionCache>,
     /// Requests served, by status class.
@@ -192,20 +163,11 @@ pub struct Daemon {
 
 impl Daemon {
     pub fn new(cfg: DaemonConfig) -> Arc<Self> {
-        let region_cap = cfg.region_cache_cap;
         let obs = Obs::new(&cfg);
         Arc::new(Daemon {
-            programs: Mutex::new(ProgramCache {
-                cap: cfg.program_cache_cap.max(1),
-                map: HashMap::new(),
-                lru: Vec::new(),
-            }),
+            programs: Cache::new(cfg.program_cache_cap),
+            regions: Arc::new(RegionCache::new(cfg.region_cache_cap)),
             cfg,
-            prog_hits: AtomicU64::new(0),
-            prog_misses: AtomicU64::new(0),
-            prog_evictions: AtomicU64::new(0),
-            parses: AtomicU64::new(0),
-            regions: Arc::new(RegionCache::new(region_cap)),
             served_2xx: AtomicU64::new(0),
             served_4xx: AtomicU64::new(0),
             served_5xx: AtomicU64::new(0),
@@ -229,20 +191,24 @@ impl Daemon {
     }
 
     /// Content-addressed program lookup: parse on miss, share on hit.
-    /// Returns `(program, key, was_hit)`. Records one `cache.lookup`
+    /// Returns `(program, key, was_hit)`, or the front-end diagnostic
+    /// rendered against the source as a 422. Records one `cache.lookup`
     /// span under `trace_id` covering the lookup plus any parse (same
     /// two clock reads on the hit and miss paths, so virtual-clock
     /// sequences stay deterministic).
     fn get_or_parse(
         &self,
         source: &str,
-        opts: &uhacc_core::CompilerOptions,
+        o: &Options,
         trace_id: u64,
-    ) -> Result<(Arc<AnalyzedProgram>, u64, bool), accparse::Diag> {
+    ) -> Result<(Arc<AnalyzedProgram>, u64, bool), (u16, String)> {
+        let key = program_key(source, &o.compiler.base_options());
         let t0 = self.obs.clock.now_us();
-        let result = self.get_or_parse_inner(source, opts);
+        let result = self
+            .programs
+            .get_or_compile_hit(key, || accparse::compile(source));
         let t1 = self.obs.clock.now_us();
-        let hit = matches!(&result, Ok((_, _, true)));
+        let hit = matches!(&result, Ok((_, true)));
         self.obs.tracer.record(
             trace_id,
             "cache.lookup",
@@ -250,37 +216,10 @@ impl Daemon {
             t1,
             &[("hit", if hit { "true" } else { "false" })],
         );
-        result
-    }
-
-    fn get_or_parse_inner(
-        &self,
-        source: &str,
-        opts: &uhacc_core::CompilerOptions,
-    ) -> Result<(Arc<AnalyzedProgram>, u64, bool), accparse::Diag> {
-        let key = program_key(source, opts);
-        {
-            let mut cache = self.programs.lock().unwrap();
-            if let Some(p) = cache.map.get(&key).cloned() {
-                cache.touch(key);
-                self.prog_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((p, key, true));
-            }
+        match result {
+            Ok((prog, hit)) => Ok((prog, key, hit)),
+            Err(d) => Err((422, d.render(source))),
         }
-        // Parse outside the lock; concurrent first requests may both
-        // parse, first insert wins (same content → identical result).
-        self.prog_misses.fetch_add(1, Ordering::Relaxed);
-        self.parses.fetch_add(1, Ordering::Relaxed);
-        let prog = Arc::new(accparse::compile(source)?);
-        let mut cache = self.programs.lock().unwrap();
-        let p = cache.map.entry(key).or_insert_with(|| prog).clone();
-        cache.touch(key);
-        if cache.map.len() > cache.cap {
-            let victim = cache.lru.remove(0);
-            cache.map.remove(&victim);
-            self.prog_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((p, key, false))
     }
 
     /// Dispatch one request to its handler; returns `(status, body)`.
@@ -315,34 +254,20 @@ impl Daemon {
     }
 
     fn route(&self, req: &Request, trace_id: u64) -> (u16, String) {
+        let not_found = || (404, err_body(&format!("no such endpoint: {}", req.path)));
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/health") => (200, self.health()),
             ("GET", "/metrics") => (200, self.metrics()),
             ("GET", "/trace") => (200, self.obs.tracer.to_chrome_trace()),
-            ("POST", "/compile") => self.json_endpoint(req, trace_id, Self::ep_compile),
-            ("POST", "/lint") => self.json_endpoint(req, trace_id, Self::ep_lint),
-            ("POST", "/analyze") => self.json_endpoint(req, trace_id, Self::ep_analyze),
-            ("POST", "/verify") => self.json_endpoint(req, trace_id, Self::ep_verify),
-            ("POST", "/run") => self.json_endpoint(req, trace_id, Self::ep_run),
-            ("POST", "/profile") => self.json_endpoint(req, trace_id, Self::ep_profile),
-            ("POST", "/certify") => self.json_endpoint(req, trace_id, Self::ep_certify),
-            ("POST", _) | ("GET", _) => (404, err_body(&format!("no such endpoint: {}", req.path))),
+            ("POST", path) => match Pass::from_route(path) {
+                Some(pass) => match self.post(pass, &req.body, trace_id) {
+                    Ok(body) => (200, body.to_string()),
+                    Err((status, msg)) => (status, err_body(&msg)),
+                },
+                None => not_found(),
+            },
+            ("GET", _) => not_found(),
             _ => (405, err_body(&format!("method {} not allowed", req.method))),
-        }
-    }
-
-    fn json_endpoint(&self, req: &Request, trace_id: u64, ep: Endpoint) -> (u16, String) {
-        let text = match std::str::from_utf8(&req.body) {
-            Ok(t) => t,
-            Err(_) => return (400, err_body("request body is not UTF-8")),
-        };
-        let v = match parse(text) {
-            Ok(v) => v,
-            Err(e) => return (400, err_body(&format!("invalid JSON: {e}"))),
-        };
-        match ep(self, &v, trace_id) {
-            Ok(body) => (200, body.to_string()),
-            Err((status, msg)) => (status, err_body(&msg)),
         }
     }
 
@@ -355,25 +280,26 @@ impl Daemon {
         let snap_ctr = |name: &str, help: &str, v: u64| {
             reg.counter(name, help, &[]).set(v);
         };
+        let pc = self.programs.counters();
         snap_ctr(
             "uhaccd_program_cache_hits_total",
             "Analyzed-program cache hits",
-            self.prog_hits.load(Ordering::Relaxed),
+            pc.hits,
         );
         snap_ctr(
             "uhaccd_program_cache_misses_total",
             "Analyzed-program cache misses",
-            self.prog_misses.load(Ordering::Relaxed),
+            pc.misses,
         );
         snap_ctr(
             "uhaccd_program_cache_evictions_total",
             "Analyzed-program cache evictions",
-            self.prog_evictions.load(Ordering::Relaxed),
+            pc.evictions,
         );
         snap_ctr(
             "uhaccd_program_parses_total",
             "Full front-end parses performed",
-            self.parses.load(Ordering::Relaxed),
+            pc.compiles,
         );
         let rc = self.regions.counters();
         snap_ctr(
@@ -470,6 +396,7 @@ impl Daemon {
     }
 
     fn health(&self) -> String {
+        let pc = self.programs.counters();
         let rc = self.regions.counters();
         let pool = self.pool.lock().unwrap().as_ref().map(|p| p.stats());
         let pool_json = match pool {
@@ -529,26 +456,11 @@ impl Daemon {
             (
                 "programs",
                 obj(vec![
-                    (
-                        "hits",
-                        Json::Num(self.prog_hits.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "misses",
-                        Json::Num(self.prog_misses.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "evictions",
-                        Json::Num(self.prog_evictions.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "parses",
-                        Json::Num(self.parses.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "entries",
-                        Json::Num(self.programs.lock().unwrap().map.len() as f64),
-                    ),
+                    ("hits", Json::Num(pc.hits as f64)),
+                    ("misses", Json::Num(pc.misses as f64)),
+                    ("evictions", Json::Num(pc.evictions as f64)),
+                    ("parses", Json::Num(pc.compiles as f64)),
+                    ("entries", Json::Num(pc.entries as f64)),
                 ]),
             ),
             (
@@ -582,398 +494,173 @@ impl Daemon {
         .to_string()
     }
 
-    /// `/compile` — body of `uhacc-cc <src> [--emit ...] [--verify]`.
-    fn ep_compile(&self, v: &Json, trace_id: u64) -> Result<Json, (u16, String)> {
-        let source = req_source(v)?;
-        let compiler = req_compiler(v)?;
-        let dims = req_dims(v)?;
-        let emit = req_emit(v)?;
-        let opts = compiler.base_options();
-        let (prog, key, program_hit) = self
-            .get_or_parse(source, &opts, trace_id)
-            .map_err(|d| (422, d.render(source)))?;
-
-        // Per-request artifact accounting (the global counters are
-        // shared across concurrent requests and can't be diffed safely).
-        let region_hits = Cell::new(0u64);
-        let region_compiles = Cell::new(0u64);
-        let regions = &self.regions;
-        let compile = |region: usize, dims: LaunchDims| {
-            let compiled = Cell::new(false);
-            let r = regions.get_or_compile(
-                accrt::RegionKey {
-                    program: key,
-                    region,
-                    dims,
-                },
-                || {
-                    compiled.set(true);
-                    uhacc_core::compile_region(&prog, region, dims, &opts)
-                },
-            )?;
-            if compiled.get() {
-                region_compiles.set(region_compiles.get() + 1);
-            } else {
-                region_hits.set(region_hits.get() + 1);
+    /// One POST: decode the body into the options `pass` reads, run the
+    /// pass through `uhacc::driver`, and wrap its rendered output in the
+    /// pass's envelope. Spliced fields (`Json::Raw`) are byte-identical
+    /// to the CLI's stdout for the same source and options.
+    fn post(&self, pass: Pass, body: &[u8], trace_id: u64) -> Result<Json, (u16, String)> {
+        let bad = |msg: String| (400, msg);
+        let text =
+            std::str::from_utf8(body).map_err(|_| bad("request body is not UTF-8".into()))?;
+        let v = parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
+        let source = v
+            .get("source")
+            .and_then(Json::as_str)
+            .ok_or_else(|| bad("missing required string field `source`".into()))?;
+        // Only the keys this pass reads are decoded: an absent or `null`
+        // field keeps its default, a field the pass ignores is not
+        // validated, and `source` never goes through the literal copy.
+        let mut o = Options::default();
+        for key in pass.reads() {
+            match v.get(key) {
+                None | Some(Json::Null) => {}
+                Some(x) => o.set(key, key, &x.literal()).map_err(bad)?,
             }
-            Ok(r)
-        };
-        let out = driver::compile_text(&prog, dims, compiler.name(), emit, &compile)
-            .map_err(|(region, d)| (422, format!("region {region}: {}", d.render(source))))?;
-        Ok(obj(vec![
-            ("text", Json::Str(out.text)),
-            ("verify_errors", Json::Num(out.verify_errors as f64)),
-            ("regions", Json::Num(out.regions.len() as f64)),
-            (
-                "cache",
-                obj(vec![
-                    ("program_hit", Json::Bool(program_hit)),
-                    ("region_hits", Json::Num(region_hits.get() as f64)),
-                    ("region_compiles", Json::Num(region_compiles.get() as f64)),
-                ]),
-            ),
-        ]))
-    }
-
-    /// `/lint` — `schema_version` and `diagnostics` are spliced verbatim
-    /// from the same renderers behind `uhacc-cc <src> --lint --json`, so
-    /// the daemon's `diagnostics` array is byte-identical to the CLI
-    /// envelope's and the two surfaces version together.
-    fn ep_lint(&self, v: &Json, _trace_id: u64) -> Result<Json, (u16, String)> {
-        use accparse::diag::{diags_to_json, Severity, LINT_SCHEMA_VERSION};
-        let source = req_source(v)?;
-        let werror = req_bool(v, "werror")?.unwrap_or(false);
-        let (diags, parse_failed) = match accparse::lint_source(source) {
-            Ok((_, findings)) => {
-                let mut diags: Vec<accparse::Diag> = findings.into_iter().map(|f| f.diag).collect();
-                if werror {
-                    for d in &mut diags {
-                        if d.severity == Severity::Warning {
-                            d.severity = Severity::Error;
-                        }
-                    }
-                }
-                (diags, false)
+        }
+        match pass {
+            Pass::Lint => {
+                use accparse::diag::{diags_to_json, LINT_SCHEMA_VERSION};
+                let lint = driver::lint(source, o.werror);
+                Ok(obj(vec![
+                    ("ok", Json::Bool(!lint.failed)),
+                    ("schema_version", Json::Num(LINT_SCHEMA_VERSION as f64)),
+                    ("diagnostics", Json::Raw(diags_to_json(&lint.diags, source))),
+                ]))
             }
-            Err(d) => (vec![d], true),
-        };
-        let failed = parse_failed || diags.iter().any(|d| d.severity == Severity::Error);
-        Ok(obj(vec![
-            ("ok", Json::Bool(!failed)),
-            ("schema_version", Json::Num(LINT_SCHEMA_VERSION as f64)),
-            ("diagnostics", Json::Raw(diags_to_json(&diags, source))),
-        ]))
+            Pass::Analyze => {
+                let (prog, _, program_hit) = self.get_or_parse(source, &o, trace_id)?;
+                Ok(obj(vec![
+                    ("ok", Json::Bool(true)),
+                    ("analysis", Json::Raw(driver::analyze_json(&prog))),
+                    ("cache", obj(vec![("program_hit", Json::Bool(program_hit))])),
+                ]))
+            }
+            Pass::Compile | Pass::Verify => self.compile(pass, source, &o, trace_id),
+            Pass::Run | Pass::Profile => self.execute(pass, source, &o, trace_id),
+            Pass::Certify => {
+                let req = o.request(pass);
+                let key = program_key(source, &req.opts);
+                let reports = driver::certify_reports(source, &req, |r| {
+                    r.set_source(source);
+                    r.set_region_cache(Arc::clone(&self.regions), key);
+                })
+                .map_err(|e| (422, driver::failure_text(&e, source)))?;
+                let report = match o.format.unwrap_or(ReportFormat::Json) {
+                    ReportFormat::Json => (
+                        "certification",
+                        Json::Raw(driver::cert_reports_json(&reports)),
+                    ),
+                    ReportFormat::Text => ("text", Json::Str(driver::cert_reports_text(&reports))),
+                };
+                Ok(obj(vec![
+                    ("ok", Json::Bool(!driver::refuted(&reports))),
+                    report,
+                ]))
+            }
+        }
     }
 
-    /// `/analyze` — the redflow fusion plan, byte-identical to
-    /// `uhacc-cc <src> --fusion-plan=json` stdout (both call
-    /// `driver::analyze_json`).
-    fn ep_analyze(&self, v: &Json, trace_id: u64) -> Result<Json, (u16, String)> {
-        let source = req_source(v)?;
-        let compiler = req_compiler(v)?;
-        let opts = compiler.base_options();
-        let (prog, _, program_hit) = self
-            .get_or_parse(source, &opts, trace_id)
-            .map_err(|d| (422, d.render(source)))?;
-        Ok(obj(vec![
-            ("ok", Json::Bool(true)),
-            ("analysis", Json::Raw(driver::analyze_json(&prog))),
-            ("cache", obj(vec![("program_hit", Json::Bool(program_hit))])),
-        ]))
-    }
-
-    /// `/verify` — the static-verification section of
-    /// `uhacc-cc <src> --verify`, without the plan/kernel listings.
-    fn ep_verify(&self, v: &Json, trace_id: u64) -> Result<Json, (u16, String)> {
-        let source = req_source(v)?;
-        let compiler = req_compiler(v)?;
-        let dims = req_dims(v)?;
-        let opts = compiler.base_options();
-        let (prog, key, _) = self
-            .get_or_parse(source, &opts, trace_id)
-            .map_err(|d| (422, d.render(source)))?;
-        let regions = &self.regions;
+    /// `/compile` and `/verify`: cached parse, then `driver::compile_pass`
+    /// over a region compiler that consults the shared artifact cache
+    /// and counts this request's hits and compiles (the global counters
+    /// are shared across concurrent requests and can't be diffed safely).
+    fn compile(
+        &self,
+        pass: Pass,
+        source: &str,
+        o: &Options,
+        trace_id: u64,
+    ) -> Result<Json, (u16, String)> {
+        let (prog, key, program_hit) = self.get_or_parse(source, o, trace_id)?;
+        let opts = o.compiler.base_options();
+        let (region_hits, region_compiles) = (Cell::new(0u64), Cell::new(0u64));
         let compile = |region: usize, dims: LaunchDims| {
-            regions.get_or_compile(
-                accrt::RegionKey {
+            let (artifact, hit) = self.regions.get_or_compile_hit(
+                RegionKey {
                     program: key,
                     region,
                     dims,
                 },
                 || uhacc_core::compile_region(&prog, region, dims, &opts),
-            )
+            )?;
+            let counter = if hit { &region_hits } else { &region_compiles };
+            counter.set(counter.get() + 1);
+            Ok(artifact)
         };
-        let emit = EmitFlags {
-            hir: false,
-            kernel: false,
-            plan: false,
-            verify: true,
-        };
-        let out = driver::compile_text(&prog, dims, compiler.name(), emit, &compile)
-            .map_err(|(region, d)| (422, format!("region {region}: {}", d.render(source))))?;
-        Ok(obj(vec![
-            ("ok", Json::Bool(out.verify_errors == 0)),
-            ("verify_errors", Json::Num(out.verify_errors as f64)),
-            ("text", Json::Str(out.text)),
-        ]))
-    }
-
-    /// `/run` — `results` is byte-identical to `uhacc-cc <src> --run`.
-    fn ep_run(&self, v: &Json, trace_id: u64) -> Result<Json, (u16, String)> {
-        let (body, cache) = self.execute(v, false, trace_id)?;
-        Ok(obj(vec![("results", Json::Raw(body)), ("cache", cache)]))
-    }
-
-    /// `/profile` — `profile` is byte-identical to
-    /// `uhacc-cc <src> --profile=json`.
-    fn ep_profile(&self, v: &Json, trace_id: u64) -> Result<Json, (u16, String)> {
-        let (body, cache) = self.execute(v, true, trace_id)?;
-        Ok(obj(vec![("profile", Json::Raw(body)), ("cache", cache)]))
-    }
-
-    /// `/certify` — translation validation. `certification` is spliced
-    /// verbatim from `driver::cert_reports_json`, the same function
-    /// behind `uhacc-cc <src> --certify=json` stdout, so the two bodies
-    /// are byte-identical by construction.
-    fn ep_certify(&self, v: &Json, _trace_id: u64) -> Result<Json, (u16, String)> {
-        let source = req_source(v)?;
-        let compiler = req_compiler(v)?;
-        let fmt = req_report_format(v, "format")?.unwrap_or(uhacc_core::flags::ReportFormat::Json);
-        let req = RunRequest {
-            opts: compiler.base_options(),
-            dims: match v.get("dims") {
-                None | Some(Json::Null) => driver::certify_dims(),
-                Some(_) => req_dims(v)?,
-            },
-            n: req_count(v, "n")?.unwrap_or(RunRequest::default().n),
-            host_threads: req_count_u32(v, "host_threads")?.unwrap_or(0),
-            exec_tier: req_exec_tier(v)?,
-        };
-        let key = program_key(source, &req.opts);
-        let regions = Arc::clone(&self.regions);
-        let reports = driver::certify_reports(source, &req, |r| {
-            r.set_source(source);
-            r.set_region_cache(Arc::clone(&regions), key);
+        let out =
+            driver::compile_pass(pass, o, source, &prog, &compile).map_err(|msg| (422, msg))?;
+        let verify_errors = ("verify_errors", Json::Num(out.verify_errors as f64));
+        Ok(match pass {
+            Pass::Verify => obj(vec![
+                ("ok", Json::Bool(out.ok())),
+                verify_errors,
+                ("text", Json::Str(out.text)),
+            ]),
+            _ => obj(vec![
+                ("text", Json::Str(out.text)),
+                verify_errors,
+                ("regions", Json::Num(out.regions.len() as f64)),
+                (
+                    "cache",
+                    obj(vec![
+                        ("program_hit", Json::Bool(program_hit)),
+                        ("region_hits", Json::Num(region_hits.get() as f64)),
+                        ("region_compiles", Json::Num(region_compiles.get() as f64)),
+                    ]),
+                ),
+            ]),
         })
-        .map_err(|e| (422, e.to_string()))?;
-        let ok = !reports
-            .iter()
-            .any(|r| matches!(r.verdict, gpsim::CertVerdict::Refuted { .. }));
-        let body = match fmt {
-            uhacc_core::flags::ReportFormat::Json => (
-                "certification",
-                Json::Raw(driver::cert_reports_json(&reports)),
-            ),
-            uhacc_core::flags::ReportFormat::Text => {
-                ("text", Json::Str(driver::cert_reports_text(&reports)))
-            }
-        };
-        Ok(obj(vec![("ok", Json::Bool(ok)), body]))
     }
 
-    /// Shared `/run`-`/profile` path: cached parse, session over shared
-    /// artifacts, deterministic inputs, full device run on this worker —
-    /// traced end to end (per-region phase spans via the runtime hook,
-    /// device timeline spliced into the unified trace for `/profile`).
+    /// `/run` and `/profile`: cached parse, `driver::session` over the
+    /// shared artifacts on this worker — traced end to end (per-region
+    /// phase spans via the runtime hook, device timeline spliced into
+    /// the unified trace for `/profile`).
     fn execute(
         &self,
-        v: &Json,
-        profile: bool,
+        pass: Pass,
+        source: &str,
+        o: &Options,
         trace_id: u64,
-    ) -> Result<(String, Json), (u16, String)> {
-        let source = req_source(v)?;
-        let compiler = req_compiler(v)?;
-        let req = RunRequest {
-            opts: compiler.base_options(),
-            dims: req_dims(v)?,
-            n: req_count(v, "n")?.unwrap_or(RunRequest::default().n),
-            host_threads: req_count_u32(v, "host_threads")?.unwrap_or(0),
-            exec_tier: req_exec_tier(v)?,
-        };
-        let (prog, key, program_hit) = self
-            .get_or_parse(source, &req.opts, trace_id)
-            .map_err(|d| (422, d.render(source)))?;
-        let mut r = AccRunner::from_shared(prog, req.opts.clone(), req.dims, Device::default());
-        r.set_source(source);
-        r.set_region_cache(Arc::clone(&self.regions), key);
-        driver::execute_traced(
-            &mut r,
-            &req,
+    ) -> Result<Json, (u16, String)> {
+        let (program, key, program_hit) = self.get_or_parse(source, o, trace_id)?;
+        let profile = pass == Pass::Profile;
+        let r = driver::session(
+            source,
+            &o.request(pass),
             profile,
-            &self.obs.tracer,
-            trace_id,
-            Some(self.obs.compile_hist.clone()),
+            Artifacts::Cached {
+                program,
+                regions: Arc::clone(&self.regions),
+                key,
+            },
+            Some(RunnerObs {
+                tracer: Arc::clone(&self.obs.tracer),
+                trace_id,
+                compile_hist: Some(self.obs.compile_hist.clone()),
+            }),
         )
-        .map_err(|e| (422, e.to_string()))?;
+        .map_err(|e| (422, driver::failure_text(&e, source)))?;
         let s = r.device().stats();
         self.sim_insts
             .fetch_add(s.totals.warp_insts, Ordering::Relaxed);
         self.sim_cycles
             .fetch_add(s.total_cycles(), Ordering::Relaxed);
-        let body = if profile {
-            r.profile_json()
+        let report = if profile {
+            ("profile", Json::Raw(r.profile_json()))
         } else {
-            driver::results_json(&r)
+            ("results", Json::Raw(driver::results_json(&r)))
         };
         let cache = obj(vec![
             ("program_hit", Json::Bool(program_hit)),
             ("session_compiles", Json::Num(r.compiles() as f64)),
         ]);
-        Ok((body, cache))
+        Ok(obj(vec![report, ("cache", cache)]))
     }
 }
 
 fn err_body(msg: &str) -> String {
     obj(vec![("error", Json::Str(msg.into()))]).to_string()
-}
-
-fn req_source(v: &Json) -> Result<&str, (u16, String)> {
-    v.get("source")
-        .and_then(Json::as_str)
-        .ok_or_else(|| (400, "missing required string field `source`".into()))
-}
-
-fn req_bool(v: &Json, field: &str) -> Result<Option<bool>, (u16, String)> {
-    match v.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(b) => b
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| (400, format!("field `{field}` must be a boolean"))),
-    }
-}
-
-/// Numeric request fields go through the *same* validation as the CLI
-/// flags (`uhacc_core::flags::parse_count`): a string or a number is
-/// accepted, anything malformed gets the identical rendered diagnostic.
-fn req_count(v: &Json, field: &str) -> Result<Option<u64>, (u16, String)> {
-    match v.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => uhacc_core::flags::parse_count(field, &x.literal())
-            .map(Some)
-            .map_err(|e| (400, e)),
-    }
-}
-
-fn req_count_u32(v: &Json, field: &str) -> Result<Option<u32>, (u16, String)> {
-    match v.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => parse_count_u32(field, &x.literal())
-            .map(Some)
-            .map_err(|e| (400, e)),
-    }
-}
-
-/// Optional report-format field, validated exactly like the CLI's
-/// `--certify=FMT` value (same parser, same rendered diagnostic) — a
-/// malformed format is a semantically invalid request: HTTP 422, like
-/// a source that fails to parse.
-fn req_report_format(
-    v: &Json,
-    field: &str,
-) -> Result<Option<uhacc_core::flags::ReportFormat>, (u16, String)> {
-    match v.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => match x.as_str() {
-            Some(s) => uhacc_core::flags::parse_report_format(field, s)
-                .map(Some)
-                .map_err(|e| (422, e)),
-            None => Err((422, format!("field `{field}` must be a string"))),
-        },
-    }
-}
-
-/// Optional `exec_tier` field, validated exactly like the CLI's
-/// `--exec-tier` flag (same parser, same rendered diagnostic).
-fn req_exec_tier(v: &Json) -> Result<gpsim::ExecTier, (u16, String)> {
-    match v.get("exec_tier") {
-        None | Some(Json::Null) => Ok(gpsim::ExecTier::Auto),
-        Some(x) => match x.as_str() {
-            Some(s) => s.parse().map_err(|e: String| (400, e)),
-            None => Err((400, "field `exec_tier` must be a string".into())),
-        },
-    }
-}
-
-fn req_compiler(v: &Json) -> Result<Compiler, (u16, String)> {
-    match v.get("compiler") {
-        None | Some(Json::Null) => Ok(Compiler::OpenUH),
-        Some(c) => match c.as_str() {
-            Some("openuh") => Ok(Compiler::OpenUH),
-            Some("pgi") => Ok(Compiler::PgiLike),
-            Some("caps") => Ok(Compiler::CapsLike),
-            _ => Err((
-                400,
-                format!("field `compiler` must be one of openuh | pgi | caps, got {c}"),
-            )),
-        },
-    }
-}
-
-fn req_dims(v: &Json) -> Result<LaunchDims, (u16, String)> {
-    match v.get("dims") {
-        None | Some(Json::Null) => Ok(LaunchDims::paper()),
-        Some(d) => {
-            let items = d.as_arr().filter(|a| a.len() == 3).ok_or_else(|| {
-                (
-                    400,
-                    "field `dims` must be a 3-element array [gangs, workers, vector]".to_string(),
-                )
-            })?;
-            let mut nums = [0u32; 3];
-            for (i, item) in items.iter().enumerate() {
-                nums[i] = parse_count_u32("dims", &item.literal()).map_err(|e| (400, e))?;
-            }
-            Ok(LaunchDims {
-                gangs: nums[0],
-                workers: nums[1],
-                vector: nums[2],
-            })
-        }
-    }
-}
-
-fn req_emit(v: &Json) -> Result<EmitFlags, (u16, String)> {
-    let mut emit = EmitFlags::default();
-    if let Some(e) = v.get("emit") {
-        if matches!(e, Json::Null) {
-            // keep defaults
-        } else {
-            let items = e.as_arr().ok_or_else(|| {
-                (
-                    400,
-                    "field `emit` must be an array of hir | kernel | plan | all".to_string(),
-                )
-            })?;
-            emit.hir = false;
-            emit.kernel = false;
-            emit.plan = false;
-            for item in items {
-                match item.as_str() {
-                    Some("hir") => emit.hir = true,
-                    Some("kernel") => emit.kernel = true,
-                    Some("plan") => emit.plan = true,
-                    Some("all") => {
-                        emit.hir = true;
-                        emit.kernel = true;
-                        emit.plan = true;
-                    }
-                    _ => {
-                        return Err((
-                            400,
-                            format!(
-                                "invalid emit entry {item}: expected hir | kernel | plan | all"
-                            ),
-                        ))
-                    }
-                }
-            }
-        }
-    }
-    if let Some(b) = req_bool(v, "verify")? {
-        emit.verify = b;
-    }
-    Ok(emit)
 }
 
 /// Accept loop: every connection becomes one FIFO job on the shared

@@ -9,7 +9,7 @@
 //!    `/health` counters say so, and the warm session performed zero
 //!    region compilations.
 
-use uhacc::driver::{self, EmitFlags, RunRequest};
+use uhacc::driver::{self, Artifacts, EmitFlags, RunRequest};
 use uhacc_core::{CompilerOptions, LaunchDims};
 use uhaccd::http;
 use uhaccd::json::{parse, Json};
@@ -56,15 +56,12 @@ fn run_body_matches_cli_driver_byte_for_byte() {
     let v = parse(&resp).unwrap();
     // `results` was spliced raw; re-extract it as a substring to avoid
     // any reserialization: find the exact driver output inside the body.
-    let want = driver::run_json(
-        SRC,
-        &RunRequest {
-            n: 1000,
-            ..RunRequest::default()
-        },
-        |_| {},
-    )
-    .unwrap();
+    let req = RunRequest {
+        n: 1000,
+        ..RunRequest::default()
+    };
+    let want =
+        driver::results_json(&driver::session(SRC, &req, false, Artifacts::Direct, None).unwrap());
     assert!(
         resp.contains(&format!("\"results\":{want}")),
         "daemon /run body does not embed the CLI --run output verbatim:\n{resp}\nwant: {want}"
@@ -79,15 +76,13 @@ fn profile_body_matches_cli_driver_byte_for_byte() {
     let body = format!("{{\"source\":{},\"n\":512}}", src_json());
     let (status, resp) = http::post(addr, "/profile", &body).unwrap();
     assert_eq!(status, 200, "{resp}");
-    let want = driver::profile_json(
-        SRC,
-        &RunRequest {
-            n: 512,
-            ..RunRequest::default()
-        },
-        |_| {},
-    )
-    .unwrap();
+    let req = RunRequest {
+        n: 512,
+        ..RunRequest::default()
+    };
+    let want = driver::session(SRC, &req, true, Artifacts::Direct, None)
+        .unwrap()
+        .profile_json();
     assert!(
         resp.contains(&format!("\"profile\":{want}")),
         "daemon /profile body does not embed the CLI --profile=json output verbatim"
@@ -365,10 +360,11 @@ fn certify_text_format_and_format_validation() {
         "double `+` reduction should certify modulo reassociation:\n{txt}"
     );
 
-    // Garbage format: HTTP 422 with the same rendered diagnostic the CLI
-    // prints for `--certify=yaml` (both go through `parse_report_format`).
+    // Garbage format: a malformed option value is HTTP 400 like every
+    // other, with the same rendered diagnostic the CLI prints for
+    // `--certify=yaml` (both go through `driver::Options::set`).
     let body = format!("{{\"source\":{},\"format\":\"yaml\"}}", src_json());
     let (status, resp) = http::post(addr, "/certify", &body).unwrap();
-    assert_eq!(status, 422, "{resp}");
+    assert_eq!(status, 400, "{resp}");
     assert!(resp.contains("expected `text` or `json`"), "{resp}");
 }

@@ -5,56 +5,40 @@
 //! $ uhacc-cc examples/sum.c --dims 192,8,128 --emit kernel
 //! $ echo '...' | uhacc-cc - --compiler pgi
 //! ```
+//!
+//! An adapter over [`uhacc::driver`]: this file turns argv into
+//! `(key, literal)` pairs for the one option decoder, prints what the
+//! passes render, and exits with the worst pass's code. The option
+//! vocabulary, its defaults and what makes a pass fail are the driver's.
 
 use std::io::Read;
-use uhacc::baselines::Compiler;
-use uhacc::core::flags::{
-    host_threads_from_env, parse_count, parse_count_u32, parse_report_format, ReportFormat,
-};
-use uhacc::core::{CompilerOptions, LaunchDims};
-use uhacc::driver::{self, EmitFlags, RunRequest};
+use std::sync::Arc;
+use uhacc::core::flags::{host_threads_from_env, ReportFormat};
+use uhacc::driver::{self, Artifacts, Options, Pass};
 use uhacc::parse as accparse;
+use uhacc::rt::{AccRunner, RunnerObs};
 
-/// Output format for `--profile`.
+/// Output format of the CLI-only `--profile[=FMT]` / `--fusion-plan[=FMT]`.
 #[derive(Clone, Copy, PartialEq)]
-enum ProfileMode {
+enum Format {
     Text,
     Json,
     Trace,
 }
 
-/// Output format for `--fusion-plan`.
-#[derive(Clone, Copy, PartialEq)]
-enum FusionMode {
-    Text,
-    Json,
-}
-
 struct Args {
     input: String,
-    dims: LaunchDims,
-    compiler: Compiler,
-    emit: EmitFlags,
+    opts: Options,
     sanitize: bool,
     lint: bool,
-    werror: bool,
     json: bool,
-    profile: Option<ProfileMode>,
-    fusion_plan: Option<FusionMode>,
-    certify: Option<ReportFormat>,
+    profile: Option<Format>,
+    fusion_plan: Option<Format>,
+    certify: bool,
     run: bool,
-    n: u64,
-    host_threads: u32,
-    exec_tier: gpsim::ExecTier,
     /// With `--run`/`--profile`: write the unified Chrome/Perfetto trace
     /// (request spans + device tracks on one timebase) to this file.
     trace_out: Option<String>,
-    /// `--emit` was given explicitly (analysis modes otherwise suppress
-    /// the kernel/plan dump).
-    explicit_emit: bool,
-    /// `--dims` was given explicitly (`--certify` otherwise uses the
-    /// small certification geometry instead of the paper's).
-    explicit_dims: bool,
 }
 
 fn usage() -> ! {
@@ -62,9 +46,10 @@ fn usage() -> ! {
         "usage: uhacc-cc <file.c | -> [options]\n\
          \n\
          options:\n\
-           --dims G,W,V        launch geometry (default 192,8,128 — the paper's)\n\
+           --dims G,W,V        launch geometry (default 192,8,128 — the paper's;\n\
+                               2,2,64 under --certify)\n\
            --compiler NAME     openuh | pgi | caps (default openuh)\n\
-           --emit WHAT         hir | kernel | plan | all (default kernel,plan)\n\
+           --emit WHAT[,WHAT]  hir | kernel | plan | all (default kernel,plan)\n\
            --sanitize          run the hazard-sanitizer detection matrix\n\
                                (no input file needed) and exit\n\
            --verify            statically verify every generated kernel\n\
@@ -119,7 +104,11 @@ fn usage() -> ! {
            -h, --help          this message\n\
          \n\
          --verify, --lint, --fusion-plan and --certify compose: one invocation\n\
-         renders every requested report and exits with the worst code."
+         renders every requested report and exits with the worst code.\n\
+         \n\
+         exit 1 = the program failed a pass; exit 2 = the command line is\n\
+         malformed: an unknown flag prints this message, a bad value for any\n\
+         option prints `error: invalid value for <flag>: expected ..., got ...`."
     );
     std::process::exit(2);
 }
@@ -131,6 +120,20 @@ fn flag_err(msg: String) -> ! {
     std::process::exit(2);
 }
 
+/// The `FMT` of a `--flag[=FMT]` mode switch (`text` when omitted);
+/// `trace` only where the mode has a timeline to export.
+fn mode_format(flag: &str, fmt: Option<&str>, trace: bool) -> Format {
+    match fmt {
+        None | Some("text") => Format::Text,
+        Some("json") => Format::Json,
+        Some("trace") if trace => Format::Trace,
+        Some(other) => flag_err(format!(
+            "invalid value for {flag}: expected text | json{}, got `{other}`",
+            if trace { " | trace" } else { "" }
+        )),
+    }
+}
+
 fn parse_args() -> Args {
     // A garbage UHACC_HOST_THREADS would otherwise be silently treated
     // as "auto" deep in the simulator; surface it here instead.
@@ -139,156 +142,66 @@ fn parse_args() -> Args {
     }
     let mut args = Args {
         input: String::new(),
-        dims: LaunchDims::paper(),
-        compiler: Compiler::OpenUH,
-        emit: EmitFlags::default(),
+        opts: Options::default(),
         sanitize: false,
         lint: false,
-        werror: false,
         json: false,
         profile: None,
         fusion_plan: None,
-        certify: None,
+        certify: false,
         run: false,
-        n: 65536,
-        host_threads: 0,
-        exec_tier: gpsim::ExecTier::Auto,
         trace_out: None,
-        explicit_emit: false,
-        explicit_dims: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
     let mut have_input = false;
-    let need_val = |argv: &[String], i: usize, flag: &str| -> String {
-        argv.get(i)
-            .cloned()
-            .unwrap_or_else(|| flag_err(format!("{flag} requires a value")))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "-h" | "--help" => usage(),
-            "--dims" => {
-                i += 1;
-                let v = need_val(&argv, i, "--dims");
-                let parts: Vec<&str> = v.split(',').collect();
-                if parts.len() != 3 {
-                    flag_err(format!(
-                        "invalid value for --dims: expected G,W,V (three comma-separated \
-                         non-negative integers), got `{v}`"
-                    ));
-                }
-                let mut nums = [0u32; 3];
-                for (k, p) in parts.iter().enumerate() {
-                    nums[k] = parse_count_u32("--dims", p).unwrap_or_else(|e| flag_err(e));
-                }
-                args.dims = LaunchDims {
-                    gangs: nums[0],
-                    workers: nums[1],
-                    vector: nums[2],
-                };
-                args.explicit_dims = true;
-            }
-            "--compiler" => {
-                i += 1;
-                args.compiler = match argv.get(i).map(|s| s.as_str()) {
-                    Some("openuh") => Compiler::OpenUH,
-                    Some("pgi") => Compiler::PgiLike,
-                    Some("caps") => Compiler::CapsLike,
-                    _ => usage(),
-                };
-            }
-            "--emit" => {
-                i += 1;
-                args.explicit_emit = true;
-                args.emit = EmitFlags {
-                    hir: false,
-                    kernel: false,
-                    plan: false,
-                    verify: args.emit.verify,
-                };
-                for w in argv.get(i).unwrap_or_else(|| usage()).split(',') {
-                    match w {
-                        "hir" => args.emit.hir = true,
-                        "kernel" => args.emit.kernel = true,
-                        "plan" => args.emit.plan = true,
-                        "all" => {
-                            args.emit.hir = true;
-                            args.emit.kernel = true;
-                            args.emit.plan = true;
-                        }
-                        _ => usage(),
-                    }
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        // `--flag=VALUE` is accepted where the value is optional.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f, Some(v)),
+            _ => (arg.as_str(), None),
+        };
+        let mut value = |flag: &str| {
+            argv.next()
+                .unwrap_or_else(|| flag_err(format!("{flag} requires a value")))
+        };
+        match (flag, inline) {
+            ("-h" | "--help", None) => usage(),
+            ("--sanitize", None) => args.sanitize = true,
+            ("--run", None) => args.run = true,
+            ("--lint", None) => args.lint = true,
+            ("--json", None) => args.json = true,
+            ("--profile", fmt) => args.profile = Some(mode_format(flag, fmt, true)),
+            ("--fusion-plan", fmt) => args.fusion_plan = Some(mode_format(flag, fmt, false)),
+            ("--certify", fmt) => {
+                args.certify = true;
+                if let Some(fmt) = fmt {
+                    (args.opts.set(flag, "format", fmt)).unwrap_or_else(|e| flag_err(e));
                 }
             }
-            "--sanitize" => args.sanitize = true,
-            "--verify" => args.emit.verify = true,
-            "--run" => args.run = true,
-            "--profile" => args.profile = Some(ProfileMode::Text),
-            s if s.starts_with("--profile=") => {
-                args.profile = Some(match &s["--profile=".len()..] {
-                    "text" => ProfileMode::Text,
-                    "json" => ProfileMode::Json,
-                    "trace" => ProfileMode::Trace,
-                    _ => usage(),
-                });
-            }
-            "--certify" => args.certify = Some(ReportFormat::Text),
-            s if s.starts_with("--certify=") => {
-                args.certify = Some(
-                    parse_report_format("--certify", &s["--certify=".len()..])
-                        .unwrap_or_else(|e| flag_err(e)),
-                );
-            }
-            "--fusion-plan" => args.fusion_plan = Some(FusionMode::Text),
-            s if s.starts_with("--fusion-plan=") => {
-                args.fusion_plan = Some(match &s["--fusion-plan=".len()..] {
-                    "text" => FusionMode::Text,
-                    "json" => FusionMode::Json,
-                    _ => usage(),
-                });
-            }
-            "--n" => {
-                i += 1;
-                let v = need_val(&argv, i, "--n");
-                args.n = parse_count("--n", &v).unwrap_or_else(|e| flag_err(e));
-            }
-            "--trace-out" => {
-                i += 1;
-                args.trace_out = Some(need_val(&argv, i, "--trace-out"));
-            }
-            s if s.starts_with("--trace-out=") => {
-                args.trace_out = Some(s["--trace-out=".len()..].to_string());
-            }
-            "--lint" => args.lint = true,
-            "--werror" => args.werror = true,
-            "--json" => args.json = true,
-            "--host-threads" => {
-                i += 1;
-                let v = need_val(&argv, i, "--host-threads");
-                args.host_threads =
-                    parse_count_u32("--host-threads", &v).unwrap_or_else(|e| flag_err(e));
-            }
-            "--exec-tier" => {
-                i += 1;
-                let v = need_val(&argv, i, "--exec-tier");
-                args.exec_tier = v.parse().unwrap_or_else(|e| flag_err(e));
-            }
-            f if !f.starts_with('-') || f == "-" => {
+            ("--trace-out", Some(path)) => args.trace_out = Some(path.to_string()),
+            ("--trace-out", None) => args.trace_out = Some(value(flag)),
+            (f, None) if !f.starts_with('-') || f == "-" => {
                 if have_input {
                     usage();
                 }
                 args.input = f.to_string();
                 have_input = true;
             }
+            // Everything else is an option: `--key VALUE`, or a bare switch.
+            (_, None) => match Options::KEYS.iter().find(|k| k.1 == flag) {
+                Some(&(key, _, switch)) => {
+                    let lit = if switch { "true".into() } else { value(flag) };
+                    (args.opts.set(flag, key, &lit)).unwrap_or_else(|e| flag_err(e));
+                }
+                None => usage(),
+            },
             _ => usage(),
         }
-        i += 1;
     }
     if !have_input && !args.sanitize {
         usage();
     }
-    if (args.werror || args.json) && !args.lint {
+    if (args.opts.werror || args.json) && !args.lint {
         usage();
     }
     if args.trace_out.is_some() && !(args.run || args.profile.is_some()) {
@@ -297,134 +210,65 @@ fn parse_args() -> Args {
     args
 }
 
-/// Run the source-level lints. Returns the exit code this report earns:
-/// 0 = clean (or warnings without `--werror`), 1 = error-level findings
-/// (or a parse/sema failure).
-fn lint_code(src: &str, werror: bool, json: bool) -> i32 {
-    use accparse::diag::{lint_report_json, render_all, Severity};
-    let mut diags: Vec<accparse::Diag> = match accparse::lint_source(src) {
-        Ok((_, findings)) => findings.into_iter().map(|f| f.diag).collect(),
-        Err(d) => {
-            if json {
-                println!("{}", lint_report_json(&[d], src));
-            } else {
-                eprintln!("{}", d.render(src));
-            }
-            return 1;
-        }
-    };
-    if werror {
-        for d in &mut diags {
-            if d.severity == Severity::Warning {
-                d.severity = Severity::Error;
-            }
-        }
-    }
+/// Print the lint report; the pass/fail decision is [`driver::lint`]'s.
+fn print_lint(src: &str, werror: bool, json: bool) -> bool {
+    use accparse::diag::{lint_report_json, render_all};
+    let lint = driver::lint(src, werror);
     if json {
-        println!("{}", lint_report_json(&diags, src));
-    } else if diags.is_empty() {
+        println!("{}", lint_report_json(&lint.diags, src));
+    } else if lint.diags.is_empty() {
         println!("uhacc-cc: lint clean");
     } else {
-        eprint!("{}", render_all(&diags, src));
+        eprint!("{}", render_all(&lint.diags, src));
     }
-    let failed = diags.iter().any(|d| d.severity == Severity::Error);
-    if failed {
-        1
-    } else {
-        0
-    }
+    lint.failed
 }
 
-fn run_request(args: &Args) -> RunRequest {
-    RunRequest {
-        opts: args.compiler.base_options(),
-        dims: args.dims,
-        n: args.n,
-        host_threads: args.host_threads,
-        exec_tier: args.exec_tier,
-    }
-}
-
-/// Build the CLI's tracer on the environment-selected clock
-/// (`UHOBS_VIRTUAL_CLOCK=1` gives a deterministic virtual timebase).
-fn cli_tracer() -> std::sync::Arc<uhacc::obs::Tracer> {
-    let clock = std::sync::Arc::new(uhacc::obs::Clock::from_env());
-    std::sync::Arc::new(uhacc::obs::Tracer::new(clock, "uhacc-cc"))
-}
-
-/// Write the tracer's unified Chrome trace to `path`.
-fn write_trace(path: &str, tracer: &uhacc::obs::Tracer) {
-    if let Err(e) = std::fs::write(path, format!("{}\n", tracer.to_chrome_trace())) {
-        eprintln!("error: cannot write `{path}`: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("uhacc-cc: wrote {path}");
-}
-
-/// Execute a fresh session for `src`, optionally tracing it. The traced
-/// and untraced paths produce byte-identical stdout; tracing only adds
-/// the `--trace-out` file.
-fn execute_cli(src: &str, args: &Args, profile: bool) -> uhacc::rt::AccRunner {
-    use uhacc::rt::AccRunner;
-    use uhacc::sim::Device;
-
-    let req = run_request(args);
-    let fail = |e: &dyn std::fmt::Display| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
-    let mut r = match AccRunner::with_options(src, req.opts.clone(), req.dims, Device::default()) {
-        Ok(r) => r,
-        Err(e) => fail(&e),
-    };
-    r.set_source(src);
-    let result = match &args.trace_out {
-        Some(path) => {
-            let tracer = cli_tracer();
-            let trace_id = tracer.mint_trace_id();
-            tracer.set_track_name(
-                trace_id,
-                &format!(
-                    "uhacc-cc {}{}",
-                    args.input,
-                    if profile { " --profile" } else { " --run" }
-                ),
-            );
-            let result = driver::execute_traced(&mut r, &req, profile, &tracer, trace_id, None);
-            write_trace(path, &tracer);
-            result
+/// The run and profile passes: one [`driver::session`] over a fresh
+/// parse, traced when `--trace-out` asks for it. The traced and untraced
+/// paths produce byte-identical stdout; tracing only adds the file.
+fn session(src: &str, args: &Args, pass: Pass) -> AccRunner {
+    let traced = args.trace_out.as_ref().map(|path| {
+        // `UHOBS_VIRTUAL_CLOCK=1` gives a deterministic virtual timebase.
+        let clock = Arc::new(uhacc::obs::Clock::from_env());
+        (path, Arc::new(uhacc::obs::Tracer::new(clock, "uhacc-cc")))
+    });
+    let profile = pass == Pass::Profile;
+    let obs = traced.as_ref().map(|(_, tracer)| {
+        let trace_id = tracer.mint_trace_id();
+        let mode = if profile { "--profile" } else { "--run" };
+        tracer.set_track_name(trace_id, &format!("uhacc-cc {} {mode}", args.input));
+        RunnerObs {
+            tracer: Arc::clone(tracer),
+            trace_id,
+            compile_hist: None,
         }
-        None => driver::execute(&mut r, &req, profile),
-    };
-    if let Err(e) = result {
-        fail(&e);
+    });
+    let req = args.opts.request(pass);
+    let result = driver::session(src, &req, profile, Artifacts::Direct, obs);
+    if let Some((path, tracer)) = traced {
+        if let Err(e) = std::fs::write(path, format!("{}\n", tracer.to_chrome_trace())) {
+            eprintln!("error: cannot write `{path}`: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("uhacc-cc: wrote {path}");
     }
-    r
-}
-
-/// Compile, auto-bind deterministic inputs, run every region on the
-/// simulator, and print the requested profile export (see
-/// [`uhacc::driver`] — the daemon's `/profile` endpoint shares this
-/// path, so outputs agree byte for byte).
-fn run_profile(src: &str, args: &Args, mode: ProfileMode) -> ! {
-    let r = execute_cli(src, args, true);
-    match mode {
-        ProfileMode::Text => print!("{}", r.profile_report()),
-        ProfileMode::Json => println!("{}", r.profile_json()),
-        ProfileMode::Trace => println!("{}", r.profile_chrome_trace()),
-    }
-    std::process::exit(0);
+    result.unwrap_or_else(|e| {
+        eprintln!("{}", driver::failure_text(&e, src));
+        std::process::exit(1);
+    })
 }
 
 fn main() {
     let args = parse_args();
+    let o = &args.opts;
     if args.sanitize {
         let mut cfg = uhacc::testsuite::SuiteConfig::quick();
-        cfg.host_threads = args.host_threads;
-        cfg.exec_tier = args.exec_tier;
-        let rows = uhacc::testsuite::run_sanitize_matrix(&cfg);
-        print!("{}", uhacc::testsuite::format_matrix(&rows));
-        std::process::exit(if rows.iter().all(|r| r.ok()) { 0 } else { 1 });
+        cfg.host_threads = o.host_threads;
+        cfg.exec_tier = o.exec_tier;
+        let (report, ok) = uhacc::testsuite::sanitize::sweep(&cfg);
+        print!("{report}");
+        std::process::exit(if ok { 0 } else { 1 });
     }
     let src = if args.input == "-" {
         let mut s = String::new();
@@ -444,13 +288,18 @@ fn main() {
     };
 
     if args.run {
-        let r = execute_cli(&src, &args, false);
+        let r = session(&src, &args, Pass::Run);
         println!("{}", driver::results_json(&r));
         std::process::exit(0);
     }
-
-    if let Some(mode) = args.profile {
-        run_profile(&src, &args, mode);
+    if let Some(format) = args.profile {
+        let r = session(&src, &args, Pass::Profile);
+        match format {
+            Format::Text => print!("{}", r.profile_report()),
+            Format::Json => println!("{}", r.profile_json()),
+            Format::Trace => println!("{}", r.profile_chrome_trace()),
+        }
+        std::process::exit(0);
     }
 
     let hir = match accparse::compile(&src) {
@@ -470,86 +319,64 @@ fn main() {
 
     // Analysis modes compose: every requested report renders, the worst
     // exit code wins.
-    let mut worst = 0i32;
+    let mut failed = false;
 
     if args.lint {
-        worst = worst.max(lint_code(&src, args.werror, args.json));
+        failed |= print_lint(&src, o.werror, args.json);
     }
 
-    if let Some(mode) = args.fusion_plan {
-        match mode {
-            FusionMode::Text => print!("{}", driver::analyze_text(&hir)),
-            FusionMode::Json => println!("{}", driver::analyze_json(&hir)),
-        }
+    match args.fusion_plan {
+        Some(Format::Json) => println!("{}", driver::analyze_json(&hir)),
+        Some(_) => print!("{}", driver::analyze_text(&hir)),
+        None => {}
     }
 
-    if let Some(fmt) = args.certify {
-        let req = RunRequest {
-            opts: args.compiler.base_options(),
-            dims: if args.explicit_dims {
-                args.dims
-            } else {
-                driver::certify_dims()
-            },
-            n: args.n,
-            host_threads: args.host_threads,
-            exec_tier: args.exec_tier,
-        };
-        match driver::certify_reports(&src, &req, |r| {
-            r.set_source(&src);
-        }) {
+    if args.certify {
+        let req = o.request(Pass::Certify);
+        match driver::certify_reports(&src, &req, |r| r.set_source(&src)) {
             Ok(reports) => {
-                match fmt {
+                match o.format.unwrap_or(ReportFormat::Text) {
                     ReportFormat::Text => print!("{}", driver::cert_reports_text(&reports)),
                     ReportFormat::Json => println!("{}", driver::cert_reports_json(&reports)),
                 }
-                if reports
-                    .iter()
-                    .any(|r| matches!(r.verdict, gpsim::CertVerdict::Refuted { .. }))
-                {
-                    worst = worst.max(1);
-                }
+                failed |= driver::refuted(&reports);
             }
             Err(e) => {
-                eprintln!("error: {e}");
-                worst = worst.max(1);
+                eprintln!("{}", driver::failure_text(&e, &src));
+                failed = true;
             }
         }
     }
 
-    let analysis = args.lint || args.fusion_plan.is_some() || args.certify.is_some();
-    if !analysis || args.explicit_emit || args.emit.verify {
-        // Under analysis modes, only an explicit `--emit` re-enables the
-        // kernel/plan dump; `--verify` alone adds just its section.
-        let emit = if analysis && !args.explicit_emit {
-            EmitFlags {
-                hir: false,
-                kernel: false,
-                plan: false,
-                verify: args.emit.verify,
-            }
-        } else {
-            args.emit
-        };
-        let opts: CompilerOptions = args.compiler.base_options();
-        let compile = driver::direct_compiler(&hir, &opts);
-        match driver::compile_text(&hir, args.dims, args.compiler.name(), emit, &compile) {
+    // Under analysis modes, only an explicit `--emit` re-enables the
+    // kernel/plan dump; `--verify` alone is the verify pass — the header
+    // plus its sections.
+    let analysis = args.lint || args.fusion_plan.is_some() || args.certify;
+    let pass = match (analysis && o.emit.is_none(), o.verify) {
+        (false, _) => Some(Pass::Compile),
+        (true, true) => Some(Pass::Verify),
+        (true, false) => None,
+    };
+    if let Some(pass) = pass {
+        let copts = o.compiler.base_options();
+        let compile = driver::direct_compiler(&hir, &copts);
+        match driver::compile_pass(pass, o, &src, &hir, &compile) {
             Ok(out) => {
                 print!("{}", out.text);
-                if out.verify_errors > 0 {
+                if !out.ok() {
                     eprintln!(
                         "uhacc-cc: {} static verification error(s)",
                         out.verify_errors
                     );
-                    worst = worst.max(1);
+                    failed = true;
                 }
             }
-            Err((region, d)) => {
-                eprintln!("region {region}: {}", d.render(&src));
-                worst = worst.max(1);
+            Err(msg) => {
+                eprintln!("{msg}");
+                failed = true;
             }
         }
     }
 
-    std::process::exit(worst);
+    std::process::exit(failed as i32);
 }

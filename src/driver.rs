@@ -1,20 +1,248 @@
-//! Shared single-shot drivers: the *one* definition of what compiling,
-//! running, verifying, and profiling a source produces as text.
+//! The front door: the *one* module that knows the pass list, the option
+//! vocabulary and what every pass outcome means (DESIGN.md, "The front
+//! door").
 //!
-//! Both surfaces — the `uhacc-cc` CLI and the `uhaccd` service endpoints
-//! — call these functions, so a daemon response is byte-identical to the
-//! corresponding single-shot CLI invocation by construction, not by
-//! parallel reimplementation. Keep every `format!` here; if an endpoint
-//! ever needs a different shape, add a new function rather than forking
-//! the string-building inline.
+//! `uhacc-cc` and `uhaccd` are adapters over this module. An adapter
+//! turns its input — argv, or a JSON body — into `(key, literal)` pairs
+//! for [`Options::set`], calls the pass, and wraps the rendered output in
+//! its own envelope (stdout and an exit code, or a response body and a
+//! status). Because the decoding, the defaults, the renderers and the
+//! pass/fail decisions live here, the two surfaces cannot disagree. Keep
+//! every `format!` here; if a surface ever needs a different shape, add a
+//! function rather than forking the string-building inline.
 
-use accparse::diag::Diag;
+use acc_baselines::Compiler;
+use accparse::diag::{Diag, Severity};
 use accparse::hir::AnalyzedProgram;
-use accrt::{AccError, AccRunner};
-use gpsim::{verify_kernel, Device, LaunchConfig, VerifyConfig};
+use accrt::{AccError, AccRunner, RegionCache, RunnerObs};
+use gpsim::{verify_kernel, Device, ExecTier, LaunchConfig, VerifyConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
+use uhacc_core::flags::{parse_count, parse_count_u32, parse_report_format, ReportFormat};
 use uhacc_core::{CompiledRegion, CompilerOptions, LaunchDims};
+
+/// The passes both surfaces expose. The daemon's POST router and its
+/// `/metrics` `endpoint` label are read off [`Pass::ALL`]; the CLI maps
+/// its mode flags onto the same values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pass {
+    Compile,
+    Lint,
+    Analyze,
+    Verify,
+    Certify,
+    Run,
+    Profile,
+}
+
+impl Pass {
+    pub const ALL: [Pass; 7] = [
+        Pass::Compile,
+        Pass::Lint,
+        Pass::Analyze,
+        Pass::Verify,
+        Pass::Certify,
+        Pass::Run,
+        Pass::Profile,
+    ];
+
+    /// The daemon route serving this pass.
+    pub fn route(self) -> &'static str {
+        match self {
+            Pass::Compile => "/compile",
+            Pass::Lint => "/lint",
+            Pass::Analyze => "/analyze",
+            Pass::Verify => "/verify",
+            Pass::Certify => "/certify",
+            Pass::Run => "/run",
+            Pass::Profile => "/profile",
+        }
+    }
+
+    /// The pass served at `route`, if any.
+    pub fn from_route(route: &str) -> Option<Pass> {
+        Pass::ALL.into_iter().find(|p| p.route() == route)
+    }
+
+    /// The [`Options`] keys this pass reads. The daemon decodes exactly
+    /// these from a body and leaves the rest alone, so a field that means
+    /// nothing to a pass is ignored rather than validated.
+    pub fn reads(self) -> &'static [&'static str] {
+        match self {
+            Pass::Compile => &["compiler", "dims", "emit", "verify"],
+            Pass::Lint => &["werror"],
+            Pass::Analyze => &["compiler"],
+            Pass::Verify => &["compiler", "dims"],
+            Pass::Certify => &[
+                "compiler",
+                "format",
+                "dims",
+                "n",
+                "host_threads",
+                "exec_tier",
+            ],
+            Pass::Run | Pass::Profile => &["compiler", "dims", "n", "host_threads", "exec_tier"],
+        }
+    }
+}
+
+/// Every value a caller can set, on either surface, with its default.
+///
+/// | key            | CLI spelling        | default                                   |
+/// |----------------|---------------------|-------------------------------------------|
+/// | `compiler`     | `--compiler NAME`   | `openuh`                                  |
+/// | `dims`         | `--dims G,W,V`      | the paper's 192,8,128; 2,2,64 for certify |
+/// | `emit`         | `--emit WHAT,..`    | `kernel,plan`                             |
+/// | `verify`       | `--verify`          | off                                       |
+/// | `werror`       | `--werror`          | off                                       |
+/// | `format`       | `--certify=FMT`     | the surface's own (CLI text, daemon json) |
+/// | `n`            | `--n N`             | 65536                                     |
+/// | `host_threads` | `--host-threads N`  | 0 (auto)                                  |
+/// | `exec_tier`    | `--exec-tier T`     | `auto`                                    |
+#[derive(Debug, Clone)]
+pub struct Options {
+    pub compiler: Compiler,
+    /// `None` = the pass's default geometry ([`Options::dims_for`]).
+    pub dims: Option<LaunchDims>,
+    /// The listings to render; `None` = [`EmitFlags::default`]. The
+    /// `verify` bit of the stored flags is unused ([`Options::verify`]
+    /// is the option).
+    pub emit: Option<EmitFlags>,
+    pub verify: bool,
+    pub werror: bool,
+    pub format: Option<ReportFormat>,
+    pub n: u64,
+    pub host_threads: u32,
+    pub exec_tier: ExecTier,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            compiler: Compiler::OpenUH,
+            dims: None,
+            emit: None,
+            verify: false,
+            werror: false,
+            format: None,
+            n: 65536,
+            host_threads: 0,
+            exec_tier: ExecTier::Auto,
+        }
+    }
+}
+
+impl Options {
+    /// `(key, CLI flag, the flag is a bare switch)` for every option: the
+    /// body-field name is the key, and a switch sets its key to `true`.
+    pub const KEYS: [(&'static str, &'static str, bool); 9] = [
+        ("compiler", "--compiler", false),
+        ("dims", "--dims", false),
+        ("emit", "--emit", false),
+        ("verify", "--verify", true),
+        ("werror", "--werror", true),
+        ("format", "--certify", false),
+        ("n", "--n", false),
+        ("host_threads", "--host-threads", false),
+        ("exec_tier", "--exec-tier", false),
+    ];
+
+    /// The one decoder: set `key` from its literal. `--key value` on the
+    /// command line and `"key": value` in a body both end here (an array
+    /// of scalars arrives comma-joined, so `[192,8,128]` *is*
+    /// `--dims 192,8,128`); `what` names the flag or field in the
+    /// rejection, which is otherwise the same text on both surfaces.
+    pub fn set(&mut self, what: &str, key: &str, lit: &str) -> Result<(), String> {
+        let bad =
+            |expected: &str| format!("invalid value for {what}: expected {expected}, got `{lit}`");
+        let switch = || match lit {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            _ => Err(bad("`true` or `false`")),
+        };
+        match key {
+            "compiler" => {
+                self.compiler = match lit {
+                    "openuh" => Compiler::OpenUH,
+                    "pgi" => Compiler::PgiLike,
+                    "caps" => Compiler::CapsLike,
+                    _ => return Err(bad("openuh | pgi | caps")),
+                }
+            }
+            "dims" => {
+                let parts: Vec<&str> = lit.split(',').collect();
+                let [g, w, v] = parts[..] else {
+                    return Err(bad("G,W,V (three comma-separated non-negative integers)"));
+                };
+                self.dims = Some(LaunchDims {
+                    gangs: parse_count_u32(what, g)?,
+                    workers: parse_count_u32(what, w)?,
+                    vector: parse_count_u32(what, v)?,
+                });
+            }
+            "emit" => {
+                let mut emit = EmitFlags::NONE;
+                // An empty list (`"emit": []`) renders the header alone.
+                for word in lit.split(',').filter(|w| !w.is_empty()) {
+                    match word {
+                        "hir" => emit.hir = true,
+                        "kernel" => emit.kernel = true,
+                        "plan" => emit.plan = true,
+                        "all" => (emit.hir, emit.kernel, emit.plan) = (true, true, true),
+                        _ => {
+                            return Err(bad("a comma-separated list of hir | kernel | plan | all"))
+                        }
+                    }
+                }
+                self.emit = Some(emit);
+            }
+            "verify" => self.verify = switch()?,
+            "werror" => self.werror = switch()?,
+            "format" => self.format = Some(parse_report_format(what, lit)?),
+            "n" => self.n = parse_count(what, lit)?,
+            "host_threads" => self.host_threads = parse_count_u32(what, lit)?,
+            "exec_tier" => self.exec_tier = lit.parse()?,
+            _ => return Err(format!("unknown option `{key}`")),
+        }
+        Ok(())
+    }
+
+    /// Launch geometry for `pass`: the caller's, else the small
+    /// certification geometry for certify and the paper's for the rest.
+    pub fn dims_for(&self, pass: Pass) -> LaunchDims {
+        self.dims.unwrap_or_else(|| match pass {
+            Pass::Certify => certify_dims(),
+            _ => LaunchDims::paper(),
+        })
+    }
+
+    /// What [`compile_text`] renders for `pass`: the verify pass is the
+    /// header plus the static-verification sections; the compile pass is
+    /// the listings `emit` names plus, under `verify`, those sections.
+    pub fn emit_flags(&self, pass: Pass) -> EmitFlags {
+        match pass {
+            Pass::Verify => EmitFlags {
+                verify: true,
+                ..EmitFlags::NONE
+            },
+            _ => EmitFlags {
+                verify: self.verify,
+                ..self.emit.unwrap_or_default()
+            },
+        }
+    }
+
+    /// The execution request `pass` runs under.
+    pub fn request(&self, pass: Pass) -> RunRequest {
+        RunRequest {
+            opts: self.compiler.base_options(),
+            dims: self.dims_for(pass),
+            n: self.n,
+            host_threads: self.host_threads,
+            exec_tier: self.exec_tier,
+        }
+    }
+}
 
 /// Which sections [`compile_text`] renders.
 #[derive(Debug, Clone, Copy)]
@@ -23,6 +251,16 @@ pub struct EmitFlags {
     pub kernel: bool,
     pub plan: bool,
     pub verify: bool,
+}
+
+impl EmitFlags {
+    /// The header line alone.
+    pub const NONE: EmitFlags = EmitFlags {
+        hir: false,
+        kernel: false,
+        plan: false,
+        verify: false,
+    };
 }
 
 impl Default for EmitFlags {
@@ -37,13 +275,21 @@ impl Default for EmitFlags {
 }
 
 /// Result of [`compile_text`]: the rendered text plus the error-level
-/// static-verification finding count (nonzero => CLI exits 1).
+/// static-verification finding count.
 pub struct CompileOutput {
     pub text: String,
     pub verify_errors: u64,
     /// The compiled artifacts, for callers (the daemon) that want to
     /// share them onward.
     pub regions: Vec<Arc<CompiledRegion>>,
+}
+
+impl CompileOutput {
+    /// The pass outcome: an error-level static-verification finding
+    /// fails it (CLI exit 1, `/verify` `"ok": false`).
+    pub fn ok(&self) -> bool {
+        self.verify_errors == 0
+    }
 }
 
 /// Pluggable region compiler for [`compile_text`]: given a region index
@@ -165,6 +411,26 @@ pub fn direct_compiler<'c>(
     move |region, dims| uhacc_core::compile_region(hir, region, dims, opts).map(Arc::new)
 }
 
+/// The compile and verify passes: [`compile_text`] under `o` for `pass`.
+/// A region the code generator rejects comes back rendered against the
+/// source, as both surfaces report it.
+pub fn compile_pass(
+    pass: Pass,
+    o: &Options,
+    src: &str,
+    hir: &AnalyzedProgram,
+    compile: &RegionCompiler<'_>,
+) -> Result<CompileOutput, String> {
+    compile_text(
+        hir,
+        o.dims_for(pass),
+        o.compiler.name(),
+        o.emit_flags(pass),
+        compile,
+    )
+    .map_err(|(region, d)| format!("region {region}: {}", d.render(src)))
+}
+
 /// Everything a deterministic single-shot execution needs.
 #[derive(Debug, Clone)]
 pub struct RunRequest {
@@ -180,22 +446,16 @@ pub struct RunRequest {
 }
 
 impl Default for RunRequest {
+    /// The run pass under [`Options::default`].
     fn default() -> Self {
-        RunRequest {
-            opts: CompilerOptions::openuh(),
-            dims: LaunchDims::paper(),
-            n: 65536,
-            host_threads: 0,
-            exec_tier: gpsim::ExecTier::Auto,
-        }
+        Options::default().request(Pass::Run)
     }
 }
 
 /// Execute a prepared session under `req`: thread setting, optional
-/// profiler, deterministic input binding, full run. Both the CLI (fresh
-/// session) and the daemon (session built over cached artifacts via
-/// [`AccRunner::from_shared`]) funnel through this, so execution is
-/// identical regardless of how the session was constructed.
+/// profiler, deterministic input binding, full run. Every [`session`]
+/// funnels through this, so execution is identical regardless of where
+/// its artifacts came from.
 pub fn execute(r: &mut AccRunner, req: &RunRequest, profile: bool) -> Result<(), AccError> {
     r.set_host_threads(req.host_threads);
     r.set_exec_tier(req.exec_tier);
@@ -244,19 +504,93 @@ pub fn execute_traced(
     result
 }
 
-/// Build a session for `req`, bind the deterministic inputs, and run the
-/// whole program. The `session` hook lets callers (the daemon) attach a
-/// shared program/artifact cache before anything executes.
-fn run_session(
+/// Where a run/profile [`session`] gets its analyzed program and its
+/// compiled regions.
+pub enum Artifacts {
+    /// Parse and compile on the spot (the CLI).
+    Direct,
+    /// Share them through the daemon's two caches: the program came out
+    /// of its program cache, regions are looked up in `regions` under the
+    /// program's content `key`.
+    Cached {
+        program: Arc<AnalyzedProgram>,
+        regions: Arc<RegionCache>,
+        key: u64,
+    },
+}
+
+/// The run and profile passes: build the session for `req` over `from`,
+/// bind the deterministic inputs and run the whole program — under the
+/// [`execute_traced`] hook when `obs` is given. The one place either
+/// surface builds an [`AccRunner`] for these passes; print the finished
+/// session with [`results_json`] or its `profile_*` renderers.
+pub fn session(
     src: &str,
     req: &RunRequest,
-    session: impl FnOnce(&mut AccRunner),
     profile: bool,
+    from: Artifacts,
+    obs: Option<RunnerObs>,
 ) -> Result<AccRunner, AccError> {
-    let mut r = AccRunner::with_options(src, req.opts.clone(), req.dims, Device::default())?;
-    session(&mut r);
-    execute(&mut r, req, profile)?;
+    let device = Device::default();
+    let mut r = match from {
+        Artifacts::Direct => AccRunner::with_options(src, req.opts.clone(), req.dims, device)?,
+        Artifacts::Cached {
+            program,
+            regions,
+            key,
+        } => {
+            let mut r = AccRunner::from_shared(program, req.opts.clone(), req.dims, device);
+            r.set_source(src);
+            r.set_region_cache(regions, key);
+            r
+        }
+    };
+    match obs {
+        Some(o) => execute_traced(&mut r, req, profile, &o.tracer, o.trace_id, o.compile_hist)?,
+        None => execute(&mut r, req, profile)?,
+    }
     Ok(r)
+}
+
+/// How a pass that could not produce its report says so, on both
+/// surfaces (CLI stderr with exit 1, the daemon's 422 `error`): a
+/// front-end diagnostic is rendered against the source — message,
+/// line/column, source line, caret — and anything else is the runtime
+/// error's own line.
+pub fn failure_text(e: &AccError, src: &str) -> String {
+    match e {
+        AccError::Compile(d) => d.render(src),
+        e => format!("error: {e}"),
+    }
+}
+
+/// Outcome of the lint pass.
+pub struct LintOutcome {
+    /// The findings (`werror` already applied), or the one front-end
+    /// diagnostic when the source does not parse.
+    pub diags: Vec<Diag>,
+    /// Any error-level diagnostic fails the pass (CLI exit 1, `/lint`
+    /// `"ok": false`).
+    pub failed: bool,
+}
+
+/// The lint pass: the source-level findings of `src`, with warnings
+/// promoted to errors under `werror` (notes — proven facts such as
+/// L210's relaxation — are never promoted).
+pub fn lint(src: &str, werror: bool) -> LintOutcome {
+    let mut diags: Vec<Diag> = match accparse::lint_source(src) {
+        Ok((_, findings)) => findings.into_iter().map(|f| f.diag).collect(),
+        Err(d) => vec![d],
+    };
+    if werror {
+        for d in &mut diags {
+            if d.severity == Severity::Warning {
+                d.severity = Severity::Error;
+            }
+        }
+    }
+    let failed = diags.iter().any(|d| d.severity == Severity::Error);
+    LintOutcome { diags, failed }
 }
 
 /// Render a finished session's scalar results and device statistics as
@@ -361,6 +695,15 @@ pub fn certify_reports(
     Ok(merged)
 }
 
+/// The certify pass outcome: only a *refuted* region fails it (CLI exit
+/// 1, `/certify` `"ok": false`). Unknown is a coverage gap, not a proven
+/// miscompilation.
+pub fn refuted(reports: &[gpsim::CertReport]) -> bool {
+    reports
+        .iter()
+        .any(|r| matches!(r.verdict, gpsim::CertVerdict::Refuted { .. }))
+}
+
 /// Human-readable certification rendering — the `uhacc-cc --certify`
 /// output: one line per region report plus a summary line.
 pub fn cert_reports_text(reports: &[gpsim::CertReport]) -> String {
@@ -412,27 +755,6 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Deterministically execute `src` and return [`results_json`]. The
-/// `session` hook runs before execution (cache attachment, etc.).
-pub fn run_json(
-    src: &str,
-    req: &RunRequest,
-    session: impl FnOnce(&mut AccRunner),
-) -> Result<String, AccError> {
-    Ok(results_json(&run_session(src, req, session, false)?))
-}
-
-/// Deterministically execute `src` under the profiler and return the
-/// stable profile JSON — byte-identical to
-/// `uhacc-cc --profile=json --n <n>` for the same request.
-pub fn profile_json(
-    src: &str,
-    req: &RunRequest,
-    session: impl FnOnce(&mut AccRunner),
-) -> Result<String, AccError> {
-    Ok(run_session(src, req, session, true)?.profile_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,13 +790,52 @@ mod tests {
             n: 1000,
             ..Default::default()
         };
-        let a = run_json(SRC, &req, |_| {}).unwrap();
-        let b = run_json(SRC, &req, |_| {}).unwrap();
-        assert_eq!(a, b);
+        let run = || results_json(&session(SRC, &req, false, Artifacts::Direct, None).unwrap());
+        let a = run();
+        assert_eq!(a, run());
         assert!(a.contains("\"scalars\""), "{a}");
         assert!(a.contains("\"launches\""), "{a}");
         // Floats render as JSON numbers with a decimal point.
         assert!(a.contains("\"s\":"), "{a}");
+    }
+
+    /// One row per option: a literal both spellings accept and one both
+    /// reject. A key added to [`Options::KEYS`] without a row fails here.
+    #[test]
+    fn both_spellings_decode_every_option_alike() {
+        let rows = [
+            ("compiler", "pgi", "gcc"),
+            ("dims", "4,2,32", "4,2"),
+            ("emit", "hir,plan", "hir,asm"),
+            ("verify", "true", "yes"),
+            ("werror", "true", "1"),
+            ("format", "json", "yaml"),
+            ("n", "4096", "-1"),
+            ("host_threads", "4", "4294967296"),
+            ("exec_tier", "interpret", "compiled"),
+        ];
+        assert_eq!(
+            rows.map(|r| r.0),
+            Options::KEYS.map(|k| k.0),
+            "one row per key, in KEYS order"
+        );
+        for ((key, good, bad), (_, flag, switch)) in rows.into_iter().zip(Options::KEYS) {
+            let (mut cli, mut body) = (Options::default(), Options::default());
+            cli.set(flag, key, good).unwrap();
+            body.set(key, key, good).unwrap();
+            assert_eq!(format!("{cli:?}"), format!("{body:?}"), "{key}");
+            assert_ne!(
+                format!("{cli:?}"),
+                format!("{:?}", Options::default()),
+                "{key}: the good literal is not the default"
+            );
+            let e_cli = cli.set(flag, key, bad).unwrap_err();
+            let e_body = body.set(key, key, bad).unwrap_err();
+            assert!(e_cli.contains(bad), "{e_cli}");
+            assert_eq!(e_cli.replacen(flag, key, 1), e_body, "the label aside");
+            assert_eq!(switch, ["true", "false"].contains(&good), "{key}");
+        }
+        assert!(Options::default().set("x", "x", "1").is_err());
     }
 
     #[test]

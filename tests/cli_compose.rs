@@ -107,3 +107,24 @@ fn removed_exec_tier_spelling_is_a_flag_error() {
         "{stderr}"
     );
 }
+
+/// A source the front end rejects reads the same under `--run` and
+/// `--profile` as under every other mode (and as the daemon's 422 body):
+/// message, ` --> line L, column C`, source line, caret; exit 1 — not
+/// `AccError`'s one-line `compile error: … (at byte N)`.
+#[test]
+fn rejected_source_renders_the_caret_diagnostic_under_run_and_profile() {
+    let path = std::env::temp_dir().join(format!("uhacc-compose-{}.c", std::process::id()));
+    let bad = "int N;\n#pragma acc parallel loop\nfor (int i = 0; i < N; i++) { x += 1; }\n";
+    std::fs::write(&path, bad).expect("write the rejected source");
+    let file = path.to_string_lossy().into_owned();
+    let want = "error: unknown identifier `x`\n --> line 3, column 31\n  | for (int i = 0; i < N; \
+                i++) { x += 1; }\n  |                               ^\n";
+    for mode in [&[][..], &["--run"], &["--profile"]] {
+        let out = uhacc_cc(&[&[file.as_str()], mode].concat());
+        assert_eq!(out.status.code(), Some(1), "{mode:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{mode:?}");
+        assert!(out.stdout.is_empty(), "{mode:?}");
+    }
+    std::fs::remove_file(&path).ok();
+}
