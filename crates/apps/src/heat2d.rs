@@ -56,6 +56,8 @@ pub struct HeatResult {
     pub total_ms: f64,
     /// The final grid.
     pub grid: Vec<f64>,
+    /// Simulator-side work of the run.
+    pub sim: crate::SimWork,
 }
 
 /// Configuration for the heat solver.
@@ -112,10 +114,20 @@ pub fn initial_grid(n: usize) -> Vec<f64> {
 /// Run the heat equation on the simulated device with the given compiler
 /// options, iterating until convergence (or the cap).
 pub fn run_heat(cfg: &HeatConfig, opts: CompilerOptions) -> Result<HeatResult, AccError> {
+    run_heat_on(cfg, opts, Device::default())
+}
+
+/// [`run_heat`] on a device the caller configured (execution tier, host
+/// threads).
+pub fn run_heat_on(
+    cfg: &HeatConfig,
+    opts: CompilerOptions,
+    device: Device,
+) -> Result<HeatResult, AccError> {
     let n = cfg.n;
     // Build the runner once; iterate by re-running the two regions with
     // the double-buffer arrays swapped between steps.
-    let mut r = AccRunner::with_options(HEAT_SRC, opts, cfg.dims, Device::default())?;
+    let mut r = AccRunner::with_options(HEAT_SRC, opts, cfg.dims, device)?;
     r.bind_int("ni", n as i64)?;
     r.bind_int("nj", n as i64)?;
     let grid = initial_grid(n);
@@ -159,6 +171,7 @@ pub fn run_heat(cfg: &HeatConfig, opts: CompilerOptions) -> Result<HeatResult, A
         reduction_ms,
         total_ms,
         grid,
+        sim: crate::SimWork::of(&r),
     })
 }
 

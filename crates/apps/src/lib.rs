@@ -16,9 +16,29 @@ pub mod heat2d;
 pub mod matmul;
 pub mod pi;
 
-pub use heat2d::{run_heat, HeatConfig, HeatResult};
-pub use matmul::{run_matmul, MatmulConfig, MatmulResult};
-pub use pi::{run_pi, PiConfig, PiResult};
+pub use heat2d::{run_heat, run_heat_on, HeatConfig, HeatResult};
+pub use matmul::{run_matmul, run_matmul_on, MatmulConfig, MatmulResult};
+pub use pi::{run_pi, run_pi_on, PiConfig, PiResult};
+
+/// The simulator-side work of one application run: what `make-figures
+/// sim-throughput` divides wall-clock by, and what the typed tier decided
+/// while doing it.
+#[derive(Debug, Clone, Copy)]
+pub struct SimWork {
+    /// Simulated lane-instructions executed.
+    pub lane_insts: u64,
+    /// The typed tier's shape census (all zero under the interpreter).
+    pub census: gpsim::ShapeCensus,
+}
+
+impl SimWork {
+    pub(crate) fn of(r: &accrt::AccRunner) -> Self {
+        SimWork {
+            lane_insts: r.device().stats().totals.lane_insts,
+            census: r.device().shape_census(),
+        }
+    }
+}
 
 /// Every application's directive source, for tooling that sweeps over
 /// real codes (the lint testsuite asserts all of them are finding-free).

@@ -66,6 +66,8 @@ pub struct MatmulResult {
     pub kernel_ms: f64,
     /// The product matrix, row-major.
     pub c: Vec<f64>,
+    /// Simulator-side work of the run.
+    pub sim: crate::SimWork,
 }
 
 /// Configuration.
@@ -116,13 +118,23 @@ pub fn cpu_matmul(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
 
 /// Run the matmul on the simulated device.
 pub fn run_matmul(cfg: &MatmulConfig, opts: CompilerOptions) -> Result<MatmulResult, AccError> {
+    run_matmul_on(cfg, opts, Device::default())
+}
+
+/// [`run_matmul`] on a device the caller configured (execution tier, host
+/// threads).
+pub fn run_matmul_on(
+    cfg: &MatmulConfig,
+    opts: CompilerOptions,
+    device: Device,
+) -> Result<MatmulResult, AccError> {
     let n = cfg.n;
     let src = if cfg.parallel_k {
         MATMUL_SRC
     } else {
         MATMUL_SEQ_K_SRC
     };
-    let mut r = AccRunner::with_options(src, opts, cfg.dims, Device::default())?;
+    let mut r = AccRunner::with_options(src, opts, cfg.dims, device)?;
     r.bind_int("n", n as i64)?;
     let (a, b) = test_matrices(n);
     r.bind_array("A", HostBuffer::from_f64(&a))?;
@@ -137,6 +149,7 @@ pub fn run_matmul(cfg: &MatmulConfig, opts: CompilerOptions) -> Result<MatmulRes
     Ok(MatmulResult {
         kernel_ms,
         c: r.array("C")?.to_f64_vec(),
+        sim: crate::SimWork::of(&r),
     })
 }
 

@@ -41,6 +41,8 @@ pub struct PiResult {
     pub kernel_ms: f64,
     /// Modelled total milliseconds including the point upload.
     pub total_ms: f64,
+    /// Simulator-side work of the run.
+    pub sim: crate::SimWork,
 }
 
 /// Configuration.
@@ -84,8 +86,18 @@ pub fn cpu_hits(xs: &[f64], ys: &[f64]) -> u64 {
 
 /// Run the estimation on the simulated device.
 pub fn run_pi(cfg: &PiConfig, opts: CompilerOptions) -> Result<PiResult, AccError> {
+    run_pi_on(cfg, opts, Device::default())
+}
+
+/// [`run_pi`] on a device the caller configured (execution tier, host
+/// threads).
+pub fn run_pi_on(
+    cfg: &PiConfig,
+    opts: CompilerOptions,
+    device: Device,
+) -> Result<PiResult, AccError> {
     let (xs, ys) = generate_points(cfg);
-    let mut r = AccRunner::with_options(PI_SRC, opts, cfg.dims, Device::default())?;
+    let mut r = AccRunner::with_options(PI_SRC, opts, cfg.dims, device)?;
     r.bind_int("n", cfg.samples as i64)?;
     r.bind_array("x", HostBuffer::from_f64(&xs))?;
     r.bind_array("y", HostBuffer::from_f64(&ys))?;
@@ -102,6 +114,7 @@ pub fn run_pi(cfg: &PiConfig, opts: CompilerOptions) -> Result<PiResult, AccErro
         pi: 4.0 * hits as f64 / cfg.samples as f64,
         kernel_ms,
         total_ms: r.elapsed_ms(),
+        sim: crate::SimWork::of(&r),
     })
 }
 

@@ -7,6 +7,7 @@ use acc_baselines::Compiler;
 use acc_testsuite::Position;
 use acc_testsuite::{
     format_fig11, format_summary, format_table2, profile_case, run_suite, time_case, SuiteConfig,
+    TimedCase,
 };
 use accparse::ast::{CType, RedOp};
 use uhacc_bench::*;
@@ -215,74 +216,141 @@ fn profile(red_n: usize) {
 }
 
 /// Race the simulator's two engines (reference interpreter vs the typed
-/// tier `auto` selects) on Table 2 workloads and write the measurements to
-/// `BENCH_sim_throughput.json`. The committed copy is the regression
-/// baseline: CI re-measures and fails if the typed tier's speedup
-/// ratio (which, unlike raw wall-clock, is roughly machine-independent)
-/// regresses by more than 20%.
+/// tier `auto` selects) on Table 2 workloads and the three applications,
+/// and write the measurements to `BENCH_sim_throughput.json`. The
+/// committed copy is the regression baseline: CI re-measures and fails if
+/// the typed tier's speedup ratio (which, unlike raw wall-clock, is
+/// roughly machine-independent) regresses by more than 20%. Each row also
+/// carries the typed tier's shape census, so "why is this kernel slow on
+/// the simulator" is a lookup: a high per-lane share is the answer.
 fn sim_throughput(red_n: usize) {
-    use gpsim::ExecTier;
-    let workloads: [(&str, Position, RedOp, CType); 3] = [
+    use acc_apps::{HeatConfig, MatmulConfig, PiConfig, SimWork};
+    use gpsim::{Device, ExecTier};
+    type Run = Box<dyn Fn(ExecTier) -> TimedCase>;
+    let case = |pos: Position, op: RedOp, t: CType| -> Run {
+        Box::new(move |tier| {
+            let cfg = SuiteConfig {
+                red_n,
+                exec_tier: tier,
+                ..Default::default()
+            };
+            time_case(Compiler::OpenUH, pos, op, t, &cfg).expect("throughput workloads run cleanly")
+        })
+    };
+    // The applications time the whole `run_*` call: their set-up (source
+    // analysis, input generation) is small beside the launches.
+    fn app(run: impl Fn(Device) -> SimWork + 'static) -> Run {
+        Box::new(move |tier| {
+            let mut device = Device::default();
+            device.set_exec_tier(tier);
+            let start = std::time::Instant::now();
+            let SimWork { lane_insts, census } = run(device);
+            TimedCase {
+                secs: start.elapsed().as_secs_f64(),
+                lane_insts,
+                census,
+            }
+        })
+    }
+    let opts = uhacc_core::CompilerOptions::openuh;
+    let heat = HeatConfig {
+        tol: 0.0,
+        max_iters: 10,
+        ..Default::default()
+    };
+    let workloads: [(&str, Run); 6] = [
         (
             "gang_worker_vector_int_add",
-            Position::GangWorkerVector,
-            RedOp::Add,
-            CType::Int,
+            case(Position::GangWorkerVector, RedOp::Add, CType::Int),
         ),
-        ("vector_int_add", Position::Vector, RedOp::Add, CType::Int),
+        (
+            "vector_int_add",
+            case(Position::Vector, RedOp::Add, CType::Int),
+        ),
         (
             "worker_double_add",
-            Position::Worker,
-            RedOp::Add,
-            CType::Double,
+            case(Position::Worker, RedOp::Add, CType::Double),
+        ),
+        (
+            "heat2d",
+            app(move |d| {
+                acc_apps::run_heat_on(&heat, opts(), d)
+                    .expect("heat2d runs")
+                    .sim
+            }),
+        ),
+        (
+            "matmul",
+            app(move |d| {
+                acc_apps::run_matmul_on(&MatmulConfig::default(), opts(), d)
+                    .expect("matmul runs")
+                    .sim
+            }),
+        ),
+        (
+            "pi",
+            app(move |d| {
+                acc_apps::run_pi_on(&PiConfig::default(), opts(), d)
+                    .expect("pi runs")
+                    .sim
+            }),
         ),
     ];
     const REPS: usize = 3;
     eprintln!("[sim-throughput] racing interpreter vs typed tier (red_n = {red_n}) ...");
     println!("Simulator instruction throughput: reference interpreter vs typed tier");
     let mut rows = String::new();
-    for (name, pos, op, t) in workloads {
+    for (name, run) in &workloads {
         // Best-of-REPS per tier; a fresh session every rep so caches and
-        // allocations don't carry over (setup time is excluded either way).
-        let measure = |tier: ExecTier| -> (f64, u64) {
-            let cfg = SuiteConfig {
-                red_n,
-                exec_tier: tier,
-                ..Default::default()
-            };
-            let mut best = f64::INFINITY;
-            let mut insts = 0;
-            for _ in 0..REPS {
-                let tc = time_case(Compiler::OpenUH, pos, op, t, &cfg)
-                    .expect("throughput workloads run cleanly");
-                best = best.min(tc.secs);
-                insts = tc.lane_insts;
-            }
-            (best, insts)
+        // allocations don't carry over.
+        let measure = |tier: ExecTier| -> TimedCase {
+            (0..REPS)
+                .map(|_| run(tier))
+                .min_by(|a, b| a.secs.total_cmp(&b.secs))
+                .expect("REPS > 0")
         };
-        let (int_secs, int_insts) = measure(ExecTier::Interpret);
-        let (cmp_secs, cmp_insts) = measure(ExecTier::Auto);
+        let interp = measure(ExecTier::Interpret);
+        let typed = measure(ExecTier::Auto);
+        let (int_secs, cmp_secs, insts) = (interp.secs, typed.secs, typed.lane_insts);
         assert_eq!(
-            int_insts, cmp_insts,
+            interp.lane_insts, insts,
             "{name}: tiers disagree on simulated instruction count"
         );
         let speedup = int_secs / cmp_secs;
+        let c = typed.census;
         println!(
-            "  {name:<28} {int_insts:>12} lane-insts  interpret {:>8.1} Minst/s  \
+            "  {name:<28} {insts:>12} lane-insts  interpret {:>8.1} Minst/s  \
              compiled {:>8.1} Minst/s  speedup {speedup:>5.2}x",
-            int_insts as f64 / int_secs / 1e6,
-            int_insts as f64 / cmp_secs / 1e6,
+            insts as f64 / int_secs / 1e6,
+            insts as f64 / cmp_secs / 1e6,
+        );
+        println!(
+            "  {:<28} shapes: {} steps once per warp, {} per lane ({:.1}% per-lane), \
+             {} syncs, {} demoted writes",
+            "",
+            c.once_per_warp,
+            c.per_lane,
+            100.0 * c.per_lane_share(),
+            c.syncs,
+            c.demoted,
         );
         if !rows.is_empty() {
             rows.push_str(",\n");
         }
         rows.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"lane_insts\": {int_insts}, \
+            "    {{\"name\": \"{name}\", \"lane_insts\": {insts}, \
              \"interpret_secs\": {int_secs:.6}, \"compiled_secs\": {cmp_secs:.6}, \
              \"interpret_minsts_per_sec\": {:.2}, \"compiled_minsts_per_sec\": {:.2}, \
-             \"speedup\": {speedup:.3}}}",
-            int_insts as f64 / int_secs / 1e6,
-            int_insts as f64 / cmp_secs / 1e6,
+             \"speedup\": {speedup:.3}, \
+             \"shapes\": {{\"once_per_warp\": {}, \"per_lane\": {}, \"syncs\": {}, \
+             \"demoted\": {}, \"per_lane_share\": {:.4}}}}}",
+            insts as f64 / int_secs / 1e6,
+            insts as f64 / cmp_secs / 1e6,
+            c.once_per_warp,
+            c.per_lane,
+            c.syncs,
+            c.demoted,
+            c.per_lane_share(),
         ));
     }
     let json = format!(

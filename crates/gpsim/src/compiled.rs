@@ -1,5 +1,5 @@
 //! The typed execution tier: pre-decoded basic-block runs, statically
-//! typed bit-row registers, and warp-uniform fast paths.
+//! typed bit-row registers, and warp shapes.
 //!
 //! `gpsim` has two engines for one IR semantics. The reference interpreter
 //! ([`crate::exec`]) is the plainly written oracle: it dispatches one
@@ -29,8 +29,8 @@
 //!   not).
 //!
 //! No kernel `uhacc_core` codegen emits is declined. A decline costs the
-//! interpreter's 7–14× slowdown, so [`crate::Device::tier_declines`]
-//! counts them.
+//! interpreter's 3–24× slowdown (`BENCH_sim_throughput.json`), so
+//! [`crate::Device::tier_declines`] counts them.
 //!
 //! # Pre-decoded runs
 //!
@@ -55,23 +55,74 @@
 //! run boundaries: the min-PC scan, barrier bookkeeping, and hazard
 //! details all happen when every warp is blocked or between runs).
 //!
-//! # Warp-uniform fast paths
+//! # Warp shapes
 //!
-//! A divergence analysis in the style of kverify's `DivPart` domain runs
-//! at compile time: a register is *uniform* (provably equal across the
-//! lanes executing together) unless it is derived from a per-lane special
-//! register (`tid.x`, `tid.y`, `%linear`), from a value-returning atomic,
-//! from another divergent register, or defined under control dependence
-//! of a branch with a divergent condition (control dependences come from
-//! the shared [`crate::verify`] postdominator machinery; the analysis
-//! iterates to a fixpoint). A run whose instructions read only uniform
-//! registers (and contain no per-lane special reads and no atomics — M
-//! serialized atomic applications are not one application) executes
-//! **once** on the group's first lane and broadcasts register writes:
-//! loads issue one bounds-checked access instead of 32, and stores write
-//! one identical value instead of 32. The cost model sees identical
-//! counts by construction — M identical accesses occupy exactly the
-//! segments/banks of one — and the sanitizer is still fed per-lane.
+//! The paper's loop mapping is window sliding: every index a generated
+//! kernel computes is `base + tid + k * stride`, and every loop bound and
+//! trip decision is the same for all lanes of a warp. So almost nothing
+//! this tier would compute per lane is actually per-lane, and it does not:
+//! every `(register row, warp)` carries a `Shape` —
+//!
+//! * `Rows`: the per-lane bits are in the row;
+//! * `Uniform(bits)`: every lane holds `bits`;
+//! * `Affine { base, stride }`: the warp's `i`-th lane holds
+//!   `base + i * stride`, wrapping in the row's width (integer rows only).
+//!
+//! **Authority and `sync`.** A non-`Rows` shape *is* the register: a
+//! `Uniform` or `Affine` result is one store into the shape table and the
+//! row's 32 lanes are not written. The row is materialised only when a
+//! per-lane consumer asks, through `TypedState::sync(row)` — the one place
+//! a closed form is expanded. A step whose sources are all closed forms
+//! and whose operator keeps the form runs once per warp; any other step
+//! `sync`s its sources and runs the lane loop. A transfer rule that
+//! declines is therefore only slow, never wrong, and there is no static
+//! analysis to keep in agreement with the dynamic facts: the shapes are
+//! the facts.
+//!
+//! **Transfer table.**
+//!
+//! | step | result |
+//! |---|---|
+//! | `mov imm`, `ld.param`, `ctaid`/`ntid`/`nctaid`, `tid.z` | `Uniform` |
+//! | `%linear` | `Affine{lo, 1}` |
+//! | `tid.x`, `tid.y` | `Affine{lo % ntid.x, 1}` and `Uniform`, when the warp lies inside one row of the block; else `Rows` |
+//! | `mov`, conversions `Id` and `Low32` | keep the shape (truncation is a ring homomorphism) |
+//! | conversion `SextI32` | keeps `Affine` iff `base + (len-1)*stride` stays inside `i32` |
+//! | any other conversion | `Uniform` stays `Uniform`; `Affine` declines |
+//! | any operator, any type, all operands `Uniform` | evaluated once through the same `(op, ty)` scalar evaluator the lane loop calls — a division by zero is raised at the same point with the same value |
+//! | integer `add`/`sub` of closed forms, `mul` of a closed form by a `Uniform` | `Affine` (stride 0 collapses to `Uniform`) |
+//! | integer `setp` with an `Affine` side | the verdict at the two end lanes as true integers; declines if a sequence wraps in its domain; ordered comparisons are monotone, `eq`/`ne` also need the difference not to cross zero; `Uniform` when the ends agree |
+//! | `select` on a `Uniform` condition | the chosen arm's shape |
+//! | load/store whose address rows are `Uniform` (and, for a store, its value) | one bounds-checked access; a load yields `Uniform` |
+//! | `bra` on a `Uniform` predicate | moves the whole group without scanning the lanes |
+//! | value-returning atomic, load from per-lane addresses | `Rows` |
+//!
+//! **What demotes a shape.** A closed form describes all of the warp's
+//! lanes, so only a write by a group that is all of them replaces it. A
+//! write under any smaller mask (divergence, siblings resting at a
+//! barrier, lanes that have exited) first `sync`s the destination, writes
+//! the group's lanes and leaves the row `Rows`; it becomes a closed form
+//! again at its next full write. Registers are lane-private — the IR has
+//! no shuffle or vote — so "all" could soundly mean "all lanes that have
+//! not exited"; measured, that bought nothing on either simulator
+//! workload (EXPERIMENTS.md) and is not done.
+//!
+//! **Why statistics cannot move.** Costs, [`crate::stats::LaunchStats`],
+//! traces, hazards and profiles are computed from the mask length and the
+//! addresses exactly as in the interpreter; a shape only decides how the
+//! *values* are produced. M identical accesses occupy exactly the
+//! segments/banks of one, and the sanitizer is still fed per lane. What
+//! the shapes did is reported separately ([`ShapeCensus`], beside
+//! [`crate::Device::tier_declines`]).
+//!
+//! Debug builds keep a shadow: every closed form is also expanded into its
+//! row when it is recorded (still marked stale, so `sync` runs as in
+//! release), and a closed form is asserted equal to its row every time a
+//! step reads it, and once more — the whole table — when the block ends.
+//! The differential suite run in debug thus checks every shape any of its
+//! kernels ever produces. (Not the whole table after *every* step: that
+//! makes the tier-1 debug run 11× slower for no extra coverage — a row can
+//! only go wrong by being written, and every later read of it is checked.)
 //!
 //! # Typed bit rows
 //!
@@ -96,9 +147,9 @@ use crate::ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, Reg, Specia
 use crate::memory::AccessAbort;
 use crate::profile::PcCounters;
 use crate::sanitizer::AccessKind;
-use crate::trace::{MemTouch, TraceEvent, TraceSpace};
+use crate::trace::{TraceEvent, TraceSpace};
 use crate::types::{Ty, Value};
-use crate::verify;
+use std::sync::Mutex;
 
 /// How a run ends (rendered by [`CompiledKernel::describe`]).
 #[derive(Debug, Clone, Copy)]
@@ -119,19 +170,15 @@ struct Run {
     term: Term,
 }
 
-/// The launch-independent part of the typed tier's pre-decoding: run
-/// structure and uniformity verdicts. `specialize` lowers the
-/// instructions themselves once the parameter types are known.
+/// The launch-independent part of the typed tier's pre-decoding: the run
+/// structure. `specialize` lowers the instructions themselves once the
+/// parameter types are known.
 #[derive(Debug)]
 pub struct CompiledKernel {
     num_regs: usize,
     runs: Vec<Run>,
     /// `run_of[pc]` = index of the run containing `pc`.
     run_of: Vec<usize>,
-    /// Per-run warp-uniform flag (see module docs).
-    run_uniform: Vec<bool>,
-    /// Per-register uniformity verdict (exposed via [`Self::describe`]).
-    uniform_regs: Vec<bool>,
 }
 
 impl CompiledKernel {
@@ -194,27 +241,15 @@ impl CompiledKernel {
             }
         }
 
-        let uniform_regs = uniform_registers(kernel);
-        let run_uniform: Vec<bool> = runs
-            .iter()
-            .map(|r| {
-                kernel.insts[r.start..r.end]
-                    .iter()
-                    .all(|inst| inst_uniform(inst, &uniform_regs))
-            })
-            .collect();
-
         Some(CompiledKernel {
             num_regs: kernel.num_regs as usize,
             runs,
             run_of,
-            run_uniform,
-            uniform_regs,
         })
     }
 
-    /// Textual dump of the pre-decoded form (run boundaries, terminators,
-    /// uniformity verdicts) for golden tests and debugging.
+    /// Textual dump of the pre-decoded form (run boundaries and
+    /// terminators) for golden tests and debugging.
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -235,97 +270,10 @@ impl CompiledKernel {
                 Term::Bar => format!("bar -> {}", r.end),
                 Term::Fallthrough => format!("fallthrough -> {}", r.end),
             };
-            let _ = writeln!(
-                out,
-                "  run {i}: pc {}..{} {} [{term}]",
-                r.start,
-                r.end,
-                if self.run_uniform[i] {
-                    "uniform"
-                } else {
-                    "per-lane"
-                },
-            );
+            let _ = writeln!(out, "  run {i}: pc {}..{} [{term}]", r.start, r.end);
         }
-        let uni: Vec<String> = self
-            .uniform_regs
-            .iter()
-            .enumerate()
-            .filter(|(_, &u)| u)
-            .map(|(i, _)| format!("%r{i}"))
-            .collect();
-        let _ = writeln!(out, "  uniform regs: {}", uni.join(" "));
         out
     }
-}
-
-/// Per-lane special registers: different lanes of one warp read different
-/// values. (`tid.z` is always 0; block/grid geometry is warp-invariant.)
-fn divergent_special(sr: SpecialReg) -> bool {
-    matches!(
-        sr,
-        SpecialReg::TidX | SpecialReg::TidY | SpecialReg::LaneLinear
-    )
-}
-
-/// Fixpoint divergence analysis over registers (see module docs).
-fn uniform_registers(kernel: &Kernel) -> Vec<bool> {
-    let cfg = verify::Cfg::build(kernel);
-    let pdom = verify::postdominators(&cfg);
-    let cdeps = verify::control_deps(&cfg, &pdom);
-    let mut uniform = vec![true; kernel.num_regs as usize];
-    loop {
-        let mut changed = false;
-        for (pc, inst) in kernel.insts.iter().enumerate() {
-            let Some(dst) = inst.def() else { continue };
-            let di = dst.0 as usize;
-            if !uniform[di] {
-                continue;
-            }
-            // Divergent sources: per-lane specials, value-returning
-            // atomics (the returned "old" depends on lane serialization
-            // order), any divergent input register.
-            let mut div = match inst {
-                Inst::ReadSpecial { sr, .. } => divergent_special(*sr),
-                Inst::AtomGlobal { .. } => true,
-                _ => false,
-            };
-            if !div {
-                inst.for_each_use(|r| div |= !uniform[r.0 as usize]);
-            }
-            // Control divergence: a def executed by only some lanes
-            // leaves the others holding stale values.
-            if !div {
-                let b = cfg.block_of[pc];
-                div = cdeps[b].iter().any(|&(bb, _)| {
-                    cfg.branch_cond(kernel, bb)
-                        .is_some_and(|(r, _)| !uniform[r.0 as usize])
-                });
-            }
-            if div {
-                uniform[di] = false;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    uniform
-}
-
-/// May `inst` take the one-lane-and-broadcast fast path when every lane
-/// of the group executes it together?
-fn inst_uniform(inst: &Inst, uniform: &[bool]) -> bool {
-    match inst {
-        // M serialized atomic applications are not one application.
-        Inst::AtomGlobal { .. } => return false,
-        Inst::ReadSpecial { sr, .. } if divergent_special(*sr) => return false,
-        _ => {}
-    }
-    let mut ok = true;
-    inst.for_each_use(|r| ok &= uniform[r.0 as usize]);
-    ok
 }
 
 // ---------------------------------------------------------------------------
@@ -383,10 +331,8 @@ enum Conv {
     I32ToF32,
     I64ToF32,
     U64ToF32,
-    /// `F32` -> `F32` is *not* the identity: `convert` round-trips
-    /// through `f64` (`as_f64() as f32`), which quiets signaling NaNs.
-    /// Spelled out as "set the quiet bit of a NaN" because the compiler
-    /// folds a literal `x as f64 as f32` to `x`, signaling NaNs included.
+    /// `F32` -> `F32` is *not* the identity: it quiets a signalling NaN
+    /// (see [`crate::types::quiet_f32`], which `convert` calls too).
     F32Round,
     F64ToF32,
     PredToF32,
@@ -416,8 +362,7 @@ impl Conv {
             Conv::I32ToF32 => (((b as u32 as i32) as f64) as f32).to_bits() as u64,
             Conv::I64ToF32 => (((b as i64) as f64) as f32).to_bits() as u64,
             Conv::U64ToF32 => ((b as f64) as f32).to_bits() as u64,
-            Conv::F32Round if f32::from_bits(b as u32).is_nan() => b | 0x0040_0000,
-            Conv::F32Round => b,
+            Conv::F32Round => crate::types::quiet_f32(f32::from_bits(b as u32)).to_bits() as u64,
             Conv::F64ToF32 => (f64::from_bits(b) as f32).to_bits() as u64,
             Conv::PredToF32 => ((b as f64) as f32).to_bits() as u64,
             Conv::I32ToF64 => ((b as u32 as i32) as f64).to_bits(),
@@ -561,23 +506,16 @@ enum TOp {
         src: usize,
         cv: Conv,
     },
-    LdGlobal {
+    /// `LdGlobal`/`LdShared`.
+    Ld {
+        space: TraceSpace,
         ty: Ty,
         dst: usize,
         mem: TMem,
     },
-    StGlobal {
-        ty: Ty,
-        src: usize,
-        sc: Conv,
-        mem: TMem,
-    },
-    LdShared {
-        ty: Ty,
-        dst: usize,
-        mem: TMem,
-    },
-    StShared {
+    /// `StGlobal`/`StShared`.
+    St {
+        space: TraceSpace,
         ty: Ty,
         src: usize,
         sc: Conv,
@@ -597,6 +535,14 @@ enum TOp {
         cond: Option<(usize, CondKind, bool)>,
     },
     Ret,
+}
+
+/// The address space a load/store instruction addresses.
+fn space_of(inst: &Inst) -> TraceSpace {
+    match inst {
+        Inst::LdShared { .. } | Inst::StShared { .. } => TraceSpace::Shared,
+        _ => TraceSpace::Global,
+    }
 }
 
 fn ri(r: Reg) -> usize {
@@ -737,6 +683,9 @@ pub(crate) struct TypedKernel {
     /// Bits of each broadcast constant row (pre-converted immediates);
     /// they follow the `ck.num_regs` register rows.
     consts: Vec<u64>,
+    /// What the blocks of this launch decided (each adds its own when it
+    /// finishes).
+    census: Mutex<ShapeCensus>,
 }
 
 impl TypedKernel {
@@ -748,6 +697,11 @@ impl TypedKernel {
             ExecTier::Interpret => None,
             ExecTier::Auto => CompiledKernel::compile(kernel)?.specialize(kernel, params),
         }
+    }
+
+    /// The launch's shape census so far.
+    pub(crate) fn census(&self) -> ShapeCensus {
+        *self.census.lock().expect("census updates cannot panic")
     }
 }
 
@@ -847,28 +801,16 @@ impl CompiledKernel {
                         bits: value_bits(v.convert(*ty)),
                     },
                 },
-                Inst::LdGlobal { ty, dst, mref } => TOp::LdGlobal {
+                Inst::LdGlobal { ty, dst, mref } | Inst::LdShared { ty, dst, mref } => TOp::Ld {
+                    space: space_of(inst),
                     ty: *ty,
                     dst: ri(*dst),
                     mem: lo.tmem(mref, *ty),
                 },
-                Inst::StGlobal { ty, src, mref } => {
+                Inst::StGlobal { ty, src, mref } | Inst::StShared { ty, src, mref } => {
                     let (src, sc) = lo.row(src, Some(*ty));
-                    TOp::StGlobal {
-                        ty: *ty,
-                        src,
-                        sc,
-                        mem: lo.tmem(mref, *ty),
-                    }
-                }
-                Inst::LdShared { ty, dst, mref } => TOp::LdShared {
-                    ty: *ty,
-                    dst: ri(*dst),
-                    mem: lo.tmem(mref, *ty),
-                },
-                Inst::StShared { ty, src, mref } => {
-                    let (src, sc) = lo.row(src, Some(*ty));
-                    TOp::StShared {
+                    TOp::St {
+                        space: space_of(inst),
                         ty: *ty,
                         src,
                         sc,
@@ -905,6 +847,7 @@ impl CompiledKernel {
             ck: self,
             tops,
             consts: lo.consts,
+            census: Mutex::default(),
         })
     }
 }
@@ -917,7 +860,14 @@ impl CompiledKernel {
 /// Monotonically non-decreasing segment sequences (every coalesced or
 /// strided access pattern the reduction kernels emit) are counted in one
 /// pass; anything else falls back to sort+dedup on a reusable buffer.
+/// [`crate::DeviceConfig::validate`] guarantees a power-of-two segment, so
+/// segment numbers are a shift; a configuration that skipped validation
+/// takes the dividing twin instead of being assumed.
 fn transactions(accesses: &[(u64, usize)], segment_bytes: u64, buf: &mut Vec<u64>) -> u64 {
+    if !segment_bytes.is_power_of_two() {
+        return transactions_slow(accesses, segment_bytes, buf);
+    }
+    let shift = segment_bytes.trailing_zeros();
     let mut distinct = 0u64;
     let mut have = false;
     let mut prev = 0u64;
@@ -925,8 +875,8 @@ fn transactions(accesses: &[(u64, usize)], segment_bytes: u64, buf: &mut Vec<u64
         if len == 0 {
             continue;
         }
-        let first = addr / segment_bytes;
-        let last = addr.saturating_add(len as u64 - 1) / segment_bytes;
+        let first = addr >> shift;
+        let last = addr.saturating_add(len as u64 - 1) >> shift;
         if !have {
             distinct += last - first + 1;
             prev = last;
@@ -1042,119 +992,256 @@ fn conflict_ways_slow(
     (max as u64).max(1)
 }
 
-/// Trace/sanitizer bookkeeping for a warp-uniform memory access: one
-/// address for every lane. Mirrors [`BlockExec::observe_mem`] exactly —
-/// the annotation span of M identical accesses is the span of one, and
-/// the sanitizer still sees every lane.
-#[allow(clippy::too_many_arguments)]
-fn observe_mem_uniform(
-    exec: &mut BlockExec,
-    space: TraceSpace,
-    mask: &[usize],
-    warp_id: u32,
-    pc: usize,
-    kind: AccessKind,
-    recorded: bool,
-    addr: u64,
-    size: usize,
-) {
-    if recorded {
-        if let Some(t) = exec.trace.as_mut() {
-            t.annotate_mem(MemTouch {
-                space,
-                lo: addr,
-                hi: addr.saturating_add(size as u64),
-            });
+/// Charge the warp's load/store whose accesses are in
+/// `exec.scratch_addr` (identical to the interpreter's bookkeeping): one
+/// entry per active lane, or a single entry when every lane makes the same
+/// access — M identical accesses occupy exactly the segments/banks of one.
+#[inline(always)]
+fn charge_mem(space: TraceSpace, exec: &mut BlockExec, st: &mut TypedState, d: &mut PcCounters) {
+    match space {
+        TraceSpace::Global => {
+            let tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
+            exec.stats.global_accesses += 1;
+            exec.stats.global_transactions += tx;
+            d.global_accesses = 1;
+            d.global_transactions = tx;
+            // First transaction is unavoidable; the rest are the
+            // serialization penalty of an uncoalesced access.
+            d.mem_cycles = exec.cost.global_segment;
+            d.mem_serial_cycles = (tx - 1) * exec.cost.global_segment;
+        }
+        TraceSpace::Shared => {
+            let ways = conflict_ways(
+                &exec.scratch_addr,
+                exec.dev.shared_banks,
+                &mut st.seg_buf,
+                &mut st.bank_counts,
+            );
+            exec.stats.shared_accesses += 1;
+            exec.stats.shared_ways += ways;
+            d.shared_accesses = 1;
+            d.shared_ways = ways;
+            // First way is conflict-free; extra ways are the bank-conflict
+            // serialization penalty.
+            d.shared_cycles = exec.cost.shared_way;
+            d.conflict_cycles = (ways - 1) * exec.cost.shared_way;
         }
     }
-    if let Some(s) = exec.san.as_mut() {
-        for &l in mask {
-            match space {
-                TraceSpace::Shared => {
-                    s.shared_access(l as u32, warp_id, pc, addr, size, kind.writes())
+}
+
+/// The typed tier's bit-row accessors over either address space.
+impl BlockExec<'_, '_> {
+    #[inline(always)]
+    fn read_bits(&mut self, space: TraceSpace, ty: Ty, addr: u64) -> Result<u64, AccessAbort> {
+        match space {
+            TraceSpace::Global => self.view.read_bits(ty, addr),
+            TraceSpace::Shared => Ok(self.shared.read_bits(ty, addr)?),
+        }
+    }
+
+    #[inline(always)]
+    fn write_bits(
+        &mut self,
+        space: TraceSpace,
+        ty: Ty,
+        addr: u64,
+        bits: u64,
+    ) -> Result<(), AccessAbort> {
+        match space {
+            TraceSpace::Global => self.view.write_bits(ty, addr, bits),
+            TraceSpace::Shared => Ok(self.shared.write_bits(ty, addr, bits)?),
+        }
+    }
+
+    /// Coalesced span read; `false` means the caller must replay per lane.
+    #[inline(always)]
+    fn read_span_bits(&mut self, space: TraceSpace, ty: Ty, addr: u64, out: &mut [u64]) -> bool {
+        match space {
+            TraceSpace::Global => self.view.read_span_bits(ty, addr, out),
+            TraceSpace::Shared => self.shared.read_span_bits(ty, addr, out),
+        }
+    }
+
+    #[inline(always)]
+    fn write_span_bits(&mut self, space: TraceSpace, ty: Ty, addr: u64, src: &[u64]) -> bool {
+        match space {
+            TraceSpace::Global => self.view.write_span_bits(ty, addr, src),
+            TraceSpace::Shared => self.shared.write_span_bits(ty, addr, src),
+        }
+    }
+}
+
+// --- The (op, ty) tables: one scalar evaluator each -------------------------
+
+/// The `(BinOp, Ty)` table over encoded bits, operands already converted
+/// to `ty`: the bit-level image of [`crate::exec::eval_bin`]. This is the
+/// primitive — a once-per-warp step calls it once, the lane loop of
+/// [`TypedState::bin`] calls it per lane with `op` and `ty` bound to
+/// constants so it folds to the one operator.
+#[inline(always)]
+fn bin_scalar(op: BinOp, ty: Ty, x: u64, y: u64) -> Result<u64, SimError> {
+    macro_rules! int {
+        ($t:ty, $enc:expr) => {{
+            let (x, y) = (x as $t, y as $t);
+            let r: $t = match op {
+                BinOp::Add => x.wrapping_add(y),
+                BinOp::Sub => x.wrapping_sub(y),
+                BinOp::Mul => x.wrapping_mul(y),
+                BinOp::Div | BinOp::Rem if y == 0 => return Err(SimError::DivisionByZero),
+                BinOp::Div => x.wrapping_div(y),
+                BinOp::Rem => x.wrapping_rem(y),
+                BinOp::Min => x.min(y),
+                BinOp::Max => x.max(y),
+                BinOp::And => x & y,
+                BinOp::Or => x | y,
+                BinOp::Xor => x ^ y,
+                BinOp::Shl => x.wrapping_shl(y as u32),
+                BinOp::Shr => x.wrapping_shr(y as u32),
+            };
+            $enc(r)
+        }};
+    }
+    // Float results are NaN-canonicalized, the bit-level image of
+    // `eval_bin`'s canonicalization (see [`crate::types::canon_f32`]).
+    macro_rules! float {
+        ($dec:expr, $enc:expr) => {{
+            let (x, y) = ($dec(x), $dec(y));
+            $enc(match op {
+                BinOp::Add => x + y,
+                BinOp::Sub => x - y,
+                BinOp::Mul => x * y,
+                BinOp::Div => x / y,
+                BinOp::Rem => x % y,
+                BinOp::Min => x.min(y),
+                BinOp::Max => x.max(y),
+                _ => {
+                    return Err(SimError::TypeError {
+                        context: format!("bitwise {op} on float type {ty}"),
+                    })
                 }
-                TraceSpace::Global => s.global_access(l as u32, warp_id, pc, addr, size, kind),
-            }
-        }
+            })
+        }};
     }
+    Ok(match ty {
+        Ty::I32 => int!(i32, |r: i32| r as u32 as u64),
+        Ty::I64 => int!(i64, |r: i64| r as u64),
+        Ty::U64 => int!(u64, |r: u64| r),
+        Ty::F32 => float!(
+            |b: u64| f32::from_bits(b as u32),
+            |r: f32| crate::types::canon_f32(r).to_bits() as u64
+        ),
+        Ty::F64 => float!(f64::from_bits, |r: f64| crate::types::canon_f64(r)
+            .to_bits()),
+        Ty::Pred => {
+            let (x, y) = (x != 0, y != 0);
+            (match op {
+                BinOp::And => x && y,
+                BinOp::Or => x || y,
+                BinOp::Xor => x ^ y,
+                _ => {
+                    return Err(SimError::TypeError {
+                        context: format!("arithmetic {op} on predicate"),
+                    })
+                }
+            }) as u64
+        }
+    })
 }
 
-/// Global-memory charge shared by the load/store arms (identical to the
-/// interpreter's bookkeeping).
-#[inline]
-fn charge_global(exec: &mut BlockExec, d: &mut PcCounters, tx: u64) {
-    exec.stats.global_accesses += 1;
-    exec.stats.global_transactions += tx;
-    d.global_accesses = 1;
-    d.global_transactions = tx;
-    // First transaction is unavoidable; the rest are the serialization
-    // penalty of an uncoalesced access.
-    d.mem_cycles = exec.cost.global_segment;
-    d.mem_serial_cycles = (tx - 1) * exec.cost.global_segment;
-}
-
-/// Shared-memory charge shared by the load/store arms.
-#[inline]
-fn charge_shared(exec: &mut BlockExec, d: &mut PcCounters, ways: u64) {
-    exec.stats.shared_accesses += 1;
-    exec.stats.shared_ways += ways;
-    d.shared_accesses = 1;
-    d.shared_ways = ways;
-    // First way is conflict-free; extra ways are the bank-conflict
-    // serialization penalty.
-    d.shared_cycles = exec.cost.shared_way;
-    d.conflict_cycles = (ways - 1) * exec.cost.shared_way;
-}
-
-/// Per-block state of the typed tier: one flat bit row per register and
-/// constant (`bits[row * n + lane]`), plus the scratch buffers.
-struct TypedState {
-    bits: Vec<u64>,
-    n: usize,
-    mask: Vec<usize>,
-    /// `mask` is a contiguous lane range (the overwhelmingly common
-    /// case): lane loops become plain ranges.
-    contig: bool,
-    seg_buf: Vec<u64>,
-    bank_counts: Vec<u32>,
-    /// Conversion scratch for coalesced span stores.
-    tmp: Vec<u64>,
-}
-
-/// Broadcast `v` to the active lanes of row `dst`.
+/// The `(CmpOp, Ty)` table: the bit-level image of
+/// [`crate::exec::eval_cmp`] over pre-converted operands (native float
+/// comparisons reproduce the `partial_cmp` table, including `Ne` on NaN).
 #[inline(always)]
-fn fill(bits: &mut [u64], n: usize, mask: &[usize], contig: bool, dst: usize, v: u64) {
-    let dr = dst * n;
-    if contig {
-        let lo = mask[0];
-        bits[dr + lo..dr + lo + mask.len()].fill(v);
-    } else {
-        for &l in mask {
-            bits[dr + l] = v;
-        }
+fn cmp_scalar(op: CmpOp, ty: Ty, x: u64, y: u64) -> bool {
+    macro_rules! ord {
+        ($dec:expr) => {{
+            let (x, y) = ($dec(x), $dec(y));
+            match op {
+                CmpOp::Eq => x == y,
+                CmpOp::Ne => x != y,
+                CmpOp::Lt => x < y,
+                CmpOp::Le => x <= y,
+                CmpOp::Gt => x > y,
+                CmpOp::Ge => x >= y,
+            }
+        }};
+    }
+    match ty {
+        Ty::I32 => ord!(|b: u64| b as u32 as i32),
+        Ty::I64 => ord!(|b: u64| b as i64),
+        // `Pred` compares as 0/1 integers (`as_i64`), same order as bits.
+        Ty::U64 | Ty::Pred => ord!(|b: u64| b),
+        Ty::F32 => ord!(|b: u64| f32::from_bits(b as u32)),
+        Ty::F64 => ord!(f64::from_bits),
     }
 }
 
-/// Apply `f` lane-wise over two converted source rows into `dst`. The
-/// `(op, ty)` dispatch happens once at the call site; this is the tight
-/// loop. Errors abort mid-loop with earlier lanes already written, in
-/// ascending lane order — exactly the interpreter's partial-write
-/// semantics for faults like division by zero.
+/// The `(UnOp, Ty)` table: the bit-level image of
+/// [`crate::exec::eval_un`]. The `F32` arms round-trip the converted
+/// operand through `f64` once more, because `eval_un` extracts via
+/// `as_f64() as f32` after converting; float results are
+/// NaN-canonicalized.
+#[inline(always)]
+fn un_scalar(op: UnOp, ty: Ty, x: u64) -> Result<u64, SimError> {
+    let (i, l) = (x as u32 as i32, x as i64);
+    let (f, g) = ((f32::from_bits(x as u32) as f64) as f32, f64::from_bits(x));
+    let e32 = |r: i32| r as u32 as u64;
+    let ef = |r: f32| crate::types::canon_f32(r).to_bits() as u64;
+    let eg = |r: f64| crate::types::canon_f64(r).to_bits();
+    Ok(match (op, ty) {
+        (UnOp::Neg, Ty::I32) => e32(i.wrapping_neg()),
+        (UnOp::Neg, Ty::I64) => l.wrapping_neg() as u64,
+        (UnOp::Neg, Ty::F32) => ef(-f),
+        (UnOp::Neg, Ty::F64) => eg(-g),
+        (UnOp::Abs, Ty::I32) => e32(i.wrapping_abs()),
+        (UnOp::Abs, Ty::I64) => l.wrapping_abs() as u64,
+        (UnOp::Abs, Ty::F32) => ef(f.abs()),
+        (UnOp::Abs, Ty::F64) => eg(g.abs()),
+        (UnOp::Sqrt, Ty::F32) => ef(f.sqrt()),
+        (UnOp::Sqrt, Ty::F64) => eg(g.sqrt()),
+        (UnOp::Not, Ty::Pred) => (x == 0) as u64,
+        (UnOp::Not, Ty::I32) => e32(!i),
+        (UnOp::Not, Ty::I64) => !l as u64,
+        (op, ty) => {
+            return Err(SimError::TypeError {
+                context: format!("unary {op} at type {ty}"),
+            })
+        }
+    })
+}
+
+/// `match $e { T::V => { let $x = T::V; $body } … }` over the listed
+/// variants: `$body` runs with `$x` rebound to the *constant* `$e` equals,
+/// so an inlined scalar evaluator folds its dispatch out of the lane loop.
+/// Wildcard-free — a new variant stops compiling until it is listed.
+macro_rules! with_const {
+    ($e:expr, |$x:ident| $body:expr; $t:ident: $($v:ident)+) => {
+        match $e { $($t::$v => { let $x = $t::$v; $body })+ }
+    };
+}
+
+/// [`with_const`] over [`Ty`].
+macro_rules! with_const_ty {
+    ($e:expr, |$x:ident| $body:expr) => {
+        with_const!($e, |$x| $body; Ty: I32 I64 U64 F32 F64 Pred)
+    };
+}
+
+/// Apply `f` lane-wise over two converted source rows into `dst`: the
+/// lane loop around a scalar evaluator. Errors abort mid-loop with earlier
+/// lanes already written, in ascending lane order — exactly the
+/// interpreter's partial-write semantics for faults like division by zero.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn map2<T: Copy, U>(
+fn map2(
     bits: &mut [u64],
     n: usize,
     mask: &[usize],
     contig: bool,
     dst: usize,
-    a: usize,
-    b: usize,
-    ca: Conv,
-    cb: Conv,
-    dec: impl Fn(u64) -> T,
-    enc: impl Fn(U) -> u64,
-    f: impl Fn(T, T) -> Result<U, SimError>,
+    (a, ca): (usize, Conv),
+    (b, cb): (usize, Conv),
+    f: impl Fn(u64, u64) -> Result<u64, SimError>,
 ) -> Result<(), SimError> {
     let (dr, ar, br) = (dst * n, a * n, b * n);
     if contig {
@@ -1162,19 +1249,16 @@ fn map2<T: Copy, U>(
         let hi = lo + mask.len();
         if ca == Conv::Id && cb == Conv::Id {
             for l in lo..hi {
-                let r = f(dec(bits[ar + l]), dec(bits[br + l]))?;
-                bits[dr + l] = enc(r);
+                bits[dr + l] = f(bits[ar + l], bits[br + l])?;
             }
         } else {
             for l in lo..hi {
-                let r = f(dec(ca.apply(bits[ar + l])), dec(cb.apply(bits[br + l])))?;
-                bits[dr + l] = enc(r);
+                bits[dr + l] = f(ca.apply(bits[ar + l]), cb.apply(bits[br + l]))?;
             }
         }
     } else {
         for &l in mask {
-            let r = f(dec(ca.apply(bits[ar + l])), dec(cb.apply(bits[br + l])))?;
-            bits[dr + l] = enc(r);
+            bits[dr + l] = f(ca.apply(bits[ar + l]), cb.apply(bits[br + l]))?;
         }
     }
     Ok(())
@@ -1182,273 +1266,534 @@ fn map2<T: Copy, U>(
 
 /// Unary twin of [`map2`].
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn map1<T: Copy, U>(
+fn map1(
     bits: &mut [u64],
     n: usize,
     mask: &[usize],
     contig: bool,
     dst: usize,
-    a: usize,
-    ca: Conv,
-    dec: impl Fn(u64) -> T,
-    enc: impl Fn(U) -> u64,
-    f: impl Fn(T) -> Result<U, SimError>,
+    (a, ca): (usize, Conv),
+    f: impl Fn(u64) -> Result<u64, SimError>,
 ) -> Result<(), SimError> {
     let (dr, ar) = (dst * n, a * n);
     if contig {
         let lo = mask[0];
-        let hi = lo + mask.len();
-        for l in lo..hi {
-            let r = f(dec(ca.apply(bits[ar + l])))?;
-            bits[dr + l] = enc(r);
+        for l in lo..lo + mask.len() {
+            bits[dr + l] = f(ca.apply(bits[ar + l]))?;
         }
     } else {
         for &l in mask {
-            let r = f(dec(ca.apply(bits[ar + l])))?;
-            bits[dr + l] = enc(r);
+            bits[dr + l] = f(ca.apply(bits[ar + l]))?;
         }
     }
     Ok(())
 }
 
-/// Typed `Bin`: the bit-level image of [`eval_bin`] with the type
-/// dispatch and operand conversions hoisted out of the lane loop.
-#[allow(clippy::too_many_arguments)]
-fn bin_bits(
-    op: BinOp,
-    ty: Ty,
-    bits: &mut [u64],
-    n: usize,
-    mask: &[usize],
-    contig: bool,
-    uniform: bool,
-    dst: usize,
-    a: usize,
-    b: usize,
-    ca: Conv,
-    cb: Conv,
-) -> Result<(), SimError> {
-    macro_rules! go {
-        ($dec:expr, $enc:expr, $f:expr) => {{
-            if uniform {
-                let l0 = mask[0];
-                let r = $f(
-                    $dec(ca.apply(bits[a * n + l0])),
-                    $dec(cb.apply(bits[b * n + l0])),
-                )?;
-                fill(bits, n, mask, contig, dst, $enc(r));
-                Ok(())
-            } else {
-                map2(bits, n, mask, contig, dst, a, b, ca, cb, $dec, $enc, $f)
-            }
-        }};
-    }
-    macro_rules! int_ops {
-        ($dec:expr, $enc:expr, $t:ty) => {
-            match op {
-                BinOp::Add => go!($dec, $enc, |x: $t, y: $t| Ok(x.wrapping_add(y))),
-                BinOp::Sub => go!($dec, $enc, |x: $t, y: $t| Ok(x.wrapping_sub(y))),
-                BinOp::Mul => go!($dec, $enc, |x: $t, y: $t| Ok(x.wrapping_mul(y))),
-                BinOp::Div => go!($dec, $enc, |x: $t, y: $t| if y == 0 {
-                    Err(SimError::DivisionByZero)
-                } else {
-                    Ok(x.wrapping_div(y))
-                }),
-                BinOp::Rem => go!($dec, $enc, |x: $t, y: $t| if y == 0 {
-                    Err(SimError::DivisionByZero)
-                } else {
-                    Ok(x.wrapping_rem(y))
-                }),
-                BinOp::Min => go!($dec, $enc, |x: $t, y: $t| Ok(x.min(y))),
-                BinOp::Max => go!($dec, $enc, |x: $t, y: $t| Ok(x.max(y))),
-                BinOp::And => go!($dec, $enc, |x: $t, y: $t| Ok(x & y)),
-                BinOp::Or => go!($dec, $enc, |x: $t, y: $t| Ok(x | y)),
-                BinOp::Xor => go!($dec, $enc, |x: $t, y: $t| Ok(x ^ y)),
-                BinOp::Shl => go!($dec, $enc, |x: $t, y: $t| Ok(x.wrapping_shl(y as u32))),
-                BinOp::Shr => go!($dec, $enc, |x: $t, y: $t| Ok(x.wrapping_shr(y as u32))),
-            }
-        };
-    }
-    macro_rules! float_ops {
-        ($dec:expr, $enc:expr, $t:ty) => {
-            match op {
-                BinOp::Add => go!($dec, $enc, |x: $t, y: $t| Ok(x + y)),
-                BinOp::Sub => go!($dec, $enc, |x: $t, y: $t| Ok(x - y)),
-                BinOp::Mul => go!($dec, $enc, |x: $t, y: $t| Ok(x * y)),
-                BinOp::Div => go!($dec, $enc, |x: $t, y: $t| Ok(x / y)),
-                BinOp::Rem => go!($dec, $enc, |x: $t, y: $t| Ok(x % y)),
-                BinOp::Min => go!($dec, $enc, |x: $t, y: $t| Ok(x.min(y))),
-                BinOp::Max => go!($dec, $enc, |x: $t, y: $t| Ok(x.max(y))),
-                _ => Err(SimError::TypeError {
-                    context: format!("bitwise {op} on float type {ty}"),
-                }),
-            }
-        };
-    }
-    match ty {
-        Ty::I32 => int_ops!(|b| b as u32 as i32, |r: i32| r as u32 as u64, i32),
-        Ty::I64 => int_ops!(|b| b as i64, |r: i64| r as u64, i64),
-        Ty::U64 => int_ops!(|b| b, |r: u64| r, u64),
-        // Float encoders canonicalize NaN results, the bit-level image of
-        // [`eval_bin`]'s canonicalization (see [`crate::types::canon_f32`]).
-        Ty::F32 => {
-            float_ops!(
-                |b| f32::from_bits(b as u32),
-                |r: f32| crate::types::canon_f32(r).to_bits() as u64,
-                f32
-            )
+// --- Warp shapes ---------------------------------------------------------------
+
+/// What the tier knows about one register row within one warp (see the
+/// module docs). A non-`Rows` shape is *authoritative*: the row's lanes
+/// may be stale until [`TypedState::sync`] materialises them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Per-lane bits live in the row.
+    Rows,
+    /// Every lane holds `bits`.
+    Uniform(u64),
+    /// Lane `warp_lo + i` holds `base + i * stride`, wrapping in 64 bits
+    /// (`wide`) or in 32 and zero-extended. Only integer rows; `stride`
+    /// is never 0.
+    Affine { base: u64, stride: u64, wide: bool },
+}
+
+impl Shape {
+    /// The affine shape normalised to its width; stride 0 is `Uniform`.
+    fn affine(base: u64, stride: u64, wide: bool) -> Shape {
+        let fit = |v: u64| if wide { v } else { v as u32 as u64 };
+        match fit(stride) {
+            0 => Shape::Uniform(fit(base)),
+            stride => Shape::Affine {
+                base: fit(base),
+                stride,
+                wide,
+            },
         }
-        Ty::F64 => float_ops!(
-            f64::from_bits,
-            |r: f64| crate::types::canon_f64(r).to_bits(),
-            f64
-        ),
-        Ty::Pred => match op {
-            BinOp::And => go!(|b| b != 0, |r: bool| r as u64, |x, y| Ok(x && y)),
-            BinOp::Or => go!(|b| b != 0, |r: bool| r as u64, |x, y| Ok(x || y)),
-            BinOp::Xor => go!(|b| b != 0, |r: bool| r as u64, |x: bool, y: bool| Ok(x ^ y)),
-            _ => Err(SimError::TypeError {
-                context: format!("arithmetic {op} on predicate"),
-            }),
-        },
+    }
+
+    /// `(base, stride)` of a closed form (`Uniform` has stride 0).
+    fn linear(self) -> Option<(u64, u64)> {
+        match self {
+            Shape::Rows => None,
+            Shape::Uniform(b) => Some((b, 0)),
+            Shape::Affine { base, stride, .. } => Some((base, stride)),
+        }
+    }
+
+    /// Bits of the warp's `i`-th lane under a closed form.
+    #[inline(always)]
+    fn lane(self, i: usize) -> u64 {
+        match self {
+            Shape::Rows => unreachable!("a Rows shape has no closed form"),
+            Shape::Uniform(b) => b,
+            Shape::Affine { base, stride, wide } => {
+                let v = base.wrapping_add((i as u64).wrapping_mul(stride));
+                if wide {
+                    v
+                } else {
+                    v as u32 as u64
+                }
+            }
+        }
+    }
+
+    /// True-integer values of an integer shape at the first and last of
+    /// `len` lanes in `ty`'s domain; `None` when the sequence leaves the
+    /// domain (it wraps), for `Rows`, and for non-integer `ty`.
+    fn ends(self, ty: Ty, len: usize) -> Option<(i128, i128)> {
+        let (base, stride) = self.linear()?;
+        let (first, step, min, max) = match ty {
+            Ty::I32 => (
+                base as u32 as i32 as i128,
+                stride as u32 as i32 as i128,
+                i32::MIN as i128,
+                i32::MAX as i128,
+            ),
+            Ty::I64 => (
+                base as i64 as i128,
+                stride as i64 as i128,
+                i64::MIN as i128,
+                i64::MAX as i128,
+            ),
+            Ty::U64 => (base as i128, stride as i64 as i128, 0, u64::MAX as i128),
+            Ty::F32 | Ty::F64 | Ty::Pred => return None,
+        };
+        let last = first + (len as i128 - 1) * step;
+        (min..=max).contains(&last).then_some((first, last))
+    }
+
+    /// This shape seen through an operand conversion; `Rows` when the
+    /// conversion does not keep it closed-form over `len` lanes.
+    fn conv(self, cv: Conv, len: usize) -> Shape {
+        match (self, cv) {
+            (Shape::Rows, _) => Shape::Rows,
+            (Shape::Uniform(b), _) => Shape::Uniform(cv.apply(b)),
+            (s, Conv::Id) => s,
+            // Truncation is a ring homomorphism: always affine.
+            (Shape::Affine { base, stride, .. }, Conv::Low32) => Shape::affine(base, stride, false),
+            // Sign extension commutes with the sequence only while it
+            // stays inside `i32`.
+            (s @ Shape::Affine { stride, .. }, Conv::SextI32) => match s.ends(Ty::I32, len) {
+                Some((first, _)) => Shape::affine(first as u64, stride as u32 as i32 as u64, true),
+                None => Shape::Rows,
+            },
+            _ => Shape::Rows,
+        }
     }
 }
 
-/// Typed `Cmp`: the bit-level image of [`eval_cmp`] over pre-converted
-/// operands (native float comparisons reproduce the `partial_cmp` table,
-/// including `Ne` on NaN).
-#[allow(clippy::too_many_arguments)]
-fn cmp_bits(
-    op: CmpOp,
-    ty: Ty,
-    bits: &mut [u64],
-    n: usize,
-    mask: &[usize],
-    contig: bool,
-    uniform: bool,
-    dst: usize,
-    a: usize,
-    b: usize,
-    ca: Conv,
-    cb: Conv,
-) {
-    macro_rules! go {
-        ($dec:expr, $f:expr) => {{
-            let enc = |r: bool| r as u64;
-            let r: Result<(), SimError> = if uniform {
-                let l0 = mask[0];
-                let v = $f(
-                    $dec(ca.apply(bits[a * n + l0])),
-                    $dec(cb.apply(bits[b * n + l0])),
-                );
-                fill(bits, n, mask, contig, dst, enc(v));
-                Ok(())
-            } else {
-                map2(
-                    bits,
-                    n,
-                    mask,
-                    contig,
-                    dst,
-                    a,
-                    b,
-                    ca,
-                    cb,
-                    $dec,
-                    enc,
-                    |x, y| Ok($f(x, y)),
-                )
-            };
-            let _ = r; // comparisons cannot fault
-        }};
+/// Integer `add`/`sub` of two closed forms and `mul` of a closed form by
+/// a uniform stay affine in the ring `ty` wraps in.
+fn affine_bin(op: BinOp, ty: Ty, a: Shape, b: Shape) -> Option<Shape> {
+    if !matches!(ty, Ty::I32 | Ty::I64 | Ty::U64) {
+        return None;
     }
-    macro_rules! cmp_ops {
-        ($dec:expr, $t:ty) => {
-            match op {
-                CmpOp::Eq => go!($dec, |x: $t, y: $t| x == y),
-                CmpOp::Ne => go!($dec, |x: $t, y: $t| x != y),
-                CmpOp::Lt => go!($dec, |x: $t, y: $t| x < y),
-                CmpOp::Le => go!($dec, |x: $t, y: $t| x <= y),
-                CmpOp::Gt => go!($dec, |x: $t, y: $t| x > y),
-                CmpOp::Ge => go!($dec, |x: $t, y: $t| x >= y),
+    let ((ab, ast), (bb, bst)) = (a.linear()?, b.linear()?);
+    let (base, stride) = match op {
+        BinOp::Add => (ab.wrapping_add(bb), ast.wrapping_add(bst)),
+        BinOp::Sub => (ab.wrapping_sub(bb), ast.wrapping_sub(bst)),
+        BinOp::Mul if bst == 0 => (ab.wrapping_mul(bb), ast.wrapping_mul(bb)),
+        BinOp::Mul if ast == 0 => (ab.wrapping_mul(bb), bst.wrapping_mul(ab)),
+        _ => return None,
+    };
+    Some(Shape::affine(base, stride, ty != Ty::I32))
+}
+
+/// An integer comparison with an affine side, decided at the two end
+/// lanes as true integers: the difference of two non-wrapping affine
+/// sequences is affine, hence monotone, so an ordered verdict that agrees
+/// at both ends holds in between; `eq`/`ne` additionally need the
+/// difference not to cross zero.
+fn affine_cmp(op: CmpOp, ty: Ty, a: Shape, b: Shape, len: usize) -> Option<bool> {
+    let ((a0, a1), (b0, b1)) = (a.ends(ty, len)?, b.ends(ty, len)?);
+    let (d0, d1) = (a0 - b0, a1 - b1);
+    let verdict = |d: i128| match op {
+        CmpOp::Eq => d == 0,
+        CmpOp::Ne => d != 0,
+        CmpOp::Lt => d < 0,
+        CmpOp::Le => d <= 0,
+        CmpOp::Gt => d > 0,
+        CmpOp::Ge => d >= 0,
+    };
+    let ordered = !matches!(op, CmpOp::Eq | CmpOp::Ne);
+    (verdict(d0) == verdict(d1) && (ordered || d0.signum() == d1.signum())).then(|| verdict(d0))
+}
+
+/// What the typed tier decided, accumulated over a device's launches (see
+/// [`crate::Device::shape_census`]). Kept beside, not inside,
+/// [`crate::stats::LaunchStats`]: those are bit-identical across engines,
+/// this describes one engine's own work. `once_per_warp + per_lane` is
+/// the number of warp-instructions the tier executed (a parallel attempt
+/// that fell back to the sequential executor is counted twice — the tier
+/// did run it twice).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShapeCensus {
+    /// Steps decided once for the whole warp from its operands' shapes.
+    pub once_per_warp: u64,
+    /// Steps that ran a lane loop.
+    pub per_lane: u64,
+    /// Rows materialised for a per-lane consumer.
+    pub syncs: u64,
+    /// Once-per-warp results written lane by lane because the mask was
+    /// not all of the warp's lanes.
+    pub demoted: u64,
+}
+
+impl ShapeCensus {
+    /// Share of executed warp-instructions that ran a lane loop (0 when
+    /// nothing ran on the typed tier).
+    pub fn per_lane_share(&self) -> f64 {
+        match self.once_per_warp + self.per_lane {
+            0 => 0.0,
+            total => self.per_lane as f64 / total as f64,
+        }
+    }
+}
+
+impl std::ops::AddAssign for ShapeCensus {
+    fn add_assign(&mut self, o: Self) {
+        self.once_per_warp += o.once_per_warp;
+        self.per_lane += o.per_lane;
+        self.syncs += o.syncs;
+        self.demoted += o.demoted;
+    }
+}
+
+/// One `(row, warp)` entry of the shape table.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    shape: Shape,
+    /// The row's lanes of this warp hold what `shape` says (always true
+    /// for `Rows`).
+    in_row: bool,
+}
+
+/// Per-block state of the typed tier: one flat bit row per register and
+/// constant (`bits[row * n + lane]`), the shape table over them
+/// (`slots[row * num_warps + warp]`), the current group, and scratch.
+struct TypedState {
+    bits: Vec<u64>,
+    n: usize,
+    slots: Vec<Slot>,
+    num_warps: usize,
+    /// The current group: its warp, that warp's lane range
+    /// `[lo, lo + len)`, its active lanes, and whether those are all of
+    /// the warp's lanes (so a write may replace the row's shape).
+    w: usize,
+    lo: usize,
+    len: usize,
+    mask: Vec<usize>,
+    full: bool,
+    /// `mask` is a contiguous lane range (the overwhelmingly common
+    /// case): lane loops become plain ranges.
+    contig: bool,
+    census: ShapeCensus,
+    seg_buf: Vec<u64>,
+    bank_counts: Vec<u32>,
+    /// Conversion scratch for coalesced span stores.
+    tmp: Vec<u64>,
+}
+
+impl TypedState {
+    /// Registers start as the interpreter's zero, constant rows as their
+    /// constant: every row is `Uniform` and materialised.
+    fn new(num_regs: usize, consts: &[u64], n: usize, warp: usize, banks: usize) -> Self {
+        let num_warps = n.div_ceil(warp);
+        let mut bits = vec![0u64; (num_regs + consts.len()) * n];
+        let mut slots = Vec::with_capacity((num_regs + consts.len()) * num_warps);
+        let zero = Slot {
+            shape: Shape::Uniform(0),
+            in_row: true,
+        };
+        slots.resize(num_regs * num_warps, zero);
+        for (i, &c) in consts.iter().enumerate() {
+            let r = (num_regs + i) * n;
+            bits[r..r + n].fill(c);
+            let shape = Shape::Uniform(c);
+            slots.resize(slots.len() + num_warps, Slot { shape, ..zero });
+        }
+        TypedState {
+            bits,
+            n,
+            slots,
+            num_warps,
+            w: 0,
+            lo: 0,
+            len: 0,
+            mask: Vec::with_capacity(warp),
+            full: true,
+            contig: true,
+            census: ShapeCensus::default(),
+            seg_buf: Vec::with_capacity(2 * warp),
+            bank_counts: vec![0; banks],
+            tmp: Vec::with_capacity(warp),
+        }
+    }
+
+    #[inline(always)]
+    fn slot(&mut self, row: usize) -> &mut Slot {
+        &mut self.slots[row * self.num_warps + self.w]
+    }
+
+    /// `row`'s shape in the current warp as an operand converted by `cv`.
+    #[inline(always)]
+    fn seen(&self, row: usize, cv: Conv) -> Shape {
+        let shape = self.slots[row * self.num_warps + self.w].shape;
+        #[cfg(debug_assertions)]
+        self.check_shadow(row, self.lo, self.len, shape);
+        shape.conv(cv, self.len)
+    }
+
+    /// The warp's lanes of `row`.
+    fn warp_row(&mut self, row: usize) -> &mut [u64] {
+        let at = row * self.n + self.lo;
+        &mut self.bits[at..at + self.len]
+    }
+
+    /// Make the row hold what its shape says. Every per-lane reader of a
+    /// row calls this first; it is the only place a closed form is
+    /// expanded.
+    #[inline(always)]
+    fn sync(&mut self, row: usize) {
+        let s = self.slot(row);
+        if !s.in_row {
+            s.in_row = true;
+            let shape = s.shape;
+            self.census.syncs += 1;
+            self.expand(row, shape);
+        }
+    }
+
+    fn expand(&mut self, row: usize, shape: Shape) {
+        match shape {
+            Shape::Uniform(b) => self.warp_row(row).fill(b),
+            _ => {
+                for (i, b) in self.warp_row(row).iter_mut().enumerate() {
+                    *b = shape.lane(i);
+                }
             }
+        }
+    }
+
+    /// Record a once-per-warp result. When the group is all of the warp's
+    /// lanes that is one store into the shape table; otherwise the other
+    /// lanes keep their values, so the row is materialised, the group's
+    /// lanes are written and the row stays `Rows`.
+    #[inline(always)]
+    fn set(&mut self, dst: usize, shape: Shape) {
+        if self.full {
+            *self.slot(dst) = Slot {
+                shape,
+                in_row: false,
+            };
+            // The debug shadow: rows are kept materialised too (still
+            // marked stale, so `sync` runs exactly as in release) and
+            // `check_shadow` holds each shape against its row.
+            #[cfg(debug_assertions)]
+            self.expand(dst, shape);
+        } else {
+            self.rows_dst(dst);
+            self.census.demoted += 1;
+            let (dr, lo) = (dst * self.n, self.lo);
+            for &l in &self.mask {
+                self.bits[dr + l] = shape.lane(l - lo);
+            }
+        }
+    }
+
+    /// `dst` is about to be written lane by lane for the group.
+    #[inline(always)]
+    fn rows_dst(&mut self, dst: usize) {
+        if !self.full {
+            self.sync(dst);
+        }
+        *self.slot(dst) = Slot {
+            shape: Shape::Rows,
+            in_row: true,
         };
     }
-    match ty {
-        Ty::I32 => cmp_ops!(|b| b as u32 as i32, i32),
-        Ty::I64 => cmp_ops!(|b| b as i64, i64),
-        // `Pred` compares as 0/1 integers (`as_i64`), same order as bits.
-        Ty::U64 | Ty::Pred => cmp_ops!(|b| b, u64),
-        Ty::F32 => cmp_ops!(|b| f32::from_bits(b as u32), f32),
-        Ty::F64 => cmp_ops!(f64::from_bits, f64),
-    }
-}
 
-/// Typed `Un`: the bit-level image of [`eval_un`]. The `F32` arms
-/// round-trip the converted operand through `f64` once more, because
-/// `eval_un` extracts via `as_f64() as f32` after converting.
-#[allow(clippy::too_many_arguments)]
-fn un_bits(
-    op: UnOp,
-    ty: Ty,
-    bits: &mut [u64],
-    n: usize,
-    mask: &[usize],
-    contig: bool,
-    uniform: bool,
-    dst: usize,
-    a: usize,
-    ca: Conv,
-) -> Result<(), SimError> {
-    macro_rules! go {
-        ($dec:expr, $enc:expr, $f:expr) => {{
-            if uniform {
-                let l0 = mask[0];
-                let r = $f($dec(ca.apply(bits[a * n + l0])))?;
-                fill(bits, n, mask, contig, dst, $enc(r));
-                Ok(())
-            } else {
-                map1(bits, n, mask, contig, dst, a, ca, $dec, $enc, $f)
+    /// Debug shadow check: a closed form equals the row the per-lane path
+    /// would hold. Run on every read of a shape and, for the shapes nobody
+    /// read, over the whole table when the block ends.
+    #[cfg(debug_assertions)]
+    fn check_shadow(&self, row: usize, lo: usize, len: usize, shape: Shape) {
+        if shape != Shape::Rows {
+            for i in 0..len {
+                assert_eq!(
+                    self.bits[row * self.n + lo + i],
+                    shape.lane(i),
+                    "row {row} lane {} disagrees with its shape {shape:?}",
+                    lo + i
+                );
             }
-        }};
+        }
     }
-    let dec_i32 = |b: u64| b as u32 as i32;
-    let enc_i32 = |r: i32| r as u32 as u64;
-    let dec_i64 = |b: u64| b as i64;
-    let enc_i64 = |r: i64| r as u64;
-    let dec_f32 = |b: u64| (f32::from_bits(b as u32) as f64) as f32;
-    // NaN-canonicalizing encoders, matching [`eval_un`]'s float results.
-    let enc_f32 = |r: f32| crate::types::canon_f32(r).to_bits() as u64;
-    let dec_f64 = f64::from_bits;
-    let enc_f64 = |r: f64| crate::types::canon_f64(r).to_bits();
-    match (op, ty) {
-        (UnOp::Neg, Ty::I32) => go!(dec_i32, enc_i32, |x: i32| Ok(x.wrapping_neg())),
-        (UnOp::Neg, Ty::I64) => go!(dec_i64, enc_i64, |x: i64| Ok(x.wrapping_neg())),
-        (UnOp::Neg, Ty::F32) => go!(dec_f32, enc_f32, |x: f32| Ok(-x)),
-        (UnOp::Neg, Ty::F64) => go!(dec_f64, enc_f64, |x: f64| Ok(-x)),
-        (UnOp::Abs, Ty::I32) => go!(dec_i32, enc_i32, |x: i32| Ok(x.wrapping_abs())),
-        (UnOp::Abs, Ty::I64) => go!(dec_i64, enc_i64, |x: i64| Ok(x.wrapping_abs())),
-        (UnOp::Abs, Ty::F32) => go!(dec_f32, enc_f32, |x: f32| Ok(x.abs())),
-        (UnOp::Abs, Ty::F64) => go!(dec_f64, enc_f64, |x: f64| Ok(x.abs())),
-        (UnOp::Sqrt, Ty::F32) => go!(dec_f32, enc_f32, |x: f32| Ok(x.sqrt())),
-        (UnOp::Sqrt, Ty::F64) => go!(dec_f64, enc_f64, |x: f64| Ok(x.sqrt())),
-        (UnOp::Not, Ty::Pred) => go!(|b: u64| b != 0, |r: bool| r as u64, |x: bool| Ok(!x)),
-        (UnOp::Not, Ty::I32) => go!(dec_i32, enc_i32, |x: i32| Ok(!x)),
-        (UnOp::Not, Ty::I64) => go!(dec_i64, enc_i64, |x: i64| Ok(!x)),
-        (op, ty) => Err(SimError::TypeError {
-            context: format!("unary {op} at type {ty}"),
-        }),
+
+    #[cfg(debug_assertions)]
+    fn check_all_shadows(&self, warp: usize) {
+        for (i, slot) in self.slots.iter().enumerate() {
+            let (row, lo) = (i / self.num_warps, i % self.num_warps * warp);
+            self.check_shadow(row, lo, warp.min(self.n - lo), slot.shape);
+        }
+    }
+
+    /// `Bin`. Returns whether the step was decided once for the warp.
+    fn bin(
+        &mut self,
+        op: BinOp,
+        ty: Ty,
+        dst: usize,
+        a: (usize, Conv),
+        b: (usize, Conv),
+    ) -> Result<bool, SimError> {
+        let out = match (self.seen(a.0, a.1), self.seen(b.0, b.1)) {
+            (Shape::Uniform(x), Shape::Uniform(y)) => {
+                Some(Shape::Uniform(bin_scalar(op, ty, x, y)?))
+            }
+            (sa, sb) => affine_bin(op, ty, sa, sb),
+        };
+        if let Some(shape) = out {
+            self.set(dst, shape);
+            return Ok(true);
+        }
+        self.sync(a.0);
+        self.sync(b.0);
+        self.rows_dst(dst);
+        let (bits, n, mask, contig) = (&mut self.bits[..], self.n, &self.mask[..], self.contig);
+        with_const!(op, |op| with_const_ty!(ty, |ty| {
+            map2(bits, n, mask, contig, dst, a, b, |x, y| bin_scalar(op, ty, x, y))
+        }); BinOp: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr)?;
+        Ok(false)
+    }
+
+    /// `Cmp`; comparisons cannot fault.
+    fn cmp(&mut self, op: CmpOp, ty: Ty, dst: usize, a: (usize, Conv), b: (usize, Conv)) -> bool {
+        let verdict = match (self.seen(a.0, a.1), self.seen(b.0, b.1)) {
+            (Shape::Uniform(x), Shape::Uniform(y)) => Some(cmp_scalar(op, ty, x, y)),
+            (sa, sb) => affine_cmp(op, ty, sa, sb, self.len),
+        };
+        if let Some(v) = verdict {
+            self.set(dst, Shape::Uniform(v as u64));
+            return true;
+        }
+        self.sync(a.0);
+        self.sync(b.0);
+        self.rows_dst(dst);
+        let (bits, n, mask, contig) = (&mut self.bits[..], self.n, &self.mask[..], self.contig);
+        let done = with_const!(op, |op| with_const_ty!(ty, |ty| {
+            map2(bits, n, mask, contig, dst, a, b, |x, y| Ok(cmp_scalar(op, ty, x, y) as u64))
+        }); CmpOp: Eq Ne Lt Le Gt Ge);
+        debug_assert!(done.is_ok());
+        false
+    }
+
+    /// `Un`.
+    fn un(&mut self, op: UnOp, ty: Ty, dst: usize, a: (usize, Conv)) -> Result<bool, SimError> {
+        if let Shape::Uniform(x) = self.seen(a.0, a.1) {
+            self.set(dst, Shape::Uniform(un_scalar(op, ty, x)?));
+            return Ok(true);
+        }
+        self.sync(a.0);
+        self.rows_dst(dst);
+        let (bits, n, mask, contig) = (&mut self.bits[..], self.n, &self.mask[..], self.contig);
+        with_const!(op, |op| with_const_ty!(ty, |ty| {
+            map1(bits, n, mask, contig, dst, a, |x| un_scalar(op, ty, x))
+        }); UnOp: Neg Abs Sqrt Not)?;
+        Ok(false)
+    }
+
+    /// `Cvt`/`Mov`: the conversion table applied to the shape.
+    fn cvt(&mut self, dst: usize, src: usize, cv: Conv) -> bool {
+        let shape = self.seen(src, cv);
+        if shape != Shape::Rows {
+            self.set(dst, shape);
+            return true;
+        }
+        self.sync(src);
+        self.rows_dst(dst);
+        let (dr, sr, l0, mlen) = (dst * self.n, src * self.n, self.mask[0], self.mask.len());
+        if self.contig && cv == Conv::Id {
+            self.bits.copy_within(sr + l0..sr + l0 + mlen, dr + l0);
+        } else {
+            for &l in &self.mask {
+                self.bits[dr + l] = cv.apply(self.bits[sr + l]);
+            }
+        }
+        false
+    }
+
+    /// `Select`: a uniform condition passes the chosen arm's shape through.
+    fn select(&mut self, dst: usize, cond: usize, kind: CondKind, a: usize, b: usize) -> bool {
+        if let Shape::Uniform(c) = self.seen(cond, Conv::Id) {
+            let arm = if cond_true(kind, c) { a } else { b };
+            let shape = self.seen(arm, Conv::Id);
+            if shape != Shape::Rows {
+                self.set(dst, shape);
+                return true;
+            }
+        }
+        self.sync(cond);
+        self.sync(a);
+        self.sync(b);
+        self.rows_dst(dst);
+        let (n, bits) = (self.n, &mut self.bits);
+        for &l in &self.mask {
+            let arm = if cond_true(kind, bits[cond * n + l]) {
+                a
+            } else {
+                b
+            };
+            bits[dst * n + l] = bits[arm * n + l];
+        }
+        false
+    }
+
+    /// Gather the group's accesses through `mem` into `out`: a single
+    /// entry, returned, when the base and index rows are both `Uniform`
+    /// (every lane computes that one address); otherwise one entry per
+    /// active lane, read from the materialised address rows.
+    #[inline(always)]
+    fn addrs(&mut self, mem: &TMem, out: &mut Vec<(u64, usize)>) -> Option<u64> {
+        out.clear();
+        let index = mem
+            .index
+            .map_or(Shape::Uniform(0), |(r, c)| self.seen(r, c));
+        if let (Shape::Uniform(base), Shape::Uniform(idx)) = (self.seen(mem.base, mem.bc), index) {
+            let addr = mref_addr(base, idx as i64, mem.scale, mem.disp);
+            out.push((addr, mem.size));
+            return Some(addr);
+        }
+        self.sync(mem.base);
+        if let Some((r, _)) = mem.index {
+            self.sync(r);
+        }
+        for &l in &self.mask {
+            let base = mem.bc.apply(self.bits[mem.base * self.n + l]);
+            let idx = mem
+                .index
+                .map_or(0, |(r, c)| c.apply(self.bits[r * self.n + l]) as i64);
+            out.push((mref_addr(base, idx, mem.scale, mem.disp), mem.size));
+        }
+        None
     }
 }
 
-#[inline(always)]
-fn tmem_addr(bits: &[u64], n: usize, mem: &TMem, lane: usize) -> u64 {
-    let base = mem.bc.apply(bits[mem.base * n + lane]);
-    let idx = mem
-        .index
-        .map_or(0, |(r, c)| c.apply(bits[r * n + lane]) as i64);
-    mref_addr(base, idx, mem.scale, mem.disp)
+/// Spell a warp's single shared access out as one entry per active lane,
+/// for the instructions that must walk the lanes regardless.
+fn per_lane(accesses: &mut Vec<(u64, usize)>, lanes: usize) {
+    if let [one] = accesses[..] {
+        accesses.resize(lanes, one);
+    }
 }
 
 /// True when the warp's per-lane accesses form one dense ascending span
@@ -1470,27 +1815,39 @@ fn coalesced(addrs: &[(u64, usize)], size: usize) -> bool {
 /// traces, sanitizer shadows, and profiles are shared code, not
 /// re-implementations.
 pub(crate) fn run_block(tk: &TypedKernel, exec: &mut BlockExec) -> Result<(), AccessAbort> {
-    let warp = exec.dev.warp_size as usize;
-    let n = exec.threads.len();
-    let num_warps = n.div_ceil(warp);
-    let mut st = TypedState {
-        bits: vec![0u64; (tk.ck.num_regs + tk.consts.len()) * n],
-        n,
-        mask: Vec::with_capacity(warp),
-        contig: true,
-        seg_buf: Vec::with_capacity(2 * warp),
-        bank_counts: vec![0; exec.dev.shared_banks as usize],
-        tmp: Vec::with_capacity(warp),
+    let mut st = TypedState::new(
+        tk.ck.num_regs,
+        &tk.consts,
+        exec.threads.len(),
+        exec.dev.warp_size as usize,
+        exec.dev.shared_banks as usize,
+    );
+    // The step is instantiated twice: with nothing observing it, the
+    // per-step counter delta is never materialised.
+    let result = if exec.trace.is_some() || exec.prof.is_some() {
+        run_warps::<true>(tk, exec, &mut st)
+    } else {
+        run_warps::<false>(tk, exec, &mut st)
     };
-    for (i, &c) in tk.consts.iter().enumerate() {
-        let r = (tk.ck.num_regs + i) * n;
-        st.bits[r..r + n].fill(c);
-    }
+    #[cfg(debug_assertions)]
+    st.check_all_shadows(exec.dev.warp_size as usize);
+    *tk.census.lock().expect("census updates cannot panic") += st.census;
+    result
+}
+
+/// The block's scheduler loop: per warp, pick the min-pc group of runnable
+/// lanes and run it; when every warp is blocked, release the barrier.
+fn run_warps<const OBSERVED: bool>(
+    tk: &TypedKernel,
+    exec: &mut BlockExec,
+    st: &mut TypedState,
+) -> Result<(), AccessAbort> {
+    let warp = exec.dev.warp_size as usize;
     loop {
-        for w in 0..num_warps {
+        for w in 0..st.num_warps {
             let lo = w * warp;
-            let hi = ((w + 1) * warp).min(n);
-            let warp_id = w as u32;
+            let hi = (lo + warp).min(st.n);
+            (st.w, st.lo, st.len) = (w, lo, hi - lo);
             loop {
                 // Min leader among runnable lanes; the group is every
                 // runnable lane resting there.
@@ -1516,15 +1873,16 @@ pub(crate) fn run_block(tk: &TypedKernel, exec: &mut BlockExec) -> Result<(), Ac
                     }
                 }
                 st.contig = st.mask[st.mask.len() - 1] - st.mask[0] + 1 == st.mask.len();
+                st.full = st.mask.len() == st.len;
                 let whole = st.mask.len() == runnable;
-                run_group_typed(tk, exec, &mut st, warp_id, min_pc, whole)?;
+                run_group_typed::<OBSERVED>(tk, exec, st, min_pc, whole)?;
             }
         }
         if !exec.barrier_round()? {
             break;
         }
     }
-    exec.finish_block(num_warps);
+    exec.finish_block(st.num_warps);
     Ok(())
 }
 
@@ -1545,23 +1903,20 @@ enum TFlow {
 /// handing back to the per-warp min-pc scan. Thread `pc`s are only
 /// materialized at the points the scheduler can observe them (barrier,
 /// exit, divergence).
-fn run_group_typed(
+fn run_group_typed<const OBSERVED: bool>(
     tk: &TypedKernel,
     exec: &mut BlockExec,
     st: &mut TypedState,
-    warp_id: u32,
     leader: usize,
     whole: bool,
 ) -> Result<(), AccessAbort> {
     let mut leader = leader;
     loop {
-        let ri = tk.ck.run_of[leader];
-        let run = tk.ck.runs[ri];
+        let run = tk.ck.runs[tk.ck.run_of[leader]];
         debug_assert_eq!(run.start, leader, "groups rest only at leaders");
-        let uniform = tk.ck.run_uniform[ri];
         let mut next = run.end;
         for pc in run.start..run.end {
-            let flow = exec_top(tk, exec, st, warp_id, pc, uniform)?;
+            let flow = exec_top::<OBSERVED>(tk, exec, st, pc)?;
             exec.watchdog()?;
             match flow {
                 TFlow::Next => {}
@@ -1587,29 +1942,32 @@ fn run_group_typed(
 
 /// Execute one typed instruction for the current group. The
 /// instrumentation sequence — same bookkeeping in the same order, same
-/// error points — is byte-for-byte the interpreter's `step`; only the
-/// register representation differs.
-fn exec_top(
+/// error points — is byte-for-byte the interpreter's `step`, and every
+/// count is taken from the mask length and the addresses, never from a
+/// shape; only the register representation differs. `OBSERVED` is false
+/// when neither a tracer nor a profiler is attached: the delta `d` then
+/// only ever feeds `cycles()`.
+fn exec_top<const OBSERVED: bool>(
     tk: &TypedKernel,
     exec: &mut BlockExec,
     st: &mut TypedState,
-    warp_id: u32,
     pc: usize,
-    uniform: bool,
 ) -> Result<TFlow, AccessAbort> {
     let mlen = st.mask.len();
     debug_assert!(mlen > 0);
-    let recorded = match exec.trace.as_mut() {
-        Some(t) => t.record(TraceEvent {
-            block: exec.block_idx,
-            warp: warp_id,
-            pc,
-            active: mlen as u32,
-            text: crate::ir::format_inst(&exec.kernel.insts[pc]),
-            mem: None,
-        }),
-        None => false,
-    };
+    let warp_id = st.w as u32;
+    let recorded = OBSERVED
+        && match exec.trace.as_mut() {
+            Some(t) => t.record(TraceEvent {
+                block: exec.block_idx,
+                warp: warp_id,
+                pc,
+                active: mlen as u32,
+                text: crate::ir::format_inst(&exec.kernel.insts[pc]),
+                mem: None,
+            }),
+            None => false,
+        };
     exec.stats.warp_insts += 1;
     exec.stats.lane_insts += mlen as u64;
     let mut d = PcCounters {
@@ -1621,10 +1979,12 @@ fn exec_top(
     let n = st.n;
     let l0 = st.mask[0];
     let mut flow = TFlow::Next;
-    match &tk.tops[pc] {
+    // Was the step decided once for the warp (census only)?
+    let once = match &tk.tops[pc] {
         TOp::Broadcast { dst, bits } => {
-            fill(&mut st.bits, n, &st.mask, st.contig, *dst, *bits);
             d.alu_cycles = exec.cost.alu;
+            st.set(*dst, Shape::Uniform(*bits));
+            true
         }
         TOp::BadParams => {
             return Err(SimError::BadParams {
@@ -1634,17 +1994,30 @@ fn exec_top(
             .into());
         }
         TOp::ReadSpecial { dst, sr } => {
-            if uniform {
-                let v = value_bits(exec.special(l0, *sr));
-                fill(&mut st.bits, n, &st.mask, st.contig, *dst, v);
-            } else {
-                let dr = dst * n;
-                for &l in &st.mask {
-                    let v = value_bits(exec.special(l, *sr));
-                    st.bits[dr + l] = v;
-                }
-            }
             d.alu_cycles = exec.cost.alu;
+            // Closed forms: block geometry is uniform; `tid.x` counts up
+            // and `tid.y` is constant across a warp that lies inside one
+            // row of the block.
+            let bx = exec.cfg.block.0 as usize;
+            let (x0, y) = (st.lo % bx, st.lo / bx);
+            let one_row = x0 + st.len <= bx;
+            let shape = match sr {
+                SpecialReg::LaneLinear => Shape::affine(st.lo as u64, 1, false),
+                SpecialReg::TidX if one_row => Shape::affine(x0 as u64, 1, false),
+                SpecialReg::TidY if one_row => Shape::Uniform(y as u64),
+                SpecialReg::TidX | SpecialReg::TidY => Shape::Rows,
+                _ => Shape::Uniform(value_bits(exec.special(l0, *sr))),
+            };
+            if shape != Shape::Rows {
+                st.set(*dst, shape);
+                true
+            } else {
+                st.rows_dst(*dst);
+                for &l in &st.mask {
+                    st.bits[dst * n + l] = value_bits(exec.special(l, *sr));
+                }
+                false
+            }
         }
         TOp::Bin {
             op,
@@ -1656,21 +2029,8 @@ fn exec_top(
             cb,
             sfu,
         } => {
-            bin_bits(
-                *op,
-                *ty,
-                &mut st.bits,
-                n,
-                &st.mask,
-                st.contig,
-                uniform,
-                *dst,
-                *a,
-                *b,
-                *ca,
-                *cb,
-            )?;
             d.alu_cycles = alu_cost(exec.cost, *ty, *sfu);
+            st.bin(*op, *ty, *dst, (*a, *ca), (*b, *cb))?
         }
         TOp::Cmp {
             op,
@@ -1681,21 +2041,8 @@ fn exec_top(
             ca,
             cb,
         } => {
-            cmp_bits(
-                *op,
-                *ty,
-                &mut st.bits,
-                n,
-                &st.mask,
-                st.contig,
-                uniform,
-                *dst,
-                *a,
-                *b,
-                *ca,
-                *cb,
-            );
             d.alu_cycles = alu_cost(exec.cost, *ty, false);
+            st.cmp(*op, *ty, *dst, (*a, *ca), (*b, *cb))
         }
         TOp::Un {
             op,
@@ -1705,19 +2052,8 @@ fn exec_top(
             ca,
             sfu,
         } => {
-            un_bits(
-                *op,
-                *ty,
-                &mut st.bits,
-                n,
-                &st.mask,
-                st.contig,
-                uniform,
-                *dst,
-                *a,
-                *ca,
-            )?;
             d.alu_cycles = alu_cost(exec.cost, *ty, *sfu);
+            st.un(*op, *ty, *dst, (*a, *ca))?
         }
         TOp::Select {
             dst,
@@ -1726,283 +2062,87 @@ fn exec_top(
             a,
             b,
         } => {
-            let (dr, cr, ar, br) = (dst * n, cond * n, a * n, b * n);
-            if uniform {
-                let src = if cond_true(*kind, st.bits[cr + l0]) {
-                    ar
-                } else {
-                    br
-                };
-                let v = st.bits[src + l0];
-                fill(&mut st.bits, n, &st.mask, st.contig, *dst, v);
-            } else if st.contig {
-                let lo = l0;
-                let hi = lo + mlen;
-                for l in lo..hi {
-                    let src = if cond_true(*kind, st.bits[cr + l]) {
-                        ar
-                    } else {
-                        br
-                    };
-                    st.bits[dr + l] = st.bits[src + l];
-                }
-            } else {
-                for &l in &st.mask {
-                    let src = if cond_true(*kind, st.bits[cr + l]) {
-                        ar
-                    } else {
-                        br
-                    };
-                    st.bits[dr + l] = st.bits[src + l];
-                }
-            }
             d.alu_cycles = exec.cost.alu;
+            st.select(*dst, *cond, *kind, *a, *b)
         }
         TOp::Cvt { dst, src, cv } => {
-            let (dr, sr) = (dst * n, src * n);
-            if uniform {
-                let v = cv.apply(st.bits[sr + l0]);
-                fill(&mut st.bits, n, &st.mask, st.contig, *dst, v);
-            } else if st.contig {
-                if *cv == Conv::Id {
-                    st.bits.copy_within(sr + l0..sr + l0 + mlen, dr + l0);
-                } else {
-                    for l in l0..l0 + mlen {
-                        st.bits[dr + l] = cv.apply(st.bits[sr + l]);
-                    }
-                }
-            } else {
-                for &l in &st.mask {
-                    st.bits[dr + l] = cv.apply(st.bits[sr + l]);
-                }
-            }
             d.alu_cycles = exec.cost.alu;
+            st.cvt(*dst, *src, *cv)
         }
-        TOp::LdGlobal { ty, dst, mem } => {
-            let dr = dst * n;
-            if uniform {
-                let a = tmem_addr(&st.bits, n, mem, l0);
-                let tx = transactions(&[(a, mem.size)], exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                let v = exec.view.read_bits(*ty, a)?;
-                fill(&mut st.bits, n, &st.mask, st.contig, *dst, v);
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                    a,
-                    mem.size,
-                );
+        TOp::Ld {
+            space,
+            ty,
+            dst,
+            mem,
+        } => {
+            let uniform = st.addrs(mem, &mut exec.scratch_addr);
+            charge_mem(*space, exec, st, &mut d);
+            // The interpreter observes a shared load before the access
+            // (which may fault) and a global one after it.
+            if *space == TraceSpace::Shared {
+                exec.observe_mem(*space, &st.mask, warp_id, pc, AccessKind::Read, recorded);
+            }
+            if let Some(a) = uniform {
+                let v = exec.read_bits(*space, *ty, a)?;
+                st.set(*dst, Shape::Uniform(v));
             } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((tmem_addr(&st.bits, n, mem, l), mem.size));
-                }
-                let tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
+                st.rows_dst(*dst);
+                let dr = dst * n;
                 let done = st.contig && coalesced(&exec.scratch_addr, mem.size) && {
                     let a0 = exec.scratch_addr[0].0;
-                    exec.view
-                        .read_span_bits(*ty, a0, &mut st.bits[dr + l0..dr + l0 + mlen])
+                    exec.read_span_bits(*space, *ty, a0, &mut st.bits[dr + l0..dr + l0 + mlen])
                 };
                 if !done {
                     for (i, &l) in st.mask.iter().enumerate() {
-                        st.bits[dr + l] = exec.view.read_bits(*ty, exec.scratch_addr[i].0)?;
+                        st.bits[dr + l] = exec.read_bits(*space, *ty, exec.scratch_addr[i].0)?;
                     }
                 }
-                exec.observe_mem(
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                );
             }
+            if *space == TraceSpace::Global {
+                exec.observe_mem(*space, &st.mask, warp_id, pc, AccessKind::Read, recorded);
+            }
+            uniform.is_some()
         }
-        TOp::StGlobal { ty, src, sc, mem } => {
-            let sr = src * n;
-            if uniform {
-                let a = tmem_addr(&st.bits, n, mem, l0);
-                let tx = transactions(&[(a, mem.size)], exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                exec.view.write_bits(*ty, a, sc.apply(st.bits[sr + l0]))?;
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                    a,
-                    mem.size,
-                );
+        TOp::St {
+            space,
+            ty,
+            src,
+            sc,
+            mem,
+        } => {
+            // One store serves the warp only if the value is uniform too
+            // (otherwise the lanes write in order and the last one wins).
+            let once = match (st.addrs(mem, &mut exec.scratch_addr), st.seen(*src, *sc)) {
+                (Some(a), Shape::Uniform(v)) => Some((a, v)),
+                _ => None,
+            };
+            charge_mem(*space, exec, st, &mut d);
+            if let Some((a, v)) = once {
+                exec.write_bits(*space, *ty, a, v)?;
             } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((tmem_addr(&st.bits, n, mem, l), mem.size));
-                }
-                let tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
+                per_lane(&mut exec.scratch_addr, mlen);
+                st.sync(*src);
+                let sr = src * n;
                 let done = st.contig && coalesced(&exec.scratch_addr, mem.size) && {
                     let a0 = exec.scratch_addr[0].0;
                     let row = &st.bits[sr + l0..sr + l0 + mlen];
                     if *sc == Conv::Id {
-                        exec.view.write_span_bits(*ty, a0, row)
+                        exec.write_span_bits(*space, *ty, a0, row)
                     } else {
                         st.tmp.clear();
                         st.tmp.extend(row.iter().map(|&b| sc.apply(b)));
-                        exec.view.write_span_bits(*ty, a0, &st.tmp)
+                        exec.write_span_bits(*space, *ty, a0, &st.tmp)
                     }
                 };
                 if !done {
                     for (i, &l) in st.mask.iter().enumerate() {
-                        exec.view.write_bits(
-                            *ty,
-                            exec.scratch_addr[i].0,
-                            sc.apply(st.bits[sr + l]),
-                        )?;
-                    }
-                }
-                exec.observe_mem(
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                );
-            }
-        }
-        TOp::LdShared { ty, dst, mem } => {
-            let dr = dst * n;
-            if uniform {
-                let a = tmem_addr(&st.bits, n, mem, l0);
-                let ways = conflict_ways(
-                    &[(a, mem.size)],
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-                let v = exec.shared.read_bits(*ty, a)?;
-                fill(&mut st.bits, n, &st.mask, st.contig, *dst, v);
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((tmem_addr(&st.bits, n, mem, l), mem.size));
-                }
-                let ways = conflict_ways(
-                    &exec.scratch_addr,
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                exec.observe_mem(
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                );
-                let done = st.contig && coalesced(&exec.scratch_addr, mem.size) && {
-                    let a0 = exec.scratch_addr[0].0;
-                    exec.shared
-                        .read_span_bits(*ty, a0, &mut st.bits[dr + l0..dr + l0 + mlen])
-                };
-                if !done {
-                    for (i, &l) in st.mask.iter().enumerate() {
-                        st.bits[dr + l] = exec.shared.read_bits(*ty, exec.scratch_addr[i].0)?;
+                        let bits = sc.apply(st.bits[sr + l]);
+                        exec.write_bits(*space, *ty, exec.scratch_addr[i].0, bits)?;
                     }
                 }
             }
-        }
-        TOp::StShared { ty, src, sc, mem } => {
-            let sr = src * n;
-            if uniform {
-                let a = tmem_addr(&st.bits, n, mem, l0);
-                let ways = conflict_ways(
-                    &[(a, mem.size)],
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                exec.shared.write_bits(*ty, a, sc.apply(st.bits[sr + l0]))?;
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((tmem_addr(&st.bits, n, mem, l), mem.size));
-                }
-                let ways = conflict_ways(
-                    &exec.scratch_addr,
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                let done = st.contig && coalesced(&exec.scratch_addr, mem.size) && {
-                    let a0 = exec.scratch_addr[0].0;
-                    let row = &st.bits[sr + l0..sr + l0 + mlen];
-                    if *sc == Conv::Id {
-                        exec.shared.write_span_bits(*ty, a0, row)
-                    } else {
-                        st.tmp.clear();
-                        st.tmp.extend(row.iter().map(|&b| sc.apply(b)));
-                        exec.shared.write_span_bits(*ty, a0, &st.tmp)
-                    }
-                };
-                if !done {
-                    for (i, &l) in st.mask.iter().enumerate() {
-                        exec.shared.write_bits(
-                            *ty,
-                            exec.scratch_addr[i].0,
-                            sc.apply(st.bits[sr + l]),
-                        )?;
-                    }
-                }
-                exec.observe_mem(
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                );
-            }
+            exec.observe_mem(*space, &st.mask, warp_id, pc, AccessKind::Write, recorded);
+            once.is_some()
         }
         TOp::AtomGlobal {
             op,
@@ -2012,6 +2152,8 @@ fn exec_top(
             sc,
             dst,
         } => {
+            // M serialized applications are not one application: atomics
+            // always run per lane, whatever their operands' shapes.
             let sr = src * n;
             exec.stats.atomics += 1;
             exec.stats.global_accesses += 1;
@@ -2019,11 +2161,9 @@ fn exec_top(
             d.global_accesses = 1;
             d.global_transactions = mlen as u64;
             d.atomic_cycles = mlen as u64 * exec.cost.atomic_lane;
-            exec.scratch_addr.clear();
-            for &l in &st.mask {
-                exec.scratch_addr
-                    .push((tmem_addr(&st.bits, n, mem, l), mem.size));
-            }
+            st.addrs(mem, &mut exec.scratch_addr);
+            per_lane(&mut exec.scratch_addr, mlen);
+            st.sync(*src);
             exec.observe_mem(
                 TraceSpace::Global,
                 &st.mask,
@@ -2035,6 +2175,9 @@ fn exec_top(
             if dst.is_some() && matches!(exec.view, MemView::Overlay(_)) {
                 return Err(AccessAbort::NeedsSequential("atomic with a result operand"));
             }
+            if let Some(dr) = dst {
+                st.rows_dst(*dr);
+            }
             for (i, &l) in st.mask.iter().enumerate() {
                 let addr = exec.scratch_addr[i].0;
                 let v = bits_value(*ty, sc.apply(st.bits[sr + l]));
@@ -2045,6 +2188,7 @@ fn exec_top(
                 }
             }
             exec.stats.global_transactions += mlen as u64;
+            false
         }
         TOp::Bar => {
             exec.stats.barriers += 1;
@@ -2055,41 +2199,57 @@ fn exec_top(
                 exec.threads[l].pc = pc + 1;
             }
             flow = TFlow::Stop;
+            false
         }
         TOp::Bra { target, cond } => {
-            flow = match cond {
-                None => TFlow::Goto(*target),
+            d.alu_cycles = exec.cost.alu;
+            match *cond {
+                None => {
+                    flow = TFlow::Goto(*target);
+                    true
+                }
                 Some((r, kind, expect)) => {
-                    let cr = r * n;
-                    let take0 = cond_true(*kind, st.bits[cr + l0]) == *expect;
-                    let together = uniform
-                        || st
-                            .mask
-                            .iter()
-                            .all(|&l| (cond_true(*kind, st.bits[cr + l]) == *expect) == take0);
-                    if together {
-                        TFlow::Goto(if take0 { *target } else { pc + 1 })
+                    let to = |take: bool| if take { *target } else { pc + 1 };
+                    let taken = |b: u64| cond_true(kind, b) == expect;
+                    if let Shape::Uniform(b) = st.seen(r, Conv::Id) {
+                        // A uniform predicate moves the whole group, unscanned.
+                        flow = TFlow::Goto(to(taken(b)));
+                        true
                     } else {
-                        for &l in &st.mask {
-                            let take = cond_true(*kind, st.bits[cr + l]) == *expect;
-                            exec.threads[l].pc = if take { *target } else { pc + 1 };
+                        st.sync(r);
+                        let cr = r * n;
+                        let take0 = taken(st.bits[cr + l0]);
+                        if st.mask.iter().all(|&l| taken(st.bits[cr + l]) == take0) {
+                            flow = TFlow::Goto(to(take0));
+                        } else {
+                            for &l in &st.mask {
+                                exec.threads[l].pc = to(taken(st.bits[cr + l]));
+                            }
+                            flow = TFlow::Stop;
                         }
-                        TFlow::Stop
+                        false
                     }
                 }
-            };
-            d.alu_cycles = exec.cost.alu;
+            }
         }
         TOp::Ret => {
             for &l in &st.mask {
                 exec.threads[l].exited = true;
             }
             flow = TFlow::Stop;
+            false
         }
+    };
+    if once {
+        st.census.once_per_warp += 1;
+    } else {
+        st.census.per_lane += 1;
     }
     exec.cycles_raw += d.cycles();
-    if let Some(p) = exec.prof.as_mut() {
-        p.record(pc, warp_id, &d);
+    if OBSERVED {
+        if let Some(p) = exec.prof.as_mut() {
+            p.record(pc, warp_id, &d);
+        }
     }
     Ok(flow)
 }
@@ -2101,7 +2261,7 @@ mod tests {
     use crate::coalesce;
     use crate::exec::{eval_bin, eval_cmp, eval_un};
 
-    /// A kernel with uniform and divergent runs, a loop, and a barrier:
+    /// A kernel with uniform and per-lane values, a loop, and a barrier:
     /// tree-reduction-shaped control flow.
     fn shaped_kernel() -> Kernel {
         let mut b = KernelBuilder::new("shaped");
@@ -2152,27 +2312,6 @@ mod tests {
         assert_eq!(covered, k.insts.len());
     }
 
-    #[test]
-    fn uniformity_analysis_classifies_registers() {
-        let k = shaped_kernel();
-        let ck = CompiledKernel::compile(&k).expect("compiles");
-        // %r0 = param (uniform), %r1 = tid.x (divergent), %r2 = cvt(tid)
-        // (divergent), %r3 = loop counter from constants under uniform
-        // control (uniform), %r4 = loop-exit predicate (uniform),
-        // %r5 = tid + s (divergent).
-        assert!(ck.uniform_regs[0], "param must be uniform");
-        assert!(!ck.uniform_regs[1], "tid.x must be divergent");
-        assert!(!ck.uniform_regs[2], "cvt(tid) must be divergent");
-        assert!(ck.uniform_regs[3], "uniform-loop counter must be uniform");
-        assert!(ck.uniform_regs[4], "loop predicate must be uniform");
-        assert!(!ck.uniform_regs[5], "tid + s must be divergent");
-        // The loop header/body runs are uniform; the tid-indexed store
-        // runs are not.
-        let pretty = ck.describe();
-        assert!(pretty.contains("uniform"), "{pretty}");
-        assert!(pretty.contains("per-lane"), "{pretty}");
-    }
-
     /// Golden test of the pre-decoded block form for a fixed kernel.
     #[test]
     fn describe_golden() {
@@ -2190,10 +2329,9 @@ mod tests {
         let ck = CompiledKernel::compile(&k).expect("compiles");
         let expect = "\
 .compiled (regs=4, runs=3)
-  run 0: pc 0..4 per-lane [bra.cond -> 6 | 4]
-  run 1: pc 4..6 per-lane [fallthrough -> 6]
-  run 2: pc 6..7 uniform [ret]
-  uniform regs: %r0
+  run 0: pc 0..4 [bra.cond -> 6 | 4]
+  run 1: pc 4..6 [fallthrough -> 6]
+  run 2: pc 6..7 [ret]
 ";
         assert_eq!(ck.describe(), expect);
     }
@@ -2270,15 +2408,36 @@ mod tests {
             // Ranges that restart below the running maximum but above an
             // earlier start (partial overlap with seen words/segments).
             vec![(0, 4), (640, 4), (256, 4), (384, 4)],
+            // A warp whose addresses wrap past `u64::MAX` (a wild base):
+            // ascending up to the edge, then restarting at 0.
+            (0..32u64)
+                .map(|i| ((u64::MAX - 63).wrapping_add(i * 4), 4))
+                .collect(),
+            (0..32u64)
+                .map(|i| ((u64::MAX - 200).wrapping_add(i * 16), 8))
+                .collect(),
+            // Descending with every address duplicated, and an access
+            // straddling each segment size's boundary.
+            (0..32).rev().map(|i| ((i / 2) * 8, 8)).collect(),
+            vec![(30, 4), (30, 4), (62, 4), (126, 4), (254, 4), (30, 4)],
         ];
         let mut buf = Vec::new();
         let mut counts = vec![0u32; 32];
         for p in &patterns {
-            assert_eq!(
-                transactions(p, 128, &mut buf),
-                coalesce::global_transactions(p, 128),
-                "tx mismatch for {p:?}"
-            );
+            for seg in [32, 64, 128, 256] {
+                assert_eq!(
+                    transactions(p, seg, &mut buf),
+                    coalesce::global_transactions(p, seg),
+                    "tx mismatch at segment {seg} for {p:?}"
+                );
+                // The dividing twin is the fallback for an unvalidated
+                // configuration; it must agree wherever both apply.
+                assert_eq!(
+                    transactions_slow(p, seg, &mut buf),
+                    coalesce::global_transactions(p, seg),
+                    "slow-twin mismatch at segment {seg} for {p:?}"
+                );
+            }
             assert_eq!(
                 conflict_ways(p, 32, &mut buf, &mut counts),
                 coalesce::bank_conflict_degree(p, 32),
@@ -2380,77 +2539,406 @@ mod tests {
         v
     }
 
-    /// The three ways an ALU op walks its lanes: one-lane-and-broadcast,
-    /// contiguous range, scattered mask. `(contig, uniform)`.
-    const MODES: [(bool, bool); 3] = [(true, true), (true, false), (false, false)];
+    /// What a stale row holds in the shaped tests: garbage in release, so
+    /// a per-lane reader that skips `sync` computes garbage; in debug the
+    /// tier keeps its shadow (rows also materialised, checked on every
+    /// read of a shape), so the tests install rows the same way.
     const POISON: u64 = 0xdead_beef_dead_beef;
+    const SHADOWED: bool = cfg!(debug_assertions);
 
-    /// The typed ALU tables are written separately from the interpreter's
-    /// (`eval_bin`/`eval_cmp`/`eval_un`) and must equal them bit-for-bit on
-    /// every `(op, ty)` and every operand type — results, result types, and
-    /// the `Err` values (`DivisionByZero`, `TypeError` and its message).
+    /// The typed `(op, ty)` tables — the scalar evaluators both the
+    /// once-per-warp path and the lane loops call — are written separately
+    /// from the interpreter's (`eval_bin`/`eval_cmp`/`eval_un`) and must
+    /// equal them bit-for-bit on every `(op, ty)` and every operand type:
+    /// results, result types, and the `Err` values (`DivisionByZero`,
+    /// `TypeError` and its message).
     #[test]
     fn alu_tables_match_the_interpreter_exhaustively() {
         let edges = edge_values();
         for ty in TYS {
             for &a in &edges {
-                let ca = conv_for(a.ty(), ty);
+                let x = conv_for(a.ty(), ty).apply(value_bits(a));
                 for op in UN_OPS {
                     let want = eval_un(op, ty, a).map(|v| {
                         assert_eq!(v.ty(), ty, "{op} {ty} {a:?}");
                         value_bits(v)
                     });
-                    for (contig, uniform) in MODES {
-                        let mut bits = [value_bits(a), POISON];
-                        let got = un_bits(op, ty, &mut bits, 1, &[0], contig, uniform, 1, 0, ca)
-                            .map(|()| bits[1]);
-                        assert_eq!(
-                            got, want,
-                            "{op} {ty} {a:?} contig={contig} uniform={uniform}"
-                        );
-                    }
+                    assert_eq!(un_scalar(op, ty, x), want, "{op} {ty} {a:?}");
                 }
                 for &b in &edges {
-                    let cb = conv_for(b.ty(), ty);
-                    let at = |what: &dyn std::fmt::Display, contig: bool, uniform: bool| {
-                        format!("{what} {ty} {a:?} {b:?} contig={contig} uniform={uniform}")
-                    };
+                    let y = conv_for(b.ty(), ty).apply(value_bits(b));
                     for op in BIN_OPS {
                         let want = eval_bin(op, ty, a, b).map(|v| {
                             assert_eq!(v.ty(), ty, "{op} {ty} {a:?} {b:?}");
                             value_bits(v)
                         });
-                        for (contig, uniform) in MODES {
-                            let mut bits = [value_bits(a), value_bits(b), POISON];
-                            let got = bin_bits(
-                                op,
-                                ty,
-                                &mut bits,
-                                1,
-                                &[0],
-                                contig,
-                                uniform,
-                                2,
-                                0,
-                                1,
-                                ca,
-                                cb,
-                            )
-                            .map(|()| bits[2]);
-                            assert_eq!(got, want, "{}", at(&op, contig, uniform));
-                        }
+                        assert_eq!(bin_scalar(op, ty, x, y), want, "{op} {ty} {a:?} {b:?}");
                     }
                     for op in CMP_OPS {
-                        let want = eval_cmp(op, ty, a.convert(ty), b.convert(ty)) as u64;
-                        for (contig, uniform) in MODES {
-                            let mut bits = [value_bits(a), value_bits(b), POISON];
-                            cmp_bits(op, ty, &mut bits, 1, &[0], contig, uniform, 2, 0, 1, ca, cb);
-                            assert_eq!(bits[2], want, "{}", at(&op, contig, uniform));
+                        let want = eval_cmp(op, ty, a.convert(ty), b.convert(ty));
+                        assert_eq!(cmp_scalar(op, ty, x, y), want, "{op} {ty} {a:?} {b:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    // --- The shape algebra against the interpreter, lane by lane ------------
+
+    /// The shaped tests run one step on a two-warp block: warp 0 is full
+    /// width, warp 1 is a short last warp.
+    const N: usize = 37;
+    const WARP: usize = 32;
+
+    /// An operand as a shaped test presents it: the static type of its
+    /// row, the shape installed for the warp under test (`Rows`: the lanes
+    /// are written into the row; otherwise the row is stale), and what each
+    /// lane of the block holds — computed here, not by the code under test.
+    #[derive(Debug, Clone)]
+    struct Pres {
+        ty: Ty,
+        shape: Shape,
+        lanes: Vec<Value>,
+    }
+
+    fn uniform(v: Value) -> Pres {
+        Pres {
+            ty: v.ty(),
+            shape: Shape::Uniform(value_bits(v)),
+            lanes: vec![v; N],
+        }
+    }
+
+    fn rows(vals: &[Value], rot: usize) -> Pres {
+        Pres {
+            ty: vals[0].ty(),
+            shape: Shape::Rows,
+            lanes: (0..N).map(|l| vals[(l + rot) % vals.len()]).collect(),
+        }
+    }
+
+    /// Lane `i` of either warp holds `base + i * stride` reduced into
+    /// `ty` by two's-complement truncation of the true integer.
+    fn affine(ty: Ty, base: i128, stride: i64) -> Pres {
+        let lanes = (0..N)
+            .map(|l| {
+                let x = base + (l % WARP) as i128 * stride as i128;
+                match ty {
+                    Ty::I32 => Value::I32(x as i32),
+                    Ty::I64 => Value::I64(x as i64),
+                    Ty::U64 => Value::U64(x as u64),
+                    _ => unreachable!("affine rows are integer rows"),
+                }
+            })
+            .collect();
+        Pres {
+            ty,
+            shape: Shape::affine(base as u64, stride as u64, ty != Ty::I32),
+            lanes,
+        }
+    }
+
+    /// Affine presentations of every integer type: strides 0, ±1, ±128 and
+    /// `i32::MAX`, from bases that put the 32-lane sequence across the
+    /// `i32`, `i64` and `u64` edges (and across zero, descending).
+    fn affines(strides: &[i64]) -> Vec<Pres> {
+        let (i32max, i64max, u64max) = (i32::MAX as i128, i64::MAX as i128, u64::MAX as i128);
+        let bases: [(Ty, Vec<i128>); 3] = [
+            (Ty::I32, vec![0, i32max - 5, i32::MIN as i128 + 5, -3]),
+            (
+                Ty::I64,
+                vec![
+                    0,
+                    i32max - 5,
+                    u32::MAX as i128 - 5,
+                    i64max - 5,
+                    i64::MIN as i128 + 5,
+                    -3,
+                ],
+            ),
+            (Ty::U64, vec![0, 5, i32max - 5, i64max - 5, u64max - 5]),
+        ];
+        let mut out = Vec::new();
+        for (ty, bs) in &bases {
+            for &b in bs {
+                out.extend(strides.iter().map(|&s| affine(*ty, b, s)));
+            }
+        }
+        out
+    }
+
+    const STRIDES: [i64; 6] = [0, 1, -1, 128, -128, i32::MAX as i64];
+
+    /// A group as the scheduler would hand it over: the warp and its
+    /// active lanes.
+    struct Group {
+        name: &'static str,
+        w: usize,
+        mask: Vec<usize>,
+    }
+
+    fn groups() -> Vec<Group> {
+        let g = |name, w, mask: Vec<usize>| Group { name, w, mask };
+        vec![
+            g("full", 0, (0..32).collect()),
+            g("short last warp", 1, (32..37).collect()),
+            g("contiguous partial", 0, (4..20).collect()),
+            g("scattered", 0, (0..32).filter(|l| l % 3 != 1).collect()),
+            g("short partial", 1, (33..35).collect()),
+        ]
+    }
+
+    /// What `dst` holds before the step: a stale closed form (row
+    /// poisoned) that a full write replaces and a partial write must
+    /// first materialise for the lanes outside the group.
+    const DST_OLD: Shape = Shape::Affine {
+        base: 0x1111,
+        stride: 7,
+        wide: true,
+    };
+
+    /// State for one step: `operands` in rows `0..`, `dst` in the row
+    /// after them.
+    fn shaped_state(g: &Group, operands: &[&Pres]) -> TypedState {
+        let mut st = TypedState::new(operands.len() + 1, &[], N, WARP, 1);
+        (st.w, st.lo, st.len) = (g.w, g.w * WARP, WARP.min(N - g.w * WARP));
+        st.mask = g.mask.clone();
+        st.contig = g.mask[g.mask.len() - 1] - g.mask[0] + 1 == g.mask.len();
+        st.full = g.mask.len() == st.len;
+        let stale = Slot {
+            shape: DST_OLD,
+            in_row: false,
+        };
+        for (row, p) in operands.iter().enumerate() {
+            for l in 0..N {
+                st.bits[row * N + l] = match p.shape {
+                    Shape::Rows => value_bits(p.lanes[l]),
+                    _ if SHADOWED => value_bits(p.lanes[l]),
+                    _ => POISON,
+                };
+            }
+            *st.slot(row) = match p.shape {
+                Shape::Rows => Slot {
+                    shape: Shape::Rows,
+                    in_row: true,
+                },
+                shape => Slot { shape, ..stale },
+            };
+        }
+        let dst = operands.len();
+        for l in 0..N {
+            st.bits[dst * N + l] = if SHADOWED {
+                DST_OLD.lane(l % WARP)
+            } else {
+                POISON
+            };
+        }
+        *st.slot(dst) = stale;
+        st
+    }
+
+    /// Hold the step's outcome against the interpreter's lane loop:
+    /// `want(l)` is what lane `l` computes; the first `Err` in ascending
+    /// lane order is the step's error; lanes outside the group keep
+    /// `DST_OLD`. Returns the shape the step left in `dst`.
+    fn check_shaped(
+        mut st: TypedState,
+        g: &Group,
+        got: Result<bool, SimError>,
+        want: impl Fn(usize) -> Result<u64, SimError>,
+        at: impl Fn() -> String,
+    ) -> Shape {
+        let dst = st.slots.len() / st.num_warps - 1;
+        let mut expect = Vec::new();
+        for &l in &g.mask {
+            match want(l) {
+                Ok(b) => expect.push(b),
+                Err(e) => {
+                    assert_eq!(got, Err(e), "{} [{}]", at(), g.name);
+                    return Shape::Rows;
+                }
+            }
+        }
+        assert!(got.is_ok(), "{} [{}]: {got:?}", at(), g.name);
+        let left = st.slot(dst).shape;
+        st.sync(dst);
+        for l in st.lo..st.lo + st.len {
+            let want = match g.mask.iter().position(|&m| m == l) {
+                Some(k) => expect[k],
+                None => DST_OLD.lane(l - st.lo),
+            };
+            assert_eq!(
+                st.bits[dst * N + l],
+                want,
+                "{} [{}] lane {l}, dst left as {left:?}",
+                at(),
+                g.name
+            );
+        }
+        left
+    }
+
+    /// Every `(BinOp|CmpOp|UnOp|Conv, Ty)` and `Select`, with each operand
+    /// presented as `Uniform`, as `Affine` and as `Rows`, under full,
+    /// contiguous-partial and scattered masks and on a short last warp:
+    /// results and `Err` values equal the interpreter's, lane by lane, and
+    /// lanes outside the group keep their values.
+    #[test]
+    fn shaped_steps_match_the_interpreter_lane_by_lane() {
+        let edges = edge_values();
+        let groups = groups();
+        let by_ty =
+            |ty: Ty| -> Vec<Value> { edges.iter().copied().filter(|v| v.ty() == ty).collect() };
+        let all_affine = affines(&STRIDES);
+        let few_affine = affines(&[1, -128]);
+        let all_rows: Vec<Pres> = TYS
+            .iter()
+            .flat_map(|&t| [rows(&by_ty(t), 0), rows(&by_ty(t), 5)])
+            .collect();
+        // A spread of uniforms for the binary cross product (every pair of
+        // all 66 is covered, as scalars, by the test above).
+        let few_uniform: Vec<Pres> = edges.iter().step_by(3).map(|&v| uniform(v)).collect();
+        let all_uniform: Vec<Pres> = edges.iter().map(|&v| uniform(v)).collect();
+        let mut kept_affine = 0u64;
+
+        // Unary operators and every conversion, over every presentation.
+        for p in all_uniform.iter().chain(&all_affine).chain(&all_rows) {
+            for g in &groups {
+                for ty in TYS {
+                    let ca = conv_for(p.ty, ty);
+                    for op in UN_OPS {
+                        let mut st = shaped_state(g, &[p]);
+                        let got = st.un(op, ty, 1, (0, ca));
+                        check_shaped(
+                            st,
+                            g,
+                            got,
+                            |l| eval_un(op, ty, p.lanes[l]).map(value_bits),
+                            || format!("{op} {ty} {p:?}"),
+                        );
+                    }
+                    let mut st = shaped_state(g, &[p]);
+                    let got = Ok(st.cvt(1, 0, ca));
+                    let left = check_shaped(
+                        st,
+                        g,
+                        got,
+                        |l| Ok(value_bits(p.lanes[l].convert(ty))),
+                        || format!("cvt {ty} {p:?}"),
+                    );
+                    kept_affine += matches!(left, Shape::Affine { .. }) as u64;
+                }
+            }
+        }
+
+        // Binary operators and comparisons: every affine presentation
+        // against a spread of uniforms, affines and rows (both operand
+        // orders), plus the spreads against each other. Each pair runs on
+        // the full warp, on the short warp, and on one of the partial
+        // groups in rotation.
+        let others: Vec<&Pres> = few_uniform
+            .iter()
+            .chain(&few_affine)
+            .chain(&all_rows)
+            .collect();
+        let mut pairs: Vec<(&Pres, &Pres)> = Vec::new();
+        for a in &all_affine {
+            for &o in &others {
+                pairs.push((a, o));
+                pairs.push((o, a));
+            }
+        }
+        for &a in &others {
+            pairs.extend(others.iter().map(|&b| (a, b)));
+        }
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            for g in [&groups[0], &groups[1], &groups[2 + i % 3]] {
+                for ty in TYS {
+                    let (ca, cb) = (conv_for(a.ty, ty), conv_for(b.ty, ty));
+                    let at = |op: &dyn std::fmt::Display| format!("{op} {ty} {a:?} {b:?}");
+                    for op in BIN_OPS {
+                        let mut st = shaped_state(g, &[a, b]);
+                        let got = st.bin(op, ty, 2, (0, ca), (1, cb));
+                        let both_uniform =
+                            matches!((a.shape, b.shape), (Shape::Uniform(_), Shape::Uniform(_)));
+                        if let Ok(once) = got {
+                            assert!(once || !both_uniform, "{} ran per lane", at(&op));
+                        }
+                        let left = check_shaped(
+                            st,
+                            g,
+                            got,
+                            |l| eval_bin(op, ty, a.lanes[l], b.lanes[l]).map(value_bits),
+                            || at(&op),
+                        );
+                        kept_affine += matches!(left, Shape::Affine { .. }) as u64;
+                    }
+                    for op in CMP_OPS {
+                        let mut st = shaped_state(g, &[a, b]);
+                        let got = Ok(st.cmp(op, ty, 2, (0, ca), (1, cb)));
+                        check_shaped(
+                            st,
+                            g,
+                            got,
+                            |l| {
+                                let (x, y) = (a.lanes[l].convert(ty), b.lanes[l].convert(ty));
+                                Ok(eval_cmp(op, ty, x, y) as u64)
+                            },
+                            || at(&op),
+                        );
+                    }
+                }
+            }
+        }
+
+        // Select: conditions of every truth encoding (`-0.0` is false, NaN
+        // is true) uniform and per lane, arms of one type in every shape.
+        let conds: Vec<Pres> = [
+            Value::Pred(true),
+            Value::Pred(false),
+            Value::I32(0),
+            Value::I64(-1),
+            Value::F32(-0.0),
+            Value::F64(f64::NAN),
+        ]
+        .into_iter()
+        .map(uniform)
+        .chain(all_rows.iter().cloned())
+        .collect();
+        for c in &conds {
+            for ty in [Ty::I32, Ty::I64, Ty::U64, Ty::F64] {
+                let arms: Vec<&Pres> = all_uniform
+                    .iter()
+                    .chain(&few_affine)
+                    .chain(&all_rows)
+                    .filter(|p| p.ty == ty)
+                    .collect();
+                for &a in &arms {
+                    for &b in &arms {
+                        for g in &groups {
+                            let mut st = shaped_state(g, &[c, a, b]);
+                            let got = Ok(st.select(3, 0, cond_kind(c.ty), 1, 2));
+                            check_shaped(
+                                st,
+                                g,
+                                got,
+                                |l| {
+                                    let arm = if c.lanes[l].as_bool() { a } else { b };
+                                    Ok(value_bits(arm.lanes[l]))
+                                },
+                                || format!("select {c:?} {a:?} {b:?}"),
+                            );
                         }
                     }
                 }
             }
         }
+        // A silently disabled algebra would pass everything above through
+        // the lane loops.
+        assert!(
+            kept_affine > 10_000,
+            "only {kept_affine} steps stayed affine"
+        );
     }
 
     /// Every `conv_for(from, to)` entry is the bit-level image of
@@ -2471,6 +2959,18 @@ mod tests {
                     "{v:?} -> {to}"
                 );
             }
+        }
+        // Agreement is not enough where both sides could be folded the same
+        // way: `F32` -> `F32` of a signalling NaN is pinned to the quieted
+        // pattern itself, in both engines, in debug and in release.
+        for (snan, quiet) in [(0x7f80_0001u32, 0x7fc0_0001u32), (0xffb0_0000, 0xfff0_0000)] {
+            let v = Value::F32(f32::from_bits(snan));
+            assert_eq!(value_bits(v.convert(Ty::F32)), quiet as u64, "oracle");
+            assert_eq!(
+                Conv::F32Round.apply(snan as u64),
+                quiet as u64,
+                "typed tier"
+            );
         }
     }
 }

@@ -2,7 +2,7 @@
 //! session statistics behind one handle — the simulated analogue of a CUDA
 //! context.
 
-use crate::compiled::TypedKernel;
+use crate::compiled::{ShapeCensus, TypedKernel};
 use crate::cost::{CostModel, DeviceConfig, ExecTier};
 use crate::error::SimError;
 use crate::exec::{run_kernel_instrumented, LaunchConfig};
@@ -23,6 +23,7 @@ pub struct Device {
     global: GlobalMemory,
     stats: SessionStats,
     tier_declines: u64,
+    shape_census: ShapeCensus,
     sanitizer: SanitizerConfig,
     hazards: Vec<HazardReport>,
     verifier: Option<VerifyConfig>,
@@ -59,6 +60,7 @@ impl Device {
             global,
             stats: SessionStats::default(),
             tier_declines: 0,
+            shape_census: ShapeCensus::default(),
             sanitizer: SanitizerConfig::default(),
             hazards: Vec::new(),
             verifier: None,
@@ -90,6 +92,15 @@ impl Device {
     /// property of the tier choice itself.
     pub fn tier_declines(&self) -> u64 {
         self.tier_declines
+    }
+
+    /// What the typed tier decided over this device's launches: steps
+    /// evaluated once per warp from their operands' shapes against steps
+    /// that ran a lane loop (see [`ShapeCensus`]). Like
+    /// [`Device::tier_declines`] it sits beside [`SessionStats`], not in
+    /// it; launches that ran on the interpreter add nothing.
+    pub fn shape_census(&self) -> ShapeCensus {
+        self.shape_census
     }
 
     /// Set the sanitizer configuration for subsequent launches (see
@@ -351,6 +362,9 @@ impl Device {
             san.as_mut(),
             prof.as_mut(),
         );
+        if let Some(ck) = &ck {
+            self.shape_census += ck.census();
+        }
         let hazard_count = san.as_ref().map_or(0, |s| s.hazard_count());
         if let Some(s) = san.as_mut() {
             self.hazards.append(&mut s.take_reports());

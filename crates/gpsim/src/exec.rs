@@ -382,7 +382,9 @@ impl<'a, 'g> BlockExec<'a, 'g> {
 
     /// Post-access bookkeeping shared by the memory arms: annotate the
     /// just-recorded trace event with the warp's touched address range
-    /// (`scratch_addr` holds the per-lane accesses) and feed the sanitizer.
+    /// and feed the sanitizer. `scratch_addr` holds one access per active
+    /// lane — or, from the typed tier, the single access every lane of the
+    /// warp makes (same range; the sanitizer is still fed per lane).
     pub(crate) fn observe_mem(
         &mut self,
         space: TraceSpace,
@@ -409,8 +411,9 @@ impl<'a, 'g> BlockExec<'a, 'g> {
             }
         }
         if let Some(s) = self.san.as_mut() {
+            let last = self.scratch_addr.len() - 1;
             for (i, &l) in mask.iter().enumerate() {
-                let (a, sz) = self.scratch_addr[i];
+                let (a, sz) = self.scratch_addr[i.min(last)];
                 match space {
                     TraceSpace::Shared => {
                         s.shared_access(l as u32, warp_id, pc, a, sz, kind.writes())

@@ -60,7 +60,7 @@ pub use cert::{
     run_symbolic, CertConfig, CertObservable, CertReport, CertVerdict, SVal, SymMemory, TermId,
     TermPool,
 };
-pub use compiled::CompiledKernel;
+pub use compiled::{CompiledKernel, ShapeCensus};
 pub use cost::{CostModel, DeviceConfig, ExecTier};
 pub use device::Device;
 pub use disasm::parse_kernel;

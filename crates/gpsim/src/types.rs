@@ -92,6 +92,21 @@ pub(crate) fn canon_f64(x: f64) -> f64 {
     })
 }
 
+/// What a round trip through `f64` does to an `f32`: nothing, except that
+/// a signalling NaN comes back quiet (payload and sign kept). Decided on
+/// the bit pattern because the optimizer folds a literal
+/// `x as f64 as f32` to `x`, signalling NaNs included; both engines'
+/// `F32` -> `F32` conversion is this function.
+#[inline(always)]
+pub(crate) fn quiet_f32(x: f32) -> f32 {
+    let b = x.to_bits();
+    f32::from_bits(if b & 0x7fff_ffff > 0x7f80_0000 {
+        b | 0x0040_0000
+    } else {
+        b
+    })
+}
+
 /// A dynamically typed scalar value held in a virtual register.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
@@ -187,7 +202,12 @@ impl Value {
                 Value::F64(v) => v as i64,
                 other => other.as_i64(),
             }),
-            Ty::F32 => Value::F32(self.as_f64() as f32),
+            Ty::F32 => Value::F32(match self {
+                // `as_f64() as f32` of an `F32`, with its one effect
+                // spelled out instead of left to the optimizer's mercy.
+                Value::F32(v) => quiet_f32(v),
+                other => other.as_f64() as f32,
+            }),
             Ty::F64 => Value::F64(self.as_f64()),
             Ty::U64 => Value::U64(self.as_u64()),
             Ty::Pred => Value::Pred(self.as_bool()),

@@ -2,7 +2,12 @@
 //! to the reference interpreter in every observable output — memory
 //! contents, [`LaunchStats`], modelled cycles, profile attribution, hazard
 //! reports, traces, and error values — across randomly generated kernels
-//! and the full harness matrix (host_threads × sanitize × profile).
+//! and the full harness matrix (host_threads × sanitize × profile × trace).
+//! The curated families at the end aim at the typed tier's warp shapes:
+//! each builds a situation where a plausible-but-wrong transfer rule
+//! (`tid.x` affine in a warp that straddles block rows, a closed form
+//! indexed by mask position, sign extension of a wrapping sequence, a
+//! shape surviving a partial write) changes an observable.
 //!
 //! Kernels come from a deterministic xorshift generator: structured random
 //! programs with uniform and divergent arithmetic, global/shared
@@ -327,15 +332,41 @@ struct Outcome {
     trace: String,
 }
 
-/// Run `kernel` once; returns the observables and the device's count of
-/// launches the typed tier declined.
-fn run_once(
-    kernel: &Kernel,
-    tier: ExecTier,
+/// The harness's launch shape: 4 blocks of 96 threads (3 warps per
+/// block). Every shape used here has 96 threads per block — the `out`
+/// buffer is sized for it.
+const D1: LaunchConfig = LaunchConfig {
+    grid: (4, 1),
+    block: (96, 1),
+};
+
+/// One cell of the harness matrix.
+#[derive(Debug, Clone, Copy)]
+struct Mode {
     host_threads: u32,
     sanitize: bool,
     profile: bool,
-) -> (Outcome, u64) {
+    /// Capture a trace. Without tracer and profiler the typed tier runs
+    /// its unobserved step instantiation, so both settings are compared.
+    trace: bool,
+}
+
+const PLAIN: Mode = Mode {
+    host_threads: 1,
+    sanitize: false,
+    profile: false,
+    trace: true,
+};
+
+/// Run `kernel` once; returns the observables and the device's count of
+/// launches the typed tier declined.
+fn run_once(kernel: &Kernel, cfg: LaunchConfig, tier: ExecTier, mode: Mode) -> (Outcome, u64) {
+    let Mode {
+        host_threads,
+        sanitize,
+        profile,
+        trace,
+    } = mode;
     let mut dev = Device::test_small();
     dev.set_exec_tier(tier);
     dev.set_host_threads(host_threads);
@@ -354,15 +385,17 @@ fn run_once(
         .map(|i| Value::I32((i as i32).wrapping_mul(2654435761u32 as i32)))
         .collect();
     dev.upload_values(data, &init).unwrap();
-    let cfg = LaunchConfig::d1(4, 96); // 3 warps per block, last one partial
-    let result = dev.launch_traced(
-        kernel,
-        cfg,
-        &[Value::U64(data.addr), Value::U64(out.addr)],
-        1 << 14,
-    );
-    let (res_str, trace_str) = match &result {
-        Ok((stats, trace)) => (format!("{stats:?}"), format!("{trace:?}")),
+    assert_eq!(cfg.threads_per_block() * cfg.num_blocks(), 4 * 96);
+    let params = [Value::U64(data.addr), Value::U64(out.addr)];
+    let result = if trace {
+        dev.launch_traced(kernel, cfg, &params, 1 << 14)
+            .map(|(stats, trace)| (stats, format!("{trace:?}")))
+    } else {
+        dev.launch(kernel, cfg, &params)
+            .map(|stats| (stats, String::new()))
+    };
+    let (res_str, trace_str) = match result {
+        Ok((stats, trace)) => (format!("{stats:?}"), trace),
         Err(e) => (format!("err: {e:?}"), String::new()),
     };
     let mut data_bytes = vec![0u8; (DATA_ELEMS * 4) as usize];
@@ -384,20 +417,31 @@ fn run_once(
 /// and that `auto` really ran the typed tier (`declines` = 0) — or, for
 /// the rows that pin a decline, really took the decline path (1).
 fn assert_tiers_agree(kernel: &Kernel, seed: u64, declines: u64) {
-    for &host_threads in &[1u32, 4] {
-        for &sanitize in &[false, true] {
-            for &profile in &[false, true] {
-                let (a, _) = run_once(kernel, ExecTier::Interpret, host_threads, sanitize, profile);
-                let (b, declined) =
-                    run_once(kernel, ExecTier::Auto, host_threads, sanitize, profile);
-                assert_eq!(
-                    a,
-                    b,
-                    "tier divergence: seed={seed} host_threads={host_threads} \
-                     sanitize={sanitize} profile={profile}\n{}",
-                    kernel.disasm()
-                );
-                assert_eq!(declined, declines, "typed-tier declines: seed={seed}");
+    assert_tiers_agree_on(kernel, D1, seed, declines);
+}
+
+/// [`assert_tiers_agree`] at a given launch shape.
+fn assert_tiers_agree_on(kernel: &Kernel, cfg: LaunchConfig, seed: u64, declines: u64) {
+    for host_threads in [1u32, 4] {
+        for sanitize in [false, true] {
+            for profile in [false, true] {
+                for trace in [true, false] {
+                    let mode = Mode {
+                        host_threads,
+                        sanitize,
+                        profile,
+                        trace,
+                    };
+                    let (a, _) = run_once(kernel, cfg, ExecTier::Interpret, mode);
+                    let (b, declined) = run_once(kernel, cfg, ExecTier::Auto, mode);
+                    assert_eq!(
+                        a,
+                        b,
+                        "tier divergence: seed={seed} {cfg:?} {mode:?}\n{}",
+                        kernel.disasm()
+                    );
+                    assert_eq!(declined, declines, "typed-tier declines: seed={seed}");
+                }
             }
         }
     }
@@ -597,7 +641,7 @@ fn error_paths_bit_identical_across_tiers() {
         }
         let k = b.finish();
         assert_tiers_agree(&k, access, 0);
-        let (o, _) = run_once(&k, ExecTier::Auto, 1, false, false);
+        let (o, _) = run_once(&k, D1, ExecTier::Auto, PLAIN);
         assert!(
             o.result.contains("OutOfBounds") && o.result.contains("18446744073709551612, len: 4"),
             "lane 0's access must be the reported one: {}",
@@ -687,4 +731,309 @@ fn compiled_tier_falls_back_on_unmodelled_shapes() {
     let mut dev = Device::test_small();
     dev.launch(&k2, LaunchConfig::d1(1, 32), &[]).unwrap();
     assert_eq!(dev.tier_declines(), 1);
+}
+
+// --- Warp-shape families -------------------------------------------------------
+
+/// `ctaid.x * ntid + %linear`: the global thread index at any block shape.
+fn linear_index(b: &mut KernelBuilder) -> gpsim::Reg {
+    let ctaid = b.special(SpecialReg::CtaIdX);
+    let lane = b.special(SpecialReg::LaneLinear);
+    let t = b.bin(BinOp::Mul, Ty::I32, ctaid, Value::I32(96));
+    b.bin(BinOp::Add, Ty::I32, t, lane)
+}
+
+/// The shape families are about values, not faults: their launches must
+/// succeed (two tiers agreeing on an error would prove nothing here).
+fn assert_shape_family_agrees(kernel: &Kernel, cfg: LaunchConfig, seed: u64) {
+    let (o, _) = run_once(kernel, cfg, ExecTier::Auto, PLAIN);
+    assert!(
+        !o.result.starts_with("err"),
+        "{}: {}",
+        kernel.name,
+        o.result
+    );
+    assert_tiers_agree_on(kernel, cfg, seed, 0);
+}
+
+/// `out[lin] = v` (an `I32` register).
+fn store_out(b: &mut KernelBuilder, out: gpsim::Reg, lin: gpsim::Reg, v: gpsim::Reg) {
+    let i = b.cvt(Ty::I64, lin);
+    b.st_global(Ty::I32, MemRef::indexed(out, i, 4), v);
+}
+
+/// A 2-D block whose `blockDim.x` is not a multiple of the warp size: a
+/// warp straddles block rows, so `tid.x` is not affine and `tid.y` is not
+/// uniform across it — while in the 32-wide shapes they are. The kernel
+/// feeds both through arithmetic, a comparison, a branch, address
+/// computation and a store source.
+#[test]
+fn blocks_whose_rows_straddle_warps_agree_across_tiers() {
+    let mut b = KernelBuilder::new("straddle");
+    let data = b.param(0);
+    let out = b.param(1);
+    let lin = linear_index(&mut b);
+    let tx = b.special(SpecialReg::TidX);
+    let ty = b.special(SpecialReg::TidY);
+    let nx = b.special(SpecialReg::NTidX);
+    // Rebuild the in-block linear id from (tid.x, tid.y): equals %linear
+    // only if both were read right.
+    let rebuilt = b.bin(BinOp::Mul, Ty::I32, ty, nx);
+    let rebuilt = b.bin(BinOp::Add, Ty::I32, rebuilt, tx);
+    let acc = b.bin(BinOp::Mul, Ty::I32, rebuilt, Value::I32(1000));
+    // `tid.y == 1` is uniform in a row-aligned warp, divergent otherwise.
+    let on_row = b.cmp(CmpOp::Eq, Ty::I32, ty, Value::I32(1));
+    let skip = b.new_label();
+    b.bra_unless(on_row, skip);
+    let x64 = b.cvt(Ty::I64, tx);
+    let v = b.ld_global(Ty::I32, MemRef::indexed(data, x64, 4));
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, v);
+    b.place(skip);
+    // `tid.x < 12` splits every row; select on it with shaped arms.
+    let low = b.cmp(CmpOp::Lt, Ty::I32, tx, Value::I32(12));
+    let pick = b.select(low, tx, ty);
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, pick);
+    store_out(&mut b, out, lin, acc);
+    // `tid.x` itself as a store source, into the data buffer.
+    let di = b.bin(BinOp::And, Ty::I32, lin, Value::I32(DATA_ELEMS as i32 - 1));
+    let di = b.cvt(Ty::I64, di);
+    b.st_global(Ty::I32, MemRef::indexed(data, di, 4), tx);
+    let k = b.finish();
+    for (workers, vector) in [(4, 24), (3, 32), (2, 48), (1, 96), (96, 1), (32, 3)] {
+        assert_shape_family_agrees(&k, LaunchConfig::gwv(4, workers, vector), vector as u64);
+    }
+}
+
+/// Lanes that `ret` early: the warp never has a full mask again, and the
+/// survivors — a contiguous prefix in one variant, a scattered set in the
+/// other — go on computing uniform and affine values, diverge (a partial
+/// mask *inside* the live set writes registers that held closed forms),
+/// loop, and meet at a barrier.
+#[test]
+fn early_exits_leave_survivors_agreeing_across_tiers() {
+    for scattered in [false, true] {
+        let mut b = KernelBuilder::new(format!("early_ret_{scattered}"));
+        let data = b.param(0);
+        let out = b.param(1);
+        let lin = linear_index(&mut b);
+        let tid = b.special(SpecialReg::TidX);
+        b.alloc_shared(96 * 4, 4);
+        let gone = if scattered {
+            let m = b.bin(BinOp::And, Ty::I32, tid, Value::I32(3));
+            b.cmp(CmpOp::Eq, Ty::I32, m, Value::I32(1))
+        } else {
+            b.cmp(CmpOp::Ge, Ty::I32, tid, Value::I32(70))
+        };
+        let stay = b.new_label();
+        b.bra_unless(gone, stay);
+        b.ret();
+        b.place(stay);
+        // All live lanes: a uniform, an affine, and a per-lane value.
+        let u = b.mov_imm(Value::I32(5));
+        let a = b.bin(BinOp::Mul, Ty::I32, tid, Value::I32(3));
+        let t64 = b.cvt(Ty::I64, tid);
+        let v = b.ld_global(Ty::I32, MemRef::indexed(data, t64, 4));
+        // Half of the survivors overwrite all three.
+        let half = b.bin(BinOp::And, Ty::I32, tid, Value::I32(4));
+        let half = b.cmp(CmpOp::Ne, Ty::I32, half, Value::I32(0));
+        let join = b.new_label();
+        b.bra_unless(half, join);
+        b.mov_imm_to(u, Value::I32(9));
+        b.bin_to(a, BinOp::Add, Ty::I32, tid, Value::I32(100));
+        b.bin_to(v, BinOp::Sub, Ty::I32, a, u);
+        b.place(join);
+        // A uniform-trip loop over the survivors.
+        let i = b.mov_imm(Value::I32(0));
+        let top = b.new_label();
+        let done = b.new_label();
+        b.place(top);
+        let stop = b.cmp(CmpOp::Ge, Ty::I32, i, Value::I32(3));
+        b.bra_if(stop, done);
+        b.bin_to(a, BinOp::Add, Ty::I32, a, u);
+        b.bin_to(v, BinOp::Xor, Ty::I32, v, a);
+        b.bin_to(i, BinOp::Add, Ty::I32, i, Value::I32(1));
+        b.bra(top);
+        b.place(done);
+        b.st_shared(Ty::I32, MemRef::indexed(Value::U64(0), t64, 4), v);
+        b.bar();
+        let back = b.ld_shared(Ty::I32, MemRef::indexed(Value::U64(0), t64, 4));
+        let r = b.bin(BinOp::Add, Ty::I32, back, a);
+        let r = b.bin(BinOp::Add, Ty::I32, r, u);
+        store_out(&mut b, out, lin, r);
+        let k = b.finish();
+        assert_shape_family_agrees(&k, D1, scattered as u64);
+    }
+}
+
+/// A value-returning atomic into a register that held a uniform: the
+/// register becomes per-lane (each lane sees a different "old"), under a
+/// full and under a partial mask.
+#[test]
+fn returning_atomics_into_uniform_registers_agree_across_tiers() {
+    let mut b = KernelBuilder::new("atom_into_uniform");
+    let data = b.param(0);
+    let out = b.param(1);
+    let lin = linear_index(&mut b);
+    let tid = b.special(SpecialReg::TidX);
+    let r = b.mov_imm(Value::I32(7));
+    let q = b.mov_imm(Value::I32(11));
+    let atom = |b: &mut KernelBuilder, dst, slot: i64| {
+        let slot = b.mov_imm(Value::I64(slot));
+        b.emit(gpsim::Inst::AtomGlobal {
+            op: AtomOp::Add,
+            ty: Ty::I32,
+            mref: MemRef::indexed(data, slot, 4),
+            src: Value::I32(1).into(),
+            dst: Some(dst),
+        })
+    };
+    atom(&mut b, r, 3);
+    // Only some lanes replace `q`; the others must keep the uniform 11.
+    let some = b.bin(BinOp::And, Ty::I32, tid, Value::I32(2));
+    let some = b.cmp(CmpOp::Ne, Ty::I32, some, Value::I32(0));
+    let join = b.new_label();
+    b.bra_unless(some, join);
+    atom(&mut b, q, 5);
+    b.place(join);
+    let s = b.bin(BinOp::Mul, Ty::I32, r, Value::I32(1000));
+    let s = b.bin(BinOp::Add, Ty::I32, s, q);
+    store_out(&mut b, out, lin, s);
+    let k = b.finish();
+    assert_shape_family_agrees(&k, D1, 0);
+}
+
+/// Affine registers used directly as store *sources* (global and shared),
+/// never having been read per lane before — to per-lane addresses and to
+/// one address shared by the whole warp.
+#[test]
+fn affine_store_sources_agree_across_tiers() {
+    let mut b = KernelBuilder::new("affine_source");
+    let data = b.param(0);
+    let out = b.param(1);
+    let lin = linear_index(&mut b);
+    let tid = b.special(SpecialReg::TidX);
+    b.alloc_shared(96 * 8, 8);
+    let a = b.bin(BinOp::Mul, Ty::I32, tid, Value::I32(-7));
+    let a = b.bin(BinOp::Add, Ty::I32, a, Value::I32(40));
+    let wide = b.cvt(Ty::I64, a);
+    let t64 = b.cvt(Ty::I64, tid);
+    // Reversed slot: lane `t` stores to slot `95 - t`.
+    let rev = b.bin(BinOp::Sub, Ty::I64, Value::I64(95), t64);
+    b.st_shared(Ty::I64, MemRef::indexed(Value::U64(0), rev, 8), wide);
+    b.bar();
+    let got = b.ld_shared(Ty::I64, MemRef::indexed(Value::U64(0), t64, 8));
+    let got = b.cvt(Ty::I32, got);
+    // The store converts its source: an `I64` affine stored as `I32`.
+    let i = b.cvt(Ty::I64, lin);
+    b.st_global(Ty::I32, MemRef::indexed(out, i, 4), wide);
+    let back = b.ld_global(Ty::I32, MemRef::indexed(out, i, 4));
+    let r = b.bin(BinOp::Xor, Ty::I32, back, got);
+    b.st_global(Ty::I32, MemRef::indexed(out, i, 4), r);
+    // Every lane stores its own value to one address: the warp's last
+    // lane wins, so one store of "the" value would be wrong.
+    let slot = b.mov_imm(Value::I64(9));
+    b.st_global(Ty::I32, MemRef::indexed(data, slot, 4), a);
+    let k = b.finish();
+    assert_shape_family_agrees(&k, D1, 0);
+}
+
+/// An affine loop counter that overflows `i32` part-way through a warp:
+/// sign extension, ordered and equality comparisons of the wrapping
+/// sequence must all fall back to the lanes.
+#[test]
+fn affine_counters_that_wrap_i32_agree_across_tiers() {
+    let mut b = KernelBuilder::new("i32_wrap");
+    let _data = b.param(0);
+    let out = b.param(1);
+    let lin = linear_index(&mut b);
+    let tid = b.special(SpecialReg::TidX);
+    // Lanes 0..96 start at MAX-60..MAX+35: warp 1 straddles the edge at
+    // once, warp 0 crosses it on the second trip, warp 2 starts past it.
+    let i = b.bin(BinOp::Add, Ty::I32, tid, Value::I32(i32::MAX - 60));
+    let acc = b.mov_imm(Value::I64(0));
+    let n = b.mov_imm(Value::I32(0));
+    let top = b.new_label();
+    let done = b.new_label();
+    b.place(top);
+    let stop = b.cmp(CmpOp::Ge, Ty::I32, n, Value::I32(3));
+    b.bra_if(stop, done);
+    let wide = b.cvt(Ty::I64, i);
+    b.bin_to(acc, BinOp::Add, Ty::I64, acc, wide);
+    let neg = b.cmp(CmpOp::Lt, Ty::I32, i, Value::I32(0));
+    let neg = b.cvt(Ty::I64, neg);
+    b.bin_to(acc, BinOp::Add, Ty::I64, acc, neg);
+    let edge = b.cmp(CmpOp::Ne, Ty::I32, i, Value::I32(i32::MIN));
+    let edge = b.select(edge, Value::I64(0), Value::I64(1 << 20));
+    b.bin_to(acc, BinOp::Xor, Ty::I64, acc, edge);
+    // Equalities whose difference crosses zero inside a warp *without*
+    // wrapping: false at both end lanes, true in between.
+    let hit = b.cmp(CmpOp::Eq, Ty::I32, tid, Value::I32(40));
+    let hit = b.cvt(Ty::I64, hit);
+    b.bin_to(acc, BinOp::Add, Ty::I64, acc, hit);
+    let miss = b.cmp(CmpOp::Ne, Ty::I64, wide, Value::I64(i32::MAX as i64 - 50));
+    let miss = b.select(miss, Value::I64(0), Value::I64(1 << 24));
+    b.bin_to(acc, BinOp::Xor, Ty::I64, acc, miss);
+    // An unsigned view of the same wrap.
+    let u = b.cvt(Ty::U64, i);
+    let big = b.cmp(CmpOp::Gt, Ty::U64, u, Value::U64(1 << 40));
+    let big = b.cvt(Ty::I64, big);
+    b.bin_to(acc, BinOp::Add, Ty::I64, acc, big);
+    b.bin_to(i, BinOp::Add, Ty::I32, i, Value::I32(29));
+    b.bin_to(n, BinOp::Add, Ty::I32, n, Value::I32(1));
+    b.bra(top);
+    b.place(done);
+    let lo = b.cvt(Ty::I32, acc);
+    let hi = b.bin(BinOp::Shr, Ty::I64, acc, Value::I64(32));
+    let hi = b.cvt(Ty::I32, hi);
+    let r = b.bin(BinOp::Xor, Ty::I32, lo, hi);
+    store_out(&mut b, out, lin, r);
+    let k = b.finish();
+    assert_shape_family_agrees(&k, D1, 0);
+}
+
+/// Shapes established before a barrier and consumed after it. The odd
+/// lanes detour through a block placed *after* the barrier's code, so the
+/// even lanes reach the barrier first and rest there while the odd lanes —
+/// then the warp's only runnable lanes, but not its only live ones —
+/// overwrite a register the waiting lanes still hold as a uniform.
+#[test]
+fn shapes_carried_across_barriers_agree_across_tiers() {
+    let mut b = KernelBuilder::new("across_bar");
+    let _data = b.param(0);
+    let out = b.param(1);
+    let lin = linear_index(&mut b);
+    let tid = b.special(SpecialReg::TidX);
+    let ctaid = b.special(SpecialReg::CtaIdX);
+    b.alloc_shared(96 * 4, 4);
+    let u = b.bin(BinOp::Mul, Ty::I32, ctaid, Value::I32(3));
+    let a = b.bin(BinOp::Mul, Ty::I32, tid, Value::I32(2));
+    let a = b.bin(BinOp::Add, Ty::I32, a, Value::I32(1));
+    let p = b.mov_imm(Value::I32(-1));
+    let odd = b.bin(BinOp::And, Ty::I32, tid, Value::I32(1));
+    let odd = b.cmp(CmpOp::Ne, Ty::I32, odd, Value::I32(0));
+    let detour = b.new_label();
+    let meet = b.new_label();
+    b.bra_if(odd, detour);
+    b.place(meet);
+    let t64 = b.cvt(Ty::I64, tid);
+    b.st_shared(Ty::I32, MemRef::indexed(Value::U64(0), t64, 4), a);
+    b.bar();
+    // Neighbour's value (rotated by one), plus everything carried over.
+    let nb = b.bin(BinOp::Add, Ty::I32, tid, Value::I32(1));
+    let nb = b.bin(BinOp::Rem, Ty::I32, nb, Value::I32(96));
+    let nb = b.cvt(Ty::I64, nb);
+    let got = b.ld_shared(Ty::I32, MemRef::indexed(Value::U64(0), nb, 4));
+    let r = b.bin(BinOp::Add, Ty::I32, got, a);
+    let r = b.bin(BinOp::Add, Ty::I32, r, u);
+    let r = b.bin(BinOp::Xor, Ty::I32, r, p);
+    b.bar();
+    b.bin_to(a, BinOp::Sub, Ty::I32, a, u);
+    let r = b.bin(BinOp::Add, Ty::I32, r, a);
+    store_out(&mut b, out, lin, r);
+    b.ret();
+    b.place(detour);
+    b.bin_to(p, BinOp::Add, Ty::I32, a, u);
+    b.bra(meet);
+    let k = b.finish();
+    assert_shape_family_agrees(&k, D1, 0);
 }

@@ -179,7 +179,7 @@ pub fn values_match(got: Value, want: Value, t: CType) -> bool {
 }
 
 /// A launch that asked for `auto` but ran on the interpreter means codegen
-/// emitted a kernel the typed tier declines — correct, but 7–14× slower to
+/// emitted a kernel the typed tier declines — correct, but 3–24× slower to
 /// simulate. Every case run here treats that as a failure, so the sweeps
 /// over the Table 2 and strategy grids guard codegen against it.
 fn no_declines(r: &AccRunner) -> Result<(), String> {
@@ -364,6 +364,10 @@ pub struct TimedCase {
     /// Simulated lane-instructions executed, for instruction-throughput
     /// rates.
     pub lane_insts: u64,
+    /// What the typed tier decided while running it (all zero under the
+    /// interpreter): `census.per_lane_share()` is the first thing to look
+    /// up when a kernel is slow on the simulator.
+    pub census: gpsim::ShapeCensus,
 }
 
 /// Wall-clock one case under one compiler personality: build a fresh
@@ -400,6 +404,7 @@ pub fn time_case(
     Ok(TimedCase {
         secs,
         lane_insts: r.device().stats().totals.lane_insts,
+        census: r.device().shape_census(),
     })
 }
 
