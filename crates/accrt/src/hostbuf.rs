@@ -31,40 +31,51 @@ impl HostBuffer {
         }
     }
 
+    /// A buffer of `vals`, each element laid down by `enc` — the bytes
+    /// [`HostBuffer::set`] would write, without a [`Value`] per element.
+    fn from_le<T: Copy, const N: usize>(ty: CType, vals: &[T], enc: impl Fn(T) -> [u8; N]) -> Self {
+        debug_assert_eq!(N, ty.size());
+        let mut data = Vec::with_capacity(vals.len() * N);
+        for &v in vals {
+            data.extend_from_slice(&enc(v));
+        }
+        HostBuffer {
+            ty,
+            len: vals.len(),
+            data,
+        }
+    }
+
+    /// Every element decoded by `dec` from its little-endian bytes.
+    fn decode<T, const N: usize>(&self, dec: impl Fn([u8; N]) -> T) -> Vec<T> {
+        debug_assert_eq!(N, self.ty.size());
+        self.data
+            .chunks_exact(N)
+            .map(|c| dec(c.try_into().expect("chunks_exact yields N bytes")))
+            .collect()
+    }
+
     /// Build from `i32` data.
     pub fn from_i32(vals: &[i32]) -> Self {
-        let mut b = HostBuffer::new(CType::Int, vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            b.set(i, Value::I32(*v));
-        }
-        b
+        Self::from_le(CType::Int, vals, i32::to_le_bytes)
     }
 
     /// Build from `i64` data.
     pub fn from_i64(vals: &[i64]) -> Self {
-        let mut b = HostBuffer::new(CType::Long, vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            b.set(i, Value::I64(*v));
-        }
-        b
+        Self::from_le(CType::Long, vals, i64::to_le_bytes)
     }
 
-    /// Build from `f32` data.
+    /// Build from `f32` data. A signalling NaN is stored quiet, as
+    /// [`Value::convert`] to `F32` (which `set` applies) stores it.
     pub fn from_f32(vals: &[f32]) -> Self {
-        let mut b = HostBuffer::new(CType::Float, vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            b.set(i, Value::F32(*v));
-        }
-        b
+        Self::from_le(CType::Float, vals, |v| {
+            gpsim::types::quiet_f32(v).to_le_bytes()
+        })
     }
 
     /// Build from `f64` data.
     pub fn from_f64(vals: &[f64]) -> Self {
-        let mut b = HostBuffer::new(CType::Double, vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            b.set(i, Value::F64(*v));
-        }
-        b
+        Self::from_le(CType::Double, vals, f64::to_le_bytes)
     }
 
     /// Element type.
@@ -108,12 +119,23 @@ impl HostBuffer {
 
     /// All elements widened to `f64` (verification helper).
     pub fn to_f64_vec(&self) -> Vec<f64> {
-        (0..self.len).map(|i| self.get(i).as_f64()).collect()
+        match self.ty {
+            CType::Int => self.decode(|b| i32::from_le_bytes(b) as f64),
+            CType::Long => self.decode(|b| i64::from_le_bytes(b) as f64),
+            CType::Float => self.decode(|b| f32::from_le_bytes(b) as f64),
+            CType::Double => self.decode(f64::from_le_bytes),
+        }
     }
 
-    /// All elements as `i64` (verification helper).
+    /// All elements as `i64`, floats saturating like [`Value::as_i64`]
+    /// (verification helper).
     pub fn to_i64_vec(&self) -> Vec<i64> {
-        (0..self.len).map(|i| self.get(i).as_i64()).collect()
+        match self.ty {
+            CType::Int => self.decode(|b| i32::from_le_bytes(b) as i64),
+            CType::Long => self.decode(i64::from_le_bytes),
+            CType::Float => self.decode(|b| f32::from_le_bytes(b) as i64),
+            CType::Double => self.decode(|b| f64::from_le_bytes(b) as i64),
+        }
     }
 }
 
@@ -132,6 +154,71 @@ mod tests {
         assert_eq!(b.get(0), Value::F32(0.25));
         let b = HostBuffer::from_i64(&[1 << 40]);
         assert_eq!(b.get(0), Value::I64(1 << 40));
+    }
+
+    /// The bulk constructors and readers are the per-element `set`/`get`
+    /// path, byte for byte, on the values where a shortcut could differ:
+    /// signed zeros, NaNs (a signalling `f32` one is stored quiet),
+    /// extremes, and integers beyond `f32`/`f64`/`i32` precision.
+    #[test]
+    fn bulk_paths_match_per_element_paths_on_edge_values() {
+        fn check<T: Copy>(
+            ty: CType,
+            vals: &[T],
+            bulk: fn(&[T]) -> HostBuffer,
+            value: fn(T) -> Value,
+        ) {
+            let mut slow = HostBuffer::new(ty, vals.len());
+            for (i, &v) in vals.iter().enumerate() {
+                slow.set(i, value(v));
+            }
+            let fast = bulk(vals);
+            assert_eq!(fast, slow, "{ty:?}");
+            let f64s: Vec<u64> = (0..slow.len())
+                .map(|i| slow.get(i).as_f64().to_bits())
+                .collect();
+            let got: Vec<u64> = fast.to_f64_vec().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, f64s, "{ty:?} to_f64_vec");
+            let i64s: Vec<i64> = (0..slow.len()).map(|i| slow.get(i).as_i64()).collect();
+            assert_eq!(fast.to_i64_vec(), i64s, "{ty:?} to_i64_vec");
+        }
+        let i32s = [0, 1, -1, i32::MIN, i32::MAX, 1 << 24 | 1];
+        check(CType::Int, &i32s, HostBuffer::from_i32, Value::I32);
+        let i64s = [0, -1, 1 << 40, i64::MIN, i64::MAX, (1 << 53) + 1];
+        check(CType::Long, &i64s, HostBuffer::from_i64, Value::I64);
+        let snan = f32::from_bits(0x7f80_0001);
+        let f32s = [
+            0.0,
+            -0.0,
+            1.5,
+            f32::NAN,
+            -f32::NAN,
+            snan,
+            f32::from_bits(0xffb0_0000),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 2.0,
+            3e9,
+            -1e19,
+        ];
+        check(CType::Float, &f32s, HostBuffer::from_f32, Value::F32);
+        assert_eq!(
+            HostBuffer::from_f32(&[snan]).bytes(),
+            0x7fc0_0001u32.to_le_bytes(),
+            "a signalling NaN is stored quiet"
+        );
+        let f64s = [
+            0.0,
+            -0.0,
+            -2.5,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            1e300,
+            -1e19,
+        ];
+        check(CType::Double, &f64s, HostBuffer::from_f64, Value::F64);
     }
 
     #[test]

@@ -223,15 +223,22 @@ fn profile(red_n: usize) {
 /// roughly machine-independent) regresses by more than 20%. Each row also
 /// carries the typed tier's shape census, so "why is this kernel slow on
 /// the simulator" is a lookup: a high per-lane share is the answer.
+///
+/// Every workload is raced on the sequential executor (`host_threads` 1:
+/// the gated ratio and the census) and again on 4 host threads, the
+/// parallel executor's committed number — what that buys depends on the
+/// host's cores, which the file records. The `_n96` row is all block
+/// set-up: its launches' blocks of 1,024 threads each do almost nothing.
 fn sim_throughput(red_n: usize) {
     use acc_apps::{HeatConfig, MatmulConfig, PiConfig, SimWork};
     use gpsim::{Device, ExecTier};
-    type Run = Box<dyn Fn(ExecTier) -> TimedCase>;
-    let case = |pos: Position, op: RedOp, t: CType| -> Run {
-        Box::new(move |tier| {
+    type Run = Box<dyn Fn(ExecTier, u32) -> TimedCase>;
+    let case = |pos: Position, op: RedOp, t: CType, red_n: usize| -> Run {
+        Box::new(move |tier, host_threads| {
             let cfg = SuiteConfig {
                 red_n,
                 exec_tier: tier,
+                host_threads,
                 ..Default::default()
             };
             time_case(Compiler::OpenUH, pos, op, t, &cfg).expect("throughput workloads run cleanly")
@@ -240,9 +247,10 @@ fn sim_throughput(red_n: usize) {
     // The applications time the whole `run_*` call: their set-up (source
     // analysis, input generation) is small beside the launches.
     fn app(run: impl Fn(Device) -> SimWork + 'static) -> Run {
-        Box::new(move |tier| {
+        Box::new(move |tier, host_threads| {
             let mut device = Device::default();
             device.set_exec_tier(tier);
+            device.set_host_threads(host_threads);
             let start = std::time::Instant::now();
             let SimWork { lane_insts, census } = run(device);
             TimedCase {
@@ -258,18 +266,22 @@ fn sim_throughput(red_n: usize) {
         max_iters: 10,
         ..Default::default()
     };
-    let workloads: [(&str, Run); 6] = [
+    let workloads: [(&str, Run); 7] = [
         (
             "gang_worker_vector_int_add",
-            case(Position::GangWorkerVector, RedOp::Add, CType::Int),
+            case(Position::GangWorkerVector, RedOp::Add, CType::Int, red_n),
+        ),
+        (
+            "gang_worker_vector_int_add_n96",
+            case(Position::GangWorkerVector, RedOp::Add, CType::Int, 96),
         ),
         (
             "vector_int_add",
-            case(Position::Vector, RedOp::Add, CType::Int),
+            case(Position::Vector, RedOp::Add, CType::Int, red_n),
         ),
         (
             "worker_double_add",
-            case(Position::Worker, RedOp::Add, CType::Double),
+            case(Position::Worker, RedOp::Add, CType::Double, red_n),
         ),
         (
             "heat2d",
@@ -301,17 +313,21 @@ fn sim_throughput(red_n: usize) {
     println!("Simulator instruction throughput: reference interpreter vs typed tier");
     let mut rows = String::new();
     for (name, run) in &workloads {
-        // Best-of-REPS per tier; a fresh session every rep so caches and
-        // allocations don't carry over.
-        let measure = |tier: ExecTier| -> TimedCase {
+        // Best-of-REPS per configuration; a fresh session every rep so
+        // caches and allocations don't carry over.
+        let measure = |tier: ExecTier, host_threads: u32| -> TimedCase {
             (0..REPS)
-                .map(|_| run(tier))
+                .map(|_| run(tier, host_threads))
                 .min_by(|a, b| a.secs.total_cmp(&b.secs))
                 .expect("REPS > 0")
         };
-        let interp = measure(ExecTier::Interpret);
-        let typed = measure(ExecTier::Auto);
+        let interp = measure(ExecTier::Interpret, 1);
+        let typed = measure(ExecTier::Auto, 1);
         let (int_secs, cmp_secs, insts) = (interp.secs, typed.secs, typed.lane_insts);
+        let (int4_secs, cmp4_secs) = (
+            measure(ExecTier::Interpret, 4).secs,
+            measure(ExecTier::Auto, 4).secs,
+        );
         assert_eq!(
             interp.lane_insts, insts,
             "{name}: tiers disagree on simulated instruction count"
@@ -319,13 +335,22 @@ fn sim_throughput(red_n: usize) {
         let speedup = int_secs / cmp_secs;
         let c = typed.census;
         println!(
-            "  {name:<28} {insts:>12} lane-insts  interpret {:>8.1} Minst/s  \
+            "  {name:<30} {insts:>12} lane-insts  interpret {:>8.1} Minst/s  \
              compiled {:>8.1} Minst/s  speedup {speedup:>5.2}x",
             insts as f64 / int_secs / 1e6,
             insts as f64 / cmp_secs / 1e6,
         );
         println!(
-            "  {:<28} shapes: {} steps once per warp, {} per lane ({:.1}% per-lane), \
+            "  {:<30} on 4 host threads: interpret {:>8.1} Minst/s  compiled {:>8.1} Minst/s  \
+             ({:.2}x / {:.2}x their sequential runs)",
+            "",
+            insts as f64 / int4_secs / 1e6,
+            insts as f64 / cmp4_secs / 1e6,
+            int_secs / int4_secs,
+            cmp_secs / cmp4_secs,
+        );
+        println!(
+            "  {:<30} shapes: {} steps once per warp, {} per lane ({:.1}% per-lane), \
              {} syncs, {} demoted writes",
             "",
             c.once_per_warp,
@@ -342,10 +367,13 @@ fn sim_throughput(red_n: usize) {
              \"interpret_secs\": {int_secs:.6}, \"compiled_secs\": {cmp_secs:.6}, \
              \"interpret_minsts_per_sec\": {:.2}, \"compiled_minsts_per_sec\": {:.2}, \
              \"speedup\": {speedup:.3}, \
+             \"host_threads_4\": {{\"interpret_secs\": {int4_secs:.6}, \
+             \"compiled_secs\": {cmp4_secs:.6}, \"speedup\": {:.3}}}, \
              \"shapes\": {{\"once_per_warp\": {}, \"per_lane\": {}, \"syncs\": {}, \
              \"demoted\": {}, \"per_lane_share\": {:.4}}}}}",
             insts as f64 / int_secs / 1e6,
             insts as f64 / cmp_secs / 1e6,
+            int4_secs / cmp4_secs,
             c.once_per_warp,
             c.per_lane,
             c.syncs,
@@ -353,8 +381,10 @@ fn sim_throughput(red_n: usize) {
             c.per_lane_share(),
         ));
     }
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"red_n\": {red_n},\n  \"reps\": {REPS},\n  \"workloads\": [\n{rows}\n  ]\n}}\n"
+        "{{\n  \"red_n\": {red_n},\n  \"reps\": {REPS},\n  \"host_cpus\": {host_cpus},\n  \
+         \"workloads\": [\n{rows}\n  ]\n}}\n"
     );
     std::fs::write("BENCH_sim_throughput.json", &json).expect("write BENCH_sim_throughput.json");
     println!("wrote BENCH_sim_throughput.json ({} bytes)\n", json.len());

@@ -29,7 +29,7 @@
 //!   not).
 //!
 //! No kernel `uhacc_core` codegen emits is declined. A decline costs the
-//! interpreter's 3–24× slowdown (`BENCH_sim_throughput.json`), so
+//! interpreter's 5–30× slowdown (`BENCH_sim_throughput.json`), so
 //! [`crate::Device::tier_declines`] counts them.
 //!
 //! # Pre-decoded runs
@@ -116,13 +116,71 @@
 //! [`crate::Device::tier_declines`]).
 //!
 //! Debug builds keep a shadow: every closed form is also expanded into its
-//! row when it is recorded (still marked stale, so `sync` runs as in
-//! release), and a closed form is asserted equal to its row every time a
-//! step reads it, and once more — the whole table — when the block ends.
+//! row when it is recorded or the block starts (still marked stale, so
+//! `sync` runs as in release), and a closed form is asserted equal to its
+//! row every time a step reads it, and once more — the whole table — when
+//! the block ends.
 //! The differential suite run in debug thus checks every shape any of its
 //! kernels ever produces. (Not the whole table after *every* step: that
 //! makes the tier-1 debug run 11× slower for no extra coverage — a row can
 //! only go wrong by being written, and every later read of it is checked.)
+//!
+//! # Launch-scoped state
+//!
+//! A block's working state — the bit rows, the shape table, the mask and
+//! the coalescing scratch, `TypedState` — belongs to the *launch*: each
+//! executor thread (the sequential executor, or one worker of the parallel
+//! one) builds one when the launch starts, runs all of its blocks on it
+//! and drops it when the launch returns. At the paper's dimensions the
+//! rows are ~0.5 MB a block and warp shapes leave almost all of them
+//! untouched, so zeroing them for every block cost more than any step.
+//!
+//! A block therefore starts on the previous block's lanes. What makes
+//! them unreachable is the shape table, the only thing a block start
+//! writes: every register slot is `Uniform(0)` (the interpreter's zero)
+//! and every constant slot `Uniform(c)`, marked `RowState::Initial` — a
+//! closed form that is *not* in the row. Every per-lane reader goes
+//! through `sync`, which expands such a slot first; a partial-mask write
+//! `sync`s its destination before writing (`rows_dst`), so the lanes
+//! outside the group get their zero; a full write overwrites every lane
+//! of the warp. Expanding an `Initial` slot is not counted as a `sync` in
+//! the census: the tier decided nothing that is being undone.
+//!
+//! The state is not kept past the launch (no thread-local, no pool):
+//! measured, that raised peak RSS by 1–5 MB per workload for nothing —
+//! one allocation per launch is already free. The launch's
+//! [`ShapeCensus`] is accumulated in the state and added to the kernel's
+//! when the state is dropped, one lock per executor thread instead of one
+//! per block. Debug builds materialise the initial rows at every block
+//! start, so the shadow assertions hold from the first read.
+//!
+//! # Static run costs
+//!
+//! `specialize` knows the launch's [`CostModel`], so it tabulates what is
+//! constant about every instruction: its issue cycle plus its ALU cycles
+//! (`alu`, with the `F64` and SFU surcharges), as a prefix sum
+//! `static_cycles`. Only memory steps (transactions, bank-conflict ways),
+//! atomics (active lanes) and barriers add cycles on top, when they
+//! execute.
+//!
+//! The step is instantiated twice. *Observed* (a tracer or a profiler is
+//! attached) it counts `warp_insts`/`lane_insts`, charges its cycles,
+//! fills the profiler's counter delta and checks the watchdog, per step,
+//! exactly as the interpreter does. *Unobserved*, none of that is in the
+//! step: a run charges `warp_insts += len`, `lane_insts += len * |mask|`
+//! and `static_cycles[end] - static_cycles[start]` once, at its entry.
+//! That is exact because a `Bra`, `Bar` or `Ret` is by construction the
+//! *last* instruction of its run and the mask is constant across it, so a
+//! run that does not fault executes every one of its steps — and a block
+//! that faults has its `LaunchStats` dropped by both executors.
+//!
+//! The watchdog trips *after* the first warp-instruction past its limit,
+//! with that instruction's effects committed, so where it trips is
+//! observable (the `Err` value, global memory). A run entered with
+//! `warp_insts + len <= limit` cannot trip and is not watched. Any other
+//! run — and the rest of its group's chase — executes in the observed
+//! instantiation with no observer attached, which counts and checks per
+//! step: the trip point is the interpreter's, and there is no third path.
 //!
 //! # Typed bit rows
 //!
@@ -137,10 +195,10 @@
 //! into broadcast constant rows, SFU surcharges and access sizes
 //! classified, and the `(op, ty)` dispatch hoisted out of the lane loops.
 //! Registers the kernel never writes hold the interpreter's
-//! `Value::I32(0)`; a zero bit row reproduces that under any static type
-//! because zero is a fixed point of every conversion in the table.
+//! `Value::I32(0)`; a `Uniform(0)` slot reproduces that under any static
+//! type because zero is a fixed point of every conversion in the table.
 
-use crate::cost::ExecTier;
+use crate::cost::{CostModel, DeviceConfig, ExecTier};
 use crate::error::SimError;
 use crate::exec::{alu_cost, mref_addr, BlockExec, MemView};
 use crate::ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, Reg, SpecialReg, UnOp};
@@ -537,6 +595,29 @@ enum TOp {
     Ret,
 }
 
+impl TOp {
+    /// The ALU cycles the step is charged on top of its issue cycle: a
+    /// constant of the launch. Memory, atomic and barrier steps have none
+    /// — what they cost depends on the mask and the addresses.
+    fn alu_cycles(&self, cost: &CostModel) -> u64 {
+        match self {
+            TOp::Bin { ty, sfu, .. } | TOp::Un { ty, sfu, .. } => alu_cost(cost, *ty, *sfu),
+            TOp::Cmp { ty, .. } => alu_cost(cost, *ty, false),
+            TOp::Broadcast { .. }
+            | TOp::ReadSpecial { .. }
+            | TOp::Select { .. }
+            | TOp::Cvt { .. }
+            | TOp::Bra { .. } => cost.alu,
+            TOp::BadParams
+            | TOp::Ld { .. }
+            | TOp::St { .. }
+            | TOp::AtomGlobal { .. }
+            | TOp::Bar
+            | TOp::Ret => 0,
+        }
+    }
+}
+
 /// The address space a load/store instruction addresses.
 fn space_of(inst: &Inst) -> TraceSpace {
     match inst {
@@ -680,11 +761,15 @@ impl Lower {
 pub(crate) struct TypedKernel {
     ck: CompiledKernel,
     tops: Vec<TOp>,
-    /// Bits of each broadcast constant row (pre-converted immediates);
-    /// they follow the `ck.num_regs` register rows.
-    consts: Vec<u64>,
-    /// What the blocks of this launch decided (each adds its own when it
-    /// finishes).
+    /// What every warp's slots hold when a block starts: the interpreter's
+    /// zero for the `ck.num_regs` register rows, then one broadcast row
+    /// per pre-converted immediate.
+    init: Vec<Slot>,
+    /// `static_cycles[pc]` = the issue and ALU cycles of instructions
+    /// `0..pc` (see "Static run costs" in the module docs).
+    static_cycles: Vec<u64>,
+    /// What the blocks of this launch decided (each [`TypedState`] adds
+    /// its own when the launch drops it).
     census: Mutex<ShapeCensus>,
 }
 
@@ -692,10 +777,15 @@ impl TypedKernel {
     /// The engine for one launch: `Some` runs on the typed tier, `None`
     /// on the interpreter (see the module docs for the decline reasons).
     /// The only place `(tier, kernel, params)` maps to an engine.
-    pub(crate) fn select(tier: ExecTier, kernel: &Kernel, params: &[Value]) -> Option<Self> {
+    pub(crate) fn select(
+        tier: ExecTier,
+        kernel: &Kernel,
+        params: &[Value],
+        cost: &CostModel,
+    ) -> Option<Self> {
         match tier {
             ExecTier::Interpret => None,
-            ExecTier::Auto => CompiledKernel::compile(kernel)?.specialize(kernel, params),
+            ExecTier::Auto => CompiledKernel::compile(kernel)?.specialize(kernel, params, cost),
         }
     }
 
@@ -707,10 +797,15 @@ impl TypedKernel {
 
 impl CompiledKernel {
     /// Lower `kernel` (the one `self` was compiled from) to [`TOp`]s for a
-    /// concrete parameter list — parameter types feed the register type
-    /// inference, so this happens once per launch. `None` when the kernel
-    /// is not statically typeable.
-    pub(crate) fn specialize(self, kernel: &Kernel, params: &[Value]) -> Option<TypedKernel> {
+    /// concrete parameter list and cost model — parameter types feed the
+    /// register type inference, so this happens once per launch. `None`
+    /// when the kernel is not statically typeable.
+    pub(crate) fn specialize(
+        self,
+        kernel: &Kernel,
+        params: &[Value],
+        cost: &CostModel,
+    ) -> Option<TypedKernel> {
         let mut lo = Lower {
             rt: infer_reg_types(kernel, params)?,
             num_regs: self.num_regs,
@@ -843,10 +938,23 @@ impl CompiledKernel {
                 Inst::Ret => TOp::Ret,
             });
         }
+        let (mut static_cycles, mut sum) = (vec![0], 0);
+        for top in &tops {
+            sum += cost.issue + top.alu_cycles(cost);
+            static_cycles.push(sum);
+        }
+        let init = std::iter::repeat_n(0, self.num_regs)
+            .chain(lo.consts)
+            .map(|bits| Slot {
+                shape: Shape::Uniform(bits),
+                row: RowState::Initial,
+            })
+            .collect();
         Some(TypedKernel {
             ck: self,
             tops,
-            consts: lo.consts,
+            init,
+            static_cycles,
             census: Mutex::default(),
         })
     }
@@ -996,19 +1104,28 @@ fn conflict_ways_slow(
 /// `exec.scratch_addr` (identical to the interpreter's bookkeeping): one
 /// entry per active lane, or a single entry when every lane makes the same
 /// access — M identical accesses occupy exactly the segments/banks of one.
+/// `d` is only filled for an observer.
 #[inline(always)]
-fn charge_mem(space: TraceSpace, exec: &mut BlockExec, st: &mut TypedState, d: &mut PcCounters) {
+fn charge_mem<const OBSERVED: bool>(
+    space: TraceSpace,
+    exec: &mut BlockExec,
+    st: &mut TypedState,
+    d: &mut PcCounters,
+) {
     match space {
         TraceSpace::Global => {
             let tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
             exec.stats.global_accesses += 1;
             exec.stats.global_transactions += tx;
-            d.global_accesses = 1;
-            d.global_transactions = tx;
-            // First transaction is unavoidable; the rest are the
-            // serialization penalty of an uncoalesced access.
-            d.mem_cycles = exec.cost.global_segment;
-            d.mem_serial_cycles = (tx - 1) * exec.cost.global_segment;
+            exec.cycles_raw += tx * exec.cost.global_segment;
+            if OBSERVED {
+                d.global_accesses = 1;
+                d.global_transactions = tx;
+                // First transaction is unavoidable; the rest are the
+                // serialization penalty of an uncoalesced access.
+                d.mem_cycles = exec.cost.global_segment;
+                d.mem_serial_cycles = (tx - 1) * exec.cost.global_segment;
+            }
         }
         TraceSpace::Shared => {
             let ways = conflict_ways(
@@ -1019,12 +1136,15 @@ fn charge_mem(space: TraceSpace, exec: &mut BlockExec, st: &mut TypedState, d: &
             );
             exec.stats.shared_accesses += 1;
             exec.stats.shared_ways += ways;
-            d.shared_accesses = 1;
-            d.shared_ways = ways;
-            // First way is conflict-free; extra ways are the bank-conflict
-            // serialization penalty.
-            d.shared_cycles = exec.cost.shared_way;
-            d.conflict_cycles = (ways - 1) * exec.cost.shared_way;
+            exec.cycles_raw += ways * exec.cost.shared_way;
+            if OBSERVED {
+                d.shared_accesses = 1;
+                d.shared_ways = ways;
+                // First way is conflict-free; extra ways are the
+                // bank-conflict serialization penalty.
+                d.shared_cycles = exec.cost.shared_way;
+                d.conflict_cycles = (ways - 1) * exec.cost.shared_way;
+            }
         }
     }
 }
@@ -1441,7 +1561,8 @@ pub struct ShapeCensus {
     pub once_per_warp: u64,
     /// Steps that ran a lane loop.
     pub per_lane: u64,
-    /// Rows materialised for a per-lane consumer.
+    /// Rows materialised for a per-lane consumer, out of a closed form a
+    /// step had recorded (not a register's or constant's initial value).
     pub syncs: u64,
     /// Once-per-warp results written lane by lane because the mask was
     /// not all of the warp's lanes.
@@ -1468,27 +1589,43 @@ impl std::ops::AddAssign for ShapeCensus {
     }
 }
 
+/// Whether the lanes of a slot's row hold what its shape says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowState {
+    /// They do (always, for `Rows`).
+    Held,
+    /// A step recorded a closed form; the lanes are stale.
+    Stale,
+    /// The block's initial value, which no step has written: the lanes
+    /// are whatever the previous block left there. Expanding it is not a
+    /// [`ShapeCensus::syncs`] — no decision of the tier is being undone.
+    Initial,
+}
+
 /// One `(row, warp)` entry of the shape table.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     shape: Shape,
-    /// The row's lanes of this warp hold what `shape` says (always true
-    /// for `Rows`).
-    in_row: bool,
+    row: RowState,
 }
 
-/// Per-block state of the typed tier: one flat bit row per register and
-/// constant (`bits[row * n + lane]`), the shape table over them
-/// (`slots[row * num_warps + warp]`), the current group, and scratch.
-struct TypedState {
+/// The typed tier's working state, scoped to one launch: one per executor
+/// thread, reused by every block that thread runs and dropped when the
+/// launch returns (see "Launch-scoped state" in the module docs). One flat
+/// bit row per register and constant (`bits[row * n + lane]`), the shape
+/// table over them (warp-major, `slots[warp * rows + row]`: the slots a
+/// step touches are neighbours), the current group, and scratch.
+pub(crate) struct TypedState<'k> {
+    tk: &'k TypedKernel,
     bits: Vec<u64>,
     n: usize,
     slots: Vec<Slot>,
-    num_warps: usize,
-    /// The current group: its warp, that warp's lane range
+    warp: usize,
+    /// The current group: its warp, that warp's first slot and lane range
     /// `[lo, lo + len)`, its active lanes, and whether those are all of
     /// the warp's lanes (so a write may replace the row's shape).
     w: usize,
+    at: usize,
     lo: usize,
     len: usize,
     mask: Vec<usize>,
@@ -1496,6 +1633,7 @@ struct TypedState {
     /// `mask` is a contiguous lane range (the overwhelmingly common
     /// case): lane loops become plain ranges.
     contig: bool,
+    /// What this thread's blocks decided.
     census: ShapeCensus,
     seg_buf: Vec<u64>,
     bank_counts: Vec<u32>,
@@ -1503,30 +1641,19 @@ struct TypedState {
     tmp: Vec<u64>,
 }
 
-impl TypedState {
-    /// Registers start as the interpreter's zero, constant rows as their
-    /// constant: every row is `Uniform` and materialised.
-    fn new(num_regs: usize, consts: &[u64], n: usize, warp: usize, banks: usize) -> Self {
-        let num_warps = n.div_ceil(warp);
-        let mut bits = vec![0u64; (num_regs + consts.len()) * n];
-        let mut slots = Vec::with_capacity((num_regs + consts.len()) * num_warps);
-        let zero = Slot {
-            shape: Shape::Uniform(0),
-            in_row: true,
-        };
-        slots.resize(num_regs * num_warps, zero);
-        for (i, &c) in consts.iter().enumerate() {
-            let r = (num_regs + i) * n;
-            bits[r..r + n].fill(c);
-            let shape = Shape::Uniform(c);
-            slots.resize(slots.len() + num_warps, Slot { shape, ..zero });
-        }
+impl TypedKernel {
+    /// The state one executor thread needs to run this launch's blocks of
+    /// `n` threads. Allocates; [`run_block`] does not.
+    pub(crate) fn state(&self, n: usize, dev: &DeviceConfig) -> TypedState<'_> {
+        let warp = dev.warp_size as usize;
         TypedState {
-            bits,
+            tk: self,
+            bits: vec![0; self.init.len() * n],
             n,
-            slots,
-            num_warps,
+            slots: self.init.repeat(n.div_ceil(warp)),
+            warp,
             w: 0,
+            at: 0,
             lo: 0,
             len: 0,
             mask: Vec::with_capacity(warp),
@@ -1534,23 +1661,63 @@ impl TypedState {
             contig: true,
             census: ShapeCensus::default(),
             seg_buf: Vec::with_capacity(2 * warp),
-            bank_counts: vec![0; banks],
+            bank_counts: vec![0; dev.shared_banks as usize],
             tmp: Vec::with_capacity(warp),
         }
+    }
+}
+
+impl Drop for TypedState<'_> {
+    fn drop(&mut self) {
+        // The lock is only ever held across this addition, which leaves
+        // the census valid at every step: a poisoned guard is usable.
+        *self.tk.census.lock().unwrap_or_else(|e| e.into_inner()) += self.census;
+    }
+}
+
+impl TypedState<'_> {
+    /// Start a block: every register is the interpreter's zero and every
+    /// constant row its constant, as closed forms *not* in the row. Only
+    /// the shape table is written; the bit rows keep the previous block's
+    /// lanes, which no reader can reach without `sync` expanding the slot
+    /// first.
+    fn begin_block(&mut self) {
+        let init = &self.tk.init[..];
+        // (`max`: a kernel without registers has no slots to chunk.)
+        for slots in self.slots.chunks_exact_mut(init.len().max(1)) {
+            slots.copy_from_slice(init);
+        }
+        // The debug shadow wants every closed form in its row as well.
+        #[cfg(debug_assertions)]
+        for (row, slot) in init.iter().enumerate() {
+            self.bits[row * self.n..(row + 1) * self.n].fill(slot.shape.lane(0));
+        }
+    }
+
+    /// Select warp `w` as the current one.
+    #[inline(always)]
+    fn enter_warp(&mut self, w: usize) {
+        self.w = w;
+        self.at = w * self.tk.init.len();
+        self.lo = w * self.warp;
+        self.len = self.warp.min(self.n - self.lo);
     }
 
     #[inline(always)]
     fn slot(&mut self, row: usize) -> &mut Slot {
-        &mut self.slots[row * self.num_warps + self.w]
+        &mut self.slots[self.at + row]
     }
 
     /// `row`'s shape in the current warp as an operand converted by `cv`.
     #[inline(always)]
     fn seen(&self, row: usize, cv: Conv) -> Shape {
-        let shape = self.slots[row * self.num_warps + self.w].shape;
+        let shape = self.slots[self.at + row].shape;
         #[cfg(debug_assertions)]
         self.check_shadow(row, self.lo, self.len, shape);
-        shape.conv(cv, self.len)
+        match cv {
+            Conv::Id => shape,
+            cv => shape.conv(cv, self.len),
+        }
     }
 
     /// The warp's lanes of `row`.
@@ -1565,10 +1732,10 @@ impl TypedState {
     #[inline(always)]
     fn sync(&mut self, row: usize) {
         let s = self.slot(row);
-        if !s.in_row {
-            s.in_row = true;
-            let shape = s.shape;
-            self.census.syncs += 1;
+        if s.row != RowState::Held {
+            let Slot { shape, row: was } = *s;
+            s.row = RowState::Held;
+            self.census.syncs += (was == RowState::Stale) as u64;
             self.expand(row, shape);
         }
     }
@@ -1593,7 +1760,7 @@ impl TypedState {
         if self.full {
             *self.slot(dst) = Slot {
                 shape,
-                in_row: false,
+                row: RowState::Stale,
             };
             // The debug shadow: rows are kept materialised too (still
             // marked stale, so `sync` runs exactly as in release) and
@@ -1618,7 +1785,7 @@ impl TypedState {
         }
         *self.slot(dst) = Slot {
             shape: Shape::Rows,
-            in_row: true,
+            row: RowState::Held,
         };
     }
 
@@ -1640,10 +1807,11 @@ impl TypedState {
     }
 
     #[cfg(debug_assertions)]
-    fn check_all_shadows(&self, warp: usize) {
+    fn check_all_shadows(&self) {
+        let rows = self.tk.init.len();
         for (i, slot) in self.slots.iter().enumerate() {
-            let (row, lo) = (i / self.num_warps, i % self.num_warps * warp);
-            self.check_shadow(row, lo, warp.min(self.n - lo), slot.shape);
+            let (row, lo) = (i % rows, i / rows * self.warp);
+            self.check_shadow(row, lo, self.warp.min(self.n - lo), slot.shape);
         }
     }
 
@@ -1814,40 +1982,32 @@ fn coalesced(addrs: &[(u64, usize)], size: usize) -> bool {
 /// interpreter uses — barrier bookkeeping, watchdog, overlap folding,
 /// traces, sanitizer shadows, and profiles are shared code, not
 /// re-implementations.
-pub(crate) fn run_block(tk: &TypedKernel, exec: &mut BlockExec) -> Result<(), AccessAbort> {
-    let mut st = TypedState::new(
-        tk.ck.num_regs,
-        &tk.consts,
-        exec.threads.len(),
-        exec.dev.warp_size as usize,
-        exec.dev.shared_banks as usize,
-    );
-    // The step is instantiated twice: with nothing observing it, the
-    // per-step counter delta is never materialised.
+pub(crate) fn run_block(exec: &mut BlockExec, st: &mut TypedState) -> Result<(), AccessAbort> {
+    debug_assert_eq!(exec.threads.len(), st.n, "state sized for this launch");
+    st.begin_block();
+    // The step is instantiated twice: with nothing observing it, its
+    // static costs are charged per run and no counter delta exists.
     let result = if exec.trace.is_some() || exec.prof.is_some() {
-        run_warps::<true>(tk, exec, &mut st)
+        run_warps::<true>(exec, st)
     } else {
-        run_warps::<false>(tk, exec, &mut st)
+        run_warps::<false>(exec, st)
     };
     #[cfg(debug_assertions)]
-    st.check_all_shadows(exec.dev.warp_size as usize);
-    *tk.census.lock().expect("census updates cannot panic") += st.census;
+    st.check_all_shadows();
     result
 }
 
 /// The block's scheduler loop: per warp, pick the min-pc group of runnable
 /// lanes and run it; when every warp is blocked, release the barrier.
 fn run_warps<const OBSERVED: bool>(
-    tk: &TypedKernel,
     exec: &mut BlockExec,
     st: &mut TypedState,
 ) -> Result<(), AccessAbort> {
-    let warp = exec.dev.warp_size as usize;
+    let num_warps = st.n.div_ceil(st.warp);
     loop {
-        for w in 0..st.num_warps {
-            let lo = w * warp;
-            let hi = (lo + warp).min(st.n);
-            (st.w, st.lo, st.len) = (w, lo, hi - lo);
+        for w in 0..num_warps {
+            st.enter_warp(w);
+            let (lo, hi) = (st.lo, st.lo + st.len);
             loop {
                 // Min leader among runnable lanes; the group is every
                 // runnable lane resting there.
@@ -1875,14 +2035,14 @@ fn run_warps<const OBSERVED: bool>(
                 st.contig = st.mask[st.mask.len() - 1] - st.mask[0] + 1 == st.mask.len();
                 st.full = st.mask.len() == st.len;
                 let whole = st.mask.len() == runnable;
-                run_group_typed::<OBSERVED>(tk, exec, st, min_pc, whole)?;
+                run_group_typed::<OBSERVED>(exec, st, min_pc, whole)?;
             }
         }
         if !exec.barrier_round()? {
             break;
         }
     }
-    exec.finish_block(st.num_warps);
+    exec.finish_block(num_warps);
     Ok(())
 }
 
@@ -1903,21 +2063,39 @@ enum TFlow {
 /// handing back to the per-warp min-pc scan. Thread `pc`s are only
 /// materialized at the points the scheduler can observe them (barrier,
 /// exit, divergence).
+///
+/// Unobserved, a run's instruction counts and static cycles are charged
+/// once, here, and its steps are not watched — unless the run could reach
+/// the watchdog's limit, in which case the group carries on in the
+/// observed instantiation, which counts and checks per step (see "Static
+/// run costs" in the module docs).
 fn run_group_typed<const OBSERVED: bool>(
-    tk: &TypedKernel,
     exec: &mut BlockExec,
     st: &mut TypedState,
     leader: usize,
     whole: bool,
 ) -> Result<(), AccessAbort> {
+    let tk = st.tk;
     let mut leader = leader;
     loop {
         let run = tk.ck.runs[tk.ck.run_of[leader]];
         debug_assert_eq!(run.start, leader, "groups rest only at leaders");
+        if !OBSERVED {
+            let steps = (run.end - run.start) as u64;
+            let limit = exec.cost.watchdog_warp_insts;
+            if limit > 0 && exec.stats.warp_insts + steps > limit {
+                return run_group_typed::<true>(exec, st, leader, whole);
+            }
+            exec.stats.warp_insts += steps;
+            exec.stats.lane_insts += steps * st.mask.len() as u64;
+            exec.cycles_raw += tk.static_cycles[run.end] - tk.static_cycles[run.start];
+        }
         let mut next = run.end;
         for pc in run.start..run.end {
-            let flow = exec_top::<OBSERVED>(tk, exec, st, pc)?;
-            exec.watchdog()?;
+            let flow = exec_top::<OBSERVED>(exec, st, pc)?;
+            if OBSERVED {
+                exec.watchdog()?;
+            }
             match flow {
                 TFlow::Next => {}
                 TFlow::Stop => return Ok(()),
@@ -1945,14 +2123,15 @@ fn run_group_typed<const OBSERVED: bool>(
 /// error points — is byte-for-byte the interpreter's `step`, and every
 /// count is taken from the mask length and the addresses, never from a
 /// shape; only the register representation differs. `OBSERVED` is false
-/// when neither a tracer nor a profiler is attached: the delta `d` then
-/// only ever feeds `cycles()`.
+/// when neither a tracer nor a profiler is attached: the step's
+/// instruction counts and static cycles were charged with its run, and
+/// the delta `d` is never filled.
 fn exec_top<const OBSERVED: bool>(
-    tk: &TypedKernel,
     exec: &mut BlockExec,
     st: &mut TypedState,
     pc: usize,
 ) -> Result<TFlow, AccessAbort> {
+    let tk = st.tk;
     let mlen = st.mask.len();
     debug_assert!(mlen > 0);
     let warp_id = st.w as u32;
@@ -1968,21 +2147,23 @@ fn exec_top<const OBSERVED: bool>(
             }),
             None => false,
         };
-    exec.stats.warp_insts += 1;
-    exec.stats.lane_insts += mlen as u64;
-    let mut d = PcCounters {
-        warp_insts: 1,
-        lane_insts: mlen as u64,
-        issue_cycles: exec.cost.issue,
-        ..PcCounters::default()
-    };
+    let mut d = PcCounters::default();
+    if OBSERVED {
+        exec.stats.warp_insts += 1;
+        exec.stats.lane_insts += mlen as u64;
+        let cycles = tk.static_cycles[pc + 1] - tk.static_cycles[pc];
+        exec.cycles_raw += cycles;
+        d.warp_insts = 1;
+        d.lane_insts = mlen as u64;
+        d.issue_cycles = exec.cost.issue;
+        d.alu_cycles = cycles - exec.cost.issue;
+    }
     let n = st.n;
     let l0 = st.mask[0];
     let mut flow = TFlow::Next;
     // Was the step decided once for the warp (census only)?
     let once = match &tk.tops[pc] {
         TOp::Broadcast { dst, bits } => {
-            d.alu_cycles = exec.cost.alu;
             st.set(*dst, Shape::Uniform(*bits));
             true
         }
@@ -1994,7 +2175,6 @@ fn exec_top<const OBSERVED: bool>(
             .into());
         }
         TOp::ReadSpecial { dst, sr } => {
-            d.alu_cycles = exec.cost.alu;
             // Closed forms: block geometry is uniform; `tid.x` counts up
             // and `tid.y` is constant across a warp that lies inside one
             // row of the block.
@@ -2027,11 +2207,8 @@ fn exec_top<const OBSERVED: bool>(
             b,
             ca,
             cb,
-            sfu,
-        } => {
-            d.alu_cycles = alu_cost(exec.cost, *ty, *sfu);
-            st.bin(*op, *ty, *dst, (*a, *ca), (*b, *cb))?
-        }
+            ..
+        } => st.bin(*op, *ty, *dst, (*a, *ca), (*b, *cb))?,
         TOp::Cmp {
             op,
             ty,
@@ -2040,35 +2217,18 @@ fn exec_top<const OBSERVED: bool>(
             b,
             ca,
             cb,
-        } => {
-            d.alu_cycles = alu_cost(exec.cost, *ty, false);
-            st.cmp(*op, *ty, *dst, (*a, *ca), (*b, *cb))
-        }
+        } => st.cmp(*op, *ty, *dst, (*a, *ca), (*b, *cb)),
         TOp::Un {
-            op,
-            ty,
-            dst,
-            a,
-            ca,
-            sfu,
-        } => {
-            d.alu_cycles = alu_cost(exec.cost, *ty, *sfu);
-            st.un(*op, *ty, *dst, (*a, *ca))?
-        }
+            op, ty, dst, a, ca, ..
+        } => st.un(*op, *ty, *dst, (*a, *ca))?,
         TOp::Select {
             dst,
             cond,
             kind,
             a,
             b,
-        } => {
-            d.alu_cycles = exec.cost.alu;
-            st.select(*dst, *cond, *kind, *a, *b)
-        }
-        TOp::Cvt { dst, src, cv } => {
-            d.alu_cycles = exec.cost.alu;
-            st.cvt(*dst, *src, *cv)
-        }
+        } => st.select(*dst, *cond, *kind, *a, *b),
+        TOp::Cvt { dst, src, cv } => st.cvt(*dst, *src, *cv),
         TOp::Ld {
             space,
             ty,
@@ -2076,7 +2236,7 @@ fn exec_top<const OBSERVED: bool>(
             mem,
         } => {
             let uniform = st.addrs(mem, &mut exec.scratch_addr);
-            charge_mem(*space, exec, st, &mut d);
+            charge_mem::<OBSERVED>(*space, exec, st, &mut d);
             // The interpreter observes a shared load before the access
             // (which may fault) and a global one after it.
             if *space == TraceSpace::Shared {
@@ -2116,7 +2276,7 @@ fn exec_top<const OBSERVED: bool>(
                 (Some(a), Shape::Uniform(v)) => Some((a, v)),
                 _ => None,
             };
-            charge_mem(*space, exec, st, &mut d);
+            charge_mem::<OBSERVED>(*space, exec, st, &mut d);
             if let Some((a, v)) = once {
                 exec.write_bits(*space, *ty, a, v)?;
             } else {
@@ -2157,10 +2317,13 @@ fn exec_top<const OBSERVED: bool>(
             let sr = src * n;
             exec.stats.atomics += 1;
             exec.stats.global_accesses += 1;
-            d.atomics = 1;
-            d.global_accesses = 1;
-            d.global_transactions = mlen as u64;
-            d.atomic_cycles = mlen as u64 * exec.cost.atomic_lane;
+            exec.cycles_raw += mlen as u64 * exec.cost.atomic_lane;
+            if OBSERVED {
+                d.atomics = 1;
+                d.global_accesses = 1;
+                d.global_transactions = mlen as u64;
+                d.atomic_cycles = mlen as u64 * exec.cost.atomic_lane;
+            }
             st.addrs(mem, &mut exec.scratch_addr);
             per_lane(&mut exec.scratch_addr, mlen);
             st.sync(*src);
@@ -2192,8 +2355,11 @@ fn exec_top<const OBSERVED: bool>(
         }
         TOp::Bar => {
             exec.stats.barriers += 1;
-            d.barriers = 1;
-            d.barrier_cycles = exec.cost.barrier;
+            exec.cycles_raw += exec.cost.barrier;
+            if OBSERVED {
+                d.barriers = 1;
+                d.barrier_cycles = exec.cost.barrier;
+            }
             for &l in &st.mask {
                 exec.threads[l].at_barrier = true;
                 exec.threads[l].pc = pc + 1;
@@ -2202,7 +2368,6 @@ fn exec_top<const OBSERVED: bool>(
             false
         }
         TOp::Bra { target, cond } => {
-            d.alu_cycles = exec.cost.alu;
             match *cond {
                 None => {
                     flow = TFlow::Goto(*target);
@@ -2245,7 +2410,6 @@ fn exec_top<const OBSERVED: bool>(
     } else {
         st.census.per_lane += 1;
     }
-    exec.cycles_raw += d.cycles();
     if OBSERVED {
         if let Some(p) = exec.prof.as_mut() {
             p.record(pc, warp_id, &d);
@@ -2451,7 +2615,8 @@ mod tests {
         let k = shaped_kernel();
         let ck = CompiledKernel::compile(&k).expect("compiles");
         assert!(
-            ck.specialize(&k, &[Value::U64(0x1000)]).is_some(),
+            ck.specialize(&k, &[Value::U64(0x1000)], &CostModel::default())
+                .is_some(),
             "single-typed kernel should get a typed plan"
         );
     }
@@ -2464,7 +2629,7 @@ mod tests {
         let k = b.finish();
         let ck = CompiledKernel::compile(&k).expect("compiles");
         assert!(
-            ck.specialize(&k, &[]).is_none(),
+            ck.specialize(&k, &[], &CostModel::default()).is_none(),
             "a register written at two types must decline to the interpreter"
         );
     }
@@ -2697,19 +2862,47 @@ mod tests {
         wide: true,
     };
 
-    /// State for one step: `operands` in rows `0..`, `dst` in the row
-    /// after them.
-    fn shaped_state(g: &Group, operands: &[&Pres]) -> TypedState {
-        let mut st = TypedState::new(operands.len() + 1, &[], N, WARP, 1);
-        (st.w, st.lo, st.len) = (g.w, g.w * WARP, WARP.min(N - g.w * WARP));
+    /// A lowering with `rows` registers and no instructions, for driving
+    /// single steps.
+    fn bare_kernel(rows: usize) -> TypedKernel {
+        let zero = Slot {
+            shape: Shape::Uniform(0),
+            row: RowState::Initial,
+        };
+        TypedKernel {
+            ck: CompiledKernel {
+                num_regs: rows,
+                runs: vec![],
+                run_of: vec![],
+            },
+            tops: vec![],
+            init: vec![zero; rows],
+            static_cycles: vec![0],
+            census: Mutex::default(),
+        }
+    }
+
+    /// State for one step, as a block that inherits another's buffers
+    /// finds it (every lane poisoned before the block starts): `operands`
+    /// in rows `0..`, `dst` in the row after them. A `Uniform` zero operand
+    /// is presented as a register no step has written — its slot and row
+    /// are left exactly as the block start left them.
+    fn shaped_state<'k>(tks: &'k [TypedKernel], g: &Group, operands: &[&Pres]) -> TypedState<'k> {
+        let mut st = tks[operands.len() + 1].state(N, &DeviceConfig::default());
+        st.bits.fill(POISON);
+        st.begin_block();
+        st.enter_warp(g.w);
         st.mask = g.mask.clone();
         st.contig = g.mask[g.mask.len() - 1] - g.mask[0] + 1 == g.mask.len();
         st.full = g.mask.len() == st.len;
         let stale = Slot {
             shape: DST_OLD,
-            in_row: false,
+            row: RowState::Stale,
         };
         for (row, p) in operands.iter().enumerate() {
+            if p.shape == Shape::Uniform(0) {
+                continue;
+            }
             for l in 0..N {
                 st.bits[row * N + l] = match p.shape {
                     Shape::Rows => value_bits(p.lanes[l]),
@@ -2720,7 +2913,7 @@ mod tests {
             *st.slot(row) = match p.shape {
                 Shape::Rows => Slot {
                     shape: Shape::Rows,
-                    in_row: true,
+                    row: RowState::Held,
                 },
                 shape => Slot { shape, ..stale },
             };
@@ -2748,7 +2941,7 @@ mod tests {
         want: impl Fn(usize) -> Result<u64, SimError>,
         at: impl Fn() -> String,
     ) -> Shape {
-        let dst = st.slots.len() / st.num_warps - 1;
+        let dst = st.tk.init.len() - 1;
         let mut expect = Vec::new();
         for &l in &g.mask {
             match want(l) {
@@ -2787,6 +2980,7 @@ mod tests {
     fn shaped_steps_match_the_interpreter_lane_by_lane() {
         let edges = edge_values();
         let groups = groups();
+        let tks: Vec<TypedKernel> = (0..=4).map(bare_kernel).collect();
         let by_ty =
             |ty: Ty| -> Vec<Value> { edges.iter().copied().filter(|v| v.ty() == ty).collect() };
         let all_affine = affines(&STRIDES);
@@ -2807,7 +3001,7 @@ mod tests {
                 for ty in TYS {
                     let ca = conv_for(p.ty, ty);
                     for op in UN_OPS {
-                        let mut st = shaped_state(g, &[p]);
+                        let mut st = shaped_state(&tks, g, &[p]);
                         let got = st.un(op, ty, 1, (0, ca));
                         check_shaped(
                             st,
@@ -2817,7 +3011,7 @@ mod tests {
                             || format!("{op} {ty} {p:?}"),
                         );
                     }
-                    let mut st = shaped_state(g, &[p]);
+                    let mut st = shaped_state(&tks, g, &[p]);
                     let got = Ok(st.cvt(1, 0, ca));
                     let left = check_shaped(
                         st,
@@ -2857,7 +3051,7 @@ mod tests {
                     let (ca, cb) = (conv_for(a.ty, ty), conv_for(b.ty, ty));
                     let at = |op: &dyn std::fmt::Display| format!("{op} {ty} {a:?} {b:?}");
                     for op in BIN_OPS {
-                        let mut st = shaped_state(g, &[a, b]);
+                        let mut st = shaped_state(&tks, g, &[a, b]);
                         let got = st.bin(op, ty, 2, (0, ca), (1, cb));
                         let both_uniform =
                             matches!((a.shape, b.shape), (Shape::Uniform(_), Shape::Uniform(_)));
@@ -2874,7 +3068,7 @@ mod tests {
                         kept_affine += matches!(left, Shape::Affine { .. }) as u64;
                     }
                     for op in CMP_OPS {
-                        let mut st = shaped_state(g, &[a, b]);
+                        let mut st = shaped_state(&tks, g, &[a, b]);
                         let got = Ok(st.cmp(op, ty, 2, (0, ca), (1, cb)));
                         check_shaped(
                             st,
@@ -2916,7 +3110,7 @@ mod tests {
                 for &a in &arms {
                     for &b in &arms {
                         for g in &groups {
-                            let mut st = shaped_state(g, &[c, a, b]);
+                            let mut st = shaped_state(&tks, g, &[c, a, b]);
                             let got = Ok(st.select(3, 0, cond_kind(c.ty), 1, 2));
                             check_shaped(
                                 st,

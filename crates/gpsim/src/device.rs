@@ -346,7 +346,7 @@ impl Device {
             .profile
             .as_ref()
             .map(|pc| LaunchProfile::new(kernel, cfg, self.config.num_sms, pc));
-        let ck = TypedKernel::select(self.config.exec_tier, kernel, params);
+        let ck = TypedKernel::select(self.config.exec_tier, kernel, params, &self.cost);
         if ck.is_none() && self.config.exec_tier == ExecTier::Auto {
             self.tier_declines += 1;
         }

@@ -56,7 +56,7 @@
 //! one returned — the same partial state a sequential run leaves behind.
 
 use crate::coalesce::{bank_conflict_degree, global_transactions};
-use crate::compiled::TypedKernel;
+use crate::compiled::{TypedKernel, TypedState};
 use crate::cost::{CostModel, DeviceConfig};
 use crate::error::SimError;
 use crate::ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, SpecialReg, UnOp};
@@ -289,9 +289,6 @@ pub(crate) struct BlockExec<'a, 'g> {
     pub(crate) trace: Option<Trace>,
     pub(crate) san: Option<BlockSanitizer>,
     pub(crate) prof: Option<BlockProfile>,
-    /// Typed lowering of `kernel` for this launch; `Some` routes
-    /// [`BlockExec::run`] through the typed tier (see [`crate::compiled`]).
-    pub(crate) ck: Option<&'a TypedKernel>,
 }
 
 impl<'a, 'g> BlockExec<'a, 'g> {
@@ -304,16 +301,12 @@ impl<'a, 'g> BlockExec<'a, 'g> {
         dev: &'a DeviceConfig,
         cost: &'a CostModel,
         view: MemView<'g>,
-        ck: Option<&'a TypedKernel>,
+        typed: bool,
     ) -> Self {
         let n = cfg.threads_per_block() as usize;
         // The typed tier keeps registers in its own bit rows; skip the
         // per-thread register vectors entirely on that path.
-        let thread_regs = if ck.is_some() {
-            0
-        } else {
-            kernel.num_regs as usize
-        };
+        let thread_regs = if typed { 0 } else { kernel.num_regs as usize };
         let threads = (0..n)
             .map(|_| Thread {
                 pc: 0,
@@ -338,7 +331,6 @@ impl<'a, 'g> BlockExec<'a, 'g> {
             trace: None,
             san: None,
             prof: None,
-            ck,
         }
     }
 
@@ -424,11 +416,12 @@ impl<'a, 'g> BlockExec<'a, 'g> {
         }
     }
 
-    /// Run the block to completion. On success, `stats.cycles` holds the
-    /// block's modelled cycle count.
-    fn run(&mut self) -> Result<(), AccessAbort> {
-        if let Some(tk) = self.ck {
-            return crate::compiled::run_block(tk, self);
+    /// Run the block to completion — on the typed tier when the launch
+    /// has a `typed` state (see [`crate::compiled`]), else interpreted. On
+    /// success, `stats.cycles` holds the block's modelled cycle count.
+    fn run(&mut self, typed: Option<&mut TypedState>) -> Result<(), AccessAbort> {
+        if let Some(st) = typed {
+            return crate::compiled::run_block(self, st);
         }
         let warp = self.dev.warp_size as usize;
         let n = self.threads.len();
@@ -1079,7 +1072,7 @@ pub fn run_kernel_traced(
     cost: &CostModel,
     trace: Option<&mut Trace>,
 ) -> Result<LaunchStats, SimError> {
-    let ck = TypedKernel::select(dev.exec_tier, kernel, params);
+    let ck = TypedKernel::select(dev.exec_tier, kernel, params, cost);
     run_kernel_instrumented(
         kernel,
         cfg,
@@ -1106,8 +1099,9 @@ fn kernel_returns_atomics(kernel: &Kernel) -> bool {
 }
 
 /// The full-fat entry point: [`run_kernel`] on the engine the caller
-/// selected (`ck` from [`TypedKernel::select`], shared across every
-/// block/worker; `None` interprets), with an optional bounded trace, an
+/// selected (`ck` from [`TypedKernel::select`] with this same `cost`, whose
+/// static cycles it tabulated; shared across every block/worker; `None`
+/// interprets), with an optional bounded trace, an
 /// optional hazard sanitizer observing every memory access and barrier
 /// (see [`crate::sanitizer`]), and an optional launch profiler collecting
 /// per-PC / per-barrier-interval stall attribution (see [`crate::profile`]).
@@ -1183,6 +1177,7 @@ fn run_sequential(
 ) -> Result<LaunchStats, SimError> {
     let mut totals = LaunchStats::default();
     let mut sm_cycles = vec![0u64; dev.num_sms as usize];
+    let mut typed = ck.map(|tk| tk.state(cfg.threads_per_block() as usize, dev));
     for id in 0..cfg.num_blocks() as usize {
         let block_idx = cfg.block_coords(id);
         let mut exec = BlockExec::new(
@@ -1193,7 +1188,7 @@ fn run_sequential(
             dev,
             cost,
             MemView::Direct(&mut *global),
-            ck,
+            typed.is_some(),
         );
         if let Some(t) = trace.as_deref() {
             exec.trace = Some(Trace::with_limit(t.limit()));
@@ -1212,7 +1207,7 @@ fn run_sequential(
                 cfg.warps_per_block(dev.warp_size) as usize,
             ));
         }
-        let result = exec.run();
+        let result = exec.run(typed.as_mut());
         // Merge the block's observations before error propagation: a
         // failing block's trace events, hazard reports, and profile
         // buckets survive, exactly like its direct memory writes.
@@ -1262,7 +1257,7 @@ fn run_block_overlay(
     base: &GlobalMemory,
     dev: &DeviceConfig,
     cost: &CostModel,
-    ck: Option<&TypedKernel>,
+    typed: Option<&mut TypedState>,
     block_idx: (u32, u32),
     trace_limit: Option<usize>,
     san_cfg: Option<&SanitizerConfig>,
@@ -1276,7 +1271,7 @@ fn run_block_overlay(
         dev,
         cost,
         MemView::Overlay(BlockOverlay::new(base)),
-        ck,
+        typed.is_some(),
     );
     exec.trace = trace_limit.map(Trace::with_limit);
     exec.san = san_cfg.map(|c| BlockSanitizer::new(c.clone(), block_idx, kernel.shared_bytes));
@@ -1287,7 +1282,7 @@ fn run_block_overlay(
             cfg.warps_per_block(dev.warp_size) as usize,
         ));
     }
-    let result = match exec.run() {
+    let result = match exec.run(typed) {
         Ok(()) => Ok(()),
         Err(AccessAbort::Sim(e)) => Err(e),
         Err(AccessAbort::NeedsSequential(_)) => return None,
@@ -1359,6 +1354,7 @@ fn run_parallel(
             .map(|_| {
                 scope.spawn(|| {
                     let mut out: Vec<(usize, BlockOutcome)> = Vec::new();
+                    let mut typed = ck.map(|tk| tk.state(cfg.threads_per_block() as usize, dev));
                     loop {
                         let id = next.fetch_add(1, Ordering::Relaxed);
                         if id >= num_blocks || needs_seq.load(Ordering::Relaxed) {
@@ -1374,7 +1370,7 @@ fn run_parallel(
                             base,
                             dev,
                             cost,
-                            ck,
+                            typed.as_mut(),
                             cfg.block_coords(id),
                             trace_limit,
                             san_cfg.as_ref(),
@@ -2249,14 +2245,15 @@ mod tests {
                 ..Default::default()
             });
             let params = [Value::U64(buf.addr)];
-            let ck = TypedKernel::select(crate::cost::ExecTier::Auto, &k, &params);
+            let cost = CostModel::default();
+            let ck = TypedKernel::select(crate::cost::ExecTier::Auto, &k, &params, &cost);
             run_kernel_instrumented(
                 &k,
                 cfg,
                 &params,
                 &mut mem,
                 &dev_threads(threads),
-                &CostModel::default(),
+                &cost,
                 ck.as_ref(),
                 None,
                 Some(&mut s),

@@ -98,7 +98,7 @@ pub(crate) fn canon_f64(x: f64) -> f64 {
 /// `x as f64 as f32` to `x`, signalling NaNs included; both engines'
 /// `F32` -> `F32` conversion is this function.
 #[inline(always)]
-pub(crate) fn quiet_f32(x: f32) -> f32 {
+pub fn quiet_f32(x: f32) -> f32 {
     let b = x.to_bits();
     f32::from_bits(if b & 0x7fff_ffff > 0x7f80_0000 {
         b | 0x0040_0000

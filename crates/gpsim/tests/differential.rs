@@ -361,6 +361,16 @@ const PLAIN: Mode = Mode {
 /// Run `kernel` once; returns the observables and the device's count of
 /// launches the typed tier declined.
 fn run_once(kernel: &Kernel, cfg: LaunchConfig, tier: ExecTier, mode: Mode) -> (Outcome, u64) {
+    run_launches(&[(kernel, cfg)], tier, mode)
+}
+
+/// [`run_once`] for several launches back to back on one device; results
+/// and traces are concatenated.
+fn run_launches(
+    launches: &[(&Kernel, LaunchConfig)],
+    tier: ExecTier,
+    mode: Mode,
+) -> (Outcome, u64) {
     let Mode {
         host_threads,
         sanitize,
@@ -385,19 +395,25 @@ fn run_once(kernel: &Kernel, cfg: LaunchConfig, tier: ExecTier, mode: Mode) -> (
         .map(|i| Value::I32((i as i32).wrapping_mul(2654435761u32 as i32)))
         .collect();
     dev.upload_values(data, &init).unwrap();
-    assert_eq!(cfg.threads_per_block() * cfg.num_blocks(), 4 * 96);
     let params = [Value::U64(data.addr), Value::U64(out.addr)];
-    let result = if trace {
-        dev.launch_traced(kernel, cfg, &params, 1 << 14)
-            .map(|(stats, trace)| (stats, format!("{trace:?}")))
-    } else {
-        dev.launch(kernel, cfg, &params)
-            .map(|stats| (stats, String::new()))
-    };
-    let (res_str, trace_str) = match result {
-        Ok((stats, trace)) => (format!("{stats:?}"), trace),
-        Err(e) => (format!("err: {e:?}"), String::new()),
-    };
+    let (mut res_str, mut trace_str) = (String::new(), String::new());
+    for &(kernel, cfg) in launches {
+        assert_eq!(cfg.threads_per_block() * cfg.num_blocks(), 4 * 96);
+        let result = if trace {
+            dev.launch_traced(kernel, cfg, &params, 1 << 14)
+                .map(|(stats, trace)| (stats, format!("{trace:?}")))
+        } else {
+            dev.launch(kernel, cfg, &params)
+                .map(|stats| (stats, String::new()))
+        };
+        match result {
+            Ok((stats, trace)) => {
+                res_str += &format!("{stats:?}");
+                trace_str += &trace;
+            }
+            Err(e) => res_str += &format!("err: {e:?}"),
+        }
+    }
     let mut data_bytes = vec![0u8; (DATA_ELEMS * 4) as usize];
     dev.memcpy_d2h(data, &mut data_bytes).unwrap();
     let mut out_bytes = vec![0u8; 4 * 96 * 4];
@@ -422,6 +438,11 @@ fn assert_tiers_agree(kernel: &Kernel, seed: u64, declines: u64) {
 
 /// [`assert_tiers_agree`] at a given launch shape.
 fn assert_tiers_agree_on(kernel: &Kernel, cfg: LaunchConfig, seed: u64, declines: u64) {
+    assert_launches_agree(&[(kernel, cfg)], seed, declines);
+}
+
+/// [`assert_tiers_agree`] for several launches back to back on one device.
+fn assert_launches_agree(launches: &[(&Kernel, LaunchConfig)], seed: u64, declines: u64) {
     for host_threads in [1u32, 4] {
         for sanitize in [false, true] {
             for profile in [false, true] {
@@ -432,13 +453,16 @@ fn assert_tiers_agree_on(kernel: &Kernel, cfg: LaunchConfig, seed: u64, declines
                         profile,
                         trace,
                     };
-                    let (a, _) = run_once(kernel, cfg, ExecTier::Interpret, mode);
-                    let (b, declined) = run_once(kernel, cfg, ExecTier::Auto, mode);
+                    let (a, _) = run_launches(launches, ExecTier::Interpret, mode);
+                    let (b, declined) = run_launches(launches, ExecTier::Auto, mode);
                     assert_eq!(
                         a,
                         b,
-                        "tier divergence: seed={seed} {cfg:?} {mode:?}\n{}",
-                        kernel.disasm()
+                        "tier divergence: seed={seed} {mode:?}\n{}",
+                        launches
+                            .iter()
+                            .map(|(k, cfg)| format!("{cfg:?}\n{}", k.disasm()))
+                            .collect::<String>()
                     );
                     assert_eq!(declined, declines, "typed-tier declines: seed={seed}");
                 }
@@ -668,27 +692,100 @@ fn error_paths_bit_identical_across_tiers() {
     }
 }
 
-/// The watchdog must trip at the identical instruction count in both
-/// tiers (it is checked after every instruction, not per run).
+/// The watchdog counts warp-instructions per block and trips after the
+/// first one past its limit, whose effects stay committed. The typed tier
+/// charges a run's instructions at its entry and only watches a run that
+/// could reach the limit, so every limit is swept: on the first, an
+/// interior and the last step of a run, on a run boundary, before and
+/// after each global store. The kernel has a multi-step run with a store
+/// in it, a run ending at a barrier, and a loop whose body stores as its
+/// first step and again just before its branch. The `Err` value and the
+/// memory left behind must not depend on the tier, on whether a tracer
+/// observes the steps, or on the executor.
 #[test]
-fn watchdog_trips_identically_across_tiers() {
-    let mut b = KernelBuilder::new("spin");
+fn watchdog_trips_identically_at_every_offset() {
+    let mut b = KernelBuilder::new("watched");
+    let out = b.param(0);
+    let tid = b.special(SpecialReg::TidX);
+    let ctaid = b.special(SpecialReg::CtaIdX);
+    let lin = b.bin(BinOp::Mul, Ty::I32, ctaid, Value::I32(64));
+    let lin = b.bin(BinOp::Add, Ty::I32, lin, tid);
+    let i = b.cvt(Ty::I64, lin);
+    let slot = |n: i64| MemRef {
+        disp: n * 128 * 4,
+        ..MemRef::indexed(out, i, 4)
+    };
+    b.st_global(Ty::I32, slot(0), tid);
+    let seven = b.mov_imm(Value::I32(7));
+    b.bar();
+    let k = b.mov_imm(Value::I32(0));
     let top = b.new_label();
     b.place(top);
-    let c = b.mov_imm(Value::Pred(true));
-    b.bra_if(c, top);
-    b.ret();
-    let k = b.finish();
-    let mut outcomes = Vec::new();
-    for &tier in &[ExecTier::Interpret, ExecTier::Auto] {
+    b.st_global(Ty::I32, slot(1), k);
+    b.bin_to(k, BinOp::Add, Ty::I32, k, Value::I32(1));
+    let again = b.cmp(CmpOp::Lt, Ty::I32, k, Value::I32(3));
+    let v = b.bin(BinOp::Add, Ty::I32, k, seven);
+    b.st_global(Ty::I32, slot(2), v);
+    b.bra_if(again, top);
+    b.st_global(Ty::I32, slot(3), lin);
+    let kernel = b.finish();
+    let cfg = LaunchConfig::d1(2, 64);
+
+    let run = |limit: u64, tier: ExecTier, trace: bool, host_threads: u32| {
         let mut dev = Device::test_small();
         dev.set_exec_tier(tier);
-        dev.cost_model_mut().watchdog_warp_insts = 10_000;
-        let r = dev.launch(&k, LaunchConfig::d1(1, 64), &[]);
-        assert!(r.is_err(), "watchdog must fire ({tier})");
-        outcomes.push(format!("{r:?}"));
+        dev.set_host_threads(host_threads);
+        dev.cost_model_mut().watchdog_warp_insts = limit;
+        let buf = dev.alloc_elems(Ty::I32, 4 * 128).unwrap();
+        dev.upload_values(buf, &[Value::I32(-1); 4 * 128]).unwrap();
+        let params = [Value::U64(buf.addr)];
+        let result = if trace {
+            dev.launch_traced(&kernel, cfg, &params, 1 << 14)
+                .map(|(stats, _)| stats)
+        } else {
+            dev.launch(&kernel, cfg, &params)
+        };
+        let mut bytes = vec![0u8; 4 * 128 * 4];
+        dev.memcpy_d2h(buf, &mut bytes).unwrap();
+        assert_eq!(dev.tier_declines(), 0);
+        (result, bytes)
+    };
+
+    // Disabled, the kernel runs to completion; that run sizes the sweep.
+    let (unwatched, done) = run(0, ExecTier::Interpret, false, 1);
+    let per_block = unwatched.expect("limit 0 disables the watchdog").warp_insts / 2;
+    assert!(
+        per_block > 3 * 9 + 2,
+        "the sweep spans three of the longest run"
+    );
+    for limit in 0..=per_block + 1 {
+        let (want, want_mem) = run(limit, ExecTier::Interpret, false, 1);
+        match &want {
+            Ok(_) => {
+                assert!(
+                    limit == 0 || limit >= per_block,
+                    "limit {limit} did not trip"
+                );
+                assert_eq!(want_mem, done, "limit {limit}");
+            }
+            Err(e) => assert_eq!(
+                format!("{e:?}"),
+                format!("Watchdog {{ executed_insts: {} }}", limit + 1),
+                "limit {limit}"
+            ),
+        }
+        for tier in [ExecTier::Interpret, ExecTier::Auto] {
+            for trace in [false, true] {
+                // 0: as the environment says (CI sets `UHACC_HOST_THREADS`).
+                for host_threads in [1, 2, 0] {
+                    let (got, mem) = run(limit, tier, trace, host_threads);
+                    let at = format!("limit {limit} {tier} trace={trace} threads={host_threads}");
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{at}");
+                    assert_eq!(mem, want_mem, "{at}: memory left behind");
+                }
+            }
+        }
     }
-    assert_eq!(outcomes[0], outcomes[1]);
 }
 
 /// A kernel shape the typed tier does not model runs on the interpreter
@@ -1036,4 +1133,142 @@ fn shapes_carried_across_barriers_agree_across_tiers() {
     b.bra(meet);
     let k = b.finish();
     assert_shape_family_agrees(&k, D1, 0);
+}
+
+// --- Launch-scoped state ---------------------------------------------------------
+
+/// The typed tier's bit rows and shape table belong to the launch, not to
+/// the block: a block starts on whatever lanes the previous block of its
+/// executor thread left behind. The even blocks of this kernel write
+/// per-lane garbage into every register below and into every shared word;
+/// the odd blocks never write those registers — they hold the
+/// interpreter's zero — and read them, and immediates, through lane
+/// loops: under a full mask, under a contiguous partial mask, under a
+/// scattered one, and after a partial first write (the lanes outside it
+/// must read zero). Run at a shape with more blocks than executor threads
+/// and a short last warp too.
+fn dirty_rows_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("dirty_rows");
+    let data = b.param(0);
+    let out = b.param(1);
+    let lin = b.special(SpecialReg::LaneLinear);
+    let ctaid = b.special(SpecialReg::CtaIdX);
+    let ntid = b.special(SpecialReg::NTidX);
+    let g = b.bin(BinOp::Mul, Ty::I32, ctaid, ntid);
+    let g = b.bin(BinOp::Add, Ty::I32, g, lin);
+    let l64 = b.cvt(Ty::I64, lin);
+    b.alloc_shared(96 * 4, 4);
+    // A per-lane value no closed form describes.
+    let di = b.bin(BinOp::And, Ty::I32, g, Value::I32(DATA_ELEMS as i32 - 1));
+    let di = b.cvt(Ty::I64, di);
+    let x = b.ld_global(Ty::I32, MemRef::indexed(data, di, 4));
+    let [full, part, scat, wpart, wscat] = [(); 5].map(|()| b.reg());
+    let (wide, real) = (b.reg(), b.reg());
+    let odd = b.bin(BinOp::And, Ty::I32, ctaid, Value::I32(1));
+    let odd = b.cmp(CmpOp::Ne, Ty::I32, odd, Value::I32(0));
+    let reader = b.new_label();
+    let end = b.new_label();
+    b.bra_if(odd, reader);
+
+    // Even blocks: garbage everywhere.
+    for (k, r) in [full, part, scat, wpart, wscat].into_iter().enumerate() {
+        b.bin_to(
+            r,
+            BinOp::Xor,
+            Ty::I32,
+            x,
+            Value::I32(0x5eed_0000 + k as i32),
+        );
+    }
+    b.cvt_to(wide, Ty::I64, x);
+    b.bin_to(wide, BinOp::Mul, Ty::I64, wide, Value::I64(0x1_0000_0001));
+    b.cvt_to(real, Ty::F64, x);
+    b.st_shared(Ty::I32, MemRef::indexed(Value::U64(0), l64, 4), x);
+    b.bra(end);
+
+    // Odd blocks: every read below goes through a lane loop, because `acc`
+    // is per-lane.
+    b.place(reader);
+    let acc = b.bin(BinOp::Add, Ty::I32, x, full);
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, Value::I32(101));
+    let w = b.cvt(Ty::I64, acc);
+    b.bin_to(w, BinOp::Add, Ty::I64, w, wide);
+    let f = b.cvt(Ty::F64, acc);
+    b.bin_to(f, BinOp::Add, Ty::F64, f, real);
+    let sh = b.ld_shared(Ty::I32, MemRef::indexed(Value::U64(0), l64, 4));
+    b.bin_to(acc, BinOp::Xor, Ty::I32, acc, sh);
+    // Lanes 0..20 of every warp.
+    let lane = b.bin(BinOp::And, Ty::I32, lin, Value::I32(31));
+    let low = b.cmp(CmpOp::Lt, Ty::I32, lane, Value::I32(20));
+    let join = b.new_label();
+    b.bra_unless(low, join);
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, part);
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, Value::I32(202));
+    b.bin_to(wpart, BinOp::Add, Ty::I32, x, Value::I32(1));
+    b.place(join);
+    // Every lane but each third one.
+    let third = b.bin(BinOp::Rem, Ty::I32, lin, Value::I32(3));
+    let third = b.cmp(CmpOp::Eq, Ty::I32, third, Value::I32(1));
+    let join = b.new_label();
+    b.bra_if(third, join);
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, scat);
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, Value::I32(303));
+    b.bin_to(wscat, BinOp::Sub, Ty::I32, x, Value::I32(1));
+    b.place(join);
+    // The partially written registers, read by everyone.
+    b.bin_to(acc, BinOp::Xor, Ty::I32, acc, wpart);
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, wscat);
+    let w = b.cvt(Ty::I32, w);
+    b.bin_to(acc, BinOp::Xor, Ty::I32, acc, w);
+    let f = b.cvt(Ty::I32, f);
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, f);
+    let gi = b.cvt(Ty::I64, g);
+    b.st_global(Ty::I32, MemRef::indexed(out, gi, 4), acc);
+    b.place(end);
+    b.ret();
+    b.finish()
+}
+
+#[test]
+fn blocks_that_inherit_dirty_rows() {
+    let k = dirty_rows_kernel();
+    // The odd blocks' answer is known: every victim register reads zero.
+    let (o, _) = run_once(&k, D1, ExecTier::Auto, PLAIN);
+    assert!(!o.result.starts_with("err"), "{}", o.result);
+    let init = |g: usize| (g as i32).wrapping_mul(2654435761u32 as i32);
+    for g in (96..192).chain(288..384) {
+        let (x, lane) = (init(g % DATA_ELEMS as usize), g % 96 % 32);
+        let mut acc = x.wrapping_add(101);
+        let (w, f) = (acc as i64, acc as f64);
+        if lane < 20 {
+            acc = acc.wrapping_add(202);
+        }
+        if g % 96 % 3 != 1 {
+            acc = acc.wrapping_add(303);
+        }
+        acc ^= if lane < 20 { x.wrapping_add(1) } else { 0 };
+        acc = acc.wrapping_add(if g % 96 % 3 != 1 {
+            x.wrapping_sub(1)
+        } else {
+            0
+        });
+        acc = (acc ^ w as i32).wrapping_add(f as i32);
+        let got = i32::from_le_bytes(o.out[g * 4..g * 4 + 4].try_into().unwrap());
+        assert_eq!(got, acc, "thread {g}");
+    }
+    for cfg in [D1, LaunchConfig::d1(8, 48), LaunchConfig::gwv(4, 2, 48)] {
+        assert_shape_family_agrees(&k, cfg, cfg.block.0 as u64);
+    }
+
+    // Two launches back to back on one device, of different block sizes
+    // and register counts: nothing of the first is visible to the second.
+    let (a, b) = (gen_kernel(3), gen_kernel(7));
+    assert_ne!(a.num_regs, b.num_regs);
+    for launches in [
+        [(&a, D1), (&b, LaunchConfig::d1(6, 64))],
+        [(&b, LaunchConfig::d1(12, 32)), (&a, D1)],
+        [(&k, LaunchConfig::d1(8, 48)), (&k, D1)],
+    ] {
+        assert_launches_agree(&launches, 0, 0);
+    }
 }
