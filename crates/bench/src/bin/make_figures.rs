@@ -229,28 +229,41 @@ fn profile(red_n: usize) {
 /// parallel executor's committed number — what that buys depends on the
 /// host's cores, which the file records. The `_n96` row is all block
 /// set-up: its launches' blocks of 1,024 threads each do almost nothing.
+///
+/// The [`SANITIZED`] rows are timed a third time, fully shadowed:
+/// `sanitize_ratio` is the sanitized wall time of the same launches over
+/// the plain one (typed tier, sequential executor) — the checker rails'
+/// committed number, gated at 2x like the speedups are at 0.8x.
 fn sim_throughput(red_n: usize) {
     use acc_apps::{HeatConfig, MatmulConfig, PiConfig, SimWork};
-    use gpsim::{Device, ExecTier};
-    type Run = Box<dyn Fn(ExecTier, u32) -> TimedCase>;
+    use gpsim::{Device, ExecTier, SanitizerConfig, SanitizerLevel};
+    /// Rows that also carry `sanitize_ratio`: one int and one double
+    /// Table-2 reduction.
+    const SANITIZED: [&str; 2] = ["gang_worker_vector_int_add", "worker_double_add"];
+    type Run = Box<dyn Fn(ExecTier, u32, SanitizerLevel) -> TimedCase>;
     let case = |pos: Position, op: RedOp, t: CType, red_n: usize| -> Run {
-        Box::new(move |tier, host_threads| {
+        Box::new(move |tier, host_threads, sanitize| {
             let cfg = SuiteConfig {
                 red_n,
                 exec_tier: tier,
                 host_threads,
                 ..Default::default()
             };
-            time_case(Compiler::OpenUH, pos, op, t, &cfg).expect("throughput workloads run cleanly")
+            time_case(Compiler::OpenUH, pos, op, t, &cfg, sanitize)
+                .expect("throughput workloads run cleanly")
         })
     };
     // The applications time the whole `run_*` call: their set-up (source
     // analysis, input generation) is small beside the launches.
     fn app(run: impl Fn(Device) -> SimWork + 'static) -> Run {
-        Box::new(move |tier, host_threads| {
+        Box::new(move |tier, host_threads, level| {
             let mut device = Device::default();
             device.set_exec_tier(tier);
             device.set_host_threads(host_threads);
+            device.set_sanitizer(SanitizerConfig {
+                level,
+                ..Default::default()
+            });
             let start = std::time::Instant::now();
             let SimWork { lane_insts, census } = run(device);
             TimedCase {
@@ -315,12 +328,13 @@ fn sim_throughput(red_n: usize) {
     for (name, run) in &workloads {
         // Best-of-REPS per configuration; a fresh session every rep so
         // caches and allocations don't carry over.
-        let measure = |tier: ExecTier, host_threads: u32| -> TimedCase {
+        let measure_at = |tier: ExecTier, host_threads: u32, level| -> TimedCase {
             (0..REPS)
-                .map(|_| run(tier, host_threads))
+                .map(|_| run(tier, host_threads, level))
                 .min_by(|a, b| a.secs.total_cmp(&b.secs))
                 .expect("REPS > 0")
         };
+        let measure = |tier, host_threads| measure_at(tier, host_threads, SanitizerLevel::Off);
         let interp = measure(ExecTier::Interpret, 1);
         let typed = measure(ExecTier::Auto, 1);
         let (int_secs, cmp_secs, insts) = (interp.secs, typed.secs, typed.lane_insts);
@@ -333,6 +347,9 @@ fn sim_throughput(red_n: usize) {
             "{name}: tiers disagree on simulated instruction count"
         );
         let speedup = int_secs / cmp_secs;
+        let sanitize_ratio = SANITIZED
+            .contains(name)
+            .then(|| measure_at(ExecTier::Auto, 1, SanitizerLevel::Full).secs / cmp_secs);
         let c = typed.census;
         println!(
             "  {name:<30} {insts:>12} lane-insts  interpret {:>8.1} Minst/s  \
@@ -359,6 +376,11 @@ fn sim_throughput(red_n: usize) {
             c.syncs,
             c.demoted,
         );
+        if let Some(r) = sanitize_ratio {
+            println!("  {:<30} fully sanitized: {r:.2}x its plain run", "");
+        }
+        let sanitized =
+            sanitize_ratio.map_or(String::new(), |r| format!("\"sanitize_ratio\": {r:.3}, "));
         if !rows.is_empty() {
             rows.push_str(",\n");
         }
@@ -366,7 +388,7 @@ fn sim_throughput(red_n: usize) {
             "    {{\"name\": \"{name}\", \"lane_insts\": {insts}, \
              \"interpret_secs\": {int_secs:.6}, \"compiled_secs\": {cmp_secs:.6}, \
              \"interpret_minsts_per_sec\": {:.2}, \"compiled_minsts_per_sec\": {:.2}, \
-             \"speedup\": {speedup:.3}, \
+             \"speedup\": {speedup:.3}, {sanitized}\
              \"host_threads_4\": {{\"interpret_secs\": {int4_secs:.6}, \
              \"compiled_secs\": {cmp4_secs:.6}, \"speedup\": {:.3}}}, \
              \"shapes\": {{\"once_per_warp\": {}, \"per_lane\": {}, \"syncs\": {}, \

@@ -51,6 +51,8 @@
 
 use std::collections::HashMap;
 
+use crate::shadow::Paged;
+
 use crate::exec::{eval_bin, eval_cmp, eval_un, mref_addr, LaunchConfig};
 use crate::ir::{
     format_imm, AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, SpecialReg, UnOp,
@@ -718,6 +720,11 @@ struct Cell {
     written: bool,
 }
 
+/// Typed cells by byte offset of their first byte, and the accesses of the
+/// current launch by the offset they start at: 1 Ki offsets per page.
+type Cells = Paged<Option<Cell>, 10>;
+type Log = Paged<Vec<Access>, 10>;
+
 /// One global-memory region (an array or a compiler temp buffer) at a
 /// fixed concrete base address, so kernel address arithmetic runs fully
 /// concrete — exactly as in the real runner.
@@ -732,8 +739,8 @@ pub struct Region {
     /// Races on this region are tolerated (the last-block-wins host
     /// mailbox, which the device executes deterministically).
     pub race_exempt: bool,
-    cells: HashMap<u64, Cell>,
-    log: HashMap<u64, Vec<Access>>,
+    cells: Cells,
+    log: Log,
 }
 
 const REGION_SHIFT: u32 = 32;
@@ -772,8 +779,8 @@ impl SymMemory {
             size,
             elem_ty,
             race_exempt,
-            cells: HashMap::new(),
-            log: HashMap::new(),
+            cells: Paged::default(),
+            log: Paged::default(),
         });
         Ok(idx)
     }
@@ -792,14 +799,11 @@ impl SymMemory {
 
     /// Byte offsets of cells written by kernel stores/atomics.
     pub fn written_offsets(&self, idx: u32) -> Vec<u64> {
-        let mut v: Vec<u64> = self.regions[idx as usize]
-            .cells
-            .iter()
-            .filter(|(_, c)| c.written)
-            .map(|(&o, _)| o)
-            .collect();
-        v.sort_unstable();
-        v
+        let cells = self.regions[idx as usize].cells.iter();
+        cells
+            .filter(|(_, c)| c.is_some_and(|c| c.written))
+            .map(|(o, _)| o)
+            .collect()
     }
 
     /// Clear access logs between kernel launches (memory persists, the
@@ -824,14 +828,11 @@ impl SymMemory {
     /// Seed a cell (buffer init / staged input) without logging.
     pub fn poke(&mut self, idx: u32, off: u64, v: Value) {
         let r = &mut self.regions[idx as usize];
-        r.cells.insert(
-            off,
-            Cell {
-                ty: v.ty(),
-                val: SVal::C(v),
-                written: false,
-            },
-        );
+        *r.cells.slot(off) = Some(Cell {
+            ty: v.ty(),
+            val: SVal::C(v),
+            written: false,
+        });
     }
 
     /// Read a cell without logging; `Ok(None)` means uninitialized.
@@ -850,7 +851,7 @@ impl SymMemory {
                 r.name
             ));
         }
-        if let Some(c) = r.cells.get(&off) {
+        if let Some(c) = r.cells.get(off) {
             if c.ty.size() != ty.size() {
                 return Err(format!(
                     "type-punned cell at {}+{off}: {} vs {ty}",
@@ -862,14 +863,11 @@ impl SymMemory {
         if let Some(et) = r.elem_ty {
             if et == ty {
                 let t = pool.input(idx, off, ty);
-                r.cells.insert(
-                    off,
-                    Cell {
-                        ty,
-                        val: SVal::T(t),
-                        written: false,
-                    },
-                );
+                *r.cells.slot(off) = Some(Cell {
+                    ty,
+                    val: SVal::T(t),
+                    written: false,
+                });
                 return Ok(Some(SVal::T(t)));
             }
             return Err(format!(
@@ -914,51 +912,33 @@ fn conflicts(p: &Access, q: &Access, same_cell: bool) -> bool {
 /// kernels legitimately contain dead redundant reads — e.g. every
 /// thread of a gang evaluating the gang-level body while only thread 0
 /// publishes its accumulator).
-fn log_access(
-    log: &mut HashMap<u64, Vec<Access>>,
-    where_: &str,
-    off: u64,
-    acc: Access,
-) -> Option<String> {
-    let mut race = None;
+fn log_access(log: &mut Log, where_: &str, off: u64, acc: Access) -> Option<String> {
+    let mut racing = None;
     for o in off.saturating_sub(7)..off + acc.size as u64 {
-        if let Some(list) = log.get(&o) {
-            for prev in list {
-                if o + prev.size as u64 <= off {
-                    continue; // prior access ends before ours starts
-                }
-                if conflicts(prev, &acc, o == off) {
-                    race = Some(format!(
-                        "data race on {where_}+{off}: {:?} by block {} warp {} epoch {} \
-                         vs {:?} by block {} warp {} epoch {}",
-                        prev.kind,
-                        prev.block,
-                        prev.warp,
-                        prev.epoch,
-                        acc.kind,
-                        acc.block,
-                        acc.warp,
-                        acc.epoch
-                    ));
-                }
+        for prev in log.get(o) {
+            // A prior access that ends before ours starts does not overlap.
+            if o + prev.size as u64 > off && conflicts(prev, &acc, o == off) {
+                racing = Some(prev);
             }
         }
     }
-    log.entry(off).or_default().push(acc);
+    let race = racing.map(|prev| {
+        format!(
+            "data race on {where_}+{off}: {:?} by block {} warp {} epoch {} \
+             vs {:?} by block {} warp {} epoch {}",
+            prev.kind, prev.block, prev.warp, prev.epoch, acc.kind, acc.block, acc.warp, acc.epoch
+        )
+    });
+    log.slot(off).push(acc);
     race
 }
 
-fn check_cell_overlap(
-    cells: &HashMap<u64, Cell>,
-    where_: &str,
-    off: u64,
-    size: u64,
-) -> Result<(), String> {
+fn check_cell_overlap(cells: &Cells, where_: &str, off: u64, size: u64) -> Result<(), String> {
     for o in off.saturating_sub(7)..off + size {
         if o == off {
             continue;
         }
-        if let Some(c) = cells.get(&o) {
+        if let Some(c) = cells.get(o) {
             if o + c.ty.size() as u64 > off {
                 return Err(format!(
                     "overlapping typed cells at {where_}+{off} (existing cell at +{o})"
@@ -1180,8 +1160,8 @@ struct SThread {
 
 struct SharedMem {
     size: u64,
-    cells: HashMap<u64, Cell>,
-    log: HashMap<u64, Vec<Access>>,
+    cells: Cells,
+    log: Log,
 }
 
 /// Symbolically execute one kernel launch against `mem`/`pool`.
@@ -1223,8 +1203,8 @@ pub fn run_symbolic(
         let block_idx = (block_id % cfg.grid.0, block_id / cfg.grid.0);
         let mut shared = SharedMem {
             size: kernel.shared_bytes as u64,
-            cells: HashMap::new(),
-            log: HashMap::new(),
+            cells: Paged::default(),
+            log: Paged::default(),
         };
         let mut epoch: u32 = 0;
         let mut threads: Vec<SThread> = (0..tpb)
@@ -1425,14 +1405,13 @@ fn exec_inst(
             let addr = addr_of(threads, lane, mref)?;
             let (ridx, off) = mem.find(addr)?;
             let r = &mut mem.regions[ridx as usize];
-            check_cell_overlap(&r.cells, &r.name.clone(), off, ty.size() as u64)?;
+            check_cell_overlap(&r.cells, &r.name, off, ty.size() as u64)?;
             let race = if r.race_exempt {
                 None
             } else {
-                let name = r.name.clone();
                 log_access(
                     &mut r.log,
-                    &name,
+                    &r.name,
                     off,
                     acc(AccKind::Read, ty.size() as u8, None),
                 )
@@ -1457,14 +1436,13 @@ fn exec_inst(
             if !off.is_multiple_of(ty.size() as u64) || off + ty.size() as u64 > r.size {
                 return Err(format!("misaligned or OOB store at {}+{off}", r.name));
             }
-            check_cell_overlap(&r.cells, &r.name.clone(), off, ty.size() as u64)?;
+            check_cell_overlap(&r.cells, &r.name, off, ty.size() as u64)?;
             let race = if r.race_exempt {
                 None
             } else {
-                let name = r.name.clone();
                 log_access(
                     &mut r.log,
-                    &name,
+                    &r.name,
                     off,
                     acc(AccKind::Write, ty.size() as u8, Some(v)),
                 )
@@ -1473,18 +1451,15 @@ fn exec_inst(
                 Some(msg) => pool.poison(*ty, msg),
                 None => v,
             };
-            r.cells.insert(
-                off,
-                Cell {
-                    ty: *ty,
-                    val,
-                    written: true,
-                },
-            );
+            *r.cells.slot(off) = Some(Cell {
+                ty: *ty,
+                val,
+                written: true,
+            });
         }
         Inst::LdShared { ty, dst, mref } => {
             let off = addr_of(threads, lane, mref)?;
-            if off % ty.size() as u64 != 0 || off + ty.size() as u64 > shared.size {
+            if off % ty.size() as u64 != 0 || off.saturating_add(ty.size() as u64) > shared.size {
                 return Err(format!("misaligned or OOB shared load at +{off}"));
             }
             check_cell_overlap(&shared.cells, "shared", off, ty.size() as u64)?;
@@ -1499,7 +1474,8 @@ fn exec_inst(
             } else {
                 let c = shared
                     .cells
-                    .get(&off)
+                    .get(off)
+                    .as_ref()
                     .ok_or_else(|| format!("read of uninitialized shared memory (+{off})"))?;
                 if c.ty.size() != ty.size() {
                     return Err(format!("type-punned shared cell at +{off}"));
@@ -1509,7 +1485,7 @@ fn exec_inst(
         }
         Inst::StShared { ty, src, mref } => {
             let off = addr_of(threads, lane, mref)?;
-            if off % ty.size() as u64 != 0 || off + ty.size() as u64 > shared.size {
+            if off % ty.size() as u64 != 0 || off.saturating_add(ty.size() as u64) > shared.size {
                 return Err(format!("misaligned or OOB shared store at +{off}"));
             }
             let sv = operand(threads, lane, *src);
@@ -1525,14 +1501,11 @@ fn exec_inst(
                 Some(msg) => pool.poison(*ty, msg),
                 None => v,
             };
-            shared.cells.insert(
-                off,
-                Cell {
-                    ty: *ty,
-                    val,
-                    written: true,
-                },
-            );
+            *shared.cells.slot(off) = Some(Cell {
+                ty: *ty,
+                val,
+                written: true,
+            });
         }
         Inst::AtomGlobal {
             op,
@@ -1567,10 +1540,9 @@ fn exec_inst(
             let race = if r.race_exempt {
                 None
             } else {
-                let name = r.name.clone();
                 log_access(
                     &mut r.log,
-                    &name,
+                    &r.name,
                     off,
                     acc(AccKind::Atomic, ty.size() as u8, None),
                 )
@@ -1579,14 +1551,11 @@ fn exec_inst(
                 Some(msg) => pool.poison(*ty, msg),
                 None => new,
             };
-            r.cells.insert(
-                off,
-                Cell {
-                    ty: *ty,
-                    val,
-                    written: true,
-                },
-            );
+            *r.cells.slot(off) = Some(Cell {
+                ty: *ty,
+                val,
+                written: true,
+            });
         }
         Inst::Bar => {
             threads[lane].at_barrier = true;

@@ -50,6 +50,7 @@ pub mod ir;
 pub mod memory;
 pub mod profile;
 pub mod sanitizer;
+pub mod shadow;
 pub mod stats;
 pub mod trace;
 pub mod types;

@@ -41,17 +41,34 @@
 //!   judged locally (the conflicting access lives in another block), so
 //!   the log records them raw.
 //! - [`LaunchSanitizer`] merges block logs **in linear block-id order**,
-//!   replaying the raw global accesses through a launch-wide sparse
-//!   per-byte map with the last reader/writer block. Because the merge
-//!   order equals the sequential execution order, the reports (text,
-//!   order, count) are bit-identical at any host thread count.
+//!   replaying the raw global accesses through a launch-wide per-byte
+//!   shadow with the last writer and the last two readers from distinct
+//!   blocks. Because the merge order equals the sequential execution
+//!   order, the reports (text, order, count) are bit-identical at any
+//!   host thread count — and because both executors merge serially, the
+//!   shadow is single-threaded.
+//!
+//! The global shadow is a [`Paged`] table: 4 Ki-cell pages allocated on
+//! first touch, found through a last-page memo, so the per-byte step is an
+//! index and not a hash. A cell is three `u32` ids (12 bytes) into one
+//! launch-wide list that every merged access is appended to once; the
+//! all-zero cell is the empty one, so a fresh page is a `calloc`. **The
+//! memory bound:** 48 KiB per *touched page* (the hash map this replaced
+//! cost ~110 bytes per *touched byte*), plus 32 bytes per merged access.
+//! Dense access — every real reduction — is therefore ~9× smaller; the
+//! worst case is one access per page, 12 × the span of device addresses
+//! the kernel can reach, which the device's global-memory size bounds
+//! (a wild pointer past it is observed for the one warp instruction the
+//! bounds check then rejects, a block at a time).
 //!
 //! Reports are deduplicated by the PC pair so a race inside a loop is
 //! reported once, and capped at [`SanitizerConfig::max_reports`] (the
 //! count of distinct hazards keeps accumulating past the cap).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
+
+use crate::shadow::Paged;
 
 /// How much checking to do during a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -261,14 +278,17 @@ struct SharedCell {
     other_read: Option<AccessInfo>,
 }
 
-#[derive(Clone, Copy, Default)]
-struct GlobalCell {
-    last_write: Option<AccessInfo>,
-    last_read: Option<AccessInfo>,
-    /// Most recent read from a block other than `last_read`'s (same
-    /// two-slot rationale as [`SharedCell::other_read`]).
-    other_read: Option<AccessInfo>,
-}
+/// Launch-wide shadow of one global byte: `[last_write, last_read,
+/// other_read]`, the last being the most recent read from a block other
+/// than `last_read`'s (same two-slot rationale as
+/// [`SharedCell::other_read`]). Each is an id into
+/// [`LaunchSanitizer::accesses`] (index + 1; 0 = no such access), so a cell
+/// is 12 bytes, the all-zero cell is the empty one, and — an array of
+/// integers being what `vec!` zero-allocates — a fresh page is a `calloc`.
+type GlobalCell = [u32; 3];
+
+/// Cells per page of the global shadow (see the module docs for the bound).
+const GLOBAL_PAGE_BITS: u32 = 12;
 
 /// One entry of a block's ordered hazard log.
 enum SanEvent {
@@ -523,7 +543,10 @@ pub struct LaunchSanitizer {
     /// Distinct hazards observed (reports + those past `max_reports`).
     count: u64,
     seen: HashSet<HazardKey>,
-    global: HashMap<u64, GlobalCell>,
+    global: Paged<GlobalCell, GLOBAL_PAGE_BITS>,
+    /// Every global access merged so far, in merge order; what the ids in
+    /// a [`GlobalCell`] point into.
+    accesses: Vec<AccessInfo>,
 }
 
 impl LaunchSanitizer {
@@ -534,7 +557,8 @@ impl LaunchSanitizer {
             reports: Vec::new(),
             count: 0,
             seen: HashSet::new(),
-            global: HashMap::new(),
+            global: Paged::default(),
+            accesses: Vec::new(),
         }
     }
 
@@ -570,18 +594,28 @@ impl LaunchSanitizer {
     /// shadow (level/ignore-range filtering already happened at log time).
     fn replay_global(&mut self, acc: AccessInfo, addr: u64, size: usize) {
         let kind = acc.kind;
+        self.accesses.push(acc);
+        let id = u32::try_from(self.accesses.len()).expect("under 2^32 global accesses per launch");
         for b in addr..addr.saturating_add(size as u64) {
-            let cell = self.global.entry(b).or_default();
+            let [last_write, last_read, other_read] = *self.global.slot(b);
+            // The access behind an id, if it came from another block.
+            let foreign = |id: u32| {
+                let p = *self.accesses.get((id as usize).wrapping_sub(1))?;
+                (p.block != acc.block).then_some(p)
+            };
             let prior = match kind {
-                AccessKind::Read => cell.last_write.filter(|p| p.block != acc.block),
-                AccessKind::Write | AccessKind::Atomic => cell
-                    .last_write
-                    .filter(|p| {
-                        p.block != acc.block
-                            && !(kind == AccessKind::Atomic && p.kind == AccessKind::Atomic)
-                    })
-                    .or(cell.last_read.filter(|p| p.block != acc.block))
-                    .or(cell.other_read.filter(|p| p.block != acc.block)),
+                AccessKind::Read => foreign(last_write),
+                AccessKind::Write | AccessKind::Atomic => foreign(last_write)
+                    .filter(|p| !(kind == AccessKind::Atomic && p.kind == AccessKind::Atomic))
+                    .or_else(|| foreign(last_read))
+                    .or_else(|| foreign(other_read)),
+            };
+            let next = if kind.writes() {
+                [id, last_read, other_read]
+            } else if foreign(last_read).is_some() {
+                [last_write, id, last_read]
+            } else {
+                [last_write, id, other_read]
             };
             if let Some(p) = prior {
                 self.push_keyed(
@@ -599,17 +633,7 @@ impl LaunchSanitizer {
                     },
                 );
             }
-            let cell = self.global.entry(b).or_default();
-            if kind.writes() {
-                cell.last_write = Some(acc);
-            } else {
-                if let Some(lr) = cell.last_read {
-                    if lr.block != acc.block {
-                        cell.other_read = Some(lr);
-                    }
-                }
-                cell.last_read = Some(acc);
-            }
+            *self.global.slot(b) = next;
         }
     }
 
@@ -627,6 +651,12 @@ impl LaunchSanitizer {
     /// Drain the collected reports.
     pub fn take_reports(&mut self) -> Vec<HazardReport> {
         std::mem::take(&mut self.reports)
+    }
+
+    /// Pages of global shadow allocated so far: what the launch's shadow
+    /// memory is proportional to (see the module docs for the bound).
+    pub fn shadow_pages(&self) -> usize {
+        self.global.pages()
     }
 }
 

@@ -1,0 +1,98 @@
+//! Paged shadow tables: one cell of checker state per byte address.
+//!
+//! Both dynamic checkers keep per-address state — the sanitizer's launch-wide
+//! global shadow ([`crate::sanitizer`]) and redcert's symbolic cells and
+//! access logs ([`crate::cert`]). Addresses cluster (an array, a staging
+//! slab), so the table is a handful of lazily allocated fixed-size pages
+//! behind a small directory, with a memo of the last page in front of it:
+//! the steady state of a lookup is a shift, a compare and an index.
+//!
+//! A [`Paged`] is a *total* map from `u64` to `T`: every address holds
+//! `T::default()` until something else is stored there, and a cell that is
+//! never asked for mutably costs nothing. Memory is `size_of::<T>() <<
+//! BITS` per touched *page*, not per touched address — the worst case is
+//! one access per page, i.e. `size_of::<T>()` times the span of addresses
+//! the observed program can reach.
+
+use std::collections::BTreeMap;
+
+/// A total map from byte address to `T` over pages of `1 << BITS` cells.
+#[derive(Debug)]
+pub struct Paged<T, const BITS: u32> {
+    pages: Vec<Box<[T]>>,
+    /// Page number (`addr >> BITS`) → index into `pages`.
+    dir: BTreeMap<u64, usize>,
+    /// The `dir` entry resolved last, so that consecutive accesses to one
+    /// page skip the directory.
+    last: Option<(u64, usize)>,
+    /// What [`Paged::get`] lends out for an address on no page.
+    empty: T,
+}
+
+impl<T: Default + Clone, const BITS: u32> Default for Paged<T, BITS> {
+    fn default() -> Self {
+        Paged {
+            pages: Vec::new(),
+            dir: BTreeMap::new(),
+            last: None,
+            empty: T::default(),
+        }
+    }
+}
+
+impl<T: Default + Clone, const BITS: u32> Paged<T, BITS> {
+    const MASK: u64 = (1 << BITS) - 1;
+
+    /// The cell at `addr`; `T::default()` if nothing was stored there.
+    pub fn get(&self, addr: u64) -> &T {
+        let page = addr >> BITS;
+        let idx = match self.last {
+            Some((p, i)) if p == page => Some(i),
+            _ => self.dir.get(&page).copied(),
+        };
+        idx.map_or(&self.empty, |i| {
+            &self.pages[i][(addr & Self::MASK) as usize]
+        })
+    }
+
+    /// The cell at `addr` for writing, allocating its page on first touch.
+    pub fn slot(&mut self, addr: u64) -> &mut T {
+        let page = addr >> BITS;
+        let idx = match self.last {
+            Some((p, i)) if p == page => i,
+            _ => {
+                let pages = &mut self.pages;
+                let i = *self.dir.entry(page).or_insert_with(|| {
+                    // All-zero defaults of primitive arrays come from
+                    // `calloc`: untouched parts of the page stay uncommitted.
+                    pages.push(vec![T::default(); 1 << BITS].into_boxed_slice());
+                    pages.len() - 1
+                });
+                self.last = Some((page, i));
+                i
+            }
+        };
+        &mut self.pages[idx][(addr & Self::MASK) as usize]
+    }
+
+    /// Back to the all-default map, releasing every page.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+        self.dir.clear();
+        self.last = None;
+    }
+
+    /// Every cell of every allocated page — untouched ones included, still
+    /// `T::default()` — in ascending address order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.dir.iter().flat_map(move |(&page, &i)| {
+            let cells = self.pages[i].iter().enumerate();
+            cells.map(move |(k, cell)| (page << BITS | k as u64, cell))
+        })
+    }
+
+    /// Number of pages allocated so far.
+    pub fn pages(&self) -> usize {
+        self.pages.len()
+    }
+}

@@ -18,6 +18,7 @@
 
 use crate::cases::{case_source, Position};
 use crate::run::{bind_dims, case_data, SuiteConfig};
+use crate::sanitize::MatrixCase;
 use accparse::ast::{CType, RedOp};
 use accrt::{AccError, AccRunner, HostBuffer};
 use gpsim::{CertReport, CertVerdict, Device};
@@ -159,6 +160,19 @@ fn tally(
     }
 }
 
+/// Run one row of the sanitize matrix under the translation validator,
+/// at the geometry the matrix pins it to.
+pub fn certify_case(case: &MatrixCase, expect: CertExpect, cfg: &SuiteConfig) -> CertSweepRow {
+    let outcome = cert_case(
+        case.opts.clone(),
+        case.pos,
+        RedOp::Add,
+        case.ty,
+        &case.config(cfg),
+    );
+    tally(case.label.clone(), expect, outcome)
+}
+
 fn with(f: impl FnOnce(&mut CompilerOptions)) -> CompilerOptions {
     let mut o = CompilerOptions::openuh();
     f(&mut o);
@@ -264,60 +278,9 @@ pub fn run_cert_sweep(cfg: &SuiteConfig) -> Vec<CertSweepRow> {
 
     // Injected defects — the sanitize matrix's knobs, pinned to the
     // geometries where each defect is live. None may certify.
-    rows.push(tally(
-        "bug: missing stage barrier (worker)".into(),
-        CertExpect::NotCertified,
-        cert_case(
-            with(|o| o.bugs.skip_stage_barrier = true),
-            Position::Worker,
-            RedOp::Add,
-            CType::Int,
-            cfg,
-        ),
-    ));
-    rows.push(tally(
-        "bug: missing post-broadcast barrier (vector)".into(),
-        CertExpect::NotCertified,
-        cert_case(
-            with(|o| o.bugs.skip_bcast_barrier = true),
-            Position::Vector,
-            RedOp::Add,
-            CType::Int,
-            cfg,
-        ),
-    ));
-    rows.push(tally(
-        "bug: warp-sync tail with vector % 32 != 0".into(),
-        CertExpect::NotCertified,
-        cert_case(
-            with(|o| o.bugs.warp_tail_everywhere = true),
-            Position::Vector,
-            RedOp::Add,
-            CType::Int,
-            &SuiteConfig {
-                dims: LaunchDims {
-                    gangs: 4,
-                    workers: 2,
-                    vector: 80,
-                },
-                ..*cfg
-            },
-        ),
-    ));
-    rows.push(tally(
-        "bug: transposed slab reuse (no post-read barrier)".into(),
-        CertExpect::NotCertified,
-        cert_case(
-            with(|o| {
-                o.vector_layout = VectorLayout::Transposed;
-                o.bugs.skip_postread_barrier = true;
-            }),
-            Position::Vector,
-            RedOp::Add,
-            CType::Int,
-            cfg,
-        ),
-    ));
+    for case in MatrixCase::barrier_defects() {
+        rows.push(certify_case(&case, CertExpect::NotCertified, cfg));
+    }
     // The span bug is live only where the reduction *spans* levels
     // beyond the clause's own (the Fig. 9 shape): at worker-vector the
     // clause sits on the worker loop and auto-span must pull in the

@@ -21,7 +21,9 @@ pub mod run;
 pub mod sanitize;
 
 pub use cases::{case_source, Position};
-pub use certsweep::{cert_config, format_cert_sweep, run_cert_sweep, CertExpect, CertSweepRow};
+pub use certsweep::{
+    cert_config, certify_case, format_cert_sweep, run_cert_sweep, CertExpect, CertSweepRow,
+};
 pub use lintsweep::{format_lint_sweep, run_lint_sweep, strip_reduction_clauses, LintSweepRow};
 pub use redflowsweep::{format_redflow_sweep, run_redflow_sweep, RedflowRow};
 pub use report::{format_fig11, format_summary, format_table2};
@@ -30,6 +32,6 @@ pub use run::{
     CaseStatus, ProfiledCase, SuiteConfig, TimedCase,
 };
 pub use sanitize::{
-    format_matrix, format_verify_sweep, run_sanitize_matrix, run_verify_sweep, SanitizeRow,
-    VerifySweepRow,
+    format_matrix, format_verify_sweep, run_sanitize_matrix, run_verify_sweep, sanitize_case,
+    MatrixCase, SanitizeRow, VerifySweepRow,
 };

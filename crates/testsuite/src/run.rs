@@ -10,7 +10,7 @@ use crate::cases::{case_source, combo_legal, extents, gen_value, Position};
 use acc_baselines::{Compiler, CpuExec, ReductionCase};
 use accparse::ast::{CType, RedOp};
 use accrt::{AccError, AccRunner, HostBuffer};
-use gpsim::{Device, Value};
+use gpsim::{Device, SanitizerLevel, Value};
 use uhacc_core::LaunchDims;
 
 /// Suite configuration: reduction loop size and launch geometry.
@@ -374,13 +374,16 @@ pub struct TimedCase {
 /// session (untimed), bind the deterministic inputs (untimed), then time
 /// `run()` alone. `cfg.exec_tier` and `cfg.host_threads` select the
 /// simulator configuration being measured, so `make-figures
-/// sim-throughput` can race the execution tiers on identical workloads.
+/// sim-throughput` can race the execution tiers on identical workloads;
+/// `sanitize` runs the same launches shadowed, for the sanitizer's cost
+/// relative to a plain run.
 pub fn time_case(
     compiler: Compiler,
     pos: Position,
     op: RedOp,
     t: CType,
     cfg: &SuiteConfig,
+    sanitize: SanitizerLevel,
 ) -> Result<TimedCase, String> {
     let case = ReductionCase::new(pos.levels(), pos.same_loop(), op, t);
     let opts = compiler.options_for_case(&case)?;
@@ -390,6 +393,7 @@ pub fn time_case(
         .map_err(|e| e.to_string())?;
     r.set_host_threads(cfg.host_threads);
     r.set_exec_tier(cfg.exec_tier);
+    r.sanitize(sanitize);
     bind_dims(pos, cfg, |n, v| r.bind_int(n, v)).map_err(|e| e.to_string())?;
     r.bind_array("input", data.input.clone())
         .map_err(|e| e.to_string())?;

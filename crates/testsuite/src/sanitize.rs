@@ -167,26 +167,117 @@ fn tally(label: String, expect: Vec<HazardClass>, outcome: CaseOutcome) -> Sanit
     }
 }
 
-/// Run one testsuite case under the given compiler options with the
-/// sanitizer at `Full` *and* the static verifier enabled, returning
-/// everything both reported.
-fn sanitized_case(
-    opts: CompilerOptions,
-    pos: Position,
-    op: RedOp,
-    t: CType,
-    cfg: &SuiteConfig,
-) -> CaseOutcome {
+/// A matrix row compiled from a testsuite `+` reduction: which position
+/// and element type, under which options, at which geometry. The detection
+/// matrix, the certification sweep ([`crate::certsweep`]) and the
+/// cross-rail oracle (`tests/cross_rail.rs`) run these same rows, so the
+/// three rails judge the same kernels.
+#[derive(Debug, Clone)]
+pub struct MatrixCase {
+    pub label: String,
+    /// Hazard classes the dynamic sanitizer must raise; empty = clean.
+    pub expect: Vec<HazardClass>,
+    pub opts: CompilerOptions,
+    pub pos: Position,
+    pub ty: CType,
+    /// The geometry the defect is live at, when the sweep's own hides it.
+    pub dims: Option<LaunchDims>,
+}
+
+impl MatrixCase {
+    /// One position of the paper's §6 grid under the OpenUH option set.
+    pub fn openuh(pos: Position, ty: CType) -> MatrixCase {
+        MatrixCase {
+            label: format!("openuh {}", pos.label()),
+            expect: Vec::new(),
+            opts: CompilerOptions::openuh(),
+            pos,
+            ty,
+            dims: None,
+        }
+    }
+
+    /// The four injected barrier defects. Each is a real miscompilation
+    /// (wrong results under some geometry), pinned to a geometry where the
+    /// defect is live.
+    pub fn barrier_defects() -> Vec<MatrixCase> {
+        use HazardClass::*;
+        let defect = |label: &str, expect, pos, inject: fn(&mut CompilerOptions)| {
+            let mut opts = CompilerOptions::openuh();
+            inject(&mut opts);
+            MatrixCase {
+                label: label.into(),
+                expect,
+                opts,
+                pos,
+                ty: CType::Int,
+                dims: None,
+            }
+        };
+        vec![
+            defect(
+                "bug: missing stage barrier (worker)",
+                vec![RaceCheck, InitCheck],
+                Position::Worker,
+                |o| o.bugs.skip_stage_barrier = true,
+            ),
+            defect(
+                "bug: missing post-broadcast barrier (vector)",
+                vec![RaceCheck],
+                Position::Vector,
+                |o| o.bugs.skip_bcast_barrier = true,
+            ),
+            MatrixCase {
+                dims: Some(LaunchDims {
+                    gangs: 4,
+                    workers: 2,
+                    vector: 80,
+                }),
+                ..defect(
+                    "bug: warp-sync tail with vector % 32 != 0",
+                    vec![RaceCheck],
+                    Position::Vector,
+                    |o| o.bugs.warp_tail_everywhere = true,
+                )
+            },
+            defect(
+                "bug: transposed slab reuse (no post-read barrier)",
+                vec![RaceCheck],
+                Position::Vector,
+                |o| {
+                    o.vector_layout = VectorLayout::Transposed;
+                    o.bugs.skip_postread_barrier = true;
+                },
+            ),
+        ]
+    }
+
+    /// `cfg` at this row's geometry.
+    pub fn config(&self, cfg: &SuiteConfig) -> SuiteConfig {
+        SuiteConfig {
+            dims: self.dims.unwrap_or(cfg.dims),
+            ..*cfg
+        }
+    }
+}
+
+/// Run one matrix case with the sanitizer at `Full` *and* the static
+/// verifier enabled, and tally everything both reported.
+pub fn sanitize_case(case: &MatrixCase, cfg: &SuiteConfig) -> SanitizeRow {
+    let cfg = &case.config(cfg);
+    let (pos, op, t) = (case.pos, RedOp::Add, case.ty);
     let src = case_source(pos, op, t);
     let data = case_data(pos, op, t, cfg);
-    let mut r = match AccRunner::with_options(&src, opts, cfg.dims, Device::default()) {
+    let row = |outcome| tally(case.label.clone(), case.expect.clone(), outcome);
+    let mut r = match AccRunner::with_options(&src, case.opts.clone(), cfg.dims, Device::default())
+    {
         Ok(r) => r,
         Err(e) => {
-            return CaseOutcome {
+            return row(CaseOutcome {
                 reports: Vec::new(),
                 verify: Vec::new(),
                 err: Some(e.to_string()),
-            }
+            })
         }
     };
     r.set_host_threads(cfg.host_threads);
@@ -200,11 +291,11 @@ fn sanitized_case(
         }
         r.run()
     })();
-    CaseOutcome {
+    row(CaseOutcome {
         reports: r.take_hazards(),
         verify: r.take_verify_reports(),
         err: bound.err().map(|e| e.to_string()),
-    }
+    })
 }
 
 /// A handcrafted kernel whose two warps reach *different* barrier sites:
@@ -257,12 +348,6 @@ fn uninit_shared_reports() -> CaseOutcome {
     }
 }
 
-fn bugged(f: impl FnOnce(&mut CompilerOptions)) -> CompilerOptions {
-    let mut o = CompilerOptions::openuh();
-    f(&mut o);
-    o
-}
-
 /// Run the full detection matrix.
 ///
 /// The first block of rows is the paper's §6 strategy grid (every
@@ -274,71 +359,11 @@ pub fn run_sanitize_matrix(cfg: &SuiteConfig) -> Vec<SanitizeRow> {
     let mut rows = Vec::new();
 
     for pos in Position::all() {
-        let outcome = sanitized_case(CompilerOptions::openuh(), pos, RedOp::Add, CType::Int, cfg);
-        rows.push(tally(
-            format!("openuh {}", pos.label()),
-            Vec::new(),
-            outcome,
-        ));
+        rows.push(sanitize_case(&MatrixCase::openuh(pos, CType::Int), cfg));
     }
-
-    // Defect rows. Each is a real miscompilation (wrong results under some
-    // geometry), pinned to a geometry where the defect is live.
-    rows.push(tally(
-        "bug: missing stage barrier (worker)".into(),
-        vec![RaceCheck, InitCheck],
-        sanitized_case(
-            bugged(|o| o.bugs.skip_stage_barrier = true),
-            Position::Worker,
-            RedOp::Add,
-            CType::Int,
-            cfg,
-        ),
-    ));
-    rows.push(tally(
-        "bug: missing post-broadcast barrier (vector)".into(),
-        vec![RaceCheck],
-        sanitized_case(
-            bugged(|o| o.bugs.skip_bcast_barrier = true),
-            Position::Vector,
-            RedOp::Add,
-            CType::Int,
-            cfg,
-        ),
-    ));
-    rows.push(tally(
-        "bug: warp-sync tail with vector % 32 != 0".into(),
-        vec![RaceCheck],
-        sanitized_case(
-            bugged(|o| o.bugs.warp_tail_everywhere = true),
-            Position::Vector,
-            RedOp::Add,
-            CType::Int,
-            &SuiteConfig {
-                red_n: cfg.red_n,
-                dims: LaunchDims {
-                    gangs: 4,
-                    workers: 2,
-                    vector: 80,
-                },
-                ..*cfg
-            },
-        ),
-    ));
-    rows.push(tally(
-        "bug: transposed slab reuse (no post-read barrier)".into(),
-        vec![RaceCheck],
-        sanitized_case(
-            bugged(|o| {
-                o.vector_layout = VectorLayout::Transposed;
-                o.bugs.skip_postread_barrier = true;
-            }),
-            Position::Vector,
-            RedOp::Add,
-            CType::Int,
-            cfg,
-        ),
-    ));
+    for case in MatrixCase::barrier_defects() {
+        rows.push(sanitize_case(&case, cfg));
+    }
     rows.push(tally(
         "bug: barrier under divergent control flow".into(),
         vec![SyncCheck],
@@ -577,14 +602,7 @@ mod tests {
     #[test]
     fn openuh_vector_case_is_clean_under_full_sanitizer() {
         let cfg = SuiteConfig::quick();
-        let outcome = sanitized_case(
-            CompilerOptions::openuh(),
-            Position::Vector,
-            RedOp::Add,
-            CType::Int,
-            &cfg,
-        );
-        let row = tally("v".into(), Vec::new(), outcome);
+        let row = sanitize_case(&MatrixCase::openuh(Position::Vector, CType::Int), &cfg);
         assert_eq!(row.verdict(), "clean", "{:?}", row.sample);
         // Static column: no false positives, and the OpenUH unrolled tree
         // is fully provable by the affine analysis.
@@ -592,57 +610,15 @@ mod tests {
         assert_eq!(row.static_unproven, 0, "{:?}", row.sample);
     }
 
-    /// The three barrier knobs named by the paper's Fig. 7/8 discussion
-    /// must each be caught *statically* as a race, on every geometry the
+    /// The barrier knobs named by the paper's Fig. 7/8 discussion must
+    /// each be caught *statically* as a race, on every geometry the
     /// matrix pins them to.
     #[test]
     fn named_barrier_knobs_are_statically_caught() {
         let cfg = SuiteConfig::quick();
-        let bcast = tally(
-            "bcast".into(),
-            vec![HazardClass::RaceCheck],
-            sanitized_case(
-                bugged(|o| o.bugs.skip_bcast_barrier = true),
-                Position::Vector,
-                RedOp::Add,
-                CType::Int,
-                &cfg,
-            ),
-        );
-        assert!(bcast.static_race > 0, "{:?}", bcast.sample);
-        let postread = tally(
-            "postread".into(),
-            vec![HazardClass::RaceCheck],
-            sanitized_case(
-                bugged(|o| {
-                    o.vector_layout = VectorLayout::Transposed;
-                    o.bugs.skip_postread_barrier = true;
-                }),
-                Position::Vector,
-                RedOp::Add,
-                CType::Int,
-                &cfg,
-            ),
-        );
-        assert!(postread.static_race > 0, "{:?}", postread.sample);
-        let tail = tally(
-            "tail".into(),
-            vec![HazardClass::RaceCheck],
-            sanitized_case(
-                bugged(|o| o.bugs.warp_tail_everywhere = true),
-                Position::Vector,
-                RedOp::Add,
-                CType::Int,
-                &SuiteConfig {
-                    dims: LaunchDims {
-                        gangs: 4,
-                        workers: 2,
-                        vector: 80,
-                    },
-                    ..cfg
-                },
-            ),
-        );
-        assert!(tail.static_race > 0, "{:?}", tail.sample);
+        for case in MatrixCase::barrier_defects() {
+            let row = sanitize_case(&case, &cfg);
+            assert!(row.static_race > 0, "{}: {:?}", row.label, row.sample);
+        }
     }
 }
