@@ -1,16 +1,8 @@
 //! Typed host-side array storage bound to program arrays.
 
 use accparse::ast::CType;
-use gpsim::{Ty, Value};
-
-fn machine_ty(ct: CType) -> Ty {
-    match ct {
-        CType::Int => Ty::I32,
-        CType::Long => Ty::I64,
-        CType::Float => Ty::F32,
-        CType::Double => Ty::F64,
-    }
-}
+use gpsim::Value;
+use uhacc_core::types::machine_ty;
 
 /// A host array: element type plus raw little-endian storage, the host
 /// half of an OpenACC data clause.

@@ -3,18 +3,10 @@
 //! exactly, so host-computed bounds agree with device-computed bounds.
 
 use crate::error::AccError;
-use accparse::ast::{BinOpKind, CType, UnOpKind};
+use accparse::ast::{BinOpKind, UnOpKind};
 use accparse::hir::{HExpr, HExprKind, MathFunc, Sym};
 use gpsim::{eval_bin, eval_cmp, eval_un, BinOp, CmpOp, Ty, UnOp, Value};
-
-fn machine_ty(ct: CType) -> Ty {
-    match ct {
-        CType::Int => Ty::I32,
-        CType::Long => Ty::I64,
-        CType::Float => Ty::F32,
-        CType::Double => Ty::F64,
-    }
-}
+use uhacc_core::types::machine_ty;
 
 /// Evaluate a host expression against the current scalar values.
 ///
@@ -128,6 +120,7 @@ pub fn eval_host_extent(e: &HExpr, scalars: &[Value], what: &str) -> Result<u64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accparse::ast::CType;
     use accparse::diag::Span;
 
     fn int(v: i64) -> HExpr {

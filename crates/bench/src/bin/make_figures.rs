@@ -6,8 +6,8 @@
 use acc_baselines::Compiler;
 use acc_testsuite::Position;
 use acc_testsuite::{
-    format_fig11, format_summary, format_table2, profile_case, run_suite, time_case, SuiteConfig,
-    TimedCase,
+    format_fig11, format_summary, format_table2, profile_case, run_suite, time_case, Case,
+    SuiteConfig, TimedCase,
 };
 use accparse::ast::{CType, RedOp};
 use uhacc_bench::*;
@@ -202,13 +202,13 @@ fn profile(red_n: usize) {
         ..Default::default()
     };
     eprintln!("[profile] profiling the gang-worker-vector int `+` case (red_n = {red_n}) ...");
-    let pc = profile_case(
+    let pc = Case::of(
         Compiler::OpenUH,
         Position::GangWorkerVector,
         RedOp::Add,
         CType::Int,
-        &cfg,
     )
+    .and_then(|case| profile_case(&case, &cfg))
     .expect("canonical case profiles cleanly");
     std::fs::write("BENCH_profile.json", &pc.json).expect("write BENCH_profile.json");
     print!("{}", pc.report);
@@ -242,6 +242,7 @@ fn sim_throughput(red_n: usize) {
     const SANITIZED: [&str; 2] = ["gang_worker_vector_int_add", "worker_double_add"];
     type Run = Box<dyn Fn(ExecTier, u32, SanitizerLevel) -> TimedCase>;
     let case = |pos: Position, op: RedOp, t: CType, red_n: usize| -> Run {
+        let case = Case::of(Compiler::OpenUH, pos, op, t).expect("OpenUH rejects no case");
         Box::new(move |tier, host_threads, sanitize| {
             let cfg = SuiteConfig {
                 red_n,
@@ -249,8 +250,7 @@ fn sim_throughput(red_n: usize) {
                 host_threads,
                 ..Default::default()
             };
-            time_case(Compiler::OpenUH, pos, op, t, &cfg, sanitize)
-                .expect("throughput workloads run cleanly")
+            time_case(&case, &cfg, sanitize).expect("throughput workloads run cleanly")
         })
     };
     // The applications time the whole `run_*` call: their set-up (source

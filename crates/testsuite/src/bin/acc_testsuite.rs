@@ -7,7 +7,7 @@
 use acc_baselines::Compiler;
 use acc_testsuite::{
     certsweep, format_fig11, format_summary, format_table2, lintsweep, profile_case, redflowsweep,
-    run_suite, sanitize, Position, SuiteConfig,
+    run_suite, sanitize, Case, Position, SuiteConfig, ALL_OPS,
 };
 use accparse::ast::{CType, RedOp};
 use uhacc_core::flags::{host_threads_from_env, parse_count, parse_count_u32};
@@ -87,9 +87,11 @@ fn main() {
                 cfg.exec_tier = v.parse().unwrap_or_else(|e| flag_err(e));
             }
             "--quick" => {
-                let tier = cfg.exec_tier;
-                cfg = SuiteConfig::quick();
-                cfg.exec_tier = tier;
+                cfg = SuiteConfig {
+                    host_threads: cfg.host_threads,
+                    exec_tier: cfg.exec_tier,
+                    ..SuiteConfig::quick()
+                }
             }
             "--fig11" => fig11 = true,
             "--all-ops" => all_ops = true,
@@ -144,13 +146,13 @@ fn main() {
             "profiling the gang-worker-vector int `+` case under openuh (red_n = {}) ...",
             cfg.red_n
         );
-        let pc = match profile_case(
+        let case = Case::of(
             Compiler::OpenUH,
             Position::GangWorkerVector,
             RedOp::Add,
             CType::Int,
-            &cfg,
-        ) {
+        );
+        let pc = match case.and_then(|case| profile_case(&case, &cfg)) {
             Ok(pc) => pc,
             Err(e) => {
                 eprintln!("profile failed: {e}");
@@ -172,17 +174,7 @@ fn main() {
     }
 
     let ops: Vec<RedOp> = if all_ops {
-        vec![
-            RedOp::Add,
-            RedOp::Mul,
-            RedOp::Max,
-            RedOp::Min,
-            RedOp::BitAnd,
-            RedOp::BitOr,
-            RedOp::BitXor,
-            RedOp::LogAnd,
-            RedOp::LogOr,
-        ]
+        ALL_OPS.to_vec()
     } else {
         vec![RedOp::Add, RedOp::Mul]
     };

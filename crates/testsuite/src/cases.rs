@@ -143,6 +143,19 @@ pub fn initial_value(op: RedOp, t: CType) -> &'static str {
     }
 }
 
+/// All nine OpenACC reduction operators, Table 2 order first.
+pub const ALL_OPS: [RedOp; 9] = [
+    RedOp::Add,
+    RedOp::Mul,
+    RedOp::Max,
+    RedOp::Min,
+    RedOp::BitAnd,
+    RedOp::BitOr,
+    RedOp::BitXor,
+    RedOp::LogAnd,
+    RedOp::LogOr,
+];
+
 /// Is (op, type) a legal combination? (Bitwise and logical reductions are
 /// integer-only in C.)
 pub fn combo_legal(op: RedOp, t: CType) -> bool {

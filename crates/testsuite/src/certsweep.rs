@@ -16,12 +16,12 @@
 //!   Certified*: the one outcome a translation validator must never
 //!   produce, and the sweep's hard failure.
 
-use crate::cases::{case_source, Position};
-use crate::run::{bind_dims, case_data, SuiteConfig};
-use crate::sanitize::MatrixCase;
+use crate::cases::Position;
+use crate::report::{format_sweep, SweepRow};
+use crate::run::{no_declines, Case, SuiteConfig};
+use crate::sanitize::barrier_defects;
 use accparse::ast::{CType, RedOp};
-use accrt::{AccError, AccRunner, HostBuffer};
-use gpsim::{CertReport, CertVerdict, Device};
+use gpsim::{CertVerdict, Device};
 use uhacc_core::{
     CombineSpace, CompilerOptions, GangStrategy, LaunchDims, Schedule, TreeStyle, VectorLayout,
     WorkerStrategy,
@@ -62,22 +62,64 @@ pub struct CertSweepRow {
     pub verdict: String,
     /// Did the case certify (exactly or modulo reassociation)?
     pub certified: bool,
-    /// Unknown reason / refutation witness / run error, for context.
+    /// Set when the typed tier declined a launch of the row (see
+    /// [`no_declines`]): the row fails whatever the validator said.
+    pub declined: Option<String>,
+    /// The decline, else the unknown reason / refutation witness / run
+    /// error, for context.
     pub sample: Option<String>,
 }
 
 impl CertSweepRow {
     pub fn ok(&self) -> bool {
-        match self.expect {
-            CertExpect::Exact => self.verdict == "certified",
-            CertExpect::Reassoc => self.verdict == "certified-modulo-reassoc",
-            CertExpect::NotCertified => !self.certified,
-        }
+        self.declined.is_none()
+            && match self.expect {
+                CertExpect::Exact => self.verdict == "certified",
+                CertExpect::Reassoc => self.verdict == "certified-modulo-reassoc",
+                CertExpect::NotCertified => !self.certified,
+            }
     }
 
     /// The hard failure: an injected defect the validator certified.
     pub fn false_certified(&self) -> bool {
         self.expect == CertExpect::NotCertified && self.certified
+    }
+
+    /// Tally the region reports the validator left on `dev`; `err` is the
+    /// run error, if any (certification happens pre-launch, so reports
+    /// survive an aborted launch).
+    pub fn harvest(
+        label: &str,
+        expect: CertExpect,
+        dev: &mut Device,
+        err: Option<String>,
+    ) -> CertSweepRow {
+        let reports = dev.take_cert_reports();
+        let mut worst = CertVerdict::Certified;
+        for rep in &reports {
+            worst = worst.merge(rep.verdict.clone());
+        }
+        let (verdict, certified) = if reports.is_empty() {
+            ("error".to_string(), false)
+        } else {
+            (worst.label().to_string(), worst.is_certified())
+        };
+        let declined = no_declines(dev).err();
+        CertSweepRow {
+            label: label.into(),
+            expect,
+            verdict,
+            certified,
+            sample: declined
+                .clone()
+                .or(reports.iter().find_map(|r| match &r.verdict {
+                    CertVerdict::Unknown { reason } => Some(reason.clone()),
+                    CertVerdict::Refuted { witness } => Some(witness.clone()),
+                    _ => None,
+                }))
+                .or(err),
+            declined,
+        }
     }
 }
 
@@ -98,79 +140,20 @@ pub fn cert_config() -> SuiteConfig {
     }
 }
 
-/// Run one testsuite case under the translation validator, returning its
-/// region reports and the run error (if any; certification happens
-/// pre-launch, so reports survive an aborted launch).
-fn cert_case(
-    opts: CompilerOptions,
-    pos: Position,
-    op: RedOp,
-    t: CType,
-    cfg: &SuiteConfig,
-) -> (Vec<CertReport>, Option<String>) {
-    let src = case_source(pos, op, t);
-    let data = case_data(pos, op, t, cfg);
-    let mut r = match AccRunner::with_options(&src, opts, cfg.dims, Device::default()) {
+/// Run one case under the translation validator, at the geometry the
+/// case pins (if any).
+pub fn certify_case(case: &Case, expect: CertExpect, cfg: &SuiteConfig) -> CertSweepRow {
+    let mut r = match case.session(cfg) {
         Ok(r) => r,
-        Err(e) => return (Vec::new(), Some(e.to_string())),
-    };
-    r.set_host_threads(cfg.host_threads);
-    r.set_exec_tier(cfg.exec_tier);
-    r.certify(true);
-    let bound = (|| -> Result<(), AccError> {
-        bind_dims(pos, cfg, |n, v| r.bind_int(n, v))?;
-        r.bind_array("input", data.input.clone())?;
-        if let Some(n) = data.out_len {
-            r.bind_array("out", HostBuffer::new(t, n))?;
+        Err(e) => {
+            // Nothing launched: an idle device holds no reports.
+            let idle = &mut Device::test_small();
+            return CertSweepRow::harvest(&case.label, expect, idle, Some(e.to_string()));
         }
-        r.run()
-    })();
-    (r.take_cert_reports(), bound.err().map(|e| e.to_string()))
-}
-
-fn tally(
-    label: String,
-    expect: CertExpect,
-    outcome: (Vec<CertReport>, Option<String>),
-) -> CertSweepRow {
-    let (reports, err) = outcome;
-    let mut worst = CertVerdict::Certified;
-    for rep in &reports {
-        worst = worst.merge(rep.verdict.clone());
-    }
-    let sample = reports
-        .iter()
-        .find_map(|r| match &r.verdict {
-            CertVerdict::Unknown { reason } => Some(reason.clone()),
-            CertVerdict::Refuted { witness } => Some(witness.clone()),
-            _ => None,
-        })
-        .or(err.clone());
-    let (verdict, certified) = if reports.is_empty() {
-        ("error".to_string(), false)
-    } else {
-        (worst.label().to_string(), worst.is_certified())
     };
-    CertSweepRow {
-        label,
-        expect,
-        verdict,
-        certified,
-        sample,
-    }
-}
-
-/// Run one row of the sanitize matrix under the translation validator,
-/// at the geometry the matrix pins it to.
-pub fn certify_case(case: &MatrixCase, expect: CertExpect, cfg: &SuiteConfig) -> CertSweepRow {
-    let outcome = cert_case(
-        case.opts.clone(),
-        case.pos,
-        RedOp::Add,
-        case.ty,
-        &case.config(cfg),
-    );
-    tally(case.label.clone(), expect, outcome)
+    r.certify(true);
+    let err = r.run().err().map(|e| e.to_string());
+    CertSweepRow::harvest(&case.label, expect, r.device_mut(), err)
 }
 
 fn with(f: impl FnOnce(&mut CompilerOptions)) -> CompilerOptions {
@@ -179,163 +162,148 @@ fn with(f: impl FnOnce(&mut CompilerOptions)) -> CompilerOptions {
     o
 }
 
-/// Run the full certification sweep.
+/// The sweep's cases, each with the verdict it must come back as.
 ///
 /// Block 1: the OpenUH strategy at every reduction position of Table 2,
 /// integer and double. Block 2: the full legal strategy grid (layout ×
 /// worker × tree × staging, plus the blocking schedule and the atomic
 /// gang fallback). Block 3: the sanitize matrix's injected defects, each
 /// pinned to the geometry where it is live — none may certify.
-pub fn run_cert_sweep(cfg: &SuiteConfig) -> Vec<CertSweepRow> {
-    let mut rows = Vec::new();
+pub fn cert_cases() -> Vec<(Case, CertExpect)> {
+    use CertExpect::*;
+    let int = |label: &str, opts, pos, op| Case::new(label, opts, pos, op, CType::Int);
+    let mut cases = Vec::new();
 
     for pos in Position::all() {
-        rows.push(tally(
-            format!("openuh {} int +", pos.label()),
-            CertExpect::Exact,
-            cert_case(CompilerOptions::openuh(), pos, RedOp::Add, CType::Int, cfg),
-        ));
-        rows.push(tally(
-            format!("openuh {} double +", pos.label()),
-            CertExpect::Reassoc,
-            cert_case(
-                CompilerOptions::openuh(),
-                pos,
-                RedOp::Add,
-                CType::Double,
-                cfg,
-            ),
-        ));
+        for (ty, name, expect) in [
+            (CType::Int, "int", Exact),
+            (CType::Double, "double", Reassoc),
+        ] {
+            let label = format!("openuh {} {name} +", pos.label());
+            let opts = CompilerOptions::openuh();
+            cases.push((Case::new(label, opts, pos, RedOp::Add, ty), expect));
+        }
     }
 
     // The legal §6 grid, at the position that exercises every combining
     // path (gang, worker and vector reductions in one nest).
-    for layout in [VectorLayout::RowWise, VectorLayout::Transposed] {
-        for worker in [WorkerStrategy::FirstRow, WorkerStrategy::DuplicateRows] {
-            for tree in [TreeStyle::Unrolled, TreeStyle::Looped] {
-                for combine in [CombineSpace::Shared, CombineSpace::Global] {
-                    let label = format!(
-                        "grid {}/{}/{}/{} gwv int +",
-                        match layout {
-                            VectorLayout::RowWise => "rowwise",
-                            VectorLayout::Transposed => "transposed",
-                        },
-                        match worker {
-                            WorkerStrategy::FirstRow => "firstrow",
-                            WorkerStrategy::DuplicateRows => "duprows",
-                        },
-                        match tree {
-                            TreeStyle::Unrolled => "unrolled",
-                            TreeStyle::Looped => "looped",
-                        },
-                        match combine {
-                            CombineSpace::Shared => "shared",
-                            CombineSpace::Global => "global",
-                        }
-                    );
-                    rows.push(tally(
-                        label,
-                        CertExpect::Exact,
-                        cert_case(
-                            with(|o| {
-                                o.vector_layout = layout;
-                                o.worker_strategy = worker;
-                                o.tree = tree;
-                                o.combine_space = combine;
-                            }),
-                            Position::GangWorkerVector,
-                            RedOp::Add,
-                            CType::Int,
-                            cfg,
-                        ),
-                    ));
+    for (layout, l) in [
+        (VectorLayout::RowWise, "rowwise"),
+        (VectorLayout::Transposed, "transposed"),
+    ] {
+        for (worker, w) in [
+            (WorkerStrategy::FirstRow, "firstrow"),
+            (WorkerStrategy::DuplicateRows, "duprows"),
+        ] {
+            for (tree, t) in [
+                (TreeStyle::Unrolled, "unrolled"),
+                (TreeStyle::Looped, "looped"),
+            ] {
+                for (combine, c) in [
+                    (CombineSpace::Shared, "shared"),
+                    (CombineSpace::Global, "global"),
+                ] {
+                    let opts = with(|o| {
+                        o.vector_layout = layout;
+                        o.worker_strategy = worker;
+                        o.tree = tree;
+                        o.combine_space = combine;
+                    });
+                    let label = format!("grid {l}/{w}/{t}/{c} gwv int +");
+                    let pos = Position::GangWorkerVector;
+                    cases.push((int(&label, opts, pos, RedOp::Add), Exact));
                 }
             }
         }
     }
-    rows.push(tally(
-        "blocking schedule gwv int +".into(),
-        CertExpect::Exact,
-        cert_case(
-            with(|o| o.schedule = Schedule::Blocking),
-            Position::GangWorkerVector,
-            RedOp::Add,
-            CType::Int,
-            cfg,
+    cases.extend([
+        (
+            int(
+                "blocking schedule gwv int +",
+                with(|o| o.schedule = Schedule::Blocking),
+                Position::GangWorkerVector,
+                RedOp::Add,
+            ),
+            Exact,
         ),
-    ));
-    rows.push(tally(
-        "atomic gang fallback int +".into(),
-        CertExpect::Exact,
-        cert_case(
-            with(|o| o.gang_strategy = GangStrategy::Atomic),
-            Position::Gang,
-            RedOp::Add,
-            CType::Int,
-            cfg,
+        (
+            int(
+                "atomic gang fallback int +",
+                with(|o| o.gang_strategy = GangStrategy::Atomic),
+                Position::Gang,
+                RedOp::Add,
+            ),
+            Exact,
         ),
-    ));
-
+    ]);
     // Injected defects — the sanitize matrix's knobs, pinned to the
     // geometries where each defect is live. None may certify.
-    for case in MatrixCase::barrier_defects() {
-        rows.push(certify_case(&case, CertExpect::NotCertified, cfg));
-    }
+    cases.extend(
+        barrier_defects()
+            .into_iter()
+            .map(|(c, _)| (c, NotCertified)),
+    );
     // The span bug is live only where the reduction *spans* levels
     // beyond the clause's own (the Fig. 9 shape): at worker-vector the
     // clause sits on the worker loop and auto-span must pull in the
     // vector level; honouring clause levels only loses the vector
     // contributions. (At plain worker position the defect is benign —
     // nothing spans — and the validator rightly still certifies.)
-    rows.push(tally(
-        "bug: clause levels only (vector span dropped)".into(),
-        CertExpect::NotCertified,
-        cert_case(
-            with(|o| o.bugs.clause_levels_only = true),
-            Position::WorkerVector,
-            RedOp::Add,
-            CType::Int,
-            cfg,
+    let span = with(|o| o.bugs.clause_levels_only = true);
+    cases.extend([
+        (
+            int(
+                "bug: clause levels only (vector span dropped)",
+                span.clone(),
+                Position::WorkerVector,
+                RedOp::Add,
+            ),
+            NotCertified,
         ),
-    ));
-    rows.push(tally(
-        "bug(benign): clause levels only, nothing spans".into(),
-        CertExpect::Exact,
-        cert_case(
-            with(|o| o.bugs.clause_levels_only = true),
-            Position::Worker,
-            RedOp::Add,
-            CType::Int,
-            cfg,
+        (
+            int(
+                "bug(benign): clause levels only, nothing spans",
+                span,
+                Position::Worker,
+                RedOp::Add,
+            ),
+            Exact,
         ),
-    ));
-    rows.push(tally(
-        "bug: initial value not folded (+, init 3)".into(),
-        CertExpect::NotCertified,
-        cert_case(
-            with(|o| o.bugs.skip_init_fold = true),
-            Position::SameLineGwv,
-            RedOp::Add,
-            CType::Int,
-            cfg,
+    ]);
+    // The initial-value knob is benign for `*`: the testsuite's initial
+    // value for products is 1 — the operator's identity — so skipping
+    // the fold changes nothing and the validator rightly still certifies.
+    let init = with(|o| o.bugs.skip_init_fold = true);
+    let same_line = Position::SameLineGwv;
+    cases.extend([
+        (
+            int(
+                "bug: initial value not folded (+, init 3)",
+                init.clone(),
+                same_line,
+                RedOp::Add,
+            ),
+            NotCertified,
         ),
-    ));
-    // The same knob is benign for `*`: the testsuite's initial value for
-    // products is 1 — the operator's identity — so skipping the fold
-    // changes nothing and the validator rightly still certifies.
-    rows.push(tally(
-        "bug(benign): initial value not folded (*, init 1)".into(),
-        CertExpect::Exact,
-        cert_case(
-            with(|o| o.bugs.skip_init_fold = true),
-            Position::SameLineGwv,
-            RedOp::Mul,
-            CType::Int,
-            cfg,
+        (
+            int(
+                "bug(benign): initial value not folded (*, init 1)",
+                init,
+                same_line,
+                RedOp::Mul,
+            ),
+            Exact,
         ),
-    ));
+    ]);
+    cases
+}
 
-    rows
+/// Run the full certification sweep.
+pub fn run_cert_sweep(cfg: &SuiteConfig) -> Vec<CertSweepRow> {
+    cert_cases()
+        .iter()
+        .map(|(case, expect)| certify_case(case, *expect, cfg))
+        .collect()
 }
 
 /// The whole sweep as `acc-testsuite --certify` runs it — at the small
@@ -350,46 +318,34 @@ pub fn sweep(cfg: &SuiteConfig) -> (String, bool) {
     (format_cert_sweep(&rows), rows.iter().all(|r| r.ok()))
 }
 
-/// Format the sweep as an aligned text table.
+/// The sweep as a table; a false Certified is named, not just failed.
 pub fn format_cert_sweep(rows: &[CertSweepRow]) -> String {
-    use std::fmt::Write;
-    let wide = rows.iter().map(|r| r.label.len()).max().unwrap_or(0).max(4);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<wide$}  {:>14}  {:>24}  verdict",
-        "case", "expect", "got"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(wide + 2 + 16 + 26 + 9));
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<wide$}  {:>14}  {:>24}  {}",
-            r.label,
-            r.expect.label(),
-            r.verdict,
-            if r.ok() {
-                "ok"
-            } else if r.false_certified() {
-                "FALSE CERTIFIED"
-            } else {
-                "FAIL"
-            }
-        );
-        if let (false, Some(s)) = (r.ok(), &r.sample) {
-            let _ = writeln!(out, "{:<wide$}    {}", "", s);
-        }
-    }
-    let bad = rows.iter().filter(|r| !r.ok()).count();
     let false_cert = rows.iter().filter(|r| r.false_certified()).count();
-    let _ = writeln!(
-        out,
-        "{} case(s), {} unexpected outcome(s), {} false certification(s)",
-        rows.len(),
-        bad,
-        false_cert
-    );
-    out
+    let rows: Vec<SweepRow> = rows
+        .iter()
+        .map(|r| SweepRow {
+            label: r.label.clone(),
+            cells: vec![
+                r.expect.label().into(),
+                r.verdict.clone(),
+                if r.ok() {
+                    "ok"
+                } else if r.false_certified() {
+                    "FALSE CERTIFIED"
+                } else {
+                    "FAIL"
+                }
+                .into(),
+            ],
+            failed: !r.ok(),
+            detail: r.sample.clone(),
+        })
+        .collect();
+    format_sweep(
+        &["case", "expect", "got", "verdict"],
+        &rows,
+        &format!("unexpected outcome(s), {false_cert} false certification(s)"),
+    )
 }
 
 #[cfg(test)]
@@ -399,29 +355,15 @@ mod tests {
     #[test]
     fn openuh_gwv_certifies_and_stage_bug_does_not() {
         let cfg = cert_config();
-        let pos_row = tally(
-            "gwv".into(),
-            CertExpect::Exact,
-            cert_case(
-                CompilerOptions::openuh(),
-                Position::GangWorkerVector,
-                RedOp::Add,
-                CType::Int,
-                &cfg,
-            ),
-        );
+        let cases = cert_cases();
+        let row = |label: &str| {
+            let (case, expect) = cases.iter().find(|(c, _)| c.label == label).unwrap();
+            certify_case(case, *expect, &cfg)
+        };
+        let pos_row = row("openuh gang worker vector int +");
         assert!(pos_row.ok(), "{} — {:?}", pos_row.verdict, pos_row.sample);
-        let bug_row = tally(
-            "stage".into(),
-            CertExpect::NotCertified,
-            cert_case(
-                with(|o| o.bugs.skip_stage_barrier = true),
-                Position::Worker,
-                RedOp::Add,
-                CType::Int,
-                &cfg,
-            ),
-        );
+        let bug_row = row("bug: missing stage barrier (worker)");
+        assert_eq!(bug_row.expect, CertExpect::NotCertified);
         assert!(bug_row.ok(), "{} — {:?}", bug_row.verdict, bug_row.sample);
         assert!(!bug_row.false_certified());
     }

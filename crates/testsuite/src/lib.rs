@@ -20,18 +20,19 @@ pub mod report;
 pub mod run;
 pub mod sanitize;
 
-pub use cases::{case_source, Position};
+pub use cases::{case_source, Position, ALL_OPS};
 pub use certsweep::{
-    cert_config, certify_case, format_cert_sweep, run_cert_sweep, CertExpect, CertSweepRow,
+    cert_cases, cert_config, certify_case, format_cert_sweep, run_cert_sweep, CertExpect,
+    CertSweepRow,
 };
 pub use lintsweep::{format_lint_sweep, run_lint_sweep, strip_reduction_clauses, LintSweepRow};
 pub use redflowsweep::{format_redflow_sweep, run_redflow_sweep, RedflowRow};
-pub use report::{format_fig11, format_summary, format_table2};
+pub use report::{format_fig11, format_summary, format_sweep, format_table2, SweepRow};
 pub use run::{
-    bind_dims, case_data, profile_case, run_case, run_suite, time_case, CaseData, CaseResult,
-    CaseStatus, ProfiledCase, SuiteConfig, TimedCase,
+    profile_case, run_case, run_suite, run_verified, time_case, Case, CaseResult, CaseStatus,
+    ProfiledCase, SuiteConfig, TimedCase,
 };
 pub use sanitize::{
-    format_matrix, format_verify_sweep, run_sanitize_matrix, run_verify_sweep, sanitize_case,
-    MatrixCase, SanitizeRow, VerifySweepRow,
+    barrier_defects, format_matrix, format_verify_sweep, run_sanitize_matrix, run_verify_sweep,
+    sanitize_case, SanitizeRow, VerifySweepRow,
 };

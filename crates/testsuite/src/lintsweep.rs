@@ -12,7 +12,8 @@
 //!    checks add no false positives on the very codes they exist to
 //!    protect.
 
-use crate::cases::{case_source, combo_legal, ctype_name, Position};
+use crate::cases::{case_source, combo_legal, ctype_name, Position, ALL_OPS};
+use crate::report::{format_sweep, verdict, SweepRow};
 use crate::run::SuiteConfig;
 use accparse::ast::{CType, RedOp};
 use accparse::lint::{lint_source, FindingKind};
@@ -138,21 +139,10 @@ pub fn lint_case(pos: Position, op: RedOp, t: CType) -> LintSweepRow {
 /// Run the full sweep: every position × all nine operators × all four
 /// types, skipping illegal combinations.
 pub fn run_lint_sweep() -> Vec<LintSweepRow> {
-    let ops = [
-        RedOp::Add,
-        RedOp::Mul,
-        RedOp::Max,
-        RedOp::Min,
-        RedOp::BitAnd,
-        RedOp::BitOr,
-        RedOp::BitXor,
-        RedOp::LogAnd,
-        RedOp::LogOr,
-    ];
     let types = [CType::Int, CType::Long, CType::Float, CType::Double];
     let mut rows = Vec::new();
     for pos in Position::all() {
-        for op in ops {
+        for op in ALL_OPS {
             for t in types {
                 if combo_legal(op, t) {
                     rows.push(lint_case(pos, op, t));
@@ -170,39 +160,30 @@ pub fn sweep(_cfg: &SuiteConfig) -> (String, bool) {
     (format_lint_sweep(&rows), rows.iter().all(|r| r.ok()))
 }
 
-/// Format the sweep as a fixed-width table with a summary line.
+/// The sweep as a table.
 pub fn format_lint_sweep(rows: &[LintSweepRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<42} {:>8} {:>10} {:>8}\n",
-        "case", "intact", "stripped", "verdict"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<42} {:>8} {:>10} {:>8}\n",
-            r.label,
-            if r.intact_codes.is_empty() {
-                "clean".to_string()
-            } else {
-                r.intact_codes.join(",")
-            },
-            r.stripped_codes.join(","),
-            if r.ok() { "ok" } else { "FAIL" }
-        ));
-        if let Some(d) = &r.detail {
-            for line in d.lines() {
-                out.push_str(&format!("    {line}\n"));
-            }
-        }
-    }
-    let failed = rows.iter().filter(|r| !r.ok()).count();
-    out.push_str(&format!(
-        "\n{} case(s), {} failed: intact sources lint clean and every \
-         stripped clause is re-suggested exactly\n",
-        rows.len(),
-        failed
-    ));
-    out
+    let rows: Vec<SweepRow> = rows
+        .iter()
+        .map(|r| SweepRow {
+            label: r.label.clone(),
+            cells: vec![
+                if r.intact_codes.is_empty() {
+                    "clean".to_string()
+                } else {
+                    r.intact_codes.join(",")
+                },
+                r.stripped_codes.join(","),
+                verdict(r.ok()),
+            ],
+            failed: !r.ok(),
+            detail: r.detail.clone(),
+        })
+        .collect();
+    format_sweep(
+        &["case", "intact", "stripped", "verdict"],
+        &rows,
+        "failed: intact sources lint clean and every stripped clause is re-suggested exactly",
+    )
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 //!    with its specific reason. Plans must render byte-identically when
 //!    analyzed twice (the committed golden relies on this).
 
+use crate::cases::ALL_OPS;
+use crate::report::{format_sweep, verdict, SweepRow};
 use crate::run::SuiteConfig;
 use accparse::ast::RedOp;
 use accparse::lint::lint_source;
@@ -92,18 +94,6 @@ fn legal_source(op: RedOp) -> String {
          for (int i = 0; i < N; i++) {{ {update} }}\n}}"
     )
 }
-
-const ALL_OPS: [RedOp; 9] = [
-    RedOp::Add,
-    RedOp::Mul,
-    RedOp::Max,
-    RedOp::Min,
-    RedOp::BitAnd,
-    RedOp::BitOr,
-    RedOp::BitXor,
-    RedOp::LogAnd,
-    RedOp::LogOr,
-];
 
 /// A fusable two-region mean→variance chain (shared by several cases).
 const CHAIN: &str = "int N; double s; double v;\ndouble a[N];\ns = 0; v = 0;\n\
@@ -346,30 +336,22 @@ pub fn sweep(_cfg: &SuiteConfig) -> (String, bool) {
     (format_redflow_sweep(&rows), rows.iter().all(|r| r.ok))
 }
 
-/// Format the sweep as a fixed-width table with a summary line.
+/// The sweep as a table.
 pub fn format_redflow_sweep(rows: &[RedflowRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<44} {:<26} {:<26} {:>8}\n",
-        "case", "expect", "got", "verdict"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<44} {:<26} {:<26} {:>8}\n",
-            r.label,
-            r.expect,
-            r.got,
-            if r.ok { "ok" } else { "FAIL" }
-        ));
-    }
-    let failed = rows.iter().filter(|r| !r.ok).count();
-    out.push_str(&format!(
-        "\n{} case(s), {} failed: every relaxation is proof-gated and every \
-         mutation re-arms the error path\n",
-        rows.len(),
-        failed
-    ));
-    out
+    let rows: Vec<SweepRow> = rows
+        .iter()
+        .map(|r| SweepRow {
+            label: r.label.clone(),
+            cells: vec![r.expect.clone(), r.got.clone(), verdict(r.ok)],
+            failed: !r.ok,
+            detail: None,
+        })
+        .collect();
+    format_sweep(
+        &["case", "expect", "got", "verdict"],
+        &rows,
+        "failed: every relaxation is proof-gated and every mutation re-arms the error path",
+    )
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Result formatting: the paper's Table 2 and the Fig. 11 series.
+//! Result formatting: the paper's Table 2 and the Fig. 11 series, and the
+//! one table every checker sweep reports through.
 
 use crate::cases::{ctype_name, Position};
 use crate::run::{CaseResult, CaseStatus};
@@ -119,6 +120,68 @@ pub fn format_summary(results: &[CaseResult]) -> String {
     out
 }
 
+/// One row of a sweep report. Each checker sweep keeps its own typed row
+/// (what it counted, what it expected) and maps it onto this to print.
+#[derive(Debug, Clone)]
+pub struct SweepRow {
+    pub label: String,
+    /// The columns after the label, the verdict last.
+    pub cells: Vec<String>,
+    /// The row missed its expectation: counted in the summary line.
+    pub failed: bool,
+    /// Context, printed under the row when it failed.
+    pub detail: Option<String>,
+}
+
+/// The verdict cell of a row that either met its expectation or did not.
+pub fn verdict(ok: bool) -> String {
+    if ok { "ok" } else { "FAIL" }.into()
+}
+
+/// Render a sweep as an aligned text table. `head` names every column
+/// (the label's first), widths and alignment come from the contents, a
+/// failing row is followed by its detail, and the last line reads
+/// `N case(s), M <summary>` with M the failing rows.
+pub fn format_sweep(head: &[&str], rows: &[SweepRow], summary: &str) -> String {
+    use std::fmt::Write;
+    fn columns(r: &SweepRow) -> impl Iterator<Item = &str> {
+        std::iter::once(r.label.as_str()).chain(r.cells.iter().map(String::as_str))
+    }
+    let mut wide: Vec<usize> = head.iter().map(|h| h.chars().count()).collect();
+    let mut count = vec![true; head.len()];
+    for r in rows {
+        for ((w, n), c) in wide.iter_mut().zip(&mut count).zip(columns(r)) {
+            *w = (*w).max(c.chars().count());
+            *n &= c.parse::<u64>().is_ok();
+        }
+    }
+    // Counts flush right, text flush left, the last column unpadded.
+    let line = |out: &mut String, cols: &mut dyn Iterator<Item = &str>| {
+        for (i, c) in cols.enumerate() {
+            let (w, sep) = (wide[i], if i == 0 { "" } else { "  " });
+            let _ = match (i + 1 == head.len(), count[i]) {
+                (true, _) => write!(out, "{sep}{c}"),
+                (false, true) => write!(out, "{sep}{c:>w$}"),
+                (false, false) => write!(out, "{sep}{c:<w$}"),
+            };
+        }
+        out.push('\n');
+    };
+    let mut out = String::new();
+    line(&mut out, &mut head.iter().copied());
+    let rule = wide.iter().sum::<usize>() + 2 * (wide.len() - 1);
+    let _ = writeln!(out, "{}", "-".repeat(rule));
+    for r in rows {
+        line(&mut out, &mut columns(r));
+        for d in r.detail.iter().filter(|_| r.failed).flat_map(|d| d.lines()) {
+            let _ = writeln!(out, "    {d}");
+        }
+    }
+    let failed = rows.iter().filter(|r| r.failed).count();
+    let _ = writeln!(out, "{} case(s), {failed} {summary}", rows.len());
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,5 +243,47 @@ mod tests {
         let f = format_fig11(&results, &[RedOp::Mul], &[CType::Double]);
         assert!(f.contains("vector"));
         assert!(f.contains("[*] double"));
+    }
+
+    fn sweep_row(label: &str, verdict: &str, failed: bool) -> SweepRow {
+        SweepRow {
+            label: label.into(),
+            cells: vec!["12".into(), "certified".into(), verdict.into()],
+            failed,
+            detail: Some(format!("why {label}\nsecond line")),
+        }
+    }
+
+    #[test]
+    fn sweep_table_details_failures_only_and_keeps_verdicts_apart() {
+        let rows = [
+            sweep_row("passes", "ok", false),
+            sweep_row("a rather longer label", "FAIL", true),
+            sweep_row("certified a defect", "FALSE CERTIFIED", true),
+        ];
+        let text = format_sweep(
+            &["case", "n", "got", "verdict"],
+            &rows,
+            "unexpected outcome(s)",
+        );
+        // The rule spans every column at its widest.
+        let rule = "-".repeat(21 + 2 + 2 + 2 + 9 + 2 + 15);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "case                    n  got        verdict",
+                rule.as_str(),
+                "passes                 12  certified  ok",
+                "a rather longer label  12  certified  FAIL",
+                "    why a rather longer label",
+                "    second line",
+                "certified a defect     12  certified  FALSE CERTIFIED",
+                "    why certified a defect",
+                "    second line",
+                "3 case(s), 2 unexpected outcome(s)",
+            ]
+        );
+        assert!(!text.contains("why passes"));
     }
 }

@@ -11,7 +11,7 @@ use acc_baselines::{Compiler, CpuExec, ReductionCase};
 use accparse::ast::{CType, RedOp};
 use accrt::{AccError, AccRunner, HostBuffer};
 use gpsim::{Device, SanitizerLevel, Value};
-use uhacc_core::LaunchDims;
+use uhacc_core::{CompilerOptions, LaunchDims};
 
 /// Suite configuration: reduction loop size and launch geometry.
 #[derive(Debug, Clone, Copy)]
@@ -99,13 +99,13 @@ pub struct Expected {
 }
 
 /// Arrays bound for a case: `(input, optional temp, optional out-shape)`.
-pub struct CaseData {
-    pub input: HostBuffer,
-    pub temp_len: Option<usize>,
-    pub out_len: Option<usize>,
+struct CaseData {
+    input: HostBuffer,
+    temp_len: Option<usize>,
+    out_len: Option<usize>,
 }
 
-pub fn case_data(pos: Position, op: RedOp, t: CType, cfg: &SuiteConfig) -> CaseData {
+fn case_data(pos: Position, op: RedOp, t: CType, cfg: &SuiteConfig) -> CaseData {
     let (nk, nj, ni) = extents(pos, cfg.red_n);
     let n = nk * nj * ni;
     let mut input = HostBuffer::new(t, n);
@@ -126,7 +126,7 @@ pub fn case_data(pos: Position, op: RedOp, t: CType, cfg: &SuiteConfig) -> CaseD
     }
 }
 
-pub fn bind_dims(
+fn bind_dims(
     pos: Position,
     cfg: &SuiteConfig,
     mut bind: impl FnMut(&str, i64) -> Result<(), AccError>,
@@ -178,17 +178,134 @@ pub fn values_match(got: Value, want: Value, t: CType) -> bool {
     }
 }
 
+/// One testsuite case as a value: a reduction position, operator and
+/// element type under one option set. Table 2, the profiler, the
+/// wall-clock race, the detection matrix, the certification sweep and the
+/// cross-rail oracle all run these, so every harness judges the same
+/// sessions.
+#[derive(Debug, Clone)]
+pub struct Case {
+    pub label: String,
+    pub pos: Position,
+    pub op: RedOp,
+    pub ty: CType,
+    pub opts: CompilerOptions,
+    /// The geometry the case is pinned to, when the sweep's own hides
+    /// what it is there to show.
+    pub dims: Option<LaunchDims>,
+}
+
+impl Case {
+    /// `pos`/`op`/`ty` compiled under `opts`, at the sweep's geometry.
+    pub fn new(
+        label: impl Into<String>,
+        opts: CompilerOptions,
+        pos: Position,
+        op: RedOp,
+        ty: CType,
+    ) -> Case {
+        Case {
+            label: label.into(),
+            pos,
+            op,
+            ty,
+            opts,
+            dims: None,
+        }
+    }
+
+    /// The case under a compiler personality; a personality's reject rule
+    /// is Table 2's "CE".
+    pub fn of(compiler: Compiler, pos: Position, op: RedOp, ty: CType) -> Result<Case, String> {
+        let opts = compiler.options_for_case(&ReductionCase::new(
+            pos.levels(),
+            pos.same_loop(),
+            op,
+            ty,
+        ))?;
+        let label = format!("{} {} {ty} {op}", compiler.name(), pos.label());
+        Ok(Case::new(label, opts, pos, op, ty))
+    }
+
+    /// `cfg` at this case's geometry.
+    pub fn config(&self, cfg: &SuiteConfig) -> SuiteConfig {
+        SuiteConfig {
+            dims: self.dims.unwrap_or(cfg.dims),
+            ..*cfg
+        }
+    }
+
+    /// Build the case's session: compiled under its options at its
+    /// geometry, on a device set to `cfg`'s execution knobs, with the
+    /// loop extents and the deterministic input bound — everything but
+    /// `run()`. Checker rails and the profiler apply to subsequent
+    /// launches, so callers switch theirs on the runner they get back.
+    pub fn session(&self, cfg: &SuiteConfig) -> Result<AccRunner, AccError> {
+        let cfg = &self.config(cfg);
+        let src = case_source(self.pos, self.op, self.ty);
+        let data = case_data(self.pos, self.op, self.ty, cfg);
+        let mut r = AccRunner::with_options(&src, self.opts.clone(), cfg.dims, Device::default())?;
+        r.set_host_threads(cfg.host_threads);
+        r.set_exec_tier(cfg.exec_tier);
+        bind_dims(self.pos, cfg, |n, v| r.bind_int(n, v))?;
+        r.bind_array("input", data.input)?;
+        if let Some(n) = data.out_len {
+            r.bind_array("out", HostBuffer::new(self.ty, n))?;
+        }
+        Ok(r)
+    }
+}
+
 /// A launch that asked for `auto` but ran on the interpreter means codegen
 /// emitted a kernel the typed tier declines — correct, but 3–24× slower to
-/// simulate. Every case run here treats that as a failure, so the sweeps
-/// over the Table 2 and strategy grids guard codegen against it.
-fn no_declines(r: &AccRunner) -> Result<(), String> {
-    match r.device().tier_declines() {
+/// simulate. Every harness over [`Case`]s reports that as a failure, so the
+/// sweeps over the Table 2 and strategy grids guard codegen against it.
+pub fn no_declines(dev: &Device) -> Result<(), String> {
+    match dev.tier_declines() {
         0 => Ok(()),
         n => Err(format!(
             "typed tier declined {n} launch(es); they ran on the interpreter"
         )),
     }
+}
+
+/// Run `case` and verify it against the CPU reference: the finished
+/// session, or why the case is not a pass.
+pub fn run_verified(
+    case: &Case,
+    cfg: &SuiteConfig,
+    expected: &Expected,
+) -> Result<AccRunner, CaseStatus> {
+    let status = |e| match e {
+        AccError::Compile(d) => CaseStatus::CompileError { msg: d.to_string() },
+        other => CaseStatus::Fail {
+            detail: other.to_string(),
+        },
+    };
+    let mut r = case.session(cfg).map_err(status)?;
+    r.run().map_err(status)?;
+    no_declines(r.device()).map_err(|detail| CaseStatus::Fail { detail })?;
+    if let Some(want) = expected.scalar {
+        if let Ok(got) = r.scalar("sum") {
+            if !values_match(got, want, case.ty) {
+                return Err(CaseStatus::Fail {
+                    detail: format!("sum: got {got}, want {want}"),
+                });
+            }
+        }
+    }
+    if let Some(want_out) = &expected.out {
+        let out = r.array("out").expect("out bound by the session");
+        for (i, want) in want_out.iter().enumerate() {
+            let got = out.get(i);
+            if !values_match(got, *want, case.ty) {
+                return Err(CaseStatus::Fail {
+                    detail: format!("out[{i}]: got {got}, want {want}"),
+                });
+            }
+        }
+    }
+    Ok(r)
 }
 
 /// Run one case under one compiler personality and verify it.
@@ -200,7 +317,19 @@ pub fn run_case(
     cfg: &SuiteConfig,
     expected: &Expected,
 ) -> CaseResult {
-    let status = run_case_inner(compiler, pos, op, t, cfg, expected);
+    let status = match Case::of(compiler, pos, op, t) {
+        Err(msg) => CaseStatus::CompileError { msg },
+        Ok(case) => match run_verified(&case, cfg, expected) {
+            Err(status) => status,
+            Ok(r) => {
+                let dev = r.device();
+                let ms = dev
+                    .cost_model()
+                    .cycles_to_ms(dev.stats().kernel_cycles, dev.config().clock_hz);
+                CaseStatus::Pass { ms }
+            }
+        },
+    };
     CaseResult {
         compiler,
         position: pos,
@@ -208,79 +337,6 @@ pub fn run_case(
         dtype: t,
         status,
     }
-}
-
-fn run_case_inner(
-    compiler: Compiler,
-    pos: Position,
-    op: RedOp,
-    t: CType,
-    cfg: &SuiteConfig,
-    expected: &Expected,
-) -> CaseStatus {
-    let case = ReductionCase::new(pos.levels(), pos.same_loop(), op, t);
-    let opts = match compiler.options_for_case(&case) {
-        Ok(o) => o,
-        Err(msg) => return CaseStatus::CompileError { msg },
-    };
-    let src = case_source(pos, op, t);
-    let data = case_data(pos, op, t, cfg);
-    let mut r = match AccRunner::with_options(&src, opts, cfg.dims, Device::default()) {
-        Ok(r) => r,
-        Err(AccError::Compile(d)) => return CaseStatus::CompileError { msg: d.to_string() },
-        Err(e) => {
-            return CaseStatus::Fail {
-                detail: e.to_string(),
-            }
-        }
-    };
-    r.set_host_threads(cfg.host_threads);
-    r.set_exec_tier(cfg.exec_tier);
-    if let Err(e) = (|| -> Result<(), AccError> {
-        bind_dims(pos, cfg, |n, v| r.bind_int(n, v))?;
-        r.bind_array("input", data.input.clone())?;
-        if let Some(n) = data.out_len {
-            r.bind_array("out", HostBuffer::new(t, n))?;
-        }
-        r.run()
-    })() {
-        return match e {
-            AccError::Compile(d) => CaseStatus::CompileError { msg: d.to_string() },
-            other => CaseStatus::Fail {
-                detail: other.to_string(),
-            },
-        };
-    }
-    if let Err(detail) = no_declines(&r) {
-        return CaseStatus::Fail { detail };
-    }
-    // Verify.
-    if let Some(want) = expected.scalar {
-        if let Ok(got) = r.scalar("sum") {
-            if !values_match(got, want, t) {
-                return CaseStatus::Fail {
-                    detail: format!("sum: got {got}, want {want}"),
-                };
-            }
-        }
-    }
-    if let Some(want_out) = &expected.out {
-        let out = r.array("out").expect("out bound above");
-        for (i, want) in want_out.iter().enumerate() {
-            let got = out.get(i);
-            if !values_match(got, *want, t) {
-                return CaseStatus::Fail {
-                    detail: format!("out[{i}]: got {got}, want {want}"),
-                };
-            }
-        }
-    }
-    let st = r.device().stats();
-    let ms = r
-        .device()
-        .cost_model()
-        .cycles_to_ms(st.kernel_cycles, r.device().config().clock_hz);
-    CaseStatus::Pass { ms }
 }
 
 /// Run the full suite: every position for the given operators and types
@@ -319,35 +375,15 @@ pub struct ProfiledCase {
     pub trace: String,
 }
 
-/// Run one case under one compiler personality with the profiler on and
-/// return the rendered session profile. The result is not verified — use
-/// [`run_case`] for that; this exists so `acc-testsuite --profile` can
-/// show where the modelled cycles of a Table 2 case go.
-pub fn profile_case(
-    compiler: Compiler,
-    pos: Position,
-    op: RedOp,
-    t: CType,
-    cfg: &SuiteConfig,
-) -> Result<ProfiledCase, String> {
-    let case = ReductionCase::new(pos.levels(), pos.same_loop(), op, t);
-    let opts = compiler.options_for_case(&case)?;
-    let src = case_source(pos, op, t);
-    let data = case_data(pos, op, t, cfg);
-    let mut r = AccRunner::with_options(&src, opts, cfg.dims, Device::default())
-        .map_err(|e| e.to_string())?;
-    r.set_host_threads(cfg.host_threads);
-    r.set_exec_tier(cfg.exec_tier);
+/// Run one case with the profiler on and return the rendered session
+/// profile. The result is not verified — use [`run_verified`] for that;
+/// this exists so `acc-testsuite --profile` can show where the modelled
+/// cycles of a Table 2 case go.
+pub fn profile_case(case: &Case, cfg: &SuiteConfig) -> Result<ProfiledCase, String> {
+    let mut r = case.session(cfg).map_err(|e| e.to_string())?;
     r.profile(true);
-    bind_dims(pos, cfg, |n, v| r.bind_int(n, v)).map_err(|e| e.to_string())?;
-    r.bind_array("input", data.input.clone())
-        .map_err(|e| e.to_string())?;
-    if let Some(n) = data.out_len {
-        r.bind_array("out", HostBuffer::new(t, n))
-            .map_err(|e| e.to_string())?;
-    }
     r.run().map_err(|e| e.to_string())?;
-    no_declines(&r)?;
+    no_declines(r.device())?;
     Ok(ProfiledCase {
         report: r.profile_report(),
         json: r.profile_json(),
@@ -370,41 +406,23 @@ pub struct TimedCase {
     pub census: gpsim::ShapeCensus,
 }
 
-/// Wall-clock one case under one compiler personality: build a fresh
-/// session (untimed), bind the deterministic inputs (untimed), then time
-/// `run()` alone. `cfg.exec_tier` and `cfg.host_threads` select the
-/// simulator configuration being measured, so `make-figures
-/// sim-throughput` can race the execution tiers on identical workloads;
-/// `sanitize` runs the same launches shadowed, for the sanitizer's cost
-/// relative to a plain run.
+/// Wall-clock one case: build its session (untimed), then time `run()`
+/// alone. `cfg.exec_tier` and `cfg.host_threads` select the simulator
+/// configuration being measured, so `make-figures sim-throughput` can
+/// race the execution tiers on identical workloads; `sanitize` runs the
+/// same launches shadowed, for the sanitizer's cost relative to a plain
+/// run.
 pub fn time_case(
-    compiler: Compiler,
-    pos: Position,
-    op: RedOp,
-    t: CType,
+    case: &Case,
     cfg: &SuiteConfig,
     sanitize: SanitizerLevel,
 ) -> Result<TimedCase, String> {
-    let case = ReductionCase::new(pos.levels(), pos.same_loop(), op, t);
-    let opts = compiler.options_for_case(&case)?;
-    let src = case_source(pos, op, t);
-    let data = case_data(pos, op, t, cfg);
-    let mut r = AccRunner::with_options(&src, opts, cfg.dims, Device::default())
-        .map_err(|e| e.to_string())?;
-    r.set_host_threads(cfg.host_threads);
-    r.set_exec_tier(cfg.exec_tier);
+    let mut r = case.session(cfg).map_err(|e| e.to_string())?;
     r.sanitize(sanitize);
-    bind_dims(pos, cfg, |n, v| r.bind_int(n, v)).map_err(|e| e.to_string())?;
-    r.bind_array("input", data.input.clone())
-        .map_err(|e| e.to_string())?;
-    if let Some(n) = data.out_len {
-        r.bind_array("out", HostBuffer::new(t, n))
-            .map_err(|e| e.to_string())?;
-    }
     let start = std::time::Instant::now();
     r.run().map_err(|e| e.to_string())?;
     let secs = start.elapsed().as_secs_f64();
-    no_declines(&r)?;
+    no_declines(r.device())?;
     Ok(TimedCase {
         secs,
         lane_insts: r.device().stats().totals.lane_insts,
@@ -560,21 +578,10 @@ mod all_ops_tests {
     #[test]
     fn openuh_covers_every_operator_and_type() {
         let cfg = SuiteConfig::quick();
-        let ops = [
-            RedOp::Add,
-            RedOp::Mul,
-            RedOp::Max,
-            RedOp::Min,
-            RedOp::BitAnd,
-            RedOp::BitOr,
-            RedOp::BitXor,
-            RedOp::LogAnd,
-            RedOp::LogOr,
-        ];
         let dtypes = [CType::Int, CType::Long, CType::Float, CType::Double];
         let mut ran = 0;
         for pos in Position::all() {
-            for op in ops {
+            for op in crate::cases::ALL_OPS {
                 for t in dtypes {
                     if !combo_legal(op, t) {
                         continue;

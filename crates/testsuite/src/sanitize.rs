@@ -11,15 +11,14 @@
 //! the hazard class that reveals it, and asserts the real strategies stay
 //! silent.
 
-use crate::cases::{case_source, Position};
-use crate::run::{bind_dims, case_data, SuiteConfig};
+use crate::cases::{case_source, ctype_name, Position};
+use crate::report::{format_sweep, verdict, SweepRow};
+use crate::run::{no_declines, Case, SuiteConfig};
 use acc_baselines::Compiler;
 use accparse::ast::{CType, RedOp};
-use accrt::{AccError, AccRunner, HostBuffer};
 use gpsim::{
-    verify_kernel, CmpOp, Device, HazardClass, HazardReport, KernelBuilder, LaunchConfig, MemRef,
+    verify_kernel, CmpOp, Device, HazardClass, KernelBuilder, LaunchConfig, MemRef,
     SanitizerConfig, SanitizerLevel, SpecialReg, Ty, Value, VerifyClass, VerifyConfig,
-    VerifyReport,
 };
 use uhacc_core::{compile_region, CompilerOptions, LaunchDims, VectorLayout};
 
@@ -48,7 +47,10 @@ pub struct SanitizeRow {
     pub static_bounds: u64,
     /// Shared accesses the static analysis could not prove (warn-only).
     pub static_unproven: u64,
-    /// First report (or run error) for context.
+    /// Set when the typed tier declined a launch of the row (see
+    /// [`no_declines`]): the row fails whatever the rails said.
+    pub declined: Option<String>,
+    /// The decline, else the first report (or run error), for context.
     pub sample: Option<String>,
 }
 
@@ -109,199 +111,146 @@ impl SanitizeRow {
     }
 
     /// True when the row behaved as expected under both the dynamic
-    /// sanitizer and the static verifier.
+    /// sanitizer and the static verifier, on the engine it asked for.
     pub fn ok(&self) -> bool {
-        matches!(self.verdict(), "clean" | "detected")
+        self.declined.is_none()
+            && matches!(self.verdict(), "clean" | "detected")
             && matches!(self.static_verdict(), "clean" | "detected")
     }
-}
 
-/// Everything one matrix case produced: dynamic hazard reports, static
-/// verification reports (one per launched kernel), and the run error (if
-/// any) — reports are harvested before an abort propagates.
-struct CaseOutcome {
-    reports: Vec<HazardReport>,
-    verify: Vec<VerifyReport>,
-    err: Option<String>,
-}
-
-fn tally(label: String, expect: Vec<HazardClass>, outcome: CaseOutcome) -> SanitizeRow {
-    let count = |c| {
-        outcome
-            .reports
-            .iter()
-            .filter(|r: &&HazardReport| r.class == c)
-            .count() as u64
-    };
-    let vcount = |c: VerifyClass| {
-        outcome
-            .verify
-            .iter()
-            .flat_map(|r| &r.findings)
-            .filter(|f| f.class == c && !f.warning)
-            .count() as u64
-    };
-    let static_sample = outcome
-        .verify
-        .iter()
-        .flat_map(|r| r.findings.iter().filter(|f| !f.warning))
-        .next()
-        .map(|f| f.to_string());
-    SanitizeRow {
-        label,
-        expect,
-        racecheck: count(HazardClass::RaceCheck),
-        synccheck: count(HazardClass::SyncCheck),
-        initcheck: count(HazardClass::InitCheck),
-        static_race: vcount(VerifyClass::RaceCheck),
-        static_sync: vcount(VerifyClass::SyncCheck),
-        static_init: vcount(VerifyClass::InitCheck),
-        static_bounds: vcount(VerifyClass::BoundsCheck),
-        static_unproven: outcome.verify.iter().map(|r| r.unproven as u64).sum(),
-        sample: outcome
-            .reports
-            .first()
-            .map(|r| r.to_string())
-            .or(static_sample)
-            .or(outcome.err),
-    }
-}
-
-/// A matrix row compiled from a testsuite `+` reduction: which position
-/// and element type, under which options, at which geometry. The detection
-/// matrix, the certification sweep ([`crate::certsweep`]) and the
-/// cross-rail oracle (`tests/cross_rail.rs`) run these same rows, so the
-/// three rails judge the same kernels.
-#[derive(Debug, Clone)]
-pub struct MatrixCase {
-    pub label: String,
-    /// Hazard classes the dynamic sanitizer must raise; empty = clean.
-    pub expect: Vec<HazardClass>,
-    pub opts: CompilerOptions,
-    pub pos: Position,
-    pub ty: CType,
-    /// The geometry the defect is live at, when the sweep's own hides it.
-    pub dims: Option<LaunchDims>,
-}
-
-impl MatrixCase {
-    /// One position of the paper's §6 grid under the OpenUH option set.
-    pub fn openuh(pos: Position, ty: CType) -> MatrixCase {
-        MatrixCase {
-            label: format!("openuh {}", pos.label()),
-            expect: Vec::new(),
-            opts: CompilerOptions::openuh(),
-            pos,
-            ty,
-            dims: None,
-        }
-    }
-
-    /// The four injected barrier defects. Each is a real miscompilation
-    /// (wrong results under some geometry), pinned to a geometry where the
-    /// defect is live.
-    pub fn barrier_defects() -> Vec<MatrixCase> {
-        use HazardClass::*;
-        let defect = |label: &str, expect, pos, inject: fn(&mut CompilerOptions)| {
-            let mut opts = CompilerOptions::openuh();
-            inject(&mut opts);
-            MatrixCase {
-                label: label.into(),
-                expect,
-                opts,
-                pos,
-                ty: CType::Int,
-                dims: None,
-            }
+    /// Tally what the sanitizer and the static verifier left on `dev`
+    /// after the row's launches; `err` is the run error, if any (reports
+    /// are harvested before an abort propagates).
+    pub fn harvest(
+        label: &str,
+        expect: Vec<HazardClass>,
+        dev: &mut Device,
+        err: Option<String>,
+    ) -> SanitizeRow {
+        let (reports, verify) = (dev.take_hazards(), dev.take_verify_reports());
+        let count = |c| reports.iter().filter(|r| r.class == c).count() as u64;
+        let errors = || {
+            verify
+                .iter()
+                .flat_map(|r| &r.findings)
+                .filter(|f| !f.warning)
         };
-        vec![
-            defect(
-                "bug: missing stage barrier (worker)",
-                vec![RaceCheck, InitCheck],
-                Position::Worker,
-                |o| o.bugs.skip_stage_barrier = true,
-            ),
-            defect(
-                "bug: missing post-broadcast barrier (vector)",
-                vec![RaceCheck],
-                Position::Vector,
-                |o| o.bugs.skip_bcast_barrier = true,
-            ),
-            MatrixCase {
-                dims: Some(LaunchDims {
-                    gangs: 4,
-                    workers: 2,
-                    vector: 80,
-                }),
-                ..defect(
-                    "bug: warp-sync tail with vector % 32 != 0",
-                    vec![RaceCheck],
-                    Position::Vector,
-                    |o| o.bugs.warp_tail_everywhere = true,
-                )
-            },
-            defect(
-                "bug: transposed slab reuse (no post-read barrier)",
-                vec![RaceCheck],
-                Position::Vector,
-                |o| {
-                    o.vector_layout = VectorLayout::Transposed;
-                    o.bugs.skip_postread_barrier = true;
-                },
-            ),
-        ]
-    }
-
-    /// `cfg` at this row's geometry.
-    pub fn config(&self, cfg: &SuiteConfig) -> SuiteConfig {
-        SuiteConfig {
-            dims: self.dims.unwrap_or(cfg.dims),
-            ..*cfg
+        let vcount = |c| errors().filter(|f| f.class == c).count() as u64;
+        let declined = no_declines(dev).err();
+        SanitizeRow {
+            label: label.into(),
+            expect,
+            racecheck: count(HazardClass::RaceCheck),
+            synccheck: count(HazardClass::SyncCheck),
+            initcheck: count(HazardClass::InitCheck),
+            static_race: vcount(VerifyClass::RaceCheck),
+            static_sync: vcount(VerifyClass::SyncCheck),
+            static_init: vcount(VerifyClass::InitCheck),
+            static_bounds: vcount(VerifyClass::BoundsCheck),
+            static_unproven: verify.iter().map(|r| r.unproven as u64).sum(),
+            sample: declined
+                .clone()
+                .or(reports.first().map(|r| r.to_string()))
+                .or(errors().next().map(|f| f.to_string()))
+                .or(err),
+            declined,
         }
     }
 }
 
-/// Run one matrix case with the sanitizer at `Full` *and* the static
-/// verifier enabled, and tally everything both reported.
-pub fn sanitize_case(case: &MatrixCase, cfg: &SuiteConfig) -> SanitizeRow {
-    let cfg = &case.config(cfg);
-    let (pos, op, t) = (case.pos, RedOp::Add, case.ty);
-    let src = case_source(pos, op, t);
-    let data = case_data(pos, op, t, cfg);
-    let row = |outcome| tally(case.label.clone(), case.expect.clone(), outcome);
-    let mut r = match AccRunner::with_options(&src, case.opts.clone(), cfg.dims, Device::default())
-    {
+/// One position of the paper's §6 grid under the OpenUH option set.
+fn openuh(pos: Position) -> Case {
+    Case::new(
+        format!("openuh {}", pos.label()),
+        CompilerOptions::openuh(),
+        pos,
+        RedOp::Add,
+        CType::Int,
+    )
+}
+
+/// The four injected barrier defects with the hazard classes the dynamic
+/// sanitizer must raise. Each is a real miscompilation (wrong results
+/// under some geometry), pinned to a geometry where the defect is live.
+/// The detection matrix, the certification sweep ([`crate::certsweep`])
+/// and the cross-rail oracle (`tests/cross_rail.rs`) run these same
+/// cases, so the three rails judge the same kernels.
+pub fn barrier_defects() -> Vec<(Case, Vec<HazardClass>)> {
+    use HazardClass::*;
+    let defect = |label: &str, expect, pos, inject: fn(&mut CompilerOptions)| {
+        let mut opts = CompilerOptions::openuh();
+        inject(&mut opts);
+        (Case::new(label, opts, pos, RedOp::Add, CType::Int), expect)
+    };
+    let (tail, tail_expect) = defect(
+        "bug: warp-sync tail with vector % 32 != 0",
+        vec![RaceCheck],
+        Position::Vector,
+        |o| o.bugs.warp_tail_everywhere = true,
+    );
+    let tail = Case {
+        dims: Some(LaunchDims {
+            gangs: 4,
+            workers: 2,
+            vector: 80,
+        }),
+        ..tail
+    };
+    vec![
+        defect(
+            "bug: missing stage barrier (worker)",
+            vec![RaceCheck, InitCheck],
+            Position::Worker,
+            |o| o.bugs.skip_stage_barrier = true,
+        ),
+        defect(
+            "bug: missing post-broadcast barrier (vector)",
+            vec![RaceCheck],
+            Position::Vector,
+            |o| o.bugs.skip_bcast_barrier = true,
+        ),
+        (tail, tail_expect),
+        defect(
+            "bug: transposed slab reuse (no post-read barrier)",
+            vec![RaceCheck],
+            Position::Vector,
+            |o| {
+                o.vector_layout = VectorLayout::Transposed;
+                o.bugs.skip_postread_barrier = true;
+            },
+        ),
+    ]
+}
+
+/// Run one case with the sanitizer at `Full` *and* the static verifier
+/// enabled, and tally everything both reported.
+pub fn sanitize_case(case: &Case, expect: Vec<HazardClass>, cfg: &SuiteConfig) -> SanitizeRow {
+    let mut r = match case.session(cfg) {
         Ok(r) => r,
         Err(e) => {
-            return row(CaseOutcome {
-                reports: Vec::new(),
-                verify: Vec::new(),
-                err: Some(e.to_string()),
-            })
+            // Nothing launched: an idle device holds no reports.
+            let idle = &mut Device::test_small();
+            return SanitizeRow::harvest(&case.label, expect, idle, Some(e.to_string()));
         }
     };
-    r.set_host_threads(cfg.host_threads);
     r.sanitize(SanitizerLevel::Full);
     r.verify(true);
-    let bound = (|| -> Result<(), AccError> {
-        bind_dims(pos, cfg, |n, v| r.bind_int(n, v))?;
-        r.bind_array("input", data.input.clone())?;
-        if let Some(n) = data.out_len {
-            r.bind_array("out", HostBuffer::new(t, n))?;
-        }
-        r.run()
-    })();
-    row(CaseOutcome {
-        reports: r.take_hazards(),
-        verify: r.take_verify_reports(),
-        err: bound.err().map(|e| e.to_string()),
-    })
+    let err = r.run().err().map(|e| e.to_string());
+    SanitizeRow::harvest(&case.label, expect, r.device_mut(), err)
+}
+
+/// A fully shadowed, statically verified device for a handcrafted kernel.
+fn checked_device() -> Device {
+    let mut dev = Device::test_small();
+    dev.set_sanitizer(SanitizerConfig::full());
+    dev.set_verifier(Some(VerifyConfig::default()));
+    dev
 }
 
 /// A handcrafted kernel whose two warps reach *different* barrier sites:
 /// the canonical synccheck hazard (it is not expressible through the
 /// directive front end, which only emits structured barriers).
-fn divergent_barrier_reports() -> CaseOutcome {
+fn divergent_barrier_row() -> SanitizeRow {
     let mut b = KernelBuilder::new("divergent_bar");
     let tid = b.special(SpecialReg::TidX);
     let c = b.cmp(CmpOp::Lt, Ty::I32, tid, Value::I32(32));
@@ -314,20 +263,19 @@ fn divergent_barrier_reports() -> CaseOutcome {
     b.bar();
     b.place(end);
     let k = b.finish();
-    let mut dev = Device::test_small();
-    dev.set_sanitizer(SanitizerConfig::full());
-    dev.set_verifier(Some(VerifyConfig::default()));
+    let mut dev = checked_device();
     let run = dev.launch(&k, LaunchConfig::d1(1, 64), &[]);
-    CaseOutcome {
-        reports: dev.take_hazards(),
-        verify: dev.take_verify_reports(),
-        err: run.err().map(|e| e.to_string()),
-    }
+    SanitizeRow::harvest(
+        "bug: barrier under divergent control flow",
+        vec![HazardClass::SyncCheck],
+        &mut dev,
+        run.err().map(|e| e.to_string()),
+    )
 }
 
 /// A handcrafted kernel that reads shared memory nothing ever wrote: the
 /// canonical initcheck hazard.
-fn uninit_shared_reports() -> CaseOutcome {
+fn uninit_shared_row() -> SanitizeRow {
     let mut b = KernelBuilder::new("uninit_read");
     let slab = b.alloc_shared(256, 8);
     let out = b.param(0);
@@ -336,16 +284,15 @@ fn uninit_shared_reports() -> CaseOutcome {
     let v = b.ld_shared(Ty::I32, MemRef::indexed(Value::U64(slab as u64), t64, 4));
     b.st_global(Ty::I32, MemRef::indexed(out, t64, 4), v);
     let k = b.finish();
-    let mut dev = Device::test_small();
-    dev.set_sanitizer(SanitizerConfig::full());
-    dev.set_verifier(Some(VerifyConfig::default()));
+    let mut dev = checked_device();
     let buf = dev.alloc_elems(Ty::I32, 32).expect("alloc");
     let run = dev.launch(&k, LaunchConfig::d1(1, 32), &[Value::U64(buf.addr)]);
-    CaseOutcome {
-        reports: dev.take_hazards(),
-        verify: dev.take_verify_reports(),
-        err: run.err().map(|e| e.to_string()),
-    }
+    SanitizeRow::harvest(
+        "bug: read of uninitialized shared memory",
+        vec![HazardClass::InitCheck],
+        &mut dev,
+        run.err().map(|e| e.to_string()),
+    )
 }
 
 /// Run the full detection matrix.
@@ -355,25 +302,14 @@ fn uninit_shared_reports() -> CaseOutcome {
 /// hazard-free. The second block injects one codegen defect per row and
 /// expects the named hazard class.
 pub fn run_sanitize_matrix(cfg: &SuiteConfig) -> Vec<SanitizeRow> {
-    use HazardClass::*;
-    let mut rows = Vec::new();
-
-    for pos in Position::all() {
-        rows.push(sanitize_case(&MatrixCase::openuh(pos, CType::Int), cfg));
-    }
-    for case in MatrixCase::barrier_defects() {
-        rows.push(sanitize_case(&case, cfg));
-    }
-    rows.push(tally(
-        "bug: barrier under divergent control flow".into(),
-        vec![SyncCheck],
-        divergent_barrier_reports(),
-    ));
-    rows.push(tally(
-        "bug: read of uninitialized shared memory".into(),
-        vec![InitCheck],
-        uninit_shared_reports(),
-    ));
+    let clean = Position::all().map(|pos| (openuh(pos), Vec::new()));
+    let mut rows: Vec<SanitizeRow> = clean
+        .into_iter()
+        .chain(barrier_defects())
+        .map(|(case, expect)| sanitize_case(&case, expect, cfg))
+        .collect();
+    rows.push(divergent_barrier_row());
+    rows.push(uninit_shared_row());
     rows
 }
 
@@ -385,15 +321,10 @@ pub fn sweep(cfg: &SuiteConfig) -> (String, bool) {
     (format_matrix(&rows), rows.iter().all(|r| r.ok()))
 }
 
-/// Format the matrix as an aligned text table: the dynamic sanitizer's
-/// per-class counts and verdict next to the static verifier's.
+/// The matrix as a table: the dynamic sanitizer's per-class counts and
+/// verdict next to the static verifier's.
 pub fn format_matrix(rows: &[SanitizeRow]) -> String {
-    use std::fmt::Write;
-    let wide = rows.iter().map(|r| r.label.len()).max().unwrap_or(0).max(4);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<wide$}  {:>9}  {:>9}  {:>9}  {:>8}  {:>6}  {:>6}  {:>6}  {:>8}  {:>14}  verdict",
+    let head = [
         "case",
         "racecheck",
         "synccheck",
@@ -403,33 +334,30 @@ pub fn format_matrix(rows: &[SanitizeRow]) -> String {
         "s.sync",
         "s.init",
         "static",
-        "(unproven)"
-    );
-    let _ = writeln!(
-        out,
-        "{}",
-        "-".repeat(wide + 2 + 3 * 11 + 10 + 3 * 8 + 10 + 16 + 9)
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<wide$}  {:>9}  {:>9}  {:>9}  {:>8}  {:>6}  {:>6}  {:>6}  {:>8}  {:>14}  {}",
-            r.label,
-            r.racecheck,
-            r.synccheck,
-            r.initcheck,
-            r.verdict(),
-            r.static_race,
-            r.static_sync,
-            r.static_init,
-            r.static_verdict(),
-            r.static_unproven,
-            if r.ok() { "ok" } else { "FAIL" }
-        );
-    }
-    let bad = rows.iter().filter(|r| !r.ok()).count();
-    let _ = writeln!(out, "{} case(s), {} unexpected outcome(s)", rows.len(), bad);
-    out
+        "(unproven)",
+        "verdict",
+    ];
+    let rows: Vec<SweepRow> = rows
+        .iter()
+        .map(|r| SweepRow {
+            label: r.label.clone(),
+            cells: vec![
+                r.racecheck.to_string(),
+                r.synccheck.to_string(),
+                r.initcheck.to_string(),
+                r.verdict().into(),
+                r.static_race.to_string(),
+                r.static_sync.to_string(),
+                r.static_init.to_string(),
+                r.static_verdict().into(),
+                r.static_unproven.to_string(),
+                verdict(r.ok()),
+            ],
+            failed: !r.ok(),
+            detail: r.sample.clone(),
+        })
+        .collect();
+    format_sweep(&head, &rows, "unexpected outcome(s)")
 }
 
 /// One row of the *static-only* verification sweep: a (compiler,
@@ -467,37 +395,24 @@ pub fn run_verify_sweep(cfg: &SuiteConfig) -> Vec<VerifySweepRow> {
     for comp in Compiler::all() {
         for pos in Position::all() {
             for t in [CType::Int, CType::Double] {
-                let label = format!(
-                    "{} {} {}",
-                    comp.name(),
-                    pos.label(),
-                    crate::cases::ctype_name(t)
-                );
+                let label = format!("{} {} {}", comp.name(), pos.label(), ctype_name(t));
                 let src = case_source(pos, RedOp::Add, t);
-                let hir = match accparse::compile(&src) {
-                    Ok(h) => h,
-                    Err(d) => {
-                        rows.push(VerifySweepRow {
-                            label,
-                            kernels: 0,
-                            errors: 1,
-                            warnings: 0,
-                            unproven: 0,
-                            sample: Some(format!("parse error: {}", d.message)),
-                        });
-                        continue;
-                    }
-                };
-                let c = match compile_region(&hir, 0, cfg.dims, &comp.base_options()) {
+                let compiled = accparse::compile(&src)
+                    .map_err(|d| format!("parse error: {}", d.message))
+                    .and_then(|hir| {
+                        compile_region(&hir, 0, cfg.dims, &comp.base_options())
+                            .map_err(|d| format!("compile error: {}", d.message))
+                    });
+                let c = match compiled {
                     Ok(c) => c,
-                    Err(d) => {
+                    Err(e) => {
                         rows.push(VerifySweepRow {
                             label,
                             kernels: 0,
                             errors: 1,
                             warnings: 0,
                             unproven: 0,
-                            sample: Some(format!("compile error: {}", d.message)),
+                            sample: Some(e),
                         });
                         continue;
                     }
@@ -541,35 +456,27 @@ pub fn verify_sweep(cfg: &SuiteConfig) -> (String, bool) {
     (format_verify_sweep(&rows), rows.iter().all(|r| r.ok()))
 }
 
-/// Format the sweep as an aligned text table.
+/// The static sweep as a table.
 pub fn format_verify_sweep(rows: &[VerifySweepRow]) -> String {
-    use std::fmt::Write;
-    let wide = rows.iter().map(|r| r.label.len()).max().unwrap_or(0).max(4);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<wide$}  {:>7}  {:>6}  {:>8}  {:>8}  verdict",
-        "case", "kernels", "errors", "warnings", "unproven"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(wide + 2 + 9 + 8 + 2 * 10 + 9));
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<wide$}  {:>7}  {:>6}  {:>8}  {:>8}  {}",
-            r.label,
-            r.kernels,
-            r.errors,
-            r.warnings,
-            r.unproven,
-            if r.ok() { "ok" } else { "FAIL" }
-        );
-        if let (false, Some(s)) = (r.ok(), &r.sample) {
-            let _ = writeln!(out, "{:<wide$}    {}", "", s);
-        }
-    }
-    let bad = rows.iter().filter(|r| !r.ok()).count();
-    let _ = writeln!(out, "{} case(s), {} with static errors", rows.len(), bad);
-    out
+    let head = [
+        "case", "kernels", "errors", "warnings", "unproven", "verdict",
+    ];
+    let rows: Vec<SweepRow> = rows
+        .iter()
+        .map(|r| SweepRow {
+            label: r.label.clone(),
+            cells: vec![
+                r.kernels.to_string(),
+                r.errors.to_string(),
+                r.warnings.to_string(),
+                r.unproven.to_string(),
+                verdict(r.ok()),
+            ],
+            failed: !r.ok(),
+            detail: r.sample.clone(),
+        })
+        .collect();
+    format_sweep(&head, &rows, "with static errors")
 }
 
 #[cfg(test)]
@@ -578,21 +485,13 @@ mod tests {
 
     #[test]
     fn handcrafted_sync_and_init_hazards_fire() {
-        let sync = tally(
-            "s".into(),
-            vec![HazardClass::SyncCheck],
-            divergent_barrier_reports(),
-        );
+        let sync = divergent_barrier_row();
         assert_eq!(sync.verdict(), "detected", "{:?}", sync.sample);
         // The static verifier sees the same divergent barrier without
         // running a cycle.
         assert!(sync.static_sync > 0, "{:?}", sync.sample);
         assert_eq!(sync.static_verdict(), "detected");
-        let init = tally(
-            "i".into(),
-            vec![HazardClass::InitCheck],
-            uninit_shared_reports(),
-        );
+        let init = uninit_shared_row();
         assert_eq!(init.verdict(), "detected", "{:?}", init.sample);
         assert_eq!(init.synccheck, 0);
         assert!(init.static_init > 0, "{:?}", init.sample);
@@ -602,7 +501,7 @@ mod tests {
     #[test]
     fn openuh_vector_case_is_clean_under_full_sanitizer() {
         let cfg = SuiteConfig::quick();
-        let row = sanitize_case(&MatrixCase::openuh(Position::Vector, CType::Int), &cfg);
+        let row = sanitize_case(&openuh(Position::Vector), Vec::new(), &cfg);
         assert_eq!(row.verdict(), "clean", "{:?}", row.sample);
         // Static column: no false positives, and the OpenUH unrolled tree
         // is fully provable by the affine analysis.
@@ -616,8 +515,8 @@ mod tests {
     #[test]
     fn named_barrier_knobs_are_statically_caught() {
         let cfg = SuiteConfig::quick();
-        for case in MatrixCase::barrier_defects() {
-            let row = sanitize_case(&case, &cfg);
+        for (case, expect) in barrier_defects() {
+            let row = sanitize_case(&case, expect, &cfg);
             assert!(row.static_race > 0, "{}: {:?}", row.label, row.sample);
         }
     }

@@ -6,10 +6,9 @@
 //! all execution-side knobs; toggling them must reproduce byte-identical
 //! certification reports.
 
-use acc_testsuite::{case_source, cert_config, Position};
+use acc_testsuite::{cert_config, Case, Position, SuiteConfig};
 use accparse::ast::{CType, RedOp};
-use accrt::{AccError, AccRunner, HostBuffer};
-use gpsim::{Device, SanitizerLevel};
+use gpsim::SanitizerLevel;
 use proptest::prelude::*;
 use uhacc_core::CompilerOptions;
 
@@ -25,14 +24,14 @@ struct ExecKnobs {
 /// Run one testsuite case under the validator with the given execution
 /// knobs and return the canonical JSON of its reports.
 fn cert_json(pos: Position, op: RedOp, t: CType, knobs: ExecKnobs) -> String {
-    let cfg = cert_config();
-    let src = case_source(pos, op, t);
-    let data = acc_testsuite::run::case_data(pos, op, t, &cfg);
-    let mut r =
-        AccRunner::with_options(&src, CompilerOptions::openuh(), cfg.dims, Device::default())
-            .expect("testsuite case compiles");
-    r.set_host_threads(knobs.host_threads);
-    r.set_exec_tier(knobs.exec_tier);
+    let cfg = SuiteConfig {
+        host_threads: knobs.host_threads,
+        exec_tier: knobs.exec_tier,
+        ..cert_config()
+    };
+    let mut r = Case::new("prop", CompilerOptions::openuh(), pos, op, t)
+        .session(&cfg)
+        .expect("testsuite case compiles");
     if knobs.profiler {
         r.profile(true);
     }
@@ -40,15 +39,7 @@ fn cert_json(pos: Position, op: RedOp, t: CType, knobs: ExecKnobs) -> String {
         r.sanitize(SanitizerLevel::Full);
     }
     r.certify(true);
-    (|| -> Result<(), AccError> {
-        acc_testsuite::run::bind_dims(pos, &cfg, |n, v| r.bind_int(n, v))?;
-        r.bind_array("input", data.input.clone())?;
-        if let Some(n) = data.out_len {
-            r.bind_array("out", HostBuffer::new(t, n))?;
-        }
-        r.run()
-    })()
-    .expect("testsuite case runs");
+    r.run().expect("testsuite case runs");
     r.take_cert_reports()
         .iter()
         .map(|rep| rep.to_json())

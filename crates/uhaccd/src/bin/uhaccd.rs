@@ -1,21 +1,19 @@
-//! `uhaccd` — serve the compile-and-run API, or drive it as a client.
+//! `uhaccd` — serve the compile-and-run API.
 //!
 //! ```console
 //! $ uhaccd --port 8090 --workers 4          # serve (foreground)
-//! $ uhaccd --loadgen --addr 127.0.0.1:8090  # benchmark a running daemon
-//! $ uhaccd --loadgen --spawn                # spawn one and benchmark it
 //! ```
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::sync::Arc;
 use uhacc_core::flags::{host_threads_from_env, parse_count};
-use uhaccd::{loadgen, service, DaemonConfig, LoadgenConfig, WorkerPool};
+use uhaccd::{service, DaemonConfig, WorkerPool};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: uhaccd [--port P] [options]           serve the API (foreground)\n\
+        "usage: uhaccd [options]        serve the API (foreground)\n\
          \n\
-         serve options:\n\
+         options:\n\
            --port P            TCP port (0 = ephemeral; default 8090)\n\
            --host H            bind address (default 127.0.0.1)\n\
            --workers N         device-worker threads = max concurrent\n\
@@ -26,18 +24,6 @@ fn usage() -> ! {
                                any request slower than N ms\n\
            --virtual-clock     deterministic observability clock (also\n\
                                honoured via UHOBS_VIRTUAL_CLOCK=1)\n\
-         \n\
-         client modes:\n\
-           --loadgen           run the deterministic benchmark matrix\n\
-             --addr HOST:PORT  target daemon (omit with --spawn)\n\
-             --spawn           spawn an in-process daemon on an ephemeral\n\
-                               port and benchmark that\n\
-             --rounds N        matrix replays; round 0 is cold (default 3)\n\
-             --concurrency N   client threads (default 4)\n\
-             --out FILE        write BENCH_uhaccd.json here (default\n\
-                               stdout only)\n\
-             --trace-out FILE  fetch the daemon's unified Chrome trace\n\
-                               after the run and write it here\n\
            -h, --help          this message"
     );
     std::process::exit(2);
@@ -53,13 +39,6 @@ struct Args {
     port: u16,
     workers: usize,
     cache_cap: usize,
-    loadgen: bool,
-    spawn: bool,
-    addr: Option<String>,
-    rounds: usize,
-    concurrency: usize,
-    out: Option<String>,
-    trace_out: Option<String>,
     virtual_clock: bool,
     slow_ms: Option<u64>,
 }
@@ -73,13 +52,6 @@ fn parse_args() -> Args {
         port: 8090,
         workers: 4,
         cache_cap: 64,
-        loadgen: false,
-        spawn: false,
-        addr: None,
-        rounds: 3,
-        concurrency: 4,
-        out: None,
-        trace_out: None,
         virtual_clock: uhobs::clock::env_wants_virtual(),
         slow_ms: None,
     };
@@ -118,30 +90,6 @@ fn parse_args() -> Args {
                 let v = need_val(&argv, i, "--cache-cap");
                 args.cache_cap = count("--cache-cap", &v).max(1) as usize;
             }
-            "--loadgen" => args.loadgen = true,
-            "--spawn" => args.spawn = true,
-            "--addr" => {
-                i += 1;
-                args.addr = Some(need_val(&argv, i, "--addr"));
-            }
-            "--rounds" => {
-                i += 1;
-                let v = need_val(&argv, i, "--rounds");
-                args.rounds = count("--rounds", &v).max(1) as usize;
-            }
-            "--concurrency" => {
-                i += 1;
-                let v = need_val(&argv, i, "--concurrency");
-                args.concurrency = count("--concurrency", &v).max(1) as usize;
-            }
-            "--out" => {
-                i += 1;
-                args.out = Some(need_val(&argv, i, "--out"));
-            }
-            "--trace-out" => {
-                i += 1;
-                args.trace_out = Some(need_val(&argv, i, "--trace-out"));
-            }
             "--virtual-clock" => args.virtual_clock = true,
             "--slow-ms" => {
                 i += 1;
@@ -151,12 +99,6 @@ fn parse_args() -> Args {
             _ => usage(),
         }
         i += 1;
-    }
-    if args.spawn && !args.loadgen {
-        flag_err("--spawn only makes sense with --loadgen".into());
-    }
-    if args.loadgen && !args.spawn && args.addr.is_none() {
-        flag_err("--loadgen needs --addr HOST:PORT (or --spawn)".into());
     }
     args
 }
@@ -174,82 +116,6 @@ fn daemon_config(args: &Args) -> DaemonConfig {
 fn main() {
     let args = parse_args();
 
-    if args.loadgen {
-        let addr: SocketAddr = if args.spawn {
-            let (addr, _daemon) = service::spawn(daemon_config(&args), "127.0.0.1:0")
-                .unwrap_or_else(|e| {
-                    eprintln!("error: cannot spawn daemon: {e}");
-                    std::process::exit(1);
-                });
-            eprintln!("uhaccd: spawned in-process daemon on {addr}");
-            addr
-        } else {
-            let spec = args.addr.as_deref().unwrap();
-            spec.parse().unwrap_or_else(|_| {
-                flag_err(format!(
-                    "invalid value for --addr: expected HOST:PORT, got `{spec}`"
-                ))
-            })
-        };
-        let mut cfg = LoadgenConfig::new(addr);
-        cfg.rounds = args.rounds;
-        cfg.concurrency = args.concurrency;
-        eprintln!(
-            "uhaccd: loadgen against {addr} ({} rounds, {} client threads) ...",
-            cfg.rounds, cfg.concurrency
-        );
-        let report = loadgen::run(&cfg).unwrap_or_else(|e| {
-            eprintln!("error: loadgen failed: {e}");
-            std::process::exit(1);
-        });
-        println!("{}", report.json);
-        if let Some(path) = &args.out {
-            if let Err(e) = std::fs::write(path, format!("{}\n", report.json)) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("uhaccd: wrote {path}");
-        }
-        if let Some(path) = &args.trace_out {
-            match uhaccd::http::get(addr, "/trace") {
-                Ok((200, trace)) => {
-                    if let Err(e) = std::fs::write(path, trace) {
-                        eprintln!("error: cannot write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("uhaccd: wrote {path}");
-                }
-                Ok((status, body)) => {
-                    eprintln!("error: GET /trace returned {status}: {body}");
-                    std::process::exit(1);
-                }
-                Err(e) => {
-                    eprintln!("error: cannot fetch /trace: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        eprintln!(
-            "uhaccd: {} requests, {} failures, determinism {}, {:.1} req/s, p50 {:.2} ms, \
-             p99 {:.2} ms, warm speedup {:.2}x, queue wait p50 {:.2} ms / p99 {:.2} ms",
-            report.requests,
-            report.failures,
-            if report.determinism_mismatches == 0 {
-                "ok".to_string()
-            } else {
-                format!("{} MISMATCHES", report.determinism_mismatches)
-            },
-            report.throughput_rps,
-            report.p50_ms,
-            report.p99_ms,
-            report.warm_speedup,
-            report.queue_wait_p50_ms,
-            report.queue_wait_p99_ms
-        );
-        std::process::exit(if report.ok() { 0 } else { 1 });
-    }
-
-    // Serve mode (foreground).
     let bind = format!("{}:{}", args.host, args.port);
     let listener = TcpListener::bind(&bind).unwrap_or_else(|e| {
         eprintln!("error: cannot bind {bind}: {e}");

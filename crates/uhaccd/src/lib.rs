@@ -30,10 +30,8 @@
 
 pub mod http;
 pub mod json;
-pub mod loadgen;
 pub mod pool;
 pub mod service;
 
-pub use loadgen::{BenchReport, LoadgenConfig};
 pub use pool::{PoolStats, WorkerPool};
 pub use service::{serve, spawn, Daemon, DaemonConfig};

@@ -736,7 +736,7 @@ fn handle_connection(daemon: &Daemon, stream: &mut TcpStream, slip: QueueSlip) {
 
 /// Bind `addr`, spawn the accept loop on a background thread, and return
 /// the bound address (useful with port 0) plus the daemon handle.
-/// Used by `--loadgen --spawn`, the end-to-end tests, and CI.
+/// Used by the end-to-end tests, `uhbench daemon_mix`, and CI.
 pub fn spawn(cfg: DaemonConfig, addr: &str) -> std::io::Result<(SocketAddr, Arc<Daemon>)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;

@@ -102,6 +102,31 @@ fn mixed_burst_is_deterministic() {
     concurrent_equals_sequential(&reqs, 4);
 }
 
+/// The endpoints that simulate nothing — `/compile` under each compiler
+/// personality with the verifier on, `/lint`, `/verify` — over every
+/// source: the same bytes sequentially (cold, then cached) and from 15
+/// threads at once.
+#[test]
+fn static_endpoints_are_deterministic_across_interleavings() {
+    let mut reqs = Vec::new();
+    for src in SOURCES {
+        let src = Json::Str(src.into());
+        for compiler in ["openuh", "pgi", "caps"] {
+            reqs.push(Req {
+                path: "/compile",
+                body: format!("{{\"source\":{src},\"compiler\":\"{compiler}\",\"verify\":true}}"),
+            });
+        }
+        for path in ["/lint", "/verify"] {
+            reqs.push(Req {
+                path,
+                body: format!("{{\"source\":{src}}}"),
+            });
+        }
+    }
+    concurrent_equals_sequential(&reqs, 4);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, .. ProptestConfig::default() })]
 

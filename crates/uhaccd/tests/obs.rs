@@ -89,10 +89,15 @@ fn metrics_exposition_is_pinned_under_virtual_clock() {
     for name in [
         "uhaccd_requests_total",
         "uhaccd_request_duration_us_count",
+        "uhaccd_request_duration_us_bucket",
         "uhaccd_queue_wait_us_count",
+        "uhaccd_queue_wait_us_bucket",
         "uhaccd_compile_duration_us_count",
+        "uhaccd_compile_duration_us_bucket",
         "uhaccd_program_cache_hits_total",
         "uhaccd_program_cache_misses_total",
+        "uhaccd_program_parses_total",
+        "uhaccd_region_cache_hits_total",
         "uhaccd_region_compiles_total",
         "uhaccd_sim_instructions_total",
         "uhaccd_pool_workers",
@@ -114,6 +119,9 @@ fn metrics_exposition_is_pinned_under_virtual_clock() {
     assert_eq!(value("uhaccd_program_parses_total"), 1.0);
     assert_eq!(value("uhaccd_program_cache_hits_total"), 2.0);
     assert!(value("uhaccd_sim_instructions_total") > 0.0);
+    // Every request was dequeued by the pool, so the queue-wait histogram
+    // the benchmark reads its percentiles from is not empty.
+    assert!(value("uhaccd_queue_wait_us_count") >= 4.0);
 }
 
 /// `/trace` returns one Chrome/Perfetto file holding both the request

@@ -17,8 +17,8 @@
 //! - [`Registry`] / [`Counter`] / [`Gauge`] / [`Histogram`] — a metrics
 //!   registry with fixed-bucket histograms rendered as Prometheus text
 //!   exposition ([`Registry::render`]), plus a small exposition parser
-//!   ([`metrics::parse_exposition`]) used by the load generator to
-//!   validate scrapes and recover histogram percentiles.
+//!   ([`metrics::parse_exposition`]) the daemon's tests validate
+//!   scrapes with.
 //! - [`Tracer`] / [`Span`] — per-request span collection with minted
 //!   trace ids, a bounded buffer, pre-rendered device-track splicing,
 //!   and Chrome-trace (Perfetto) export on a shared timebase

@@ -15,10 +15,9 @@
 //!   clones over atomics: lock-free on the hot path, the registry lock
 //!   is only taken at registration and render time.
 //!
-//! [`parse_exposition`] is the consumer side: the load generator scrapes
-//! `/metrics`, validates that the text parses and that every expected
-//! series is present, and recovers queue-wait percentiles from the
-//! histogram buckets via [`histogram_quantile`].
+//! [`parse_exposition`] is the consumer side: the daemon's `obs` test
+//! scrapes `/metrics` and validates that the text parses strictly and
+//! that every advertised series is present.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -414,59 +413,6 @@ fn split_label_pairs(body: &str) -> Vec<String> {
     out
 }
 
-/// Recover a quantile (0..=1) from a histogram's `_bucket` samples
-/// (cumulative counts), linearly interpolating inside the bucket —
-/// the standard `histogram_quantile` estimate. `extra` filters on
-/// additional label pairs. Returns `None` when the histogram is missing
-/// or empty.
-pub fn histogram_quantile(
-    samples: &[Sample],
-    name: &str,
-    extra: &[(&str, &str)],
-    q: f64,
-) -> Option<f64> {
-    let bucket_name = format!("{name}_bucket");
-    let mut buckets: Vec<(f64, f64)> = samples
-        .iter()
-        .filter(|s| s.name == bucket_name)
-        .filter(|s| extra.iter().all(|(k, v)| s.label(k) == Some(v)))
-        .filter_map(|s| {
-            let le = s.label("le")?;
-            let bound = if le == "+Inf" {
-                f64::INFINITY
-            } else {
-                le.parse().ok()?
-            };
-            Some((bound, s.value))
-        })
-        .collect();
-    buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let total = buckets.last()?.1;
-    if total <= 0.0 {
-        return None;
-    }
-    let target = q.clamp(0.0, 1.0) * total;
-    let mut prev_bound = 0.0;
-    let mut prev_cum = 0.0;
-    for &(bound, cum) in &buckets {
-        if cum >= target {
-            if bound.is_infinite() {
-                // Everything above the last finite bound: report that
-                // bound (no upper edge to interpolate toward).
-                return Some(prev_bound);
-            }
-            if cum == prev_cum {
-                return Some(bound);
-            }
-            let frac = (target - prev_cum) / (cum - prev_cum);
-            return Some(prev_bound + frac * (bound - prev_bound));
-        }
-        prev_bound = bound;
-        prev_cum = cum;
-    }
-    Some(prev_bound)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,25 +485,5 @@ mod tests {
         assert!(parse_exposition("name{k=\"v\" 1\n").is_err());
         assert!(parse_exposition("bad name 1\n").is_err());
         assert!(parse_exposition("# FOO bar\n").is_err());
-    }
-
-    #[test]
-    fn quantiles_interpolate() {
-        let r = Registry::new();
-        let h = r.histogram("q_us", "q", &[], &[100, 200, 400]);
-        for _ in 0..10 {
-            h.observe(150); // all in (100, 200]
-        }
-        let samples = parse_exposition(&r.render()).unwrap();
-        let p50 = histogram_quantile(&samples, "q_us", &[], 0.5).unwrap();
-        assert!((100.0..=200.0).contains(&p50), "{p50}");
-        // Everything beyond the last finite bound reports that bound.
-        let r2 = Registry::new();
-        let h2 = r2.histogram("o_us", "o", &[], &[100]);
-        h2.observe(1_000_000);
-        let s2 = parse_exposition(&r2.render()).unwrap();
-        assert_eq!(histogram_quantile(&s2, "o_us", &[], 0.99), Some(100.0));
-        // Missing histogram -> None.
-        assert_eq!(histogram_quantile(&s2, "nope_us", &[], 0.5), None);
     }
 }

@@ -6,111 +6,86 @@
 
 use uhacc::baselines::Compiler;
 use uhacc::core::{CombineSpace, Schedule, TreeStyle, VectorLayout, WorkerStrategy};
+use uhacc::parse::ast::{CType, RedOp};
 use uhacc::prelude::*;
+use uhacc::testsuite::run::{reference, run_verified, Expected};
+use uhacc::testsuite::{Case, Position, SuiteConfig};
 
-const SRC: &str = r#"
-    int NK; int NJ; int NI;
-    int input[NK][NJ][NI];
-    int out[NK][NJ];
-    #pragma acc parallel copyin(input) copyout(out)
-    {
-        #pragma acc loop gang
-        for (int k = 0; k < NK; k++) {
-            #pragma acc loop worker
-            for (int j = 0; j < NJ; j++) {
-                int s = 0;
-                #pragma acc loop vector reduction(+:s)
-                for (int i = 0; i < NI; i++) {
-                    s += input[k][j][i];
-                }
-                out[k][j] = s;
-            }
-        }
-    }
-"#;
+/// The testsuite's vector-position `+` case over ints, under `opts`.
+fn vector_case(label: &str, opts: CompilerOptions) -> Case {
+    Case::new(label, opts, Position::Vector, RedOp::Add, CType::Int)
+}
 
-fn run_with(label: &str, opts: CompilerOptions, want: &[i64]) {
-    let (nk, nj, ni) = (4usize, 8usize, 16 * 1024usize);
-    let dims = LaunchDims {
-        gangs: 4,
-        workers: 8,
-        vector: 128,
-    };
-    let mut r = AccRunner::with_options(SRC, opts, dims, Device::default()).expect("compile");
-    r.bind_int("NK", nk as i64).unwrap();
-    r.bind_int("NJ", nj as i64).unwrap();
-    r.bind_int("NI", ni as i64).unwrap();
-    let input: Vec<i32> = (0..nk * nj * ni).map(|x| (x % 9) as i32 - 4).collect();
-    r.bind_array("input", HostBuffer::from_i32(&input)).unwrap();
-    r.bind_array("out", HostBuffer::from_i32(&vec![0; nk * nj]))
-        .unwrap();
-    r.run().unwrap();
-    let out = r.array("out").unwrap().to_i64_vec();
-    let ok = out == want;
+fn run_with(case: Case, cfg: &SuiteConfig, want: &Expected) {
+    let r = run_verified(&case, cfg, want)
+        .unwrap_or_else(|status| panic!("{} produced a wrong result: {status:?}", case.label));
     let st = r.device().stats();
     println!(
-        "  {label:<34} {:>9.3} ms   bank-ways/access {:>5.2}   tx/access {:>5.2}   {}",
+        "  {:<34} {:>9.3} ms   bank-ways/access {:>5.2}   tx/access {:>5.2}   OK",
+        case.label,
         r.elapsed_ms(),
         st.totals.conflict_ways_per_access().unwrap_or(f64::NAN),
         st.totals.transactions_per_access().unwrap_or(f64::NAN),
-        if ok { "OK" } else { "WRONG" }
     );
-    assert!(ok, "{label} produced a wrong result");
 }
 
 fn main() {
-    // Host expectation.
-    let (nk, nj, ni) = (4usize, 8usize, 16 * 1024usize);
-    let input: Vec<i32> = (0..nk * nj * ni).map(|x| (x % 9) as i32 - 4).collect();
-    let want: Vec<i64> = (0..nk * nj)
-        .map(|r| input[r * ni..(r + 1) * ni].iter().map(|&v| v as i64).sum())
-        .collect();
+    let cfg = SuiteConfig {
+        red_n: 16 * 1024,
+        dims: LaunchDims {
+            gangs: 4,
+            workers: 8,
+            vector: 128,
+        },
+        ..SuiteConfig::default()
+    };
+    // Host expectation, shared by every row.
+    let want = reference(Position::Vector, RedOp::Add, CType::Int, &cfg);
 
-    println!("vector `+` reduction, 4x8x16384 ints — strategy ablation (paper §3):\n");
+    println!("vector `+` reduction, 2x32x16384 ints — strategy ablation (paper §3):\n");
     let base = CompilerOptions::openuh();
-    run_with("OpenUH defaults (Fig. 6c row-wise)", base.clone(), &want);
-    run_with(
-        "transposed layout (Fig. 6b)",
-        CompilerOptions {
-            vector_layout: VectorLayout::Transposed,
-            ..base.clone()
-        },
-        &want,
-    );
-    run_with(
-        "blocking schedule (no coalescing)",
-        CompilerOptions {
-            schedule: Schedule::Blocking,
-            ..base.clone()
-        },
-        &want,
-    );
-    run_with(
-        "looped tree (barrier per step)",
-        CompilerOptions {
-            tree: TreeStyle::Looped,
-            ..base.clone()
-        },
-        &want,
-    );
-    run_with(
-        "global-memory staging (§3.3)",
-        CompilerOptions {
-            combine_space: CombineSpace::Global,
-            ..base.clone()
-        },
-        &want,
-    );
-    run_with(
-        "duplicate-rows workers (Fig. 8b)",
-        CompilerOptions {
-            worker_strategy: WorkerStrategy::DuplicateRows,
-            ..base.clone()
-        },
-        &want,
-    );
+    for (label, opts) in [
+        ("OpenUH defaults (Fig. 6c row-wise)", base.clone()),
+        (
+            "transposed layout (Fig. 6b)",
+            CompilerOptions {
+                vector_layout: VectorLayout::Transposed,
+                ..base.clone()
+            },
+        ),
+        (
+            "blocking schedule (no coalescing)",
+            CompilerOptions {
+                schedule: Schedule::Blocking,
+                ..base.clone()
+            },
+        ),
+        (
+            "looped tree (barrier per step)",
+            CompilerOptions {
+                tree: TreeStyle::Looped,
+                ..base.clone()
+            },
+        ),
+        (
+            "global-memory staging (§3.3)",
+            CompilerOptions {
+                combine_space: CombineSpace::Global,
+                ..base.clone()
+            },
+        ),
+        (
+            "duplicate-rows workers (Fig. 8b)",
+            CompilerOptions {
+                worker_strategy: WorkerStrategy::DuplicateRows,
+                ..base.clone()
+            },
+        ),
+    ] {
+        run_with(vector_case(label, opts), &cfg, &want);
+    }
     println!("\ncompiler personalities on the same case:\n");
     for c in Compiler::all() {
-        run_with(c.name(), c.base_options(), &want);
+        run_with(vector_case(c.name(), c.base_options()), &cfg, &want);
     }
 }

@@ -5,12 +5,19 @@
 //! declines — from passing tier-1 unnoticed. One small case per Table 2
 //! position plus Monte Carlo PI, under `auto` and `interpret`: equal
 //! results, equal session statistics (modelled cycles included), and no
-//! launch declined.
+//! launch declined. It also pins that the engine a sweep asks for is the
+//! engine it gets, and that a sweep fails a row the typed tier declined.
 
 use accparse::ast::{CType, RedOp};
 use uhacc::prelude::*;
-use uhacc::sim::{ExecTier, SessionStats};
-use uhacc::testsuite::{bind_dims, case_data, case_source, Position, SuiteConfig};
+use uhacc::sim::{
+    BinOp, ExecTier, KernelBuilder, LaunchConfig, SanitizerConfig, SanitizerLevel, SessionStats,
+    ShapeCensus, SpecialReg, Ty,
+};
+use uhacc::testsuite::{
+    cert_config, format_cert_sweep, format_matrix, Case, CertExpect, CertSweepRow, Position,
+    SanitizeRow, SuiteConfig,
+};
 
 /// Everything a finished session leaves behind that a tier could change.
 #[derive(Debug, PartialEq)]
@@ -30,21 +37,12 @@ fn finish(r: &AccRunner, scalar: &str) -> (Outcome, u64) {
 }
 
 fn run_position(pos: Position, t: CType, tier: ExecTier) -> (Outcome, u64) {
-    let cfg = SuiteConfig::quick();
-    let data = case_data(pos, RedOp::Add, t, &cfg);
-    let mut r = AccRunner::with_options(
-        &case_source(pos, RedOp::Add, t),
-        CompilerOptions::openuh(),
-        cfg.dims,
-        Device::default(),
-    )
-    .unwrap();
-    r.set_exec_tier(tier);
-    bind_dims(pos, &cfg, |n, v| r.bind_int(n, v)).unwrap();
-    r.bind_array("input", data.input).unwrap();
-    if let Some(n) = data.out_len {
-        r.bind_array("out", HostBuffer::new(t, n)).unwrap();
-    }
+    let cfg = SuiteConfig {
+        exec_tier: tier,
+        ..SuiteConfig::quick()
+    };
+    let case = Case::new("smoke", CompilerOptions::openuh(), pos, RedOp::Add, t);
+    let mut r = case.session(&cfg).unwrap();
     r.run().unwrap();
     finish(&r, "sum")
 }
@@ -102,4 +100,74 @@ fn table2_positions_agree_across_engines_without_declines() {
 #[test]
 fn pi_agrees_across_engines_without_declines() {
     assert_engines_agree("pi", run_pi);
+}
+
+/// `SuiteConfig::exec_tier` reaches the sessions the checker sweeps run:
+/// under `interpret` the typed tier decides nothing (an all-zero census),
+/// under `auto` it does — with the sanitizer on and with the validator
+/// on. (The sanitizer matrix used to run on `auto` whatever was asked.)
+#[test]
+fn the_exec_tier_knob_reaches_sanitized_and_certified_sessions() {
+    let case = Case::new(
+        "knob",
+        CompilerOptions::openuh(),
+        Position::GangWorkerVector,
+        RedOp::Add,
+        CType::Int,
+    );
+    type Rail = fn(&mut AccRunner);
+    let sanitize: Rail = |r| r.sanitize(SanitizerLevel::Full);
+    let certify: Rail = |r| r.certify(true);
+    for (rail, switch_on) in [("sanitize", sanitize), ("certify", certify)] {
+        let census = |exec_tier| {
+            let cfg = SuiteConfig {
+                exec_tier,
+                ..cert_config()
+            };
+            let mut r = case.session(&cfg).unwrap();
+            switch_on(&mut r);
+            r.run().unwrap();
+            r.device().shape_census()
+        };
+        assert_eq!(
+            census(ExecTier::Interpret),
+            ShapeCensus::default(),
+            "{rail}"
+        );
+        assert_ne!(census(ExecTier::Auto), ShapeCensus::default(), "{rail}");
+    }
+}
+
+/// A launch the typed tier declines (here: a register written at two
+/// types) still runs, on the interpreter, and every rail can be clean on
+/// it — the sweeps fail its row all the same, and say why.
+#[test]
+fn a_declined_launch_fails_its_sweep_row() {
+    let mut b = KernelBuilder::new("mixed_reuse");
+    let tid = b.special(SpecialReg::TidX);
+    let r = b.mov_imm(Value::I32(5));
+    let f = b.cvt(Ty::F32, tid);
+    b.bin_to(r, BinOp::Add, Ty::F32, f, Value::F32(0.5));
+    let k = b.finish();
+    let mut dev = Device::test_small();
+    dev.set_sanitizer(SanitizerConfig::full());
+    dev.launch(&k, LaunchConfig::d1(1, 32), &[]).unwrap();
+    assert_eq!(dev.tier_declines(), 1);
+
+    let san = SanitizeRow::harvest("declined", Vec::new(), &mut dev, None);
+    assert_eq!((san.verdict(), san.static_verdict()), ("clean", "clean"));
+    assert!(!san.ok());
+    let text = format_matrix(&[san]);
+    assert!(text.contains("FAIL"), "{text}");
+    assert!(text.contains("typed tier declined 1 launch(es)"), "{text}");
+    assert!(
+        text.contains("1 case(s), 1 unexpected outcome(s)"),
+        "{text}"
+    );
+
+    let cert = CertSweepRow::harvest("declined", CertExpect::NotCertified, &mut dev, None);
+    assert!(!cert.certified && !cert.ok() && !cert.false_certified());
+    let text = format_cert_sweep(&[cert]);
+    assert!(text.contains("  FAIL\n"), "{text}");
+    assert!(text.contains("typed tier declined 1 launch(es)"), "{text}");
 }
