@@ -29,13 +29,18 @@ pub struct SimWork {
     pub lane_insts: u64,
     /// The typed tier's shape census (all zero under the interpreter).
     pub census: gpsim::ShapeCensus,
+    /// The session's modelled counts (`lane_insts` is one of them): the
+    /// application's cell of `BENCH_modelled.json`.
+    pub stats: gpsim::SessionStats,
 }
 
 impl SimWork {
     pub(crate) fn of(r: &accrt::AccRunner) -> Self {
+        let stats = *r.device().stats();
         SimWork {
-            lane_insts: r.device().stats().totals.lane_insts,
+            lane_insts: stats.totals.lane_insts,
             census: r.device().shape_census(),
+            stats,
         }
     }
 }

@@ -1,218 +1,83 @@
-//! Regenerate the paper's tables and figures as text, with the paper's
-//! reported values alongside for comparison.
+//! Print the paper's figures and ablations from the table of modelled
+//! cells (`uhacc_bench::cells`), with the paper's reported shapes
+//! alongside, and write or check the committed copy of that table.
 //!
-//! Usage: `make-figures [table2|fig11|fig12a|fig12b|fig12c|ablations|profile|sim-throughput|all]`
+//! Usage: `make-figures [fig12a|fig12b|fig12c|ablations|modelled|sim-throughput|all] [red_n] [--check]`
+//!
+//! `modelled` writes `BENCH_modelled.json`; `modelled --check` regenerates
+//! it and exits 1 on any byte of difference, naming each cell and field.
+//! Table 2, Fig. 11 and the profile export are `acc-testsuite`'s
+//! (`--fig11`, `--profile=json`).
 
 use acc_baselines::Compiler;
-use acc_testsuite::Position;
-use acc_testsuite::{
-    format_fig11, format_summary, format_table2, profile_case, run_suite, time_case, Case,
-    SuiteConfig, TimedCase,
-};
+use acc_testsuite::{time_case, Case, CaseStatus, Cell, Position, SuiteConfig, TimedCase};
 use accparse::ast::{CType, RedOp};
 use uhacc_bench::*;
-use uhacc_core::{
-    CombineSpace, CompilerOptions, LaunchDims, Schedule, TreeStyle, VectorLayout, WorkerStrategy,
-};
+use uhacc_core::flags::parse_count;
 
-fn fmt_ms(ms: Option<f64>) -> String {
-    match ms {
-        Some(v) => format!("{v:.3}"),
-        None => "F".to_string(),
+const USAGE: &str = "fig12a|fig12b|fig12c|ablations|modelled|sim-throughput|all";
+const MODELLED: &str = "BENCH_modelled.json";
+/// The size `BENCH_sim_throughput.json` is committed at: its shape census
+/// is gated exactly, so its default does not follow Table 2's.
+const THROUGHPUT_RED_N: usize = 8192;
+
+/// A block's heading, with what the paper reports for it.
+fn title(block: &str) -> &'static str {
+    match block {
+        "fig12a" => "Fig. 12(a): heat2d max-reduction, 20 iterations (paper: OpenUH < PGI; CAPS failed)",
+        "fig12b" => "Fig. 12(b): matmul kernel (paper: OpenUH 2x faster than CAPS; PGI failed)",
+        "fig12c" => "Fig. 12(c): Monte Carlo pi kernel (paper: OpenUH <= CAPS, both far below PGI)",
+        "ablation" => "Ablations: \u{a7}6 grid rows on Table-2 cases pinned to NKxNJxNI on gangs x workers x vector",
+        _ => "The \u{a7}6 strategy grid at every Table-2 position",
     }
 }
 
-fn print_points(points: &[CompilerMs]) {
-    for (c, ms) in points {
-        print!("  {}={}", c.name(), fmt_ms(*ms));
+/// Print the cells of `block`: modelled time (`F`/`CE` for a missing bar),
+/// coalescing and bank conflicts.
+fn view(cells: &[Cell], block: &str) {
+    println!("{}\n", title(block));
+    let cells = cells.iter().filter(|c| c.label.starts_with(block));
+    for Cell { label, status } in cells {
+        let label = &label[block.len() + 2..];
+        match status {
+            CaseStatus::Pass { ms, stats } => println!(
+                "  {label:<72} {ms:>8.3} ms   tx/access {:>5.2}   bank-ways {:>5.2}",
+                stats.totals.transactions_per_access().unwrap_or(f64::NAN),
+                stats.totals.conflict_ways_per_access().unwrap_or(f64::NAN)
+            ),
+            missing => println!("  {label:<72} {}", missing.mark()),
+        }
     }
     println!();
 }
 
-fn table2(red_n: usize) {
-    let cfg = SuiteConfig {
-        red_n,
-        ..Default::default()
-    };
-    let ops = [RedOp::Add, RedOp::Mul];
-    let dtypes = [CType::Int, CType::Float, CType::Double];
-    eprintln!("[table2] running the reduction testsuite (red_n = {red_n}) ...");
-    let results = run_suite(&Compiler::all(), &ops, &dtypes, &cfg);
-    println!("{}", format_table2(&results, &ops, &dtypes));
-    println!("{}", format_summary(&results));
-    println!(
-        "paper (K20c, red loop = 1M): OpenUH passed all; PGI F on worker/vector/gang-worker\n\
-         `+` and CE on gang-worker-vector; CAPS F on the `+` RMP rows. Reproduced above.\n"
-    );
-}
-
-fn fig11(red_n: usize) {
-    let cfg = SuiteConfig {
-        red_n,
-        ..Default::default()
-    };
-    let ops = [RedOp::Add, RedOp::Mul];
-    let dtypes = [CType::Int, CType::Float, CType::Double];
-    eprintln!("[fig11] running the reduction testsuite (red_n = {red_n}) ...");
-    let results = run_suite(&Compiler::all(), &ops, &dtypes, &cfg);
-    println!("{}", format_fig11(&results, &ops, &dtypes));
-}
-
-fn fig12a() {
-    println!("Figure 12(a): 2D heat equation, max-reduction time (ms) per grid size");
-    println!("paper: grid 128..512, OpenUH always faster than PGI; CAPS failed to converge");
-    for n in [128usize, 256, 384, 512] {
-        // Fixed iteration count so sizes are comparable (the paper runs to
-        // convergence; modelled time per iteration is what accumulates).
-        let iters = 20;
-        print!("  grid {n:>4} ({iters} iters):");
-        print_points(&fig12a_point(n, iters));
+/// Write the table, or with `check` compare it with the committed copy:
+/// exit 1 naming every cell and field that moved, and leave the
+/// regenerated table beside it.
+fn modelled(cfg: &SuiteConfig, cells: &[Cell], check: bool) {
+    let text = render(cfg, cells);
+    if !check {
+        std::fs::write(MODELLED, &text).expect("write BENCH_modelled.json");
+        println!("wrote {MODELLED} ({} cells)", cells.len());
+        return;
     }
-    println!();
-}
-
-fn fig12b() {
-    println!("Figure 12(b): matrix multiplication kernel time (ms) per size");
-    println!("paper: OpenUH more than 2x faster than CAPS; PGI bar missing (failed vector +)");
-    for n in [64usize, 128, 192, 256] {
-        print!("  n {n:>4}:");
-        print_points(&fig12b_point(n));
+    let committed = std::fs::read_to_string(MODELLED).unwrap_or_else(|e| {
+        eprintln!("error: {MODELLED}: {e}");
+        std::process::exit(1);
+    });
+    let moved = differences(&committed, &text);
+    if moved.is_empty() {
+        println!("{MODELLED}: {} cells, byte-identical", cells.len());
+        return;
     }
-    println!();
-}
-
-fn fig12c() {
-    println!("Figure 12(c): Monte Carlo PI kernel time (ms) per sample count");
-    println!("paper: 1/2/4 GB of points; OpenUH slightly faster than CAPS, much faster than PGI");
-    for samples in [1usize << 18, 1 << 19, 1 << 20] {
-        print!("  samples {samples:>8}:");
-        print_points(&fig12c_point(samples));
+    for line in &moved {
+        eprintln!("{MODELLED}: {line}");
     }
-    println!();
-}
-
-fn ablations() {
-    let dims = LaunchDims {
-        gangs: 8,
-        workers: 8,
-        vector: 128,
-    };
-    let ni = 32 * 1024;
-    println!("Ablations (vector `+` reduction over {ni} ints x 8 workers x 8 gangs):\n");
-    let base = CompilerOptions::openuh();
-    let cases: Vec<(&str, CompilerOptions)> = vec![
-        (
-            "OpenUH defaults (window, Fig. 6c, unrolled, shared)",
-            base.clone(),
-        ),
-        (
-            "Fig. 6b transposed layout",
-            CompilerOptions {
-                vector_layout: VectorLayout::Transposed,
-                ..base.clone()
-            },
-        ),
-        (
-            "blocking schedule",
-            CompilerOptions {
-                schedule: Schedule::Blocking,
-                ..base.clone()
-            },
-        ),
-        (
-            "looped tree (barrier/step)",
-            CompilerOptions {
-                tree: TreeStyle::Looped,
-                ..base.clone()
-            },
-        ),
-        (
-            "global-memory staging",
-            CompilerOptions {
-                combine_space: CombineSpace::Global,
-                ..base.clone()
-            },
-        ),
-    ];
-    for (label, opts) in cases {
-        let (ms, st) = ablation_vector_case(opts, dims, ni);
-        println!(
-            "  {label:<50} {ms:>8.3} ms   tx/access {:>6.2}   bank-ways {:>5.2}",
-            st.totals.transactions_per_access().unwrap_or(f64::NAN),
-            st.totals.conflict_ways_per_access().unwrap_or(f64::NAN)
-        );
-    }
-    println!("\nCombine-heavy layout ablation (Fig. 6b vs 6c, small rows x many combines):\n");
-    for (label, layout) in [
-        ("Fig. 6c row-wise (OpenUH)", VectorLayout::RowWise),
-        ("Fig. 6b transposed", VectorLayout::Transposed),
-    ] {
-        let opts = CompilerOptions {
-            vector_layout: layout,
-            ..CompilerOptions::openuh()
-        };
-        let (ms, st) = ablation_vector_combine_heavy(opts, dims);
-        println!(
-            "  {label:<50} {ms:>8.3} ms   bank-ways {:>5.2}",
-            st.totals.conflict_ways_per_access().unwrap_or(f64::NAN)
-        );
-    }
-    println!("\nWorker-strategy ablation (Fig. 8b vs 8c), worker `+` reduction, 2048 combines:\n");
-    for (label, ws) in [
-        ("Fig. 8c first-row (OpenUH)", WorkerStrategy::FirstRow),
-        ("Fig. 8b duplicate rows", WorkerStrategy::DuplicateRows),
-    ] {
-        let opts = CompilerOptions {
-            worker_strategy: ws,
-            ..CompilerOptions::openuh()
-        };
-        let ms = ablation_worker_case(opts, dims, 512);
-        println!("  {label:<50} {ms:>8.3} ms");
-    }
-    println!("\nGang-strategy ablation (§3.1.3 second kernel vs one atomic accumulator):\n");
-    for gangs in [16u32, 64, 192] {
-        let d = LaunchDims {
-            gangs,
-            workers: 1,
-            vector: 128,
-        };
-        let two = ablation_gang_strategy(uhacc_core::GangStrategy::TwoKernel, d, 256 * 1024);
-        let at = ablation_gang_strategy(uhacc_core::GangStrategy::Atomic, d, 256 * 1024);
-        println!("  gangs {gangs:>4}: two-kernel {two:>8.3} ms   atomic {at:>8.3} ms");
-    }
-    println!("\nNon-power-of-2 vector sizes (§3.3): correctness holds, performance degrades:\n");
-    for vector in [128u32, 96, 64, 48, 33] {
-        let d = LaunchDims {
-            gangs: 8,
-            workers: 8,
-            vector,
-        };
-        let (ms, _) = ablation_vector_case(CompilerOptions::openuh(), d, ni);
-        println!("  vector_length {vector:>4} {ms:>38.3} ms");
-    }
-    println!();
-}
-
-/// Profile the canonical gang-worker-vector int `+` case and write the
-/// stable JSON export to `BENCH_profile.json`, so CI accumulates a
-/// machine-readable perf/attribution trajectory next to the figures.
-fn profile(red_n: usize) {
-    let cfg = SuiteConfig {
-        red_n,
-        ..Default::default()
-    };
-    eprintln!("[profile] profiling the gang-worker-vector int `+` case (red_n = {red_n}) ...");
-    let pc = Case::of(
-        Compiler::OpenUH,
-        Position::GangWorkerVector,
-        RedOp::Add,
-        CType::Int,
-    )
-    .and_then(|case| profile_case(&case, &cfg))
-    .expect("canonical case profiles cleanly");
-    std::fs::write("BENCH_profile.json", &pc.json).expect("write BENCH_profile.json");
-    print!("{}", pc.report);
-    println!("wrote BENCH_profile.json ({} bytes)", pc.json.len());
+    let regenerated = "BENCH_modelled.regenerated.json";
+    std::fs::write(regenerated, &text).expect("write the regenerated table");
+    let n = moved.len();
+    eprintln!("{n} cell(s) moved; {regenerated} is the new table: re-pin deliberately, review it cell by cell");
+    std::process::exit(1);
 }
 
 /// Race the simulator's two engines (reference interpreter vs the typed
@@ -265,7 +130,9 @@ fn sim_throughput(red_n: usize) {
                 ..Default::default()
             });
             let start = std::time::Instant::now();
-            let SimWork { lane_insts, census } = run(device);
+            let SimWork {
+                lane_insts, census, ..
+            } = run(device);
             TimedCase {
                 secs: start.elapsed().as_secs_f64(),
                 lane_insts,
@@ -412,37 +279,46 @@ fn sim_throughput(red_n: usize) {
     println!("wrote BENCH_sim_throughput.json ({} bytes)\n", json.len());
 }
 
+/// Reject the command line: rendered diagnostic, usage, exit code 2.
+fn usage_err(msg: String) -> ! {
+    eprintln!("error: {msg}\nusage: make-figures [{USAGE}] [red_n] [--check]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let red_n = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(8192);
+    let mut args = std::env::args().skip(1);
+    let what = args.next().unwrap_or_else(|| "all".to_string());
+    let (mut red_n, mut check) = (None, false);
+    for arg in args {
+        match arg.as_str() {
+            "--check" if what == "modelled" && !check => check = true,
+            n if red_n.is_none() => {
+                red_n = Some(parse_count("red_n", n).unwrap_or_else(|e| usage_err(e)) as usize)
+            }
+            extra => usage_err(format!("unexpected argument `{extra}`")),
+        }
+    }
+    let cfg = &SuiteConfig {
+        red_n: red_n.unwrap_or(SuiteConfig::default().red_n),
+        ..Default::default()
+    };
     match what.as_str() {
-        "table2" => table2(red_n),
-        "fig11" => fig11(red_n),
-        "fig12a" => fig12a(),
-        "fig12b" => fig12b(),
-        "fig12c" => fig12c(),
-        "ablations" => ablations(),
-        "profile" => profile(red_n),
-        "sim-throughput" => sim_throughput(red_n),
+        "fig12a" | "fig12b" | "fig12c" => view(&run_block(&what, cfg), &what),
+        "ablations" => view(&run_block("ablation", cfg), "ablation"),
+        "modelled" => {
+            let cells = cells(cfg);
+            view(&cells, "strategy");
+            modelled(cfg, &cells, check);
+        }
+        "sim-throughput" => sim_throughput(red_n.unwrap_or(THROUGHPUT_RED_N)),
         "all" => {
-            table2(red_n);
-            fig11(red_n);
-            fig12a();
-            fig12b();
-            fig12c();
-            ablations();
-            profile(red_n);
-            sim_throughput(red_n);
+            let cells = cells(cfg);
+            for block in ["fig12a", "fig12b", "fig12c", "ablation", "strategy"] {
+                view(&cells, block);
+            }
+            modelled(cfg, &cells, false);
+            sim_throughput(red_n.unwrap_or(THROUGHPUT_RED_N));
         }
-        other => {
-            eprintln!(
-                "unknown figure `{other}`; expected \
-                 table2|fig11|fig12a|fig12b|fig12c|ablations|profile|sim-throughput|all"
-            );
-            std::process::exit(2);
-        }
+        other => usage_err(format!("unknown figure `{other}`")),
     }
 }

@@ -1,289 +1,322 @@
-//! # uhacc-bench — the paper's evaluation harness
+//! # uhacc-bench — the paper's evaluation as one table of modelled cells
 //!
-//! One regeneration path for every table and figure of §4:
-//!
-//! | Artifact | Regenerated by |
-//! |---|---|
-//! | Table 2 | `make-figures table2` |
-//! | Fig. 11 | `make-figures fig11` |
-//! | Fig. 12a (heat) | `make-figures fig12a` |
-//! | Fig. 12b (matmul) | `make-figures fig12b` |
-//! | Fig. 12c (PI) | `make-figures fig12c` |
-//! | Fig. 6/8 layout ablations, §3.3 schedule & memory-space ablations | `make-figures ablations` |
-//!
-//! The reported numbers are *modelled device milliseconds* from the
-//! simulator's Kepler-class cost model. Host wall time of the same
-//! simulated workloads, with every answer checked, is the benchmark of
+//! [`cells`] is the one producer of the paper's numbers: every cell is a
+//! verified run of a [`Case`] or of a Fig. 12 application — its modelled
+//! milliseconds and the simulator's counts behind them, bit-identical
+//! across execution tier and host threads. The table is committed as
+//! `BENCH_modelled.json` ([`render`]) and gated byte for byte
+//! ([`differences`]); `make-figures` prints its [`BLOCKS`], and
+//! `acc-testsuite` prints the rows of the `table2` block as Table 2 and
+//! Fig. 11. Host wall time of the same workloads is the benchmark of
 //! record's job (`benchmark/`: `uhbench`'s `table2_sim` and `apps_sim`).
 
-use acc_apps::heat2d::{run_heat, HeatConfig};
-use acc_apps::matmul::{run_matmul, MatmulConfig};
-use acc_apps::pi::{run_pi, PiConfig};
-use acc_baselines::Compiler;
-use uhacc_core::{CompilerOptions, LaunchDims};
+use acc_apps::{
+    run_heat_on, run_matmul_on, run_pi_on, HeatConfig, MatmulConfig, PiConfig, SimWork,
+};
+use acc_baselines::{Compiler, ReductionCase};
+use acc_testsuite::{
+    format_cell, run_cells, run_suite, strategy_cases, strategy_grid, Case, CaseStatus, Cell,
+    Position, SuiteConfig,
+};
+use accparse::ast::{CType, Level, RedOp};
+use accrt::AccError;
+use gpsim::Device;
+use uhacc_core::LaunchDims;
 
-/// One (compiler, modelled-ms) measurement; `None` means the compiler
-/// failed on the workload (missing bar in the paper's figures).
-pub type CompilerMs = (Compiler, Option<f64>);
+type Producer = fn(&SuiteConfig) -> Vec<Cell>;
 
-/// Fig. 12a: heat-equation max-reduction time per compiler for one grid
-/// size. The CAPS-like personality is reported as failed, mirroring the
-/// paper ("the temperature difference generated by this compiler increases
-/// gradually rather than a decrease, so the application can never
-/// converge").
-pub fn fig12a_point(n: usize, iters: usize) -> Vec<CompilerMs> {
-    let mut out = Vec::new();
-    for c in Compiler::all() {
-        if c == Compiler::CapsLike {
-            // The paper could not measure CAPS on this app at all; we model
-            // the same reported outcome.
-            out.push((c, None));
-            continue;
+/// The table's blocks, in file order: the name every label of the block
+/// starts with, and its producer. `ablation` and `fig12*` have their own
+/// sizes and take only the configuration's execution knobs.
+pub const BLOCKS: [(&str, Producer); 6] = [
+    ("table2", table2),
+    ("strategy", |cfg| run_cells(&strategy_cases(), cfg)),
+    ("ablation", |cfg| run_cells(&ablation_cases(), cfg)),
+    ("fig12a", fig12a),
+    ("fig12b", fig12b),
+    ("fig12c", fig12c),
+];
+
+/// Run the block called `name`: its cells, labelled `name: ...`, and its
+/// host wall time on stderr.
+pub fn run_block(name: &str, cfg: &SuiteConfig) -> Vec<Cell> {
+    let (_, produce) = BLOCKS.iter().find(|b| b.0 == name).expect("a block name");
+    let start = std::time::Instant::now();
+    let mut cells = produce(cfg);
+    let secs = start.elapsed().as_secs_f64();
+    eprintln!("[modelled] {name}: {} cells in {secs:.1} s", cells.len());
+    for cell in &mut cells {
+        cell.label = format!("{name}: {}", cell.label);
+    }
+    cells
+}
+
+/// The whole table at `cfg`.
+pub fn cells(cfg: &SuiteConfig) -> Vec<Cell> {
+    let blocks = BLOCKS.iter();
+    blocks.flat_map(|(name, _)| run_block(name, cfg)).collect()
+}
+
+/// Table 2 and Fig. 11: every position × `+ *` × int/float/double under
+/// the three personalities, F and CE cells included.
+fn table2(cfg: &SuiteConfig) -> Vec<Cell> {
+    let ops = [RedOp::Add, RedOp::Mul];
+    let types = [CType::Int, CType::Float, CType::Double];
+    let results = run_suite(&Compiler::all(), &ops, &types, cfg);
+    results.iter().map(|r| r.cell()).collect()
+}
+
+/// The ablations of Fig. 6, Fig. 8 and §3.3: rows of the strategy grid on
+/// Table-2 cases, int `+`, each pinned to the loop extents and launch
+/// geometry where the choice it isolates dominates the measurement.
+pub fn ablation_cases() -> Vec<Case> {
+    use Position::{SameLineGwv, Vector, Worker};
+    const OPENUH: &str = "grid rowwise/firstrow/unrolled/shared";
+    const TRANSPOSED: &str = "grid transposed/firstrow/unrolled/shared";
+    let grid = strategy_grid();
+    let long = (Vector, (4, 8, 32768));
+    let flat = (SameLineGwv, (1 << 18, 1, 1));
+    let pinned = [
+        // A long vector loop: the schedule decides coalescing, everything
+        // else hides behind the loads.
+        (long, [8, 8, 128], OPENUH),
+        (long, [8, 8, 128], TRANSPOSED),
+        (long, [8, 8, 128], "blocking schedule"),
+        (long, [8, 8, 128], "grid rowwise/firstrow/looped/shared"),
+        (long, [8, 8, 128], "grid rowwise/firstrow/unrolled/global"),
+        // §3.3: a vector length that is not a power of two stays correct
+        // and gets slower.
+        (long, [8, 8, 96], OPENUH),
+        (long, [8, 8, 64], OPENUH),
+        (long, [8, 8, 48], OPENUH),
+        (long, [8, 8, 33], OPENUH),
+        // Fig. 6: short rows combined many times, so the slab layout's
+        // bank conflicts in the shared tree dominate.
+        ((Vector, (512, 16, 256)), [8, 8, 128], OPENUH),
+        ((Vector, (512, 16, 256)), [8, 8, 128], TRANSPOSED),
+        // Fig. 8: many gang iterations, so the worker combine dominates.
+        ((Worker, (2048, 64, 32)), [8, 8, 128], OPENUH),
+        (
+            (Worker, (2048, 64, 32)),
+            [8, 8, 128],
+            "grid rowwise/duprows/unrolled/shared",
+        ),
+        // §3.1.3: the second kernel against one atomic accumulator, by
+        // gang count.
+        (flat, [16, 1, 128], OPENUH),
+        (flat, [16, 1, 128], "atomic gang fallback"),
+        (flat, [64, 1, 128], OPENUH),
+        (flat, [64, 1, 128], "atomic gang fallback"),
+        (flat, [192, 1, 128], OPENUH),
+        (flat, [192, 1, 128], "atomic gang fallback"),
+    ];
+    pinned
+        .map(|((pos, extents), [gangs, workers, vector], row)| {
+            let opts = grid
+                .iter()
+                .find(|(name, _)| name == row)
+                .expect("a grid row");
+            let (nk, nj, ni) = extents;
+            let label = format!(
+                "{} {nk}x{nj}x{ni}: {row} on {gangs}x{workers}x{vector}",
+                pos.label()
+            );
+            let dims = LaunchDims {
+                gangs,
+                workers,
+                vector,
+            };
+            Case {
+                dims: Some(dims),
+                extents: Some(extents),
+                ..Case::new(label, opts.1.clone(), pos, RedOp::Add, CType::Int)
+            }
+        })
+        .into()
+}
+
+/// Fig. 12's sizes: grid edges (every grid runs [`HEAT_ITERS`] iterations
+/// so sizes are comparable: the paper runs to convergence, and modelled
+/// time per iteration is what accumulates), matrix edges, sample counts.
+pub const HEAT_GRIDS: [usize; 4] = [128, 256, 384, 512];
+pub const HEAT_ITERS: usize = 20;
+pub const MATMUL_SIZES: [usize; 4] = [64, 128, 192, 256];
+pub const PI_SAMPLES: [usize; 3] = [1 << 18, 1 << 19, 1 << 20];
+
+/// One application at each of `sizes` under each personality, on a fresh
+/// device set to `cfg`'s execution knobs; `run` returns the figure's
+/// metric in modelled ms, or `None` where the paper's bar is missing too.
+fn app_cells(
+    cfg: &SuiteConfig,
+    sizes: &[usize],
+    run: impl Fn(usize, Compiler, Device) -> Option<Result<(f64, SimWork), AccError>>,
+) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for &n in sizes {
+        for c in Compiler::all() {
+            let mut device = Device::default();
+            device.set_exec_tier(cfg.exec_tier);
+            device.set_host_threads(cfg.host_threads);
+            let missing = Err("no bar in the paper's figure either".to_string());
+            let ran = run(n, c, device).map_or(missing, |r| r.map_err(|e| e.to_string()));
+            let status = match ran {
+                Ok((ms, SimWork { stats, .. })) => CaseStatus::Pass { ms, stats },
+                Err(detail) => CaseStatus::Fail { detail },
+            };
+            let label = format!("{n} {}", c.name());
+            cells.push(Cell { label, status });
         }
-        let cfg = HeatConfig {
+    }
+    cells
+}
+
+/// Fig. 12a: heat-equation max-reduction time per grid size. The
+/// CAPS-like bar is missing, as in the paper ("the temperature difference
+/// generated by this compiler increases gradually rather than a decrease,
+/// so the application can never converge").
+fn fig12a(cfg: &SuiteConfig) -> Vec<Cell> {
+    app_cells(cfg, &HEAT_GRIDS, |n, c, device| {
+        let heat = HeatConfig {
             n,
             tol: 0.0,
-            max_iters: iters,
+            max_iters: HEAT_ITERS,
             ..Default::default()
         };
-        let ms = run_heat(&cfg, c.base_options())
-            .ok()
-            .map(|r| r.reduction_ms);
-        out.push((c, ms));
-    }
-    out
+        let run = || run_heat_on(&heat, c.base_options(), device);
+        (c != Compiler::CapsLike).then(|| run().map(|r| (r.reduction_ms, r.sim)))
+    })
 }
 
-/// Fig. 12b: matmul kernel time per compiler for one matrix size. The
-/// PGI-like personality fails the vector `+` reduction (Table 2), so its
-/// bar is missing — exactly the paper's figure.
-pub fn fig12b_point(n: usize) -> Vec<CompilerMs> {
-    use acc_baselines::ReductionCase;
-    use accparse::ast::{CType, Level, RedOp};
+/// Fig. 12b: matmul kernel time per matrix size. The PGI-like personality
+/// fails the vector `+` reduction (Table 2), so its bar is missing —
+/// exactly the paper's figure.
+fn fig12b(cfg: &SuiteConfig) -> Vec<Cell> {
     let case = ReductionCase::new(vec![Level::Vector], false, RedOp::Add, CType::Double);
-    let mut out = Vec::new();
-    for c in Compiler::all() {
-        let opts = match c.options_for_case(&case) {
-            Ok(o) => o,
-            Err(_) => {
-                out.push((c, None));
-                continue;
-            }
-        };
-        if opts.bugs != Default::default() {
-            // The personality miscompiles this reduction; the paper shows
-            // no bar for it.
-            out.push((c, None));
-            continue;
-        }
-        let cfg = MatmulConfig {
+    app_cells(cfg, &MATMUL_SIZES, |n, c, device| {
+        let opts = c.options_for_case(&case).ok()?;
+        let matmul = MatmulConfig {
             n,
             ..Default::default()
         };
-        let ms = run_matmul(&cfg, opts).ok().map(|r| r.kernel_ms);
-        out.push((c, ms));
-    }
-    out
+        let miscompiles = opts.bugs != Default::default();
+        let run = || run_matmul_on(&matmul, opts, device);
+        (!miscompiles).then(|| run().map(|r| (r.kernel_ms, r.sim)))
+    })
 }
 
-/// Fig. 12c: Monte Carlo PI kernel time per compiler for one sample count.
-pub fn fig12c_point(samples: usize) -> Vec<CompilerMs> {
-    let mut out = Vec::new();
-    for c in Compiler::all() {
-        let cfg = PiConfig {
+/// Fig. 12c: Monte Carlo PI kernel time per sample count.
+fn fig12c(cfg: &SuiteConfig) -> Vec<Cell> {
+    app_cells(cfg, &PI_SAMPLES, |samples, c, device| {
+        let pi = PiConfig {
             samples,
             ..Default::default()
         };
-        let ms = run_pi(&cfg, c.base_options()).ok().map(|r| r.kernel_ms);
-        out.push((c, ms));
+        Some(run_pi_on(&pi, c.base_options(), device).map(|r| (r.kernel_ms, r.sim)))
+    })
+}
+
+/// The table as the text of `BENCH_modelled.json`: the size it was run at
+/// on the first line, then one cell per line ([`format_cell`]).
+pub fn render(cfg: &SuiteConfig, cells: &[Cell]) -> String {
+    let (n, d) = (cfg.red_n, cfg.dims);
+    let lines: Vec<String> = cells.iter().map(format_cell).collect();
+    format!(
+        "{{\"red_n\": {n}, \"dims\": [{}, {}, {}], \"cells\": [\n{}\n]}}\n",
+        d.gangs,
+        d.workers,
+        d.vector,
+        lines.join(",\n")
+    )
+}
+
+/// Where a regenerated table departs from the committed one: a line per
+/// differing cell, naming it and each field that moved. Empty when the
+/// two are byte-identical.
+pub fn differences(committed: &str, regenerated: &str) -> Vec<String> {
+    let (want, got): (Vec<&str>, Vec<&str>) =
+        (committed.lines().collect(), regenerated.lines().collect());
+    let mut out = Vec::new();
+    if want.len() != got.len() {
+        let (w, g) = (want.len(), got.len());
+        out.push(format!("{w} line(s) committed, {g} regenerated"));
+    }
+    for (i, (want, got)) in want.iter().zip(&got).enumerate() {
+        if want == got {
+            continue;
+        }
+        let (w, g) = (fields_of(want), fields_of(got));
+        let moved: Vec<String> = if w.len() == g.len() && w[0] == g[0] {
+            let moved = w.iter().zip(&g).filter(|(w, g)| w != g);
+            moved
+                .map(|(w, g)| format!("{w} -> {}", g.rsplit(": ").next().unwrap_or(g)))
+                .collect()
+        } else {
+            vec![format!("committed {want}, regenerated {got}")]
+        };
+        let cell = g[0].trim_start_matches("{\"cell\": ");
+        out.push(format!("line {}: {cell}: {}", i + 1, moved.join(", ")));
     }
     out
 }
 
-/// Modelled kernel milliseconds of a finished session.
-fn kernel_ms(r: &accrt::AccRunner) -> f64 {
-    let dev = r.device();
-    dev.cost_model()
-        .cycles_to_ms(dev.stats().kernel_cycles, dev.config().clock_hz)
-}
-
-/// An ablation measurement: modelled ms for a vector reduction under one
-/// option set (used by the Fig. 6 / Fig. 8 / §3.3 ablations). Also
-/// verifies the result, so every ablation is correctness-checked.
-pub fn ablation_vector_case(
-    opts: CompilerOptions,
-    dims: LaunchDims,
-    ni: usize,
-) -> (f64, gpsim::SessionStats) {
-    ablation_vector_case_sized(opts, dims, 4, 8, ni)
-}
-
-/// Worker-reduction ablation (Fig. 8b vs 8c), verified.
-pub fn ablation_worker_case(opts: CompilerOptions, dims: LaunchDims, nj: usize) -> f64 {
-    use accrt::{AccRunner, HostBuffer};
-    let src = r#"
-        int NK; int NJ;
-        int input[NK][NJ];
-        int out[NK];
-        #pragma acc parallel copyin(input) copyout(out)
-        {
-            #pragma acc loop gang
-            for (int k = 0; k < NK; k++) {
-                int s = 0;
-                #pragma acc loop worker reduction(+:s)
-                for (int j = 0; j < NJ; j++) {
-                    s += input[k][j];
-                }
-                out[k] = s;
-            }
-        }
-    "#;
-    // Many gang iterations so the per-iteration combine dominates and the
-    // Fig. 8 strategy difference is visible.
-    let nk = 2048usize;
-    let mut r = AccRunner::with_options(src, opts, dims, gpsim::Device::default()).unwrap();
-    r.bind_int("NK", nk as i64).unwrap();
-    r.bind_int("NJ", nj as i64).unwrap();
-    let input: Vec<i32> = (0..nk * nj).map(|x| (x % 11) as i32 - 5).collect();
-    r.bind_array("input", HostBuffer::from_i32(&input)).unwrap();
-    r.bind_array("out", HostBuffer::from_i32(&vec![0; nk]))
-        .unwrap();
-    r.run().unwrap();
-    let out = r.array("out").unwrap().to_i64_vec();
-    for (k, got) in out.iter().enumerate() {
-        let want: i64 = input[k * nj..(k + 1) * nj].iter().map(|&v| v as i64).sum();
-        assert_eq!(*got, want);
-    }
-    kernel_ms(&r)
-}
-
-/// Combine-heavy variant of the vector ablation: a small vector loop run
-/// many times, so the Fig. 6 layout choice (bank conflicts in the shared
-/// tree) dominates the measurement instead of the main loop's loads.
-pub fn ablation_vector_combine_heavy(
-    opts: CompilerOptions,
-    dims: LaunchDims,
-) -> (f64, gpsim::SessionStats) {
-    ablation_vector_case_sized(opts, dims, 512, 16, 256)
-}
-
-/// [`ablation_vector_case`] at any `NK` × `NJ` outer shape.
-pub fn ablation_vector_case_sized(
-    opts: CompilerOptions,
-    dims: LaunchDims,
-    nk: usize,
-    nj: usize,
-    ni: usize,
-) -> (f64, gpsim::SessionStats) {
-    use accrt::{AccRunner, HostBuffer};
-    let src = r#"
-        int NK; int NJ; int NI;
-        int input[NK][NJ][NI];
-        int out[NK][NJ];
-        #pragma acc parallel copyin(input) copyout(out)
-        {
-            #pragma acc loop gang
-            for (int k = 0; k < NK; k++) {
-                #pragma acc loop worker
-                for (int j = 0; j < NJ; j++) {
-                    int s = 0;
-                    #pragma acc loop vector reduction(+:s)
-                    for (int i = 0; i < NI; i++) {
-                        s += input[k][j][i];
-                    }
-                    out[k][j] = s;
-                }
-            }
-        }
-    "#;
-    let mut r = AccRunner::with_options(src, opts, dims, gpsim::Device::default()).unwrap();
-    r.bind_int("NK", nk as i64).unwrap();
-    r.bind_int("NJ", nj as i64).unwrap();
-    r.bind_int("NI", ni as i64).unwrap();
-    let input: Vec<i32> = (0..nk * nj * ni).map(|x| (x % 9) as i32 - 4).collect();
-    r.bind_array("input", HostBuffer::from_i32(&input)).unwrap();
-    r.bind_array("out", HostBuffer::from_i32(&vec![0; nk * nj]))
-        .unwrap();
-    r.run().unwrap();
-    let out = r.array("out").unwrap().to_i64_vec();
-    for (row, got) in out.iter().enumerate() {
-        let want: i64 = input[row * ni..(row + 1) * ni]
-            .iter()
-            .map(|&v| v as i64)
-            .sum();
-        assert_eq!(*got, want, "ablation produced wrong result");
-    }
-    (kernel_ms(&r), *r.device().stats())
-}
-
-/// Gang-strategy ablation (§3.1.3 second kernel vs a single atomic
-/// accumulator): modelled ms for a same-line gang+vector sum, verified.
-pub fn ablation_gang_strategy(
-    strategy: uhacc_core::GangStrategy,
-    dims: LaunchDims,
-    n: usize,
-) -> f64 {
-    use accrt::{AccRunner, HostBuffer};
-    let src = r#"
-        int N; long sum;
-        int a[N];
-        sum = 0;
-        #pragma acc parallel copyin(a)
-        {
-            #pragma acc loop gang vector reduction(+:sum)
-            for (int i = 0; i < N; i++) {
-                sum += a[i];
-            }
-        }
-    "#;
-    let opts = CompilerOptions {
-        gang_strategy: strategy,
-        ..CompilerOptions::openuh()
-    };
-    let mut r = AccRunner::with_options(src, opts, dims, gpsim::Device::default()).unwrap();
-    r.bind_int("N", n as i64).unwrap();
-    let a: Vec<i32> = (0..n).map(|x| (x % 5) as i32 - 2).collect();
-    r.bind_array("a", HostBuffer::from_i32(&a)).unwrap();
-    r.run().unwrap();
-    let want: i64 = a.iter().map(|&v| v as i64).sum();
-    assert_eq!(r.scalar("sum").unwrap().as_i64(), want);
-    kernel_ms(&r)
+fn fields_of(line: &str) -> Vec<&str> {
+    line.trim_end_matches([',', '}']).split(", ").collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn fig12_points_have_expected_missing_bars() {
-        let a = fig12a_point(16, 2);
-        assert!(a
-            .iter()
-            .any(|(c, ms)| *c == Compiler::CapsLike && ms.is_none()));
-        assert!(a
-            .iter()
-            .any(|(c, ms)| *c == Compiler::OpenUH && ms.is_some()));
-        let b = fig12b_point(16);
-        assert!(b
-            .iter()
-            .any(|(c, ms)| *c == Compiler::PgiLike && ms.is_none()));
-        assert!(b
-            .iter()
-            .any(|(c, ms)| *c == Compiler::OpenUH && ms.is_some()));
-        let c = fig12c_point(4096);
-        assert!(c.iter().all(|(_, ms)| ms.is_some()));
+    fn table(cycles: u64, status: CaseStatus) -> String {
+        let stats = gpsim::SessionStats {
+            kernel_cycles: cycles,
+            launches: 2,
+            ..Default::default()
+        };
+        let cells = [
+            Cell {
+                label: "table2: OpenUH gang int +".into(),
+                status: CaseStatus::Pass { ms: 1.5, stats },
+            },
+            Cell {
+                label: "table2: PGI-like worker int +".into(),
+                status,
+            },
+        ];
+        render(&SuiteConfig::quick(), &cells)
     }
 
     #[test]
-    fn ablation_cases_run_and_verify() {
-        let dims = LaunchDims {
-            gangs: 4,
-            workers: 8,
-            vector: 64,
+    fn differences_name_the_cell_and_each_field_that_moved() {
+        let fail = || CaseStatus::Fail { detail: "x".into() };
+        let committed = table(700, fail());
+        assert!(committed.starts_with("{\"red_n\": 1024, \"dims\": [8, 4, 64], \"cells\": [\n"));
+        assert_eq!(differences(&committed, &committed), Vec::<String>::new());
+        assert_eq!(
+            differences(&committed, &table(701, fail())),
+            ["line 2: \"table2: OpenUH gang int +\": \"kernel_cycles\": 700 -> 701"]
+        );
+        let ce = CaseStatus::CompileError { msg: "y".into() };
+        assert_eq!(
+            differences(&committed, &table(700, ce)),
+            ["line 3: \"table2: PGI-like worker int +\": \"status\": \"F\" -> \"CE\""]
+        );
+        // A cell that started to pass has no fields to pair up: both lines.
+        let pass = CaseStatus::Pass {
+            ms: 0.0,
+            stats: Default::default(),
         };
-        let (ms, _) = ablation_vector_case(CompilerOptions::openuh(), dims, 2048);
-        assert!(ms > 0.0);
-        let ms = ablation_worker_case(CompilerOptions::openuh(), dims, 4096);
-        assert!(ms > 0.0);
+        let moved = differences(&committed, &table(700, pass));
+        assert_eq!(moved.len(), 1);
+        assert!(moved[0].starts_with(
+            "line 3: \"table2: PGI-like worker int +\": committed \
+             {\"cell\": \"table2: PGI-like worker int +\", \"status\": \"F\"}, regenerated \
+             {\"cell\": \"table2: PGI-like worker int +\", \"status\": \"pass\", "
+        ));
+        let shorter = committed.replacen("\n]}", "", 1);
+        assert_eq!(
+            differences(&committed, &shorter),
+            ["4 line(s) committed, 3 regenerated"]
+        );
     }
 }

@@ -349,7 +349,7 @@ impl KernelBuilder {
         }
         // Normalize: an all-unknown line table carries no information and
         // is stored empty, so kernels built without `set_line` compare
-        // equal to hand-constructed ones (and disasm round-trips).
+        // equal to hand-constructed ones.
         if self.lines.iter().all(|&l| l == 0) {
             self.lines.clear();
         }

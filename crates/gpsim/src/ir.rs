@@ -517,7 +517,7 @@ impl Kernel {
 }
 
 /// Render an immediate with its type made explicit in the spelling, so
-/// the listing parses back to the same [`Value`]: `I32` is a bare
+/// the listing names one [`Value`]: `I32` is a bare
 /// decimal, `I64` carries an `L` suffix, `U64` is hex, `F32` carries an
 /// `f` suffix, `F64` always shows a `.`/exponent, predicates are
 /// `true`/`false`.
@@ -552,7 +552,6 @@ fn format_mref(m: &MemRef) -> String {
 }
 
 /// Render one instruction as text (used by `disasm` and the tracer).
-/// [`crate::disasm::parse_kernel`] is the exact inverse.
 pub fn format_inst(inst: &Inst) -> String {
     let op_s = format_operand;
     let mref_s = format_mref;

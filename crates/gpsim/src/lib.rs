@@ -43,7 +43,6 @@ pub mod coalesce;
 pub mod compiled;
 pub mod cost;
 pub mod device;
-pub mod disasm;
 pub mod error;
 pub mod exec;
 pub mod ir;
@@ -64,7 +63,6 @@ pub use cert::{
 pub use compiled::{CompiledKernel, ShapeCensus};
 pub use cost::{CostModel, DeviceConfig, ExecTier};
 pub use device::Device;
-pub use disasm::parse_kernel;
 pub use error::SimError;
 pub use exec::{eval_bin, eval_cmp, eval_un, run_kernel_traced, LaunchConfig};
 pub use ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, Label, MemRef, Operand, Reg, SpecialReg, UnOp};

@@ -18,14 +18,11 @@
 
 use crate::cases::Position;
 use crate::report::{format_sweep, SweepRow};
-use crate::run::{no_declines, Case, SuiteConfig};
+use crate::run::{no_declines, strategy_grid, Case, SuiteConfig};
 use crate::sanitize::barrier_defects;
 use accparse::ast::{CType, RedOp};
 use gpsim::{CertVerdict, Device};
-use uhacc_core::{
-    CombineSpace, CompilerOptions, GangStrategy, LaunchDims, Schedule, TreeStyle, VectorLayout,
-    WorkerStrategy,
-};
+use uhacc_core::{CompilerOptions, GangStrategy, LaunchDims};
 
 /// What a sweep row must come back as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,56 +183,17 @@ pub fn cert_cases() -> Vec<(Case, CertExpect)> {
     }
 
     // The legal §6 grid, at the position that exercises every combining
-    // path (gang, worker and vector reductions in one nest).
-    for (layout, l) in [
-        (VectorLayout::RowWise, "rowwise"),
-        (VectorLayout::Transposed, "transposed"),
-    ] {
-        for (worker, w) in [
-            (WorkerStrategy::FirstRow, "firstrow"),
-            (WorkerStrategy::DuplicateRows, "duprows"),
-        ] {
-            for (tree, t) in [
-                (TreeStyle::Unrolled, "unrolled"),
-                (TreeStyle::Looped, "looped"),
-            ] {
-                for (combine, c) in [
-                    (CombineSpace::Shared, "shared"),
-                    (CombineSpace::Global, "global"),
-                ] {
-                    let opts = with(|o| {
-                        o.vector_layout = layout;
-                        o.worker_strategy = worker;
-                        o.tree = tree;
-                        o.combine_space = combine;
-                    });
-                    let label = format!("grid {l}/{w}/{t}/{c} gwv int +");
-                    let pos = Position::GangWorkerVector;
-                    cases.push((int(&label, opts, pos, RedOp::Add), Exact));
-                }
-            }
-        }
+    // path (gang, worker and vector reductions in one nest); the atomic
+    // fold replaces only the gang combine, so it runs where that is all
+    // there is.
+    for (name, opts) in strategy_grid() {
+        let (pos, at) = match opts.gang_strategy {
+            GangStrategy::TwoKernel => (Position::GangWorkerVector, " gwv"),
+            GangStrategy::Atomic => (Position::Gang, ""),
+        };
+        let label = format!("{name}{at} int +");
+        cases.push((int(&label, opts, pos, RedOp::Add), Exact));
     }
-    cases.extend([
-        (
-            int(
-                "blocking schedule gwv int +",
-                with(|o| o.schedule = Schedule::Blocking),
-                Position::GangWorkerVector,
-                RedOp::Add,
-            ),
-            Exact,
-        ),
-        (
-            int(
-                "atomic gang fallback int +",
-                with(|o| o.gang_strategy = GangStrategy::Atomic),
-                Position::Gang,
-                RedOp::Add,
-            ),
-            Exact,
-        ),
-    ]);
     // Injected defects — the sanitize matrix's knobs, pinned to the
     // geometries where each defect is live. None may certify.
     cases.extend(

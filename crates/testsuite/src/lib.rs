@@ -27,10 +27,12 @@ pub use certsweep::{
 };
 pub use lintsweep::{format_lint_sweep, run_lint_sweep, strip_reduction_clauses, LintSweepRow};
 pub use redflowsweep::{format_redflow_sweep, run_redflow_sweep, RedflowRow};
-pub use report::{format_fig11, format_summary, format_sweep, format_table2, SweepRow};
+pub use report::{
+    format_cell, format_fig11, format_summary, format_sweep, format_table2, SweepRow,
+};
 pub use run::{
-    profile_case, run_case, run_suite, run_verified, time_case, Case, CaseResult, CaseStatus,
-    ProfiledCase, SuiteConfig, TimedCase,
+    profile_case, run_case, run_cells, run_suite, strategy_cases, strategy_grid, time_case, Case,
+    CaseResult, CaseStatus, Cell, ProfiledCase, SuiteConfig, TimedCase,
 };
 pub use sanitize::{
     barrier_defects, format_matrix, format_verify_sweep, run_sanitize_matrix, run_verify_sweep,

@@ -2,7 +2,7 @@
 //! one table every checker sweep reports through.
 
 use crate::cases::{ctype_name, Position};
-use crate::run::{CaseResult, CaseStatus};
+use crate::run::{CaseResult, CaseStatus, Cell};
 use acc_baselines::Compiler;
 use accparse::ast::{CType, RedOp};
 
@@ -22,10 +22,9 @@ pub fn find(
 fn cell(results: &[CaseResult], c: Compiler, pos: Position, op: RedOp, t: CType) -> String {
     match find(results, c, pos, op, t) {
         None => "-".to_string(),
-        Some(r) => match &r.status {
-            CaseStatus::Pass { ms } => format!("{ms:.2}"),
-            CaseStatus::Fail { .. } => "F".to_string(),
-            CaseStatus::CompileError { .. } => "CE".to_string(),
+        Some(r) => match r.status.ms() {
+            Some(ms) => format!("{ms:.2}"),
+            None => r.status.mark().to_string(),
         },
     }
 }
@@ -120,6 +119,37 @@ pub fn format_summary(results: &[CaseResult]) -> String {
     out
 }
 
+/// One cell as its line of `BENCH_modelled.json`: the label, the Table-2
+/// status and, for a pass, the modelled time in nanoseconds and the
+/// session's counts — integers only, in a fixed order, so the file diffs
+/// by line and a changed field is found by splitting on `", "`.
+pub fn format_cell(cell: &Cell) -> String {
+    let counts = match &cell.status {
+        CaseStatus::Fail { .. } | CaseStatus::CompileError { .. } => vec![],
+        CaseStatus::Pass { ms, stats } => {
+            let t = &stats.totals;
+            vec![
+                ("modelled_ns", (ms * 1e6).round() as u64),
+                ("kernel_cycles", stats.kernel_cycles),
+                ("launches", stats.launches),
+                ("global_transactions", t.global_transactions),
+                ("global_accesses", t.global_accesses),
+                ("shared_ways", t.shared_ways),
+                ("shared_accesses", t.shared_accesses),
+                ("warp_insts", t.warp_insts),
+                ("lane_insts", t.lane_insts),
+                ("barriers", t.barriers),
+                ("atomics", t.atomics),
+            ]
+        }
+    };
+    let (label, status) = (&cell.label, cell.status.mark());
+    let counts: String = (counts.iter())
+        .map(|(name, n)| format!(", \"{name}\": {n}"))
+        .collect();
+    format!(r#"{{"cell": "{label}", "status": "{status}"{counts}}}"#)
+}
+
 /// One row of a sweep report. Each checker sweep keeps its own typed row
 /// (what it counted, what it expected) and maps it onto this to print.
 #[derive(Debug, Clone)]
@@ -186,6 +216,13 @@ pub fn format_sweep(head: &[&str], rows: &[SweepRow], summary: &str) -> String {
 mod tests {
     use super::*;
 
+    fn pass(ms: f64) -> CaseStatus {
+        CaseStatus::Pass {
+            ms,
+            stats: Default::default(),
+        }
+    }
+
     fn mk(c: Compiler, pos: Position, op: RedOp, t: CType, status: CaseStatus) -> CaseResult {
         CaseResult {
             compiler: c,
@@ -204,7 +241,7 @@ mod tests {
                 Position::Gang,
                 RedOp::Add,
                 CType::Int,
-                CaseStatus::Pass { ms: 1.23 },
+                pass(1.23),
             ),
             mk(
                 Compiler::PgiLike,
@@ -238,7 +275,7 @@ mod tests {
             Position::Vector,
             RedOp::Mul,
             CType::Double,
-            CaseStatus::Pass { ms: 4.0 },
+            pass(4.0),
         )];
         let f = format_fig11(&results, &[RedOp::Mul], &[CType::Double]);
         assert!(f.contains("vector"));

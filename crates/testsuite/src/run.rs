@@ -10,8 +10,11 @@ use crate::cases::{case_source, combo_legal, extents, gen_value, Position};
 use acc_baselines::{Compiler, CpuExec, ReductionCase};
 use accparse::ast::{CType, RedOp};
 use accrt::{AccError, AccRunner, HostBuffer};
-use gpsim::{Device, SanitizerLevel, Value};
-use uhacc_core::{CompilerOptions, LaunchDims};
+use gpsim::{Device, SanitizerLevel, SessionStats, Value};
+use uhacc_core::{
+    CombineSpace, CompilerOptions, GangStrategy, LaunchDims, Schedule, TreeStyle, VectorLayout,
+    WorkerStrategy,
+};
 
 /// Suite configuration: reduction loop size and launch geometry.
 #[derive(Debug, Clone, Copy)]
@@ -60,8 +63,9 @@ impl SuiteConfig {
 /// Outcome of one case under one compiler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CaseStatus {
-    /// Verified correct; modelled kernel time in milliseconds.
-    Pass { ms: f64 },
+    /// Verified correct: the modelled milliseconds the paper's tables
+    /// report, and the session's modelled counts behind them.
+    Pass { ms: f64, stats: SessionStats },
     /// Ran but produced a wrong result (a Table 2 "F").
     Fail { detail: String },
     /// Rejected at compile time (a Table 2 "CE").
@@ -69,10 +73,19 @@ pub enum CaseStatus {
 }
 
 impl CaseStatus {
+    /// Table 2's mark for the outcome: `pass`, `F` or `CE`.
+    pub fn mark(&self) -> &'static str {
+        match self {
+            CaseStatus::Pass { .. } => "pass",
+            CaseStatus::Fail { .. } => "F",
+            CaseStatus::CompileError { .. } => "CE",
+        }
+    }
+
     /// The milliseconds if the case passed.
     pub fn ms(&self) -> Option<f64> {
         match self {
-            CaseStatus::Pass { ms } => Some(*ms),
+            CaseStatus::Pass { ms, .. } => Some(*ms),
             _ => None,
         }
     }
@@ -85,6 +98,29 @@ pub struct CaseResult {
     pub position: Position,
     pub op: RedOp,
     pub dtype: CType,
+    pub status: CaseStatus,
+}
+
+impl CaseResult {
+    /// The row as a cell of the modelled table, labelled as its [`Case`].
+    pub fn cell(&self) -> Cell {
+        Cell {
+            label: personality_label(self.compiler, self.position, self.op, self.dtype),
+            status: self.status.clone(),
+        }
+    }
+}
+
+fn personality_label(compiler: Compiler, pos: Position, op: RedOp, ty: CType) -> String {
+    format!("{} {} {ty} {op}", compiler.name(), pos.label())
+}
+
+/// One cell of the modelled table (`BENCH_modelled.json`): what a labelled
+/// workload came back as. Table 2, the strategy grid, the ablations and
+/// the Fig. 12 applications are all rows of these.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cell {
+    pub label: String,
     pub status: CaseStatus,
 }
 
@@ -105,8 +141,10 @@ struct CaseData {
     out_len: Option<usize>,
 }
 
-fn case_data(pos: Position, op: RedOp, t: CType, cfg: &SuiteConfig) -> CaseData {
-    let (nk, nj, ni) = extents(pos, cfg.red_n);
+/// Loop extents `(NK, NJ, NI)`.
+type Extents = (usize, usize, usize);
+
+fn case_data(pos: Position, op: RedOp, t: CType, (nk, nj, ni): Extents) -> CaseData {
     let n = nk * nj * ni;
     let mut input = HostBuffer::new(t, n);
     for i in 0..n {
@@ -128,10 +166,9 @@ fn case_data(pos: Position, op: RedOp, t: CType, cfg: &SuiteConfig) -> CaseData 
 
 fn bind_dims(
     pos: Position,
-    cfg: &SuiteConfig,
+    (nk, nj, ni): Extents,
     mut bind: impl FnMut(&str, i64) -> Result<(), AccError>,
 ) -> Result<(), AccError> {
-    let (nk, nj, ni) = extents(pos, cfg.red_n);
     if pos == Position::SameLineGwv {
         bind("N", nk as i64)
     } else {
@@ -141,12 +178,16 @@ fn bind_dims(
     }
 }
 
-/// Compute the CPU reference for a case.
+/// Compute the CPU reference for a case at the position's extents.
 pub fn reference(pos: Position, op: RedOp, t: CType, cfg: &SuiteConfig) -> Expected {
+    reference_at(pos, op, t, extents(pos, cfg.red_n))
+}
+
+fn reference_at(pos: Position, op: RedOp, t: CType, ext: Extents) -> Expected {
     let src = case_source(pos, op, t);
-    let data = case_data(pos, op, t, cfg);
+    let data = case_data(pos, op, t, ext);
     let mut cpu = CpuExec::new(&src).expect("testsuite sources always compile");
-    bind_dims(pos, cfg, |n, v| cpu.bind_int(n, v)).unwrap();
+    bind_dims(pos, ext, |n, v| cpu.bind_int(n, v)).unwrap();
     cpu.bind_array("input", data.input.clone()).unwrap();
     if let Some(n) = data.temp_len {
         cpu.bind_array("temp", HostBuffer::new(t, n)).unwrap();
@@ -193,6 +234,9 @@ pub struct Case {
     /// The geometry the case is pinned to, when the sweep's own hides
     /// what it is there to show.
     pub dims: Option<LaunchDims>,
+    /// The loop extents `(NK, NJ, NI)` the case is pinned to, when no
+    /// `red_n` gives the position that shape.
+    pub extents: Option<(usize, usize, usize)>,
 }
 
 impl Case {
@@ -211,6 +255,7 @@ impl Case {
             ty,
             opts,
             dims: None,
+            extents: None,
         }
     }
 
@@ -223,7 +268,7 @@ impl Case {
             op,
             ty,
         ))?;
-        let label = format!("{} {} {ty} {op}", compiler.name(), pos.label());
+        let label = personality_label(compiler, pos, op, ty);
         Ok(Case::new(label, opts, pos, op, ty))
     }
 
@@ -235,6 +280,10 @@ impl Case {
         }
     }
 
+    fn extents(&self, cfg: &SuiteConfig) -> Extents {
+        self.extents.unwrap_or_else(|| extents(self.pos, cfg.red_n))
+    }
+
     /// Build the case's session: compiled under its options at its
     /// geometry, on a device set to `cfg`'s execution knobs, with the
     /// loop extents and the deterministic input bound — everything but
@@ -242,12 +291,13 @@ impl Case {
     /// launches, so callers switch theirs on the runner they get back.
     pub fn session(&self, cfg: &SuiteConfig) -> Result<AccRunner, AccError> {
         let cfg = &self.config(cfg);
+        let ext = self.extents(cfg);
         let src = case_source(self.pos, self.op, self.ty);
-        let data = case_data(self.pos, self.op, self.ty, cfg);
+        let data = case_data(self.pos, self.op, self.ty, ext);
         let mut r = AccRunner::with_options(&src, self.opts.clone(), cfg.dims, Device::default())?;
         r.set_host_threads(cfg.host_threads);
         r.set_exec_tier(cfg.exec_tier);
-        bind_dims(self.pos, cfg, |n, v| r.bind_int(n, v))?;
+        bind_dims(self.pos, ext, |n, v| r.bind_int(n, v))?;
         r.bind_array("input", data.input)?;
         if let Some(n) = data.out_len {
             r.bind_array("out", HostBuffer::new(self.ty, n))?;
@@ -269,28 +319,13 @@ pub fn no_declines(dev: &Device) -> Result<(), String> {
     }
 }
 
-/// Run `case` and verify it against the CPU reference: the finished
-/// session, or why the case is not a pass.
-pub fn run_verified(
-    case: &Case,
-    cfg: &SuiteConfig,
-    expected: &Expected,
-) -> Result<AccRunner, CaseStatus> {
-    let status = |e| match e {
-        AccError::Compile(d) => CaseStatus::CompileError { msg: d.to_string() },
-        other => CaseStatus::Fail {
-            detail: other.to_string(),
-        },
-    };
-    let mut r = case.session(cfg).map_err(status)?;
-    r.run().map_err(status)?;
-    no_declines(r.device()).map_err(|detail| CaseStatus::Fail { detail })?;
+/// Hold a finished session's results against the CPU reference: the first
+/// mismatch, if any.
+fn verify(r: &AccRunner, ty: CType, expected: &Expected) -> Result<(), String> {
     if let Some(want) = expected.scalar {
         if let Ok(got) = r.scalar("sum") {
-            if !values_match(got, want, case.ty) {
-                return Err(CaseStatus::Fail {
-                    detail: format!("sum: got {got}, want {want}"),
-                });
+            if !values_match(got, want, ty) {
+                return Err(format!("sum: got {got}, want {want}"));
             }
         }
     }
@@ -298,14 +333,98 @@ pub fn run_verified(
         let out = r.array("out").expect("out bound by the session");
         for (i, want) in want_out.iter().enumerate() {
             let got = out.get(i);
-            if !values_match(got, *want, case.ty) {
-                return Err(CaseStatus::Fail {
-                    detail: format!("out[{i}]: got {got}, want {want}"),
-                });
+            if !values_match(got, *want, ty) {
+                return Err(format!("out[{i}]: got {got}, want {want}"));
             }
         }
     }
-    Ok(r)
+    Ok(())
+}
+
+impl Case {
+    /// Run the case and verify it against `expected`: its cell.
+    pub fn status(&self, cfg: &SuiteConfig, expected: &Expected) -> CaseStatus {
+        let fail = |detail| CaseStatus::Fail { detail };
+        let r = match self.session(cfg).and_then(|mut r| r.run().map(|_| r)) {
+            Ok(r) => r,
+            Err(AccError::Compile(d)) => return CaseStatus::CompileError { msg: d.to_string() },
+            Err(e) => return fail(e.to_string()),
+        };
+        let dev = r.device();
+        if let Err(detail) = no_declines(dev).and_then(|()| verify(&r, self.ty, expected)) {
+            return fail(detail);
+        }
+        let stats = *dev.stats();
+        let ms = dev
+            .cost_model()
+            .cycles_to_ms(stats.kernel_cycles, dev.config().clock_hz);
+        CaseStatus::Pass { ms, stats }
+    }
+}
+
+/// Run `cases` in order, each verified against the CPU reference;
+/// neighbours of one shape share theirs.
+pub fn run_cells(cases: &[Case], cfg: &SuiteConfig) -> Vec<Cell> {
+    let mut shared: Option<((Position, RedOp, CType, Extents), Expected)> = None;
+    cases
+        .iter()
+        .map(|case| {
+            let shape = (case.pos, case.op, case.ty, case.extents(cfg));
+            let (_, expected) = match shared.take() {
+                Some(s) if s.0 == shape => shared.insert(s),
+                _ => shared.insert((shape, reference_at(case.pos, case.op, case.ty, shape.3))),
+            };
+            Cell {
+                label: case.label.clone(),
+                status: case.status(cfg, expected),
+            }
+        })
+        .collect()
+}
+
+/// The paper's §6 strategy grid — every legal slab layout × worker
+/// combining × tree × staging choice, the OpenUH default first — then the
+/// blocking schedule and the atomic gang fold. The only spelling of it:
+/// the certification sweep and the modelled table both iterate this.
+pub fn strategy_grid() -> Vec<(String, CompilerOptions)> {
+    use {CombineSpace::*, TreeStyle::*, VectorLayout::*, WorkerStrategy::*};
+    let openuh = CompilerOptions::openuh;
+    let mut grid = Vec::new();
+    for (vector_layout, l) in [(RowWise, "rowwise"), (Transposed, "transposed")] {
+        for (worker_strategy, w) in [(FirstRow, "firstrow"), (DuplicateRows, "duprows")] {
+            for (tree, t) in [(Unrolled, "unrolled"), (Looped, "looped")] {
+                for (combine_space, c) in [(Shared, "shared"), (Global, "global")] {
+                    let opts = CompilerOptions {
+                        vector_layout,
+                        worker_strategy,
+                        tree,
+                        combine_space,
+                        ..openuh()
+                    };
+                    grid.push((format!("grid {l}/{w}/{t}/{c}"), opts));
+                }
+            }
+        }
+    }
+    let (mut blocking, mut atomic) = (openuh(), openuh());
+    blocking.schedule = Schedule::Blocking;
+    atomic.gang_strategy = GangStrategy::Atomic;
+    grid.push(("blocking schedule".into(), blocking));
+    grid.push(("atomic gang fallback".into(), atomic));
+    grid
+}
+
+/// The grid at every Table-2 position, int `+`; position-major, so a
+/// position's rows share one CPU reference under [`run_cells`].
+pub fn strategy_cases() -> Vec<Case> {
+    let mut cases = Vec::new();
+    for pos in Position::all() {
+        for (name, opts) in strategy_grid() {
+            let label = format!("{}: {name}", pos.label());
+            cases.push(Case::new(label, opts, pos, RedOp::Add, CType::Int));
+        }
+    }
+    cases
 }
 
 /// Run one case under one compiler personality and verify it.
@@ -319,16 +438,7 @@ pub fn run_case(
 ) -> CaseResult {
     let status = match Case::of(compiler, pos, op, t) {
         Err(msg) => CaseStatus::CompileError { msg },
-        Ok(case) => match run_verified(&case, cfg, expected) {
-            Err(status) => status,
-            Ok(r) => {
-                let dev = r.device();
-                let ms = dev
-                    .cost_model()
-                    .cycles_to_ms(dev.stats().kernel_cycles, dev.config().clock_hz);
-                CaseStatus::Pass { ms }
-            }
-        },
+        Ok(case) => case.status(cfg, expected),
     };
     CaseResult {
         compiler,
@@ -376,7 +486,7 @@ pub struct ProfiledCase {
 }
 
 /// Run one case with the profiler on and return the rendered session
-/// profile. The result is not verified — use [`run_verified`] for that;
+/// profile. The result is not verified — use [`Case::status`] for that;
 /// this exists so `acc-testsuite --profile` can show where the modelled
 /// cycles of a Table 2 case go.
 pub fn profile_case(case: &Case, cfg: &SuiteConfig) -> Result<ProfiledCase, String> {
@@ -547,6 +657,49 @@ mod tests {
             "{:?}",
             r.status
         );
+    }
+
+    #[test]
+    fn strategy_grid_is_the_sixteen_combinations_and_two_more() {
+        let grid = strategy_grid();
+        assert_eq!(grid.len(), 16 + 2);
+        assert_eq!(grid[0].1, CompilerOptions::openuh());
+        let distinct: std::collections::HashSet<_> = grid.iter().map(|(_, o)| o).collect();
+        assert_eq!(distinct.len(), grid.len());
+        assert_eq!(strategy_cases().len(), 7 * grid.len());
+    }
+
+    /// A case pinned to its own extents and geometry is bound, run and
+    /// verified at them, whatever the sweep's are; cells of one shape
+    /// share a reference and still get their own status.
+    #[test]
+    fn pinned_cases_run_at_their_own_shape() {
+        let pinned = |label: &str, opts| Case {
+            dims: Some(LaunchDims {
+                gangs: 2,
+                workers: 2,
+                vector: 32,
+            }),
+            extents: Some((3, 5, 70)),
+            ..Case::new(label, opts, Position::Vector, RedOp::Add, CType::Int)
+        };
+        let mut wrong = CompilerOptions::openuh();
+        wrong.bugs.skip_init_fold = true;
+        let cases = [
+            pinned("right", CompilerOptions::openuh()),
+            pinned("wrong", wrong),
+        ];
+        let cells = run_cells(&cases, &SuiteConfig::quick());
+        assert_eq!(cells[0].label, "right");
+        match &cells[0].status {
+            CaseStatus::Pass { ms, stats } => {
+                assert!(*ms > 0.0 && stats.launches == 1);
+                // 3 x 5 x 70 ints in, 3 x 5 out.
+                assert_eq!(stats.bytes_h2d, 4 * 3 * 5 * 70);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(cells[1].status, CaseStatus::Fail { .. }));
     }
 
     #[test]
