@@ -1,14 +1,15 @@
 //! Shared content-addressed caches.
 //!
-//! [`Cache`] is one bounded, thread-safe LRU with counted outcomes,
-//! instantiated twice. A [`RegionCache`] maps `(program fingerprint,
-//! region index, launch dims)` to the immutable [`CompiledRegion`]
-//! artifact, so one compilation serves every concurrent session running
-//! the same `(source, options)` pair — the artifact half of the `uhaccd`
+//! [`Cache`] is one bounded, thread-safe LRU with counted outcomes. A
+//! [`RegionCache`] maps `(program fingerprint, region index, launch
+//! dims)` to the immutable [`CompiledRegion`] artifact, so one
+//! compilation serves every concurrent session running the same
+//! `(source, options)` pair — the artifact layer of the `uhaccd`
 //! content-addressed cache; the daemon's program cache (fingerprint →
-//! analyzed program) is the other half. The program fingerprint is the
-//! caller's responsibility and should come from
-//! [`uhacc_core::program_key`]`(source, options)` so that both the
+//! analyzed program) is another, and each of its entries keeps the
+//! answers already given for that program in one more `Cache`. The
+//! program fingerprint is the caller's responsibility and should come
+//! from [`uhacc_core::program_key`]`(source, options)` so that both the
 //! source text *and* every codegen knob participate in the key.
 //!
 //! The cache is `Send + Sync`; entries are `Arc`s of immutable values
@@ -150,8 +151,10 @@ impl<K: Copy + Eq + Hash, V> Cache<K, V> {
 
     /// Insert `compiled` under `key`, evicting the least-recently-used
     /// entry if over capacity. Returns the resident artifact (the
-    /// existing one if another session filled the key first).
-    fn insert(&self, key: K, compiled: Arc<V>) -> Arc<V> {
+    /// existing one if another session filled the key first). For
+    /// callers whose fill cannot run inside [`Self::get_or_compile`];
+    /// counts evictions only.
+    pub fn insert(&self, key: K, compiled: Arc<V>) -> Arc<V> {
         let mut inner = self.inner.lock().unwrap();
         if let Some(existing) = inner.map.get(&key).cloned() {
             return existing;

@@ -18,13 +18,15 @@ fn usage() -> ! {
            --host H            bind address (default 127.0.0.1)\n\
            --workers N         device-worker threads = max concurrent\n\
                                sessions (default 4)\n\
-           --cache-cap N       program-cache capacity (default 64);\n\
+           --cache-cap N       program-cache capacity (default 64; each\n\
+                               program keeps up to {answers} answers);\n\
                                region-artifact cache gets 4x this\n\
            --slow-ms N         log a structured JSON line on stderr for\n\
                                any request slower than N ms\n\
            --virtual-clock     deterministic observability clock (also\n\
                                honoured via UHOBS_VIRTUAL_CLOCK=1)\n\
-           -h, --help          this message"
+           -h, --help          this message",
+        answers = service::ANSWERS_PER_PROGRAM
     );
     std::process::exit(2);
 }

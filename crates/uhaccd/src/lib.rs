@@ -19,8 +19,10 @@
 //! 2. **Content-addressed caching.** Analyzed programs and compiled
 //!    kernel artifacts are keyed on `program_key(source, options)` — a
 //!    stable FNV-1a hash over the source text and the canonical
-//!    serialized [`uhacc_core::CompilerOptions`] — with hit / miss /
-//!    eviction / compile accounting surfaced at `/health`.
+//!    serialized [`uhacc_core::CompilerOptions`] — and each program
+//!    remembers the answers already given for it, so a repeated request
+//!    runs no pass at all; hit / miss / eviction / compile accounting is
+//!    surfaced at `/health`.
 //! 3. **A shared device-worker pool.** A fixed set of worker threads
 //!    drains one FIFO queue of requests; at most `--workers` simulator
 //!    sessions execute concurrently and arrival order is service order.

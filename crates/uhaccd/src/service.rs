@@ -1,6 +1,6 @@
 //! The daemon: the `uhacc::driver` passes behind HTTP. What stays here
 //! is what only a server has — body → `(key, literal)` for the one option
-//! decoder, the two caches, the per-pass response envelopes and the
+//! decoder, the caches, the per-pass response envelopes and the
 //! status map (400 = the request is malformed, 422 = the program fails).
 //! The pass list, the option vocabulary with its defaults and every
 //! pass/fail decision are `uhacc::driver`'s (DESIGN.md, "The front
@@ -9,23 +9,28 @@
 //! agree byte for byte — `tests/cli_daemon_identity.rs` holds the built
 //! binary against a spawned daemon for every pass:
 //!
-//! | pass (`Pass::route`) | spliced field          | `uhacc-cc <src> ...` stdout            |
-//! |----------------------|------------------------|----------------------------------------|
-//! | compile              | `text`                 | `[--emit ...] [--verify]`              |
-//! | lint                 | `diagnostics`          | `--lint --json` (the envelope's array) |
-//! | analyze              | `analysis`             | `--fusion-plan=json`                   |
-//! | verify               | `text`                 | `--verify` (header + verify sections)  |
-//! | run                  | `results`              | `--run`                                |
-//! | profile              | `profile`              | `--profile=json`                       |
-//! | certify              | `certification`/`text` | `--certify=json` / `--certify`         |
+//! | pass (`Pass::route`) | spliced field          | `uhacc-cc <src> ...` stdout            | remembered answer                    |
+//! |----------------------|------------------------|----------------------------------------|--------------------------------------|
+//! | compile              | `text`                 | `[--emit ...] [--verify]`              | `text`, `verify_errors`, `regions`   |
+//! | lint                 | `diagnostics`          | `--lint --json` (the envelope's array) | none (must answer unparsable source) |
+//! | analyze              | `analysis`             | `--fusion-plan=json`                   | `ok`, `analysis`                     |
+//! | verify               | `text`                 | `--verify` (header + verify sections)  | `ok`, `verify_errors`, `text`        |
+//! | run                  | `results`              | `--run`                                | `results`                            |
+//! | profile              | `profile`              | `--profile=json`                       | `profile`                            |
+//! | certify              | `certification`/`text` | `--certify=json` / `--certify`         | `ok`, `certification`/`text`         |
 //!
-//! Caching is two-layer and content-addressed on
+//! Caching is three-layer and content-addressed on
 //! `program_key(source, options)` (stable FNV-1a, see
-//! `uhacc_core::stablehash`): analyzed programs and compiled region
-//! artifacts, two instances of `accrt::Cache`, the latter shared by every
-//! session via `AccRunner::set_region_cache`. A warm request re-parses
-//! nothing and re-compiles nothing — the end-to-end tests pin that with
-//! the compile counters.
+//! `uhacc_core::stablehash`), every layer an `accrt::Cache`: analyzed
+//! programs; compiled region artifacts, shared by every session via
+//! `AccRunner::set_region_cache`; and, inside each program's entry, the
+//! answers already given for it, keyed by `(pass, Options::memo_key)`.
+//! Every body is a pure function of the source and the options its pass
+//! reads, so a repeated request is answered from the entry — no parse,
+//! codegen, checker or simulation — and its reply differs from the first
+//! only in the `cache` object, which is rebuilt for every reply. A warm
+//! program re-parses nothing and a warm region re-compiles nothing — the
+//! end-to-end tests pin all three layers with their counters.
 
 use crate::http::{read_request, write_response, write_response_typed, Request};
 use crate::json::{obj, parse, Json};
@@ -40,6 +45,41 @@ use uhacc::driver::{self, Artifacts, Options, Pass};
 use uhacc_core::flags::ReportFormat;
 use uhacc_core::{program_key, LaunchDims};
 use uhobs::metrics::LATENCY_BUCKETS_US;
+use uhobs::{Counter, Registry};
+
+/// Answers a program keeps, least recently used evicted first: a hot
+/// program is asked a handful of distinct questions (each pass under the
+/// options it reads), and every answer dies with its program's entry.
+pub const ANSWERS_PER_PROGRAM: usize = 8;
+
+/// A reply's fields except `cache`, as a pass rendered them.
+type Fields = Vec<(&'static str, Json)>;
+
+/// [`Fields`] serialized once: the reply object's text without its
+/// closing brace. Every reply appends its own `cache` object to these
+/// bytes, so a remembered answer is neither copied field by field nor
+/// rendered again.
+type Answer = String;
+
+fn answer_text(fields: Fields) -> Answer {
+    let mut text = obj(fields).to_string();
+    text.pop(); // the closing `}`
+    text
+}
+
+/// One program-cache entry: the analyzed program and the answers already
+/// given for it, keyed by `(pass, Options::memo_key(pass))`.
+struct Program {
+    hir: Arc<AnalyzedProgram>,
+    answers: Cache<(Pass, u64), Answer>,
+}
+
+/// What one request found in the caches.
+struct Found {
+    program: Arc<Program>,
+    program_hit: bool,
+    answer: Option<Arc<Answer>>,
+}
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -81,8 +121,64 @@ pub struct Obs {
     pub queue_wait: uhobs::Histogram,
     /// Region codegen durations, fed by the runtime hook.
     compile_hist: uhobs::Histogram,
-    slow_total: uhobs::Counter,
+    slow_total: Counter,
     slow_threshold_us: Option<u64>,
+    /// Answer lookups, by outcome.
+    result_hits: Counter,
+    result_misses: Counter,
+    sim: SimTotals,
+}
+
+/// What the executed `/run` and `/profile` sessions simulated, summed —
+/// the service-side mirror of the device's per-session numbers. A
+/// remembered answer executes nothing and adds nothing.
+struct SimTotals {
+    insts: Counter,
+    cycles: Counter,
+    tier_declines: Counter,
+    once_per_warp: Counter,
+    per_lane: Counter,
+}
+
+impl SimTotals {
+    fn new(reg: &Registry) -> Self {
+        let steps = |shape: &str| {
+            reg.counter(
+                "uhaccd_sim_shape_steps_total",
+                "Typed-tier warp steps, by whether operand shapes decided them once per warp",
+                &[("shape", shape)],
+            )
+        };
+        SimTotals {
+            insts: reg.counter(
+                "uhaccd_sim_instructions_total",
+                "Simulated warp instructions across all executions",
+                &[],
+            ),
+            cycles: reg.counter(
+                "uhaccd_sim_cycles_total",
+                "Simulated modelled cycles across all executions",
+                &[],
+            ),
+            tier_declines: reg.counter(
+                "uhaccd_sim_tier_declines_total",
+                "Launches the typed tier declined (run on the interpreter) across all executions",
+                &[],
+            ),
+            once_per_warp: steps("once_per_warp"),
+            per_lane: steps("per_lane"),
+        }
+    }
+
+    fn add(&self, device: &gpsim::Device) {
+        let s = device.stats();
+        self.insts.add(s.totals.warp_insts);
+        self.cycles.add(s.total_cycles());
+        self.tier_declines.add(device.tier_declines());
+        let census = device.shape_census();
+        self.once_per_warp.add(census.once_per_warp);
+        self.per_lane.add(census.per_lane);
+    }
 }
 
 impl Obs {
@@ -111,7 +207,18 @@ impl Obs {
             "Requests slower than the slow-request threshold",
             &[],
         );
+        let result_hits = registry.counter(
+            "uhaccd_result_cache_hits_total",
+            "Requests answered from their program's remembered answers",
+            &[],
+        );
+        let result_misses = registry.counter(
+            "uhaccd_result_cache_misses_total",
+            "Requests whose answer was computed (and remembered when it succeeded)",
+            &[],
+        );
         Obs {
+            sim: SimTotals::new(&registry),
             clock,
             tracer,
             registry,
@@ -119,6 +226,8 @@ impl Obs {
             compile_hist,
             slow_total,
             slow_threshold_us: cfg.slow_ms.map(|ms| ms * 1000),
+            result_hits,
+            result_misses,
         }
     }
 }
@@ -138,9 +247,10 @@ fn endpoint_label(path: &str) -> &'static str {
 /// handles requests against the same caches.
 pub struct Daemon {
     cfg: DaemonConfig,
-    /// Analyzed programs by `program_key(source, options)`; the cache's
-    /// `compiles` counter is the full front-end parses performed.
-    programs: Cache<u64, AnalyzedProgram>,
+    /// Analyzed programs, with their remembered answers, by
+    /// `program_key(source, options)`; the cache's `compiles` counter is
+    /// the full front-end parses performed.
+    programs: Cache<u64, Program>,
     /// Shared compiled-artifact cache, injected into every session.
     pub regions: Arc<RegionCache>,
     /// Requests served, by status class.
@@ -149,11 +259,6 @@ pub struct Daemon {
     served_5xx: AtomicU64,
     /// Observability bundle (clock, tracer, metric registry).
     obs: Obs,
-    /// Simulated work accumulated across every `/run`-`/profile`
-    /// execution (warp instructions, modelled cycles) — the service-side
-    /// mirror of uhprof's per-launch numbers.
-    sim_insts: AtomicU64,
-    sim_cycles: AtomicU64,
     /// Process start, for `/health` uptime.
     started: std::time::Instant,
     /// The worker pool serving this daemon, attached by [`serve`] so
@@ -172,8 +277,6 @@ impl Daemon {
             served_4xx: AtomicU64::new(0),
             served_5xx: AtomicU64::new(0),
             obs,
-            sim_insts: AtomicU64::new(0),
-            sim_cycles: AtomicU64::new(0),
             started: std::time::Instant::now(),
             pool: Mutex::new(None),
         })
@@ -190,34 +293,46 @@ impl Daemon {
         *self.pool.lock().unwrap() = Some(Arc::clone(pool));
     }
 
-    /// Content-addressed program lookup: parse on miss, share on hit.
-    /// Returns `(program, key, was_hit)`, or the front-end diagnostic
-    /// rendered against the source as a 422. Records one `cache.lookup`
-    /// span under `trace_id` covering the lookup plus any parse (same
-    /// two clock reads on the hit and miss paths, so virtual-clock
-    /// sequences stay deterministic).
-    fn get_or_parse(
+    /// Content-addressed lookup, parse on miss: `source`'s program under
+    /// its content `key`, then the answer remembered under `memo` in it —
+    /// or the front-end diagnostic rendered against the source as a 422.
+    /// Records one `cache.lookup` span under `trace_id` covering both
+    /// lookups plus any parse (same two clock reads on every path, so
+    /// virtual-clock sequences stay deterministic).
+    fn lookup(
         &self,
         source: &str,
-        o: &Options,
+        key: u64,
+        memo: (Pass, u64),
         trace_id: u64,
-    ) -> Result<(Arc<AnalyzedProgram>, u64, bool), (u16, String)> {
-        let key = program_key(source, &o.compiler.base_options());
+    ) -> Result<Found, (u16, String)> {
         let t0 = self.obs.clock.now_us();
-        let result = self
-            .programs
-            .get_or_compile_hit(key, || accparse::compile(source));
+        let result = self.programs.get_or_compile_hit(key, || {
+            accparse::compile(source).map(|hir| Program {
+                hir: Arc::new(hir),
+                answers: Cache::new(ANSWERS_PER_PROGRAM),
+            })
+        });
+        let answer = result
+            .as_ref()
+            .ok()
+            .and_then(|(p, _)| p.answers.lookup(memo));
         let t1 = self.obs.clock.now_us();
+        let flag = |b: bool| if b { "true" } else { "false" };
         let hit = matches!(&result, Ok((_, true)));
         self.obs.tracer.record(
             trace_id,
             "cache.lookup",
             t0,
             t1,
-            &[("hit", if hit { "true" } else { "false" })],
+            &[("hit", flag(hit)), ("result_hit", flag(answer.is_some()))],
         );
         match result {
-            Ok((prog, hit)) => Ok((prog, key, hit)),
+            Ok((program, program_hit)) => Ok(Found {
+                program,
+                program_hit,
+                answer,
+            }),
             Err(d) => Err((422, d.render(source))),
         }
     }
@@ -261,7 +376,7 @@ impl Daemon {
             ("GET", "/trace") => (200, self.obs.tracer.to_chrome_trace()),
             ("POST", path) => match Pass::from_route(path) {
                 Some(pass) => match self.post(pass, &req.body, trace_id) {
-                    Ok(body) => (200, body.to_string()),
+                    Ok(body) => (200, body),
                     Err((status, msg)) => (status, err_body(&msg)),
                 },
                 None => not_found(),
@@ -271,10 +386,10 @@ impl Daemon {
         }
     }
 
-    /// Render the Prometheus text exposition. Mirrored counters (cache
-    /// hit/miss, pool queue stats, simulated work, span drops) are
+    /// Render the Prometheus text exposition. Mirrored counters (program
+    /// and region cache hit/miss, pool queue stats, span drops) are
     /// snapshot into the registry here, at scrape time; request/latency
-    /// series are recorded live as requests finish.
+    /// series, answer lookups and simulated work are recorded live.
     fn metrics(&self) -> String {
         let reg = &self.obs.registry;
         let snap_ctr = |name: &str, help: &str, v: u64| {
@@ -321,16 +436,6 @@ impl Daemon {
             "uhaccd_region_compiles_total",
             "Region codegen runs actually performed",
             rc.compiles,
-        );
-        snap_ctr(
-            "uhaccd_sim_instructions_total",
-            "Simulated warp instructions across all executions",
-            self.sim_insts.load(Ordering::Relaxed),
-        );
-        snap_ctr(
-            "uhaccd_sim_cycles_total",
-            "Simulated modelled cycles across all executions",
-            self.sim_cycles.load(Ordering::Relaxed),
         );
         snap_ctr(
             "uhaccd_trace_spans_dropped_total",
@@ -474,6 +579,13 @@ impl Daemon {
                 ]),
             ),
             (
+                "results",
+                obj(vec![
+                    ("hits", Json::Num(self.obs.result_hits.get() as f64)),
+                    ("misses", Json::Num(self.obs.result_misses.get() as f64)),
+                ]),
+            ),
+            (
                 "served",
                 obj(vec![
                     (
@@ -494,11 +606,13 @@ impl Daemon {
         .to_string()
     }
 
-    /// One POST: decode the body into the options `pass` reads, run the
-    /// pass through `uhacc::driver`, and wrap its rendered output in the
-    /// pass's envelope. Spliced fields (`Json::Raw`) are byte-identical
-    /// to the CLI's stdout for the same source and options.
-    fn post(&self, pass: Pass, body: &[u8], trace_id: u64) -> Result<Json, (u16, String)> {
+    /// One POST: decode the body into the options `pass` reads, look up
+    /// the program and the answer remembered for them, run the pass
+    /// through `uhacc::driver` only when there is none, and close the
+    /// reply with its `cache` object. Spliced fields (`Json::Raw`) are
+    /// byte-identical to the CLI's stdout for the same source and options,
+    /// remembered or not; only successful answers are remembered.
+    fn post(&self, pass: Pass, body: &[u8], trace_id: u64) -> Result<String, (u16, String)> {
         let bad = |msg: String| (400, msg);
         let text =
             std::str::from_utf8(body).map_err(|_| bad("request body is not UTF-8".into()))?;
@@ -517,34 +631,87 @@ impl Daemon {
                 Some(x) => o.set(key, key, &x.literal()).map_err(bad)?,
             }
         }
+        if pass == Pass::Lint {
+            use accparse::diag::{diags_to_json, LINT_SCHEMA_VERSION};
+            let lint = driver::lint(source, o.werror);
+            return Ok(obj(vec![
+                ("ok", Json::Bool(!lint.failed)),
+                ("schema_version", Json::Num(LINT_SCHEMA_VERSION as f64)),
+                ("diagnostics", Json::Raw(diags_to_json(&lint.diags, source))),
+            ])
+            .to_string());
+        }
+        let key = program_key(source, &o.compiler.base_options());
+        let memo = (pass, o.memo_key(pass));
+        let found = self.lookup(source, key, memo, trace_id)?;
+        let result_hit = found.answer.is_some();
+        let (answer, work) = match found.answer {
+            Some(answer) => {
+                self.obs.result_hits.inc();
+                (answer, Work::default())
+            }
+            None => {
+                self.obs.result_misses.inc();
+                let hir = &found.program.hir;
+                let (fields, work) = self.answer(pass, source, &o, hir, key, trace_id)?;
+                let answer = Arc::new(answer_text(fields));
+                (found.program.answers.insert(memo, answer), work)
+            }
+        };
+        let cache = work.cache_json(pass, found.program_hit, result_hit);
+        Ok(format!("{answer},\"cache\":{cache}}}"))
+    }
+
+    /// Run `pass` over the analyzed program `hir` (content key `key`):
+    /// its answer, and the compile work it took.
+    fn answer(
+        &self,
+        pass: Pass,
+        source: &str,
+        o: &Options,
+        hir: &Arc<AnalyzedProgram>,
+        key: u64,
+        trace_id: u64,
+    ) -> Result<(Fields, Work), (u16, String)> {
+        let artifacts = || Artifacts::Cached {
+            program: Arc::clone(hir),
+            regions: Arc::clone(&self.regions),
+            key,
+        };
+        let failed = |e: accrt::AccError| (422, driver::failure_text(&e, source));
         match pass {
-            Pass::Lint => {
-                use accparse::diag::{diags_to_json, LINT_SCHEMA_VERSION};
-                let lint = driver::lint(source, o.werror);
-                Ok(obj(vec![
-                    ("ok", Json::Bool(!lint.failed)),
-                    ("schema_version", Json::Num(LINT_SCHEMA_VERSION as f64)),
-                    ("diagnostics", Json::Raw(diags_to_json(&lint.diags, source))),
-                ]))
-            }
-            Pass::Analyze => {
-                let (prog, _, program_hit) = self.get_or_parse(source, &o, trace_id)?;
-                Ok(obj(vec![
+            Pass::Analyze => Ok((
+                vec![
                     ("ok", Json::Bool(true)),
-                    ("analysis", Json::Raw(driver::analyze_json(&prog))),
-                    ("cache", obj(vec![("program_hit", Json::Bool(program_hit))])),
-                ]))
+                    ("analysis", Json::Raw(driver::analyze_json(hir))),
+                ],
+                Work::default(),
+            )),
+            Pass::Compile | Pass::Verify => self.compile(pass, source, o, hir, key),
+            Pass::Run | Pass::Profile => {
+                let profile = pass == Pass::Profile;
+                let obs = RunnerObs {
+                    tracer: Arc::clone(&self.obs.tracer),
+                    trace_id,
+                    compile_hist: Some(self.obs.compile_hist.clone()),
+                };
+                let r = driver::session(source, &o.request(pass), profile, artifacts(), Some(obs))
+                    .map_err(failed)?;
+                self.obs.sim.add(r.device());
+                let report = if profile {
+                    ("profile", Json::Raw(r.profile_json()))
+                } else {
+                    ("results", Json::Raw(driver::results_json(&r)))
+                };
+                let work = Work {
+                    session_compiles: r.compiles(),
+                    ..Work::default()
+                };
+                Ok((vec![report], work))
             }
-            Pass::Compile | Pass::Verify => self.compile(pass, source, &o, trace_id),
-            Pass::Run | Pass::Profile => self.execute(pass, source, &o, trace_id),
             Pass::Certify => {
-                let req = o.request(pass);
-                let key = program_key(source, &req.opts);
-                let reports = driver::certify_reports(source, &req, |r| {
-                    r.set_source(source);
-                    r.set_region_cache(Arc::clone(&self.regions), key);
-                })
-                .map_err(|e| (422, driver::failure_text(&e, source)))?;
+                let reports = driver::certify(source, &o.request(pass), artifacts(), |_| {})
+                    .map_err(failed)?;
                 let report = match o.format.unwrap_or(ReportFormat::Json) {
                     ReportFormat::Json => (
                         "certification",
@@ -552,26 +719,25 @@ impl Daemon {
                     ),
                     ReportFormat::Text => ("text", Json::Str(driver::cert_reports_text(&reports))),
                 };
-                Ok(obj(vec![
-                    ("ok", Json::Bool(!driver::refuted(&reports))),
-                    report,
-                ]))
+                let ok = ("ok", Json::Bool(!driver::refuted(&reports)));
+                Ok((vec![ok, report], Work::default()))
             }
+            Pass::Lint => unreachable!("`/lint` is answered before any program lookup"),
         }
     }
 
-    /// `/compile` and `/verify`: cached parse, then `driver::compile_pass`
-    /// over a region compiler that consults the shared artifact cache
-    /// and counts this request's hits and compiles (the global counters
-    /// are shared across concurrent requests and can't be diffed safely).
+    /// `/compile` and `/verify`: `driver::compile_pass` over a region
+    /// compiler that consults the shared artifact cache and counts this
+    /// request's hits and compiles (the global counters are shared across
+    /// concurrent requests and can't be diffed safely).
     fn compile(
         &self,
         pass: Pass,
         source: &str,
         o: &Options,
-        trace_id: u64,
-    ) -> Result<Json, (u16, String)> {
-        let (prog, key, program_hit) = self.get_or_parse(source, o, trace_id)?;
+        hir: &AnalyzedProgram,
+        key: u64,
+    ) -> Result<(Fields, Work), (u16, String)> {
         let opts = o.compiler.base_options();
         let (region_hits, region_compiles) = (Cell::new(0u64), Cell::new(0u64));
         let compile = |region: usize, dims: LaunchDims| {
@@ -581,81 +747,62 @@ impl Daemon {
                     region,
                     dims,
                 },
-                || uhacc_core::compile_region(&prog, region, dims, &opts),
+                || uhacc_core::compile_region(hir, region, dims, &opts),
             )?;
             let counter = if hit { &region_hits } else { &region_compiles };
             counter.set(counter.get() + 1);
             Ok(artifact)
         };
-        let out =
-            driver::compile_pass(pass, o, source, &prog, &compile).map_err(|msg| (422, msg))?;
+        let out = driver::compile_pass(pass, o, source, hir, &compile).map_err(|msg| (422, msg))?;
         let verify_errors = ("verify_errors", Json::Num(out.verify_errors as f64));
-        Ok(match pass {
-            Pass::Verify => obj(vec![
+        let answer = match pass {
+            Pass::Verify => vec![
                 ("ok", Json::Bool(out.ok())),
                 verify_errors,
                 ("text", Json::Str(out.text)),
-            ]),
-            _ => obj(vec![
+            ],
+            _ => vec![
                 ("text", Json::Str(out.text)),
                 verify_errors,
                 ("regions", Json::Num(out.regions.len() as f64)),
-                (
-                    "cache",
-                    obj(vec![
-                        ("program_hit", Json::Bool(program_hit)),
-                        ("region_hits", Json::Num(region_hits.get() as f64)),
-                        ("region_compiles", Json::Num(region_compiles.get() as f64)),
-                    ]),
-                ),
-            ]),
-        })
-    }
-
-    /// `/run` and `/profile`: cached parse, `driver::session` over the
-    /// shared artifacts on this worker — traced end to end (per-region
-    /// phase spans via the runtime hook, device timeline spliced into
-    /// the unified trace for `/profile`).
-    fn execute(
-        &self,
-        pass: Pass,
-        source: &str,
-        o: &Options,
-        trace_id: u64,
-    ) -> Result<Json, (u16, String)> {
-        let (program, key, program_hit) = self.get_or_parse(source, o, trace_id)?;
-        let profile = pass == Pass::Profile;
-        let r = driver::session(
-            source,
-            &o.request(pass),
-            profile,
-            Artifacts::Cached {
-                program,
-                regions: Arc::clone(&self.regions),
-                key,
-            },
-            Some(RunnerObs {
-                tracer: Arc::clone(&self.obs.tracer),
-                trace_id,
-                compile_hist: Some(self.obs.compile_hist.clone()),
-            }),
-        )
-        .map_err(|e| (422, driver::failure_text(&e, source)))?;
-        let s = r.device().stats();
-        self.sim_insts
-            .fetch_add(s.totals.warp_insts, Ordering::Relaxed);
-        self.sim_cycles
-            .fetch_add(s.total_cycles(), Ordering::Relaxed);
-        let report = if profile {
-            ("profile", Json::Raw(r.profile_json()))
-        } else {
-            ("results", Json::Raw(driver::results_json(&r)))
+            ],
         };
-        let cache = obj(vec![
-            ("program_hit", Json::Bool(program_hit)),
-            ("session_compiles", Json::Num(r.compiles() as f64)),
-        ]);
-        Ok(obj(vec![report, ("cache", cache)]))
+        let work = Work {
+            region_hits: region_hits.get(),
+            region_compiles: region_compiles.get(),
+            ..Work::default()
+        };
+        Ok((answer, work))
+    }
+}
+
+/// The compile work behind one reply; a remembered answer took none.
+#[derive(Default)]
+struct Work {
+    region_hits: u64,
+    region_compiles: u64,
+    session_compiles: u64,
+}
+
+impl Work {
+    /// The reply's `cache` object: which layers hit, and the counters of
+    /// the work `pass` does (regions for compile/verify, the session's
+    /// own compiles for run/profile).
+    fn cache_json(&self, pass: Pass, program_hit: bool, result_hit: bool) -> Json {
+        let num = |v: u64| Json::Num(v as f64);
+        let mut fields = vec![("program_hit", Json::Bool(program_hit))];
+        match pass {
+            Pass::Compile | Pass::Verify => {
+                fields.push(("region_hits", num(self.region_hits)));
+                fields.push(("region_compiles", num(self.region_compiles)));
+            }
+            Pass::Run | Pass::Profile => {
+                fields.push(("session_compiles", num(self.session_compiles)))
+            }
+            Pass::Lint | Pass::Analyze | Pass::Certify => {}
+        }
+        fields.push(("result_hit", Json::Bool(result_hit)));
+        obj(fields)
     }
 }
 

@@ -46,10 +46,7 @@ fn post_ok(addr: std::net::SocketAddr, req: &Req) -> String {
     body
 }
 
-/// Issue `reqs` strictly one at a time, then again from `reqs.len()`
-/// threads at once against a multi-worker daemon, and require every
-/// response pair to be byte-identical.
-fn concurrent_equals_sequential(reqs: &[Req], workers: usize) {
+fn spawn_daemon(workers: usize) -> std::net::SocketAddr {
     let (addr, _daemon) = service::spawn(
         DaemonConfig {
             workers,
@@ -58,54 +55,80 @@ fn concurrent_equals_sequential(reqs: &[Req], workers: usize) {
         "127.0.0.1:0",
     )
     .expect("spawn daemon");
+    addr
+}
 
-    let sequential: Vec<String> = reqs.iter().map(|r| post_ok(addr, r)).collect();
-
-    let concurrent: Vec<String> = std::thread::scope(|scope| {
+/// Send every request of `reqs` from its own thread at once.
+fn burst(addr: std::net::SocketAddr, reqs: &[Req]) -> Vec<String> {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = reqs
             .iter()
             .map(|r| scope.spawn(move || post_ok(addr, r)))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    })
+}
 
-    for (i, (seq, conc)) in sequential.iter().zip(&concurrent).enumerate() {
-        // The cache annotation legitimately differs (the sequential pass
-        // warmed the caches); the payload must not.
-        let strip = |s: &str| {
-            let v = uhaccd::json::parse(s).expect("response JSON");
-            match v {
-                Json::Obj(fields) => {
-                    Json::Obj(fields.into_iter().filter(|(k, _)| k != "cache").collect())
-                        .to_string()
-                }
-                other => other.to_string(),
-            }
-        };
+/// Require each pair of replies to be byte-identical with `cache` masked:
+/// the cache annotation legitimately differs (which layers were warm, and
+/// whether the answer was remembered); the payload must not.
+fn assert_same_payloads(reqs: &[Req], expected: &[String], got: &[String], what: &str) {
+    let strip = |s: &str| match uhaccd::json::parse(s).expect("response JSON") {
+        Json::Obj(fields) => {
+            Json::Obj(fields.into_iter().filter(|(k, _)| k != "cache").collect()).to_string()
+        }
+        other => other.to_string(),
+    };
+    for (i, (want, have)) in expected.iter().zip(got).enumerate() {
         assert_eq!(
-            strip(seq),
-            strip(conc),
-            "request {i} ({}) diverged between sequential and concurrent service",
+            strip(want),
+            strip(have),
+            "request {i} ({}) diverged between sequential and {what} service",
             reqs[i].path
         );
     }
 }
 
+/// Issue `reqs` from `reqs.len()` threads at once against a cold
+/// multi-worker daemon — so concurrent sessions race to fill and share
+/// the program, region and answer caches — and strictly one at a time
+/// against a second daemon, and require every response pair to match.
+/// Returns the concurrent daemon (now warm) and the sequential replies.
+fn concurrent_equals_sequential(
+    reqs: &[Req],
+    workers: usize,
+) -> (std::net::SocketAddr, Vec<String>) {
+    let raced = spawn_daemon(workers);
+    let concurrent = burst(raced, reqs);
+    let alone = spawn_daemon(workers);
+    let sequential: Vec<String> = reqs.iter().map(|r| post_ok(alone, r)).collect();
+    assert_same_payloads(reqs, &sequential, &concurrent, "cold concurrent");
+    (raced, sequential)
+}
+
 #[test]
 fn mixed_burst_is_deterministic() {
     // A fixed 12-request burst mixing all sources, both endpoints, and
-    // several sizes, against 4 workers.
+    // several sizes, each body sent twice, against 4 workers: the two
+    // copies of a body race each other through the cold caches.
     let mut reqs = Vec::new();
-    for i in 0..12usize {
-        reqs.push(make_req(i, i % 3 == 0, 500 + 700 * (i as u64 % 4)));
+    for i in 0..24usize {
+        reqs.push(make_req(i % 12, i % 3 == 0, 500 + 700 * (i as u64 % 4)));
     }
-    concurrent_equals_sequential(&reqs, 4);
+    let (raced, sequential) = concurrent_equals_sequential(&reqs, 4);
+    // The first burst answered every question, so the same burst again
+    // is served from remembered answers, racing each other for them.
+    let repeat = burst(raced, &reqs);
+    assert_same_payloads(&reqs, &sequential, &repeat, "remembered");
+    for reply in repeat {
+        assert!(reply.contains("\"result_hit\":true}"), "{reply}");
+    }
 }
 
 /// The endpoints that simulate nothing — `/compile` under each compiler
 /// personality with the verifier on, `/lint`, `/verify` — over every
-/// source: the same bytes sequentially (cold, then cached) and from 15
-/// threads at once.
+/// source: the same bytes from 15 threads at once on cold caches and
+/// sequentially.
 #[test]
 fn static_endpoints_are_deterministic_across_interleavings() {
     let mut reqs = Vec::new();

@@ -4,10 +4,12 @@
 //! 1. **Byte-identity**: `/compile`, `/run`, `/profile`, and `/lint`
 //!    bodies match the single-shot `uhacc::driver` outputs (what
 //!    `uhacc-cc` prints) exactly.
-//! 2. **Counter-verified caching**: a repeated identical request is a
-//!    program-cache *and* artifact-cache hit — the response says so, the
-//!    `/health` counters say so, and the warm session performed zero
-//!    region compilations.
+//! 2. **Counter-verified caching**: a repeated identical request is
+//!    answered from its program's remembered answers, a new question about
+//!    a warm program is a program-cache *and* artifact-cache hit — the
+//!    response says so, the `/health` counters say so, and the warm
+//!    session performed zero region compilations — and an evicted program
+//!    forgets its answers.
 
 use uhacc::driver::{self, Artifacts, EmitFlags, RunRequest};
 use uhacc_core::{CompilerOptions, LaunchDims};
@@ -194,75 +196,212 @@ fn verify_endpoint_reports_clean_kernel() {
         .contains("static verification"));
 }
 
+/// `cache.<field>` of a parsed reply.
+fn cache_num(v: &Json, field: &str) -> f64 {
+    v.get("cache")
+        .and_then(|c| c.get(field))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("no cache.{field} in {v}"))
+}
+
+fn cache_flag(v: &Json, field: &str) -> bool {
+    v.get("cache")
+        .and_then(|c| c.get(field))
+        .and_then(Json::as_bool)
+        .unwrap_or_else(|| panic!("no cache.{field} in {v}"))
+}
+
+/// A reply with its `cache` object masked: the answer itself.
+fn answer(v: &Json) -> String {
+    match v {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .iter()
+                .filter(|(k, _)| k != "cache")
+                .cloned()
+                .collect(),
+        )
+        .to_string(),
+        other => other.to_string(),
+    }
+}
+
+fn post_json(addr: std::net::SocketAddr, path: &str, body: &str) -> Json {
+    let (status, resp) = http::post(addr, path, body).unwrap();
+    assert_eq!(status, 200, "{path}: {resp}");
+    parse(&resp).unwrap()
+}
+
+fn health_counter(addr: std::net::SocketAddr, layer: &str, counter: &str) -> f64 {
+    let (_, health) = http::get(addr, "/health").unwrap();
+    parse(&health)
+        .unwrap()
+        .get(layer)
+        .and_then(|p| p.get(counter))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("no {layer}.{counter} in {health}"))
+}
+
 #[test]
 fn repeated_request_is_counter_verified_cache_hit() {
     let addr = spawn_daemon(2);
     let body = format!("{{\"source\":{},\"verify\":true}}", src_json());
 
     // Cold: program miss, real region compiles.
-    let (_, cold) = http::post(addr, "/compile", &body).unwrap();
-    let cold = parse(&cold).unwrap();
-    let cc = cold.get("cache").unwrap();
-    assert_eq!(cc.get("program_hit").and_then(Json::as_bool), Some(false));
-    assert!(cc.get("region_compiles").and_then(Json::as_f64).unwrap() >= 1.0);
-    assert_eq!(cc.get("region_hits").and_then(Json::as_f64), Some(0.0));
+    let cold = post_json(addr, "/compile", &body);
+    assert!(!cache_flag(&cold, "program_hit"));
+    assert!(!cache_flag(&cold, "result_hit"));
+    assert!(cache_num(&cold, "region_compiles") >= 1.0);
+    assert_eq!(cache_num(&cold, "region_hits"), 0.0);
 
-    // Warm: program hit, zero compiles, all artifact hits.
-    let (_, warm) = http::post(addr, "/compile", &body).unwrap();
-    let warm = parse(&warm).unwrap();
-    let wc = warm.get("cache").unwrap();
-    assert_eq!(wc.get("program_hit").and_then(Json::as_bool), Some(true));
-    assert_eq!(wc.get("region_compiles").and_then(Json::as_f64), Some(0.0));
-    assert!(wc.get("region_hits").and_then(Json::as_f64).unwrap() >= 1.0);
+    // The same request again: answered from the program's entry — no
+    // region looked up, none compiled, the same text.
+    let again = post_json(addr, "/compile", &body);
+    assert!(cache_flag(&again, "program_hit") && cache_flag(&again, "result_hit"));
+    assert_eq!(cache_num(&again, "region_compiles"), 0.0);
+    assert_eq!(cache_num(&again, "region_hits"), 0.0);
+    assert_eq!(answer(&cold), answer(&again));
 
-    // Identical rendered text either way.
-    assert_eq!(
-        cold.get("text").and_then(Json::as_str),
-        warm.get("text").and_then(Json::as_str)
-    );
+    // /verify on the warm program is a new question over warm regions:
+    // all artifact hits, zero compiles.
+    let verify = post_json(addr, "/verify", &format!("{{\"source\":{}}}", src_json()));
+    assert!(cache_flag(&verify, "program_hit") && !cache_flag(&verify, "result_hit"));
+    assert_eq!(cache_num(&verify, "region_compiles"), 0.0);
+    assert!(cache_num(&verify, "region_hits") >= 1.0);
 
     // /run on the same (source, options): the parse is skipped (program
     // cache hit from /compile). The first /run still compiles once — the
     // runtime resolves this region's dims to (192,1,128), a different
-    // artifact than /compile's requested (192,8,128) — but the second
-    // /run is a full warm hit: zero parses, zero compiles in-session.
-    let run_body = format!("{{\"source\":{},\"n\":256}}", src_json());
-    let (_, r1) = http::post(addr, "/run", &run_body).unwrap();
-    let r1 = parse(&r1).unwrap();
-    let r1c = r1.get("cache").unwrap();
-    assert_eq!(r1c.get("program_hit").and_then(Json::as_bool), Some(true));
-    assert!(r1c.get("session_compiles").and_then(Json::as_f64).unwrap() >= 1.0);
-
-    let (_, r2) = http::post(addr, "/run", &run_body).unwrap();
-    let r2 = parse(&r2).unwrap();
-    let r2c = r2.get("cache").unwrap();
-    assert_eq!(r2c.get("program_hit").and_then(Json::as_bool), Some(true));
+    // artifact than /compile's requested (192,8,128) — but a /run at a
+    // second `n` is an answer miss over warm artifacts: zero parses, zero
+    // compiles in-session.
+    let run = |n: u64| {
+        post_json(
+            addr,
+            "/run",
+            &format!("{{\"source\":{},\"n\":{n}}}", src_json()),
+        )
+    };
+    let r1 = run(256);
+    assert!(cache_flag(&r1, "program_hit") && !cache_flag(&r1, "result_hit"));
+    assert!(cache_num(&r1, "session_compiles") >= 1.0);
+    let r2 = run(512);
+    assert!(cache_flag(&r2, "program_hit") && !cache_flag(&r2, "result_hit"));
     assert_eq!(
-        r2c.get("session_compiles").and_then(Json::as_f64),
-        Some(0.0),
+        cache_num(&r2, "session_compiles"),
+        0.0,
         "warm /run must not compile: artifacts were cached by the first /run"
     );
-    // And the two runs' payloads are byte-identical.
-    assert_eq!(
-        r1.get("results").map(Json::to_string),
-        r2.get("results").map(Json::to_string)
-    );
+    assert_ne!(answer(&r1), answer(&r2), "a second n is a second answer");
 
-    // /health shows the hits.
-    let (_, health) = http::get(addr, "/health").unwrap();
-    let h = parse(&health).unwrap();
-    let prog_hits = h
-        .get("programs")
-        .and_then(|p| p.get("hits"))
-        .and_then(Json::as_f64)
-        .unwrap();
-    let region_hits = h
-        .get("regions")
-        .and_then(|p| p.get("hits"))
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert!(prog_hits >= 2.0, "health: {health}");
-    assert!(region_hits >= 1.0, "health: {health}");
+    // The first `n` again is remembered: byte-identical results, no
+    // session at all.
+    let r3 = run(256);
+    assert!(cache_flag(&r3, "result_hit"));
+    assert_eq!(cache_num(&r3, "session_compiles"), 0.0);
+    assert_eq!(answer(&r1), answer(&r3));
+
+    // /health shows every layer's hits.
+    assert!(health_counter(addr, "programs", "hits") >= 4.0);
+    assert!(health_counter(addr, "regions", "hits") >= 2.0);
+    assert_eq!(health_counter(addr, "results", "hits"), 2.0);
+    assert_eq!(health_counter(addr, "results", "misses"), 4.0);
+}
+
+/// The answer key is the decoded options: both spellings of `dims` are
+/// one answer, and a field the pass does not read does not split it.
+#[test]
+fn answers_are_keyed_by_decoded_options() {
+    let addr = spawn_daemon(1);
+    let body = |dims: &str| format!("{{\"source\":{},\"dims\":{dims}}}", src_json());
+    let array = post_json(addr, "/verify", &body("[192,8,128]"));
+    let string = post_json(addr, "/verify", &body("\"192,8,128\""));
+    assert!(!cache_flag(&array, "result_hit") && cache_flag(&string, "result_hit"));
+    assert_eq!(answer(&array), answer(&string));
+    let ignored = post_json(
+        addr,
+        "/verify",
+        &format!("{{\"source\":{},\"dims\":[192,8,128],\"n\":7}}", src_json()),
+    );
+    assert!(cache_flag(&ignored, "result_hit"));
+}
+
+/// `/certify` shares the program cache: two identical requests parse
+/// once between them — certification's two problem sizes included —
+/// and the second is answered from the first.
+#[test]
+fn certify_parses_once_and_remembers_its_answer() {
+    let addr = spawn_daemon(1);
+    let body = format!("{{\"source\":{}}}", src_json());
+    let first = post_json(addr, "/certify", &body);
+    assert_eq!(health_counter(addr, "programs", "parses"), 1.0);
+    let second = post_json(addr, "/certify", &body);
+    assert_eq!(health_counter(addr, "programs", "parses"), 1.0);
+    assert!(!cache_flag(&first, "program_hit") && !cache_flag(&first, "result_hit"));
+    assert!(cache_flag(&second, "program_hit") && cache_flag(&second, "result_hit"));
+    assert_eq!(answer(&first), answer(&second));
+}
+
+/// Certification ignores `n` (it runs at `driver::CERT_NS`), so an `n`
+/// that does not even decode changes nothing: the same 200 answer, the
+/// second time from memory.
+#[test]
+fn certify_ignores_n_even_when_malformed() {
+    let addr = spawn_daemon(1);
+    let first = post_json(
+        addr,
+        "/certify",
+        &format!("{{\"source\":{},\"n\":64}}", src_json()),
+    );
+    let bogus = post_json(
+        addr,
+        "/certify",
+        &format!("{{\"source\":{},\"n\":\"bogus\"}}", src_json()),
+    );
+    assert!(cache_flag(&bogus, "result_hit"));
+    assert_eq!(answer(&first), answer(&bogus));
+}
+
+/// An evicted program takes its answers with it: with room for one
+/// program, a repeat after another program displaced it is answered
+/// from scratch.
+#[test]
+fn evicting_a_program_drops_its_answers() {
+    let (addr, _daemon) = service::spawn(
+        DaemonConfig {
+            workers: 1,
+            program_cache_cap: 1,
+            ..DaemonConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("spawn daemon");
+    let a = format!("{{\"source\":{}}}", src_json());
+    let b = format!(
+        "{{\"source\":{}}}",
+        Json::Str(format!("{SRC}// another program\n"))
+    );
+    post_json(addr, "/analyze", &a);
+    let hot = post_json(addr, "/analyze", &a);
+    assert!(cache_flag(&hot, "program_hit") && cache_flag(&hot, "result_hit"));
+    post_json(addr, "/analyze", &b);
+    let evicted = post_json(addr, "/analyze", &a);
+    assert!(!cache_flag(&evicted, "program_hit") && !cache_flag(&evicted, "result_hit"));
+    assert_eq!(answer(&hot), answer(&evicted));
+}
+
+/// A failing pass is never remembered: a program that parses but cannot
+/// run at this `n` is a 422 with the same bytes every time, each time
+/// computed afresh.
+#[test]
+fn failures_are_not_remembered() {
+    let addr = spawn_daemon(1);
+    let body = format!("{{\"source\":{},\"n\":1000000000000}}", src_json());
+    let first = http::post(addr, "/run", &body).unwrap();
+    assert_eq!(first.0, 422, "{}", first.1);
+    assert_eq!(http::post(addr, "/run", &body).unwrap(), first);
+    assert_eq!(health_counter(addr, "results", "hits"), 0.0);
+    assert_eq!(health_counter(addr, "results", "misses"), 2.0);
 }
 
 #[test]

@@ -66,7 +66,8 @@ fn golden_check(name: &str, got: &str, golden: &str) {
 fn metrics_exposition_is_pinned_under_virtual_clock() {
     let addr = spawn_virtual();
     post_ok(addr, "/run", &run_body(2048)); // cold: parse + codegen
-    post_ok(addr, "/run", &run_body(2048)); // warm: cache hits only
+    post_ok(addr, "/run", &run_body(4096)); // warm program and region, new answer
+    post_ok(addr, "/run", &run_body(2048)); // repeat: the remembered answer
     post_ok(
         addr,
         "/compile",
@@ -100,6 +101,10 @@ fn metrics_exposition_is_pinned_under_virtual_clock() {
         "uhaccd_region_cache_hits_total",
         "uhaccd_region_compiles_total",
         "uhaccd_sim_instructions_total",
+        "uhaccd_sim_tier_declines_total",
+        "uhaccd_sim_shape_steps_total",
+        "uhaccd_result_cache_hits_total",
+        "uhaccd_result_cache_misses_total",
         "uhaccd_pool_workers",
         "uhaccd_queue_depth",
     ] {
@@ -108,17 +113,28 @@ fn metrics_exposition_is_pinned_under_virtual_clock() {
             "missing series {name}"
         );
     }
-    // Two /run of the same source: one parse, one program-cache hit.
+    // Three /run of the same source and a /compile of it: one parse,
+    // three program-cache hits, the second /run's region a cache hit, and
+    // the repeated /run answered from memory — so two sessions simulated,
+    // and the typed tier ran all of them.
     let value = |name: &str| {
         samples
             .iter()
-            .find(|s| s.name == name)
+            .filter(|s| s.name == name)
             .map(|s| s.value)
-            .unwrap()
+            .sum::<f64>()
     };
     assert_eq!(value("uhaccd_program_parses_total"), 1.0);
-    assert_eq!(value("uhaccd_program_cache_hits_total"), 2.0);
+    assert_eq!(value("uhaccd_program_cache_hits_total"), 3.0);
+    assert_eq!(value("uhaccd_region_cache_hits_total"), 1.0);
+    assert_eq!(value("uhaccd_result_cache_hits_total"), 1.0);
+    assert_eq!(value("uhaccd_result_cache_misses_total"), 3.0);
     assert!(value("uhaccd_sim_instructions_total") > 0.0);
+    assert_eq!(
+        value("uhaccd_sim_shape_steps_total"),
+        value("uhaccd_sim_instructions_total")
+    );
+    assert_eq!(value("uhaccd_sim_tier_declines_total"), 0.0);
     // Every request was dequeued by the pool, so the queue-wait histogram
     // the benchmark reads its percentiles from is not empty.
     assert!(value("uhaccd_queue_wait_us_count") >= 4.0);
@@ -173,6 +189,54 @@ fn trace_unifies_request_and_device_tracks() {
     // Shared timebase: the device tracks are anchored at the exec span's
     // start, so no device event starts before it.
     assert!(trace.contains("\"name\":\"exec\""));
+}
+
+/// A remembered `/profile` runs no session: it splices no device track
+/// into `/trace`, and its `cache.lookup` span says why.
+#[test]
+fn a_remembered_profile_adds_no_device_track() {
+    let addr = spawn_virtual();
+    post_ok(addr, "/profile", &run_body(1024));
+    let (_, first) = http::get(addr, "/trace").expect("trace");
+    post_ok(addr, "/profile", &run_body(1024));
+    let (_, trace) = http::get(addr, "/trace").expect("trace");
+    let device_events = |t: &str| t.matches("\"pid\":1002").count();
+    assert!(device_events(&first) > 0, "{first}");
+    assert_eq!(device_events(&trace), device_events(&first));
+    // Trace ids: 1 = the first /profile, 2 = /trace, 3 = the repeat.
+    assert!(
+        !trace.contains("\"pid\":1006"),
+        "the repeat has no device track"
+    );
+    assert!(trace.contains("\"result_hit\":\"false\""), "{trace}");
+    assert!(trace.contains("\"result_hit\":\"true\""), "{trace}");
+}
+
+/// Once the span buffer is full, further requests leave `/trace`
+/// byte-for-byte alone: no spans, and no track names either.
+#[test]
+fn a_full_trace_buffer_stops_growing() {
+    let (addr, daemon) = service::spawn(
+        DaemonConfig {
+            workers: 1,
+            virtual_clock: true,
+            ..DaemonConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("spawn daemon");
+    let tracer = &daemon.obs().tracer;
+    while tracer.span_count() < uhobs::trace::DEFAULT_SPAN_CAP {
+        tracer.record(0, "fill", 0, 0, &[]);
+    }
+    let (_, full) = http::get(addr, "/trace").expect("trace");
+    for n in 0..8 {
+        post_ok(addr, "/run", &run_body(64 + n));
+        http::get(addr, "/health").expect("health");
+    }
+    let (_, after) = http::get(addr, "/trace").expect("trace");
+    assert!(after == full, "/trace grew after its buffer filled");
+    assert!(!full.contains("\"thread_name\",\"ph\":\"M\",\"pid\":100,\"tid\":1,"));
 }
 
 /// Raw-socket protocol rejections: an unparsable `Content-Length` is

@@ -104,13 +104,15 @@ impl Tracer {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Name the request track for a trace id (e.g. `req 3 /run`).
+    /// Name the request track for a trace id (e.g. `req 3 /run`). Like a
+    /// span, a name is dropped once the buffer is full: a track that can
+    /// hold no span needs none, and a long-lived caller naming one track
+    /// per request must not grow without limit.
     pub fn set_track_name(&self, trace_id: u64, name: &str) {
-        self.buf
-            .lock()
-            .unwrap()
-            .track_names
-            .insert(trace_id, name.to_string());
+        let mut buf = self.buf.lock().unwrap();
+        if buf.spans.len() < self.cap {
+            buf.track_names.insert(trace_id, name.to_string());
+        }
     }
 
     /// Record a completed span. `end_us >= start_us` is clamped, extra
@@ -285,5 +287,20 @@ mod tests {
         assert_eq!(t.dropped(), 1);
         t.record_device_events(vec!["{}".into(), "{}".into()]);
         assert_eq!(t.dropped(), 3);
+    }
+
+    #[test]
+    fn a_full_buffer_names_no_more_tracks() {
+        let t = Tracer::with_capacity(Arc::new(Clock::virtual_clock(1)), "t", 2);
+        t.set_track_name(1, "req 1 /run");
+        t.record(1, "a", 0, 1, &[]);
+        t.record(1, "b", 1, 2, &[]);
+        let full = t.to_chrome_trace();
+        for id in 2..10 {
+            t.set_track_name(id, &format!("req {id} /run"));
+            t.record(id, "request", 2, 3, &[]);
+        }
+        assert_eq!(t.to_chrome_trace(), full);
+        assert!(full.contains("\"req 1 /run\""), "{full}");
     }
 }

@@ -333,7 +333,7 @@ fn main() {
 
     if args.certify {
         let req = o.request(Pass::Certify);
-        match driver::certify_reports(&src, &req, |r| r.set_source(&src)) {
+        match driver::certify_reports(&src, &req, |_| {}) {
             Ok(reports) => {
                 match o.format.unwrap_or(ReportFormat::Text) {
                     ReportFormat::Text => print!("{}", driver::cert_reports_text(&reports)),

@@ -19,12 +19,13 @@ use gpsim::{verify_kernel, Device, ExecTier, LaunchConfig, VerifyConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use uhacc_core::flags::{parse_count, parse_count_u32, parse_report_format, ReportFormat};
+use uhacc_core::stablehash::{fnv1a64, FNV_OFFSET};
 use uhacc_core::{CompiledRegion, CompilerOptions, LaunchDims};
 
 /// The passes both surfaces expose. The daemon's POST router and its
 /// `/metrics` `endpoint` label are read off [`Pass::ALL`]; the CLI maps
 /// its mode flags onto the same values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pass {
     Compile,
     Lint,
@@ -66,21 +67,16 @@ impl Pass {
 
     /// The [`Options`] keys this pass reads. The daemon decodes exactly
     /// these from a body and leaves the rest alone, so a field that means
-    /// nothing to a pass is ignored rather than validated.
+    /// nothing to a pass is ignored rather than validated; they are also
+    /// all that keys a remembered answer ([`Options::memo_key`]).
     pub fn reads(self) -> &'static [&'static str] {
         match self {
             Pass::Compile => &["compiler", "dims", "emit", "verify"],
             Pass::Lint => &["werror"],
             Pass::Analyze => &["compiler"],
             Pass::Verify => &["compiler", "dims"],
-            Pass::Certify => &[
-                "compiler",
-                "format",
-                "dims",
-                "n",
-                "host_threads",
-                "exec_tier",
-            ],
+            // Certification runs at its own sizes (`CERT_NS`), not `n`.
+            Pass::Certify => &["compiler", "format", "dims", "host_threads", "exec_tier"],
             Pass::Run | Pass::Profile => &["compiler", "dims", "n", "host_threads", "exec_tier"],
         }
     }
@@ -241,6 +237,29 @@ impl Options {
             host_threads: self.host_threads,
             exec_tier: self.exec_tier,
         }
+    }
+
+    /// The key of `pass`'s answer under these options, for a cache of
+    /// answers per program: an FNV-1a hash of the decoded values of
+    /// exactly [`Pass::reads`]. Decoded, so `"dims":[192,8,128]` and
+    /// `--dims 192,8,128` are one key; exactly, so an option the pass
+    /// reads cannot be left out and one it ignores cannot split an answer.
+    pub fn memo_key(&self, pass: Pass) -> u64 {
+        pass.reads().iter().fold(FNV_OFFSET, |h, &key| {
+            let value = match key {
+                "compiler" => self.compiler.name().to_string(),
+                "dims" => format!("{:?}", self.dims),
+                "emit" => format!("{:?}", self.emit),
+                "verify" => self.verify.to_string(),
+                "werror" => self.werror.to_string(),
+                "format" => format!("{:?}", self.format),
+                "n" => self.n.to_string(),
+                "host_threads" => self.host_threads.to_string(),
+                "exec_tier" => self.exec_tier.to_string(),
+                _ => unreachable!("`{key}` is not in Options::KEYS"),
+            };
+            fnv1a64(h, format!("{key}={value}\0").as_bytes())
+        })
     }
 }
 
@@ -504,8 +523,8 @@ pub fn execute_traced(
     result
 }
 
-/// Where a run/profile [`session`] gets its analyzed program and its
-/// compiled regions.
+/// Where a run/profile [`session`] or a [`certify`] gets its analyzed
+/// program and its compiled regions.
 pub enum Artifacts {
     /// Parse and compile on the spot (the CLI).
     Direct,
@@ -517,6 +536,38 @@ pub enum Artifacts {
         regions: Arc<RegionCache>,
         key: u64,
     },
+}
+
+impl Artifacts {
+    /// A maker of fresh, unrun sessions of `req` over these artifacts.
+    /// `Direct` parses `src` here, once, however many sessions are made.
+    fn sessions<'a>(
+        self,
+        src: &'a str,
+        req: &'a RunRequest,
+    ) -> Result<impl Fn() -> AccRunner + 'a, AccError> {
+        let (program, regions) = match self {
+            Artifacts::Direct => (Arc::new(accparse::compile(src)?), None),
+            Artifacts::Cached {
+                program,
+                regions,
+                key,
+            } => (program, Some((regions, key))),
+        };
+        Ok(move || {
+            let mut r = AccRunner::from_shared(
+                Arc::clone(&program),
+                req.opts.clone(),
+                req.dims,
+                Device::default(),
+            );
+            r.set_source(src);
+            if let Some((cache, key)) = &regions {
+                r.set_region_cache(Arc::clone(cache), *key);
+            }
+            r
+        })
+    }
 }
 
 /// The run and profile passes: build the session for `req` over `from`,
@@ -531,20 +582,7 @@ pub fn session(
     from: Artifacts,
     obs: Option<RunnerObs>,
 ) -> Result<AccRunner, AccError> {
-    let device = Device::default();
-    let mut r = match from {
-        Artifacts::Direct => AccRunner::with_options(src, req.opts.clone(), req.dims, device)?,
-        Artifacts::Cached {
-            program,
-            regions,
-            key,
-        } => {
-            let mut r = AccRunner::from_shared(program, req.opts.clone(), req.dims, device);
-            r.set_source(src);
-            r.set_region_cache(regions, key);
-            r
-        }
-    };
+    let mut r = from.sessions(src, req)?();
     match obs {
         Some(o) => execute_traced(&mut r, req, profile, &o.tracer, o.trace_id, o.compile_hist)?,
         None => execute(&mut r, req, profile)?,
@@ -661,16 +699,28 @@ pub fn certify_dims() -> LaunchDims {
 
 /// Certify every region of `src`: run the program under the translation
 /// validator at each problem size in [`CERT_NS`] and keep, per region
-/// execution, the report with the worse verdict. The `session` hook runs
-/// before each execution (cache attachment, etc.).
+/// execution, the report with the worse verdict. `src` is parsed once;
+/// the `session` hook runs before each execution.
 pub fn certify_reports(
     src: &str,
     req: &RunRequest,
     session: impl Fn(&mut AccRunner),
 ) -> Result<Vec<gpsim::CertReport>, AccError> {
+    certify(src, req, Artifacts::Direct, session)
+}
+
+/// [`certify_reports`] over `from`: the daemon passes the program and
+/// region artifacts out of its caches, as it does to [`session`].
+pub fn certify(
+    src: &str,
+    req: &RunRequest,
+    from: Artifacts,
+    session: impl Fn(&mut AccRunner),
+) -> Result<Vec<gpsim::CertReport>, AccError> {
+    let new_session = from.sessions(src, req)?;
     let mut merged: Vec<gpsim::CertReport> = Vec::new();
     for &n in &CERT_NS {
-        let mut r = AccRunner::with_options(src, req.opts.clone(), req.dims, Device::default())?;
+        let mut r = new_session();
         session(&mut r);
         r.set_host_threads(req.host_threads);
         r.set_exec_tier(req.exec_tier);
@@ -799,27 +849,29 @@ mod tests {
         assert!(a.contains("\"s\":"), "{a}");
     }
 
-    /// One row per option: a literal both spellings accept and one both
-    /// reject. A key added to [`Options::KEYS`] without a row fails here.
+    /// One row per option: a literal both spellings accept (never the
+    /// default) and one both reject.
+    const ROWS: [(&str, &str, &str); 9] = [
+        ("compiler", "pgi", "gcc"),
+        ("dims", "4,2,32", "4,2"),
+        ("emit", "hir,plan", "hir,asm"),
+        ("verify", "true", "yes"),
+        ("werror", "true", "1"),
+        ("format", "json", "yaml"),
+        ("n", "4096", "-1"),
+        ("host_threads", "4", "4294967296"),
+        ("exec_tier", "interpret", "compiled"),
+    ];
+
+    /// A key added to [`Options::KEYS`] without a row in [`ROWS`] fails here.
     #[test]
     fn both_spellings_decode_every_option_alike() {
-        let rows = [
-            ("compiler", "pgi", "gcc"),
-            ("dims", "4,2,32", "4,2"),
-            ("emit", "hir,plan", "hir,asm"),
-            ("verify", "true", "yes"),
-            ("werror", "true", "1"),
-            ("format", "json", "yaml"),
-            ("n", "4096", "-1"),
-            ("host_threads", "4", "4294967296"),
-            ("exec_tier", "interpret", "compiled"),
-        ];
         assert_eq!(
-            rows.map(|r| r.0),
+            ROWS.map(|r| r.0),
             Options::KEYS.map(|k| k.0),
             "one row per key, in KEYS order"
         );
-        for ((key, good, bad), (_, flag, switch)) in rows.into_iter().zip(Options::KEYS) {
+        for ((key, good, bad), (_, flag, switch)) in ROWS.into_iter().zip(Options::KEYS) {
             let (mut cli, mut body) = (Options::default(), Options::default());
             cli.set(flag, key, good).unwrap();
             body.set(key, key, good).unwrap();
@@ -836,6 +888,28 @@ mod tests {
             assert_eq!(switch, ["true", "false"].contains(&good), "{key}");
         }
         assert!(Options::default().set("x", "x", "1").is_err());
+    }
+
+    /// Every pass × every option: setting a key the pass reads moves its
+    /// memo key, setting one it ignores does not — so no read option can
+    /// be left out of the key, and no ignored one can split an answer —
+    /// and the flag and body-field spellings of a value are one key.
+    #[test]
+    fn memo_key_covers_exactly_the_keys_a_pass_reads() {
+        for pass in Pass::ALL {
+            let base = Options::default().memo_key(pass);
+            for ((key, good, _), (_, flag, _)) in ROWS.into_iter().zip(Options::KEYS) {
+                let (mut cli, mut body) = (Options::default(), Options::default());
+                cli.set(flag, key, good).unwrap();
+                body.set(key, key, good).unwrap();
+                assert_eq!(cli.memo_key(pass), body.memo_key(pass), "{pass:?} / {key}");
+                assert_eq!(
+                    body.memo_key(pass) != base,
+                    pass.reads().contains(&key),
+                    "{pass:?} / {key}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! spliced field to the binary's stdout byte for byte, under the
 //! correspondence tabled in `crates/uhaccd/src/service.rs`. Exit 0/1 must
 //! agree with `ok`/the status, and a program the front end rejects must
-//! read the same on stderr as in the 422 body.
+//! read the same on stderr as in the 422 body. Every request is sent
+//! twice: the repeat is answered from the daemon's memory (`/lint`
+//! aside, which remembers nothing) and must hold to the same bytes —
+//! hit ≡ miss ≡ CLI.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -100,8 +103,24 @@ fn every_pass_prints_on_the_cli_what_the_daemon_splices() {
             assert!(code == 0 || code == 1, "{what}: exit {code}\n{stderr}");
 
             let body = format!("{{\"source\":{}{fields}}}", Json::Str(src.clone()));
+            let first = http::post(addr, pass.route(), &body).expect("post");
             let (status, resp) = http::post(addr, pass.route(), &body).expect("post");
             let v = parse(&resp).expect("the daemon answers JSON");
+            let result_hit = |v: &Json| {
+                v.get("cache")
+                    .and_then(|c| c.get("result_hit"))
+                    .and_then(Json::as_bool)
+            };
+            let masked = |r: &str| {
+                r.rsplit_once(",\"cache\":")
+                    .map_or(r, |(a, _)| a)
+                    .to_string()
+            };
+            assert_eq!(
+                (first.0, masked(&first.1)),
+                (status, masked(&resp)),
+                "{what}: the repeat is the same answer"
+            );
 
             if status == 422 {
                 // The program fails the pass: same text, exit 1.
@@ -112,6 +131,15 @@ fn every_pass_prints_on_the_cli_what_the_daemon_splices() {
                 continue;
             }
             assert_eq!(status, 200, "{what}: {resp}");
+            let remembered = pass != Pass::Lint;
+            let first_hit = result_hit(&parse(&first.1).expect("JSON"));
+            assert_eq!(
+                first_hit,
+                remembered.then_some(false),
+                "{what}: {}",
+                first.1
+            );
+            assert_eq!(result_hit(&v), remembered.then_some(true), "{what}: {resp}");
             let ok = v.get("ok").and_then(Json::as_bool).unwrap_or(true)
                 && v.get("verify_errors").and_then(Json::as_f64).unwrap_or(0.0) == 0.0;
             assert_eq!(code == 0, ok, "{what}: exit {code} vs {resp}");
