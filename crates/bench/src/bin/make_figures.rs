@@ -95,7 +95,7 @@ fn modelled(cfg: &SuiteConfig, cells: &[Cell], check: bool) {
 /// host's cores, which the file records. The `_n96` row is all block
 /// set-up: its launches' blocks of 1,024 threads each do almost nothing.
 ///
-/// The [`SANITIZED`] rows are timed a third time, fully shadowed:
+/// The `SANITIZED` rows are timed a third time, fully shadowed:
 /// `sanitize_ratio` is the sanitized wall time of the same launches over
 /// the plain one (typed tier, sequential executor) — the checker rails'
 /// committed number, gated at 2x like the speedups are at 0.8x.

@@ -14,7 +14,7 @@
 //! 2. symbolically execute the main kernel and the finalize kernels over
 //!    a [`SymMemory`] laid out exactly like the runtime's (array regions
 //!    in data-clause order, then temp buffers, mailbox race-exempt);
-//! 3. replay the launch plan's epilogue in term space ([`ResultRead`]
+//! 3. replay the launch plan's epilogue in term space ([`crate::plan::ResultRead`]
 //!    folds via [`apply_host_term`], mailbox readbacks);
 //! 4. run the reference interpreter over the source region;
 //! 5. compare every observable — host scalars and the cells of

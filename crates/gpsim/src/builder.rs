@@ -6,7 +6,7 @@
 //! compiler crates build every kernel through this interface.
 
 use crate::ir::{
-    AtomOp, BinOp, CmpOp, Inst, Kernel, Label, MemRef, Operand, Reg, SpecialReg, UnOp,
+    AtomOp, BinOp, CmpOp, Flow, Inst, Kernel, Label, MemRef, Operand, Reg, SpecialReg, UnOp,
 };
 use crate::types::{Ty, Value};
 
@@ -335,7 +335,7 @@ impl KernelBuilder {
     /// Finish the kernel, verifying structural invariants. A violated
     /// invariant (a label created but never placed, a branch targeting an
     /// unknown label) is a compiler bug, surfaced as
-    /// [`SimError::KernelBuild`] so a driver can report it as a per-case
+    /// [`crate::SimError::KernelBuild`] so a driver can report it as a per-case
     /// diagnostic instead of aborting the whole process.
     pub fn try_finish(mut self) -> Result<Kernel, crate::error::SimError> {
         let build_err = |name: &str, reason: String| crate::error::SimError::KernelBuild {
@@ -343,7 +343,7 @@ impl KernelBuilder {
             reason,
         };
         // Implicit ret at the end keeps codegen simpler.
-        if !matches!(self.insts.last(), Some(Inst::Ret)) {
+        if self.insts.last().map(Inst::flow) != Some(Flow::Exit) {
             self.insts.push(Inst::Ret);
             self.lines.push(self.cur_line);
         }
@@ -366,7 +366,7 @@ impl KernelBuilder {
             }
         }
         for (i, inst) in self.insts.iter().enumerate() {
-            if let Inst::Bra { target, .. } = inst {
+            if let Flow::Branch { target, .. } = inst.flow() {
                 let t = label_targets
                     .get(target.0 as usize)
                     .copied()

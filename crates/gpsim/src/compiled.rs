@@ -34,13 +34,12 @@
 //!
 //! # Pre-decoded runs
 //!
-//! [`CompiledKernel::compile`] splits the instruction stream into *runs* —
-//! maximal straight-line spans `[leader, next_leader)` where leaders are
-//! instruction 0, every branch target, and every instruction following a
-//! `Bra`, `Ret`, or `Bar`. Runs are the basic blocks of
-//! [`crate::verify`]'s CFG additionally split after barriers, because a
-//! warp's lanes *rest* at the instruction after a `Bar` while waiting for
-//! the release.
+//! [`CompiledKernel::compile`] splits the instruction stream into *runs*
+//! by the one rule [`Kernel::runs`] states: a run starts at instruction 0,
+//! at every branch target, and after every instruction whose
+//! [`crate::ir::Flow`] ends a run: a `Bra`, a `Ret`, or a `Bar` (a warp's
+//! lanes *rest* at the instruction after a `Bar` while waiting for the
+//! release). [`crate::verify`]'s CFG is built over the same runs.
 //!
 //! The scheduling invariant that makes run-at-a-time execution exact:
 //! runnable lanes only ever rest at leaders (initially at 0; a branch
@@ -158,10 +157,10 @@
 //!
 //! `specialize` knows the launch's [`CostModel`], so it tabulates what is
 //! constant about every instruction: its issue cycle plus its ALU cycles
-//! (`alu`, with the `F64` and SFU surcharges), as a prefix sum
+//! ([`CostModel::alu_cycles`] of its [`Inst::cost`]), as a prefix sum
 //! `static_cycles`. Only memory steps (transactions, bank-conflict ways),
 //! atomics (active lanes) and barriers add cycles on top, when they
-//! execute.
+//! execute, through the charge the interpreter uses too.
 //!
 //! The step is instantiated twice. *Observed* (a tracer or a profiler is
 //! attached) it counts `warp_insts`/`lane_insts`, charges its cycles,
@@ -184,28 +183,31 @@
 //!
 //! # Typed bit rows
 //!
-//! [`CompiledKernel::specialize`] assigns every virtual register a single
-//! static [`Ty`] (a flow-insensitive merge over all of its definitions;
-//! `Mov`/`Select` propagate to a fixpoint). The block's registers are raw
+//! `CompiledKernel::specialize` assigns every virtual register a single
+//! static [`Ty`] (a flow-insensitive merge over all of its definitions,
+//! each typed by [`Inst::def_ty`]; `Mov`/`Select` propagate to a
+//! fixpoint). The block's registers are raw
 //! `u64` *bit rows* indexed `row * n_threads + lane` — `I32`/`F32`/`Pred`
 //! zero-extended, `I64`/`U64`/`F64` as their 64-bit representation — and
-//! every [`Inst`] is lowered to a [`TOp`]: branch labels resolved,
-//! operand conversions ([`Conv`]) resolved to mirror [`Value::convert`] /
+//! every [`Inst`] is lowered to a `TOp`: branch labels resolved,
+//! operand conversions (`Conv`) resolved to mirror [`Value::convert`] /
 //! `as_u64` / `as_i64` / `as_bool` *exactly*, immediates pre-converted
-//! into broadcast constant rows, SFU surcharges and access sizes
-//! classified, and the `(op, ty)` dispatch hoisted out of the lane loops.
+//! into broadcast constant rows, access sizes classified, and the
+//! `(op, ty)` dispatch hoisted out of the lane loops.
 //! Registers the kernel never writes hold the interpreter's
 //! `Value::I32(0)`; a `Uniform(0)` slot reproduces that under any static
 //! type because zero is a fixed point of every conversion in the table.
 
 use crate::cost::{CostModel, DeviceConfig, ExecTier};
 use crate::error::SimError;
-use crate::exec::{alu_cost, mref_addr, BlockExec, MemView};
-use crate::ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, Reg, SpecialReg, UnOp};
+use crate::exec::{mref_addr, BlockExec, MemView};
+use crate::ir::{
+    AtomOp, BinOp, CmpOp, CostClass, Flow, Inst, Kernel, MemRef, Operand, Reg, Space, SpecialReg,
+    UnOp,
+};
 use crate::memory::AccessAbort;
 use crate::profile::PcCounters;
-use crate::sanitizer::AccessKind;
-use crate::trace::{TraceEvent, TraceSpace};
+use crate::trace::TraceEvent;
 use crate::types::{Ty, Value};
 use std::sync::Mutex;
 
@@ -218,9 +220,7 @@ enum Term {
     Fallthrough,
 }
 
-/// A maximal straight-line span `[start, end)`; `end - 1` is a
-/// terminator (`Bra`/`Ret`/`Bar`) or falls through to the leader at
-/// `end`.
+/// One of [`Kernel::runs`], `[start, end)`, with how it ends.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     start: usize,
@@ -246,59 +246,41 @@ impl CompiledKernel {
     /// preserving its behavior exactly.
     pub fn compile(kernel: &Kernel) -> Option<CompiledKernel> {
         let n = kernel.insts.len();
-        // The last instruction must be a hard terminator, otherwise a lane
-        // can advance to pc == n (the interpreter treats that as a
-        // malformed kernel; keep its behavior by declining).
-        match kernel.insts.last()? {
-            Inst::Ret | Inst::Bra { cond: None, .. } => {}
-            _ => return None,
+        // The last instruction must not fall through, otherwise a lane can
+        // advance to pc == n (the interpreter treats that as a malformed
+        // kernel; keep its behavior by declining). A branch target of n
+        // (one past the end — the builder permits labels placed after the
+        // final `ret`) is likewise left to the interpreter.
+        if kernel.insts.last()?.flow().falls_through() {
+            return None;
         }
-
-        // Leaders: 0, branch targets, and the instruction after every
-        // Bra/Ret/Bar (lanes rest one past a barrier while waiting). A
-        // target of n (one past the end — the builder permits labels
-        // placed after the final `ret`) is likewise left to the
-        // interpreter.
-        let mut leader = vec![false; n];
-        leader[0] = true;
-        for (pc, inst) in kernel.insts.iter().enumerate() {
-            match inst {
-                Inst::Bra { target, .. } => {
-                    let t = *kernel.label_targets.get(target.0 as usize)?;
-                    *leader.get_mut(t)? = true;
-                    if pc + 1 < n {
-                        leader[pc + 1] = true;
-                    }
+        for inst in &kernel.insts {
+            if let Flow::Branch { target, .. } = inst.flow() {
+                if !matches!(kernel.label_targets.get(target.0 as usize), Some(&t) if t < n) {
+                    return None;
                 }
-                Inst::Ret | Inst::Bar if pc + 1 < n => leader[pc + 1] = true,
-                _ => {}
             }
         }
-        let starts: Vec<usize> = (0..n).filter(|&i| leader[i]).collect();
-        let runs: Vec<Run> = starts
-            .iter()
-            .enumerate()
-            .map(|(i, &start)| {
-                let end = starts.get(i + 1).copied().unwrap_or(n);
-                let term = match &kernel.insts[end - 1] {
-                    Inst::Bra { target, cond } => Term::Bra {
-                        target: kernel.target(*target),
+        let (spans, run_of) = kernel.runs();
+        let runs = spans
+            .into_iter()
+            .map(|span| {
+                let term = match kernel.insts[span.end - 1].flow() {
+                    Flow::Branch { target, cond } => Term::Bra {
+                        target: kernel.target(target),
                         cond: cond.is_some(),
                     },
-                    Inst::Ret => Term::Ret,
-                    Inst::Bar => Term::Bar,
-                    _ => Term::Fallthrough,
+                    Flow::Exit => Term::Ret,
+                    Flow::Sync => Term::Bar,
+                    Flow::Next => Term::Fallthrough,
                 };
-                Run { start, end, term }
+                Run {
+                    start: span.start,
+                    end: span.end,
+                    term,
+                }
             })
             .collect();
-        let mut run_of = vec![0usize; n];
-        for (ri, r) in runs.iter().enumerate() {
-            for slot in &mut run_of[r.start..r.end] {
-                *slot = ri;
-            }
-        }
-
         Some(CompiledKernel {
             num_regs: kernel.num_regs as usize,
             runs,
@@ -532,7 +514,6 @@ enum TOp {
         b: usize,
         ca: Conv,
         cb: Conv,
-        sfu: bool,
     },
     Cmp {
         op: CmpOp,
@@ -549,7 +530,6 @@ enum TOp {
         dst: usize,
         a: usize,
         ca: Conv,
-        sfu: bool,
     },
     Select {
         dst: usize,
@@ -566,14 +546,14 @@ enum TOp {
     },
     /// `LdGlobal`/`LdShared`.
     Ld {
-        space: TraceSpace,
+        space: Space,
         ty: Ty,
         dst: usize,
         mem: TMem,
     },
     /// `StGlobal`/`StShared`.
     St {
-        space: TraceSpace,
+        space: Space,
         ty: Ty,
         src: usize,
         sc: Conv,
@@ -595,46 +575,16 @@ enum TOp {
     Ret,
 }
 
-impl TOp {
-    /// The ALU cycles the step is charged on top of its issue cycle: a
-    /// constant of the launch. Memory, atomic and barrier steps have none
-    /// — what they cost depends on the mask and the addresses.
-    fn alu_cycles(&self, cost: &CostModel) -> u64 {
-        match self {
-            TOp::Bin { ty, sfu, .. } | TOp::Un { ty, sfu, .. } => alu_cost(cost, *ty, *sfu),
-            TOp::Cmp { ty, .. } => alu_cost(cost, *ty, false),
-            TOp::Broadcast { .. }
-            | TOp::ReadSpecial { .. }
-            | TOp::Select { .. }
-            | TOp::Cvt { .. }
-            | TOp::Bra { .. } => cost.alu,
-            TOp::BadParams
-            | TOp::Ld { .. }
-            | TOp::St { .. }
-            | TOp::AtomGlobal { .. }
-            | TOp::Bar
-            | TOp::Ret => 0,
-        }
-    }
-}
-
-/// The address space a load/store instruction addresses.
-fn space_of(inst: &Inst) -> TraceSpace {
-    match inst {
-        Inst::LdShared { .. } | Inst::StShared { .. } => TraceSpace::Shared,
-        _ => TraceSpace::Global,
-    }
-}
-
 fn ri(r: Reg) -> usize {
     r.0 as usize
 }
 
 /// Flow-insensitive register type inference: every definition of a
-/// register must produce one type (`Mov`/`Select` propagate their
-/// source types to a fixpoint; never-written registers keep the
-/// interpreter's `I32` zero). Returns `None` when a register is written
-/// at two types — the launch runs on the interpreter.
+/// register must produce one type (its [`Inst::def_ty`]; `Mov`/`Select`
+/// propagate their source types to a fixpoint and `ReadParam` takes its
+/// parameter's; never-written registers keep the interpreter's `I32`
+/// zero). Returns `None` when a register is written at two types — the
+/// launch runs on the interpreter.
 fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Option<Vec<Ty>> {
     let opnd_ty = |tys: &[Option<Ty>], o: &Operand| match o {
         Operand::Reg(r) => tys[ri(*r)],
@@ -661,13 +611,10 @@ fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Option<Vec<Ty>> {
             for inst in &kernel.insts {
                 let Some(d) = inst.def() else { continue };
                 let t = match inst {
-                    Inst::MovImm { value, .. } => Some(value.ty()),
                     Inst::Mov { src, .. } => tys[ri(*src)],
-                    Inst::ReadSpecial { .. } => Some(Ty::I32),
                     Inst::ReadParam { idx, .. } => {
                         Some(params.get(*idx as usize).map_or(Ty::I32, |v| v.ty()))
                     }
-                    Inst::Cmp { .. } => Some(Ty::Pred),
                     Inst::Select { a, b, .. } => match (opnd_ty(&tys, a), opnd_ty(&tys, b)) {
                         (Some(x), Some(y)) if x == y => Some(x),
                         // A select whose arms carry two types passes
@@ -675,17 +622,8 @@ fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Option<Vec<Ty>> {
                         (Some(_), Some(_)) => return None,
                         _ => None,
                     },
-                    Inst::Bin { ty, .. }
-                    | Inst::Un { ty, .. }
-                    | Inst::Cvt { ty, .. }
-                    | Inst::LdGlobal { ty, .. }
-                    | Inst::LdShared { ty, .. }
-                    | Inst::AtomGlobal { ty, .. } => Some(*ty),
-                    Inst::StGlobal { .. }
-                    | Inst::StShared { .. }
-                    | Inst::Bar
-                    | Inst::Bra { .. }
-                    | Inst::Ret => continue,
+                    // Every other def's type is the table's.
+                    _ => inst.def_ty(),
                 };
                 match (tys[ri(d)], t) {
                     (_, None) => {}
@@ -811,9 +749,12 @@ impl CompiledKernel {
             num_regs: self.num_regs,
             consts: Vec::new(),
         };
+        let space = |inst: &Inst| inst.access().expect("loads and stores access memory").space;
         let mut tops = Vec::with_capacity(kernel.insts.len());
+        let (mut static_cycles, mut sum) = (Vec::with_capacity(kernel.insts.len() + 1), 0);
+        static_cycles.push(0);
         for inst in &kernel.insts {
-            tops.push(match inst {
+            let top = match inst {
                 Inst::MovImm { dst, value } => TOp::Broadcast {
                     dst: ri(*dst),
                     bits: value_bits(*value),
@@ -845,7 +786,6 @@ impl CompiledKernel {
                         b,
                         ca,
                         cb,
-                        sfu: matches!(op, BinOp::Div | BinOp::Rem),
                     }
                 }
                 Inst::Cmp { op, ty, dst, a, b } => {
@@ -869,7 +809,6 @@ impl CompiledKernel {
                         dst: ri(*dst),
                         a,
                         ca,
-                        sfu: matches!(op, UnOp::Sqrt),
                     }
                 }
                 Inst::Select { dst, cond, a, b } => {
@@ -897,7 +836,7 @@ impl CompiledKernel {
                     },
                 },
                 Inst::LdGlobal { ty, dst, mref } | Inst::LdShared { ty, dst, mref } => TOp::Ld {
-                    space: space_of(inst),
+                    space: space(inst),
                     ty: *ty,
                     dst: ri(*dst),
                     mem: lo.tmem(mref, *ty),
@@ -905,7 +844,7 @@ impl CompiledKernel {
                 Inst::StGlobal { ty, src, mref } | Inst::StShared { ty, src, mref } => {
                     let (src, sc) = lo.row(src, Some(*ty));
                     TOp::St {
-                        space: space_of(inst),
+                        space: space(inst),
                         ty: *ty,
                         src,
                         sc,
@@ -936,12 +875,15 @@ impl CompiledKernel {
                     cond: cond.map(|(r, e)| (ri(r), cond_kind(lo.rt[ri(r)]), e)),
                 },
                 Inst::Ret => TOp::Ret,
-            });
-        }
-        let (mut static_cycles, mut sum) = (vec![0], 0);
-        for top in &tops {
-            sum += cost.issue + top.alu_cycles(cost);
+            };
+            // A `ReadParam` past the end faults: its issue cycle only.
+            let alu = match top {
+                TOp::BadParams => 0,
+                _ => cost.alu_cycles(inst.cost()),
+            };
+            sum += cost.issue + alu;
             static_cycles.push(sum);
+            tops.push(top);
         }
         let init = std::iter::repeat_n(0, self.num_regs)
             .chain(lo.consts)
@@ -1101,50 +1043,30 @@ fn conflict_ways_slow(
 }
 
 /// Charge the warp's load/store whose accesses are in
-/// `exec.scratch_addr` (identical to the interpreter's bookkeeping): one
-/// entry per active lane, or a single entry when every lane makes the same
-/// access — M identical accesses occupy exactly the segments/banks of one.
-/// `d` is only filled for an observer.
+/// `exec.scratch_addr`: one entry per active lane, or a single entry when
+/// every lane makes the same access — M identical accesses occupy exactly
+/// the segments/banks of one. Counted by the allocation-free twins, charged
+/// by the interpreter's [`BlockExec::charge`]; `d` is only filled for an
+/// observer.
 #[inline(always)]
 fn charge_mem<const OBSERVED: bool>(
-    space: TraceSpace,
+    space: Space,
     exec: &mut BlockExec,
     st: &mut TypedState,
     d: &mut PcCounters,
 ) {
+    // The class is a constant per call, so the inlined `charge` folds its
+    // match. One charge after a match on the space measured 14% slower
+    // on the Table-2 simulation workload.
     match space {
-        TraceSpace::Global => {
+        Space::Global => {
             let tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
-            exec.stats.global_accesses += 1;
-            exec.stats.global_transactions += tx;
-            exec.cycles_raw += tx * exec.cost.global_segment;
-            if OBSERVED {
-                d.global_accesses = 1;
-                d.global_transactions = tx;
-                // First transaction is unavoidable; the rest are the
-                // serialization penalty of an uncoalesced access.
-                d.mem_cycles = exec.cost.global_segment;
-                d.mem_serial_cycles = (tx - 1) * exec.cost.global_segment;
-            }
+            exec.charge::<OBSERVED>(CostClass::Memory(Space::Global), tx, d);
         }
-        TraceSpace::Shared => {
-            let ways = conflict_ways(
-                &exec.scratch_addr,
-                exec.dev.shared_banks,
-                &mut st.seg_buf,
-                &mut st.bank_counts,
-            );
-            exec.stats.shared_accesses += 1;
-            exec.stats.shared_ways += ways;
-            exec.cycles_raw += ways * exec.cost.shared_way;
-            if OBSERVED {
-                d.shared_accesses = 1;
-                d.shared_ways = ways;
-                // First way is conflict-free; extra ways are the
-                // bank-conflict serialization penalty.
-                d.shared_cycles = exec.cost.shared_way;
-                d.conflict_cycles = (ways - 1) * exec.cost.shared_way;
-            }
+        Space::Shared => {
+            let (buf, counts) = (&mut st.seg_buf, &mut st.bank_counts);
+            let ways = conflict_ways(&exec.scratch_addr, exec.dev.shared_banks, buf, counts);
+            exec.charge::<OBSERVED>(CostClass::Memory(Space::Shared), ways, d);
         }
     }
 }
@@ -1152,41 +1074,41 @@ fn charge_mem<const OBSERVED: bool>(
 /// The typed tier's bit-row accessors over either address space.
 impl BlockExec<'_, '_> {
     #[inline(always)]
-    fn read_bits(&mut self, space: TraceSpace, ty: Ty, addr: u64) -> Result<u64, AccessAbort> {
+    fn read_bits(&mut self, space: Space, ty: Ty, addr: u64) -> Result<u64, AccessAbort> {
         match space {
-            TraceSpace::Global => self.view.read_bits(ty, addr),
-            TraceSpace::Shared => Ok(self.shared.read_bits(ty, addr)?),
+            Space::Global => self.view.read_bits(ty, addr),
+            Space::Shared => Ok(self.shared.read_bits(ty, addr)?),
         }
     }
 
     #[inline(always)]
     fn write_bits(
         &mut self,
-        space: TraceSpace,
+        space: Space,
         ty: Ty,
         addr: u64,
         bits: u64,
     ) -> Result<(), AccessAbort> {
         match space {
-            TraceSpace::Global => self.view.write_bits(ty, addr, bits),
-            TraceSpace::Shared => Ok(self.shared.write_bits(ty, addr, bits)?),
+            Space::Global => self.view.write_bits(ty, addr, bits),
+            Space::Shared => Ok(self.shared.write_bits(ty, addr, bits)?),
         }
     }
 
     /// Coalesced span read; `false` means the caller must replay per lane.
     #[inline(always)]
-    fn read_span_bits(&mut self, space: TraceSpace, ty: Ty, addr: u64, out: &mut [u64]) -> bool {
+    fn read_span_bits(&mut self, space: Space, ty: Ty, addr: u64, out: &mut [u64]) -> bool {
         match space {
-            TraceSpace::Global => self.view.read_span_bits(ty, addr, out),
-            TraceSpace::Shared => self.shared.read_span_bits(ty, addr, out),
+            Space::Global => self.view.read_span_bits(ty, addr, out),
+            Space::Shared => self.shared.read_span_bits(ty, addr, out),
         }
     }
 
     #[inline(always)]
-    fn write_span_bits(&mut self, space: TraceSpace, ty: Ty, addr: u64, src: &[u64]) -> bool {
+    fn write_span_bits(&mut self, space: Space, ty: Ty, addr: u64, src: &[u64]) -> bool {
         match space {
-            TraceSpace::Global => self.view.write_span_bits(ty, addr, src),
-            TraceSpace::Shared => self.shared.write_span_bits(ty, addr, src),
+            Space::Global => self.view.write_span_bits(ty, addr, src),
+            Space::Shared => self.shared.write_span_bits(ty, addr, src),
         }
     }
 }
@@ -2239,8 +2161,8 @@ fn exec_top<const OBSERVED: bool>(
             charge_mem::<OBSERVED>(*space, exec, st, &mut d);
             // The interpreter observes a shared load before the access
             // (which may fault) and a global one after it.
-            if *space == TraceSpace::Shared {
-                exec.observe_mem(*space, &st.mask, warp_id, pc, AccessKind::Read, recorded);
+            if *space == Space::Shared {
+                exec.observe_mem(&st.mask, warp_id, pc, recorded);
             }
             if let Some(a) = uniform {
                 let v = exec.read_bits(*space, *ty, a)?;
@@ -2258,8 +2180,8 @@ fn exec_top<const OBSERVED: bool>(
                     }
                 }
             }
-            if *space == TraceSpace::Global {
-                exec.observe_mem(*space, &st.mask, warp_id, pc, AccessKind::Read, recorded);
+            if *space == Space::Global {
+                exec.observe_mem(&st.mask, warp_id, pc, recorded);
             }
             uniform.is_some()
         }
@@ -2301,7 +2223,7 @@ fn exec_top<const OBSERVED: bool>(
                     }
                 }
             }
-            exec.observe_mem(*space, &st.mask, warp_id, pc, AccessKind::Write, recorded);
+            exec.observe_mem(&st.mask, warp_id, pc, recorded);
             once.is_some()
         }
         TOp::AtomGlobal {
@@ -2315,26 +2237,11 @@ fn exec_top<const OBSERVED: bool>(
             // M serialized applications are not one application: atomics
             // always run per lane, whatever their operands' shapes.
             let sr = src * n;
-            exec.stats.atomics += 1;
-            exec.stats.global_accesses += 1;
-            exec.cycles_raw += mlen as u64 * exec.cost.atomic_lane;
-            if OBSERVED {
-                d.atomics = 1;
-                d.global_accesses = 1;
-                d.global_transactions = mlen as u64;
-                d.atomic_cycles = mlen as u64 * exec.cost.atomic_lane;
-            }
+            exec.charge::<OBSERVED>(CostClass::Atomic, mlen as u64, &mut d);
             st.addrs(mem, &mut exec.scratch_addr);
             per_lane(&mut exec.scratch_addr, mlen);
             st.sync(*src);
-            exec.observe_mem(
-                TraceSpace::Global,
-                &st.mask,
-                warp_id,
-                pc,
-                AccessKind::Atomic,
-                recorded,
-            );
+            exec.observe_mem(&st.mask, warp_id, pc, recorded);
             if dst.is_some() && matches!(exec.view, MemView::Overlay(_)) {
                 return Err(AccessAbort::NeedsSequential("atomic with a result operand"));
             }
@@ -2350,16 +2257,10 @@ fn exec_top<const OBSERVED: bool>(
                     }
                 }
             }
-            exec.stats.global_transactions += mlen as u64;
             false
         }
         TOp::Bar => {
-            exec.stats.barriers += 1;
-            exec.cycles_raw += exec.cost.barrier;
-            if OBSERVED {
-                d.barriers = 1;
-                d.barrier_cycles = exec.cost.barrier;
-            }
+            exec.charge::<OBSERVED>(CostClass::Barrier, 0, &mut d);
             for &l in &st.mask {
                 exec.threads[l].at_barrier = true;
                 exec.threads[l].pc = pc + 1;
@@ -2468,7 +2369,7 @@ mod tests {
             // No Bar/Bra/Ret in the middle of a run.
             for pc in r.start..r.end - 1 {
                 assert!(
-                    !matches!(k.insts[pc], Inst::Bar | Inst::Bra { .. } | Inst::Ret),
+                    !k.insts[pc].flow().ends_run(),
                     "terminator mid-run at pc {pc}"
                 );
             }

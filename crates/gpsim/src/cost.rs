@@ -10,6 +10,9 @@
 //! All knobs live in [`CostModel`] so experiments can recalibrate; the
 //! defaults are Kepler-class (K20c) values matching the paper's platform.
 
+use crate::ir::CostClass;
+use crate::types::Ty;
+
 /// Which engine runs kernel launches.
 ///
 /// Both engines are **bit-identical** in every observable output —
@@ -223,6 +226,26 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// The ALU cycles of a warp-instruction of cost class `class`: a
+    /// constant of the instruction, charged on top of its issue cycle.
+    /// Memory, atomic and barrier steps have none — what they cost depends
+    /// on the mask and the addresses.
+    pub fn alu_cycles(&self, class: CostClass) -> u64 {
+        match class {
+            CostClass::Alu { ty, sfu } => {
+                let mut c = self.alu;
+                if ty == Some(Ty::F64) {
+                    c += self.alu_f64_extra;
+                }
+                if sfu {
+                    c += self.sfu;
+                }
+                c
+            }
+            CostClass::Memory(_) | CostClass::Atomic | CostClass::Barrier | CostClass::Free => 0,
+        }
+    }
+
     /// Overlap (latency hiding) factor for a block with `warps` resident
     /// warps: more warps hide more latency, saturating at `max_overlap`.
     pub fn overlap(&self, warps: u32) -> f64 {

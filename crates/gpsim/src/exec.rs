@@ -30,7 +30,7 @@
 //! is bit-identical to the sequential executor at any thread count.**
 //!
 //! The scheme: each block runs against a frozen snapshot of global memory
-//! through a copy-on-write [`BlockOverlay`] that buffers its writes,
+//! through a copy-on-write `BlockOverlay` that buffers its writes,
 //! defers its atomics into a log, and records which pages it read. When
 //! all blocks finish, a serial committer folds the overlays back **in
 //! linear block-id order** — dirty bytes first, then the atomic log (so
@@ -59,14 +59,16 @@ use crate::coalesce::{bank_conflict_degree, global_transactions};
 use crate::compiled::{TypedKernel, TypedState};
 use crate::cost::{CostModel, DeviceConfig};
 use crate::error::SimError;
-use crate::ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, SpecialReg, UnOp};
+use crate::ir::{
+    Access, AtomOp, BinOp, CmpOp, CostClass, Inst, Kernel, MemRef, Operand, Space, SpecialReg, UnOp,
+};
 use crate::memory::{
     AccessAbort, AddrSet, AtomicLogEntry, BlockOverlay, GlobalMemory, OverlayData, SharedMemory,
 };
 use crate::profile::{BlockProfile, LaunchProfile, PcCounters};
-use crate::sanitizer::{AccessKind, BlockSanitizer, LaunchSanitizer, SanitizerConfig};
+use crate::sanitizer::{BlockSanitizer, LaunchSanitizer, SanitizerConfig};
 use crate::stats::LaunchStats;
-use crate::trace::{MemTouch, Trace, TraceEvent, TraceSpace};
+use crate::trace::{MemTouch, Trace, TraceEvent};
 use crate::types::{Ty, Value};
 
 /// Grid/block geometry for one kernel launch.
@@ -374,18 +376,17 @@ impl<'a, 'g> BlockExec<'a, 'g> {
 
     /// Post-access bookkeeping shared by the memory arms: annotate the
     /// just-recorded trace event with the warp's touched address range
-    /// and feed the sanitizer. `scratch_addr` holds one access per active
+    /// and feed the sanitizer, in the space and with the kind of the
+    /// access at `pc`. `scratch_addr` holds one access per active
     /// lane — or, from the typed tier, the single access every lane of the
     /// warp makes (same range; the sanitizer is still fed per lane).
-    pub(crate) fn observe_mem(
-        &mut self,
-        space: TraceSpace,
-        mask: &[usize],
-        warp_id: u32,
-        pc: usize,
-        kind: AccessKind,
-        recorded: bool,
-    ) {
+    pub(crate) fn observe_mem(&mut self, mask: &[usize], warp_id: u32, pc: usize, recorded: bool) {
+        if !recorded && self.san.is_none() {
+            return;
+        }
+        let Access { space, kind, .. } = self.kernel.insts[pc]
+            .access()
+            .expect("only memory instructions are observed");
         if recorded {
             // Saturating: a wild pointer near `u64::MAX` must clamp the
             // annotation, not overflow (the access itself is rejected by
@@ -407,10 +408,8 @@ impl<'a, 'g> BlockExec<'a, 'g> {
             for (i, &l) in mask.iter().enumerate() {
                 let (a, sz) = self.scratch_addr[i.min(last)];
                 match space {
-                    TraceSpace::Shared => {
-                        s.shared_access(l as u32, warp_id, pc, a, sz, kind.writes())
-                    }
-                    TraceSpace::Global => s.global_access(l as u32, warp_id, pc, a, sz, kind),
+                    Space::Shared => s.shared_access(l as u32, warp_id, pc, a, sz, kind.writes()),
+                    Space::Global => s.global_access(l as u32, warp_id, pc, a, sz, kind),
                 }
             }
         }
@@ -559,6 +558,72 @@ impl<'a, 'g> BlockExec<'a, 'g> {
         }
     }
 
+    /// Charge a step's memory, atomic or barrier cost to the launch
+    /// statistics and the raw cycles and, when `OBSERVED`, to the
+    /// profiler's buckets in `d`. `units` is what the class is charged per:
+    /// the access's transactions (global) or bank ways (shared), or the
+    /// atomic's active lanes. Both engines charge through here and differ
+    /// only in how they count `units`; the ALU and issue cycles are a
+    /// constant of the instruction, charged by the caller.
+    #[inline(always)]
+    pub(crate) fn charge<const OBSERVED: bool>(
+        &mut self,
+        class: CostClass,
+        units: u64,
+        d: &mut PcCounters,
+    ) {
+        let cost = self.cost;
+        match class {
+            CostClass::Memory(Space::Global) => {
+                self.stats.global_accesses += 1;
+                self.stats.global_transactions += units;
+                self.cycles_raw += units * cost.global_segment;
+                if OBSERVED {
+                    d.global_accesses = 1;
+                    d.global_transactions = units;
+                    // First transaction is unavoidable; the rest are the
+                    // serialization penalty of an uncoalesced access.
+                    d.mem_cycles = cost.global_segment;
+                    d.mem_serial_cycles = (units - 1) * cost.global_segment;
+                }
+            }
+            CostClass::Memory(Space::Shared) => {
+                self.stats.shared_accesses += 1;
+                self.stats.shared_ways += units;
+                self.cycles_raw += units * cost.shared_way;
+                if OBSERVED {
+                    d.shared_accesses = 1;
+                    d.shared_ways = units;
+                    // First way is conflict-free; extra ways are the
+                    // bank-conflict serialization penalty.
+                    d.shared_cycles = cost.shared_way;
+                    d.conflict_cycles = (units - 1) * cost.shared_way;
+                }
+            }
+            CostClass::Atomic => {
+                self.stats.atomics += 1;
+                self.stats.global_accesses += 1;
+                self.stats.global_transactions += units;
+                self.cycles_raw += units * cost.atomic_lane;
+                if OBSERVED {
+                    d.atomics = 1;
+                    d.global_accesses = 1;
+                    d.global_transactions = units;
+                    d.atomic_cycles = units * cost.atomic_lane;
+                }
+            }
+            CostClass::Barrier => {
+                self.stats.barriers += 1;
+                self.cycles_raw += cost.barrier;
+                if OBSERVED {
+                    d.barriers = 1;
+                    d.barrier_cycles = cost.barrier;
+                }
+            }
+            CostClass::Alu { .. } | CostClass::Free => {}
+        }
+    }
+
     /// Execute one warp-instruction: the instruction at `pc` for every lane
     /// in `[lo, hi)` whose PC equals `pc`.
     fn step(&mut self, lo: usize, hi: usize, pc: usize) -> Result<(), AccessAbort> {
@@ -566,7 +631,8 @@ impl<'a, 'g> BlockExec<'a, 'g> {
             pc < self.kernel.insts.len(),
             "pc fell off the end of the kernel"
         );
-        let inst = self.kernel.insts[pc].clone();
+        let kernel = self.kernel;
+        let inst = &kernel.insts[pc];
         // Collect the active mask.
         let mut mask: Vec<usize> = Vec::with_capacity(hi - lo);
         for l in lo..hi {
@@ -585,7 +651,7 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                 warp: warp_id,
                 pc,
                 active: mask.len() as u32,
-                text: crate::ir::format_inst(&inst),
+                text: crate::ir::format_inst(inst),
                 mem: None,
             }),
             None => false,
@@ -593,37 +659,54 @@ impl<'a, 'g> BlockExec<'a, 'g> {
         self.stats.warp_insts += 1;
         self.stats.lane_insts += mask.len() as u64;
         // Per-step stall-reason delta. The bucket fields partition the
-        // step's cycle charge exactly — `d.cycles()` replaces the old
-        // scalar accumulator, so modelled time is unchanged whether or
-        // not a profiler consumes the delta.
+        // step's cycle charge exactly, whether or not a profiler consumes
+        // the delta: the issue and ALU cycles here, the rest in `charge`.
+        let class = inst.cost();
         let mut d = PcCounters {
             warp_insts: 1,
             lane_insts: mask.len() as u64,
             issue_cycles: self.cost.issue,
+            alu_cycles: self.cost.alu_cycles(class),
             ..PcCounters::default()
         };
+        self.cycles_raw += d.issue_cycles + d.alu_cycles;
+        if let Some(a) = inst.access() {
+            self.scratch_addr.clear();
+            for &l in &mask {
+                let addr = self.resolve_mref(l, &a.mref);
+                self.scratch_addr.push((addr, a.ty.size()));
+            }
+        }
+        let units = match class {
+            CostClass::Memory(Space::Global) => {
+                global_transactions(&self.scratch_addr, self.dev.segment_bytes)
+            }
+            CostClass::Memory(Space::Shared) => {
+                bank_conflict_degree(&self.scratch_addr, self.dev.shared_banks)
+            }
+            CostClass::Atomic => mask.len() as u64,
+            CostClass::Alu { .. } | CostClass::Barrier | CostClass::Free => 0,
+        };
+        self.charge::<true>(class, units, &mut d);
 
         let mut advance = true; // advance pc by 1 for the mask afterwards
-        match &inst {
+        match inst {
             Inst::MovImm { dst, value } => {
                 for &l in &mask {
                     self.threads[l].regs[dst.0 as usize] = *value;
                 }
-                d.alu_cycles = self.cost.alu;
             }
             Inst::Mov { dst, src } => {
                 for &l in &mask {
                     let v = self.threads[l].regs[src.0 as usize];
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
-                d.alu_cycles = self.cost.alu;
             }
             Inst::ReadSpecial { dst, sr } => {
                 for &l in &mask {
                     let v = self.special(l, *sr);
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
-                d.alu_cycles = self.cost.alu;
             }
             Inst::ReadParam { dst, idx } => {
                 let v = *self.params.get(*idx as usize).ok_or(SimError::BadParams {
@@ -633,7 +716,6 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                 for &l in &mask {
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
-                d.alu_cycles = self.cost.alu;
             }
             Inst::Bin { op, ty, dst, a, b } => {
                 for &l in &mask {
@@ -642,7 +724,6 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                     let r = eval_bin(*op, *ty, av, bv)?;
                     self.threads[l].regs[dst.0 as usize] = r;
                 }
-                d.alu_cycles = alu_cost(self.cost, *ty, matches!(op, BinOp::Div | BinOp::Rem));
             }
             Inst::Cmp { op, ty, dst, a, b } => {
                 for &l in &mask {
@@ -651,7 +732,6 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                     let r = eval_cmp(*op, *ty, av, bv);
                     self.threads[l].regs[dst.0 as usize] = Value::Pred(r);
                 }
-                d.alu_cycles = alu_cost(self.cost, *ty, false);
             }
             Inst::Un { op, ty, dst, a } => {
                 for &l in &mask {
@@ -659,7 +739,6 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                     let r = eval_un(*op, *ty, av)?;
                     self.threads[l].regs[dst.0 as usize] = r;
                 }
-                d.alu_cycles = alu_cost(self.cost, *ty, matches!(op, UnOp::Sqrt));
             }
             Inst::Select { dst, cond, a, b } => {
                 for &l in &mask {
@@ -671,153 +750,45 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                     };
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
-                d.alu_cycles = self.cost.alu;
             }
             Inst::Cvt { dst, ty, src } => {
                 for &l in &mask {
                     let v = self.operand(l, *src).convert(*ty);
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
-                d.alu_cycles = self.cost.alu;
             }
-            Inst::LdGlobal { ty, dst, mref } => {
-                self.scratch_addr.clear();
-                for &l in &mask {
-                    self.scratch_addr
-                        .push((self.resolve_mref(l, mref), ty.size()));
-                }
-                let tx = global_transactions(&self.scratch_addr, self.dev.segment_bytes);
-                self.stats.global_accesses += 1;
-                self.stats.global_transactions += tx;
-                d.global_accesses = 1;
-                d.global_transactions = tx;
-                // First transaction is unavoidable; the rest are the
-                // serialization penalty of an uncoalesced access.
-                d.mem_cycles = self.cost.global_segment;
-                d.mem_serial_cycles = (tx - 1) * self.cost.global_segment;
+            Inst::LdGlobal { ty, dst, .. } => {
                 for (i, &l) in mask.iter().enumerate() {
                     let v = self.view.read(*ty, self.scratch_addr[i].0)?;
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
-                self.observe_mem(
-                    TraceSpace::Global,
-                    &mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                );
+                self.observe_mem(&mask, warp_id, pc, recorded);
             }
-            Inst::StGlobal { ty, src, mref } => {
-                self.scratch_addr.clear();
-                for &l in &mask {
-                    self.scratch_addr
-                        .push((self.resolve_mref(l, mref), ty.size()));
-                }
-                let tx = global_transactions(&self.scratch_addr, self.dev.segment_bytes);
-                self.stats.global_accesses += 1;
-                self.stats.global_transactions += tx;
-                d.global_accesses = 1;
-                d.global_transactions = tx;
-                // First transaction is unavoidable; the rest are the
-                // serialization penalty of an uncoalesced access.
-                d.mem_cycles = self.cost.global_segment;
-                d.mem_serial_cycles = (tx - 1) * self.cost.global_segment;
+            Inst::StGlobal { ty, src, .. } => {
                 for (i, &l) in mask.iter().enumerate() {
                     let v = self.operand(l, *src).convert(*ty);
                     self.view.write(self.scratch_addr[i].0, v)?;
                 }
-                self.observe_mem(
-                    TraceSpace::Global,
-                    &mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                );
+                self.observe_mem(&mask, warp_id, pc, recorded);
             }
-            Inst::LdShared { ty, dst, mref } => {
-                self.scratch_addr.clear();
-                for &l in &mask {
-                    self.scratch_addr
-                        .push((self.resolve_mref(l, mref), ty.size()));
-                }
-                let ways = bank_conflict_degree(&self.scratch_addr, self.dev.shared_banks);
-                self.stats.shared_accesses += 1;
-                self.stats.shared_ways += ways;
-                d.shared_accesses = 1;
-                d.shared_ways = ways;
-                // First way is conflict-free; extra ways are the
-                // bank-conflict serialization penalty.
-                d.shared_cycles = self.cost.shared_way;
-                d.conflict_cycles = (ways - 1) * self.cost.shared_way;
-                self.observe_mem(
-                    TraceSpace::Shared,
-                    &mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                );
+            Inst::LdShared { ty, dst, .. } => {
+                self.observe_mem(&mask, warp_id, pc, recorded);
                 for (i, &l) in mask.iter().enumerate() {
                     let v = self.shared.read(*ty, self.scratch_addr[i].0)?;
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
             }
-            Inst::StShared { ty, src, mref } => {
-                self.scratch_addr.clear();
-                for &l in &mask {
-                    self.scratch_addr
-                        .push((self.resolve_mref(l, mref), ty.size()));
-                }
-                let ways = bank_conflict_degree(&self.scratch_addr, self.dev.shared_banks);
-                self.stats.shared_accesses += 1;
-                self.stats.shared_ways += ways;
-                d.shared_accesses = 1;
-                d.shared_ways = ways;
-                // First way is conflict-free; extra ways are the
-                // bank-conflict serialization penalty.
-                d.shared_cycles = self.cost.shared_way;
-                d.conflict_cycles = (ways - 1) * self.cost.shared_way;
+            Inst::StShared { ty, src, .. } => {
                 for (i, &l) in mask.iter().enumerate() {
                     let v = self.operand(l, *src).convert(*ty);
                     self.shared.write(self.scratch_addr[i].0, v)?;
                 }
-                self.observe_mem(
-                    TraceSpace::Shared,
-                    &mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                );
+                self.observe_mem(&mask, warp_id, pc, recorded);
             }
             Inst::AtomGlobal {
-                op,
-                ty,
-                mref,
-                src,
-                dst,
+                op, ty, src, dst, ..
             } => {
-                self.stats.atomics += 1;
-                self.stats.global_accesses += 1;
-                d.atomics = 1;
-                d.global_accesses = 1;
-                d.global_transactions = mask.len() as u64;
-                d.atomic_cycles = mask.len() as u64 * self.cost.atomic_lane;
-                self.scratch_addr.clear();
-                for &l in &mask {
-                    self.scratch_addr
-                        .push((self.resolve_mref(l, mref), ty.size()));
-                }
-                self.observe_mem(
-                    TraceSpace::Global,
-                    &mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Atomic,
-                    recorded,
-                );
+                self.observe_mem(&mask, warp_id, pc, recorded);
                 if dst.is_some() && matches!(self.view, MemView::Overlay(_)) {
                     // The launch prescan routes kernels with value-returning
                     // atomics to the sequential path; this is the dynamic
@@ -834,12 +805,8 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                         }
                     }
                 }
-                self.stats.global_transactions += mask.len() as u64;
             }
             Inst::Bar => {
-                self.stats.barriers += 1;
-                d.barriers = 1;
-                d.barrier_cycles = self.cost.barrier;
                 for &l in &mask {
                     self.threads[l].at_barrier = true;
                     self.threads[l].pc = pc + 1;
@@ -857,7 +824,6 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                     };
                     self.threads[l].pc = if take { tpc } else { pc + 1 };
                 }
-                d.alu_cycles = self.cost.alu;
                 advance = false;
             }
             Inst::Ret => {
@@ -872,7 +838,6 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                 self.threads[l].pc = pc + 1;
             }
         }
-        self.cycles_raw += d.cycles();
         if let Some(p) = self.prof.as_mut() {
             p.record(pc, warp_id, &d);
         }
@@ -889,17 +854,6 @@ pub(crate) fn mref_addr(base: u64, idx: i64, scale: i64, disp: i64) -> u64 {
     (base as i64)
         .wrapping_add(idx.wrapping_mul(scale))
         .wrapping_add(disp) as u64
-}
-
-pub(crate) fn alu_cost(cost: &CostModel, ty: Ty, sfu: bool) -> u64 {
-    let mut c = cost.alu;
-    if ty == Ty::F64 {
-        c += cost.alu_f64_extra;
-    }
-    if sfu {
-        c += cost.sfu;
-    }
-    c
 }
 
 /// Evaluate a typed binary operation with C semantics (wrapping integer
@@ -1095,7 +1049,7 @@ fn kernel_returns_atomics(kernel: &Kernel) -> bool {
     kernel
         .insts
         .iter()
-        .any(|i| matches!(i, Inst::AtomGlobal { dst: Some(_), .. }))
+        .any(|i| i.cost() == CostClass::Atomic && i.def().is_some())
 }
 
 /// The full-fat entry point: [`run_kernel`] on the engine the caller

@@ -5,9 +5,26 @@
 //! instructions are typed. Control flow uses conditional/unconditional
 //! branches; the interpreter provides SIMT divergence semantics on top
 //! (see [`crate::exec`]).
+//!
+//! # Instruction facts
+//!
+//! This module is the one place that says what an instruction *is*, as
+//! wildcard-free accessors on [`Inst`]: the register it defines
+//! ([`Inst::def`]) and at which type ([`Inst::def_ty`]), the registers it
+//! reads ([`Inst::for_each_use`]), the memory it touches
+//! ([`Inst::access`]), where control goes next ([`Inst::flow`]) and what
+//! the cycle model charges it ([`Inst::cost`]). Every pass that needs one
+//! of these facts — kverify, the typed tier's type inference and run
+//! splitting, the profiler's buckets, the parallel executor's prescan —
+//! reads it here; only the three engines (the interpreter's `step`, the
+//! typed tier's lowering, redcert's symbolic executor) give an
+//! instruction its meaning, each in its own wildcard-free match.
+//! [`Kernel::runs`] is the one run-splitting rule the typed tier and
+//! kverify share.
 
 use crate::types::{Ty, Value};
 use std::fmt;
+use std::ops::Range;
 
 /// A virtual register index into a thread's register file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -277,6 +294,114 @@ impl fmt::Display for Label {
     }
 }
 
+/// Which memory an access addresses. Traces, hazard reports and the
+/// cycle model all speak of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Space {
+    Shared,
+    Global,
+}
+
+impl fmt::Display for Space {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Space::Shared => "shared",
+            Space::Global => "global",
+        })
+    }
+}
+
+/// What an access does to the bytes it addresses. Renders as the
+/// sanitizer's verb (`read`, `write`, `atomic`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessKind {
+    Read,
+    Write,
+    Atomic,
+}
+
+impl AccessKind {
+    /// Does this access modify memory?
+    pub fn writes(&self) -> bool {
+        !matches!(self, AccessKind::Read)
+    }
+}
+
+impl fmt::Display for AccessKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            AccessKind::Read => "read",
+            AccessKind::Write => "write",
+            AccessKind::Atomic => "atomic",
+        })
+    }
+}
+
+/// The memory access of one instruction ([`Inst::access`]): every active
+/// lane touches `ty.size()` bytes at `mref` in `space`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Access {
+    pub space: Space,
+    pub kind: AccessKind,
+    pub ty: Ty,
+    pub mref: MemRef,
+}
+
+/// Where a lane goes after an instruction ([`Inst::flow`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// On to the next instruction.
+    Next,
+    /// The block-wide barrier: the lane waits there, then resumes at the
+    /// next instruction.
+    Sync,
+    /// To `target` — unconditionally, or when the predicate register
+    /// equals the expected value; otherwise on to the next instruction.
+    Branch {
+        target: Label,
+        cond: Option<(Reg, bool)>,
+    },
+    /// The lane exits.
+    Exit,
+}
+
+impl Flow {
+    /// Does a run ([`Kernel::runs`]) end at this instruction? Everything
+    /// but [`Flow::Next`] moves the lane somewhere other than the next
+    /// instruction, or parks it there.
+    pub fn ends_run(&self) -> bool {
+        !matches!(self, Flow::Next)
+    }
+
+    /// Can a lane go on to the next instruction from here?
+    pub fn falls_through(&self) -> bool {
+        match self {
+            Flow::Next | Flow::Sync => true,
+            Flow::Branch { cond, .. } => cond.is_some(),
+            Flow::Exit => false,
+        }
+    }
+}
+
+/// What the cycle model charges one warp-instruction on top of its issue
+/// cycle ([`Inst::cost`]; the cycles are [`crate::CostModel::alu_cycles`]
+/// and the executors' shared charge).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CostClass {
+    /// The flat ALU cycles, plus the FP64 surcharge when `ty` is `F64` and
+    /// the special-function surcharge when `sfu`. Moves, reads, selects,
+    /// conversions and branches carry no `ty`: no type surcharges them.
+    Alu { ty: Option<Ty>, sfu: bool },
+    /// A load or store: per transaction (global) or per bank way (shared).
+    Memory(Space),
+    /// A global atomic: per active lane.
+    Atomic,
+    /// The block-wide barrier.
+    Barrier,
+    /// Nothing but the issue cycle.
+    Free,
+}
+
 /// A single IR instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Inst {
@@ -349,11 +474,6 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// True if this instruction writes register `r`.
-    pub fn writes(&self, r: Reg) -> bool {
-        self.def() == Some(r)
-    }
-
     /// The register defined by this instruction, if any.
     pub fn def(&self) -> Option<Reg> {
         match self {
@@ -369,28 +489,113 @@ impl Inst {
             | Inst::LdGlobal { dst, .. }
             | Inst::LdShared { dst, .. } => Some(*dst),
             Inst::AtomGlobal { dst, .. } => *dst,
-            _ => None,
+            Inst::StGlobal { .. } | Inst::StShared { .. } | Inst::Bar | Inst::Bra { .. } => None,
+            Inst::Ret => None,
         }
     }
 
-    /// True for instructions that access global memory.
-    pub fn is_global_access(&self) -> bool {
-        matches!(
-            self,
-            Inst::LdGlobal { .. } | Inst::StGlobal { .. } | Inst::AtomGlobal { .. }
-        )
+    /// The type of the value [`Inst::def`] receives, when the instruction
+    /// alone fixes it. `None` without a def, and for `Mov`, `Select` and
+    /// `ReadParam`, whose value has the type of a register or of a launch
+    /// parameter.
+    pub fn def_ty(&self) -> Option<Ty> {
+        match self {
+            Inst::MovImm { value, .. } => Some(value.ty()),
+            Inst::ReadSpecial { .. } => Some(Ty::I32),
+            Inst::Cmp { .. } => Some(Ty::Pred),
+            Inst::Bin { ty, .. }
+            | Inst::Un { ty, .. }
+            | Inst::Cvt { ty, .. }
+            | Inst::LdGlobal { ty, .. }
+            | Inst::LdShared { ty, .. } => Some(*ty),
+            Inst::AtomGlobal { ty, dst, .. } => dst.map(|_| *ty),
+            Inst::Mov { .. } | Inst::Select { .. } | Inst::ReadParam { .. } => None,
+            Inst::StGlobal { .. } | Inst::StShared { .. } | Inst::Bar | Inst::Bra { .. } => None,
+            Inst::Ret => None,
+        }
     }
 
-    /// True for instructions that access shared memory.
-    pub fn is_shared_access(&self) -> bool {
-        matches!(self, Inst::LdShared { .. } | Inst::StShared { .. })
+    /// The memory this instruction touches, if any.
+    pub fn access(&self) -> Option<Access> {
+        let (space, kind, ty, mref) = match self {
+            Inst::LdGlobal { ty, mref, .. } => (Space::Global, AccessKind::Read, ty, mref),
+            Inst::StGlobal { ty, mref, .. } => (Space::Global, AccessKind::Write, ty, mref),
+            Inst::LdShared { ty, mref, .. } => (Space::Shared, AccessKind::Read, ty, mref),
+            Inst::StShared { ty, mref, .. } => (Space::Shared, AccessKind::Write, ty, mref),
+            Inst::AtomGlobal { ty, mref, .. } => (Space::Global, AccessKind::Atomic, ty, mref),
+            Inst::MovImm { .. }
+            | Inst::Mov { .. }
+            | Inst::ReadSpecial { .. }
+            | Inst::ReadParam { .. }
+            | Inst::Bin { .. }
+            | Inst::Cmp { .. }
+            | Inst::Un { .. }
+            | Inst::Select { .. }
+            | Inst::Cvt { .. }
+            | Inst::Bar
+            | Inst::Bra { .. }
+            | Inst::Ret => return None,
+        };
+        Some(Access {
+            space,
+            kind,
+            ty: *ty,
+            mref: *mref,
+        })
+    }
+
+    /// Where a lane goes after this instruction.
+    pub fn flow(&self) -> Flow {
+        match self {
+            Inst::Bar => Flow::Sync,
+            Inst::Bra { target, cond } => Flow::Branch {
+                target: *target,
+                cond: *cond,
+            },
+            Inst::Ret => Flow::Exit,
+            Inst::MovImm { .. }
+            | Inst::Mov { .. }
+            | Inst::ReadSpecial { .. }
+            | Inst::ReadParam { .. }
+            | Inst::Bin { .. }
+            | Inst::Cmp { .. }
+            | Inst::Un { .. }
+            | Inst::Select { .. }
+            | Inst::Cvt { .. }
+            | Inst::LdGlobal { .. }
+            | Inst::StGlobal { .. }
+            | Inst::LdShared { .. }
+            | Inst::StShared { .. }
+            | Inst::AtomGlobal { .. } => Flow::Next,
+        }
+    }
+
+    /// What the cycle model charges this instruction beyond its issue
+    /// cycle. The one place division, remainder and square root are
+    /// special-function ops.
+    pub fn cost(&self) -> CostClass {
+        let alu = |ty: Option<Ty>, sfu: bool| CostClass::Alu { ty, sfu };
+        match self {
+            Inst::Bin { op, ty, .. } => alu(Some(*ty), matches!(op, BinOp::Div | BinOp::Rem)),
+            Inst::Un { op, ty, .. } => alu(Some(*ty), matches!(op, UnOp::Sqrt)),
+            Inst::Cmp { ty, .. } => alu(Some(*ty), false),
+            Inst::MovImm { .. }
+            | Inst::Mov { .. }
+            | Inst::ReadSpecial { .. }
+            | Inst::ReadParam { .. }
+            | Inst::Select { .. }
+            | Inst::Cvt { .. }
+            | Inst::Bra { .. } => alu(None, false),
+            Inst::LdGlobal { .. } | Inst::StGlobal { .. } => CostClass::Memory(Space::Global),
+            Inst::LdShared { .. } | Inst::StShared { .. } => CostClass::Memory(Space::Shared),
+            Inst::AtomGlobal { .. } => CostClass::Atomic,
+            Inst::Bar => CostClass::Barrier,
+            Inst::Ret => CostClass::Free,
+        }
     }
 
     /// Call `f` on every register this instruction *reads* (sources,
     /// predicates, and memory-reference base/index registers).
-    ///
-    /// The match is deliberately exhaustive — adding an `Inst` variant
-    /// without deciding its uses must not compile.
     pub fn for_each_use(&self, mut f: impl FnMut(Reg)) {
         fn op(o: &Operand, f: &mut dyn FnMut(Reg)) {
             if let Operand::Reg(r) = o {
@@ -467,6 +672,43 @@ impl Kernel {
     /// Panics if the label was never placed (builder bug).
     pub fn target(&self, l: Label) -> usize {
         self.label_targets[l.0 as usize]
+    }
+
+    /// The kernel's runs — the basic blocks of the typed tier and of
+    /// kverify — as `[start, end)` spans in pc order, plus the index of
+    /// the run holding every pc. A run starts at 0, at every branch target
+    /// inside the stream, and after every instruction whose [`Flow`] ends
+    /// a run. So a barrier, a branch or an exit is always the last
+    /// instruction of its run, and a lane only ever rests at a run's start.
+    pub fn runs(&self) -> (Vec<Range<usize>>, Vec<usize>) {
+        let n = self.insts.len();
+        let mut starts_run = vec![false; n];
+        for (pc, inst) in self.insts.iter().enumerate() {
+            let flow = inst.flow();
+            if let Flow::Branch { target, .. } = flow {
+                let start = self.label_targets.get(target.0 as usize);
+                if let Some(s) = start.and_then(|&t| starts_run.get_mut(t)) {
+                    *s = true;
+                }
+            }
+            if flow.ends_run() && pc + 1 < n {
+                starts_run[pc + 1] = true;
+            }
+        }
+        if let Some(first) = starts_run.first_mut() {
+            *first = true;
+        }
+        let starts: Vec<usize> = (0..n).filter(|&pc| starts_run[pc]).collect();
+        let spans: Vec<Range<usize>> = starts
+            .iter()
+            .enumerate()
+            .map(|(i, &start)| start..starts.get(i + 1).copied().unwrap_or(n))
+            .collect();
+        let mut run_of = vec![0; n];
+        for (i, span) in spans.iter().enumerate() {
+            run_of[span.clone()].fill(i);
+        }
+        (spans, run_of)
     }
 
     /// The 1-based source line instruction `pc` was generated from, or
@@ -615,220 +857,255 @@ mod tests {
         assert_eq!(d.scale, 1);
     }
 
-    #[test]
-    fn inst_def_and_classes() {
-        let i = Inst::Bin {
-            op: BinOp::Add,
-            ty: Ty::I32,
-            dst: Reg(5),
-            a: Reg(1).into(),
-            b: Operand::Imm(Value::I32(2)),
+    /// One instance of every `Inst` variant — an atomic with and without a
+    /// result, a conditional and an unconditional branch — for the table
+    /// tests. Global accesses address `%r9` (a buffer) plus `%r10 * 4`,
+    /// shared ones `%r10 * 4`; no instruction defines `%r9` or `%r10`, and
+    /// label 0 is the caller's to place.
+    fn every_variant() -> Vec<Inst> {
+        let g = MemRef::indexed(Reg(9), Reg(10), 4);
+        let s = MemRef::indexed(Value::U64(0), Reg(10), 4);
+        let all = vec![
+            Inst::MovImm {
+                dst: Reg(0),
+                value: Value::I32(1),
+            },
+            Inst::Mov {
+                dst: Reg(1),
+                src: Reg(2),
+            },
+            Inst::ReadSpecial {
+                dst: Reg(2),
+                sr: SpecialReg::TidX,
+            },
+            Inst::ReadParam {
+                dst: Reg(3),
+                idx: 0,
+            },
+            Inst::Bin {
+                op: BinOp::Div,
+                ty: Ty::F64,
+                dst: Reg(4),
+                a: Reg(1).into(),
+                b: Reg(2).into(),
+            },
+            Inst::Cmp {
+                op: CmpOp::Lt,
+                ty: Ty::F64,
+                dst: Reg(5),
+                a: Reg(1).into(),
+                b: Reg(2).into(),
+            },
+            Inst::Un {
+                op: UnOp::Sqrt,
+                ty: Ty::F32,
+                dst: Reg(6),
+                a: Reg(1).into(),
+            },
+            Inst::Select {
+                dst: Reg(7),
+                cond: Reg(5),
+                a: Reg(1).into(),
+                b: Reg(2).into(),
+            },
+            Inst::Cvt {
+                dst: Reg(8),
+                ty: Ty::I64,
+                src: Reg(1).into(),
+            },
+            Inst::LdGlobal {
+                ty: Ty::I32,
+                dst: Reg(11),
+                mref: g,
+            },
+            Inst::StGlobal {
+                ty: Ty::I32,
+                src: Reg(11).into(),
+                mref: g,
+            },
+            Inst::LdShared {
+                ty: Ty::I32,
+                dst: Reg(12),
+                mref: s,
+            },
+            Inst::StShared {
+                ty: Ty::I32,
+                src: Reg(12).into(),
+                mref: s,
+            },
+            Inst::AtomGlobal {
+                op: AtomOp::Add,
+                ty: Ty::I32,
+                mref: g,
+                src: Reg(1).into(),
+                dst: Some(Reg(13)),
+            },
+            Inst::AtomGlobal {
+                op: AtomOp::Add,
+                ty: Ty::I32,
+                mref: g,
+                src: Reg(1).into(),
+                dst: None,
+            },
+            Inst::Bar,
+            Inst::Bra {
+                target: Label(0),
+                cond: Some((Reg(5), true)),
+            },
+            Inst::Bra {
+                target: Label(0),
+                cond: None,
+            },
+            Inst::Ret,
+        ];
+        // Wildcard-free: a new variant does not compile until it is
+        // numbered here, and the fixture must then hold one.
+        let variant = |i: &Inst| match i {
+            Inst::MovImm { .. } => 0,
+            Inst::Mov { .. } => 1,
+            Inst::ReadSpecial { .. } => 2,
+            Inst::ReadParam { .. } => 3,
+            Inst::Bin { .. } => 4,
+            Inst::Cmp { .. } => 5,
+            Inst::Un { .. } => 6,
+            Inst::Select { .. } => 7,
+            Inst::Cvt { .. } => 8,
+            Inst::LdGlobal { .. } => 9,
+            Inst::StGlobal { .. } => 10,
+            Inst::LdShared { .. } => 11,
+            Inst::StShared { .. } => 12,
+            Inst::AtomGlobal { .. } => 13,
+            Inst::Bar => 14,
+            Inst::Bra { .. } => 15,
+            Inst::Ret => 16,
         };
-        assert_eq!(i.def(), Some(Reg(5)));
-        assert!(i.writes(Reg(5)));
-        assert!(!i.writes(Reg(1)));
-        assert!(!i.is_global_access());
-
-        let ld = Inst::LdGlobal {
-            ty: Ty::F32,
-            dst: Reg(0),
-            mref: MemRef::direct(Reg(1)),
-        };
-        assert!(ld.is_global_access());
-        let ls = Inst::LdShared {
-            ty: Ty::F32,
-            dst: Reg(0),
-            mref: MemRef::direct(Reg(1)),
-        };
-        assert!(ls.is_shared_access());
-        assert_eq!(Inst::Bar.def(), None);
+        let mut seen = [false; 17];
+        for i in &all {
+            seen[variant(i)] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "the fixture lacks a variant");
+        all
     }
 
-    /// Exhaustive `def()`/`writes()` coverage: one instance of *every*
-    /// `Inst` variant, checked against its expected def with a full match
-    /// (no wildcard) so that adding a variant without deciding what it
-    /// defines fails to compile here first, not silently in a dataflow.
+    /// The table's facts agree with each other on every variant.
     #[test]
-    fn def_covers_every_variant() {
-        let m = MemRef::indexed(Reg(9), Reg(10), 4);
-        let all: Vec<(Inst, Option<Reg>)> = vec![
-            (
-                Inst::MovImm {
-                    dst: Reg(0),
-                    value: Value::I32(1),
-                },
-                Some(Reg(0)),
-            ),
-            (
-                Inst::Mov {
-                    dst: Reg(1),
-                    src: Reg(2),
-                },
-                Some(Reg(1)),
-            ),
-            (
-                Inst::ReadSpecial {
-                    dst: Reg(2),
-                    sr: SpecialReg::TidX,
-                },
-                Some(Reg(2)),
-            ),
-            (
-                Inst::ReadParam {
-                    dst: Reg(3),
-                    idx: 0,
-                },
-                Some(Reg(3)),
-            ),
-            (
-                Inst::Bin {
-                    op: BinOp::Add,
-                    ty: Ty::I32,
-                    dst: Reg(4),
-                    a: Reg(1).into(),
-                    b: Reg(2).into(),
-                },
-                Some(Reg(4)),
-            ),
-            (
-                Inst::Cmp {
-                    op: CmpOp::Lt,
-                    ty: Ty::I32,
-                    dst: Reg(5),
-                    a: Reg(1).into(),
-                    b: Reg(2).into(),
-                },
-                Some(Reg(5)),
-            ),
-            (
-                Inst::Un {
-                    op: UnOp::Neg,
-                    ty: Ty::I32,
-                    dst: Reg(6),
-                    a: Reg(1).into(),
-                },
-                Some(Reg(6)),
-            ),
-            (
-                Inst::Select {
-                    dst: Reg(7),
-                    cond: Reg(5),
-                    a: Reg(1).into(),
-                    b: Reg(2).into(),
-                },
-                Some(Reg(7)),
-            ),
-            (
-                Inst::Cvt {
-                    dst: Reg(8),
-                    ty: Ty::I64,
-                    src: Reg(1).into(),
-                },
-                Some(Reg(8)),
-            ),
-            (
-                Inst::LdGlobal {
-                    ty: Ty::I32,
-                    dst: Reg(11),
-                    mref: m,
-                },
-                Some(Reg(11)),
-            ),
-            (
-                Inst::StGlobal {
-                    ty: Ty::I32,
-                    src: Reg(11).into(),
-                    mref: m,
-                },
-                None,
-            ),
-            (
-                Inst::LdShared {
-                    ty: Ty::I32,
-                    dst: Reg(12),
-                    mref: m,
-                },
-                Some(Reg(12)),
-            ),
-            (
-                Inst::StShared {
-                    ty: Ty::I32,
-                    src: Reg(12).into(),
-                    mref: m,
-                },
-                None,
-            ),
-            (
-                Inst::AtomGlobal {
-                    op: AtomOp::Add,
-                    ty: Ty::I32,
-                    mref: m,
-                    src: Reg(1).into(),
-                    dst: Some(Reg(13)),
-                },
-                Some(Reg(13)),
-            ),
-            (
-                Inst::AtomGlobal {
-                    op: AtomOp::Add,
-                    ty: Ty::I32,
-                    mref: m,
-                    src: Reg(1).into(),
-                    dst: None,
-                },
-                None,
-            ),
-            (Inst::Bar, None),
-            (
-                Inst::Bra {
-                    target: Label(0),
-                    cond: Some((Reg(5), true)),
-                },
-                None,
-            ),
-            (Inst::Ret, None),
-        ];
-        // Every variant must appear in the list above. This match has no
-        // wildcard arm: extend both it and the list when adding a variant.
-        for (inst, _) in &all {
-            match inst {
-                Inst::MovImm { .. }
-                | Inst::Mov { .. }
-                | Inst::ReadSpecial { .. }
-                | Inst::ReadParam { .. }
-                | Inst::Bin { .. }
-                | Inst::Cmp { .. }
-                | Inst::Un { .. }
-                | Inst::Select { .. }
-                | Inst::Cvt { .. }
-                | Inst::LdGlobal { .. }
-                | Inst::StGlobal { .. }
-                | Inst::LdShared { .. }
-                | Inst::StShared { .. }
-                | Inst::AtomGlobal { .. }
-                | Inst::Bar
-                | Inst::Bra { .. }
-                | Inst::Ret => {}
+    fn instruction_facts_agree() {
+        for inst in every_variant() {
+            let def = inst.def();
+            // A def's type is fixed by the instruction, except where it is
+            // a source's.
+            let typed_by_source = matches!(
+                inst,
+                Inst::Mov { .. } | Inst::Select { .. } | Inst::ReadParam { .. }
+            );
+            assert_eq!(
+                inst.def_ty().is_some(),
+                def.is_some() && !typed_by_source,
+                "def_ty of {inst:?}"
+            );
+            match (inst.access(), inst.cost()) {
+                (Some(a), CostClass::Memory(space)) => {
+                    assert_eq!(a.space, space, "{inst:?}");
+                    assert_ne!(a.kind, AccessKind::Atomic, "{inst:?}");
+                }
+                (Some(a), CostClass::Atomic) => assert_eq!(a.kind, AccessKind::Atomic),
+                (None, CostClass::Alu { .. } | CostClass::Barrier | CostClass::Free) => {}
+                (access, cost) => panic!("{inst:?}: access {access:?} under cost {cost:?}"),
+            }
+            assert_eq!(
+                inst.flow().ends_run(),
+                matches!(inst, Inst::Bar | Inst::Bra { .. } | Inst::Ret),
+                "{inst:?}"
+            );
+            if let Some(d) = def {
+                inst.for_each_use(|u| assert_ne!(u, d, "def reported as use for {inst:?}"));
             }
         }
-        for (inst, want) in &all {
-            assert_eq!(inst.def(), *want, "def() mismatch for {inst:?}");
-            if let Some(r) = want {
-                assert!(inst.writes(*r), "writes() false for def of {inst:?}");
-                let mut used = false;
-                inst.for_each_use(|u| used |= u == *r);
-                assert!(!used, "def reported as use for {inst:?}");
-            }
-        }
-        // Spot-check use sets: stores read their source and both memref regs.
-        let st = Inst::StShared {
+        // Stores read their source and both memref regs, in that order.
+        let st = Inst::StGlobal {
             ty: Ty::I32,
             src: Reg(12).into(),
-            mref: m,
+            mref: MemRef::indexed(Reg(9), Reg(10), 4),
         };
         let mut uses = Vec::new();
         st.for_each_use(|r| uses.push(r));
         assert_eq!(uses, vec![Reg(12), Reg(9), Reg(10)]);
+    }
+
+    /// Each variant, run between the parameter read its addresses need and
+    /// a `ret` by one warp, puts into the profiler's buckets exactly what
+    /// its cost class predicts — on both engines.
+    #[test]
+    fn cost_classes_predict_the_profiler_buckets() {
+        use crate::cost::{CostModel, DeviceConfig, ExecTier};
+        use crate::profile::{PcCounters, ProfileConfig};
+        use crate::{Device, LaunchConfig};
+        let c = CostModel::default();
+        for inst in every_variant() {
+            let class = inst.cost();
+            let mut want = PcCounters {
+                warp_insts: 1,
+                lane_insts: 32,
+                issue_cycles: c.issue,
+                alu_cycles: c.alu_cycles(class),
+                ..PcCounters::default()
+            };
+            // Every lane addresses the same word: one transaction, one way.
+            match class {
+                CostClass::Memory(Space::Global) => {
+                    want.global_accesses = 1;
+                    want.global_transactions = 1;
+                    want.mem_cycles = c.global_segment;
+                }
+                CostClass::Memory(Space::Shared) => {
+                    want.shared_accesses = 1;
+                    want.shared_ways = 1;
+                    want.shared_cycles = c.shared_way;
+                }
+                CostClass::Atomic => {
+                    want.atomics = 1;
+                    want.global_accesses = 1;
+                    want.global_transactions = 32;
+                    want.atomic_cycles = 32 * c.atomic_lane;
+                }
+                CostClass::Barrier => {
+                    want.barriers = 1;
+                    want.barrier_cycles = c.barrier;
+                }
+                CostClass::Alu { .. } | CostClass::Free => {}
+            }
+            let kernel = Kernel {
+                name: "one".into(),
+                insts: vec![
+                    Inst::ReadParam {
+                        dst: Reg(9),
+                        idx: 0,
+                    },
+                    inst.clone(),
+                    Inst::Ret,
+                ],
+                label_targets: vec![2],
+                num_regs: 14,
+                shared_bytes: 4,
+                num_params: 1,
+                lines: Vec::new(),
+            };
+            for tier in [ExecTier::Auto, ExecTier::Interpret] {
+                let cfg = DeviceConfig {
+                    host_threads: 1,
+                    profile: Some(ProfileConfig::default()),
+                    exec_tier: tier,
+                    ..DeviceConfig::test_small()
+                };
+                let mut dev = Device::new(cfg, c.clone());
+                let buf = dev.alloc_elems(Ty::I32, 1).unwrap();
+                dev.launch(&kernel, LaunchConfig::d1(1, 32), &[Value::U64(buf.addr)])
+                    .unwrap_or_else(|e| panic!("{inst:?} on {tier}: {e}"));
+                assert_eq!(dev.tier_declines(), 0, "{inst:?}");
+                let got = dev.take_profile().launches[0].pcs[1];
+                assert_eq!(got, want, "{inst:?} on {tier}");
+            }
+        }
     }
 
     #[test]

@@ -65,17 +65,20 @@ pub use cost::{CostModel, DeviceConfig, ExecTier};
 pub use device::Device;
 pub use error::SimError;
 pub use exec::{eval_bin, eval_cmp, eval_un, run_kernel_traced, LaunchConfig};
-pub use ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, Label, MemRef, Operand, Reg, SpecialReg, UnOp};
+pub use ir::{
+    AccessKind, AtomOp, BinOp, CmpOp, Inst, Kernel, Label, MemRef, Operand, Reg, Space, SpecialReg,
+    UnOp,
+};
 pub use memory::{BufferHandle, GlobalMemory, SharedMemory};
 pub use profile::{
     BlockProfile, BlockSpan, LaunchProfile, PcCounters, ProfileConfig, SessionProfile, SpanKind,
     TimelineSpan,
 };
 pub use sanitizer::{
-    AccessInfo, AccessKind, BlockSanitizer, HazardClass, HazardReport, HazardSpace,
-    LaunchSanitizer, SanitizerConfig, SanitizerLevel,
+    AccessInfo, BlockSanitizer, HazardClass, HazardReport, LaunchSanitizer, SanitizerConfig,
+    SanitizerLevel,
 };
 pub use stats::{LaunchStats, SessionStats};
-pub use trace::{MemTouch, Trace, TraceEvent, TraceSpace};
+pub use trace::{MemTouch, Trace, TraceEvent};
 pub use types::{Ty, Value};
 pub use verify::{verify_kernel, VerifyClass, VerifyConfig, VerifyFinding, VerifyReport};

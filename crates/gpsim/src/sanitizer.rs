@@ -68,6 +68,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
+use crate::ir::{AccessKind, Space};
 use crate::shadow::Paged;
 
 /// How much checking to do during a launch.
@@ -168,45 +169,6 @@ impl fmt::Display for HazardClass {
     }
 }
 
-/// Which address space a hazard is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HazardSpace {
-    Shared,
-    Global,
-}
-
-impl fmt::Display for HazardSpace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            HazardSpace::Shared => "shared",
-            HazardSpace::Global => "global",
-        })
-    }
-}
-
-/// What an access did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    Read,
-    Write,
-    Atomic,
-}
-
-impl AccessKind {
-    fn verb(&self) -> &'static str {
-        match self {
-            AccessKind::Read => "read",
-            AccessKind::Write => "write",
-            AccessKind::Atomic => "atomic",
-        }
-    }
-
-    /// Does this access modify memory?
-    pub fn writes(&self) -> bool {
-        !matches!(self, AccessKind::Read)
-    }
-}
-
 /// One side of a hazard: who touched the byte, where, and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessInfo {
@@ -228,13 +190,7 @@ impl fmt::Display for AccessInfo {
         write!(
             f,
             "{} by thread {} (block ({},{}), warp {}, pc {}, epoch {})",
-            self.kind.verb(),
-            self.thread,
-            self.block.0,
-            self.block.1,
-            self.warp,
-            self.pc,
-            self.epoch
+            self.kind, self.thread, self.block.0, self.block.1, self.warp, self.pc, self.epoch
         )
     }
 }
@@ -243,7 +199,7 @@ impl fmt::Display for AccessInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HazardReport {
     pub class: HazardClass,
-    pub space: HazardSpace,
+    pub space: Space,
     /// Shared: byte offset into the block's slab. Global: device address.
     pub addr: u64,
     /// The earlier access (absent for initcheck — there is no writer — and
@@ -399,7 +355,7 @@ impl BlockSanitizer {
             if !write && self.cfg.level.init() && !cell.written {
                 self.push(HazardReport {
                     class: HazardClass::InitCheck,
-                    space: HazardSpace::Shared,
+                    space: Space::Shared,
                     addr: b,
                     first: None,
                     second: Some(acc),
@@ -423,7 +379,7 @@ impl BlockSanitizer {
                 if let Some(p) = prior {
                     self.push(HazardReport {
                         class: HazardClass::RaceCheck,
-                        space: HazardSpace::Shared,
+                        space: Space::Shared,
                         addr: b,
                         first: Some(p),
                         second: Some(acc),
@@ -492,7 +448,7 @@ impl BlockSanitizer {
             (HazardClass::SyncCheck, pc_a, pc_b),
             HazardReport {
                 class: HazardClass::SyncCheck,
-                space: HazardSpace::Shared,
+                space: Space::Shared,
                 addr: 0,
                 first: None,
                 second: None,
@@ -515,7 +471,7 @@ impl BlockSanitizer {
             (HazardClass::SyncCheck, usize::MAX, expected),
             HazardReport {
                 class: HazardClass::SyncCheck,
-                space: HazardSpace::Shared,
+                space: Space::Shared,
                 addr: 0,
                 first: None,
                 second: None,
@@ -622,7 +578,7 @@ impl LaunchSanitizer {
                     (HazardClass::RaceCheck, p.pc, acc.pc),
                     HazardReport {
                         class: HazardClass::RaceCheck,
-                        space: HazardSpace::Global,
+                        space: Space::Global,
                         addr: b,
                         first: Some(p),
                         second: Some(acc),
@@ -686,7 +642,7 @@ mod tests {
         assert_eq!(s.reports().len(), 1);
         let r = &s.reports()[0];
         assert_eq!(r.class, HazardClass::RaceCheck);
-        assert_eq!(r.space, HazardSpace::Shared);
+        assert_eq!(r.space, Space::Shared);
         assert_eq!(r.first.unwrap().pc, 10);
         assert_eq!(r.second.unwrap().pc, 20);
     }
@@ -754,7 +710,7 @@ mod tests {
         b1.global_access(0, 0, 30, 0x100, 4, AccessKind::Write);
         s.merge_block(b1);
         assert_eq!(s.reports().len(), 1);
-        assert_eq!(s.reports()[0].space, HazardSpace::Global);
+        assert_eq!(s.reports()[0].space, Space::Global);
     }
 
     #[test]

@@ -4,18 +4,13 @@
 //! range the warp touched and which space it lives in, which is what the
 //! sanitizer's reports point back into.
 
-/// Which address space a traced memory access touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceSpace {
-    Shared,
-    Global,
-}
+use crate::ir::Space;
 
 /// The warp-aggregate footprint of one memory instruction: the half-open
 /// `[lo, hi)` byte range covering every active lane's access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemTouch {
-    pub space: TraceSpace,
+    pub space: Space,
     pub lo: u64,
     pub hi: u64,
 }
@@ -117,11 +112,7 @@ impl Trace {
                 e.block.0, e.block.1, e.warp, e.pc, e.active, e.text
             );
             if let Some(m) = e.mem {
-                let tag = match m.space {
-                    TraceSpace::Shared => "shared",
-                    TraceSpace::Global => "global",
-                };
-                let _ = write!(out, "  <{tag} {:#x}..{:#x}>", m.lo, m.hi);
+                let _ = write!(out, "  <{} {:#x}..{:#x}>", m.space, m.lo, m.hi);
             }
             out.push('\n');
         }
@@ -194,7 +185,7 @@ mod tests {
         let mut t = Trace::with_limit(1);
         assert!(t.record(ev(0)));
         t.annotate_mem(MemTouch {
-            space: TraceSpace::Shared,
+            space: Space::Shared,
             lo: 0x40,
             hi: 0x80,
         });
@@ -202,7 +193,7 @@ mod tests {
         assert_eq!(
             t.events()[0].mem,
             Some(MemTouch {
-                space: TraceSpace::Shared,
+                space: Space::Shared,
                 lo: 0x40,
                 hi: 0x80
             })

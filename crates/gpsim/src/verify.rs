@@ -4,7 +4,10 @@
 //! module *proves* properties of the instruction stream for the whole
 //! block, GPUVerify-style, using three cooperating analyses:
 //!
-//! 1. **Uniformity dataflow** over a CFG built from `Label` targets:
+//! 1. **Uniformity dataflow** over a CFG whose blocks are the typed
+//!    tier's runs ([`Kernel::runs`]: a block starts at 0, at every branch
+//!    target and after every branch, exit or barrier, so a barrier always
+//!    ends its block):
 //!    values seeded from `threadIdx`-derived [`SpecialReg`]s are
 //!    *divergent*; block/grid ids and parameters are *uniform*. A
 //!    [`Inst::Bar`] control-dependent on a divergent branch is a static
@@ -32,7 +35,7 @@
 
 use crate::coalesce::bank_conflict_degree;
 use crate::exec::LaunchConfig;
-use crate::ir::{CmpOp, Inst, Kernel, MemRef, Operand, Reg, SpecialReg};
+use crate::ir::{Access, CmpOp, Flow, Inst, Kernel, MemRef, Operand, Reg, Space, SpecialReg};
 use crate::types::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -190,71 +193,38 @@ pub(crate) struct Cfg {
 impl Cfg {
     pub(crate) fn build(k: &Kernel) -> Cfg {
         let n = k.insts.len();
-        let mut leaders = vec![false; n.max(1)];
-        if n > 0 {
-            leaders[0] = true;
-        }
-        for (pc, inst) in k.insts.iter().enumerate() {
-            match inst {
-                Inst::Bra { target, .. } => {
-                    let t = k.target(*target);
-                    if t < n {
-                        leaders[t] = true;
-                    }
-                    if pc + 1 < n {
-                        leaders[pc + 1] = true;
-                    }
-                }
-                Inst::Ret if pc + 1 < n => leaders[pc + 1] = true,
-                _ => {}
-            }
-        }
-        let starts: Vec<usize> = (0..n).filter(|&i| leaders[i]).collect();
-        let mut blocks: Vec<Block> = Vec::with_capacity(starts.len());
-        for (bi, &s) in starts.iter().enumerate() {
-            let end = starts.get(bi + 1).copied().unwrap_or(n);
-            blocks.push(Block {
-                start: s,
-                end,
-                succs: Vec::new(),
-            });
-        }
-        let mut block_of = vec![0usize; n];
-        for (bi, b) in blocks.iter().enumerate() {
-            for slot in &mut block_of[b.start..b.end] {
-                *slot = bi;
-            }
-        }
-        let nb = blocks.len();
+        let (spans, block_of) = k.runs();
+        let nb = spans.len();
         let block_at = |pc: usize| if pc < n { block_of[pc] } else { nb };
-        let succ_sets: Vec<Vec<usize>> = blocks
-            .iter()
-            .map(|b| match &k.insts[b.end - 1] {
-                Inst::Bra { target, cond } => {
-                    let mut s = vec![block_at(k.target(*target))];
-                    if cond.is_some() {
-                        s.push(block_at(b.end));
-                    }
-                    s
+        let blocks = spans
+            .into_iter()
+            .map(|span| {
+                let flow = k.insts[span.end - 1].flow();
+                let mut succs = Vec::new();
+                if let Flow::Branch { target, .. } = flow {
+                    succs.push(block_at(k.target(target)));
                 }
-                Inst::Ret => vec![nb],
-                _ => vec![block_at(b.end)],
+                if flow.falls_through() {
+                    succs.push(block_at(span.end));
+                }
+                if flow == Flow::Exit {
+                    succs.push(nb);
+                }
+                Block {
+                    start: span.start,
+                    end: span.end,
+                    succs,
+                }
             })
             .collect();
-        for (b, s) in blocks.iter_mut().zip(succ_sets) {
-            b.succs = s;
-        }
         Cfg { blocks, block_of }
     }
 
     /// The conditional-branch predicate register of `b`'s terminator.
     pub(crate) fn branch_cond(&self, k: &Kernel, b: usize) -> Option<(Reg, bool)> {
-        match &k.insts[self.blocks[b].end - 1] {
-            Inst::Bra {
-                cond: Some((r, expect)),
-                ..
-            } => Some((*r, *expect)),
-            _ => None,
+        match k.insts[self.blocks[b].end - 1].flow() {
+            Flow::Branch { cond, .. } => cond,
+            Flow::Next | Flow::Sync | Flow::Exit => None,
         }
     }
 }
@@ -603,6 +573,8 @@ struct Verifier<'a> {
     deps: Vec<Vec<(usize, usize)>>,
     div_reg: Vec<bool>,
     vals: Vec<Aff>,
+    /// Static defs per register.
+    def_count: Vec<u32>,
     /// `r -> (op, a, b)` for predicate registers with exactly one def.
     preds: HashMap<Reg, (CmpOp, Operand, Operand)>,
     findings: Vec<VerifyFinding>,
@@ -614,6 +586,10 @@ impl<'a> Verifier<'a> {
         let cfg = Cfg::build(k);
         let pdom = postdominators(&cfg);
         let deps = control_deps(&cfg, &pdom);
+        let mut def_count = vec![0; k.num_regs as usize];
+        for d in k.insts.iter().filter_map(Inst::def) {
+            def_count[d.0 as usize] += 1;
+        }
         Verifier {
             k,
             block,
@@ -622,6 +598,7 @@ impl<'a> Verifier<'a> {
             deps,
             div_reg: vec![false; k.num_regs as usize],
             vals: vec![Aff::Bot; k.num_regs as usize],
+            def_count,
             preds: HashMap::new(),
             findings: Vec::new(),
             unproven: 0,
@@ -674,26 +651,15 @@ impl<'a> Verifier<'a> {
     /// [`DivPart`] comparisons. Computed pessimistically, so a
     /// self-recurrent single def (`r = r + 1`) never qualifies.
     fn stable_regs(&self) -> Vec<bool> {
-        let nr = self.k.num_regs as usize;
-        let mut def_count = vec![0u32; nr];
-        for inst in &self.k.insts {
-            if let Some(d) = inst.def() {
-                def_count[d.0 as usize] += 1;
-            }
-        }
-        let mut stable = vec![false; nr];
+        let mut stable = vec![false; self.k.num_regs as usize];
         loop {
             let mut changed = false;
             for inst in &self.k.insts {
                 let Some(d) = inst.def() else { continue };
-                if stable[d.0 as usize] || def_count[d.0 as usize] != 1 {
+                if stable[d.0 as usize] || self.def_count[d.0 as usize] != 1 {
                     continue;
                 }
-                let pure = !matches!(
-                    inst,
-                    Inst::LdGlobal { .. } | Inst::LdShared { .. } | Inst::AtomGlobal { .. }
-                );
-                let mut ok = pure;
+                let mut ok = inst.access().is_none();
                 inst.for_each_use(|u| ok &= stable[u.0 as usize]);
                 if ok {
                     stable[d.0 as usize] = true;
@@ -891,14 +857,8 @@ impl<'a> Verifier<'a> {
                     DivPart::Unknown
                 }
             }
-            Inst::LdGlobal { .. } | Inst::LdShared { .. } | Inst::AtomGlobal { .. } => {
-                DivPart::Unknown
-            }
-            Inst::StGlobal { .. }
-            | Inst::StShared { .. }
-            | Inst::Bar
-            | Inst::Bra { .. }
-            | Inst::Ret => unreachable!("no def"),
+            // Loads, atomics and any def without a rule above: thread-varying, unknown structure.
+            _ => DivPart::Unknown,
         }
     }
 
@@ -980,16 +940,8 @@ impl<'a> Verifier<'a> {
                             operand(src)
                         }
                     }
-                    Inst::ReadParam { .. }
-                    | Inst::Cmp { .. }
-                    | Inst::LdGlobal { .. }
-                    | Inst::LdShared { .. }
-                    | Inst::AtomGlobal { .. } => Aff::Top,
-                    Inst::StGlobal { .. }
-                    | Inst::StShared { .. }
-                    | Inst::Bar
-                    | Inst::Bra { .. }
-                    | Inst::Ret => unreachable!("no def"),
+                    // Parameters, predicates, loads, atomics, any def without a rule: not affine.
+                    _ => Aff::Top,
                 };
                 let joined = self.vals[d.0 as usize].join(nv);
                 if joined != self.vals[d.0 as usize] {
@@ -1006,15 +958,9 @@ impl<'a> Verifier<'a> {
     /// Record the comparison behind every single-def predicate register,
     /// so divergent guards can be evaluated per thread.
     fn collect_preds(&mut self) {
-        let mut def_count: HashMap<Reg, u32> = HashMap::new();
-        for inst in &self.k.insts {
-            if let Some(d) = inst.def() {
-                *def_count.entry(d).or_default() += 1;
-            }
-        }
         for inst in &self.k.insts {
             if let Inst::Cmp { op, dst, a, b, .. } = inst {
-                if def_count.get(dst) == Some(&1) {
+                if self.def_count[dst.0 as usize] == 1 {
                     self.preds.insert(*dst, (*op, *a, *b));
                 }
             }
@@ -1033,7 +979,7 @@ impl<'a> Verifier<'a> {
     /// barrier-divergence hang.
     fn synccheck(&mut self) {
         for (pc, inst) in self.k.insts.iter().enumerate() {
-            if !matches!(inst, Inst::Bar) {
+            if inst.flow() != Flow::Sync {
                 continue;
             }
             let b = self.cfg.block_of[pc];
@@ -1058,37 +1004,34 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Reaching-barriers dataflow: for every instruction, the set of
-    /// barriers (plus kernel entry, bit 0) that may immediately precede
-    /// it on some path. Two shared accesses may be concurrent iff their
-    /// sets intersect. Returns per-block entry states.
+    /// Reaching-barriers dataflow: for every block, the set of barriers
+    /// (plus kernel entry, bit 0) that may immediately precede it on some
+    /// path. A barrier ends its block, so every instruction of a block
+    /// shares the block's set; two shared accesses may be concurrent iff
+    /// their sets intersect.
     fn barrier_reach(&self) -> Vec<u128> {
         let nb = self.cfg.blocks.len();
-        let mut bar_bit: HashMap<usize, u128> = HashMap::new();
-        let mut next = 1u32;
-        for (pc, inst) in self.k.insts.iter().enumerate() {
-            if matches!(inst, Inst::Bar) {
-                // Saturate past 127 barriers: extra barriers share a bit,
-                // which is conservative (more may-concurrency, and every
-                // kernel here has far fewer).
-                bar_bit.insert(pc, 1u128 << next.min(127));
-                next += 1;
-            }
-        }
-        let transfer = |bi: usize, mut cur: u128| {
-            for pc in self.cfg.blocks[bi].start..self.cfg.blocks[bi].end {
-                if let Some(&bit) = bar_bit.get(&pc) {
-                    cur = bit;
-                }
-            }
-            cur
-        };
+        // Barriers are numbered from 1 in pc order. Saturate past 127:
+        // extra barriers share a bit, which is conservative (more
+        // may-concurrency, and every kernel here has far fewer).
+        let mut bars = 0u32;
+        let bar_bit: Vec<Option<u128>> = self
+            .cfg
+            .blocks
+            .iter()
+            .map(|b| {
+                (self.k.insts[b.end - 1].flow() == Flow::Sync).then(|| {
+                    bars += 1;
+                    1u128 << bars.min(127)
+                })
+            })
+            .collect();
         let mut inn = vec![0u128; nb];
         inn[0] = 1;
         loop {
             let mut changed = false;
             for b in 0..nb {
-                let out = transfer(b, inn[b]);
+                let out = bar_bit[b].unwrap_or(inn[b]);
                 for &s in &self.cfg.blocks[b].succs {
                     if s < nb && inn[s] | out != inn[s] {
                         inn[s] |= out;
@@ -1100,25 +1043,7 @@ impl<'a> Verifier<'a> {
                 break;
             }
         }
-        // Re-key to per-pc reach for shared accesses on demand: store the
-        // block entry states; `reach_at` walks the prefix.
         inn
-    }
-
-    fn reach_at(&self, inn: &[u128], pc: usize) -> u128 {
-        let b = self.cfg.block_of[pc];
-        let mut cur = inn[b];
-        for p in self.cfg.blocks[b].start..pc {
-            if matches!(self.k.insts[p], Inst::Bar) {
-                // Recompute the bar's bit: count bars up to and incl. p.
-                let id = self.k.insts[..=p]
-                    .iter()
-                    .filter(|i| matches!(i, Inst::Bar))
-                    .count() as u32;
-                cur = 1u128 << id.min(127);
-            }
-        }
-        cur
     }
 
     /// Divergent, evaluable guards for the block of `pc`:
@@ -1157,14 +1082,18 @@ impl<'a> Verifier<'a> {
         let shared = self.k.shared_bytes as i64;
         let mut out = Vec::new();
         for (pc, inst) in self.k.insts.iter().enumerate() {
-            let (store, ty, mref) = match inst {
-                Inst::LdShared { ty, mref, .. } => (false, ty, mref),
-                Inst::StShared { ty, src: _, mref } => (true, ty, mref),
-                _ => continue,
+            let Some(Access {
+                space: Space::Shared,
+                kind,
+                ty,
+                mref,
+            }) = inst.access()
+            else {
+                continue;
             };
-            let size = ty.size();
-            let reach = self.reach_at(inn, pc);
-            let addr = self.mref_aff(mref);
+            let (store, size) = (kind.writes(), ty.size());
+            let reach = inn[self.cfg.block_of[pc]];
+            let addr = self.mref_aff(&mref);
             let guards = self.guards_of(pc);
             let (touch, per_warp, oob) = match (addr, guards) {
                 (Aff::Lin { .. }, Some(guards)) => {

@@ -16,8 +16,8 @@ use std::collections::{HashMap, HashSet};
 use gpsim::shadow::Paged;
 use gpsim::{
     run_symbolic, AccessInfo, AccessKind, BlockSanitizer, CertConfig, Device, HazardClass,
-    HazardReport, HazardSpace, KernelBuilder, LaunchConfig, LaunchSanitizer, MemRef, SVal,
-    SanitizerConfig, SanitizerLevel, SimError, SpecialReg, SymMemory, TermPool, Ty, Value,
+    HazardReport, KernelBuilder, LaunchConfig, LaunchSanitizer, MemRef, SVal, SanitizerConfig,
+    SanitizerLevel, SimError, Space, SpecialReg, SymMemory, TermPool, Ty, Value,
 };
 use proptest::prelude::*;
 
@@ -187,7 +187,7 @@ impl OldReplay {
             if self.reports.len() < self.cfg.max_reports {
                 self.reports.push(HazardReport {
                     class: HazardClass::RaceCheck,
-                    space: HazardSpace::Global,
+                    space: Space::Global,
                     addr: b,
                     first: Some(p),
                     second: Some(acc),
