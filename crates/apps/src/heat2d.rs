@@ -160,9 +160,7 @@ pub fn run_heat_on(
     }
     r.exit_data("temp1")?;
     r.exit_data("temp2")?;
-    let cost = r.device().cost_model();
-    let clock = r.device().config().clock_hz;
-    let reduction_ms = cost.cycles_to_ms(reduction_cycles, clock);
+    let reduction_ms = r.device().config().cycles_to_ms(reduction_cycles);
     let total_ms = r.elapsed_ms();
     let grid = r.array("temp1")?.to_f64_vec();
     Ok(HeatResult {

@@ -142,10 +142,7 @@ pub fn run_matmul_on(
     r.bind_array("C", HostBuffer::new(accparse::CType::Double, n * n))?;
     r.run()?;
     let st = r.device().stats();
-    let kernel_ms = r
-        .device()
-        .cost_model()
-        .cycles_to_ms(st.kernel_cycles, r.device().config().clock_hz);
+    let kernel_ms = r.device().config().cycles_to_ms(st.kernel_cycles);
     Ok(MatmulResult {
         kernel_ms,
         c: r.array("C")?.to_f64_vec(),

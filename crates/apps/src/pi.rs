@@ -104,10 +104,7 @@ pub fn run_pi_on(
     r.run()?;
     let hits = r.scalar("m")?.as_i64() as u64;
     let st = r.device().stats();
-    let kernel_ms = r
-        .device()
-        .cost_model()
-        .cycles_to_ms(st.kernel_cycles, r.device().config().clock_hz);
+    let kernel_ms = r.device().config().cycles_to_ms(st.kernel_cycles);
     Ok(PiResult {
         hits,
         samples: cfg.samples as u64,

@@ -1901,8 +1901,8 @@ fn coalesced(addrs: &[(u64, usize)], size: usize) -> bool {
 }
 
 /// Run one block on the typed tier. Drives the same [`BlockExec`] the
-/// interpreter uses — barrier bookkeeping, watchdog, overlap folding,
-/// traces, sanitizer shadows, and profiles are shared code, not
+/// interpreter uses — barrier bookkeeping, watchdog, the raw cycle
+/// charge, traces, sanitizer shadows, and profiles are shared code, not
 /// re-implementations.
 pub(crate) fn run_block(exec: &mut BlockExec, st: &mut TypedState) -> Result<(), AccessAbort> {
     debug_assert_eq!(exec.threads.len(), st.n, "state sized for this launch");
@@ -1964,7 +1964,6 @@ fn run_warps<const OBSERVED: bool>(
             break;
         }
     }
-    exec.finish_block(num_warps);
     Ok(())
 }
 

@@ -1,11 +1,15 @@
 //! Device configuration and timing cost model.
 //!
-//! The model is a *throughput* model: each warp-instruction is charged a
-//! cycle cost, memory instructions are additionally charged per global
-//! transaction / per shared-memory conflict way, and the per-block totals
-//! are divided by a latency-hiding overlap factor that grows with the
-//! number of resident warps. Blocks are distributed round-robin over SMs;
-//! kernel time is the maximum per-SM total plus a fixed launch overhead.
+//! The model is a *throughput* model in two halves:
+//! - Each warp-instruction is charged a cycle cost, and memory
+//!   instructions are additionally charged per global transaction / per
+//!   shared-memory conflict way. A block's charges sum to its *raw* cycles.
+//! - The launch schedule (`Schedule`, the one place raw cycles become
+//!   modelled time) divides each block's raw cycles by its own
+//!   latency-hiding overlap factor, `ceil(raw / clamp(warps, 1,
+//!   max_overlap))`, places the block on SM `block_id % num_sms`, and
+//!   charges the launch the busiest SM's total plus a fixed launch
+//!   overhead.
 //!
 //! All knobs live in [`CostModel`] so experiments can recalibrate; the
 //! defaults are Kepler-class (K20c) values matching the paper's platform.
@@ -167,6 +171,11 @@ impl DeviceConfig {
         }
         std::thread::available_parallelism().map_or(1, |n| n.get())
     }
+
+    /// Convert a cycle count to milliseconds at this device's clock.
+    pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
+        cycles as f64 / self.clock_hz * 1e3
+    }
 }
 
 /// Cycle cost knobs for the throughput model.
@@ -246,20 +255,80 @@ impl CostModel {
         }
     }
 
-    /// Overlap (latency hiding) factor for a block with `warps` resident
-    /// warps: more warps hide more latency, saturating at `max_overlap`.
-    pub fn overlap(&self, warps: u32) -> f64 {
-        warps.clamp(1, self.max_overlap) as f64
-    }
-
     /// Cycles to transfer `bytes` across PCIe.
     pub fn transfer_cycles(&self, bytes: u64) -> u64 {
         self.transfer_overhead + (bytes as f64 / self.pcie_bytes_per_cycle).ceil() as u64
     }
+}
 
-    /// Convert a cycle count to milliseconds at `clock_hz`.
-    pub fn cycles_to_ms(&self, cycles: u64, clock_hz: f64) -> f64 {
-        cycles as f64 / clock_hz * 1e3
+/// The launch timing model, stated once: both executors feed it every
+/// committed block, in linear block-id order, and nothing else turns raw
+/// block cycles into modelled time.
+///
+/// - A block's modelled cycles are `ceil(raw / clamp(warps, 1,
+///   max_overlap))`: its own warps hide each other's latency, saturating
+///   at the warp scheduler's overlap limit.
+/// - Block `id` runs on SM `id % num_sms`, after the blocks placed there
+///   before it.
+/// - The launch takes the busiest SM's total plus the fixed launch
+///   overhead.
+#[derive(Debug, Clone)]
+pub(crate) struct Schedule {
+    max_overlap: u32,
+    launch_overhead: u64,
+    sm_cycles: Vec<u64>,
+}
+
+/// Where and when one block ran on the modelled device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Placement {
+    /// SM the block ran on.
+    pub(crate) sm: u32,
+    /// Start cycle relative to the launch start.
+    pub(crate) start: u64,
+    /// Modelled block cycles.
+    pub(crate) cycles: u64,
+}
+
+impl Schedule {
+    /// An empty launch on `dev`, timed by `cost`.
+    pub(crate) fn new(dev: &DeviceConfig, cost: &CostModel) -> Self {
+        Schedule {
+            max_overlap: cost.max_overlap,
+            launch_overhead: cost.launch_overhead,
+            sm_cycles: vec![0; dev.num_sms as usize],
+        }
+    }
+
+    /// Place block `id`, whose `warps` warps charged `cycles_raw`. Blocks
+    /// must arrive in linear block-id order: each start cycle depends on
+    /// the blocks placed before it.
+    pub(crate) fn place(&mut self, id: usize, cycles_raw: u64, warps: u32) -> Placement {
+        let overlap = warps.clamp(1, self.max_overlap) as f64;
+        let cycles = (cycles_raw as f64 / overlap).ceil() as u64;
+        let sm = id % self.sm_cycles.len();
+        let start = self.sm_cycles[sm];
+        self.sm_cycles[sm] += cycles;
+        Placement {
+            sm: sm as u32,
+            start,
+            cycles,
+        }
+    }
+
+    /// Modelled cycles per SM so far.
+    pub(crate) fn sm_cycles(&self) -> &[u64] {
+        &self.sm_cycles
+    }
+
+    /// The fixed overhead included in [`Schedule::cycles`].
+    pub(crate) fn launch_overhead(&self) -> u64 {
+        self.launch_overhead
+    }
+
+    /// Modelled launch cycles: the busiest SM plus the launch overhead.
+    pub(crate) fn cycles(&self) -> u64 {
+        self.sm_cycles.iter().copied().max().unwrap_or(0) + self.launch_overhead
     }
 }
 
@@ -328,13 +397,28 @@ mod tests {
         assert!(DeviceConfig::default().resolved_host_threads() >= 1);
     }
 
+    /// The whole launch model: the divisor clamps a block's warps to
+    /// `[1, max_overlap]` and rounds each block up, placement wraps past
+    /// the last SM, and the launch pays the overhead on top of the busiest
+    /// SM — alone when no block was placed.
     #[test]
-    fn overlap_clamps() {
-        let m = CostModel::default();
-        assert_eq!(m.overlap(0), 1.0);
-        assert_eq!(m.overlap(1), 1.0);
-        assert_eq!(m.overlap(4), 4.0);
-        assert_eq!(m.overlap(100), m.max_overlap as f64);
+    fn schedule_divides_places_and_totals() {
+        let dev = DeviceConfig {
+            num_sms: 2,
+            ..Default::default()
+        };
+        let cost = CostModel::default();
+        assert_eq!(cost.max_overlap, 8);
+        assert_eq!(Schedule::new(&dev, &cost).cycles(), cost.launch_overhead);
+        let mut s = Schedule::new(&dev, &cost);
+        let at = |sm, start, cycles| Placement { sm, start, cycles };
+        assert_eq!(s.place(0, 10, 0), at(0, 0, 10));
+        assert_eq!(s.place(1, 10, 4), at(1, 0, 3));
+        assert_eq!(s.place(2, 100, 100), at(0, 10, 13));
+        assert_eq!(s.place(3, 7, 1), at(1, 3, 7));
+        assert_eq!(s.place(4, 0, 8), at(0, 23, 0));
+        assert_eq!(s.sm_cycles(), &[23, 10]);
+        assert_eq!(s.cycles(), 23 + cost.launch_overhead);
     }
 
     #[test]
@@ -348,8 +432,7 @@ mod tests {
 
     #[test]
     fn cycles_to_ms() {
-        let m = CostModel::default();
-        let ms = m.cycles_to_ms(706_000, 706e6);
+        let ms = DeviceConfig::default().cycles_to_ms(706_000);
         assert!((ms - 1.0).abs() < 1e-9);
     }
 }

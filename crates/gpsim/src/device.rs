@@ -232,8 +232,7 @@ impl Device {
 
     /// Total modelled milliseconds elapsed in this session.
     pub fn elapsed_ms(&self) -> f64 {
-        self.cost
-            .cycles_to_ms(self.stats.total_cycles(), self.config.clock_hz)
+        self.config.cycles_to_ms(self.stats.total_cycles())
     }
 
     /// Allocate `len` bytes of device global memory.
@@ -345,7 +344,7 @@ impl Device {
             .config
             .profile
             .as_ref()
-            .map(|pc| LaunchProfile::new(kernel, cfg, self.config.num_sms, pc));
+            .map(|pc| LaunchProfile::new(kernel, cfg, pc));
         let ck = TypedKernel::select(self.config.exec_tier, kernel, params, &self.cost);
         if ck.is_none() && self.config.exec_tier == ExecTier::Auto {
             self.tier_declines += 1;
@@ -369,10 +368,9 @@ impl Device {
         if let Some(s) = san.as_mut() {
             self.hazards.append(&mut s.take_reports());
         }
-        if let Some(mut lp) = prof {
+        if let Some(lp) = prof {
             // Keep the (possibly partial) attribution of a failed launch,
             // like hazard reports above.
-            lp.finish(self.cost.launch_overhead, result.is_ok());
             self.session_profile.add_launch(lp);
         }
         match result {

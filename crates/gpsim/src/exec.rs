@@ -35,8 +35,12 @@
 //! all blocks finish, a serial committer folds the overlays back **in
 //! linear block-id order** — dirty bytes first, then the atomic log (so
 //! cross-block atomic combination, including floating point where order
-//! changes the bits, happens in exactly the sequential order). Traces and
-//! sanitizer logs are captured per block and merged in the same order.
+//! changes the bits, happens in exactly the sequential order). Traces,
+//! sanitizer logs and profiles are captured per block and merged in the
+//! same order. The sequential executor runs each block on global memory
+//! directly and then goes through the same commit, which is also the only
+//! place blocks reach the launch schedule in [`crate::cost`]: both paths
+//! share one block driver and one commit by construction.
 //!
 //! Programs whose blocks genuinely communicate can't be replayed this way
 //! bit-identically, so the executor detects them and falls back to the
@@ -57,7 +61,7 @@
 
 use crate::coalesce::{bank_conflict_degree, global_transactions};
 use crate::compiled::{TypedKernel, TypedState};
-use crate::cost::{CostModel, DeviceConfig};
+use crate::cost::{CostModel, DeviceConfig, Schedule};
 use crate::error::SimError;
 use crate::ir::{
     Access, AtomOp, BinOp, CmpOp, CostClass, Inst, Kernel, MemRef, Operand, Space, SpecialReg, UnOp,
@@ -293,49 +297,7 @@ pub(crate) struct BlockExec<'a, 'g> {
     pub(crate) prof: Option<BlockProfile>,
 }
 
-impl<'a, 'g> BlockExec<'a, 'g> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        kernel: &'a Kernel,
-        params: &'a [Value],
-        block_idx: (u32, u32),
-        cfg: LaunchConfig,
-        dev: &'a DeviceConfig,
-        cost: &'a CostModel,
-        view: MemView<'g>,
-        typed: bool,
-    ) -> Self {
-        let n = cfg.threads_per_block() as usize;
-        // The typed tier keeps registers in its own bit rows; skip the
-        // per-thread register vectors entirely on that path.
-        let thread_regs = if typed { 0 } else { kernel.num_regs as usize };
-        let threads = (0..n)
-            .map(|_| Thread {
-                pc: 0,
-                exited: false,
-                at_barrier: false,
-                regs: vec![Value::I32(0); thread_regs],
-            })
-            .collect();
-        BlockExec {
-            kernel,
-            params,
-            threads,
-            shared: SharedMemory::new(kernel.shared_bytes),
-            block_idx,
-            cfg,
-            dev,
-            cost,
-            stats: LaunchStats::default(),
-            cycles_raw: 0,
-            scratch_addr: Vec::with_capacity(32),
-            view,
-            trace: None,
-            san: None,
-            prof: None,
-        }
-    }
-
+impl BlockExec<'_, '_> {
     fn lane_tid(&self, lane: usize) -> (u32, u32) {
         let l = lane as u32;
         (l % self.cfg.block.0, l / self.cfg.block.0)
@@ -417,7 +379,7 @@ impl<'a, 'g> BlockExec<'a, 'g> {
 
     /// Run the block to completion — on the typed tier when the launch
     /// has a `typed` state (see [`crate::compiled`]), else interpreted. On
-    /// success, `stats.cycles` holds the block's modelled cycle count.
+    /// success, `cycles_raw` holds every cycle the block's steps charged.
     fn run(&mut self, typed: Option<&mut TypedState>) -> Result<(), AccessAbort> {
         if let Some(st) = typed {
             return crate::compiled::run_block(self, st);
@@ -451,7 +413,6 @@ impl<'a, 'g> BlockExec<'a, 'g> {
                 break;
             }
         }
-        self.finish_block(num_warps);
         Ok(())
     }
 
@@ -545,17 +506,6 @@ impl<'a, 'g> BlockExec<'a, 'g> {
             }
         }
         Ok(true)
-    }
-
-    /// Final block bookkeeping shared by both tiers: fold the raw cycle
-    /// accumulator through the warp-overlap divisor into `stats.cycles`.
-    pub(crate) fn finish_block(&mut self, num_warps: usize) {
-        self.stats.blocks = 1;
-        let overlap = self.cost.overlap(num_warps as u32);
-        self.stats.cycles = (self.cycles_raw as f64 / overlap).ceil() as u64;
-        if let Some(p) = self.prof.as_mut() {
-            p.cycles = self.stats.cycles;
-        }
     }
 
     /// Charge a step's memory, atomic or barrier cost to the launch
@@ -1000,10 +950,10 @@ pub fn eval_un(op: UnOp, ty: Ty, a: Value) -> Result<Value, SimError> {
 ///
 /// Blocks execute on up to [`DeviceConfig::host_threads`] host worker
 /// threads when they are independent, and sequentially otherwise — the
-/// results are bit-identical either way (see the module docs). Timing
-/// models blocks distributed round-robin across the device's SMs: the
-/// launch's modelled cycle count is `max over SMs of (sum of that SM's
-/// block cycles)` plus the fixed launch overhead, at any thread count.
+/// results are bit-identical either way (see the module docs). The
+/// launch's modelled cycles come from the launch schedule in
+/// [`crate::cost`], which both paths feed every committed block's raw
+/// cycles in linear block-id order.
 pub fn run_kernel(
     kernel: &Kernel,
     cfg: LaunchConfig,
@@ -1011,20 +961,6 @@ pub fn run_kernel(
     global: &mut GlobalMemory,
     dev: &DeviceConfig,
     cost: &CostModel,
-) -> Result<LaunchStats, SimError> {
-    run_kernel_traced(kernel, cfg, params, global, dev, cost, None)
-}
-
-/// [`run_kernel`] with an optional bounded execution trace.
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel_traced(
-    kernel: &Kernel,
-    cfg: LaunchConfig,
-    params: &[Value],
-    global: &mut GlobalMemory,
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    trace: Option<&mut Trace>,
 ) -> Result<LaunchStats, SimError> {
     let ck = TypedKernel::select(dev.exec_tier, kernel, params, cost);
     run_kernel_instrumented(
@@ -1035,7 +971,7 @@ pub fn run_kernel_traced(
         dev,
         cost,
         ck.as_ref(),
-        trace,
+        None,
         None,
         None,
     )
@@ -1059,6 +995,8 @@ fn kernel_returns_atomics(kernel: &Kernel) -> bool {
 /// optional hazard sanitizer observing every memory access and barrier
 /// (see [`crate::sanitizer`]), and an optional launch profiler collecting
 /// per-PC / per-barrier-interval stall attribution (see [`crate::profile`]).
+/// The profile is finished here whatever the outcome: success, a block
+/// error, or a launch rejected before any block ran.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_kernel_instrumented(
     kernel: &Kernel,
@@ -1068,358 +1006,340 @@ pub(crate) fn run_kernel_instrumented(
     dev: &DeviceConfig,
     cost: &CostModel,
     ck: Option<&TypedKernel>,
-    mut trace: Option<&mut Trace>,
-    mut san: Option<&mut LaunchSanitizer>,
-    mut profile: Option<&mut LaunchProfile>,
+    trace: Option<&mut Trace>,
+    san: Option<&mut LaunchSanitizer>,
+    profile: Option<&mut LaunchProfile>,
 ) -> Result<LaunchStats, SimError> {
-    cfg.validate(dev)?;
-    dev.validate()?;
-    if kernel.shared_bytes > dev.shared_mem_per_block {
-        return Err(SimError::SharedMemExceeded {
-            requested: kernel.shared_bytes,
-            limit: dev.shared_mem_per_block,
-        });
-    }
-    if (params.len() as u32) < kernel.num_params {
-        return Err(SimError::BadParams {
-            expected: kernel.num_params,
-            got: params.len() as u32,
-        });
-    }
-    let host_threads = dev.resolved_host_threads();
-    if host_threads >= 2 && cfg.num_blocks() >= 2 && !kernel_returns_atomics(kernel) {
-        if let Some(stats) = run_parallel(
-            kernel,
-            cfg,
-            params,
-            global,
-            dev,
-            cost,
-            host_threads,
-            ck,
-            trace.as_deref_mut(),
-            san.as_deref_mut(),
-            profile.as_deref_mut(),
-        )? {
-            return Ok(stats);
-        }
-        // Fallback: the parallel attempt detected inter-block communication
-        // and aborted without mutating anything; replay sequentially.
-    }
-    run_sequential(
-        kernel, cfg, params, global, dev, cost, ck, trace, san, profile,
-    )
+    let launch = Launch {
+        kernel,
+        cfg,
+        params,
+        dev,
+        cost,
+        ck,
+        trace_limit: trace.as_deref().map(Trace::limit),
+        san_cfg: san.as_deref().map(|s| s.config().clone()),
+        profiled: profile.is_some(),
+    };
+    let mut commit = Commit {
+        global,
+        trace,
+        san,
+        profile,
+        schedule: Schedule::new(dev, cost),
+        totals: LaunchStats::default(),
+    };
+    let result = launch.execute(&mut commit);
+    commit.finish(result)
 }
 
-/// The sequential executor: blocks in linear block-id order, each mutating
-/// global memory directly. Per-block traces and sanitizer shadows are
-/// merged immediately after each block — the same merge the parallel
-/// committer performs, so both paths produce identical streams by
-/// construction.
-#[allow(clippy::too_many_arguments)]
-fn run_sequential(
-    kernel: &Kernel,
+/// What every block of a launch runs with: the launch's inputs and the
+/// instruments to attach to each block.
+struct Launch<'a> {
+    kernel: &'a Kernel,
     cfg: LaunchConfig,
-    params: &[Value],
-    global: &mut GlobalMemory,
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    ck: Option<&TypedKernel>,
-    mut trace: Option<&mut Trace>,
-    mut san: Option<&mut LaunchSanitizer>,
-    mut profile: Option<&mut LaunchProfile>,
-) -> Result<LaunchStats, SimError> {
-    let mut totals = LaunchStats::default();
-    let mut sm_cycles = vec![0u64; dev.num_sms as usize];
-    let mut typed = ck.map(|tk| tk.state(cfg.threads_per_block() as usize, dev));
-    for id in 0..cfg.num_blocks() as usize {
-        let block_idx = cfg.block_coords(id);
-        let mut exec = BlockExec::new(
-            kernel,
-            params,
-            block_idx,
-            cfg,
-            dev,
-            cost,
-            MemView::Direct(&mut *global),
-            typed.is_some(),
-        );
-        if let Some(t) = trace.as_deref() {
-            exec.trace = Some(Trace::with_limit(t.limit()));
-        }
-        if let Some(s) = san.as_deref() {
-            exec.san = Some(BlockSanitizer::new(
-                s.config().clone(),
-                block_idx,
-                kernel.shared_bytes,
-            ));
-        }
-        if profile.is_some() {
-            exec.prof = Some(BlockProfile::new(
-                id as u32,
-                kernel.insts.len(),
-                cfg.warps_per_block(dev.warp_size) as usize,
-            ));
-        }
-        let result = exec.run(typed.as_mut());
-        // Merge the block's observations before error propagation: a
-        // failing block's trace events, hazard reports, and profile
-        // buckets survive, exactly like its direct memory writes.
-        if let (Some(dst), Some(t)) = (trace.as_deref_mut(), exec.trace.take()) {
-            dst.merge_from(t);
-        }
-        if let (Some(dst), Some(b)) = (san.as_deref_mut(), exec.san.take()) {
-            dst.merge_block(b);
-        }
-        if let (Some(dst), Some(p)) = (profile.as_deref_mut(), exec.prof.take()) {
-            dst.merge_block(p);
-        }
-        match result {
-            Ok(()) => {
-                let cycles = exec.stats.cycles;
-                totals += exec.stats;
-                sm_cycles[id % dev.num_sms as usize] += cycles;
-            }
-            Err(AccessAbort::Sim(e)) => return Err(e),
-            Err(AccessAbort::NeedsSequential(why)) => {
-                unreachable!("direct-view execution cannot request a fallback ({why})")
-            }
-        }
-    }
-    totals.cycles = sm_cycles.iter().copied().max().unwrap_or(0) + cost.launch_overhead;
-    Ok(totals)
+    params: &'a [Value],
+    dev: &'a DeviceConfig,
+    cost: &'a CostModel,
+    ck: Option<&'a TypedKernel>,
+    trace_limit: Option<usize>,
+    san_cfg: Option<SanitizerConfig>,
+    profiled: bool,
 }
 
-/// Outcome of one block's isolated (overlay) execution.
+/// One block's run, ready to commit.
 struct BlockOutcome {
     result: Result<(), SimError>,
     stats: LaunchStats,
-    overlay: OverlayData,
+    cycles_raw: u64,
+    warps: u32,
+    /// The buffered writes and atomics of an overlay run; `None` when the
+    /// block already mutated global memory directly.
+    overlay: Option<OverlayData>,
     trace: Option<Trace>,
     san: Option<BlockSanitizer>,
     prof: Option<BlockProfile>,
 }
 
-/// Run one block against the frozen base through a copy-on-write overlay.
-/// Returns `None` when the block's access pattern requires the sequential
-/// path.
-#[allow(clippy::too_many_arguments)]
-fn run_block_overlay(
-    kernel: &Kernel,
-    cfg: LaunchConfig,
-    params: &[Value],
-    base: &GlobalMemory,
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    typed: Option<&mut TypedState>,
-    block_idx: (u32, u32),
-    trace_limit: Option<usize>,
-    san_cfg: Option<&SanitizerConfig>,
-    profiled: bool,
-) -> Option<BlockOutcome> {
-    let mut exec = BlockExec::new(
-        kernel,
-        params,
-        block_idx,
-        cfg,
-        dev,
-        cost,
-        MemView::Overlay(BlockOverlay::new(base)),
-        typed.is_some(),
-    );
-    exec.trace = trace_limit.map(Trace::with_limit);
-    exec.san = san_cfg.map(|c| BlockSanitizer::new(c.clone(), block_idx, kernel.shared_bytes));
-    if profiled {
-        exec.prof = Some(BlockProfile::new(
-            block_idx.1 * cfg.grid.0 + block_idx.0,
-            kernel.insts.len(),
-            cfg.warps_per_block(dev.warp_size) as usize,
-        ));
+impl Launch<'_> {
+    /// Validate the launch, then run its blocks and commit them in linear
+    /// block-id order: on overlays across worker threads when the blocks
+    /// are independent, else one by one on global memory directly.
+    fn execute(&self, commit: &mut Commit) -> Result<(), SimError> {
+        let (kernel, cfg, dev) = (self.kernel, self.cfg, self.dev);
+        cfg.validate(dev)?;
+        dev.validate()?;
+        if kernel.shared_bytes > dev.shared_mem_per_block {
+            return Err(SimError::SharedMemExceeded {
+                requested: kernel.shared_bytes,
+                limit: dev.shared_mem_per_block,
+            });
+        }
+        if (self.params.len() as u32) < kernel.num_params {
+            return Err(SimError::BadParams {
+                expected: kernel.num_params,
+                got: self.params.len() as u32,
+            });
+        }
+        let host_threads = dev.resolved_host_threads();
+        if host_threads >= 2 && cfg.num_blocks() >= 2 && !kernel_returns_atomics(kernel) {
+            if let Some(outcomes) = self.run_overlays(commit.global, host_threads) {
+                for (id, o) in outcomes.into_iter().enumerate() {
+                    commit.block(id, o)?;
+                }
+                return Ok(());
+            }
+            // Fallback: the parallel attempt detected inter-block
+            // communication and committed nothing; replay sequentially.
+        }
+        let mut typed = self.typed_state();
+        for id in 0..cfg.num_blocks() as usize {
+            let o = self
+                .run_block(id, MemView::Direct(&mut *commit.global), typed.as_mut())
+                .unwrap_or_else(|why| {
+                    unreachable!("direct-view execution cannot request a fallback ({why})")
+                });
+            commit.block(id, o)?;
+        }
+        Ok(())
     }
-    let result = match exec.run(typed) {
-        Ok(()) => Ok(()),
-        Err(AccessAbort::Sim(e)) => Err(e),
-        Err(AccessAbort::NeedsSequential(_)) => return None,
-    };
-    let BlockExec {
-        stats,
-        view,
-        trace,
-        san,
-        prof,
-        ..
-    } = exec;
-    let overlay = match view {
-        MemView::Overlay(o) => o.into_data(),
-        MemView::Direct(_) => unreachable!(),
-    };
-    Some(BlockOutcome {
-        result,
-        stats,
-        overlay,
-        trace,
-        san,
-        prof,
-    })
-}
 
-/// The parallel executor: a worker pool claims blocks by linear id, runs
-/// each against a frozen snapshot of global memory, and a serial commit
-/// folds the outcomes back in linear block-id order (see module docs).
-///
-/// Returns `Ok(None)` when the launch needs the sequential path; in that
-/// case *nothing* has been mutated. Returns `Err` with exactly the
-/// sequential executor's error and partial state otherwise.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel(
-    kernel: &Kernel,
-    cfg: LaunchConfig,
-    params: &[Value],
-    global: &mut GlobalMemory,
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    host_threads: usize,
-    ck: Option<&TypedKernel>,
-    mut trace: Option<&mut Trace>,
-    mut san: Option<&mut LaunchSanitizer>,
-    mut profile: Option<&mut LaunchProfile>,
-) -> Result<Option<LaunchStats>, SimError> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    /// One executor thread's typed-tier state, reused by all its blocks.
+    fn typed_state(&self) -> Option<TypedState<'_>> {
+        self.ck
+            .map(|tk| tk.state(self.cfg.threads_per_block() as usize, self.dev))
+    }
 
-    let num_blocks = cfg.num_blocks() as usize;
-    let num_workers = host_threads.min(num_blocks);
-    let trace_limit = trace.as_deref().map(|t| t.limit());
-    let san_cfg = san.as_deref().map(|s| s.config().clone());
-    let profiled = profile.is_some();
+    /// The block driver both executors share: run block `id` against
+    /// `view` with the launch's instruments attached. `Err` names why an
+    /// overlay run needs the sequential path.
+    fn run_block(
+        &self,
+        id: usize,
+        view: MemView,
+        typed: Option<&mut TypedState>,
+    ) -> Result<BlockOutcome, &'static str> {
+        let kernel = self.kernel;
+        let block_idx = self.cfg.block_coords(id);
+        let warps = self.cfg.warps_per_block(self.dev.warp_size);
+        // The typed tier keeps registers in its own bit rows; skip the
+        // per-thread register vectors entirely on that path.
+        let thread_regs = if typed.is_some() {
+            0
+        } else {
+            kernel.num_regs as usize
+        };
+        let mut exec = BlockExec {
+            kernel,
+            params: self.params,
+            threads: (0..self.cfg.threads_per_block())
+                .map(|_| Thread {
+                    pc: 0,
+                    exited: false,
+                    at_barrier: false,
+                    regs: vec![Value::I32(0); thread_regs],
+                })
+                .collect(),
+            shared: SharedMemory::new(kernel.shared_bytes),
+            block_idx,
+            cfg: self.cfg,
+            dev: self.dev,
+            cost: self.cost,
+            stats: LaunchStats::default(),
+            cycles_raw: 0,
+            scratch_addr: Vec::with_capacity(32),
+            view,
+            trace: self.trace_limit.map(Trace::with_limit),
+            san: self
+                .san_cfg
+                .as_ref()
+                .map(|c| BlockSanitizer::new(c.clone(), block_idx, kernel.shared_bytes)),
+            prof: self
+                .profiled
+                .then(|| BlockProfile::new(id as u32, kernel.insts.len(), warps as usize)),
+        };
+        let result = match exec.run(typed) {
+            Ok(()) => Ok(()),
+            Err(AccessAbort::Sim(e)) => Err(e),
+            Err(AccessAbort::NeedsSequential(why)) => return Err(why),
+        };
+        let BlockExec {
+            stats,
+            cycles_raw,
+            view,
+            trace,
+            san,
+            prof,
+            ..
+        } = exec;
+        Ok(BlockOutcome {
+            result,
+            stats,
+            cycles_raw,
+            warps,
+            overlay: match view {
+                MemView::Overlay(o) => Some(o.into_data()),
+                MemView::Direct(_) => None,
+            },
+            trace,
+            san,
+            prof,
+        })
+    }
 
-    // Work distribution: workers claim linear block ids from a shared
-    // counter. `min_err` tracks the lowest failing block id so far —
-    // blocks above it cannot affect the outcome (the sequential executor
-    // would never have run them), so claims above it are skipped. Since
-    // `min_err` only decreases, every skipped id stays above the final
-    // minimum and the committed prefix `0..=k` is always fully populated.
-    let next = AtomicUsize::new(0);
-    let min_err = AtomicUsize::new(usize::MAX);
-    let needs_seq = AtomicBool::new(false);
-    let base: &GlobalMemory = global;
+    /// The parallel executor: a worker pool claims blocks by linear id and
+    /// runs each against the frozen `base` through a copy-on-write overlay
+    /// (see module docs). Returns the outcomes to commit, in order: blocks
+    /// `0..=k`, where `k` is the lowest failing block, or every block.
+    /// `None` when the launch needs the sequential path.
+    fn run_overlays(&self, base: &GlobalMemory, host_threads: usize) -> Option<Vec<BlockOutcome>> {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-    let worker_outputs: Vec<Vec<(usize, BlockOutcome)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..num_workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out: Vec<(usize, BlockOutcome)> = Vec::new();
-                    let mut typed = ck.map(|tk| tk.state(cfg.threads_per_block() as usize, dev));
-                    loop {
-                        let id = next.fetch_add(1, Ordering::Relaxed);
-                        if id >= num_blocks || needs_seq.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if id > min_err.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        match run_block_overlay(
-                            kernel,
-                            cfg,
-                            params,
-                            base,
-                            dev,
-                            cost,
-                            typed.as_mut(),
-                            cfg.block_coords(id),
-                            trace_limit,
-                            san_cfg.as_ref(),
-                            profiled,
-                        ) {
-                            None => {
-                                needs_seq.store(true, Ordering::Relaxed);
+        let num_blocks = self.cfg.num_blocks() as usize;
+        let num_workers = host_threads.min(num_blocks);
+
+        // Work distribution: workers claim linear block ids from a shared
+        // counter. `min_err` tracks the lowest failing block id so far —
+        // blocks above it cannot affect the outcome (the sequential executor
+        // would never have run them), so claims above it are skipped. Since
+        // `min_err` only decreases, every skipped id stays above the final
+        // minimum and the committed prefix `0..=k` is always fully populated.
+        let next = AtomicUsize::new(0);
+        let min_err = AtomicUsize::new(usize::MAX);
+        let needs_seq = AtomicBool::new(false);
+
+        let worker_outputs: Vec<Vec<(usize, BlockOutcome)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..num_workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out: Vec<(usize, BlockOutcome)> = Vec::new();
+                        let mut typed = self.typed_state();
+                        loop {
+                            let id = next.fetch_add(1, Ordering::Relaxed);
+                            if id >= num_blocks || needs_seq.load(Ordering::Relaxed) {
                                 break;
                             }
-                            Some(outcome) => {
-                                if outcome.result.is_err() {
-                                    min_err.fetch_min(id, Ordering::Relaxed);
+                            if id > min_err.load(Ordering::Relaxed) {
+                                continue;
+                            }
+                            let view = MemView::Overlay(BlockOverlay::new(base));
+                            match self.run_block(id, view, typed.as_mut()) {
+                                Err(_) => {
+                                    needs_seq.store(true, Ordering::Relaxed);
+                                    break;
                                 }
-                                out.push((id, outcome));
+                                Ok(outcome) => {
+                                    if outcome.result.is_err() {
+                                        min_err.fetch_min(id, Ordering::Relaxed);
+                                    }
+                                    out.push((id, outcome));
+                                }
                             }
                         }
-                    }
-                    out
+                        out
+                    })
                 })
-            })
-            .collect();
-        handles
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("block worker panicked"))
+                .collect()
+        });
+
+        if needs_seq.load(Ordering::Relaxed) {
+            return None;
+        }
+        let mut slots: Vec<Option<BlockOutcome>> = (0..num_blocks).map(|_| None).collect();
+        for (id, outcome) in worker_outputs.into_iter().flatten() {
+            slots[id] = Some(outcome);
+        }
+        // Only blocks up to the first error are observable; later ones are
+        // discarded exactly as the sequential executor never runs them.
+        slots.truncate(min_err.load(Ordering::Relaxed).min(num_blocks - 1) + 1);
+        let outcomes: Vec<BlockOutcome> = slots
             .into_iter()
-            .map(|h| h.join().expect("block worker panicked"))
-            .collect()
-    });
+            .map(|s| s.expect("every block up to the first error was executed"))
+            .collect();
 
-    if needs_seq.load(Ordering::Relaxed) {
-        return Ok(None);
+        // Divergence check: if any committed block read a page an earlier
+        // block writes, its overlay run observed pre-launch state where the
+        // sequential run would have observed the earlier block's output.
+        // Conservative (page-granular, read-vs-write only) but cheap.
+        let mut cum_writes = AddrSet::default();
+        for o in &outcomes {
+            let overlay = o.overlay.as_ref().expect("overlay runs keep their overlay");
+            if overlay.reads_overlap(&cum_writes) {
+                return None;
+            }
+            cum_writes.extend(overlay.write_pages());
+        }
+        Some(outcomes)
     }
-    let mut slots: Vec<Option<BlockOutcome>> = (0..num_blocks).map(|_| None).collect();
-    for (id, outcome) in worker_outputs.into_iter().flatten() {
-        slots[id] = Some(outcome);
-    }
-    // Only blocks up to the first error are observable; later ones are
-    // discarded exactly as the sequential executor never runs them.
-    let first_err = min_err.load(Ordering::Relaxed);
-    let last = first_err.min(num_blocks - 1);
+}
 
-    // Divergence check: if any committed block read a page an earlier
-    // block writes, its overlay run observed pre-launch state where the
-    // sequential run would have observed the earlier block's output.
-    // Conservative (page-granular, read-vs-write only) but cheap.
-    let mut cum_writes = AddrSet::default();
-    for slot in slots.iter().take(last + 1) {
-        let o = slot
-            .as_ref()
-            .expect("every block up to the first error was executed");
-        if o.overlay.reads_overlap(&cum_writes) {
-            return Ok(None);
-        }
-        cum_writes.extend(o.overlay.write_pages());
-    }
+/// The in-order commit both executors share: the launch's destinations,
+/// the stats so far and the launch schedule.
+struct Commit<'a> {
+    global: &'a mut GlobalMemory,
+    trace: Option<&'a mut Trace>,
+    san: Option<&'a mut LaunchSanitizer>,
+    profile: Option<&'a mut LaunchProfile>,
+    schedule: Schedule,
+    totals: LaunchStats,
+}
 
-    // Serial commit in linear block-id order.
-    let mut totals = LaunchStats::default();
-    let mut sm_cycles = vec![0u64; dev.num_sms as usize];
-    for (id, slot) in slots.iter_mut().enumerate().take(last + 1) {
-        let o = slot.take().expect("checked above");
-        for (&page, p) in &o.overlay.pages {
-            global.apply_overlay_page(page, p);
+impl Commit<'_> {
+    /// Commit block `id`; blocks must arrive in linear block-id order. A
+    /// failed block's partial effects and observations are committed too —
+    /// the state a sequential run leaves behind — and then its error
+    /// surfaces.
+    fn block(&mut self, id: usize, o: BlockOutcome) -> Result<(), SimError> {
+        if let Some(overlay) = o.overlay {
+            for (&page, p) in &overlay.pages {
+                self.global.apply_overlay_page(page, p);
+            }
+            for e in &overlay.atomics {
+                let old = self
+                    .global
+                    .read(e.ty, e.addr)
+                    .expect("atomic target was bounds-checked at log time");
+                let new = apply_atom(e.op, e.ty, old, e.val)
+                    .expect("atomic op was validated at log time");
+                self.global
+                    .write(e.addr, new)
+                    .expect("atomic target was bounds-checked at log time");
+            }
         }
-        for e in &o.overlay.atomics {
-            let old = global
-                .read(e.ty, e.addr)
-                .expect("atomic target was bounds-checked at log time");
-            let new =
-                apply_atom(e.op, e.ty, old, e.val).expect("atomic op was validated at log time");
-            global
-                .write(e.addr, new)
-                .expect("atomic target was bounds-checked at log time");
-        }
-        if let (Some(dst), Some(t)) = (trace.as_deref_mut(), o.trace) {
+        if let (Some(dst), Some(t)) = (self.trace.as_deref_mut(), o.trace) {
             dst.merge_from(t);
         }
-        if let (Some(dst), Some(b)) = (san.as_deref_mut(), o.san) {
+        if let (Some(dst), Some(b)) = (self.san.as_deref_mut(), o.san) {
             dst.merge_block(b);
         }
-        if let (Some(dst), Some(p)) = (profile.as_deref_mut(), o.prof) {
-            dst.merge_block(p);
+        // A failed block takes no modelled time: the profile shows an
+        // empty span where it was placed.
+        let cycles_raw = if o.result.is_ok() { o.cycles_raw } else { 0 };
+        let at = self.schedule.place(id, cycles_raw, o.warps);
+        if let (Some(dst), Some(p)) = (self.profile.as_deref_mut(), o.prof) {
+            dst.merge_block(p, at);
         }
-        match o.result {
-            Ok(()) => {
-                let cycles = o.stats.cycles;
-                totals += o.stats;
-                sm_cycles[id % dev.num_sms as usize] += cycles;
-            }
-            // The failing block's partial effects are committed (matching
-            // the sequential executor's in-place mutations), then its
-            // error surfaces.
-            Err(e) => return Err(e),
-        }
+        o.result?;
+        self.totals += o.stats;
+        self.totals.blocks += 1;
+        Ok(())
     }
-    totals.cycles = sm_cycles.iter().copied().max().unwrap_or(0) + cost.launch_overhead;
-    Ok(Some(totals))
+
+    /// Close the launch: finish its profile on every outcome and, on
+    /// success, return the totals with the schedule's launch cycles.
+    fn finish(self, result: Result<(), SimError>) -> Result<LaunchStats, SimError> {
+        if let Some(lp) = self.profile {
+            lp.finish(&self.schedule, result.is_ok());
+        }
+        result.map(|()| LaunchStats {
+            cycles: self.schedule.cycles(),
+            ..self.totals
+        })
+    }
 }
 
 #[cfg(test)]
@@ -2239,14 +2159,20 @@ mod tests {
             let mut mem = GlobalMemory::new(1 << 20);
             let buf = mem.alloc(4 * 4 * 32).unwrap();
             let mut t = Trace::with_limit(11); // truncates mid-block
-            run_kernel_traced(
+            let params = [Value::U64(buf.addr)];
+            let cost = CostModel::default();
+            let ck = TypedKernel::select(crate::cost::ExecTier::Auto, &k, &params, &cost);
+            run_kernel_instrumented(
                 &k,
                 cfg,
-                &[Value::U64(buf.addr)],
+                &params,
                 &mut mem,
                 &dev_threads(threads),
-                &CostModel::default(),
+                &cost,
+                ck.as_ref(),
                 Some(&mut t),
+                None,
+                None,
             )
             .unwrap();
             t

@@ -64,7 +64,7 @@ pub use compiled::{CompiledKernel, ShapeCensus};
 pub use cost::{CostModel, DeviceConfig, ExecTier};
 pub use device::Device;
 pub use error::SimError;
-pub use exec::{eval_bin, eval_cmp, eval_un, run_kernel_traced, LaunchConfig};
+pub use exec::{eval_bin, eval_cmp, eval_un, LaunchConfig};
 pub use ir::{
     AccessKind, AtomOp, BinOp, CmpOp, Inst, Kernel, Label, MemRef, Operand, Reg, Space, SpecialReg,
     UnOp,

@@ -24,10 +24,13 @@
 //! the timeline). Per-PC buckets roll up to source lines through the
 //! kernel's line table ([`crate::ir::Kernel::lines`]).
 //!
-//! All attributed cycles are **raw** warp cycles, before the warp-overlap
-//! divisor; block/launch totals on the timeline are modelled (overlapped)
-//! cycles. Shares within a kernel are therefore exact, while absolute
-//! per-PC numbers are upper bounds on the modelled time.
+//! All attributed cycles are **raw** warp cycles. Block spans, per-SM
+//! totals and launch cycles on the timeline are modelled time, and the
+//! profile does not compute them: the executor's in-order commit hands it
+//! what the launch schedule in [`crate::cost`] (`Schedule`) decided for
+//! each block and for the launch. Shares within a kernel are therefore
+//! exact, while absolute per-PC numbers are upper bounds on the modelled
+//! time.
 //!
 //! # Determinism
 //!
@@ -38,6 +41,7 @@
 //! containers; nothing depends on wall-clock time or map iteration order.
 
 use crate::cert::json_escape;
+use crate::cost::{Placement, Schedule};
 use crate::exec::LaunchConfig;
 use crate::ir::Kernel;
 use std::fmt::Write as _;
@@ -154,8 +158,6 @@ pub struct BlockProfile {
     pub intervals: Vec<PcCounters>,
     /// Raw cycles per warp (for the timeline's warp sub-spans).
     pub warp_cycles: Vec<u64>,
-    /// Modelled (overlapped) block cycles; 0 until the block completes.
-    pub cycles: u64,
     interval: u32,
 }
 
@@ -168,7 +170,6 @@ impl BlockProfile {
             pcs: vec![PcCounters::default(); num_insts],
             intervals: vec![PcCounters::default()],
             warp_cycles: vec![0; num_warps],
-            cycles: 0,
             interval: 0,
         }
     }
@@ -193,7 +194,7 @@ impl BlockProfile {
 pub struct BlockSpan {
     /// Linear block id.
     pub block: u32,
-    /// SM the block was scheduled on (`block % num_sms`).
+    /// SM the launch schedule placed the block on.
     pub sm: u32,
     /// Start cycle relative to the launch start.
     pub start: u64,
@@ -223,7 +224,7 @@ pub struct LaunchProfile {
     pub intervals: Vec<PcCounters>,
     /// Blocks merged so far.
     pub blocks: u64,
-    /// Modelled cycles accumulated per SM (round-robin block placement).
+    /// Modelled cycles per SM at the end of the launch.
     pub sm_cycles: Vec<u64>,
     /// Per-block timeline spans (bounded by
     /// [`ProfileConfig::timeline_blocks`]).
@@ -240,9 +241,8 @@ pub struct LaunchProfile {
 }
 
 impl LaunchProfile {
-    /// Fresh profile for launching `kernel` with geometry `cfg` on a
-    /// device with `num_sms` SMs.
-    pub fn new(kernel: &Kernel, cfg: LaunchConfig, num_sms: u32, pc: &ProfileConfig) -> Self {
+    /// Fresh profile for launching `kernel` with geometry `cfg`.
+    pub fn new(kernel: &Kernel, cfg: LaunchConfig, pc: &ProfileConfig) -> Self {
         LaunchProfile {
             kernel: kernel.name.clone(),
             grid: cfg.grid,
@@ -252,7 +252,7 @@ impl LaunchProfile {
             pcs: vec![PcCounters::default(); kernel.insts.len()],
             intervals: Vec::new(),
             blocks: 0,
-            sm_cycles: vec![0; num_sms as usize],
+            sm_cycles: Vec::new(),
             block_spans: Vec::new(),
             spans_dropped: 0,
             launch_overhead: 0,
@@ -262,10 +262,9 @@ impl LaunchProfile {
         }
     }
 
-    /// Merge one block's profile. **Must** be called in linear block-id
-    /// order — the per-SM start cycles (and therefore every exported
-    /// timeline byte) depend on it. Both executor paths do so.
-    pub fn merge_block(&mut self, bp: BlockProfile) {
+    /// Merge one block's profile, which the launch schedule placed `at`.
+    /// Called by the executor's commit, in linear block-id order.
+    pub(crate) fn merge_block(&mut self, bp: BlockProfile, at: Placement) {
         self.blocks += 1;
         for (dst, src) in self.pcs.iter_mut().zip(&bp.pcs) {
             *dst += *src;
@@ -276,15 +275,12 @@ impl LaunchProfile {
             }
             self.intervals[i] += *iv;
         }
-        let sm = bp.block_id as usize % self.sm_cycles.len();
-        let start = self.sm_cycles[sm];
-        self.sm_cycles[sm] += bp.cycles;
         if self.block_spans.len() < self.cfg.timeline_blocks {
             self.block_spans.push(BlockSpan {
                 block: bp.block_id,
-                sm: sm as u32,
-                start,
-                cycles: bp.cycles,
+                sm: at.sm,
+                start: at.start,
+                cycles: at.cycles,
                 warp_cycles: bp.warp_cycles,
             });
         } else {
@@ -292,11 +288,11 @@ impl LaunchProfile {
         }
     }
 
-    /// Finalize the launch's modelled cycle count (max over SMs plus the
-    /// fixed launch overhead — mirroring the executor's formula).
-    pub fn finish(&mut self, launch_overhead: u64, completed: bool) {
-        self.launch_overhead = launch_overhead;
-        self.cycles = self.sm_cycles.iter().copied().max().unwrap_or(0) + launch_overhead;
+    /// Close the launch with the schedule's totals.
+    pub(crate) fn finish(&mut self, schedule: &Schedule, completed: bool) {
+        self.sm_cycles = schedule.sm_cycles().to_vec();
+        self.launch_overhead = schedule.launch_overhead();
+        self.cycles = schedule.cycles();
         self.completed = completed;
     }
 

@@ -355,9 +355,7 @@ impl Case {
             return fail(detail);
         }
         let stats = *dev.stats();
-        let ms = dev
-            .cost_model()
-            .cycles_to_ms(stats.kernel_cycles, dev.config().clock_hz);
+        let ms = dev.config().cycles_to_ms(stats.kernel_cycles);
         CaseStatus::Pass { ms, stats }
     }
 }
