@@ -1,6 +1,7 @@
 //! Abstract syntax tree for the mini-C + OpenACC dialect.
 
 use crate::diag::Span;
+pub use crate::reduction::RedOp;
 use std::fmt;
 
 /// C scalar types supported in kernels (the paper's testsuite data types
@@ -161,6 +162,57 @@ pub enum AssignOp {
     Shr,
 }
 
+impl AssignOp {
+    /// Every assignment operator.
+    pub const ALL: [AssignOp; 11] = [
+        AssignOp::Assign,
+        AssignOp::Add,
+        AssignOp::Sub,
+        AssignOp::Mul,
+        AssignOp::Div,
+        AssignOp::Rem,
+        AssignOp::And,
+        AssignOp::Or,
+        AssignOp::Xor,
+        AssignOp::Shl,
+        AssignOp::Shr,
+    ];
+
+    /// The binary operator a compound assignment applies; `None` for `=`.
+    pub fn bin_op(self) -> Option<BinOpKind> {
+        match self {
+            AssignOp::Assign => None,
+            AssignOp::Add => Some(BinOpKind::Add),
+            AssignOp::Sub => Some(BinOpKind::Sub),
+            AssignOp::Mul => Some(BinOpKind::Mul),
+            AssignOp::Div => Some(BinOpKind::Div),
+            AssignOp::Rem => Some(BinOpKind::Rem),
+            AssignOp::And => Some(BinOpKind::BitAnd),
+            AssignOp::Or => Some(BinOpKind::BitOr),
+            AssignOp::Xor => Some(BinOpKind::BitXor),
+            AssignOp::Shl => Some(BinOpKind::Shl),
+            AssignOp::Shr => Some(BinOpKind::Shr),
+        }
+    }
+
+    /// The source spelling (`+=`, `<<=`, ...).
+    pub fn token(self) -> &'static str {
+        match self {
+            AssignOp::Assign => "=",
+            AssignOp::Add => "+=",
+            AssignOp::Sub => "-=",
+            AssignOp::Mul => "*=",
+            AssignOp::Div => "/=",
+            AssignOp::Rem => "%=",
+            AssignOp::And => "&=",
+            AssignOp::Or => "|=",
+            AssignOp::Xor => "^=",
+            AssignOp::Shl => "<<=",
+            AssignOp::Shr => ">>=",
+        }
+    }
+}
+
 /// An lvalue: a scalar variable or an array element.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
@@ -238,59 +290,6 @@ pub struct ForLoop {
     pub directive: Option<LoopDirective>,
     /// Loop body.
     pub body: Vec<Stmt>,
-}
-
-/// The reduction operators of the OpenACC spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RedOp {
-    Add,
-    Mul,
-    Max,
-    Min,
-    BitAnd,
-    BitOr,
-    BitXor,
-    LogAnd,
-    LogOr,
-}
-
-impl RedOp {
-    /// Parse the operator token used in a `reduction(op:var)` clause.
-    pub fn from_clause_token(s: &str) -> Option<RedOp> {
-        match s {
-            "+" => Some(RedOp::Add),
-            "*" => Some(RedOp::Mul),
-            "max" => Some(RedOp::Max),
-            "min" => Some(RedOp::Min),
-            "&" => Some(RedOp::BitAnd),
-            "|" => Some(RedOp::BitOr),
-            "^" => Some(RedOp::BitXor),
-            "&&" => Some(RedOp::LogAnd),
-            "||" => Some(RedOp::LogOr),
-            _ => None,
-        }
-    }
-
-    /// The clause spelling of the operator.
-    pub fn clause_token(self) -> &'static str {
-        match self {
-            RedOp::Add => "+",
-            RedOp::Mul => "*",
-            RedOp::Max => "max",
-            RedOp::Min => "min",
-            RedOp::BitAnd => "&",
-            RedOp::BitOr => "|",
-            RedOp::BitXor => "^",
-            RedOp::LogAnd => "&&",
-            RedOp::LogOr => "||",
-        }
-    }
-}
-
-impl fmt::Display for RedOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.clause_token())
-    }
 }
 
 /// One `reduction(op: a, b, c)` clause entry, flattened per variable.
@@ -418,24 +417,6 @@ mod tests {
         assert_eq!(CType::promote(CType::Long, CType::Int), CType::Long);
         assert_eq!(CType::promote(CType::Float, CType::Double), CType::Double);
         assert_eq!(CType::promote(CType::Int, CType::Int), CType::Int);
-    }
-
-    #[test]
-    fn redop_roundtrip() {
-        for op in [
-            RedOp::Add,
-            RedOp::Mul,
-            RedOp::Max,
-            RedOp::Min,
-            RedOp::BitAnd,
-            RedOp::BitOr,
-            RedOp::BitXor,
-            RedOp::LogAnd,
-            RedOp::LogOr,
-        ] {
-            assert_eq!(RedOp::from_clause_token(op.clause_token()), Some(op));
-        }
-        assert_eq!(RedOp::from_clause_token("-"), None);
     }
 
     #[test]

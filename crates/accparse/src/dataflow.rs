@@ -24,7 +24,8 @@
 
 use crate::ast::{BinOpKind, RedOp};
 use crate::diag::Span;
-use crate::hir::{HExpr, HExprKind, HLoop, HStmt, MathFunc, Sym};
+use crate::hir::{HExpr, HExprKind, HLoop, HStmt, Sym};
+use crate::reduction::update_form;
 use std::collections::{BTreeMap, HashSet};
 
 /// Identifies a loop by its source span (unique per loop).
@@ -152,20 +153,6 @@ pub struct UpdateShape<'a> {
     pub span: Span,
 }
 
-/// The reduction operator a binary operator corresponds to, if any.
-pub fn bin_red_op(op: BinOpKind) -> Option<RedOp> {
-    match op {
-        BinOpKind::Add => Some(RedOp::Add),
-        BinOpKind::Mul => Some(RedOp::Mul),
-        BinOpKind::BitAnd => Some(RedOp::BitAnd),
-        BinOpKind::BitOr => Some(RedOp::BitOr),
-        BinOpKind::BitXor => Some(RedOp::BitXor),
-        BinOpKind::LogAnd => Some(RedOp::LogAnd),
-        BinOpKind::LogOr => Some(RedOp::LogOr),
-        _ => None,
-    }
-}
-
 fn sym_of(e: &HExpr) -> Option<Sym> {
     match &strip_casts(e).kind {
         HExprKind::Sym(s) => Some(*s),
@@ -173,10 +160,10 @@ fn sym_of(e: &HExpr) -> Option<Sym> {
     }
 }
 
-/// Recognize a reduction-shaped assignment: `s = s ⊕ e` / `s = e ⊕ s`
-/// for the paper's nine operators, or `s = fmax(s, e)` / `min`/`max`
-/// forms. The operand must not read `s` again (an expression like
-/// `s = s + s` is not a clean reduction).
+/// Recognize a reduction-shaped assignment ([`update_form`]): `s = s ⊕ e`
+/// / `s = e ⊕ s` for the paper's nine operators, or `s = fmax(s, e)` /
+/// `min`/`max` forms. The operand must not read `s` again (an expression
+/// like `s = s + s` is not a clean reduction).
 pub fn update_shape(stmt: &HStmt) -> Option<UpdateShape<'_>> {
     let (target, value) = match stmt {
         HStmt::AssignLocal { local, value } => (Sym::Local(*local), value),
@@ -184,41 +171,17 @@ pub fn update_shape(stmt: &HStmt) -> Option<UpdateShape<'_>> {
         _ => return None,
     };
     let v = strip_casts(value);
-    match &v.kind {
-        HExprKind::Bin { op, lhs, rhs, .. } => {
-            let rop = bin_red_op(*op)?;
-            for (own, other) in [(lhs, rhs), (rhs, lhs)] {
-                if sym_of(own) == Some(target) && !expr_reads_sym(other, target) {
-                    return Some(UpdateShape {
-                        sym: target,
-                        op: rop,
-                        operand: other,
-                        span: v.span,
-                    });
-                }
-            }
-            None
-        }
-        HExprKind::Call { func, args } if args.len() == 2 => {
-            let rop = match func {
-                MathFunc::FMax | MathFunc::IMax => RedOp::Max,
-                MathFunc::FMin | MathFunc::IMin => RedOp::Min,
-                _ => return None,
-            };
-            for (own, other) in [(&args[0], &args[1]), (&args[1], &args[0])] {
-                if sym_of(own) == Some(target) && !expr_reads_sym(other, target) {
-                    return Some(UpdateShape {
-                        sym: target,
-                        op: rop,
-                        operand: other,
-                        span: v.span,
-                    });
-                }
-            }
-            None
-        }
-        _ => None,
-    }
+    let (op, operand) = update_form(
+        v,
+        |e| sym_of(e) == Some(target),
+        |e| !expr_reads_sym(e, target),
+    )?;
+    Some(UpdateShape {
+        sym: target,
+        op,
+        operand,
+        span: v.span,
+    })
 }
 
 // ---- use-def events -----------------------------------------------------

@@ -33,6 +33,7 @@ pub mod hir;
 pub mod lint;
 pub mod parser;
 pub mod redflow;
+pub mod reduction;
 pub mod sema;
 pub mod summary;
 pub mod token;

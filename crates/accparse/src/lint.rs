@@ -809,7 +809,7 @@ impl<'a> RegionCx<'a> {
         let array_name = self.array_name(array).to_string();
         match *verdict {
             ArrayRedVerdict::Proven { op, update, sites } => {
-                let is_float = self.p.arrays[array].ty.is_float();
+                let ty = self.p.arrays[array].ty;
                 let witness = match evidence[0].0 {
                     DepResult::Carried(k) => format!(
                         "iterations at distance {k} touch the same element of `{array_name}`"
@@ -837,7 +837,7 @@ impl<'a> RegionCx<'a> {
                 ))
                 .with_note(format!(
                     "identity: {}; privatization cost: {}",
-                    redflow::identity_text(op, is_float),
+                    op.identity_text(ty),
                     redflow::privatization_cost(levels)
                 ));
                 diag = diag.with_note_at(witness, evidence[0].2);

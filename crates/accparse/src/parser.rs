@@ -952,24 +952,16 @@ impl Parser {
                 });
             }
         }
-        let op = match self.bump().tok {
-            Tok::Punct("=") => AssignOp::Assign,
-            Tok::Punct("+=") => AssignOp::Add,
-            Tok::Punct("-=") => AssignOp::Sub,
-            Tok::Punct("*=") => AssignOp::Mul,
-            Tok::Punct("/=") => AssignOp::Div,
-            Tok::Punct("%=") => AssignOp::Rem,
-            Tok::Punct("&=") => AssignOp::And,
-            Tok::Punct("|=") => AssignOp::Or,
-            Tok::Punct("^=") => AssignOp::Xor,
-            Tok::Punct("<<=") => AssignOp::Shl,
-            Tok::Punct(">>=") => AssignOp::Shr,
-            t => {
-                return Err(Diag::new(
-                    format!("expected assignment operator, found {}", describe(&t)),
-                    span,
-                ))
-            }
+        let t = self.bump().tok;
+        let op = match t {
+            Tok::Punct(p) => AssignOp::ALL.into_iter().find(|op| op.token() == p),
+            _ => None,
+        };
+        let Some(op) = op else {
+            return Err(Diag::new(
+                format!("expected assignment operator, found {}", describe(&t)),
+                span,
+            ));
         };
         let rhs = self.expr()?;
         self.expect_punct(";")?;

@@ -41,11 +41,12 @@
 
 use crate::ast::{Level, RedOp};
 use crate::dataflow::{
-    bin_red_op, children, collect_array_accesses, expr_eq, expr_syms, scalar_events, strip_casts,
+    children, collect_array_accesses, expr_eq, expr_syms, scalar_events, strip_casts,
     ScalarEventKind,
 };
 use crate::diag::{json_escape, Span};
-use crate::hir::{AnalyzedProgram, AnalyzedRegion, HExpr, HExprKind, HStmt, MathFunc, Sym};
+use crate::hir::{AnalyzedProgram, AnalyzedRegion, HExpr, HExprKind, HStmt, Sym};
+use crate::reduction::update_form;
 use std::collections::BTreeSet;
 
 // ---- array reduction classification -------------------------------------
@@ -117,16 +118,16 @@ fn expr_array_reads(e: &HExpr, array: usize, out: &mut Vec<Span>) {
     }
 }
 
-/// Recognize a store as an array reduction update: `value` is
-/// `a[indices] ⊕ v` (either operand order) or `fmax/fmin/max/min(a[indices], v)`
-/// where the self-load's subscripts structurally equal the store's and the
-/// other operand `v` never loads `a`. Returns the operator and `v`.
+/// Recognize a store as an array reduction update ([`update_form`]):
+/// `value` is `a[indices] ⊕ v` (either operand order) or
+/// `fmax/fmin/max/min(a[indices], v)` where the self-load's subscripts
+/// structurally equal the store's and the other operand `v` never loads
+/// `a`. Returns the operator and `v`.
 pub fn store_update_shape<'a>(
     array: usize,
     indices: &[HExpr],
     value: &'a HExpr,
 ) -> Option<(RedOp, &'a HExpr)> {
-    let v = strip_casts(value);
     let is_self = |e: &HExpr| match &strip_casts(e).kind {
         HExprKind::Load {
             array: a,
@@ -138,31 +139,7 @@ pub fn store_update_shape<'a>(
         }
         _ => false,
     };
-    match &v.kind {
-        HExprKind::Bin { op, lhs, rhs, .. } => {
-            let rop = bin_red_op(*op)?;
-            for (own, other) in [(lhs, rhs), (rhs, lhs)] {
-                if is_self(own) && !expr_loads_array(other, array) {
-                    return Some((rop, other));
-                }
-            }
-            None
-        }
-        HExprKind::Call { func, args } if args.len() == 2 => {
-            let rop = match func {
-                MathFunc::FMax | MathFunc::IMax => RedOp::Max,
-                MathFunc::FMin | MathFunc::IMin => RedOp::Min,
-                _ => return None,
-            };
-            for (own, other) in [(&args[0], &args[1]), (&args[1], &args[0])] {
-                if is_self(own) && !expr_loads_array(other, array) {
-                    return Some((rop, other));
-                }
-            }
-            None
-        }
-        _ => None,
-    }
+    update_form(strip_casts(value), is_self, |e| !expr_loads_array(e, array))
 }
 
 fn array_info_walk(stmts: &[HStmt], array: usize, info: &mut ArrayRedInfo) {
@@ -256,21 +233,6 @@ pub fn classify_array_reduction(body: &[HStmt], array: usize) -> ArrayRedVerdict
         op: first.op,
         update: first.span,
         sites: info.updates.len(),
-    }
-}
-
-/// The identity element of a reduction operator, as diagnostic text.
-pub fn identity_text(op: RedOp, is_float: bool) -> &'static str {
-    match (op, is_float) {
-        (RedOp::Add, _) => "0",
-        (RedOp::Mul, _) => "1",
-        (RedOp::Max, true) => "-inf",
-        (RedOp::Max, false) => "INT_MIN",
-        (RedOp::Min, true) => "+inf",
-        (RedOp::Min, false) => "INT_MAX",
-        (RedOp::BitAnd, _) => "~0",
-        (RedOp::BitOr, _) | (RedOp::BitXor, _) | (RedOp::LogOr, _) => "0",
-        (RedOp::LogAnd, _) => "1",
     }
 }
 
@@ -840,16 +802,6 @@ mod tests {
             classify_array_reduction(loop_body(&p), a),
             ArrayRedVerdict::Proven { op: RedOp::Add, .. }
         ));
-    }
-
-    #[test]
-    fn identity_table() {
-        assert_eq!(identity_text(RedOp::Add, true), "0");
-        assert_eq!(identity_text(RedOp::Max, true), "-inf");
-        assert_eq!(identity_text(RedOp::Max, false), "INT_MIN");
-        assert_eq!(identity_text(RedOp::Min, false), "INT_MAX");
-        assert_eq!(identity_text(RedOp::BitAnd, false), "~0");
-        assert_eq!(identity_text(RedOp::LogAnd, false), "1");
     }
 
     const CHAIN_SRC: &str = "int N; double s; double v;\ndouble a[N];\ns = 0; v = 0;\n\

@@ -8,11 +8,12 @@
 //! the clause loop and the innermost updating loop.
 
 use crate::ast::{
-    self, AssignOp, BinOpKind, CType, DataDir, Expr, ExprKind, LValue, Level, Program, RedOp, Stmt,
-    StmtKind, UnOpKind,
+    self, AssignOp, BinOpKind, CType, DataDir, Expr, ExprKind, LValue, Level, NameItem, Program,
+    RedOp, ReductionClause, Stmt, StmtKind, UnOpKind,
 };
 use crate::diag::{Diag, Span};
 use crate::hir::*;
+use crate::reduction::{update_form, Combine};
 use std::collections::{HashMap, HashSet};
 
 /// Analyze a parsed program into typed HIR.
@@ -281,6 +282,8 @@ struct ActiveRed {
     /// mixed-depth updates, which codegen must reject).
     update_sites: Vec<Vec<Level>>,
     found_update: bool,
+    /// The clause's source span.
+    span: Span,
 }
 
 struct RegionSema<'a, F: Fn(&str) -> Option<Sym0>> {
@@ -317,44 +320,10 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             .transpose()?;
 
         // Reductions written on the parallel construct apply to the
-        // outermost gang loop; we implement them by pre-registering active
-        // reductions at depth 0.
-        for rc in &r.reductions {
-            let sym = self.resolve_scalar(&rc.var, rc.span)?;
-            self.mark_host_written(sym);
-            self.active_reds.push(ActiveRed {
-                sym,
-                op: rc.op,
-                base_depth: 0,
-                span_levels: HashSet::new(),
-                update_sites: Vec::new(),
-                found_update: false,
-            });
-        }
-        let n_construct_reds = r.reductions.len();
-        let privates = self.resolve_privates(&r.privates)?;
-
-        let body = self.stmts(&r.body)?;
-
-        // Construct-level reductions: their spans were accumulated.
-        let drained: Vec<ActiveRed> = self.active_reds.drain(..).collect();
-        let construct_reds: Vec<Reduction> = drained
-            .into_iter()
-            .zip(&r.reductions)
-            .map(|(ar, rc)| Reduction {
-                op: ar.op,
-                sym: ar.sym,
-                ty: self.sym_type(ar.sym),
-                clause_levels: Vec::new(),
-                span_levels: sorted_levels(&ar.span_levels),
-                mixed_updates: ar.update_sites.len() > 1,
-                has_update: ar.found_update,
-                span: rc.span,
-            })
-            .collect();
-        debug_assert_eq!(construct_reds.len(), n_construct_reds);
-        // Attach construct-level reductions to the outermost gang loop.
-        let mut body = body;
+        // outermost gang loop: they are open, at depth 0, while the whole
+        // body is analyzed, and then attached to that loop.
+        let (construct_reds, privates, mut body) =
+            self.under_clauses(&r.reductions, &r.privates, &[], |rs| rs.stmts(&r.body))?;
         if !construct_reds.is_empty() {
             attach_to_outermost_parallel_loop(&mut body, construct_reds, r.span)?;
         }
@@ -432,11 +401,18 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
         }
     }
 
+    /// The scalar `name` denotes here, without recording a use.
+    fn scalar_named(&self, name: &str) -> Option<Sym> {
+        let local = self.scopes.iter().rev().find_map(|s| s.get(name)).copied();
+        local.or_else(|| match (self.top)(name) {
+            Some(Sym0::Host(i)) => Some(Sym::Host(i)),
+            _ => None,
+        })
+    }
+
     fn resolve(&mut self, name: &str, span: Span) -> Result<ResolvedName, Diag> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(s) = scope.get(name) {
-                return Ok(ResolvedName::Scalar(*s));
-            }
+        if let Some(s) = self.scopes.iter().rev().find_map(|s| s.get(name)) {
+            return Ok(ResolvedName::Scalar(*s));
         }
         match (self.top)(name) {
             Some(Sym0::Host(i)) => {
@@ -595,31 +571,7 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                     });
                     return Ok(());
                 }
-                // Plain assignment (normalize compound ops).
-                let rhs_h = self.expr(rhs)?;
-                let value = match assign_bin_op(op) {
-                    None => rhs_h,
-                    Some(bop) => {
-                        let cur = HExpr {
-                            ty,
-                            kind: HExprKind::Sym(sym),
-                            span,
-                        };
-                        let rty = bin_result_type(bop, ty, rhs_h.ty, span)?;
-                        let cmp_ty = CType::promote(ty, rhs_h.ty);
-                        HExpr {
-                            ty: rty,
-                            kind: HExprKind::Bin {
-                                op: bop,
-                                cmp_ty,
-                                lhs: Box::new(cur),
-                                rhs: Box::new(rhs_h),
-                            },
-                            span,
-                        }
-                    }
-                };
-                let value = self.coerce(value, ty);
+                let value = self.assigned_value(op, ty, || HExprKind::Sym(sym), rhs, span)?;
                 match sym {
                     Sym::Local(i) => out.push(HStmt::AssignLocal { local: i, value }),
                     Sym::Host(i) => {
@@ -640,33 +592,11 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                 };
                 let ety = self.arrays[arr].ty;
                 let idx_h = self.indices(arr, indices, span)?;
-                let rhs_h = self.expr(rhs)?;
-                let value = match assign_bin_op(op) {
-                    None => rhs_h,
-                    Some(bop) => {
-                        let cur = HExpr {
-                            ty: ety,
-                            kind: HExprKind::Load {
-                                array: arr,
-                                indices: idx_h.clone(),
-                            },
-                            span,
-                        };
-                        let rty = bin_result_type(bop, ety, rhs_h.ty, span)?;
-                        let cmp_ty = CType::promote(ety, rhs_h.ty);
-                        HExpr {
-                            ty: rty,
-                            kind: HExprKind::Bin {
-                                op: bop,
-                                cmp_ty,
-                                lhs: Box::new(cur),
-                                rhs: Box::new(rhs_h),
-                            },
-                            span,
-                        }
-                    }
+                let load = || HExprKind::Load {
+                    array: arr,
+                    indices: idx_h.clone(),
                 };
-                let value = self.coerce(value, ety);
+                let value = self.assigned_value(op, ety, load, rhs, span)?;
                 out.push(HStmt::Store {
                     array: arr,
                     indices: idx_h,
@@ -675,6 +605,38 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             }
         }
         Ok(())
+    }
+
+    /// The value a plain or compound assignment stores into a `ty` target
+    /// whose current value reads as `cur`: `rhs`, or `cur ⊕ rhs` for
+    /// `⊕=`, converted to `ty`.
+    fn assigned_value(
+        &mut self,
+        op: AssignOp,
+        ty: CType,
+        cur: impl FnOnce() -> HExprKind,
+        rhs: &Expr,
+        span: Span,
+    ) -> Result<HExpr, Diag> {
+        let rhs_h = self.expr(rhs)?;
+        let value = match op.bin_op() {
+            None => rhs_h,
+            Some(bop) => HExpr {
+                ty: bin_result_type(bop, ty, rhs_h.ty, span)?,
+                kind: HExprKind::Bin {
+                    op: bop,
+                    cmp_ty: CType::promote(ty, rhs_h.ty),
+                    lhs: Box::new(HExpr {
+                        ty,
+                        kind: cur(),
+                        span,
+                    }),
+                    rhs: Box::new(rhs_h),
+                },
+                span,
+            },
+        };
+        Ok(self.coerce(value, ty))
     }
 
     /// Validate that an assignment to a reduction variable matches the
@@ -697,92 +659,36 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                 span,
             )
         };
-        // Compound-assignment forms.
-        if let Some(op_str) = match aop {
-            AssignOp::Add => Some("+"),
-            AssignOp::Mul => Some("*"),
-            AssignOp::And => Some("&"),
-            AssignOp::Or => Some("|"),
-            AssignOp::Xor => Some("^"),
-            AssignOp::Sub | AssignOp::Div | AssignOp::Rem | AssignOp::Shl | AssignOp::Shr => {
-                let s = match aop {
-                    AssignOp::Sub => "-=",
-                    AssignOp::Div => "/=",
-                    AssignOp::Rem => "%=",
-                    AssignOp::Shl => "<<=",
-                    _ => ">>=",
-                };
-                return Err(mismatch(s));
-            }
-            AssignOp::Assign => None,
-        } {
-            let expect = RedOp::from_clause_token(op_str).expect("valid op");
-            if expect != red_op {
-                return Err(mismatch(op_str));
-            }
-            return self.expr(rhs);
+        // Compound-assignment forms: `v ⊕= e` contributes `e`.
+        if aop != AssignOp::Assign {
+            return match RedOp::of_assign(aop) {
+                Some(op) if op == red_op => self.expr(rhs),
+                Some(op) => Err(mismatch(op.clause_token())),
+                None => Err(mismatch(aop.token())),
+            };
         }
         // Plain `v = <expr>` form: the rhs must be `v <op> e`, `e <op> v`,
         // or `fmax/fmin/max/min(v, e)`.
-        let is_self = |e: &Expr| -> bool {
-            matches!(&e.kind, ExprKind::Ident(n)
-                if self.scopes.iter().rev().find_map(|s| s.get(n)).copied()
-                    .or_else(|| match (self.top)(n) { Some(Sym0::Host(i)) => Some(Sym::Host(i)), _ => None })
-                    == Some(sym))
+        let found = match &rhs.kind {
+            ExprKind::Bin { op, .. } => format!("{op:?}"),
+            ExprKind::Call { name, args } if args.len() == 2 => name.clone(),
+            _ => {
+                return Err(Diag::new(
+                    "assignment to a reduction variable must be a reduction update \
+                     (e.g. `v += e` or `v = fmax(v, e)`)",
+                    span,
+                ))
+            }
         };
-        match &rhs.kind {
-            ExprKind::Bin { op, lhs, rhs: r } => {
-                let bop_as_red = match op {
-                    BinOpKind::Add => Some(RedOp::Add),
-                    BinOpKind::Mul => Some(RedOp::Mul),
-                    BinOpKind::BitAnd => Some(RedOp::BitAnd),
-                    BinOpKind::BitOr => Some(RedOp::BitOr),
-                    BinOpKind::BitXor => Some(RedOp::BitXor),
-                    BinOpKind::LogAnd => Some(RedOp::LogAnd),
-                    BinOpKind::LogOr => Some(RedOp::LogOr),
-                    _ => None,
-                };
-                match bop_as_red {
-                    Some(r_op) if r_op == red_op => {
-                        if is_self(lhs) {
-                            self.expr(r)
-                        } else if is_self(r) {
-                            self.expr(lhs)
-                        } else {
-                            Err(Diag::new(
-                                "reduction update must reference the reduction variable",
-                                span,
-                            ))
-                        }
-                    }
-                    _ => Err(mismatch(&format!("{op:?}"))),
-                }
-            }
-            ExprKind::Call { name, args } if args.len() == 2 => {
-                let f_as_red = match MathFunc::from_name(name) {
-                    Some(MathFunc::FMax | MathFunc::IMax) => Some(RedOp::Max),
-                    Some(MathFunc::FMin | MathFunc::IMin) => Some(RedOp::Min),
-                    _ => None,
-                };
-                match f_as_red {
-                    Some(r_op) if r_op == red_op => {
-                        if is_self(&args[0]) {
-                            self.expr(&args[1])
-                        } else if is_self(&args[1]) {
-                            self.expr(&args[0])
-                        } else {
-                            Err(Diag::new(
-                                "reduction update must reference the reduction variable",
-                                span,
-                            ))
-                        }
-                    }
-                    _ => Err(mismatch(name)),
-                }
-            }
-            _ => Err(Diag::new(
-                "assignment to a reduction variable must be a reduction update \
-                 (e.g. `v += e` or `v = fmax(v, e)`)",
+        if !matches!(rhs.combine(), Some((op, _)) if op == red_op) {
+            return Err(mismatch(&found));
+        }
+        let is_self =
+            |e: &Expr| matches!(&e.kind, ExprKind::Ident(n) if self.scalar_named(n) == Some(sym));
+        match update_form(rhs, is_self, |_| true) {
+            Some((_, e)) => self.expr(e),
+            None => Err(Diag::new(
+                "reduction update must reference the reduction variable",
                 span,
             )),
         }
@@ -795,40 +701,7 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                 return self.collapsed_loop(f, n, span);
             }
         }
-        let mut sched: Vec<Level> = Vec::new();
-        if !dir.seq {
-            for l in &dir.levels {
-                if sched.contains(l) {
-                    return Err(Diag::new(
-                        format!("duplicate `{l}` on loop directive"),
-                        dir.span,
-                    ));
-                }
-                sched.push(*l);
-            }
-        } else if !dir.levels.is_empty() {
-            return Err(Diag::new(
-                "`seq` conflicts with parallelism levels",
-                dir.span,
-            ));
-        }
-        let mut sched_sorted = sched.clone();
-        sched_sorted.sort();
-        if sched_sorted != sched {
-            return Err(Diag::new(
-                "parallelism levels must be ordered gang, worker, vector",
-                dir.span,
-            ));
-        }
-        // Nesting: each level here must be deeper than all enclosing levels.
-        if let (Some(&outer_max), Some(&inner_min)) = (self.level_path.last(), sched.first()) {
-            if inner_min <= outer_max {
-                return Err(Diag::new(
-                    format!("`{inner_min}` loop cannot be nested inside a `{outer_max}` loop"),
-                    dir.span,
-                ));
-            }
-        }
+        let sched = self.schedule(&dir)?;
 
         // Analyze bounds in the *enclosing* scope.
         let lower = self.expr(&f.init)?;
@@ -867,17 +740,86 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             ));
         }
         let var = self.new_local(&f.var, var_ty, true);
+        let (reductions, privates, body) =
+            self.under_clauses(&dir.reductions, &dir.privates, &sched, |rs| {
+                rs.stmts(&f.body)
+            })?;
+        self.scopes.pop();
 
-        // Register this loop's reduction clauses.
+        Ok(HLoop {
+            var,
+            lower,
+            bound,
+            cmp: f.cmp,
+            step,
+            sched,
+            reductions,
+            privates,
+            body,
+            span,
+        })
+    }
+
+    /// The levels a loop directive schedules: each named once, ordered
+    /// gang, worker, vector, none under `seq`, and each deeper than every
+    /// enclosing level.
+    fn schedule(&self, dir: &ast::LoopDirective) -> Result<Vec<Level>, Diag> {
+        if dir.seq && !dir.levels.is_empty() {
+            return Err(Diag::new(
+                "`seq` conflicts with parallelism levels",
+                dir.span,
+            ));
+        }
+        let mut sched: Vec<Level> = Vec::new();
+        for l in &dir.levels {
+            if sched.contains(l) {
+                return Err(Diag::new(
+                    format!("duplicate `{l}` on loop directive"),
+                    dir.span,
+                ));
+            }
+            sched.push(*l);
+        }
+        if !sched.is_sorted() {
+            return Err(Diag::new(
+                "parallelism levels must be ordered gang, worker, vector",
+                dir.span,
+            ));
+        }
+        if let (Some(&outer_max), Some(&inner_min)) = (self.level_path.last(), sched.first()) {
+            if inner_min <= outer_max {
+                return Err(Diag::new(
+                    format!("`{inner_min}` loop cannot be nested inside a `{outer_max}` loop"),
+                    dir.span,
+                ));
+            }
+        }
+        Ok(sched)
+    }
+
+    /// Analyze `body` under a directive's clauses — the bookkeeping the
+    /// `parallel` construct, a loop and a collapsed nest share. The
+    /// directive's levels `sched` and its reduction clauses are open while
+    /// `body` runs; each clause then closes into a [`Reduction`] carrying
+    /// the levels its updates crossed. Also resolves the `private` items.
+    #[allow(clippy::type_complexity)]
+    fn under_clauses(
+        &mut self,
+        clauses: &[ReductionClause],
+        privates: &[NameItem],
+        sched: &[Level],
+        body: impl FnOnce(&mut Self) -> Result<Vec<HStmt>, Diag>,
+    ) -> Result<(Vec<Reduction>, Vec<(Sym, Span)>, Vec<HStmt>), Diag> {
         let base_depth = self.level_path.len();
         self.level_path.extend(sched.iter().copied());
-        let n_before = self.active_reds.len();
-        for rc in &dir.reductions {
+        let first = self.active_reds.len();
+        for rc in clauses {
             let sym = self.resolve_scalar(&rc.var, rc.span)?;
             if self.active_reds.iter().any(|ar| ar.sym == sym) {
                 return Err(Diag::new(
                     format!(
-                        "`{}` already has a reduction clause on an enclosing loop",
+                        "`{}` already has a reduction clause on this or an enclosing \
+                         directive",
                         rc.var
                     ),
                     rc.span,
@@ -901,6 +843,16 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                     rc.span,
                 ));
             }
+            let ty = self.sym_type(sym);
+            if !rc.op.admits(ty) {
+                return Err(Diag::new(
+                    format!(
+                        "a `{}` reduction needs an integer variable, but `{}` is `{ty}`",
+                        rc.op, rc.var
+                    ),
+                    rc.span,
+                ));
+            }
             self.mark_host_written(sym);
             self.active_reds.push(ActiveRed {
                 sym,
@@ -909,48 +861,35 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                 span_levels: sched.iter().copied().collect(),
                 update_sites: Vec::new(),
                 found_update: false,
-            });
-        }
-        let privates = self.resolve_privates(&dir.privates)?;
-
-        let body = self.stmts(&f.body)?;
-
-        // Pop this loop's reductions and finalize their spans.
-        let mut reductions = Vec::new();
-        let drained: Vec<ActiveRed> = self.active_reds.drain(n_before..).collect();
-        for (ar, rc) in drained.into_iter().zip(&dir.reductions) {
-            reductions.push(Reduction {
-                op: ar.op,
-                sym: ar.sym,
-                ty: self.sym_type(ar.sym),
-                clause_levels: sched.clone(),
-                span_levels: sorted_levels(&ar.span_levels),
-                mixed_updates: ar.update_sites.len() > 1,
-                has_update: ar.found_update,
                 span: rc.span,
             });
         }
+        let privates = self.resolve_privates(privates)?;
+        let body = body(self)?;
+        let reductions = self
+            .active_reds
+            .drain(first..)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|ar| Reduction {
+                op: ar.op,
+                sym: ar.sym,
+                ty: self.sym_type(ar.sym),
+                clause_levels: sched.to_vec(),
+                span_levels: sorted_levels(&ar.span_levels),
+                mixed_updates: ar.update_sites.len() > 1,
+                has_update: ar.found_update,
+                span: ar.span,
+            })
+            .collect();
         self.level_path.truncate(base_depth);
-        self.scopes.pop();
-
-        Ok(HLoop {
-            var,
-            lower,
-            bound,
-            cmp: f.cmp,
-            step,
-            sched,
-            reductions,
-            privates,
-            body,
-            span,
-        })
+        Ok((reductions, privates, body))
     }
 
     /// Resolve the names of `private(...)` clause items. The variables must
     /// be visible at the directive; items are kept with their clause span
     /// for the lint layer.
-    fn resolve_privates(&mut self, items: &[ast::NameItem]) -> Result<Vec<(Sym, Span)>, Diag> {
+    fn resolve_privates(&mut self, items: &[NameItem]) -> Result<Vec<(Sym, Span)>, Diag> {
         let mut out = Vec::new();
         for item in items {
             let sym = self.resolve_scalar(&item.name, item.span)?;
@@ -1105,33 +1044,7 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             total = bin(BinOpKind::Mul, total, l.trip.clone());
         }
 
-        // Schedule validation (same rules as plain loops).
-        let mut sched: Vec<Level> = Vec::new();
-        for l in &dir.levels {
-            if sched.contains(l) {
-                return Err(Diag::new(
-                    format!("duplicate `{l}` on loop directive"),
-                    dir.span,
-                ));
-            }
-            sched.push(*l);
-        }
-        let mut ss = sched.clone();
-        ss.sort();
-        if ss != sched {
-            return Err(Diag::new(
-                "parallelism levels must be ordered gang, worker, vector",
-                dir.span,
-            ));
-        }
-        if let (Some(&outer_max), Some(&inner_min)) = (self.level_path.last(), sched.first()) {
-            if inner_min <= outer_max {
-                return Err(Diag::new(
-                    format!("`{inner_min}` loop cannot be nested inside a `{outer_max}` loop"),
-                    dir.span,
-                ));
-            }
-        }
+        let sched = self.schedule(&dir)?;
 
         self.scopes.push(HashMap::new());
         let lin = self.new_local("__collapse_lin", CType::Long, true);
@@ -1173,69 +1086,13 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             });
         }
 
-        // Register reductions on the fused loop.
-        let base_depth = self.level_path.len();
-        self.level_path.extend(sched.iter().copied());
-        let n_before = self.active_reds.len();
-        for rc in &dir.reductions {
-            let sym = self.resolve_scalar(&rc.var, rc.span)?;
-            if self.active_reds.iter().any(|ar| ar.sym == sym) {
-                return Err(Diag::new(
-                    format!(
-                        "`{}` already has a reduction clause on an enclosing loop",
-                        rc.var
-                    ),
-                    rc.span,
-                ));
-            }
-            // A host scalar reduced inside an enclosing parallel loop would
-            // end with a different value in every gang/worker; its value
-            // after the region would be unspecified. Require the clause on
-            // the outermost parallel loop (the span auto-detection widens it
-            // from there).
-            if matches!(sym, Sym::Host(_)) && base_depth > 0 {
-                return Err(Diag::new(
-                    format!(
-                        "reduction on `{}` is nested inside {} parallelism, so its \
-                         value after the region would be unspecified; move the \
-                         reduction clause to the outermost parallel loop (the \
-                         compiler widens the span automatically)",
-                        rc.var,
-                        self.level_path[base_depth - 1]
-                    ),
-                    rc.span,
-                ));
-            }
-            self.mark_host_written(sym);
-            self.active_reds.push(ActiveRed {
-                sym,
-                op: rc.op,
-                base_depth,
-                span_levels: sched.iter().copied().collect(),
-                update_sites: Vec::new(),
-                found_update: false,
-            });
-        }
-        let privates = self.resolve_privates(&dir.privates)?;
-
-        let mut body = recover;
-        body.extend(self.stmts(&specs[n as usize - 1].body)?);
-
-        let mut reductions = Vec::new();
-        let drained: Vec<ActiveRed> = self.active_reds.drain(n_before..).collect();
-        for (ar, rc) in drained.into_iter().zip(&dir.reductions) {
-            reductions.push(Reduction {
-                op: ar.op,
-                sym: ar.sym,
-                ty: self.sym_type(ar.sym),
-                clause_levels: sched.clone(),
-                span_levels: sorted_levels(&ar.span_levels),
-                mixed_updates: ar.update_sites.len() > 1,
-                has_update: ar.found_update,
-                span: rc.span,
-            });
-        }
-        self.level_path.truncate(base_depth);
+        let body_stmts = &specs[n as usize - 1].body;
+        let (reductions, privates, body) =
+            self.under_clauses(&dir.reductions, &dir.privates, &sched, |rs| {
+                let mut body = recover;
+                body.extend(rs.stmts(body_stmts)?);
+                Ok(body)
+            })?;
         self.scopes.pop();
 
         Ok(HLoop {
@@ -1452,22 +1309,6 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
 enum ResolvedName {
     Scalar(Sym),
     Array(usize),
-}
-
-fn assign_bin_op(op: AssignOp) -> Option<BinOpKind> {
-    match op {
-        AssignOp::Assign => None,
-        AssignOp::Add => Some(BinOpKind::Add),
-        AssignOp::Sub => Some(BinOpKind::Sub),
-        AssignOp::Mul => Some(BinOpKind::Mul),
-        AssignOp::Div => Some(BinOpKind::Div),
-        AssignOp::Rem => Some(BinOpKind::Rem),
-        AssignOp::And => Some(BinOpKind::BitAnd),
-        AssignOp::Or => Some(BinOpKind::BitOr),
-        AssignOp::Xor => Some(BinOpKind::BitXor),
-        AssignOp::Shl => Some(BinOpKind::Shl),
-        AssignOp::Shr => Some(BinOpKind::Shr),
-    }
 }
 
 fn sorted_levels(set: &HashSet<Level>) -> Vec<Level> {
@@ -1873,6 +1714,54 @@ mod tests {
             "{}",
             err.message
         );
+        // The construct's clauses are held to the same rule.
+        let construct = "int N; int s;\n\
+            #pragma acc parallel reduction(+:s) reduction(*:s)\n{\n\
+            #pragma acc loop gang\nfor (int i = 0; i < N; i++) { s += 1; }\n}";
+        let err = analyze_src(construct).unwrap_err();
+        assert!(
+            err.message.contains("already has a reduction"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
+    fn bitwise_and_logical_reductions_need_an_integer_variable() {
+        for (ty, op, legal) in [
+            ("float", "&", false),
+            ("double", "||", false),
+            ("float", "&&", false),
+            ("long", "^", true),
+            ("float", "max", true),
+        ] {
+            let src = format!(
+                "int N; {ty} s;\nint a[N];\n\
+                 #pragma acc parallel reduction({op}:s)\n{{\n\
+                 #pragma acc loop gang\nfor (int i = 0; i < N; i++) {{ a[i] = 0; }}\n}}"
+            );
+            match analyze_src(&src) {
+                Ok(_) => assert!(legal, "`{op}` on `{ty}` must be rejected"),
+                Err(e) => {
+                    assert!(!legal, "`{op}` on `{ty}`: {}", e.message);
+                    assert!(
+                        e.message.contains("needs an integer variable"),
+                        "{}",
+                        e.message
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seq_conflicts_with_levels_on_a_collapsed_nest_too() {
+        let src = "int N; int M;\nint a[N][M];\n\
+            #pragma acc parallel\n{\n\
+            #pragma acc loop seq gang collapse(2)\n\
+            for (int i = 0; i < N; i++) { for (int j = 0; j < M; j++) { a[i][j] = 0; } }\n}";
+        let err = analyze_src(src).unwrap_err();
+        assert!(err.message.contains("`seq` conflicts"), "{}", err.message);
     }
 
     #[test]

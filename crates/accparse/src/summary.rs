@@ -17,7 +17,7 @@ pub struct ReductionTriple {
     pub var: String,
     pub op: RedOp,
     /// The operator's identity element, rendered for the element type
-    /// (matches `uhacc-core`'s codegen identity).
+    /// ([`RedOp::identity_text`]).
     pub identity: String,
     pub ty: CType,
     pub clause_levels: Vec<Level>,
@@ -63,29 +63,6 @@ pub struct RegionSummary {
     pub loops: Vec<LoopSpace>,
     pub outputs: Vec<OutputSummary>,
     pub hosts_written: Vec<String>,
-}
-
-/// Render the identity element of `op` at `ty` (the value codegen seeds
-/// private accumulators with).
-pub fn identity_text(op: RedOp, ty: CType) -> String {
-    let float = ty.is_float();
-    match op {
-        RedOp::Add | RedOp::BitOr | RedOp::BitXor | RedOp::LogOr => {
-            if float { "0.0" } else { "0" }.to_string()
-        }
-        RedOp::Mul | RedOp::LogAnd => if float { "1.0" } else { "1" }.to_string(),
-        RedOp::BitAnd => "~0".to_string(),
-        RedOp::Max => match ty {
-            CType::Int => "INT_MIN".to_string(),
-            CType::Long => "LONG_MIN".to_string(),
-            CType::Float | CType::Double => "-inf".to_string(),
-        },
-        RedOp::Min => match ty {
-            CType::Int => "INT_MAX".to_string(),
-            CType::Long => "LONG_MAX".to_string(),
-            CType::Float | CType::Double => "+inf".to_string(),
-        },
-    }
 }
 
 fn sym_name(prog: &AnalyzedProgram, region: usize, sym: Sym) -> String {
@@ -212,7 +189,7 @@ pub fn summarize_region(prog: &AnalyzedProgram, region: usize) -> RegionSummary 
             reductions.push(ReductionTriple {
                 var: sym_name(prog, region, red.sym),
                 op: red.op,
-                identity: identity_text(red.op, red.ty),
+                identity: red.op.identity_text(red.ty).to_string(),
                 ty: red.ty,
                 clause_levels: red.clause_levels.clone(),
                 span_levels: red.span_levels.clone(),

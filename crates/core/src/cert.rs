@@ -41,7 +41,7 @@ use gpsim::{verify_kernel, BinOp, CmpOp, LaunchConfig, Ty, UnOp, Value, VerifyCo
 
 use crate::codegen::expr::{classify, OpClass};
 use crate::plan::{BufferPurpose, CompiledRegion, LaunchDims, ParamSpec};
-use crate::types::{combine_binop, is_logical, machine_ty};
+use crate::types::{combine_binop, machine_ty};
 
 /// Normalize `v` to a 0/1 value at `ty` — the exact instruction sequence
 /// codegen emits for logical reduction operands (`cmp.ne ty, v, 0` then
@@ -63,7 +63,7 @@ pub fn apply_host_term(
     a: SVal,
     b: SVal,
 ) -> Result<SVal, String> {
-    if is_logical(op) {
+    if op.is_logical() {
         let na = norm01(pool, a, ty)?;
         let nb = norm01(pool, b, ty)?;
         return pool.v_bin(combine_binop(op), ty, na, nb);
@@ -336,7 +336,7 @@ impl<'a> RefState<'a> {
                     // accumulator is 0/1 by construction); the reference
                     // normalizes the accumulator too, because its chain
                     // starts at the *user's* initial value.
-                    let new = if is_logical(*op) {
+                    let new = if op.is_logical() {
                         let na = norm01(pool, cur, ty)?;
                         let nv = norm01(pool, v, ty)?;
                         pool.v_bin(combine_binop(*op), ty, na, nv)?

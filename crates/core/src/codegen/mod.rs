@@ -377,7 +377,7 @@ impl<'a> RegionCodegen<'a> {
     /// normalize `v` to 0/1 first.
     pub fn accumulate(&mut self, acc: Reg, op: RedOp, cty: CType, v: Reg) {
         let ty = machine_ty(cty);
-        let v = if crate::types::is_logical(op) {
+        let v = if op.is_logical() {
             let p = self.b.cmp(CmpOp::Ne, ty, v, Value::zero(ty));
             self.b.select(p, Value::I32(1), Value::I32(0))
         } else {

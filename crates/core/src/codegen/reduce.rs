@@ -522,7 +522,7 @@ impl<'a> RegionCodegen<'a> {
             if atomic {
                 let aop = crate::types::atomic_op(st.op)
                     .expect("prepass only selects atomic for atomic-capable ops");
-                let v = if crate::types::is_logical(st.op) {
+                let v = if st.op.is_logical() {
                     let p = cg.b.cmp(CmpOp::Ne, ty, st.priv_reg, Value::zero(ty));
                     cg.b.select(p, Value::I32(1), Value::I32(0))
                 } else {

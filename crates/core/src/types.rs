@@ -1,5 +1,7 @@
-//! Scalar type and reduction operator utilities shared by compiler and
-//! runtime.
+//! The machine side of the reduction vocabulary, shared by compiler and
+//! runtime: each operator's identity value, combine opcode and atomic.
+//! The source-level facts (spelling, admitted types, identity text, the
+//! update recognizer) are `accparse::reduction`.
 
 use accparse::ast::{CType, RedOp};
 use gpsim::{eval_bin, BinOp, Ty, Value};
@@ -73,12 +75,6 @@ pub fn combine_binop(op: RedOp) -> BinOp {
     }
 }
 
-/// True for the logical operators whose operands must be normalized to 0/1
-/// before combining.
-pub fn is_logical(op: RedOp) -> bool {
-    matches!(op, RedOp::LogAnd | RedOp::LogOr)
-}
-
 /// The global atomic opcode implementing `op`, when the hardware has one
 /// (there is no atomic multiply; logical and/or reduce over normalized 0/1
 /// values with the bitwise atomics).
@@ -100,7 +96,7 @@ pub fn atomic_op(op: RedOp) -> Option<gpsim::AtomOp> {
 /// CPU reference executor).
 pub fn apply_host(op: RedOp, ct: CType, a: Value, b: Value) -> Value {
     let ty = machine_ty(ct);
-    if is_logical(op) {
+    if op.is_logical() {
         let r = match op {
             RedOp::LogAnd => a.as_bool() && b.as_bool(),
             _ => a.as_bool() || b.as_bool(),

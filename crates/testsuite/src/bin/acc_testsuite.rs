@@ -7,7 +7,7 @@
 use acc_baselines::Compiler;
 use acc_testsuite::{
     certsweep, format_fig11, format_summary, format_table2, lintsweep, profile_case, redflowsweep,
-    run_suite, sanitize, Case, Position, SuiteConfig, ALL_OPS,
+    run_suite, sanitize, Case, Position, SuiteConfig,
 };
 use accparse::ast::{CType, RedOp};
 use uhacc_core::flags::{host_threads_from_env, parse_count, parse_count_u32};
@@ -174,7 +174,7 @@ fn main() {
     }
 
     let ops: Vec<RedOp> = if all_ops {
-        ALL_OPS.to_vec()
+        RedOp::ALL.to_vec()
     } else {
         vec![RedOp::Add, RedOp::Mul]
     };

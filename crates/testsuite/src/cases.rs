@@ -85,28 +85,16 @@ pub fn ctype_name(t: CType) -> &'static str {
 
 /// The reduction-update statement for `var <op>= expr`.
 pub fn update_stmt(op: RedOp, is_float: bool, var: &str, expr: &str) -> String {
+    let tok = op.clause_token();
     match op {
-        RedOp::Add => format!("{var} += {expr};"),
-        RedOp::Mul => format!("{var} *= {expr};"),
-        RedOp::Max => {
-            if is_float {
-                format!("{var} = fmax({var}, {expr});")
-            } else {
-                format!("{var} = max({var}, {expr});")
-            }
+        RedOp::Add | RedOp::Mul | RedOp::BitAnd | RedOp::BitOr | RedOp::BitXor => {
+            format!("{var} {tok}= {expr};")
         }
-        RedOp::Min => {
-            if is_float {
-                format!("{var} = fmin({var}, {expr});")
-            } else {
-                format!("{var} = min({var}, {expr});")
-            }
+        RedOp::Max | RedOp::Min => {
+            let f = if is_float { "f" } else { "" };
+            format!("{var} = {f}{tok}({var}, {expr});")
         }
-        RedOp::BitAnd => format!("{var} &= {expr};"),
-        RedOp::BitOr => format!("{var} |= {expr};"),
-        RedOp::BitXor => format!("{var} ^= {expr};"),
-        RedOp::LogAnd => format!("{var} = {var} && {expr};"),
-        RedOp::LogOr => format!("{var} = {var} || {expr};"),
+        RedOp::LogAnd | RedOp::LogOr => format!("{var} = {var} {tok} {expr};"),
     }
 }
 
@@ -140,30 +128,6 @@ pub fn initial_value(op: RedOp, t: CType) -> &'static str {
         RedOp::BitAnd => "-1",
         RedOp::BitOr | RedOp::BitXor | RedOp::LogOr => "0",
         RedOp::LogAnd => "1",
-    }
-}
-
-/// All nine OpenACC reduction operators, Table 2 order first.
-pub const ALL_OPS: [RedOp; 9] = [
-    RedOp::Add,
-    RedOp::Mul,
-    RedOp::Max,
-    RedOp::Min,
-    RedOp::BitAnd,
-    RedOp::BitOr,
-    RedOp::BitXor,
-    RedOp::LogAnd,
-    RedOp::LogOr,
-];
-
-/// Is (op, type) a legal combination? (Bitwise and logical reductions are
-/// integer-only in C.)
-pub fn combo_legal(op: RedOp, t: CType) -> bool {
-    match op {
-        RedOp::BitAnd | RedOp::BitOr | RedOp::BitXor | RedOp::LogAnd | RedOp::LogOr => {
-            !t.is_float()
-        }
-        _ => true,
     }
 }
 
@@ -410,7 +374,7 @@ mod tests {
                 RedOp::LogAnd,
             ] {
                 for t in [CType::Int, CType::Long, CType::Float, CType::Double] {
-                    if !combo_legal(op, t) {
+                    if !op.admits(t) {
                         continue;
                     }
                     let src = case_source(pos, op, t);
@@ -474,13 +438,5 @@ mod tests {
         assert_eq!(extents(Position::Worker, 100), (2, 100, 32));
         assert_eq!(extents(Position::Vector, 100), (2, 32, 100));
         assert_eq!(extents(Position::SameLineGwv, 100), (100, 1, 1));
-    }
-
-    #[test]
-    fn combo_legality() {
-        assert!(!combo_legal(RedOp::BitAnd, CType::Float));
-        assert!(!combo_legal(RedOp::LogOr, CType::Double));
-        assert!(combo_legal(RedOp::Max, CType::Float));
-        assert!(combo_legal(RedOp::BitXor, CType::Long));
     }
 }

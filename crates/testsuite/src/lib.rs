@@ -20,7 +20,7 @@ pub mod report;
 pub mod run;
 pub mod sanitize;
 
-pub use cases::{case_source, Position, ALL_OPS};
+pub use cases::{case_source, Position};
 pub use certsweep::{
     cert_cases, cert_config, certify_case, format_cert_sweep, run_cert_sweep, CertExpect,
     CertSweepRow,

@@ -12,7 +12,7 @@
 //!    checks add no false positives on the very codes they exist to
 //!    protect.
 
-use crate::cases::{case_source, combo_legal, ctype_name, Position, ALL_OPS};
+use crate::cases::{case_source, ctype_name, Position};
 use crate::report::{format_sweep, verdict, SweepRow};
 use crate::run::SuiteConfig;
 use accparse::ast::{CType, RedOp};
@@ -142,9 +142,9 @@ pub fn run_lint_sweep() -> Vec<LintSweepRow> {
     let types = [CType::Int, CType::Long, CType::Float, CType::Double];
     let mut rows = Vec::new();
     for pos in Position::all() {
-        for op in ALL_OPS {
+        for op in RedOp::ALL {
             for t in types {
-                if combo_legal(op, t) {
+                if op.admits(t) {
                     rows.push(lint_case(pos, op, t));
                 }
             }

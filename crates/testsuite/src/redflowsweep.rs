@@ -21,10 +21,10 @@
 //!    with its specific reason. Plans must render byte-identically when
 //!    analyzed twice (the committed golden relies on this).
 
-use crate::cases::ALL_OPS;
+use crate::cases::update_stmt;
 use crate::report::{format_sweep, verdict, SweepRow};
 use crate::run::SuiteConfig;
-use accparse::ast::RedOp;
+use accparse::ast::{CType, RedOp};
 use accparse::lint::lint_source;
 use accparse::redflow::{fusion_plan, fusion_plan_json};
 
@@ -76,17 +76,12 @@ fn row(label: &str, expect: &str, src: &str, want: &[&str], forbid: &[&str]) -> 
 /// The legal array-accumulator loop for `op`: every iteration folds
 /// `b[i]` into `acc[0]`, a same-element carried conflict that commutes.
 fn legal_source(op: RedOp) -> String {
-    let (ty, update) = match op {
-        RedOp::Add => ("double", "acc[0] += b[i];"),
-        RedOp::Mul => ("double", "acc[0] *= b[i];"),
-        RedOp::Max => ("double", "acc[0] = fmax(acc[0], b[i]);"),
-        RedOp::Min => ("double", "acc[0] = fmin(acc[0], b[i]);"),
-        RedOp::BitAnd => ("int", "acc[0] &= b[i];"),
-        RedOp::BitOr => ("int", "acc[0] |= b[i];"),
-        RedOp::BitXor => ("int", "acc[0] ^= b[i];"),
-        RedOp::LogAnd => ("int", "acc[0] = acc[0] && b[i];"),
-        RedOp::LogOr => ("int", "acc[0] = acc[0] || b[i];"),
+    let ty = if op.admits(CType::Double) {
+        CType::Double
+    } else {
+        CType::Int
     };
+    let update = update_stmt(op, ty.is_float(), "acc[0]", "b[i]");
     format!(
         "int N;\n{ty} acc[N]; {ty} b[N];\n\
          #pragma acc parallel copy(acc) copyin(b)\n{{\n\
@@ -157,7 +152,7 @@ pub fn run_redflow_sweep() -> Vec<RedflowRow> {
     let mut rows = Vec::new();
 
     // 1. Legal relaxations: one L210 per operator, nothing else.
-    for op in ALL_OPS {
+    for op in RedOp::ALL {
         rows.push(row(
             &format!("legal {op} array accumulator"),
             "L210 only",

@@ -6,7 +6,7 @@
 //! implementation passed or failed by verifying the OpenACC result with
 //! the CPU result").
 
-use crate::cases::{case_source, combo_legal, extents, gen_value, Position};
+use crate::cases::{case_source, extents, gen_value, Position};
 use acc_baselines::{Compiler, CpuExec, ReductionCase};
 use accparse::ast::{CType, RedOp};
 use accrt::{AccError, AccRunner, HostBuffer};
@@ -459,7 +459,7 @@ pub fn run_suite(
     for pos in Position::all() {
         for &op in ops {
             for &t in dtypes {
-                if !combo_legal(op, t) {
+                if !op.admits(t) {
                     continue;
                 }
                 let expected = reference(pos, op, t, cfg);
@@ -720,7 +720,6 @@ mod tests {
 #[cfg(test)]
 mod all_ops_tests {
     use super::*;
-    use crate::cases::combo_legal;
 
     /// The paper's §1 claim: "our algorithms cover all possible cases of
     /// reduction operations in three levels of parallelism, all reduction
@@ -732,9 +731,9 @@ mod all_ops_tests {
         let dtypes = [CType::Int, CType::Long, CType::Float, CType::Double];
         let mut ran = 0;
         for pos in Position::all() {
-            for op in crate::cases::ALL_OPS {
+            for op in RedOp::ALL {
                 for t in dtypes {
-                    if !combo_legal(op, t) {
+                    if !op.admits(t) {
                         continue;
                     }
                     let exp = reference(pos, op, t, &cfg);

@@ -10,7 +10,7 @@ use accparse::ast::{CType, RedOp};
 use proptest::prelude::*;
 use uhacc::baselines::CpuExec;
 use uhacc::prelude::*;
-use uhacc::testsuite::cases::{case_source, combo_legal, extents, gen_value, Position};
+use uhacc::testsuite::cases::{case_source, extents, gen_value, Position};
 
 fn positions() -> impl Strategy<Value = Position> {
     prop_oneof![
@@ -156,7 +156,7 @@ proptest! {
         d in dims(),
         red_n in 1usize..600,
     ) {
-        prop_assume!(combo_legal(op, t));
+        prop_assume!(op.admits(t));
         check_case(pos, op, t, d, red_n);
     }
 
@@ -173,7 +173,7 @@ proptest! {
         d in dims(),
         red_n in 1usize..400,
     ) {
-        prop_assume!(combo_legal(op, t));
+        prop_assume!(op.admits(t));
         let src = case_source(pos, op, t);
         let (nk, nj, ni) = extents(pos, red_n);
         let n = nk * nj * ni;
