@@ -5,7 +5,7 @@
 //!
 //! | code | severity | check |
 //! |------|----------|-------|
-//! | L100 | error    | reduction-shaped accumulation in a parallel loop with no `reduction` clause (fix-it suggests the exact clause and placement, §3.2.1) |
+//! | L100 | error    | reduction-shaped accumulation in a parallel loop with no `reduction` clause (fix-it suggests the exact clause and placement, §3.2.1, when sema admits the variable's type) |
 //! | L101 | error    | `reduction` clause placed below the loop whose iterations consume the value (span not fully covered) |
 //! | L102 | warning  | reduction variable read (non-update) inside the reduction loop — observes an unspecified partial value |
 //! | L103 | warning  | `reduction` clause whose variable is never updated under the loop |
@@ -392,7 +392,6 @@ impl<'a> RegionCx<'a> {
             return;
         }
         let var = self.sym_name(sym).to_string();
-        let clause = format!("reduction({}:{})", op.clause_token(), var);
         let cand_sched = candidate.sched.clone();
         let loop_desc = if cand_sched.is_empty() {
             "loop".to_string()
@@ -419,17 +418,24 @@ impl<'a> RegionCx<'a> {
                 "the accumulated value of `{var}` is copied back to the host after the region"
             )),
         };
-        diag = diag
-            .with_note(format!(
-                "detected reduction span: {} (every parallelism level between \
-                 the next use and the update)",
-                fmt_levels(&span_levels)
-            ))
-            .with_fixit(
+        diag = diag.with_note(format!(
+            "detected reduction span: {} (every parallelism level between \
+             the next use and the update)",
+            fmt_levels(&span_levels)
+        ));
+        // Suggest only a clause sema accepts; otherwise say why not.
+        let ty = match sym {
+            Sym::Host(h) => self.p.hosts[h].ty,
+            Sym::Local(l) => self.r.locals[l].ty,
+        };
+        diag = match op.refusal(&var, ty) {
+            Some(refusal) => diag.with_note(refusal),
+            None => diag.with_fixit(
                 format!("add this clause to the {loop_desc}"),
-                clause,
+                format!("reduction({}:{var})", op.clause_token()),
                 candidate.span,
-            );
+            ),
+        };
         out.push(Finding {
             kind: FindingKind::MissingReduction {
                 var,
@@ -1296,6 +1302,29 @@ mod tests {
         }
         let fix = f[0].diag.fixit().expect("fixit");
         assert_eq!(fix.insert, "reduction(+:s)");
+    }
+
+    #[test]
+    fn missing_reduction_never_suggests_a_clause_sema_refuses() {
+        let src = "int N; double s;\ndouble a[N];\ns = 0;\n\
+             #pragma acc parallel copyin(a)\n{\n\
+             #pragma acc loop gang vector\nfor (int i = 0; i < N; i++) { s = s || a[i]; }\n}";
+        let f = findings(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].code(), "L100");
+        assert!(f[0].diag.fixit().is_none(), "{:?}", f[0].diag);
+        // The note is word for word the compile error the clause would get.
+        let with_clause = src.replace("gang vector", "gang vector reduction(||:s)");
+        let ce = crate::compile(&with_clause).unwrap_err();
+        assert_eq!(
+            ce.message,
+            "a `||` reduction needs an integer variable, but `s` is `double`"
+        );
+        assert!(
+            f[0].diag.notes().iter().any(|n| n.message == ce.message),
+            "{:?}",
+            f[0].diag.notes()
+        );
     }
 
     #[test]

@@ -185,19 +185,10 @@ impl Parser {
         self.bump(); // acc
         self.bump(); // data
         let mut items = Vec::new();
-        while !matches!(self.peek(), Tok::PragmaEnd | Tok::Eof) {
-            let (name, span) = self.expect_ident()?;
-            let dir = match name.as_str() {
-                "copyin" => DataDir::CopyIn,
-                "copyout" => DataDir::CopyOut,
-                "copy" => DataDir::Copy,
-                "create" => DataDir::Create,
-                "present" => DataDir::Present,
-                other => return Err(Diag::new(format!("unknown data clause `{other}`"), span)),
-            };
-            self.data_items(dir, &mut items)?;
-        }
-        self.bump(); // PragmaEnd
+        self.clauses(|p, name, span| match data_dir(name) {
+            Some(dir) => p.data_items(dir, &mut items),
+            None => Err(Diag::new(format!("unknown data clause `{name}`"), span)),
+        })?;
         self.expect_punct("{")?;
         let first_region = regions.len();
         while !self.eat_punct("}") {
@@ -252,59 +243,23 @@ impl Parser {
                 self.span(),
             ));
         };
-        let mut c = ParallelConstruct {
-            is_kernels,
-            num_gangs: None,
-            num_workers: None,
-            vector_length: None,
-            data: Vec::new(),
-            reductions: Vec::new(),
-            privates: Vec::new(),
-            body: Vec::new(),
+        let mut c = empty_construct(is_kernels, start);
+        // `parallel loop` combined form: its loop clauses go to the loop.
+        let mut combined_loop = self.eat_ident("loop").then(|| LoopDirective {
             span: start,
-        };
-        // `parallel loop` combined form: remember and re-attach below.
-        let mut combined_loop: Option<LoopDirective> = None;
-        if self.eat_ident("loop") {
-            combined_loop = Some(LoopDirective {
-                span: start,
-                ..Default::default()
-            });
-        }
-        while !matches!(self.peek(), Tok::PragmaEnd | Tok::Eof) {
-            self.parallel_clause(&mut c, &mut combined_loop)?;
-        }
-        self.bump(); // PragmaEnd
-        let body_stmt = self.stmt()?;
-        c.body = match (combined_loop, body_stmt) {
-            (
-                Some(dir),
-                Stmt {
-                    kind: StmtKind::For(mut f),
-                    span,
-                },
-            ) => {
-                // merge: clauses named on the combined directive belong to the loop
-                f.directive = Some(dir);
-                vec![Stmt {
-                    kind: StmtKind::For(f),
-                    span,
-                }]
+            ..Default::default()
+        });
+        self.clauses(|p, name, span| p.parallel_clause(&mut c, &mut combined_loop, name, span))?;
+        c.body = match combined_loop {
+            Some(dir) => {
+                let written = if is_kernels {
+                    "#pragma acc kernels loop"
+                } else {
+                    "#pragma acc parallel loop"
+                };
+                vec![self.directed_for(dir, written)?]
             }
-            (Some(_), s) => {
-                return Err(Diag::new(
-                    "`#pragma acc parallel loop` must be followed by a for loop",
-                    s.span,
-                ))
-            }
-            (
-                None,
-                Stmt {
-                    kind: StmtKind::Block(stmts),
-                    ..
-                },
-            ) => stmts,
-            (None, s) => vec![s],
+            None => self.stmt_as_block()?,
         };
         Ok(c)
     }
@@ -313,21 +268,14 @@ impl Parser {
         &mut self,
         c: &mut ParallelConstruct,
         combined: &mut Option<LoopDirective>,
+        name: &str,
+        span: Span,
     ) -> Result<(), Diag> {
-        let (name, span) = self.expect_ident()?;
-        match name.as_str() {
+        match name {
             "num_gangs" => c.num_gangs = Some(self.paren_expr()?),
             "num_workers" => c.num_workers = Some(self.paren_expr()?),
             "vector_length" => c.vector_length = Some(self.paren_expr()?),
-            "copyin" => self.data_items(DataDir::CopyIn, &mut c.data)?,
-            "copyout" => self.data_items(DataDir::CopyOut, &mut c.data)?,
-            "copy" => self.data_items(DataDir::Copy, &mut c.data)?,
-            "create" => self.data_items(DataDir::Create, &mut c.data)?,
-            "present" => self.data_items(DataDir::Present, &mut c.data)?,
-            "private" => {
-                let names = self.name_list()?;
-                c.privates.extend(names);
-            }
+            "private" => c.privates.extend(self.name_list()?),
             "reduction" => {
                 let rs = self.reduction_clause(span)?;
                 match combined {
@@ -338,7 +286,7 @@ impl Parser {
             }
             // Combined-directive loop clauses.
             "gang" | "worker" | "vector" | "seq" | "collapse" => match combined {
-                Some(dir) => self.loop_word(dir, &name, span)?,
+                Some(dir) => self.loop_word(dir, name, span)?,
                 None => {
                     return Err(Diag::new(
                         format!("clause `{name}` requires a `loop` directive"),
@@ -347,27 +295,17 @@ impl Parser {
                 }
             },
             "async" | "wait" | "default" | "if" | "firstprivate" | "deviceptr" => {
-                // Recognized but unsupported clauses: consume optional args.
-                if self.eat_punct("(") {
-                    let mut depth = 1;
-                    while depth > 0 {
-                        match self.bump().tok {
-                            Tok::Punct("(") => depth += 1,
-                            Tok::Punct(")") => depth -= 1,
-                            Tok::Eof | Tok::PragmaEnd => {
-                                return Err(Diag::new("unterminated clause args", span))
-                            }
-                            _ => {}
-                        }
-                    }
+                self.skip_clause_args(span)?
+            }
+            other => match data_dir(other) {
+                Some(dir) => self.data_items(dir, &mut c.data)?,
+                None => {
+                    return Err(Diag::new(
+                        format!("unknown parallel clause `{other}`"),
+                        span,
+                    ))
                 }
-            }
-            other => {
-                return Err(Diag::new(
-                    format!("unknown parallel clause `{other}`"),
-                    span,
-                ));
-            }
+            },
         }
         Ok(())
     }
@@ -378,20 +316,7 @@ impl Parser {
             "worker" => dir.levels.push(Level::Worker),
             "vector" => dir.levels.push(Level::Vector),
             "seq" => dir.seq = true,
-            "collapse" => {
-                self.expect_punct("(")?;
-                let e = self.expr()?;
-                self.expect_punct(")")?;
-                match e.kind {
-                    ExprKind::IntLit(n) if n >= 1 => dir.collapse = Some(n as u32),
-                    _ => {
-                        return Err(Diag::new(
-                            "collapse argument must be a positive integer literal",
-                            span,
-                        ))
-                    }
-                }
-            }
+            "collapse" => dir.collapse = Some(self.collapse_arg(span)?),
             "independent" | "auto" => {} // accepted, no effect
             other => {
                 return Err(Diag::new(format!("unknown loop clause `{other}`"), span));
@@ -416,211 +341,165 @@ impl Parser {
                 ));
             }
         }
+        let mut written = "#pragma omp target teams distribute";
         let mut levels = vec![Level::Gang];
         if self.eat_ident("parallel") {
             if !self.eat_ident("for") {
                 return Err(Diag::new("expected `for` after `parallel`", self.span()));
             }
+            written = "#pragma omp target teams distribute parallel for";
             levels.push(Level::Vector);
         }
-        let mut c = ParallelConstruct {
-            is_kernels: false,
-            num_gangs: None,
-            num_workers: None,
-            vector_length: None,
-            data: Vec::new(),
-            reductions: Vec::new(),
-            privates: Vec::new(),
-            body: Vec::new(),
-            span: start,
-        };
+        let mut c = empty_construct(false, start);
         let mut dir = LoopDirective {
             levels,
             span: start,
             ..Default::default()
         };
-        while !matches!(self.peek(), Tok::PragmaEnd | Tok::Eof) {
-            let (name, span) = self.expect_ident()?;
-            match name.as_str() {
-                "num_teams" => c.num_gangs = Some(self.paren_expr()?),
-                "thread_limit" => c.vector_length = Some(self.paren_expr()?),
+        self.clauses(|p, name, span| {
+            match name {
+                "num_teams" => c.num_gangs = Some(p.paren_expr()?),
+                "thread_limit" => c.vector_length = Some(p.paren_expr()?),
                 "map" => {
-                    self.expect_punct("(")?;
                     // map([to|from|tofrom:] list)
-                    let dirn = if self.eat_ident("to") {
-                        self.expect_punct(":")?;
-                        DataDir::CopyIn
-                    } else if self.eat_ident("from") {
-                        self.expect_punct(":")?;
-                        DataDir::CopyOut
-                    } else if self.eat_ident("tofrom") {
-                        self.expect_punct(":")?;
-                        DataDir::Copy
-                    } else {
-                        DataDir::Copy
-                    };
-                    loop {
-                        let (n, sp) = self.expect_ident()?;
-                        while self.eat_punct("[") {
-                            let _ = self.expr()?;
-                            if self.eat_punct(":") {
-                                let _ = self.expr()?;
-                            }
-                            self.expect_punct("]")?;
-                        }
-                        c.data.push(DataItem {
-                            dir: dirn,
-                            name: n,
-                            span: sp,
-                        });
-                        if !self.eat_punct(",") {
+                    p.expect_punct("(")?;
+                    let mut map_dir = DataDir::Copy;
+                    for (word, d) in [
+                        ("to", DataDir::CopyIn),
+                        ("from", DataDir::CopyOut),
+                        ("tofrom", DataDir::Copy),
+                    ] {
+                        if p.eat_ident(word) {
+                            p.expect_punct(":")?;
+                            map_dir = d;
                             break;
                         }
                     }
-                    self.expect_punct(")")?;
+                    p.data_list(map_dir, &mut c.data)?;
+                    p.expect_punct(")")?;
                 }
-                "reduction" => {
-                    let rs = self.reduction_clause(span)?;
-                    dir.reductions.extend(rs);
-                }
-                "private" => {
-                    let names = self.name_list()?;
-                    c.privates.extend(names);
-                }
-                "schedule" | "collapse" | "if" | "device" => {
-                    if name == "collapse" {
-                        self.expect_punct("(")?;
-                        let e = self.expr()?;
-                        self.expect_punct(")")?;
-                        match e.kind {
-                            ExprKind::IntLit(v) if v >= 1 => dir.collapse = Some(v as u32),
-                            _ => {
-                                return Err(Diag::new(
-                                    "collapse argument must be a positive integer literal",
-                                    span,
-                                ))
-                            }
-                        }
-                    } else if self.eat_punct("(") {
-                        let mut depth = 1;
-                        while depth > 0 {
-                            match self.bump().tok {
-                                Tok::Punct("(") => depth += 1,
-                                Tok::Punct(")") => depth -= 1,
-                                Tok::Eof | Tok::PragmaEnd => {
-                                    return Err(Diag::new("unterminated clause args", span))
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                }
-                other => {
-                    return Err(Diag::new(format!("unknown omp clause `{other}`"), span));
-                }
+                "reduction" => dir.reductions.extend(p.reduction_clause(span)?),
+                "private" => c.privates.extend(p.name_list()?),
+                "collapse" => dir.collapse = Some(p.collapse_arg(span)?),
+                "schedule" | "if" | "device" => p.skip_clause_args(span)?,
+                other => return Err(Diag::new(format!("unknown omp clause `{other}`"), span)),
             }
-        }
-        self.bump(); // PragmaEnd
-        let body_stmt = self.stmt()?;
-        match body_stmt {
-            Stmt {
-                kind: StmtKind::For(mut f),
-                span,
-            } => {
-                f.directive = Some(dir);
-                c.body = vec![Stmt {
-                    kind: StmtKind::For(f),
-                    span,
-                }];
-                Ok(c)
-            }
-            s => Err(Diag::new(
-                "`omp target teams distribute` must be followed by a for loop",
-                s.span,
-            )),
-        }
+            Ok(())
+        })?;
+        c.body = vec![self.directed_for(dir, written)?];
+        Ok(c)
     }
 
-    fn loop_directive(&mut self) -> Result<LoopDirective, Diag> {
+    /// A loop directive inside a region — `#pragma acc loop` or, inside a
+    /// teams region, `#pragma omp parallel for` (the inner thread level ->
+    /// vector) — and how it was written.
+    fn loop_directive(&mut self) -> Result<(LoopDirective, &'static str), Diag> {
         let start = self.bump().span; // PragmaStart
-        if self.eat_ident("omp") {
-            // `#pragma omp parallel for [reduction(...)]` inside a teams
-            // region: the inner thread level -> vector.
+        let omp = self.eat_ident("omp");
+        if omp {
             if !(self.eat_ident("parallel") && self.eat_ident("for")) {
                 return Err(Diag::new(
                     "expected `parallel for` (the supported inner OpenMP directive)",
                     self.span(),
                 ));
             }
-            let mut dir = LoopDirective {
-                levels: vec![Level::Vector],
-                span: start,
-                ..Default::default()
-            };
-            while !matches!(self.peek(), Tok::PragmaEnd | Tok::Eof) {
-                let (name, span) = self.expect_ident()?;
-                match name.as_str() {
-                    "reduction" => {
-                        let rs = self.reduction_clause(span)?;
-                        dir.reductions.extend(rs);
-                    }
-                    "private" => {
-                        let names = self.name_list()?;
-                        dir.privates.extend(names);
-                    }
-                    "schedule" => {
-                        if self.eat_punct("(") {
-                            let mut depth = 1;
-                            while depth > 0 {
-                                match self.bump().tok {
-                                    Tok::Punct("(") => depth += 1,
-                                    Tok::Punct(")") => depth -= 1,
-                                    Tok::Eof | Tok::PragmaEnd => {
-                                        return Err(Diag::new("unterminated clause args", span))
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                    }
-                    other => return Err(Diag::new(format!("unknown omp clause `{other}`"), span)),
-                }
-            }
-            self.bump(); // PragmaEnd
-            return Ok(dir);
-        }
-        if !self.eat_ident("acc") {
+        } else if !self.eat_ident("acc") {
             return Err(Diag::new(
                 "expected `acc` or `omp` after `#pragma`",
                 self.span(),
             ));
-        }
-        if !self.eat_ident("loop") {
+        } else if !self.eat_ident("loop") {
             return Err(Diag::new(
                 "only `loop` directives may appear inside a parallel region",
                 self.span(),
             ));
         }
         let mut dir = LoopDirective {
+            levels: if omp { vec![Level::Vector] } else { Vec::new() },
             span: start,
             ..Default::default()
         };
+        self.clauses(|p, name, span| {
+            match name {
+                "reduction" => dir.reductions.extend(p.reduction_clause(span)?),
+                "private" => dir.privates.extend(p.name_list()?),
+                "schedule" if omp => p.skip_clause_args(span)?,
+                other if omp => {
+                    return Err(Diag::new(format!("unknown omp clause `{other}`"), span))
+                }
+                other => p.loop_word(&mut dir, other, span)?,
+            }
+            Ok(())
+        })?;
+        let written = if omp {
+            "#pragma omp parallel for"
+        } else {
+            "#pragma acc loop"
+        };
+        Ok((dir, written))
+    }
+
+    /// Parse a directive's clauses through the end of the directive line,
+    /// handing each clause name and its span to `clause`.
+    fn clauses(
+        &mut self,
+        mut clause: impl FnMut(&mut Self, &str, Span) -> Result<(), Diag>,
+    ) -> Result<(), Diag> {
         while !matches!(self.peek(), Tok::PragmaEnd | Tok::Eof) {
             let (name, span) = self.expect_ident()?;
-            match name.as_str() {
-                "reduction" => {
-                    let rs = self.reduction_clause(span)?;
-                    dir.reductions.extend(rs);
-                }
-                "private" => {
-                    let names = self.name_list()?;
-                    dir.privates.extend(names);
-                }
-                other => self.loop_word(&mut dir, other, span)?,
-            }
+            clause(self, &name, span)?;
         }
         self.bump(); // PragmaEnd
-        Ok(dir)
+        Ok(())
+    }
+
+    /// Parse the statement a loop directive governs, which must be a `for`
+    /// loop, and attach `dir` to it. `written` names the directive.
+    fn directed_for(&mut self, dir: LoopDirective, written: &str) -> Result<Stmt, Diag> {
+        let s = self.stmt()?;
+        match s.kind {
+            StmtKind::For(mut f) => {
+                f.directive = Some(dir);
+                Ok(Stmt {
+                    kind: StmtKind::For(f),
+                    span: s.span,
+                })
+            }
+            _ => Err(Diag::new(
+                format!("`{written}` must be followed by a for loop"),
+                s.span,
+            )),
+        }
+    }
+
+    /// Skip the optional balanced `( ... )` argument of a clause that is
+    /// recognized but has no effect here.
+    fn skip_clause_args(&mut self, span: Span) -> Result<(), Diag> {
+        if self.eat_punct("(") {
+            let mut depth = 1;
+            while depth > 0 {
+                match self.bump().tok {
+                    Tok::Punct("(") => depth += 1,
+                    Tok::Punct(")") => depth -= 1,
+                    Tok::Eof | Tok::PragmaEnd => {
+                        return Err(Diag::new("unterminated clause args", span))
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The `(n)` of a `collapse` clause: a positive integer literal.
+    fn collapse_arg(&mut self, span: Span) -> Result<u32, Diag> {
+        match self.paren_expr()?.kind {
+            ExprKind::IntLit(n) if n >= 1 => Ok(n as u32),
+            _ => Err(Diag::new(
+                "collapse argument must be a positive integer literal",
+                span,
+            )),
+        }
     }
 
     fn paren_expr(&mut self) -> Result<Expr, Diag> {
@@ -644,13 +523,21 @@ impl Parser {
         Ok(names)
     }
 
+    /// `( list )` of an OpenACC data clause; see [`Parser::data_list`].
     fn data_items(&mut self, dir: DataDir, out: &mut Vec<DataItem>) -> Result<(), Diag> {
         self.expect_punct("(")?;
+        self.data_list(dir, out)?;
+        self.expect_punct(")")?;
+        Ok(())
+    }
+
+    /// The array list of a data clause or an OpenMP `map`: names, each
+    /// with optional subranges `[lo:len][...]` that are parsed and dropped
+    /// (whole arrays move).
+    fn data_list(&mut self, dir: DataDir, out: &mut Vec<DataItem>) -> Result<(), Diag> {
         loop {
             let (name, span) = self.expect_ident()?;
-            // optional subranges: [lo:len] or [lo:len][...]...
             while self.eat_punct("[") {
-                // contents: expr [: expr]
                 let _ = self.expr()?;
                 if self.eat_punct(":") {
                     let _ = self.expr()?;
@@ -659,11 +546,9 @@ impl Parser {
             }
             out.push(DataItem { dir, name, span });
             if !self.eat_punct(",") {
-                break;
+                return Ok(());
             }
         }
-        self.expect_punct(")")?;
-        Ok(())
     }
 
     fn reduction_clause(&mut self, span: Span) -> Result<Vec<ReductionClause>, Diag> {
@@ -716,21 +601,9 @@ impl Parser {
                 })
             }
             Tok::PragmaStart => {
-                let dir = self.loop_directive()?;
-                let next = self.stmt()?;
-                match next.kind {
-                    StmtKind::For(mut f) => {
-                        f.directive = Some(dir);
-                        Ok(Stmt {
-                            kind: StmtKind::For(f),
-                            span,
-                        })
-                    }
-                    _ => Err(Diag::new(
-                        "`#pragma acc loop` must be followed by a for loop",
-                        next.span,
-                    )),
-                }
+                let (dir, written) = self.loop_directive()?;
+                let s = self.directed_for(dir, written)?;
+                Ok(Stmt { span, ..s })
             }
             Tok::Ident(s) if s == "if" => self.if_stmt(),
             Tok::Ident(s) if s == "for" => self.for_stmt(None),
@@ -1174,6 +1047,33 @@ impl Parser {
             )),
         }
     }
+}
+
+/// A construct with no clauses and no body yet.
+fn empty_construct(is_kernels: bool, span: Span) -> ParallelConstruct {
+    ParallelConstruct {
+        is_kernels,
+        num_gangs: None,
+        num_workers: None,
+        vector_length: None,
+        data: Vec::new(),
+        reductions: Vec::new(),
+        privates: Vec::new(),
+        body: Vec::new(),
+        span,
+    }
+}
+
+/// The direction an OpenACC data clause moves its arrays in.
+fn data_dir(clause: &str) -> Option<DataDir> {
+    Some(match clause {
+        "copyin" => DataDir::CopyIn,
+        "copyout" => DataDir::CopyOut,
+        "copy" => DataDir::Copy,
+        "create" => DataDir::Create,
+        "present" => DataDir::Present,
+        _ => return None,
+    })
 }
 
 fn describe(t: &Tok) -> String {

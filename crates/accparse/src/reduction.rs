@@ -113,6 +113,16 @@ impl RedOp {
         !(int_only && ty.is_float())
     }
 
+    /// Why a clause of this operator on `var`, of type `ty`, is refused,
+    /// or `None` when [`RedOp::admits`] the type: the compile error sema
+    /// reports at the clause, and the note the lint layer gives instead of
+    /// suggesting that clause.
+    pub(crate) fn refusal(self, var: &str, ty: CType) -> Option<String> {
+        (!self.admits(ty)).then(|| {
+            format!("a `{self}` reduction needs an integer variable, but `{var}` is `{ty}`")
+        })
+    }
+
     /// The identity element at `ty`, as source text: the value codegen
     /// seeds every private accumulator with (`uhacc-core::types::identity`).
     pub fn identity_text(self, ty: CType) -> &'static str {

@@ -21,13 +21,7 @@ pub fn analyze(p: &Program) -> Result<AnalyzedProgram, Diag> {
     let mut hosts: Vec<HostScalar> = Vec::new();
     let mut arrays: Vec<ArrayDecl> = Vec::new();
     let mut host_assigns: Vec<HostAssign> = Vec::new();
-    let mut names: HashMap<String, TopSym> = HashMap::new();
-
-    #[derive(Clone, Copy)]
-    enum TopSym {
-        Host(usize),
-        Array(usize),
-    }
+    let mut names: HashMap<String, Sym0> = HashMap::new();
 
     // -- top-level declarations and host assignments ------------------------
     for d in &p.decls {
@@ -47,12 +41,9 @@ pub fn analyze(p: &Program) -> Result<AnalyzedProgram, Diag> {
                         name: name.clone(),
                         ty: *ty,
                     });
-                    names.insert(name.clone(), TopSym::Host(idx));
+                    names.insert(name.clone(), Sym0::Host(idx));
                     if let Some(e) = init {
-                        let value = host_expr(e, &hosts, |n| match names.get(n) {
-                            Some(TopSym::Host(i)) => Some(*i),
-                            _ => None,
-                        })?;
+                        let value = RegionSema::new(&hosts, &arrays, &names).host_scope(e)?;
                         host_assigns.push(HostAssign {
                             host: idx,
                             value,
@@ -60,20 +51,18 @@ pub fn analyze(p: &Program) -> Result<AnalyzedProgram, Diag> {
                         });
                     }
                 } else {
-                    let mut hdims = Vec::new();
-                    for dim in dims {
-                        hdims.push(host_expr(dim, &hosts, |n| match names.get(n) {
-                            Some(TopSym::Host(i)) => Some(*i),
-                            _ => None,
-                        })?);
-                    }
+                    let mut rs = RegionSema::new(&hosts, &arrays, &names);
+                    let dims = dims
+                        .iter()
+                        .map(|dim| rs.host_scope(dim))
+                        .collect::<Result<_, _>>()?;
                     let idx = arrays.len();
                     arrays.push(ArrayDecl {
                         name: name.clone(),
                         ty: *ty,
-                        dims: hdims,
+                        dims,
                     });
-                    names.insert(name.clone(), TopSym::Array(idx));
+                    names.insert(name.clone(), Sym0::Array(idx));
                 }
             }
             StmtKind::Assign {
@@ -81,19 +70,13 @@ pub fn analyze(p: &Program) -> Result<AnalyzedProgram, Diag> {
                 lhs: LValue::Var(name),
                 rhs,
             } => {
-                let idx = match names.get(name) {
-                    Some(TopSym::Host(i)) => *i,
-                    _ => {
-                        return Err(Diag::new(
-                            format!("assignment to undeclared host scalar `{name}`"),
-                            d.span,
-                        ))
-                    }
+                let Some(&Sym0::Host(idx)) = names.get(name) else {
+                    return Err(Diag::new(
+                        format!("assignment to undeclared host scalar `{name}`"),
+                        d.span,
+                    ));
                 };
-                let value = host_expr(rhs, &hosts, |n| match names.get(n) {
-                    Some(TopSym::Host(i)) => Some(*i),
-                    _ => None,
-                })?;
+                let value = RegionSema::new(&hosts, &arrays, &names).host_scope(rhs)?;
                 host_assigns.push(HostAssign {
                     host: idx,
                     value,
@@ -109,30 +92,10 @@ pub fn analyze(p: &Program) -> Result<AnalyzedProgram, Diag> {
         }
     }
 
-    let top_lookup = |name: &str| -> Option<Sym0> {
-        match names.get(name) {
-            Some(TopSym::Host(i)) => Some(Sym0::Host(*i)),
-            Some(TopSym::Array(i)) => Some(Sym0::Array(*i)),
-            None => None,
-        }
-    };
-
     // -- regions -------------------------------------------------------------
     let mut regions = Vec::new();
     for r in &p.regions {
-        let mut rs = RegionSema {
-            hosts: &hosts,
-            arrays: &arrays,
-            top: &top_lookup,
-            locals: Vec::new(),
-            scopes: vec![HashMap::new()],
-            active_reds: Vec::new(),
-            level_path: Vec::new(),
-            hosts_used: Vec::new(),
-            hosts_written: Vec::new(),
-            arrays_used: Vec::new(),
-        };
-        regions.push(rs.region(r)?);
+        regions.push(RegionSema::new(&hosts, &arrays, &names).region(r)?);
     }
 
     // Resolve structured data regions.
@@ -141,8 +104,8 @@ pub fn analyze(p: &Program) -> Result<AnalyzedProgram, Diag> {
         let mut bindings = Vec::new();
         for item in &db.items {
             match names.get(&item.name) {
-                Some(TopSym::Array(i)) => bindings.push((*i, item.dir)),
-                Some(TopSym::Host(_)) => {
+                Some(Sym0::Array(i)) => bindings.push((*i, item.dir)),
+                Some(Sym0::Host(_)) => {
                     return Err(Diag::new(
                         format!("`{}` is a scalar; data clauses take arrays", item.name),
                         item.span,
@@ -173,80 +136,11 @@ pub fn analyze(p: &Program) -> Result<AnalyzedProgram, Diag> {
     })
 }
 
-/// Top-level symbol class used during host-expression analysis.
+/// What a top-level name declares.
 #[derive(Clone, Copy)]
 enum Sym0 {
     Host(usize),
     Array(usize),
-}
-
-/// Analyze an expression in *host* context: only literals and host scalars.
-fn host_expr<F>(e: &Expr, hosts: &[HostScalar], lookup: F) -> Result<HExpr, Diag>
-where
-    F: Fn(&str) -> Option<usize> + Copy,
-{
-    let kind_ty: (HExprKind, CType) = match &e.kind {
-        ExprKind::IntLit(v) => (HExprKind::Int(*v), CType::Int),
-        ExprKind::FloatLit(v) => (HExprKind::Float(*v), CType::Double),
-        ExprKind::Ident(n) => match lookup(n) {
-            Some(i) => (HExprKind::Sym(Sym::Host(i)), hosts[i].ty),
-            None => {
-                return Err(Diag::new(
-                    format!(
-                        "`{n}` is not a host scalar (host expressions may only use \
-                             literals and previously declared scalars)"
-                    ),
-                    e.span,
-                ))
-            }
-        },
-        ExprKind::Un { op, operand } => {
-            let o = host_expr(operand, hosts, lookup)?;
-            let ty = o.ty;
-            (
-                HExprKind::Un {
-                    op: *op,
-                    operand: Box::new(o),
-                },
-                ty,
-            )
-        }
-        ExprKind::Bin { op, lhs, rhs } => {
-            let l = host_expr(lhs, hosts, lookup)?;
-            let r = host_expr(rhs, hosts, lookup)?;
-            let ty = bin_result_type(*op, l.ty, r.ty, e.span)?;
-            let cmp_ty = CType::promote(l.ty, r.ty);
-            (
-                HExprKind::Bin {
-                    op: *op,
-                    cmp_ty,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                },
-                ty,
-            )
-        }
-        ExprKind::Cast { ty, operand } => {
-            let o = host_expr(operand, hosts, lookup)?;
-            (
-                HExprKind::Cast {
-                    operand: Box::new(o),
-                },
-                *ty,
-            )
-        }
-        _ => {
-            return Err(Diag::new(
-                "unsupported construct in host expression",
-                e.span,
-            ))
-        }
-    };
-    Ok(HExpr {
-        ty: kind_ty.1,
-        kind: kind_ty.0,
-        span: e.span,
-    })
 }
 
 /// Result type of a binary operator given operand types (C rules), with
@@ -286,10 +180,15 @@ struct ActiveRed {
     span: Span,
 }
 
-struct RegionSema<'a, F: Fn(&str) -> Option<Sym0>> {
+/// The one typer and checker: it analyzes a region, and, with
+/// `in_host_scope` set, a host-scope expression.
+struct RegionSema<'a> {
     hosts: &'a [HostScalar],
     arrays: &'a [ArrayDecl],
-    top: &'a F,
+    names: &'a HashMap<String, Sym0>,
+    /// Set while typing a host-scope expression: names resolve only to
+    /// host scalars, and no use is recorded.
+    in_host_scope: bool,
     locals: Vec<LocalScalar>,
     scopes: Vec<HashMap<String, Sym>>,
     active_reds: Vec<ActiveRed>,
@@ -301,23 +200,42 @@ struct RegionSema<'a, F: Fn(&str) -> Option<Sym0>> {
     arrays_used: Vec<usize>,
 }
 
-impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
+impl<'a> RegionSema<'a> {
+    fn new(
+        hosts: &'a [HostScalar],
+        arrays: &'a [ArrayDecl],
+        names: &'a HashMap<String, Sym0>,
+    ) -> Self {
+        RegionSema {
+            hosts,
+            arrays,
+            names,
+            in_host_scope: false,
+            locals: Vec::new(),
+            scopes: vec![HashMap::new()],
+            active_reds: Vec::new(),
+            level_path: Vec::new(),
+            hosts_used: Vec::new(),
+            hosts_written: Vec::new(),
+            arrays_used: Vec::new(),
+        }
+    }
+
+    /// Type `e` at host scope — a declaration initializer, host
+    /// assignment, array dimension or launch clause — with the one typer:
+    /// names resolve only to the host scalars declared so far.
+    fn host_scope(&mut self, e: &Expr) -> Result<HExpr, Diag> {
+        self.in_host_scope = true;
+        let h = self.expr(e);
+        self.in_host_scope = false;
+        h
+    }
+
     fn region(&mut self, r: &ast::ParallelConstruct) -> Result<AnalyzedRegion, Diag> {
-        let num_gangs = r
-            .num_gangs
-            .as_ref()
-            .map(|e| self.host_only(e))
-            .transpose()?;
-        let num_workers = r
-            .num_workers
-            .as_ref()
-            .map(|e| self.host_only(e))
-            .transpose()?;
-        let vector_length = r
-            .vector_length
-            .as_ref()
-            .map(|e| self.host_only(e))
-            .transpose()?;
+        let mut launch = |e: &Option<Expr>| e.as_ref().map(|e| self.host_scope(e)).transpose();
+        let num_gangs = launch(&r.num_gangs)?;
+        let num_workers = launch(&r.num_workers)?;
+        let vector_length = launch(&r.vector_length)?;
 
         // Reductions written on the parallel construct apply to the
         // outermost gang loop: they are open, at depth 0, while the whole
@@ -332,8 +250,8 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
         let mut data: Vec<DataBinding> = Vec::new();
         let mut named: HashSet<usize> = HashSet::new();
         for item in &r.data {
-            let idx = match (self.top)(&item.name) {
-                Some(Sym0::Array(i)) => i,
+            let idx = match self.names.get(&item.name) {
+                Some(&Sym0::Array(i)) => i,
                 Some(Sym0::Host(_)) => {
                     return Err(Diag::new(
                         format!(
@@ -387,13 +305,6 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
         })
     }
 
-    fn host_only(&mut self, e: &Expr) -> Result<HExpr, Diag> {
-        host_expr(e, self.hosts, |n| match (self.top)(n) {
-            Some(Sym0::Host(i)) => Some(i),
-            _ => None,
-        })
-    }
-
     fn sym_type(&self, s: Sym) -> CType {
         match s {
             Sym::Host(i) => self.hosts[i].ty,
@@ -404,24 +315,36 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
     /// The scalar `name` denotes here, without recording a use.
     fn scalar_named(&self, name: &str) -> Option<Sym> {
         let local = self.scopes.iter().rev().find_map(|s| s.get(name)).copied();
-        local.or_else(|| match (self.top)(name) {
-            Some(Sym0::Host(i)) => Some(Sym::Host(i)),
+        local.or_else(|| match self.names.get(name) {
+            Some(&Sym0::Host(i)) => Some(Sym::Host(i)),
             _ => None,
         })
     }
 
     fn resolve(&mut self, name: &str, span: Span) -> Result<ResolvedName, Diag> {
+        if self.in_host_scope {
+            return match self.names.get(name) {
+                Some(&Sym0::Host(i)) => Ok(ResolvedName::Scalar(Sym::Host(i))),
+                _ => Err(Diag::new(
+                    format!(
+                        "`{name}` is not a host scalar (host expressions may only use \
+                         literals and previously declared scalars)"
+                    ),
+                    span,
+                )),
+            };
+        }
         if let Some(s) = self.scopes.iter().rev().find_map(|s| s.get(name)) {
             return Ok(ResolvedName::Scalar(*s));
         }
-        match (self.top)(name) {
-            Some(Sym0::Host(i)) => {
+        match self.names.get(name) {
+            Some(&Sym0::Host(i)) => {
                 if !self.hosts_used.contains(&i) {
                     self.hosts_used.push(i);
                 }
                 Ok(ResolvedName::Scalar(Sym::Host(i)))
             }
-            Some(Sym0::Array(i)) => {
+            Some(&Sym0::Array(i)) => {
                 if !self.arrays_used.contains(&i) {
                     self.arrays_used.push(i);
                 }
@@ -581,17 +504,8 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                 }
             }
             LValue::Elem { base, indices } => {
-                let arr = match self.resolve(base, span)? {
-                    ResolvedName::Array(i) => i,
-                    ResolvedName::Scalar(_) => {
-                        return Err(Diag::new(
-                            format!("`{base}` is a scalar, cannot subscript"),
-                            span,
-                        ))
-                    }
-                };
+                let (arr, idx_h) = self.element(base, indices, span)?;
                 let ety = self.arrays[arr].ty;
-                let idx_h = self.indices(arr, indices, span)?;
                 let load = || HExprKind::Load {
                     array: arr,
                     indices: idx_h.clone(),
@@ -702,8 +616,36 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             }
         }
         let sched = self.schedule(&dir)?;
+        let head = self.loop_rule(f, !sched.is_empty())?;
 
-        // Analyze bounds in the *enclosing* scope.
+        self.scopes.push(HashMap::new());
+        let var = self.new_local(&f.var, head.var_ty, true);
+        let (reductions, privates, body) =
+            self.under_clauses(&dir.reductions, &dir.privates, &sched, |rs| {
+                rs.stmts(&f.body)
+            })?;
+        self.scopes.pop();
+
+        Ok(HLoop {
+            var,
+            lower: head.lower,
+            bound: head.bound,
+            cmp: f.cmp,
+            step: head.step,
+            sched,
+            reductions,
+            privates,
+            body,
+            span,
+        })
+    }
+
+    /// The one rule every loop obeys — a plain loop and each level of a
+    /// collapsed nest alike: integer bounds, step and loop variable, a
+    /// step whose direction agrees with the comparison, and a constant
+    /// step on a `parallel` loop. Bounds and step are typed in the
+    /// enclosing scope.
+    fn loop_rule(&mut self, f: &ast::ForLoop, parallel: bool) -> Result<LoopHead, Diag> {
         let lower = self.expr(&f.init)?;
         let bound = self.expr(&f.bound)?;
         let step = self.expr(&f.step)?;
@@ -715,7 +657,7 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                 ));
             }
         }
-        if !sched.is_empty() && step.const_int().is_none() {
+        if parallel && step.const_int().is_none() {
             return Err(Diag::new(
                 "a parallel loop requires a constant step",
                 step.span,
@@ -730,8 +672,6 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                 ));
             }
         }
-
-        self.scopes.push(HashMap::new());
         let var_ty = f.decl_ty.unwrap_or(CType::Int);
         if var_ty.is_float() {
             return Err(Diag::new(
@@ -739,24 +679,11 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                 f.var_span,
             ));
         }
-        let var = self.new_local(&f.var, var_ty, true);
-        let (reductions, privates, body) =
-            self.under_clauses(&dir.reductions, &dir.privates, &sched, |rs| {
-                rs.stmts(&f.body)
-            })?;
-        self.scopes.pop();
-
-        Ok(HLoop {
-            var,
+        Ok(LoopHead {
             lower,
             bound,
-            cmp: f.cmp,
             step,
-            sched,
-            reductions,
-            privates,
-            body,
-            span,
+            var_ty,
         })
     }
 
@@ -843,15 +770,8 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                     rc.span,
                 ));
             }
-            let ty = self.sym_type(sym);
-            if !rc.op.admits(ty) {
-                return Err(Diag::new(
-                    format!(
-                        "a `{}` reduction needs an integer variable, but `{}` is `{ty}`",
-                        rc.op, rc.var
-                    ),
-                    rc.span,
-                ));
+            if let Some(refusal) = rc.op.refusal(&rc.var, self.sym_type(sym)) {
+                return Err(Diag::new(refusal, rc.span));
             }
             self.mark_host_written(sym);
             self.active_reds.push(ActiveRed {
@@ -933,9 +853,7 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             specs.push(inner);
         }
 
-        // Analyze each level's bounds in the enclosing scope: referencing an
-        // outer collapsed loop variable fails name resolution, which is
-        // exactly the rectangularity requirement.
+        let sched = self.schedule(&dir)?;
         let mk_long = |kind: HExprKind| HExpr {
             ty: CType::Long,
             kind,
@@ -967,59 +885,44 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
         };
 
         struct LevelInfo {
-            lower: HExpr,
+            head: LoopHead,
             trip: HExpr,
             stepv: i64,
-            var_ty: CType,
         }
         let mut levels: Vec<LevelInfo> = Vec::new();
         for (d, sp) in specs.iter().enumerate() {
-            let lower = self.expr(&sp.init).map_err(|e| {
-                Diag::new(
-                    format!(
-                        "in collapse level {d}: {} (collapsed bounds must not depend on \
-                         outer collapsed loop variables)",
-                        e.message
-                    ),
-                    e.span,
-                )
-            })?;
-            let bound = self.expr(&sp.bound).map_err(|e| {
-                Diag::new(
-                    format!(
-                        "in collapse level {d}: {} (collapsed bounds must not depend on \
-                         outer collapsed loop variables)",
-                        e.message
-                    ),
-                    e.span,
-                )
-            })?;
-            let step = self.expr(&sp.step)?;
-            if lower.ty.is_float() || bound.ty.is_float() {
-                return Err(Diag::new("loop bounds must be integers", sp.init.span));
+            // Rectangularity: the bounds are typed in the enclosing scope,
+            // where no collapsed loop variable is visible, so a use of one
+            // is caught here before it can resolve to an outer name.
+            for outer in &specs[..d] {
+                if let Some(at) = mention(&sp.init, &outer.var).or(mention(&sp.bound, &outer.var)) {
+                    return Err(Diag::new(
+                        format!(
+                            "collapse({n}) requires a rectangular nest: the bounds of level \
+                             {d} use the outer loop variable `{}`",
+                            outer.var
+                        ),
+                        at,
+                    ));
+                }
             }
-            let stepv = step.const_int().ok_or_else(|| {
-                Diag::new("collapsed loops require constant steps of +1 or -1", span)
-            })?;
-            if stepv != 1 && stepv != -1 {
-                return Err(Diag::new(
-                    "collapsed loops require constant steps of +1 or -1",
-                    span,
-                ));
-            }
+            let head = self.loop_rule(sp, !sched.is_empty())?;
+            let stepv = match head.step.const_int() {
+                Some(s @ (1 | -1)) => s,
+                _ => {
+                    return Err(Diag::new(
+                        "collapsed loops require constant steps of +1 or -1",
+                        span,
+                    ))
+                }
+            };
             let upward = matches!(sp.cmp, BinOpKind::Lt | BinOpKind::Le);
-            if (upward && stepv < 0) || (!upward && stepv > 0) {
-                return Err(Diag::new(
-                    "loop step direction contradicts its condition",
-                    span,
-                ));
-            }
             let incl = matches!(sp.cmp, BinOpKind::Le | BinOpKind::Ge);
             // trip = max(0, bound - lower [+1]) for upward, (lower - bound
             // [+1]) for downward. Negative trips are clamped by the fused
             // bound comparison (a negative factor makes the product <= 0,
             // and the fused loop runs `lin < total`).
-            let (lo64, bo64) = (cast_long(lower.clone()), cast_long(bound));
+            let (lo64, bo64) = (cast_long(head.lower.clone()), cast_long(head.bound.clone()));
             let diff = if upward {
                 bin(BinOpKind::Sub, bo64, lo64)
             } else {
@@ -1030,12 +933,7 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             } else {
                 diff
             };
-            levels.push(LevelInfo {
-                lower,
-                trip,
-                stepv,
-                var_ty: sp.decl_ty.unwrap_or(CType::Int),
-            });
+            levels.push(LevelInfo { head, trip, stepv });
         }
 
         // total = product of trips.
@@ -1043,8 +941,6 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
         for l in &levels[1..] {
             total = bin(BinOpKind::Mul, total, l.trip.clone());
         }
-
-        let sched = self.schedule(&dir)?;
 
         self.scopes.push(HashMap::new());
         let lin = self.new_local("__collapse_lin", CType::Long, true);
@@ -1055,7 +951,7 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
         let mut recover: Vec<HStmt> = Vec::new();
         let mut var_ids: Vec<usize> = Vec::new();
         for (d, sp) in specs.iter().enumerate() {
-            let var = self.new_local(&sp.var, levels[d].var_ty, true);
+            let var = self.new_local(&sp.var, levels[d].head.var_ty, true);
             var_ids.push(var);
         }
         for d in 0..specs.len() {
@@ -1072,9 +968,13 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             } else {
                 bin(BinOpKind::Sub, int_lit(0), idx)
             };
-            let value = bin(BinOpKind::Add, cast_long(levels[d].lower.clone()), scaled);
+            let value = bin(
+                BinOpKind::Add,
+                cast_long(levels[d].head.lower.clone()),
+                scaled,
+            );
             let value = HExpr {
-                ty: levels[d].var_ty,
+                ty: levels[d].head.var_ty,
                 kind: HExprKind::Cast {
                     operand: Box::new(value),
                 },
@@ -1126,7 +1026,23 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
         }
     }
 
-    fn indices(&mut self, arr: usize, indices: &[Expr], span: Span) -> Result<Vec<HExpr>, Diag> {
+    /// The array `base[indices...]` names and its typed indices, for a
+    /// load and a store alike.
+    fn element(
+        &mut self,
+        base: &str,
+        indices: &[Expr],
+        span: Span,
+    ) -> Result<(usize, Vec<HExpr>), Diag> {
+        let arr = match self.resolve(base, span)? {
+            ResolvedName::Array(i) => i,
+            ResolvedName::Scalar(_) => {
+                return Err(Diag::new(
+                    format!("`{base}` is a scalar, cannot subscript"),
+                    span,
+                ))
+            }
+        };
         let ndims = self.arrays[arr].dims.len();
         if indices.len() != ndims {
             return Err(Diag::new(
@@ -1146,7 +1062,7 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             }
             out.push(h);
         }
-        Ok(out)
+        Ok((arr, out))
     }
 
     fn expr(&mut self, e: &Expr) -> Result<HExpr, Diag> {
@@ -1163,23 +1079,8 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
                 }
             },
             ExprKind::Index { base, indices } => {
-                let arr = match self.resolve(base, e.span)? {
-                    ResolvedName::Array(i) => i,
-                    ResolvedName::Scalar(_) => {
-                        return Err(Diag::new(
-                            format!("`{base}` is a scalar, cannot subscript"),
-                            e.span,
-                        ))
-                    }
-                };
-                let idx = self.indices(arr, indices, e.span)?;
-                (
-                    HExprKind::Load {
-                        array: arr,
-                        indices: idx,
-                    },
-                    self.arrays[arr].ty,
-                )
+                let (array, indices) = self.element(base, indices, e.span)?;
+                (HExprKind::Load { array, indices }, self.arrays[array].ty)
             }
             ExprKind::Un { op, operand } => {
                 let o = self.expr(operand)?;
@@ -1303,6 +1204,30 @@ impl<'a, F: Fn(&str) -> Option<Sym0>> RegionSema<'a, F> {
             kind,
             span: e.span,
         })
+    }
+}
+
+/// A loop header that passed [`RegionSema::loop_rule`].
+struct LoopHead {
+    lower: HExpr,
+    bound: HExpr,
+    step: HExpr,
+    var_ty: CType,
+}
+
+/// The span of the first use of the scalar `name` in `e`, if any.
+fn mention(e: &Expr, name: &str) -> Option<Span> {
+    match &e.kind {
+        ExprKind::Ident(n) => (n == name).then_some(e.span),
+        ExprKind::IntLit(_) | ExprKind::FloatLit(_) => None,
+        ExprKind::Index { indices: xs, .. } | ExprKind::Call { args: xs, .. } => {
+            xs.iter().find_map(|x| mention(x, name))
+        }
+        ExprKind::Un { operand, .. } | ExprKind::Cast { operand, .. } => mention(operand, name),
+        ExprKind::Bin { lhs, rhs, .. } => mention(lhs, name).or_else(|| mention(rhs, name)),
+        ExprKind::Cond { cond, then, els } => {
+            [cond, then, els].into_iter().find_map(|x| mention(x, name))
+        }
     }
 }
 
@@ -1696,6 +1621,42 @@ mod tests {
     }
 
     #[test]
+    fn host_scope_is_the_one_typer_over_host_scalars_only() {
+        let src = r#"
+            int N; int G; double d;
+            int M = N > 2 ? abs(N) : 1;
+            double r = !d;
+            double a[M];
+            #pragma acc parallel copyin(a) num_gangs(G > 4 ? 4 : G)
+            {
+                #pragma acc loop gang vector
+                for (int i = 0; i < M; i++) { a[i] = 1.0; }
+            }
+        "#;
+        let p = analyze_src(src).unwrap();
+        // `?:` and the intrinsics type at host scope; `!` is a C int.
+        assert_eq!(p.host_assigns[0].value.ty, CType::Int);
+        assert_eq!(p.host_assigns[1].value.ty, CType::Int);
+        // A launch clause records no use: `G` is not a kernel parameter.
+        let g = p.host_index("G").unwrap();
+        assert!(!p.regions[0].hosts_used.contains(&g));
+        assert!(p.regions[0]
+            .hosts_used
+            .contains(&p.host_index("M").unwrap()));
+        // Only the host scalars declared so far resolve.
+        for (decl, name) in [("int x = a[0];", "a"), ("int x = later;", "later")] {
+            let src = format!("double a[4];\n{decl}\nint later;\n#pragma acc parallel\n{{\n}}\n");
+            let err = analyze_src(&src).unwrap_err();
+            assert!(
+                err.message
+                    .starts_with(&format!("`{name}` is not a host scalar")),
+                "{}",
+                err.message
+            );
+        }
+    }
+
+    #[test]
     fn duplicate_reduction_clause_rejected() {
         let src = r#"
             int N; int s;
@@ -1899,7 +1860,13 @@ mod collapse_tests {
             }
         "#;
         let err = analyze_src(src).unwrap_err();
-        assert!(err.message.contains("collapse"), "{}", err.message);
+        assert!(err.message.contains("rectangular"), "{}", err.message);
+        // An outer name the collapsed variable shadows does not make the
+        // nest rectangular: `j < i` still reads the loop's `i`.
+        let shadowed = src.replace("int NI; int s;", "int NI; int i; int s;");
+        let err = analyze_src(&shadowed).unwrap_err();
+        assert!(err.message.contains("rectangular"), "{}", err.message);
+        assert_eq!(&shadowed[err.span.start..err.span.end], "i");
     }
 
     #[test]

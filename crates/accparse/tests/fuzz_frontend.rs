@@ -34,6 +34,10 @@ proptest! {
             Just("<"), Just("a"), Just("s"), Just("i"), Just("N"), Just("0"),
             Just("1"), Just("2.5"), Just("fmax"), Just("collapse(2)"),
             Just("reduction(max:s)"), Just("copyin(a)"),
+            // The clause shapes the parser parses once for every directive.
+            Just("map(to:"), Just("[0:N]"), Just("schedule(static)"), Just("num_teams("),
+            Just("if("), Just("async("), Just("#pragma omp parallel for\n"),
+            Just("#pragma acc data copy(a)\n"), Just("?"), Just(":"), Just("!"), Just("~"),
         ],
         0..60,
     )) {

@@ -8,7 +8,7 @@ use crate::error::AccError;
 use crate::hostbuf::HostBuffer;
 use crate::hosteval::{eval_host_expr, eval_host_extent};
 use accparse::ast::{CType, DataDir};
-use accparse::hir::AnalyzedProgram;
+use accparse::hir::{AnalyzedProgram, ArrayDecl};
 use gpsim::{
     BufferHandle, Device, HazardReport, LaunchConfig, ProfileConfig, SanitizerConfig,
     SanitizerLevel, SessionProfile, Value,
@@ -437,10 +437,7 @@ impl AccRunner {
     /// Ensure a device buffer of the declared size exists for array `i`.
     fn ensure_device_array(&mut self, i: usize) -> Result<(BufferHandle, u64), AccError> {
         let decl = self.prog.arrays[i].clone();
-        let mut elems = 1u64;
-        for d in &decl.dims {
-            elems *= eval_host_extent(d, &self.scalars, &format!("dimension of `{}`", decl.name))?;
-        }
+        let elems = array_elems(&decl, &self.scalars)?;
         let realloc = match self.dev_arrays[i] {
             Some((_, have)) => have != elems,
             None => true,
@@ -724,17 +721,7 @@ impl AccRunner {
         let data = self.prog.regions[region].data.clone();
         for db in &data {
             let decl = self.prog.arrays[db.array].clone();
-            let elems: u64 = {
-                let mut n = 1u64;
-                for d in &decl.dims {
-                    n *= eval_host_extent(
-                        d,
-                        &self.scalars,
-                        &format!("dimension of `{}`", decl.name),
-                    )?;
-                }
-                n
-            };
+            let elems = array_elems(&decl, &self.scalars)?;
             // Ensure a device buffer of the right size exists.
             let need_bytes = elems * machine_ty(decl.ty).size() as u64;
             let realloc = match self.dev_arrays[db.array] {
@@ -959,14 +946,7 @@ impl AccRunner {
         // absurd allocations with a diagnostic instead of aborting OOM.
         const MAX_ELEMS: u64 = 1 << 28;
         for a in &arrays {
-            let mut elems = 1u64;
-            for d in &a.dims {
-                elems = elems.saturating_mul(eval_host_extent(
-                    d,
-                    &self.scalars,
-                    &format!("dimension of `{}`", a.name),
-                )?);
-            }
+            let elems = array_elems(a, &self.scalars)?;
             if elems > MAX_ELEMS {
                 return Err(AccError::Binding(format!(
                     "array `{}` needs {elems} elements at n={n}; the deterministic input \
@@ -1002,4 +982,24 @@ impl AccRunner {
         let ty = machine_ty(self.prog.arrays[i].ty);
         Ok(self.device.peek(ty, h.addr + index * ty.size() as u64)?)
     }
+}
+
+/// The element count of `decl` under the current scalars: the product of
+/// its evaluated dimensions. A count whose bytes do not fit in 64 bits is
+/// a binding error naming the array.
+fn array_elems(decl: &ArrayDecl, scalars: &[Value]) -> Result<u64, AccError> {
+    let what = format!("dimension of `{}`", decl.name);
+    let mut elems = 1u64;
+    for d in &decl.dims {
+        elems = elems
+            .checked_mul(eval_host_extent(d, scalars, &what)?)
+            .filter(|n| n.checked_mul(machine_ty(decl.ty).size() as u64).is_some())
+            .ok_or_else(|| {
+                AccError::Binding(format!(
+                    "array `{}` is too large: its size overflows 64 bits",
+                    decl.name
+                ))
+            })?;
+    }
+    Ok(elems)
 }

@@ -192,3 +192,24 @@ fn program_accessor_exposes_hir() {
     assert_eq!(r.program().arrays.len(), 1);
     assert_eq!(r.program().regions.len(), 1);
 }
+
+#[test]
+fn an_overflowing_element_count_is_a_binding_error_naming_the_array() {
+    // 2^22 cubed is 2^66 elements: the count itself overflows 64 bits.
+    let src = r#"
+        int N;
+        double a[N][N][N];
+        #pragma acc parallel create(a)
+        {
+            #pragma acc loop gang vector
+            for (int i = 0; i < N; i++) { a[0][0][i] = 1.0; }
+        }
+    "#;
+    let overflow = |e: AccError| matches!(&e, AccError::Binding(m) if m.contains("`a`"));
+    let mut r = AccRunner::new(src).unwrap();
+    r.bind_int("N", 1 << 22).unwrap();
+    assert!(overflow(r.run().unwrap_err()));
+    assert!(overflow(r.enter_data("a").unwrap_err()));
+    let mut r = AccRunner::new(src).unwrap();
+    assert!(overflow(r.bind_deterministic_inputs(1 << 22).unwrap_err()));
+}

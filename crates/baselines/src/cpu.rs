@@ -89,7 +89,7 @@ impl CpuExec {
     pub fn run(&mut self) -> Result<(), AccError> {
         let assigns = self.prog.host_assigns.clone();
         for ha in &assigns {
-            let v = self.expr_host(&ha.value)?;
+            let v = self.expr(&ha.value)?;
             self.scalars[ha.host] = v.convert(machine_ty(self.prog.hosts[ha.host].ty));
         }
         for r in 0..self.prog.regions.len() {
@@ -207,10 +207,6 @@ impl CpuExec {
             off = off * dims[d] + i;
         }
         Ok(off as usize)
-    }
-
-    fn expr_host(&mut self, e: &HExpr) -> Result<Value, AccError> {
-        self.expr(e)
     }
 
     fn expr(&mut self, e: &HExpr) -> Result<Value, AccError> {

@@ -61,6 +61,36 @@ fn missing_reduction_json_golden() {
 }
 
 #[test]
+fn missing_reduction_without_an_admissible_clause_json_golden() {
+    // `||` needs an integer variable: no fix-it, and a note in sema's words.
+    let src = "int N; double s;\n\
+               double a[N];\n\
+               s = 0;\n\
+               #pragma acc parallel copyin(a)\n\
+               {\n\
+               #pragma acc loop gang vector\n\
+               for (int i = 0; i < N; i++) { s = s || a[i]; }\n\
+               }\n";
+    let expected = concat!(
+        "[{\"severity\":\"error\",\"code\":\"L100\",",
+        "\"message\":\"`s` is accumulated across iterations of a parallel loop ",
+        "without a `reduction` clause\",",
+        "\"span\":{\"start\":133,\"end\":141,\"line\":7,\"column\":35},",
+        "\"notes\":[",
+        "{\"message\":\"concurrent iterations race on the read-modify-write of `s`\",",
+        "\"span\":null},",
+        "{\"message\":\"the accumulated value of `s` is copied back to the host ",
+        "after the region\",\"span\":null},",
+        "{\"message\":\"detected reduction span: gang vector (every parallelism ",
+        "level between the next use and the update)\",\"span\":null},",
+        "{\"message\":\"a `||` reduction needs an integer variable, but `s` is ",
+        "`double`\",\"span\":null}],",
+        "\"fixit\":null}]",
+    );
+    assert_eq!(lint_json(src), expected);
+}
+
+#[test]
 fn warning_json_golden() {
     let src = "int N;\n\
                double a[N];\n\
