@@ -1,7 +1,7 @@
 //! The OpenACC program runner: owns the device, the host data
 //! environment, and the compiled-region cache, and executes regions
-//! (transfers, main kernel, finalize kernels, result folds) the way the
-//! OpenUH runtime drives CUDA.
+//! (transfers, then the compiled region's plan — see
+//! [`CompiledRegion::steps`]) the way the OpenUH runtime drives CUDA.
 
 use crate::cache::{RegionCache, RegionKey};
 use crate::error::AccError;
@@ -10,12 +10,12 @@ use crate::hosteval::{eval_host_expr, eval_host_extent};
 use accparse::ast::{CType, DataDir};
 use accparse::hir::{AnalyzedProgram, ArrayDecl};
 use gpsim::{
-    BufferHandle, Device, HazardReport, LaunchConfig, ProfileConfig, SanitizerConfig,
-    SanitizerLevel, SessionProfile, Value,
+    BufferHandle, Device, HazardReport, ProfileConfig, SanitizerConfig, SanitizerLevel,
+    SessionProfile, Value,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-use uhacc_core::plan::{CompiledRegion, ParamSpec};
+use uhacc_core::plan::{CompiledRegion, ParamSpec, Step};
 use uhacc_core::types::{apply_host, machine_ty};
 use uhacc_core::{CompilerOptions, LaunchDims};
 
@@ -75,6 +75,9 @@ pub struct AccRunner {
     host_assigns_done: bool,
     /// Optional observability hook (see [`RunnerObs`]).
     obs: Option<RunnerObs>,
+    /// Whether region executions are certified ([`AccRunner::certify`]).
+    certify: bool,
+    cert_reports: Vec<gpsim::CertReport>,
 }
 
 // The whole session must stay movable across threads: the uhaccd worker
@@ -154,6 +157,8 @@ impl AccRunner {
             compiles: 0,
             host_assigns_done: false,
             obs: None,
+            certify: false,
+            cert_reports: Vec::new(),
         }
     }
 
@@ -254,8 +259,7 @@ impl AccRunner {
     /// the launch's block shape. Advisory: a finding never aborts the
     /// run; harvest reports with [`AccRunner::take_verify_reports`].
     pub fn verify(&mut self, on: bool) {
-        self.device
-            .set_verifier(on.then(gpsim::VerifyConfig::default));
+        self.device.set_verifier(on);
     }
 
     /// Certify every subsequent region execution with the translation
@@ -266,18 +270,17 @@ impl AccRunner {
     /// array extents. Advisory: a `Refuted` verdict never aborts the run;
     /// harvest reports with [`AccRunner::take_cert_reports`].
     pub fn certify(&mut self, on: bool) {
-        self.device
-            .set_certifier(on.then(gpsim::cert::CertConfig::default));
+        self.certify = on;
     }
 
     /// Certification reports accumulated across region executions.
     pub fn cert_reports(&self) -> &[gpsim::CertReport] {
-        self.device.cert_reports()
+        &self.cert_reports
     }
 
     /// Drain the accumulated certification reports.
     pub fn take_cert_reports(&mut self) -> Vec<gpsim::CertReport> {
-        self.device.take_cert_reports()
+        std::mem::take(&mut self.cert_reports)
     }
 
     /// Profile every subsequent transfer and launch — main kernels *and*
@@ -661,9 +664,9 @@ impl AccRunner {
         })
     }
 
-    /// Execute one region: compile (cached), move data in, launch the main
-    /// kernel and any finalize kernels, fold gang-reduction results into
-    /// host scalars, read mailbox writebacks, move data out.
+    /// Execute one region: compile (cached), move data in, run the
+    /// region's plan ([`CompiledRegion::steps`]: buffer inits, launches,
+    /// host reads), move data out.
     pub fn run_region(&mut self, region: usize) -> Result<(), AccError> {
         self.run_host_assigns()?;
         let dims = self.resolve_dims(region)?;
@@ -698,10 +701,7 @@ impl AccRunner {
             };
             let mut temp_buffers = Vec::new();
             for spec in &compiled.buffers {
-                let h = self
-                    .device
-                    .alloc(spec.elems.max(1) * machine_ty(spec.ty).size() as u64)?;
-                temp_buffers.push(h);
+                temp_buffers.push(self.device.alloc(spec.bytes())?);
             }
             self.instances.insert(
                 key,
@@ -771,74 +771,25 @@ impl AccRunner {
             }
         }
 
-        // Build parameter list.
         let inst = &self.instances[&key];
-        let mut params: Vec<Value> = Vec::with_capacity(inst.compiled.params.len());
-        for p in &inst.compiled.params {
-            params.push(match p {
-                ParamSpec::ArrayBase(a) => {
-                    let (h, _) = self.dev_arrays[*a].ok_or_else(|| {
-                        AccError::Binding(format!(
-                            "array `{}` has no device buffer",
-                            self.prog.arrays[*a].name
-                        ))
-                    })?;
-                    Value::U64(h.addr)
-                }
-                ParamSpec::ArrayDim { array, dim } => {
-                    let e = &self.prog.arrays[*array].dims[*dim];
-                    Value::I32(eval_host_extent(e, &self.scalars, "dimension")? as i32)
-                }
-                ParamSpec::HostScalar(h) => self.scalars[*h],
-                ParamSpec::TempBuffer(i) => Value::U64(inst.temp_buffers[*i].addr),
-            });
-        }
+        let (compiled, temp_buffers) = (inst.compiled.clone(), inst.temp_buffers.clone());
 
-        // Initialize accumulator buffers (atomic gang strategy) before
-        // every launch.
-        {
-            let inst = &self.instances[&key];
-            let inits: Vec<(gpsim::BufferHandle, gpsim::Value)> = inst
-                .compiled
+        // Exempt the multi-writer mailbox from global racecheck so the
+        // sanitizer only reports unintended sharing.
+        if self.device.sanitizer().level.enabled() {
+            self.device.sanitizer_mut().global_ignore = compiled
                 .buffers
                 .iter()
-                .zip(&inst.temp_buffers)
-                .filter_map(|(spec, h)| spec.init.map(|v| (*h, v)))
-                .collect();
-            for (h, v) in inits {
-                self.device.poke(h.addr, v)?;
-            }
-        }
-
-        // Launch.
-        let cfg = LaunchConfig::gwv(dims.gangs, dims.workers, dims.vector);
-        let main = inst.compiled.main.clone();
-        let finalize: Vec<_> = inst.compiled.finalize.clone();
-        let results = inst.compiled.results.clone();
-        let writebacks = inst.compiled.writebacks.clone();
-        let mailbox = inst.compiled.mailbox;
-        let temp_buffers = inst.temp_buffers.clone();
-
-        // The mailbox buffer is deliberately multi-writer: lane 0 of every
-        // block writes the same host-scalar slots. Blocks commit in linear
-        // block-id order on both the sequential and parallel executors, so
-        // the final value is well-defined: the highest block id wins.
-        // Exempt it from global racecheck so the sanitizer only reports
-        // unintended sharing.
-        if self.device.sanitizer().level.enabled() {
-            self.device.sanitizer_mut().global_ignore = mailbox
-                .map(|mb| {
-                    let b = temp_buffers[mb];
-                    (b.addr, b.end())
-                })
-                .into_iter()
+                .zip(&temp_buffers)
+                .filter(|(spec, _)| spec.race_exempt())
+                .map(|(_, b)| (b.addr, b.end()))
                 .collect();
         }
 
         // Translation validation (redcert), pre-launch: symbolically
         // execute the plan and compare against the source region at the
         // current scalar bindings and extents. Observational only.
-        if let Some(ccfg) = self.device.certifier().copied() {
+        if self.certify {
             let extents: Vec<Vec<u64>> = self
                 .prog
                 .arrays
@@ -851,50 +802,35 @@ impl AccRunner {
                         .unwrap_or_default()
                 })
                 .collect();
-            let report = uhacc_core::certify_region(
-                &self.prog,
-                region,
-                &self.instances[&key].compiled,
-                dims,
-                &self.scalars,
-                &extents,
-                &ccfg,
-            );
-            self.device.push_cert_report(report);
+            let report =
+                uhacc_core::certify_region(&self.prog, region, &compiled, &self.scalars, &extents);
+            self.cert_reports.push(report);
         }
 
         let t_launch = self.obs_now();
-        self.device.launch(&main, cfg, &params)?;
-        for fp in &finalize {
-            let buf = temp_buffers[fp.buffer];
-            self.device.launch(
-                &fp.kernel,
-                LaunchConfig::d1(1, fp.threads),
-                &[Value::U64(buf.addr), Value::I32(fp.elems as i32)],
-            )?;
-        }
-
-        // Gang-reduction results: fold into host scalars.
-        for rr in &results {
-            let buf = temp_buffers[rr.buffer];
-            let cty = self.prog.hosts[rr.host].ty;
-            let v = self.device.peek(machine_ty(cty), buf.addr)?;
-            let old = self.scalars[rr.host];
-            self.scalars[rr.host] = if rr.fold {
-                apply_host(rr.op, cty, old, v)
-            } else {
-                v.convert(machine_ty(cty))
-            };
-            self.scalar_bound[rr.host] = true;
-        }
-        // Mailbox writebacks.
-        if let Some(mb) = mailbox {
-            let base = temp_buffers[mb].addr;
-            for wb in &writebacks {
-                let cty = self.prog.hosts[wb.host].ty;
-                let v = self.device.peek(machine_ty(cty), base + wb.slot * 8)?;
-                self.scalars[wb.host] = v;
-                self.scalar_bound[wb.host] = true;
+        for step in compiled.steps() {
+            match step {
+                Step::Init { buffer, value } => {
+                    self.device.poke(temp_buffers[buffer].addr, value)?
+                }
+                Step::Launch(l) => {
+                    let args = l
+                        .args
+                        .iter()
+                        .map(|p| self.arg(p, &temp_buffers))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    self.device.launch(l.kernel, l.config, &args)?;
+                }
+                Step::Read(rd) => {
+                    let cty = self.prog.hosts[rd.host].ty;
+                    let addr = temp_buffers[rd.buffer].addr + rd.offset;
+                    let v = self.device.peek(machine_ty(cty), addr)?;
+                    self.scalars[rd.host] = match rd.fold {
+                        Some(op) => apply_host(op, cty, self.scalars[rd.host], v),
+                        None => v.convert(machine_ty(cty)),
+                    };
+                    self.scalar_bound[rd.host] = true;
+                }
             }
         }
         self.obs_record(&format!("launch.region{region}"), t_launch);
@@ -919,6 +855,28 @@ impl AccRunner {
         }
         self.obs_record(&format!("d2h.region{region}"), t_d2h);
         Ok(())
+    }
+
+    /// The value of launch parameter `p` in this session.
+    fn arg(&self, p: &ParamSpec, temp_buffers: &[BufferHandle]) -> Result<Value, AccError> {
+        Ok(match *p {
+            ParamSpec::ArrayBase(a) => {
+                let (h, _) = self.dev_arrays[a].ok_or_else(|| {
+                    AccError::Binding(format!(
+                        "array `{}` has no device buffer",
+                        self.prog.arrays[a].name
+                    ))
+                })?;
+                Value::U64(h.addr)
+            }
+            ParamSpec::ArrayDim { array, dim } => {
+                let e = &self.prog.arrays[array].dims[dim];
+                Value::I32(eval_host_extent(e, &self.scalars, "dimension")? as i32)
+            }
+            ParamSpec::HostScalar(h) => self.scalars[h],
+            ParamSpec::TempBuffer(i) => Value::U64(temp_buffers[i].addr),
+            ParamSpec::ElemCount(n) => Value::I32(n as i32),
+        })
     }
 
     /// Bind every host scalar and array to a deterministic input set:

@@ -8,14 +8,14 @@
 //! [`CompiledRegion`] then reduces to comparing `TermId`s at the
 //! observable boundary:
 //!
-//! 1. kverify precondition: the main kernel and every finalize pass must
-//!    verify cleanly at the launch shape (a barrier bug makes symbolic
-//!    execution itself meaningless);
-//! 2. symbolically execute the main kernel and the finalize kernels over
-//!    a [`SymMemory`] laid out exactly like the runtime's (array regions
+//! 1. kverify precondition: every launch of the plan must verify cleanly
+//!    at its launch shape (a barrier bug makes symbolic execution itself
+//!    meaningless);
+//! 2. lay out a [`SymMemory`] exactly like the runtime's (array regions
 //!    in data-clause order, then temp buffers, mailbox race-exempt);
-//! 3. replay the launch plan's epilogue in term space ([`crate::plan::ResultRead`]
-//!    folds via [`apply_host_term`], mailbox readbacks);
+//! 3. walk the same [`CompiledRegion::steps`] the runtime executes, in
+//!    term space: buffer inits, symbolic launches, host reads (folds via
+//!    [`apply_host_term`]);
 //! 4. run the reference interpreter over the source region;
 //! 5. compare every observable — host scalars and the cells of
 //!    `copy`/`copyout`/`present` arrays — for term equality.
@@ -34,13 +34,13 @@ use std::collections::HashMap;
 use accparse::ast::{CType, DataDir, RedOp, UnOpKind};
 use accparse::hir::{AnalyzedProgram, HExpr, HExprKind, HLoop, HStmt, MathFunc, Sym};
 use gpsim::cert::{
-    run_symbolic, sval_eq, CertConfig, CertObservable, CertReport, CertVerdict, SVal, SymMemory,
-    TermPool,
+    run_symbolic, sval_eq, CertObservable, CertReport, CertVerdict, SVal, SymMemory, TermPool,
+    MAX_STEPS,
 };
 use gpsim::{verify_kernel, BinOp, CmpOp, LaunchConfig, Ty, UnOp, Value, VerifyConfig};
 
 use crate::codegen::expr::{classify, OpClass};
-use crate::plan::{BufferPurpose, CompiledRegion, LaunchDims, ParamSpec};
+use crate::plan::{BufferPurpose, CompiledRegion, ParamSpec, Step};
 use crate::types::{combine_binop, machine_ty};
 
 /// Normalize `v` to a 0/1 value at `ty` — the exact instruction sequence
@@ -94,13 +94,12 @@ struct RefState<'a> {
     /// `(array, byte offset)` → value the source stored.
     written: HashMap<(usize, u64), SVal>,
     steps: u64,
-    max_steps: u64,
 }
 
 impl<'a> RefState<'a> {
     fn step(&mut self) -> Result<(), String> {
         self.steps += 1;
-        if self.steps > self.max_steps {
+        if self.steps > MAX_STEPS {
             return Err("step budget exceeded (reference interpretation)".into());
         }
         Ok(())
@@ -442,21 +441,21 @@ fn kverify_gate(kernel: &gpsim::Kernel, cfg: LaunchConfig) -> Result<(), String>
     Ok(())
 }
 
-/// Certify one compiled region against its source semantics at concrete
-/// launch dims, host scalar values and array extents (symbolic array
-/// *contents*). Never launches anything on a device; the whole check is
-/// static. A failure to model the kernel or the source yields
-/// `Unknown{reason}` — only a proven observable mismatch is `Refuted`.
+/// Certify one compiled region against its source semantics at its
+/// launch dims and concrete host scalar values and array extents
+/// (symbolic array *contents*). Never launches anything on a device; the
+/// whole check is static. A failure to model the kernel or the source
+/// yields `Unknown{reason}` — only a proven observable mismatch is
+/// `Refuted`.
 pub fn certify_region(
     prog: &AnalyzedProgram,
     region: usize,
     compiled: &CompiledRegion,
-    dims: LaunchDims,
     scalars: &[Value],
     extents: &[Vec<u64>],
-    ccfg: &CertConfig,
 ) -> CertReport {
     let summary = accparse::summarize_region(prog, region);
+    let dims = compiled.dims;
     let mut report = CertReport {
         region,
         kernel: compiled.main.name.clone(),
@@ -465,7 +464,7 @@ pub fn certify_region(
         verdict: CertVerdict::Certified,
         observables: Vec::new(),
     };
-    match certify_inner(prog, region, compiled, dims, scalars, extents, ccfg) {
+    match certify_inner(prog, region, compiled, scalars, extents) {
         Ok(observables) => {
             let mut v = CertVerdict::Certified;
             for o in &observables {
@@ -479,26 +478,21 @@ pub fn certify_region(
     report
 }
 
-#[allow(clippy::too_many_arguments)]
 fn certify_inner(
     prog: &AnalyzedProgram,
     region: usize,
     compiled: &CompiledRegion,
-    dims: LaunchDims,
     scalars: &[Value],
     extents: &[Vec<u64>],
-    ccfg: &CertConfig,
 ) -> Result<Vec<CertObservable>, String> {
     let r = &prog.regions[region];
     if scalars.len() != prog.hosts.len() {
         return Err("host scalar vector does not match the program".into());
     }
-    let cfg = LaunchConfig::gwv(dims.gangs, dims.workers, dims.vector);
 
     // 1. kverify precondition.
-    kverify_gate(&compiled.main, cfg)?;
-    for fp in &compiled.finalize {
-        kverify_gate(&fp.kernel, LaunchConfig::d1(1, fp.threads))?;
+    for l in compiled.launches() {
+        kverify_gate(l.kernel, l.config)?;
     }
 
     // 2. Lay out symbolic memory exactly like the runtime: array regions
@@ -532,102 +526,68 @@ fn certify_inner(
             BufferPurpose::Mailbox => format!("mailbox#{i}"),
             BufferPurpose::GangAtomic => format!("acc#{i}"),
         };
-        let size = spec.elems.max(1) * machine_ty(spec.ty).size() as u64;
-        let ridx = mem.alloc(&name, size, None, spec.purpose == BufferPurpose::Mailbox)?;
+        let ridx = mem.alloc(&name, spec.bytes(), None, spec.race_exempt())?;
         buf_region.push(ridx);
     }
 
-    // 3. Parameters + accumulator-buffer inits, mirroring the runtime.
-    let mut params: Vec<SVal> = Vec::with_capacity(compiled.params.len());
-    for p in &compiled.params {
-        params.push(match p {
+    // 3. Run the plan in term space: buffer inits, symbolic launches,
+    // then the host reads.
+    let arg = |p: &ParamSpec, mem: &SymMemory| -> Result<SVal, String> {
+        Ok(SVal::C(match *p {
             ParamSpec::ArrayBase(a) => {
-                let ridx = region_of.get(a).ok_or_else(|| {
-                    format!("array `{}` not in a data clause", prog.arrays[*a].name)
+                let ridx = region_of.get(&a).ok_or_else(|| {
+                    format!("array `{}` not in a data clause", prog.arrays[a].name)
                 })?;
-                SVal::C(Value::U64(mem.base(*ridx)))
+                Value::U64(mem.base(*ridx))
             }
             ParamSpec::ArrayDim { array, dim } => {
                 let e = extents
-                    .get(*array)
-                    .and_then(|d| d.get(*dim))
+                    .get(array)
+                    .and_then(|d| d.get(dim))
                     .ok_or("array extent missing")?;
-                SVal::C(Value::I32(*e as i32))
+                Value::I32(*e as i32)
             }
-            ParamSpec::HostScalar(h) => SVal::C(scalars[*h]),
-            ParamSpec::TempBuffer(i) => SVal::C(Value::U64(mem.base(buf_region[*i]))),
-        });
-    }
-    for (spec, &ridx) in compiled.buffers.iter().zip(&buf_region) {
-        if let Some(v) = spec.init {
-            mem.poke(ridx, 0, v);
-        }
-    }
-
-    // 4. Symbolically execute the launch plan.
+            ParamSpec::HostScalar(h) => scalars[h],
+            ParamSpec::TempBuffer(i) => Value::U64(mem.base(buf_region[i])),
+            ParamSpec::ElemCount(n) => Value::I32(n as i32),
+        }))
+    };
     let mut steps = 0u64;
-    run_symbolic(
-        &compiled.main,
-        cfg,
-        &params,
-        &mut mem,
-        &mut pool,
-        ccfg,
-        &mut steps,
-    )?;
-    for fp in &compiled.finalize {
-        let fparams = [
-            SVal::C(Value::U64(mem.base(buf_region[fp.buffer]))),
-            SVal::C(Value::I32(fp.elems as i32)),
-        ];
-        run_symbolic(
-            &fp.kernel,
-            LaunchConfig::d1(1, fp.threads),
-            &fparams,
-            &mut mem,
-            &mut pool,
-            ccfg,
-            &mut steps,
-        )?;
-    }
-
-    // 5. Plan epilogue in term space: gang-result folds, then mailbox
-    // writebacks — same order as `AccRunner::run_region`.
     let mut sim_hosts: Vec<SVal> = scalars.iter().map(|&v| SVal::C(v)).collect();
-    for rr in &compiled.results {
-        let cty = prog.hosts[rr.host].ty;
-        let mty = machine_ty(cty);
-        let v = mem
-            .peek(&mut pool, buf_region[rr.buffer], 0, mty)?
-            .ok_or_else(|| {
-                format!(
-                    "gang-reduction buffer for `{}` never written",
-                    prog.hosts[rr.host].name
-                )
-            })?;
-        sim_hosts[rr.host] = if rr.fold {
-            let old = sim_hosts[rr.host];
-            apply_host_term(&mut pool, rr.op, mty, old, v)?
-        } else {
-            pool.coerce(v, mty)
-        };
-    }
-    if let Some(mb) = compiled.mailbox {
-        for wb in &compiled.writebacks {
-            let mty = machine_ty(prog.hosts[wb.host].ty);
-            let v = mem
-                .peek(&mut pool, buf_region[mb], wb.slot * 8, mty)?
-                .ok_or_else(|| {
-                    format!(
-                        "mailbox slot for `{}` never written",
-                        prog.hosts[wb.host].name
-                    )
-                })?;
-            sim_hosts[wb.host] = v;
+    for step in compiled.steps() {
+        match step {
+            Step::Init { buffer, value } => mem.poke(buf_region[buffer], 0, value),
+            Step::Launch(l) => {
+                let args = l
+                    .args
+                    .iter()
+                    .map(|p| arg(p, &mem))
+                    .collect::<Result<Vec<_>, _>>()?;
+                run_symbolic(l.kernel, l.config, &args, &mut mem, &mut pool, &mut steps)?;
+            }
+            Step::Read(rd) => {
+                let host = &prog.hosts[rd.host];
+                let mty = machine_ty(host.ty);
+                let v = mem
+                    .peek(&mut pool, buf_region[rd.buffer], rd.offset, mty)?
+                    .ok_or_else(|| {
+                        let what = if compiled.buffers[rd.buffer].race_exempt() {
+                            "mailbox slot"
+                        } else {
+                            "gang-reduction buffer"
+                        };
+                        format!("{what} for `{}` never written", host.name)
+                    })?;
+                let old = sim_hosts[rd.host];
+                sim_hosts[rd.host] = match rd.fold {
+                    Some(op) => apply_host_term(&mut pool, op, mty, old, v)?,
+                    None => pool.coerce(v, mty),
+                };
+            }
         }
     }
 
-    // 6. Reference interpretation of the source region.
+    // 4. Reference interpretation of the source region.
     let mut rstate = RefState {
         prog,
         region,
@@ -643,11 +603,10 @@ fn certify_inner(
             .collect(),
         written: HashMap::new(),
         steps,
-        max_steps: ccfg.max_steps,
     };
     rstate.exec_stmts(&mut pool, &r.body)?;
 
-    // 7. Compare observables.
+    // 5. Compare observables.
     let names = mem.names();
     let mut observables = Vec::new();
     for h in 0..prog.hosts.len() {
@@ -708,17 +667,16 @@ fn certify_inner(
     Ok(observables)
 }
 
-/// Certify every region of `prog` at the given dims/scalars/extents.
+/// Certify every region of `prog` at the given scalars/extents.
 pub fn certify_program(
     prog: &AnalyzedProgram,
-    compiled: &[(usize, &CompiledRegion, LaunchDims)],
+    compiled: &[(usize, &CompiledRegion)],
     scalars: &[Value],
     extents: &[Vec<u64>],
-    ccfg: &CertConfig,
 ) -> Vec<CertReport> {
     compiled
         .iter()
-        .map(|(region, c, dims)| certify_region(prog, *region, c, *dims, scalars, extents, ccfg))
+        .map(|(region, c)| certify_region(prog, *region, c, scalars, extents))
         .collect()
 }
 
@@ -756,15 +714,7 @@ mod tests {
             .iter()
             .map(|a| a.dims.iter().map(|_| n as u64).collect())
             .collect();
-        certify_region(
-            &prog,
-            0,
-            &compiled,
-            dims,
-            &scalars,
-            &extents,
-            &CertConfig::default(),
-        )
+        certify_region(&prog, 0, &compiled, &scalars, &extents)
     }
 
     #[test]

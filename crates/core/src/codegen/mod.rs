@@ -62,8 +62,6 @@ pub(crate) struct RegionCodegen<'a> {
     pub specials: HashMap<SpecialReg, Reg>,
     /// Shared slab byte offset for combines.
     pub slab_off: usize,
-
-    pub finalize: Vec<crate::plan::FinalizePass>,
 }
 
 /// Compile region `region_idx` of `prog` for the given launch dims and
@@ -98,7 +96,6 @@ pub fn compile_region(
         next_red_id: 0,
         specials: HashMap::new(),
         slab_off: 0,
-        finalize: Vec::new(),
         plan,
     };
     // Source correlation: instructions are tagged with the region's
@@ -110,7 +107,7 @@ pub fn compile_region(
     cg.emit_writebacks();
 
     // Finalize kernels for gang-spanning reductions, in plan order.
-    let mut finalize = std::mem::take(&mut cg.finalize);
+    let mut finalize = Vec::new();
     for (i, spec) in cg.plan.buffers.iter().enumerate() {
         if spec.purpose == crate::plan::BufferPurpose::GangPartials {
             let rr = cg

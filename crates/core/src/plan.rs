@@ -1,8 +1,14 @@
 //! Output artifacts of region compilation: the compiled kernels plus the
 //! launch/data plan the runtime executes.
+//!
+//! [`CompiledRegion::steps`] is the one statement of that plan: the
+//! runtime (`accrt`) executes it, redcert ([`crate::cert`]) replays it
+//! symbolically, and every kverify caller verifies its launches. A new
+//! launch or host read is a codegen change plus an edit here.
 
+use crate::types::machine_ty;
 use accparse::ast::{CType, RedOp};
-use gpsim::Kernel;
+use gpsim::{Kernel, LaunchConfig, Value};
 use std::sync::Arc;
 
 /// Resolved launch geometry: the OpenACC `num_gangs`/`num_workers`/
@@ -48,6 +54,8 @@ pub enum ParamSpec {
     HostScalar(usize),
     /// Device base address of temp buffer `buffers[i]` of this region.
     TempBuffer(usize),
+    /// Element count of a finalize pass's partials buffer (as i32).
+    ElemCount(u64),
 }
 
 /// A temporary device buffer the runtime must allocate for this region.
@@ -63,6 +71,21 @@ pub struct BufferSpec {
     /// Value to store into element 0 before every launch (atomic
     /// accumulators start at the operator identity).
     pub init: Option<gpsim::Value>,
+}
+
+impl BufferSpec {
+    /// Device bytes the buffer occupies (at least one element).
+    pub fn bytes(&self) -> u64 {
+        self.elems.max(1) * machine_ty(self.ty).size() as u64
+    }
+
+    /// Whether the buffer is exempt from race checking: the mailbox is
+    /// deliberately multi-writer (lane 0 of every block writes the same
+    /// host-scalar slots). Blocks commit in linear block-id order, so
+    /// the highest block id wins on every executor.
+    pub fn race_exempt(&self) -> bool {
+        self.purpose == BufferPurpose::Mailbox
+    }
 }
 
 /// Why a temp buffer exists.
@@ -133,6 +156,90 @@ pub struct CompiledRegion {
     pub writebacks: Vec<HostWriteback>,
     /// Mailbox buffer index (present iff `writebacks` is non-empty).
     pub mailbox: Option<usize>,
+}
+
+/// One kernel launch of a region's plan.
+#[derive(Debug, Clone)]
+pub struct Launch<'a> {
+    pub kernel: &'a Arc<Kernel>,
+    pub config: LaunchConfig,
+    /// The kernel's parameters, in order.
+    pub args: Vec<ParamSpec>,
+}
+
+/// After the launches: read host scalar `hosts[host]` from temp buffer
+/// `buffers[buffer]` at byte `offset`, at the scalar's machine type.
+#[derive(Debug, Clone, Copy)]
+pub struct HostRead {
+    pub host: usize,
+    pub buffer: usize,
+    pub offset: u64,
+    /// `Some(op)` folds the value into the scalar's old value with `op`
+    /// (the initial-value handling of §3.1.1); `None` overwrites it.
+    pub fold: Option<RedOp>,
+}
+
+/// One step of a region's plan, in execution order.
+#[derive(Debug, Clone)]
+pub enum Step<'a> {
+    /// Store `value` into element 0 of temp buffer `buffers[buffer]`.
+    Init {
+        buffer: usize,
+        value: Value,
+    },
+    Launch(Launch<'a>),
+    Read(HostRead),
+}
+
+impl CompiledRegion {
+    /// The region's launches, in order: the main kernel over the region's
+    /// dims, then each finalize pass — the paper's "another kernel ...
+    /// within only one block" — over its partials buffer.
+    pub fn launches(&self) -> impl Iterator<Item = Launch<'_>> {
+        let d = self.dims;
+        let main = Launch {
+            kernel: &self.main,
+            config: LaunchConfig::gwv(d.gangs, d.workers, d.vector),
+            args: self.params.clone(),
+        };
+        let finalize = self.finalize.iter().map(|f| Launch {
+            kernel: &f.kernel,
+            config: LaunchConfig::d1(1, f.threads),
+            args: vec![
+                ParamSpec::TempBuffer(f.buffer),
+                ParamSpec::ElemCount(f.elems),
+            ],
+        });
+        std::iter::once(main).chain(finalize)
+    }
+
+    /// The whole plan, in the order it runs: the buffer inits, then the
+    /// [`launches`](Self::launches), then the host reads — gang-reduction
+    /// results first, then the mailbox writebacks.
+    pub fn steps(&self) -> impl Iterator<Item = Step<'_>> {
+        let inits = self
+            .buffers
+            .iter()
+            .enumerate()
+            .filter_map(|(buffer, spec)| spec.init.map(|value| Step::Init { buffer, value }));
+        let results = self.results.iter().map(|r| HostRead {
+            host: r.host,
+            buffer: r.buffer,
+            offset: 0,
+            fold: r.fold.then_some(r.op),
+        });
+        let writebacks = self.mailbox.into_iter().flat_map(move |buffer| {
+            self.writebacks.iter().map(move |w| HostRead {
+                host: w.host,
+                buffer,
+                offset: w.slot * 8,
+                fold: None,
+            })
+        });
+        inits
+            .chain(self.launches().map(Step::Launch))
+            .chain(results.chain(writebacks).map(Step::Read))
+    }
 }
 
 #[cfg(test)]

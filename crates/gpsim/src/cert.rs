@@ -1120,26 +1120,15 @@ impl CertReport {
 // Symbolic executor
 // ---------------------------------------------------------------------------
 
-/// Budgets for one region certification (all launches + reference run).
-#[derive(Debug, Clone, Copy)]
-pub struct CertConfig {
-    /// Total symbolically executed instructions across all launches.
-    pub max_steps: u64,
-    /// Total threads per launch.
-    pub max_threads: u64,
-    /// Term-pool size cap.
-    pub max_terms: u64,
-}
+// Budgets of one region certification (all launches + reference run).
 
-impl Default for CertConfig {
-    fn default() -> Self {
-        CertConfig {
-            max_steps: 5_000_000,
-            max_threads: 65_536,
-            max_terms: 1_000_000,
-        }
-    }
-}
+/// Total symbolically executed instructions across all launches and the
+/// reference interpretation.
+pub const MAX_STEPS: u64 = 5_000_000;
+/// Total threads per launch.
+const MAX_THREADS: u64 = 65_536;
+/// Term-pool size cap.
+const MAX_TERMS: u64 = 1_000_000;
 
 const WARP_SIZE: usize = 32;
 
@@ -1169,7 +1158,6 @@ pub fn run_symbolic(
     params: &[SVal],
     mem: &mut SymMemory,
     pool: &mut TermPool,
-    ccfg: &CertConfig,
     steps: &mut u64,
 ) -> Result<(), String> {
     let tpb = cfg.threads_per_block() as usize;
@@ -1177,7 +1165,7 @@ pub fn run_symbolic(
     if tpb == 0 || nblocks == 0 {
         return Err("empty launch".into());
     }
-    if tpb as u64 * nblocks as u64 > ccfg.max_threads {
+    if tpb as u64 * nblocks as u64 > MAX_THREADS {
         return Err(format!(
             "launch too large to certify ({} threads)",
             tpb as u64 * nblocks as u64
@@ -1223,10 +1211,10 @@ pub fn run_symbolic(
                             continue;
                         }
                         *steps += 1;
-                        if *steps > ccfg.max_steps {
+                        if *steps > MAX_STEPS {
                             return Err("step budget exceeded".into());
                         }
-                        if pool.len() as u64 > ccfg.max_terms {
+                        if pool.len() as u64 > MAX_TERMS {
                             return Err("term budget exceeded".into());
                         }
                         exec_inst(
@@ -1731,7 +1719,6 @@ mod tests {
             &params,
             &mut mem,
             &mut pool,
-            &CertConfig::default(),
             &mut steps,
         )
         .unwrap();
@@ -1768,7 +1755,6 @@ mod tests {
             &params,
             &mut mem,
             &mut pool,
-            &CertConfig::default(),
             &mut steps,
         )
         .unwrap();
@@ -1798,7 +1784,6 @@ mod tests {
             &params,
             &mut mem,
             &mut pool,
-            &CertConfig::default(),
             &mut steps,
         )
         .unwrap_err();

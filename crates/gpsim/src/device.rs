@@ -26,10 +26,8 @@ pub struct Device {
     shape_census: ShapeCensus,
     sanitizer: SanitizerConfig,
     hazards: Vec<HazardReport>,
-    verifier: Option<VerifyConfig>,
+    verifier: bool,
     verify_reports: Vec<VerifyReport>,
-    certifier: Option<crate::cert::CertConfig>,
-    cert_reports: Vec<crate::cert::CertReport>,
     session_profile: SessionProfile,
 }
 
@@ -63,10 +61,8 @@ impl Device {
             shape_census: ShapeCensus::default(),
             sanitizer: SanitizerConfig::default(),
             hazards: Vec::new(),
-            verifier: None,
+            verifier: false,
             verify_reports: Vec::new(),
-            certifier: None,
-            cert_reports: Vec::new(),
             session_profile: SessionProfile::default(),
         })
     }
@@ -133,13 +129,14 @@ impl Device {
         std::mem::take(&mut self.hazards)
     }
 
-    /// Enable (or disable, with `None`) the static verifier as a
-    /// pre-launch pass: every subsequent launch first runs
-    /// [`crate::verify::verify_kernel`] over the kernel at the launch's
-    /// block shape and accumulates the report. Verification never aborts
-    /// the launch — verdicts are advisory, mirroring the sanitizer.
-    pub fn set_verifier(&mut self, cfg: Option<VerifyConfig>) {
-        self.verifier = cfg;
+    /// Enable (or disable) the static verifier as a pre-launch pass:
+    /// every subsequent launch first runs [`crate::verify::verify_kernel`]
+    /// over the kernel at the launch's block shape, with this device's
+    /// warp size and bank count, and accumulates the report. Verification
+    /// never aborts the launch — verdicts are advisory, mirroring the
+    /// sanitizer.
+    pub fn set_verifier(&mut self, on: bool) {
+        self.verifier = on;
     }
 
     /// Static verification reports accumulated across launches.
@@ -150,36 +147,6 @@ impl Device {
     /// Drain the accumulated verification reports.
     pub fn take_verify_reports(&mut self) -> Vec<VerifyReport> {
         std::mem::take(&mut self.verify_reports)
-    }
-
-    /// Enable (or disable, with `None`) the translation validator for
-    /// subsequent regions. The device only carries the configuration and
-    /// collects reports — certification itself needs the source HIR and
-    /// launch plan, so the runtime runs it pre-launch and pushes the
-    /// report here (mirroring the verifier; verdicts never abort a
-    /// launch).
-    pub fn set_certifier(&mut self, cfg: Option<crate::cert::CertConfig>) {
-        self.certifier = cfg;
-    }
-
-    /// The certifier configuration in effect, when enabled.
-    pub fn certifier(&self) -> Option<&crate::cert::CertConfig> {
-        self.certifier.as_ref()
-    }
-
-    /// Record a certification report for this session.
-    pub fn push_cert_report(&mut self, report: crate::cert::CertReport) {
-        self.cert_reports.push(report);
-    }
-
-    /// Certification reports accumulated across regions, in launch order.
-    pub fn cert_reports(&self) -> &[crate::cert::CertReport] {
-        &self.cert_reports
-    }
-
-    /// Drain the accumulated certification reports.
-    pub fn take_cert_reports(&mut self) -> Vec<crate::cert::CertReport> {
-        std::mem::take(&mut self.cert_reports)
     }
 
     /// Enable (or disable, with `None`) the profiler for subsequent
@@ -327,11 +294,10 @@ impl Device {
         params: &[Value],
         trace: Option<&mut Trace>,
     ) -> Result<LaunchStats, SimError> {
-        if let Some(vc) = &self.verifier {
+        if self.verifier {
             let vc = VerifyConfig {
                 warp_size: self.config.warp_size,
                 shared_banks: self.config.shared_banks,
-                ..*vc
             };
             self.verify_reports.push(verify_kernel(kernel, cfg, &vc));
         }

@@ -57,8 +57,7 @@ pub mod verify;
 
 pub use builder::KernelBuilder;
 pub use cert::{
-    run_symbolic, CertConfig, CertObservable, CertReport, CertVerdict, SVal, SymMemory, TermId,
-    TermPool,
+    run_symbolic, CertObservable, CertReport, CertVerdict, SVal, SymMemory, TermId, TermPool,
 };
 pub use compiled::{CompiledKernel, ShapeCensus};
 pub use cost::{CostModel, DeviceConfig, ExecTier};

@@ -147,10 +147,8 @@ impl fmt::Display for VerifyReport {
 pub struct VerifyConfig {
     /// Threads per warp (same-warp conflicts are exempt, as in simsan).
     pub warp_size: u32,
-    /// Shared-memory banks for the bank-conflict diagnostic.
+    /// Shared-memory banks for the (warn-only) bank-conflict diagnostic.
     pub shared_banks: u32,
-    /// Emit warn-only bank-conflict findings.
-    pub bank_conflicts: bool,
 }
 
 impl Default for VerifyConfig {
@@ -158,7 +156,6 @@ impl Default for VerifyConfig {
         VerifyConfig {
             warp_size: 32,
             shared_banks: 32,
-            bank_conflicts: true,
         }
     }
 }
@@ -617,9 +614,7 @@ impl<'a> Verifier<'a> {
         let accesses = self.shared_accesses(&reach);
         self.racecheck(&accesses);
         self.initcheck(&accesses);
-        if self.vc.bank_conflicts {
-            self.bank_conflicts(&accesses);
-        }
+        self.bank_conflicts(&accesses);
         self.report()
     }
 

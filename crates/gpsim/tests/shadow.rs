@@ -15,9 +15,9 @@ use std::collections::{HashMap, HashSet};
 
 use gpsim::shadow::Paged;
 use gpsim::{
-    run_symbolic, AccessInfo, AccessKind, BlockSanitizer, CertConfig, Device, HazardClass,
-    HazardReport, KernelBuilder, LaunchConfig, LaunchSanitizer, MemRef, SVal, SanitizerConfig,
-    SanitizerLevel, SimError, Space, SpecialReg, SymMemory, TermPool, Ty, Value,
+    run_symbolic, AccessInfo, AccessKind, BlockSanitizer, Device, HazardClass, HazardReport,
+    KernelBuilder, LaunchConfig, LaunchSanitizer, MemRef, SVal, SanitizerConfig, SanitizerLevel,
+    SimError, Space, SpecialReg, SymMemory, TermPool, Ty, Value,
 };
 use proptest::prelude::*;
 
@@ -418,7 +418,6 @@ fn certify_run(kernel: &gpsim::Kernel, size: u64) -> (Result<(), String>, SymMem
         &params,
         &mut mem,
         &mut pool,
-        &CertConfig::default(),
         &mut 0,
     );
     (r, mem, out)

@@ -21,7 +21,7 @@ use crate::report::{format_sweep, SweepRow};
 use crate::run::{no_declines, strategy_grid, Case, SuiteConfig};
 use crate::sanitize::barrier_defects;
 use accparse::ast::{CType, RedOp};
-use gpsim::{CertVerdict, Device};
+use gpsim::{CertReport, CertVerdict, Device};
 use uhacc_core::{CompilerOptions, GangStrategy, LaunchDims};
 
 /// What a sweep row must come back as.
@@ -82,16 +82,17 @@ impl CertSweepRow {
         self.expect == CertExpect::NotCertified && self.certified
     }
 
-    /// Tally the region reports the validator left on `dev`; `err` is the
-    /// run error, if any (certification happens pre-launch, so reports
-    /// survive an aborted launch).
+    /// Tally the region reports a session's validator produced
+    /// ([`accrt::AccRunner::take_cert_reports`]) on the device `dev` it ran;
+    /// `err` is the run error, if any (certification happens pre-launch,
+    /// so reports survive an aborted launch).
     pub fn harvest(
         label: &str,
         expect: CertExpect,
-        dev: &mut Device,
+        reports: Vec<CertReport>,
+        dev: &Device,
         err: Option<String>,
     ) -> CertSweepRow {
-        let reports = dev.take_cert_reports();
         let mut worst = CertVerdict::Certified;
         for rep in &reports {
             worst = worst.merge(rep.verdict.clone());
@@ -143,14 +144,20 @@ pub fn certify_case(case: &Case, expect: CertExpect, cfg: &SuiteConfig) -> CertS
     let mut r = match case.session(cfg) {
         Ok(r) => r,
         Err(e) => {
-            // Nothing launched: an idle device holds no reports.
-            let idle = &mut Device::test_small();
-            return CertSweepRow::harvest(&case.label, expect, idle, Some(e.to_string()));
+            // Nothing ran: no reports, and an idle device.
+            let idle = &Device::test_small();
+            return CertSweepRow::harvest(
+                &case.label,
+                expect,
+                Vec::new(),
+                idle,
+                Some(e.to_string()),
+            );
         }
     };
     r.certify(true);
     let err = r.run().err().map(|e| e.to_string());
-    CertSweepRow::harvest(&case.label, expect, r.device_mut(), err)
+    CertSweepRow::harvest(&case.label, expect, r.take_cert_reports(), r.device(), err)
 }
 
 fn with(f: impl FnOnce(&mut CompilerOptions)) -> CompilerOptions {

@@ -243,7 +243,7 @@ pub fn sanitize_case(case: &Case, expect: Vec<HazardClass>, cfg: &SuiteConfig) -
 fn checked_device() -> Device {
     let mut dev = Device::test_small();
     dev.set_sanitizer(SanitizerConfig::full());
-    dev.set_verifier(Some(VerifyConfig::default()));
+    dev.set_verifier(true);
     dev
 }
 
@@ -417,15 +417,10 @@ pub fn run_verify_sweep(cfg: &SuiteConfig) -> Vec<VerifySweepRow> {
                         continue;
                     }
                 };
-                let launch = LaunchConfig::gwv(cfg.dims.gangs, cfg.dims.workers, cfg.dims.vector);
-                let mut reports = vec![verify_kernel(&c.main, launch, &vc)];
-                for f in &c.finalize {
-                    reports.push(verify_kernel(
-                        &f.kernel,
-                        LaunchConfig::d1(1, f.threads),
-                        &vc,
-                    ));
-                }
+                let reports: Vec<_> = c
+                    .launches()
+                    .map(|l| verify_kernel(l.kernel, l.config, &vc))
+                    .collect();
                 let errors: u64 = reports.iter().map(|r| r.errors()).sum();
                 let warnings: u64 = reports
                     .iter()

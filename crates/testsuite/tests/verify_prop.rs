@@ -14,7 +14,7 @@
 
 use acc_testsuite::{case_source, Position};
 use accparse::ast::{CType, RedOp};
-use gpsim::{verify_kernel, LaunchConfig, VerifyClass, VerifyConfig, VerifyReport};
+use gpsim::{verify_kernel, VerifyClass, VerifyConfig, VerifyReport};
 use proptest::prelude::*;
 use uhacc_core::{compile_region, CompilerOptions, LaunchDims, VectorLayout, WorkerStrategy};
 
@@ -31,16 +31,9 @@ fn verify_case(
     let hir = accparse::compile(&src).expect("testsuite case parses");
     let c = compile_region(&hir, 0, dims, opts).expect("testsuite case compiles");
     let vc = VerifyConfig::default();
-    let launch = LaunchConfig::gwv(dims.gangs, dims.workers, dims.vector);
-    let mut reports = vec![verify_kernel(&c.main, launch, &vc)];
-    for f in &c.finalize {
-        reports.push(verify_kernel(
-            &f.kernel,
-            LaunchConfig::d1(1, f.threads),
-            &vc,
-        ));
-    }
-    reports
+    c.launches()
+        .map(|l| verify_kernel(l.kernel, l.config, &vc))
+        .collect()
 }
 
 fn errors(reports: &[VerifyReport]) -> u64 {

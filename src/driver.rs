@@ -15,7 +15,7 @@ use acc_baselines::Compiler;
 use accparse::diag::{Diag, Severity};
 use accparse::hir::AnalyzedProgram;
 use accrt::{AccError, AccRunner, RegionCache, RunnerObs};
-use gpsim::{verify_kernel, Device, ExecTier, LaunchConfig, VerifyConfig};
+use gpsim::{verify_kernel, Device, ExecTier, VerifyConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use uhacc_core::flags::{parse_count, parse_count_u32, parse_report_format, ReportFormat};
@@ -390,24 +390,14 @@ pub fn compile_text(
             );
         }
         if emit.kernel {
-            let _ = writeln!(out, "\n{}", c.main.disasm());
-            for f in &c.finalize {
-                let _ = writeln!(out, "{}", f.kernel.disasm());
-            }
+            let listing: Vec<String> = c.launches().map(|l| l.kernel.disasm()).collect();
+            let _ = writeln!(out, "\n{}", listing.join("\n"));
         }
         if emit.verify {
             let vc = VerifyConfig::default();
-            let main_cfg = LaunchConfig::gwv(dims.gangs, dims.workers, dims.vector);
             let _ = writeln!(out, "\n// ---- region {region} static verification ----");
-            let mut reports = vec![verify_kernel(&c.main, main_cfg, &vc)];
-            for f in &c.finalize {
-                reports.push(verify_kernel(
-                    &f.kernel,
-                    LaunchConfig::d1(1, f.threads),
-                    &vc,
-                ));
-            }
-            for r in &reports {
+            for l in c.launches() {
+                let r = verify_kernel(l.kernel, l.config, &vc);
                 let _ = write!(out, "{r}");
                 verify_errors += r.errors();
             }

@@ -35,8 +35,9 @@ fn disasm(case: &Case) -> String {
         .map_err(|d| d.render(&src))
         .and_then(|hir| compile_region(&hir, 0, dims, &case.opts).map_err(|d| d.render(&src)));
     match compiled {
-        Ok(c) => std::iter::once(c.main.disasm())
-            .chain(c.finalize.iter().map(|f| f.kernel.disasm()))
+        Ok(c) => c
+            .launches()
+            .map(|l| l.kernel.disasm())
             .collect::<Vec<_>>()
             .join("\n"),
         Err(e) => format!("(does not compile: {e})"),
@@ -54,7 +55,13 @@ fn rails(case: &Case, expect: CertExpect) -> (CertSweepRow, SanitizeRow) {
     r.verify(true);
     r.certify(true);
     let err = r.run().err().map(|e| e.to_string());
-    let cert = CertSweepRow::harvest(&case.label, expect, r.device_mut(), err.clone());
+    let cert = CertSweepRow::harvest(
+        &case.label,
+        expect,
+        r.take_cert_reports(),
+        r.device(),
+        err.clone(),
+    );
     let san = SanitizeRow::harvest(&case.label, Vec::new(), r.device_mut(), err);
     let inversion = if cert.certified && san.static_any() {
         Some("redcert certified a kernel kverify refutes")

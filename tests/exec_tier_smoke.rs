@@ -165,7 +165,7 @@ fn a_declined_launch_fails_its_sweep_row() {
         "{text}"
     );
 
-    let cert = CertSweepRow::harvest("declined", CertExpect::NotCertified, &mut dev, None);
+    let cert = CertSweepRow::harvest("declined", CertExpect::NotCertified, Vec::new(), &dev, None);
     assert!(!cert.certified && !cert.ok() && !cert.false_certified());
     let text = format_cert_sweep(&[cert]);
     assert!(text.contains("  FAIL\n"), "{text}");
