@@ -187,12 +187,6 @@ impl AccRunner {
         &self.prog
     }
 
-    /// The analyzed program as a shareable handle (cheap clone; build
-    /// more sessions of the same program with [`AccRunner::from_shared`]).
-    pub fn program_shared(&self) -> Arc<AnalyzedProgram> {
-        self.prog.clone()
-    }
-
     /// The simulated device (stats, cost model, ...).
     pub fn device(&self) -> &Device {
         &self.device

@@ -119,7 +119,7 @@ pub fn compile_region(
             let threads = cg
                 .opts
                 .finalize_threads
-                .clamp(32, 1024)
+                .clamp(gpsim::WARP_SIZE, 1024)
                 .next_power_of_two()
                 .min(1024);
             let kernel = reduce::build_finalize_kernel(rr.op, spec.ty, threads, cg.opts)
@@ -239,15 +239,6 @@ impl<'a> RegionCodegen<'a> {
         match sym {
             Sym::Local(i) => self.local_regs[i],
             Sym::Host(i) => self.host_regs[&i],
-        }
-    }
-
-    /// The C type of a scalar symbol.
-    #[allow(dead_code)]
-    pub fn sym_cty(&self, sym: Sym) -> CType {
-        match sym {
-            Sym::Local(i) => self.region.locals[i].ty,
-            Sym::Host(i) => self.prog.hosts[i].ty,
         }
     }
 

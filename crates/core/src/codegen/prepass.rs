@@ -19,6 +19,7 @@ use crate::types::machine_ty;
 use accparse::ast::{CType, Level};
 use accparse::diag::Diag;
 use accparse::hir::{AnalyzedRegion, HStmt, Reduction, Sym};
+use gpsim::WARP_SIZE;
 
 /// Planned facts about one reduction instance, in pre-order walk order.
 #[derive(Debug, Clone)]
@@ -74,9 +75,9 @@ pub(crate) enum VectorBarMode {
 pub(crate) fn vector_bar_mode(dims: LaunchDims) -> VectorBarMode {
     let tpb = dims.threads_per_block();
     let v = dims.vector;
-    if tpb <= 32 || (v <= 32 && 32_u32.is_multiple_of(v)) {
+    if tpb <= WARP_SIZE || (v <= WARP_SIZE && WARP_SIZE.is_multiple_of(v)) {
         VectorBarMode::NoBars
-    } else if v.is_multiple_of(32) {
+    } else if v.is_multiple_of(WARP_SIZE) {
         VectorBarMode::WarpSyncTail
     } else {
         VectorBarMode::EveryStep
@@ -91,13 +92,13 @@ pub(crate) fn combine_has_bars(span: &[Level], dims: LaunchDims, opts: &Compiler
         return false;
     }
     if opts.tree == crate::options::TreeStyle::Looped {
-        return dims.threads_per_block() > 32;
+        return dims.threads_per_block() > WARP_SIZE;
     }
     if span == [Level::Vector] {
         return vector_bar_mode(dims) != VectorBarMode::NoBars;
     }
     // [Worker] and [Worker, Vector] stage across the whole block.
-    dims.threads_per_block() > 32
+    dims.threads_per_block() > WARP_SIZE
 }
 
 /// Shared-slab bytes needed by the combine for one reduction (0 when the

@@ -27,6 +27,7 @@ use accparse::ast::{CType, Level, RedOp};
 use accparse::diag::Diag;
 use gpsim::{
     BinOp, CmpOp, Kernel, KernelBuilder, MemRef, Operand, Reg, SimError, SpecialReg, Ty, Value,
+    WARP_SIZE,
 };
 
 /// Where a combine stages its partials.
@@ -158,7 +159,7 @@ fn emit_tree(
             Value::I32(p2 as i32).into(),
         );
         let need = if warp_sync {
-            n > 32 && bars_allowed
+            n > WARP_SIZE && bars_allowed
         } else {
             bars_allowed
         };
@@ -181,7 +182,7 @@ fn emit_tree(
                     Value::I32(s as i32).into(),
                 );
                 let need = if warp_sync {
-                    s > 32 && bars_allowed
+                    s > WARP_SIZE && bars_allowed
                 } else {
                     bars_allowed
                 };
@@ -421,7 +422,7 @@ impl<'a> RegionCodegen<'a> {
         let stage_bar = if st.span == [Level::Vector] && !looped {
             super::prepass::vector_bar_mode(self.dims) != super::prepass::VectorBarMode::NoBars
         } else {
-            tpb > 32
+            tpb > WARP_SIZE
         };
         if stage_bar && bars && !self.opts.bugs.skip_stage_barrier {
             self.b.bar();
@@ -590,7 +591,7 @@ pub(crate) fn build_finalize_kernel(
     let slab = b.alloc_shared(threads as usize * esize as usize, 8) as u64;
     let space = TreeSpace::Shared { off: slab, esize };
     st_elem(&mut b, space, ty, tid, acc);
-    let bars = threads > 32;
+    let bars = threads > WARP_SIZE;
     if bars {
         b.bar();
     }

@@ -246,11 +246,6 @@ impl KernelBuilder {
         dst
     }
 
-    /// Load from global memory into an existing register.
-    pub fn ld_global_to(&mut self, dst: Reg, ty: Ty, mref: MemRef) {
-        self.emit(Inst::LdGlobal { ty, dst, mref });
-    }
-
     /// Store to global memory.
     pub fn st_global(&mut self, ty: Ty, mref: MemRef, src: impl Into<Operand>) {
         self.emit(Inst::StGlobal {
@@ -265,11 +260,6 @@ impl KernelBuilder {
         let dst = self.reg();
         self.emit(Inst::LdShared { ty, dst, mref });
         dst
-    }
-
-    /// Load from shared memory into an existing register.
-    pub fn ld_shared_to(&mut self, dst: Reg, ty: Ty, mref: MemRef) {
-        self.emit(Inst::LdShared { ty, dst, mref });
     }
 
     /// Store to shared memory.

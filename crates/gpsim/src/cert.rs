@@ -37,13 +37,13 @@
 //!
 //! ## Soundness
 //!
-//! The executor replicates the lockstep interpreter of [`crate::exec`]
-//! (warps of 32, min-PC reconvergence, strict barrier rounds, ascending
-//! block order) and **refuses** — verdict `Unknown` — on anything it
-//! cannot model exactly: symbolic branch conditions, symbolic
-//! addresses, value-returning atomics, barrier divergence, data races
-//! (detected with an epoch-based per-cell log), uninitialized reads,
-//! or exhausted step/term budgets. It never guesses: a `Certified`
+//! The executor schedules lanes through the simulator's own warp rule
+//! ([`crate::warp`]: warps of [`crate::WARP_SIZE`], min-PC groups, strict
+//! barrier rounds; blocks in ascending order) and **refuses** — verdict
+//! `Unknown` — on anything it cannot model exactly: symbolic branch
+//! conditions, symbolic addresses, value-returning atomics, barrier
+//! divergence, data races (detected with an epoch-based per-cell log),
+//! uninitialized reads, or exhausted step/term budgets. It never guesses: a `Certified`
 //! verdict means every observable is the *same term* as the reference,
 //! which for integer folds implies bit-identical results and for float
 //! folds implies value equality modulo IEEE reassociation (and signed
@@ -55,9 +55,10 @@ use crate::shadow::Paged;
 
 use crate::exec::{eval_bin, eval_cmp, eval_un, mref_addr, LaunchConfig};
 use crate::ir::{
-    format_imm, AccessKind, AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, SpecialReg, UnOp,
+    format_imm, AccessKind, AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, UnOp,
 };
 use crate::types::{Ty, Value};
+use crate::warp::{self, BarrierRound, Thread, WARP_SIZE};
 
 // ---------------------------------------------------------------------------
 // Terms
@@ -1130,15 +1131,6 @@ const MAX_THREADS: u64 = 65_536;
 /// Term-pool size cap.
 const MAX_TERMS: u64 = 1_000_000;
 
-const WARP_SIZE: usize = 32;
-
-struct SThread {
-    regs: Vec<SVal>,
-    pc: usize,
-    exited: bool,
-    at_barrier: bool,
-}
-
 struct SharedMem {
     size: u64,
     cells: Cells,
@@ -1147,11 +1139,11 @@ struct SharedMem {
 
 /// Symbolically execute one kernel launch against `mem`/`pool`.
 ///
-/// Replicates the lockstep interpreter: warps of 32 consecutive lanes,
-/// min-PC reconvergence within a warp, strict barrier rounds (all
-/// non-exited threads must reach the same barrier), blocks in ascending
-/// linear order. Any construct the validator cannot model exactly
-/// returns `Err(reason)` → verdict `Unknown`.
+/// Schedules lanes by the interpreter's own rule ([`crate::warp`]): the
+/// same warps, min-PC groups and barrier rounds, blocks in ascending
+/// linear order; only an instruction's meaning is symbolic here. Any
+/// construct the validator cannot model exactly returns `Err(reason)` →
+/// verdict `Unknown`.
 pub fn run_symbolic(
     kernel: &Kernel,
     cfg: LaunchConfig,
@@ -1179,37 +1171,23 @@ pub fn run_symbolic(
             params.len()
         ));
     }
+    let mut mask = Vec::with_capacity(WARP_SIZE as usize);
     for block_id in 0..nblocks {
-        let block_idx = (block_id % cfg.grid.0, block_id / cfg.grid.0);
+        let block_idx = cfg.block_coords(block_id as usize);
         let mut shared = SharedMem {
             size: kernel.shared_bytes as u64,
             cells: Paged::default(),
             log: Paged::default(),
         };
         let mut epoch: u32 = 0;
-        let mut threads: Vec<SThread> = (0..tpb)
-            .map(|_| SThread {
-                regs: vec![SVal::C(Value::I32(0)); kernel.num_regs as usize],
-                pc: 0,
-                exited: false,
-                at_barrier: false,
-            })
+        let mut threads: Vec<Thread<SVal>> = (0..tpb)
+            .map(|_| Thread::new(SVal::C(Value::I32(0)), kernel.num_regs as usize))
             .collect();
-        let warps = tpb.div_ceil(WARP_SIZE);
         loop {
-            for w in 0..warps {
-                let lo = w * WARP_SIZE;
-                let hi = (lo + WARP_SIZE).min(tpb);
-                loop {
-                    let pc = (lo..hi)
-                        .filter(|&l| !threads[l].exited && !threads[l].at_barrier)
-                        .map(|l| threads[l].pc)
-                        .min();
-                    let Some(pc) = pc else { break };
-                    for l in lo..hi {
-                        if threads[l].exited || threads[l].at_barrier || threads[l].pc != pc {
-                            continue;
-                        }
+            for w in 0..cfg.warps_per_block() as usize {
+                let lanes = warp::lanes(w, tpb);
+                while let Some((pc, _)) = warp::next_group(&threads, lanes.clone(), &mut mask) {
+                    for &l in &mask {
                         *steps += 1;
                         if *steps > MAX_STEPS {
                             return Err("step budget exceeded".into());
@@ -1235,60 +1213,23 @@ pub fn run_symbolic(
                     }
                 }
             }
-            if threads.iter().all(|t| t.exited) {
-                break;
-            }
-            // Barrier round.
-            let mut bar_pc: Option<usize> = None;
-            for t in threads.iter() {
-                if t.exited {
-                    continue;
-                }
-                if !t.at_barrier {
+            match warp::barrier_round(&mut threads) {
+                BarrierRound::Done => break,
+                BarrierRound::Released => epoch += 1,
+                BarrierRound::Divergent { .. } => {
                     return Err(format!(
-                        "barrier deadlock in `{}` (block {block_id})",
+                        "barrier divergence in `{}` (block {block_id})",
                         kernel.name
                     ));
                 }
-                match bar_pc {
-                    None => bar_pc = Some(t.pc),
-                    Some(p) if p != t.pc => {
-                        return Err(format!(
-                            "barrier divergence in `{}` (block {block_id})",
-                            kernel.name
-                        ));
-                    }
-                    _ => {}
-                }
             }
-            for t in threads.iter_mut() {
-                t.at_barrier = false;
-            }
-            epoch += 1;
         }
     }
     mem.clear_logs();
     Ok(())
 }
 
-fn special(lane: usize, cfg: LaunchConfig, block_idx: (u32, u32), sr: SpecialReg) -> Value {
-    let v = match sr {
-        SpecialReg::TidX => lane as u32 % cfg.block.0,
-        SpecialReg::TidY => lane as u32 / cfg.block.0,
-        SpecialReg::TidZ => 0,
-        SpecialReg::NTidX => cfg.block.0,
-        SpecialReg::NTidY => cfg.block.1,
-        SpecialReg::NTidZ => 1,
-        SpecialReg::CtaIdX => block_idx.0,
-        SpecialReg::CtaIdY => block_idx.1,
-        SpecialReg::NCtaIdX => cfg.grid.0,
-        SpecialReg::NCtaIdY => cfg.grid.1,
-        SpecialReg::LaneLinear => lane as u32,
-    };
-    Value::I32(v as i32)
-}
-
-fn operand(threads: &[SThread], lane: usize, op: Operand) -> SVal {
+fn operand(threads: &[Thread<SVal>], lane: usize, op: Operand) -> SVal {
     match op {
         Operand::Reg(r) => threads[lane].regs[r.0 as usize],
         Operand::Imm(v) => SVal::C(v),
@@ -1297,7 +1238,7 @@ fn operand(threads: &[SThread], lane: usize, op: Operand) -> SVal {
 
 /// Resolve a memory reference to a concrete byte address, mirroring the
 /// interpreter's `resolve_mref` (i64 wrapping arithmetic).
-fn addr_of(threads: &[SThread], lane: usize, m: &MemRef) -> Result<u64, String> {
+fn addr_of(threads: &[Thread<SVal>], lane: usize, m: &MemRef) -> Result<u64, String> {
     let base = match operand(threads, lane, m.base) {
         SVal::C(v) => v.as_u64(),
         SVal::T(_) => return Err("symbolic address base".into()),
@@ -1319,7 +1260,7 @@ fn exec_inst(
     params: &[SVal],
     mem: &mut SymMemory,
     pool: &mut TermPool,
-    threads: &mut [SThread],
+    threads: &mut [Thread<SVal>],
     shared: &mut SharedMem,
     lane: usize,
     block_id: u32,
@@ -1348,7 +1289,7 @@ fn exec_inst(
             threads[lane].regs[dst.0 as usize] = threads[lane].regs[src.0 as usize];
         }
         Inst::ReadSpecial { dst, sr } => {
-            threads[lane].regs[dst.0 as usize] = SVal::C(special(lane, cfg, block_idx, *sr));
+            threads[lane].regs[dst.0 as usize] = SVal::C(sr.value(cfg, block_idx, lane));
         }
         Inst::ReadParam { dst, idx } => {
             let v = *params
@@ -1566,6 +1507,7 @@ fn exec_inst(
 mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
+    use crate::ir::SpecialReg;
 
     fn input(pool: &mut TermPool, off: u64, ty: Ty) -> SVal {
         SVal::T(pool.input(0, off, ty))

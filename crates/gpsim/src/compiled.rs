@@ -209,6 +209,7 @@ use crate::memory::AccessAbort;
 use crate::profile::PcCounters;
 use crate::trace::TraceEvent;
 use crate::types::{Ty, Value};
+use crate::warp::{self, WARP_SIZE};
 use std::sync::Mutex;
 
 /// How a run ends (rendered by [`CompiledKernel::describe`]).
@@ -1542,7 +1543,6 @@ pub(crate) struct TypedState<'k> {
     bits: Vec<u64>,
     n: usize,
     slots: Vec<Slot>,
-    warp: usize,
     /// The current group: its warp, that warp's first slot and lane range
     /// `[lo, lo + len)`, its active lanes, and whether those are all of
     /// the warp's lanes (so a write may replace the row's shape).
@@ -1567,13 +1567,12 @@ impl TypedKernel {
     /// The state one executor thread needs to run this launch's blocks of
     /// `n` threads. Allocates; [`run_block`] does not.
     pub(crate) fn state(&self, n: usize, dev: &DeviceConfig) -> TypedState<'_> {
-        let warp = dev.warp_size as usize;
+        let warp = WARP_SIZE as usize;
         TypedState {
             tk: self,
             bits: vec![0; self.init.len() * n],
             n,
             slots: self.init.repeat(n.div_ceil(warp)),
-            warp,
             w: 0,
             at: 0,
             lo: 0,
@@ -1621,8 +1620,8 @@ impl TypedState<'_> {
     fn enter_warp(&mut self, w: usize) {
         self.w = w;
         self.at = w * self.tk.init.len();
-        self.lo = w * self.warp;
-        self.len = self.warp.min(self.n - self.lo);
+        let lanes = warp::lanes(w, self.n);
+        (self.lo, self.len) = (lanes.start, lanes.len());
     }
 
     #[inline(always)]
@@ -1732,8 +1731,8 @@ impl TypedState<'_> {
     fn check_all_shadows(&self) {
         let rows = self.tk.init.len();
         for (i, slot) in self.slots.iter().enumerate() {
-            let (row, lo) = (i % rows, i / rows * self.warp);
-            self.check_shadow(row, lo, self.warp.min(self.n - lo), slot.shape);
+            let (row, lanes) = (i % rows, warp::lanes(i / rows, self.n));
+            self.check_shadow(row, lanes.start, lanes.len(), slot.shape);
         }
     }
 
@@ -1919,45 +1918,23 @@ pub(crate) fn run_block(exec: &mut BlockExec, st: &mut TypedState) -> Result<(),
     result
 }
 
-/// The block's scheduler loop: per warp, pick the min-pc group of runnable
-/// lanes and run it; when every warp is blocked, release the barrier.
+/// The block's scheduler loop: per warp, run the groups
+/// [`crate::warp::next_group`] picks; when every warp is blocked, run the
+/// barrier round.
 fn run_warps<const OBSERVED: bool>(
     exec: &mut BlockExec,
     st: &mut TypedState,
 ) -> Result<(), AccessAbort> {
-    let num_warps = st.n.div_ceil(st.warp);
     loop {
-        for w in 0..num_warps {
+        for w in 0..exec.cfg.warps_per_block() as usize {
             st.enter_warp(w);
-            let (lo, hi) = (st.lo, st.lo + st.len);
-            loop {
-                // Min leader among runnable lanes; the group is every
-                // runnable lane resting there.
-                let mut min_pc = usize::MAX;
-                let mut runnable = 0usize;
-                for l in lo..hi {
-                    let t = &exec.threads[l];
-                    if t.runnable() {
-                        runnable += 1;
-                        if t.pc < min_pc {
-                            min_pc = t.pc;
-                        }
-                    }
-                }
-                if min_pc == usize::MAX {
-                    break; // warp fully blocked or exited
-                }
-                st.mask.clear();
-                for l in lo..hi {
-                    let t = &exec.threads[l];
-                    if t.runnable() && t.pc == min_pc {
-                        st.mask.push(l);
-                    }
-                }
+            let lanes = st.lo..st.lo + st.len;
+            while let Some((pc, whole)) =
+                warp::next_group(&exec.threads, lanes.clone(), &mut st.mask)
+            {
                 st.contig = st.mask[st.mask.len() - 1] - st.mask[0] + 1 == st.mask.len();
                 st.full = st.mask.len() == st.len;
-                let whole = st.mask.len() == runnable;
-                run_group_typed::<OBSERVED>(exec, st, min_pc, whole)?;
+                run_group_typed::<OBSERVED>(exec, st, pc, whole)?;
             }
         }
         if !exec.barrier_round()? {
@@ -2107,7 +2084,7 @@ fn exec_top<const OBSERVED: bool>(
                 SpecialReg::TidX if one_row => Shape::affine(x0 as u64, 1, false),
                 SpecialReg::TidY if one_row => Shape::Uniform(y as u64),
                 SpecialReg::TidX | SpecialReg::TidY => Shape::Rows,
-                _ => Shape::Uniform(value_bits(exec.special(l0, *sr))),
+                _ => Shape::Uniform(value_bits(sr.value(exec.cfg, exec.block_idx, l0))),
             };
             if shape != Shape::Rows {
                 st.set(*dst, shape);
@@ -2115,7 +2092,7 @@ fn exec_top<const OBSERVED: bool>(
             } else {
                 st.rows_dst(*dst);
                 for &l in &st.mask {
-                    st.bits[dst * n + l] = value_bits(exec.special(l, *sr));
+                    st.bits[dst * n + l] = value_bits(sr.value(exec.cfg, exec.block_idx, l));
                 }
                 false
             }
@@ -2653,7 +2630,7 @@ mod tests {
     /// The shaped tests run one step on a two-warp block: warp 0 is full
     /// width, warp 1 is a short last warp.
     const N: usize = 37;
-    const WARP: usize = 32;
+    const WARP: usize = WARP_SIZE as usize;
 
     /// An operand as a shaped test presents it: the static type of its
     /// row, the shape installed for the warp under test (`Rows`: the lanes

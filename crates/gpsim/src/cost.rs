@@ -64,8 +64,6 @@ pub struct DeviceConfig {
     /// Number of streaming multiprocessors. The K20c exposes 13 (the paper
     /// assumes one may be disabled and sizes its grids for 12).
     pub num_sms: u32,
-    /// Threads per warp.
-    pub warp_size: u32,
     /// Maximum threads per block.
     pub max_threads_per_block: u32,
     /// Maximum resident blocks per SM.
@@ -102,7 +100,6 @@ impl Default for DeviceConfig {
     fn default() -> Self {
         DeviceConfig {
             num_sms: 13,
-            warp_size: 32,
             max_threads_per_block: 1024,
             max_blocks_per_sm: 16,
             shared_mem_per_block: 48 * 1024,
@@ -136,9 +133,6 @@ impl DeviceConfig {
         let bad = |reason: String| Err(crate::error::SimError::InvalidConfig { reason });
         if self.num_sms == 0 {
             return bad("num_sms must be nonzero".into());
-        }
-        if self.warp_size == 0 {
-            return bad("warp_size must be nonzero".into());
         }
         if self.max_threads_per_block == 0 {
             return bad("max_threads_per_block must be nonzero".into());
@@ -340,7 +334,6 @@ mod tests {
     fn default_config_is_k20c_like() {
         let c = DeviceConfig::default();
         assert_eq!(c.num_sms, 13);
-        assert_eq!(c.warp_size, 32);
         assert_eq!(c.max_threads_per_block, 1024);
         assert_eq!(c.shared_mem_per_block, 48 * 1024);
         assert_eq!(c.segment_bytes, 128);

@@ -177,11 +177,6 @@ impl Device {
         &self.config
     }
 
-    /// Cost model in effect.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Mutable cost model (for calibration experiments).
     pub fn cost_model_mut(&mut self) -> &mut CostModel {
         &mut self.cost
@@ -296,7 +291,6 @@ impl Device {
     ) -> Result<LaunchStats, SimError> {
         if self.verifier {
             let vc = VerifyConfig {
-                warp_size: self.config.warp_size,
                 shared_banks: self.config.shared_banks,
             };
             self.verify_reports.push(verify_kernel(kernel, cfg, &vc));

@@ -19,13 +19,6 @@ pub enum SimError {
     SharedMemExceeded { requested: usize, limit: usize },
     /// Launch configuration violates device limits.
     InvalidLaunch { reason: String },
-    /// All unfinished warps are blocked at a barrier that can never fill —
-    /// the classic divergent `__syncthreads()` bug.
-    BarrierDeadlock {
-        block: (u32, u32),
-        arrived: usize,
-        expected: usize,
-    },
     /// Threads of one block arrived at *different* barrier instructions —
     /// `__syncthreads()` executed under divergent control flow (undefined
     /// behaviour on real hardware; reported strictly here).
@@ -76,16 +69,6 @@ impl fmt::Display for SimError {
                 "kernel requests {requested} bytes of shared memory, device limit is {limit}"
             ),
             SimError::InvalidLaunch { reason } => write!(f, "invalid launch: {reason}"),
-            SimError::BarrierDeadlock {
-                block,
-                arrived,
-                expected,
-            } => write!(
-                f,
-                "barrier deadlock in block ({}, {}): {arrived}/{expected} threads arrived \
-                 (divergent __syncthreads?)",
-                block.0, block.1
-            ),
             SimError::BarrierDivergence { block, pc_a, pc_b } => write!(
                 f,
                 "threads of block ({}, {}) arrived at different barriers (pc {pc_a} vs \
@@ -124,14 +107,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = SimError::BarrierDeadlock {
-            block: (3, 0),
-            arrived: 5,
-            expected: 64,
-        };
-        let s = e.to_string();
-        assert!(s.contains("deadlock"));
-        assert!(s.contains("5/64"));
         assert!(SimError::DivisionByZero.to_string().contains("division"));
         assert!(SimError::OutOfMemory { requested: 42 }
             .to_string()

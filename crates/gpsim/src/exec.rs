@@ -1,25 +1,11 @@
 //! The SIMT interpreter.
 //!
-//! Execution model:
-//! - A launch is a grid of thread blocks; blocks are independent (no
-//!   inter-block synchronization — the property the paper's gang-reduction
-//!   strategy works around with a second kernel).
-//! - Within a block, threads are grouped into warps of 32 consecutive
-//!   linear ids (`tid.y * ntid.x + tid.x`), executed in lockstep.
-//! - Divergence uses *min-PC reconvergence*: a warp repeatedly executes the
-//!   instruction at the smallest program counter among its runnable lanes,
-//!   with the active mask being exactly the lanes at that PC. For the
-//!   structured control flow our compilers emit this reconverges at the
-//!   immediate post-dominator, like hardware.
-//! - Warps are scheduled run-to-block: each warp executes until all its
-//!   lanes have exited or arrived at a barrier, then the next warp runs.
-//!   This is deterministic; racy programs (e.g. a missing
-//!   `__syncthreads()`) produce deterministic *wrong* answers, which is how
-//!   the baseline compilers' miscompilations manifest, rather than flaky
-//!   tests.
-//! - A barrier releases when every non-exited thread of the block has
-//!   arrived; if all warps block and the barrier cannot fill, the launch
-//!   fails with [`SimError::BarrierDeadlock`].
+//! A launch is a grid of thread blocks; blocks are independent (no
+//! inter-block synchronization — the property the paper's gang-reduction
+//! strategy works around with a second kernel). Within a block, lanes run
+//! by the SIMT rule of [`crate::warp`] — warps, min-PC groups, run-to-block
+//! scheduling and barrier rounds — which the typed tier and redcert's
+//! executor share; this module gives each instruction its meaning.
 //!
 //! # Parallel block execution
 //!
@@ -64,7 +50,7 @@ use crate::compiled::{TypedKernel, TypedState};
 use crate::cost::{CostModel, DeviceConfig, Schedule};
 use crate::error::SimError;
 use crate::ir::{
-    Access, AtomOp, BinOp, CmpOp, CostClass, Inst, Kernel, MemRef, Operand, Space, SpecialReg, UnOp,
+    Access, AtomOp, BinOp, CmpOp, CostClass, Inst, Kernel, MemRef, Operand, Space, UnOp,
 };
 use crate::memory::{
     AccessAbort, AddrSet, AtomicLogEntry, BlockOverlay, GlobalMemory, OverlayData, SharedMemory,
@@ -74,6 +60,7 @@ use crate::sanitizer::{BlockSanitizer, LaunchSanitizer, SanitizerConfig};
 use crate::stats::LaunchStats;
 use crate::trace::{MemTouch, Trace, TraceEvent};
 use crate::types::{Ty, Value};
+use crate::warp::{self, BarrierRound, Thread, WARP_SIZE};
 
 /// Grid/block geometry for one kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,14 +102,14 @@ impl LaunchConfig {
         self.grid.0.saturating_mul(self.grid.1)
     }
 
-    /// Warps per block given `warp_size`.
-    pub fn warps_per_block(&self, warp_size: u32) -> u32 {
-        self.threads_per_block().div_ceil(warp_size)
+    /// Warps per block.
+    pub fn warps_per_block(&self) -> u32 {
+        self.threads_per_block().div_ceil(WARP_SIZE)
     }
 
-    /// Block coordinates of linear block id `id` (the sequential executor
-    /// iterates `by` outer, `bx` inner, so linear id is `by * grid.0 + bx`).
-    fn block_coords(&self, id: usize) -> (u32, u32) {
+    /// Block coordinates of linear block id `id` (every engine runs blocks
+    /// in linear order, `by` outer and `bx` inner: `id = by * grid.0 + bx`).
+    pub(crate) fn block_coords(&self, id: usize) -> (u32, u32) {
         ((id as u32) % self.grid.0, (id as u32) / self.grid.0)
     }
 
@@ -152,20 +139,6 @@ impl LaunchConfig {
             });
         }
         Ok(())
-    }
-}
-
-/// Per-thread execution state.
-pub(crate) struct Thread {
-    pub(crate) pc: usize,
-    pub(crate) exited: bool,
-    pub(crate) at_barrier: bool,
-    pub(crate) regs: Vec<Value>,
-}
-
-impl Thread {
-    pub(crate) fn runnable(&self) -> bool {
-        !self.exited && !self.at_barrier
     }
 }
 
@@ -281,7 +254,7 @@ pub(crate) fn apply_atom(op: AtomOp, ty: Ty, old: Value, v: Value) -> Result<Val
 pub(crate) struct BlockExec<'a, 'g> {
     pub(crate) kernel: &'a Kernel,
     pub(crate) params: &'a [Value],
-    pub(crate) threads: Vec<Thread>,
+    pub(crate) threads: Vec<Thread<Value>>,
     pub(crate) shared: SharedMemory,
     pub(crate) block_idx: (u32, u32),
     pub(crate) cfg: LaunchConfig,
@@ -298,29 +271,6 @@ pub(crate) struct BlockExec<'a, 'g> {
 }
 
 impl BlockExec<'_, '_> {
-    fn lane_tid(&self, lane: usize) -> (u32, u32) {
-        let l = lane as u32;
-        (l % self.cfg.block.0, l / self.cfg.block.0)
-    }
-
-    pub(crate) fn special(&self, lane: usize, sr: SpecialReg) -> Value {
-        let (tx, ty) = self.lane_tid(lane);
-        let v = match sr {
-            SpecialReg::TidX => tx,
-            SpecialReg::TidY => ty,
-            SpecialReg::TidZ => 0,
-            SpecialReg::NTidX => self.cfg.block.0,
-            SpecialReg::NTidY => self.cfg.block.1,
-            SpecialReg::NTidZ => 1,
-            SpecialReg::CtaIdX => self.block_idx.0,
-            SpecialReg::CtaIdY => self.block_idx.1,
-            SpecialReg::NCtaIdX => self.cfg.grid.0,
-            SpecialReg::NCtaIdY => self.cfg.grid.1,
-            SpecialReg::LaneLinear => lane as u32,
-        };
-        Value::I32(v as i32)
-    }
-
     fn operand(&self, lane: usize, op: Operand) -> Value {
         match op {
             Operand::Reg(r) => self.threads[lane].regs[r.0 as usize],
@@ -384,31 +334,17 @@ impl BlockExec<'_, '_> {
         if let Some(st) = typed {
             return crate::compiled::run_block(self, st);
         }
-        let warp = self.dev.warp_size as usize;
-        let n = self.threads.len();
-        let num_warps = n.div_ceil(warp);
+        let mut mask = Vec::with_capacity(WARP_SIZE as usize);
         loop {
             // Run every warp until it blocks (exit or barrier).
-            for w in 0..num_warps {
-                let lo = w * warp;
-                let hi = ((w + 1) * warp).min(n);
-                loop {
-                    // Find min PC among runnable lanes of this warp.
-                    let mut min_pc = usize::MAX;
-                    for l in lo..hi {
-                        let t = &self.threads[l];
-                        if t.runnable() && t.pc < min_pc {
-                            min_pc = t.pc;
-                        }
-                    }
-                    if min_pc == usize::MAX {
-                        break; // warp fully blocked or exited
-                    }
-                    self.step(lo, hi, min_pc)?;
+            for w in 0..self.cfg.warps_per_block() as usize {
+                let lanes = warp::lanes(w, self.threads.len());
+                while let Some((pc, _)) = warp::next_group(&self.threads, lanes.clone(), &mut mask)
+                {
+                    self.step(&mask, pc, w as u32)?;
                     self.watchdog()?;
                 }
             }
-            // All warps are blocked: barrier bookkeeping.
             if !self.barrier_round()? {
                 break;
             }
@@ -430,82 +366,39 @@ impl BlockExec<'_, '_> {
         Ok(())
     }
 
-    /// All warps are blocked: release the barrier if every live thread
-    /// arrived (strictly at one site), or fail. Returns `Ok(false)` when
-    /// every thread has exited (the block is done), `Ok(true)` after a
-    /// successful release.
+    /// All warps are blocked: run the barrier round. Returns `Ok(false)`
+    /// when every thread has exited (the block is done), `Ok(true)` after
+    /// a release; divergent barrier sites fail the block.
     pub(crate) fn barrier_round(&mut self) -> Result<bool, AccessAbort> {
-        {
-            let alive = self.threads.iter().filter(|t| !t.exited).count();
-            if alive == 0 {
-                return Ok(false);
-            }
-            let arrived = self.threads.iter().filter(|t| t.at_barrier).count();
-            if arrived == alive {
-                // Strict check: every arriving thread must be at the same
-                // barrier instruction. Mixed barrier sites mean
-                // __syncthreads() under divergent control flow.
-                let mut site: Option<usize> = None;
-                for t in self.threads.iter().filter(|t| t.at_barrier) {
-                    match site {
-                        None => site = Some(t.pc),
-                        Some(p) if p != t.pc => {
-                            let (pc_a, pc_b) = (p - 1, t.pc - 1);
-                            if let Some(s) = self.san.as_mut() {
-                                let mut per_site: Vec<(usize, usize)> = Vec::new();
-                                for th in self.threads.iter().filter(|t| t.at_barrier) {
-                                    match per_site.iter_mut().find(|(pc, _)| *pc == th.pc) {
-                                        Some((_, n)) => *n += 1,
-                                        None => per_site.push((th.pc, 1)),
-                                    }
-                                }
-                                let detail = per_site
-                                    .iter()
-                                    .map(|(pc, n)| format!("{n} thread(s) at pc {}", pc - 1))
-                                    .collect::<Vec<_>>()
-                                    .join(", ");
-                                s.sync_divergence(pc_a, pc_b, detail);
-                            }
-                            return Err(SimError::BarrierDivergence {
-                                block: self.block_idx,
-                                pc_a,
-                                pc_b,
-                            }
-                            .into());
-                        }
-                        _ => {}
-                    }
-                }
-                for t in &mut self.threads {
-                    t.at_barrier = false;
-                }
+        match warp::barrier_round(&mut self.threads) {
+            BarrierRound::Done => Ok(false),
+            BarrierRound::Released => {
                 if let Some(s) = self.san.as_mut() {
                     s.barrier_release();
                 }
                 if let Some(p) = self.prof.as_mut() {
                     p.barrier_release();
                 }
-            } else {
+                Ok(true)
+            }
+            BarrierRound::Divergent { sites } => {
+                let (pc_a, pc_b) = (sites[0].0, sites[1].0);
                 if let Some(s) = self.san.as_mut() {
-                    let waiting: Vec<String> = self
-                        .threads
+                    let detail = sites
                         .iter()
-                        .enumerate()
-                        .filter(|(_, t)| t.at_barrier)
-                        .take(8)
-                        .map(|(i, t)| format!("t{i}@pc {}", t.pc - 1))
-                        .collect();
-                    s.sync_deadlock(arrived, alive, format!("waiting: {}", waiting.join(", ")));
+                        .map(|(pc, n)| format!("{n} thread(s) at pc {pc}"))
+                        .collect::<Vec<_>>()
+                        .join(", ");
+                    s.sync_divergence(pc_a, pc_b, detail);
                 }
-                return Err(SimError::BarrierDeadlock {
+                Err(SimError::BarrierDivergence {
                     block: self.block_idx,
-                    arrived,
-                    expected: alive,
+                    pc_a,
+                    pc_b,
                 }
-                .into());
+                .into())
             }
         }
-        Ok(true)
     }
 
     /// Charge a step's memory, atomic or barrier cost to the launch
@@ -574,25 +467,16 @@ impl BlockExec<'_, '_> {
         }
     }
 
-    /// Execute one warp-instruction: the instruction at `pc` for every lane
-    /// in `[lo, hi)` whose PC equals `pc`.
-    fn step(&mut self, lo: usize, hi: usize, pc: usize) -> Result<(), AccessAbort> {
+    /// Execute one warp-instruction: the instruction at `pc` for the lanes
+    /// of group `mask` of warp `warp_id`.
+    fn step(&mut self, mask: &[usize], pc: usize, warp_id: u32) -> Result<(), AccessAbort> {
         debug_assert!(
             pc < self.kernel.insts.len(),
             "pc fell off the end of the kernel"
         );
         let kernel = self.kernel;
         let inst = &kernel.insts[pc];
-        // Collect the active mask.
-        let mut mask: Vec<usize> = Vec::with_capacity(hi - lo);
-        for l in lo..hi {
-            let t = &self.threads[l];
-            if t.runnable() && t.pc == pc {
-                mask.push(l);
-            }
-        }
         debug_assert!(!mask.is_empty());
-        let warp_id = (lo / self.dev.warp_size as usize) as u32;
         // True when this step's event made it into the bounded trace buffer
         // (memory arms annotate it with the touched address range).
         let recorded = match self.trace.as_mut() {
@@ -622,7 +506,7 @@ impl BlockExec<'_, '_> {
         self.cycles_raw += d.issue_cycles + d.alu_cycles;
         if let Some(a) = inst.access() {
             self.scratch_addr.clear();
-            for &l in &mask {
+            for &l in mask {
                 let addr = self.resolve_mref(l, &a.mref);
                 self.scratch_addr.push((addr, a.ty.size()));
             }
@@ -642,19 +526,19 @@ impl BlockExec<'_, '_> {
         let mut advance = true; // advance pc by 1 for the mask afterwards
         match inst {
             Inst::MovImm { dst, value } => {
-                for &l in &mask {
+                for &l in mask {
                     self.threads[l].regs[dst.0 as usize] = *value;
                 }
             }
             Inst::Mov { dst, src } => {
-                for &l in &mask {
+                for &l in mask {
                     let v = self.threads[l].regs[src.0 as usize];
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
             }
             Inst::ReadSpecial { dst, sr } => {
-                for &l in &mask {
-                    let v = self.special(l, *sr);
+                for &l in mask {
+                    let v = sr.value(self.cfg, self.block_idx, l);
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
             }
@@ -663,12 +547,12 @@ impl BlockExec<'_, '_> {
                     expected: self.kernel.num_params,
                     got: self.params.len() as u32,
                 })?;
-                for &l in &mask {
+                for &l in mask {
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
             }
             Inst::Bin { op, ty, dst, a, b } => {
-                for &l in &mask {
+                for &l in mask {
                     let av = self.operand(l, *a);
                     let bv = self.operand(l, *b);
                     let r = eval_bin(*op, *ty, av, bv)?;
@@ -676,7 +560,7 @@ impl BlockExec<'_, '_> {
                 }
             }
             Inst::Cmp { op, ty, dst, a, b } => {
-                for &l in &mask {
+                for &l in mask {
                     let av = self.operand(l, *a).convert(*ty);
                     let bv = self.operand(l, *b).convert(*ty);
                     let r = eval_cmp(*op, *ty, av, bv);
@@ -684,14 +568,14 @@ impl BlockExec<'_, '_> {
                 }
             }
             Inst::Un { op, ty, dst, a } => {
-                for &l in &mask {
+                for &l in mask {
                     let av = self.operand(l, *a);
                     let r = eval_un(*op, *ty, av)?;
                     self.threads[l].regs[dst.0 as usize] = r;
                 }
             }
             Inst::Select { dst, cond, a, b } => {
-                for &l in &mask {
+                for &l in mask {
                     let c = self.threads[l].regs[cond.0 as usize].as_bool();
                     let v = if c {
                         self.operand(l, *a)
@@ -702,7 +586,7 @@ impl BlockExec<'_, '_> {
                 }
             }
             Inst::Cvt { dst, ty, src } => {
-                for &l in &mask {
+                for &l in mask {
                     let v = self.operand(l, *src).convert(*ty);
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
@@ -712,17 +596,17 @@ impl BlockExec<'_, '_> {
                     let v = self.view.read(*ty, self.scratch_addr[i].0)?;
                     self.threads[l].regs[dst.0 as usize] = v;
                 }
-                self.observe_mem(&mask, warp_id, pc, recorded);
+                self.observe_mem(mask, warp_id, pc, recorded);
             }
             Inst::StGlobal { ty, src, .. } => {
                 for (i, &l) in mask.iter().enumerate() {
                     let v = self.operand(l, *src).convert(*ty);
                     self.view.write(self.scratch_addr[i].0, v)?;
                 }
-                self.observe_mem(&mask, warp_id, pc, recorded);
+                self.observe_mem(mask, warp_id, pc, recorded);
             }
             Inst::LdShared { ty, dst, .. } => {
-                self.observe_mem(&mask, warp_id, pc, recorded);
+                self.observe_mem(mask, warp_id, pc, recorded);
                 for (i, &l) in mask.iter().enumerate() {
                     let v = self.shared.read(*ty, self.scratch_addr[i].0)?;
                     self.threads[l].regs[dst.0 as usize] = v;
@@ -733,12 +617,12 @@ impl BlockExec<'_, '_> {
                     let v = self.operand(l, *src).convert(*ty);
                     self.shared.write(self.scratch_addr[i].0, v)?;
                 }
-                self.observe_mem(&mask, warp_id, pc, recorded);
+                self.observe_mem(mask, warp_id, pc, recorded);
             }
             Inst::AtomGlobal {
                 op, ty, src, dst, ..
             } => {
-                self.observe_mem(&mask, warp_id, pc, recorded);
+                self.observe_mem(mask, warp_id, pc, recorded);
                 if dst.is_some() && matches!(self.view, MemView::Overlay(_)) {
                     // The launch prescan routes kernels with value-returning
                     // atomics to the sequential path; this is the dynamic
@@ -757,7 +641,7 @@ impl BlockExec<'_, '_> {
                 }
             }
             Inst::Bar => {
-                for &l in &mask {
+                for &l in mask {
                     self.threads[l].at_barrier = true;
                     self.threads[l].pc = pc + 1;
                 }
@@ -765,7 +649,7 @@ impl BlockExec<'_, '_> {
             }
             Inst::Bra { target, cond } => {
                 let tpc = self.kernel.target(*target);
-                for &l in &mask {
+                for &l in mask {
                     let take = match cond {
                         None => true,
                         Some((r, expect)) => {
@@ -777,14 +661,14 @@ impl BlockExec<'_, '_> {
                 advance = false;
             }
             Inst::Ret => {
-                for &l in &mask {
+                for &l in mask {
                     self.threads[l].exited = true;
                 }
                 advance = false;
             }
         }
         if advance {
-            for &l in &mask {
+            for &l in mask {
                 self.threads[l].pc = pc + 1;
             }
         }
@@ -1121,7 +1005,7 @@ impl Launch<'_> {
     ) -> Result<BlockOutcome, &'static str> {
         let kernel = self.kernel;
         let block_idx = self.cfg.block_coords(id);
-        let warps = self.cfg.warps_per_block(self.dev.warp_size);
+        let warps = self.cfg.warps_per_block();
         // The typed tier keeps registers in its own bit rows; skip the
         // per-thread register vectors entirely on that path.
         let thread_regs = if typed.is_some() {
@@ -1133,12 +1017,7 @@ impl Launch<'_> {
             kernel,
             params: self.params,
             threads: (0..self.cfg.threads_per_block())
-                .map(|_| Thread {
-                    pc: 0,
-                    exited: false,
-                    at_barrier: false,
-                    regs: vec![Value::I32(0); thread_regs],
-                })
+                .map(|_| Thread::new(Value::I32(0), thread_regs))
                 .collect(),
             shared: SharedMemory::new(kernel.shared_bytes),
             block_idx,
@@ -1147,7 +1026,7 @@ impl Launch<'_> {
             cost: self.cost,
             stats: LaunchStats::default(),
             cycles_raw: 0,
-            scratch_addr: Vec::with_capacity(32),
+            scratch_addr: Vec::with_capacity(WARP_SIZE as usize),
             view,
             trace: self.trace_limit.map(Trace::with_limit),
             san: self
@@ -1346,7 +1225,7 @@ impl Commit<'_> {
 mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
-    use crate::ir::MemRef;
+    use crate::ir::{MemRef, SpecialReg};
     use crate::memory::GLOBAL_ALLOC_ALIGN;
 
     fn dev() -> DeviceConfig {

@@ -13,7 +13,8 @@
 //! ([`Inst::def`]) and at which type ([`Inst::def_ty`]), the registers it
 //! reads ([`Inst::for_each_use`]), the memory it touches
 //! ([`Inst::access`]), where control goes next ([`Inst::flow`]) and what
-//! the cycle model charges it ([`Inst::cost`]). Every pass that needs one
+//! the cycle model charges it ([`Inst::cost`]); and what a special
+//! register reads on a lane (`SpecialReg::value`). Every pass that needs one
 //! of these facts — kverify, the typed tier's type inference and run
 //! splitting, the profiler's buckets, the parallel executor's prescan —
 //! reads it here; only the three engines (the interpreter's `step`, the
@@ -22,6 +23,7 @@
 //! [`Kernel::runs`] is the one run-splitting rule the typed tier and
 //! kverify share.
 
+use crate::exec::LaunchConfig;
 use crate::types::{Ty, Value};
 use std::fmt;
 use std::ops::Range;
@@ -92,6 +94,28 @@ pub enum SpecialReg {
     NCtaIdY,
     /// Linear thread id within the block: `threadIdx.y * blockDim.x + threadIdx.x`.
     LaneLinear,
+}
+
+impl SpecialReg {
+    /// This register's value on linear lane `lane` of block `block` in a
+    /// launch at `cfg`: the one definition every engine reads.
+    pub(crate) fn value(self, cfg: LaunchConfig, block: (u32, u32), lane: usize) -> Value {
+        let l = lane as u32;
+        let v = match self {
+            SpecialReg::TidX => l % cfg.block.0,
+            SpecialReg::TidY => l / cfg.block.0,
+            SpecialReg::TidZ => 0,
+            SpecialReg::NTidX => cfg.block.0,
+            SpecialReg::NTidY => cfg.block.1,
+            SpecialReg::NTidZ => 1,
+            SpecialReg::CtaIdX => block.0,
+            SpecialReg::CtaIdY => block.1,
+            SpecialReg::NCtaIdX => cfg.grid.0,
+            SpecialReg::NCtaIdY => cfg.grid.1,
+            SpecialReg::LaneLinear => l,
+        };
+        Value::I32(v as i32)
+    }
 }
 
 impl fmt::Display for SpecialReg {

@@ -6,11 +6,13 @@
 //! crate provides a software stand-in with the properties that codegen
 //! depends on:
 //!
-//! - warps of 32 threads executing in lockstep with divergence and
-//!   reconvergence ([`exec`]),
+//! - warps of [`WARP_SIZE`] threads executing in lockstep with divergence
+//!   and reconvergence, by one scheduling rule every engine shares
+//!   ([`warp`]),
 //! - per-block shared memory with a 32-bank conflict model,
 //! - global memory with 128-byte-segment coalescing,
-//! - `__syncthreads()`-style block barriers with deadlock detection,
+//! - `__syncthreads()`-style block barriers, with divergent barrier sites
+//!   reported,
 //! - **no** inter-block synchronization (the constraint that forces the
 //!   paper's two-kernel gang reduction),
 //! - a deterministic cycle cost model ([`cost`]) calibrated to Kepler-class
@@ -54,6 +56,7 @@ pub mod stats;
 pub mod trace;
 pub mod types;
 pub mod verify;
+pub mod warp;
 
 pub use builder::KernelBuilder;
 pub use cert::{
@@ -81,3 +84,4 @@ pub use stats::{LaunchStats, SessionStats};
 pub use trace::{MemTouch, Trace, TraceEvent};
 pub use types::{Ty, Value};
 pub use verify::{verify_kernel, VerifyClass, VerifyConfig, VerifyFinding, VerifyReport};
+pub use warp::WARP_SIZE;

@@ -24,8 +24,8 @@
 //! - **initcheck** — reads of shared-memory bytes never written since the
 //!   block started. The simulator zero-fills shared memory, which would
 //!   otherwise mask this whole bug class.
-//! - **synccheck** — barrier misuse (divergent `__syncthreads()` sites,
-//!   barriers that can never fill), folded into the same report stream
+//! - **synccheck** — divergent `__syncthreads()` sites (run-to-block
+//!   scheduling leaves no other barrier misuse), folded into the same report stream
 //!   with per-thread context; the launch still fails with the
 //!   corresponding [`crate::SimError`].
 //!
@@ -460,29 +460,6 @@ impl BlockSanitizer {
             },
         );
     }
-
-    /// Fold a barrier-deadlock error into the report stream.
-    pub fn sync_deadlock(&mut self, arrived: usize, expected: usize, detail: String) {
-        if !self.cfg.level.sync() {
-            return;
-        }
-        let block = self.block;
-        self.push_keyed(
-            (HazardClass::SyncCheck, usize::MAX, expected),
-            HazardReport {
-                class: HazardClass::SyncCheck,
-                space: Space::Shared,
-                addr: 0,
-                first: None,
-                second: None,
-                detail: format!(
-                    "block ({},{}): barrier can never fill ({arrived}/{expected} threads \
-                     arrived); {detail}",
-                    block.0, block.1
-                ),
-            },
-        );
-    }
 }
 
 /// Per-launch sanitizer state: the global shadow + collected reports.
@@ -772,9 +749,8 @@ mod tests {
     fn sync_reports_and_level_gating() {
         let s = one_block(|b| {
             b.sync_divergence(5, 9, "4 threads at pc 5, 28 at pc 9".into());
-            b.sync_deadlock(3, 64, "waiting at pc 7".into());
         });
-        assert_eq!(s.reports().len(), 2);
+        assert_eq!(s.reports().len(), 1);
         assert!(s.reports()[0].to_string().contains("synccheck"));
         assert!(s.reports()[0].detail.contains("pc 5 vs pc 9"));
 
@@ -785,7 +761,7 @@ mod tests {
         };
         let mut launch = LaunchSanitizer::new(cfg.clone());
         let mut b = BlockSanitizer::new(cfg, (0, 0), 64);
-        b.sync_deadlock(1, 2, String::new());
+        b.sync_divergence(1, 2, String::new());
         b.shared_access(0, 0, 1, 0, 4, false); // uninit read
         launch.merge_block(b);
         assert!(launch.reports().is_empty());

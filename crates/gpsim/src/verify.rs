@@ -37,6 +37,7 @@ use crate::coalesce::bank_conflict_degree;
 use crate::exec::LaunchConfig;
 use crate::ir::{Access, CmpOp, Flow, Inst, Kernel, MemRef, Operand, Reg, Space, SpecialReg};
 use crate::types::Value;
+use crate::warp::WARP_SIZE;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -145,18 +146,13 @@ impl fmt::Display for VerifyReport {
 /// Knobs for the static verifier.
 #[derive(Debug, Clone, Copy)]
 pub struct VerifyConfig {
-    /// Threads per warp (same-warp conflicts are exempt, as in simsan).
-    pub warp_size: u32,
     /// Shared-memory banks for the (warn-only) bank-conflict diagnostic.
     pub shared_banks: u32,
 }
 
 impl Default for VerifyConfig {
     fn default() -> Self {
-        VerifyConfig {
-            warp_size: 32,
-            shared_banks: 32,
-        }
+        VerifyConfig { shared_banks: 32 }
     }
 }
 
@@ -1113,7 +1109,7 @@ impl<'a> Verifier<'a> {
                                 oob.get_or_insert((byte, x, y));
                             }
                             let lin = y * bx + x;
-                            let warp = lin / self.vc.warp_size.max(1);
+                            let warp = lin / WARP_SIZE;
                             for b in byte..byte + size as i64 {
                                 touch
                                     .entry(b)

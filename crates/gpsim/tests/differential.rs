@@ -9,14 +9,18 @@
 //! indexed by mask position, sign extension of a wrapping sequence, a
 //! shape surviving a partial write) changes an observable.
 //!
+//! redcert's symbolic executor is the third engine: on concrete inputs it
+//! must leave every cell it can decide holding the interpreter's bytes.
+//!
 //! Kernels come from a deterministic xorshift generator: structured random
 //! programs with uniform and divergent arithmetic, global/shared
 //! loads/stores, atomics, barriers, and forward branches (forward-only, so
 //! every generated kernel terminates without leaning on the watchdog).
 
 use gpsim::{
-    AtomOp, BinOp, CmpOp, Device, ExecTier, Kernel, KernelBuilder, LaunchConfig, MemRef,
-    ProfileConfig, SanitizerConfig, SanitizerLevel, SpecialReg, Ty, UnOp, Value,
+    run_symbolic, AtomOp, BinOp, CmpOp, Device, ExecTier, Kernel, KernelBuilder, LaunchConfig,
+    MemRef, ProfileConfig, SVal, SanitizerConfig, SanitizerLevel, SpecialReg, SymMemory, TermPool,
+    Ty, UnOp, Value,
 };
 
 /// xorshift64* — deterministic, no external crates.
@@ -164,7 +168,7 @@ fn gen_kernel(seed: u64) -> Kernel {
             b.place(l);
         } else if rng.chance(50) {
             // Barriers only outside branched regions, so the generator
-            // never manufactures a barrier-divergence deadlock.
+            // never manufactures divergent barrier sites.
             b.bar();
         }
     }
@@ -358,6 +362,13 @@ const PLAIN: Mode = Mode {
     trace: true,
 };
 
+/// The data buffer's initial contents.
+fn data_init() -> Vec<Value> {
+    (0..DATA_ELEMS)
+        .map(|i| Value::I32((i as i32).wrapping_mul(2654435761u32 as i32)))
+        .collect()
+}
+
 /// Run `kernel` once; returns the observables and the device's count of
 /// launches the typed tier declined.
 fn run_once(kernel: &Kernel, cfg: LaunchConfig, tier: ExecTier, mode: Mode) -> (Outcome, u64) {
@@ -391,10 +402,7 @@ fn run_launches(
     }
     let data = dev.alloc_elems(Ty::I32, DATA_ELEMS).unwrap();
     let out = dev.alloc_elems(Ty::I32, 4 * 96).unwrap();
-    let init: Vec<Value> = (0..DATA_ELEMS)
-        .map(|i| Value::I32((i as i32).wrapping_mul(2654435761u32 as i32)))
-        .collect();
-    dev.upload_values(data, &init).unwrap();
+    dev.upload_values(data, &data_init()).unwrap();
     let params = [Value::U64(data.addr), Value::U64(out.addr)];
     let (mut res_str, mut trace_str) = (String::new(), String::new());
     for &(kernel, cfg) in launches {
@@ -477,6 +485,72 @@ fn random_kernels_bit_identical_across_tiers() {
         let kernel = gen_kernel(seed);
         assert_tiers_agree(&kernel, seed, 0);
     }
+}
+
+/// Run redcert's executor on `kernel` over the harness's concrete `data`
+/// and `out` contents and compare each 4-byte cell it leaves concrete
+/// with the interpreter's bytes; a cell poisoned by a race is skipped.
+/// `None` when the executor declines the kernel, else the number of
+/// cells that matched and the cells that differed.
+fn cert_cells_vs_interpreter(kernel: &Kernel) -> Option<(usize, Vec<String>)> {
+    let mut mem = SymMemory::new();
+    let data = mem.alloc("data", DATA_ELEMS * 4, None, false).unwrap();
+    let out = mem.alloc("out", 4 * 96 * 4, None, false).unwrap();
+    for (i, &v) in data_init().iter().enumerate() {
+        mem.poke(data, i as u64 * 4, v);
+    }
+    for i in 0..4 * 96 {
+        mem.poke(out, i * 4, Value::I32(0));
+    }
+    let params = [
+        SVal::C(Value::U64(mem.base(data))),
+        SVal::C(Value::U64(mem.base(out))),
+    ];
+    let mut pool = TermPool::new();
+    let mut steps = 0;
+    run_symbolic(kernel, D1, &params, &mut mem, &mut pool, &mut steps).ok()?;
+    let (interp, _) = run_once(kernel, D1, ExecTier::Interpret, PLAIN);
+    assert!(!interp.result.starts_with("err"), "{}", interp.result);
+    let (mut matched, mut differ) = (0, Vec::new());
+    for (region, bytes) in [(data, &interp.data), (out, &interp.out)] {
+        for (i, want) in bytes.chunks_exact(4).enumerate() {
+            let off = i as u64 * 4;
+            match mem.peek(&mut pool, region, off, Ty::I32).unwrap() {
+                Some(SVal::C(v)) if v.to_bytes().0[..4] == *want => matched += 1,
+                Some(SVal::C(v)) => differ.push(format!("region {region} +{off}: {v:?}")),
+                Some(t) => assert!(pool.sval_poison(t).is_some(), "only a race is symbolic"),
+                None => panic!("cell +{off} of region {region} lost its value"),
+            }
+        }
+    }
+    Some((matched, differ))
+}
+
+/// redcert's executor is the third engine: on the random kernels'
+/// concrete inputs it agrees with the interpreter on every cell no race
+/// poisoned. The executor declines value-returning atomics and data-
+/// dependent addresses or branches once a race has poisoned them, so only
+/// some seeds run to the end.
+#[test]
+fn random_kernels_agree_with_redcerts_executor() {
+    let (mut ran, mut matched) = (0, 0);
+    for seed in 0..40u64 {
+        let kernel = gen_kernel(seed);
+        if let Some((m, differ)) = cert_cells_vs_interpreter(&kernel) {
+            assert!(
+                differ.is_empty(),
+                "seed={seed}: {differ:?}\n{}",
+                kernel.disasm()
+            );
+            ran += 1;
+            matched += m;
+        }
+    }
+    assert!(
+        ran >= 21,
+        "only {ran} of 40 seeds ran on redcert's executor"
+    );
+    assert!(matched > 0);
 }
 
 #[test]

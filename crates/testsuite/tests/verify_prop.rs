@@ -110,7 +110,7 @@ proptest! {
             reports.iter().map(|r| r.to_string()).collect::<Vec<_>>());
     }
 
-    /// Dropping the `s > warp_size` barrier guard ("it worked on one
+    /// Dropping the `s > WARP_SIZE` barrier guard ("it worked on one
     /// warp") races when some row's post-barrier tree writes straddle a
     /// warp boundary. Row 0 is always lane-aligned, so at least two
     /// workers are needed, and the row stride (= vector) must both
