@@ -198,6 +198,7 @@
 //! `Value::I32(0)`; a `Uniform(0)` slot reproduces that under any static
 //! type because zero is a fixed point of every conversion in the table.
 
+use crate::coalesce::{conflict_ways, transactions};
 use crate::cost::{CostModel, DeviceConfig, ExecTier};
 use crate::error::SimError;
 use crate::exec::{mref_addr, BlockExec, MemView};
@@ -906,142 +907,6 @@ impl CompiledKernel {
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
-
-/// Allocation-free twin of [`crate::coalesce::global_transactions`].
-/// Monotonically non-decreasing segment sequences (every coalesced or
-/// strided access pattern the reduction kernels emit) are counted in one
-/// pass; anything else falls back to sort+dedup on a reusable buffer.
-/// [`crate::DeviceConfig::validate`] guarantees a power-of-two segment, so
-/// segment numbers are a shift; a configuration that skipped validation
-/// takes the dividing twin instead of being assumed.
-fn transactions(accesses: &[(u64, usize)], segment_bytes: u64, buf: &mut Vec<u64>) -> u64 {
-    if !segment_bytes.is_power_of_two() {
-        return transactions_slow(accesses, segment_bytes, buf);
-    }
-    let shift = segment_bytes.trailing_zeros();
-    let mut distinct = 0u64;
-    let mut have = false;
-    let mut prev = 0u64;
-    for &(addr, len) in accesses {
-        if len == 0 {
-            continue;
-        }
-        let first = addr >> shift;
-        let last = addr.saturating_add(len as u64 - 1) >> shift;
-        if !have {
-            distinct += last - first + 1;
-            prev = last;
-            have = true;
-        } else if first > prev {
-            // Disjoint from everything seen (seen max is `prev`).
-            distinct += last - first + 1;
-            prev = last;
-        } else if first == prev {
-            // Extends the last segment range; only `prev+1..=last` is new.
-            distinct += last - prev;
-            prev = last;
-        } else {
-            return transactions_slow(accesses, segment_bytes, buf);
-        }
-    }
-    distinct
-}
-
-/// General-case twin: distinct aligned segments via sort+dedup.
-fn transactions_slow(accesses: &[(u64, usize)], segment_bytes: u64, buf: &mut Vec<u64>) -> u64 {
-    buf.clear();
-    for &(addr, len) in accesses {
-        if len == 0 {
-            continue;
-        }
-        let first = addr / segment_bytes;
-        let last = addr.saturating_add(len as u64 - 1) / segment_bytes;
-        for s in first..=last {
-            buf.push(s);
-        }
-    }
-    buf.sort_unstable();
-    buf.dedup();
-    buf.len() as u64
-}
-
-/// Allocation-free twin of [`crate::coalesce::bank_conflict_degree`]:
-/// max over banks of *distinct* words. Monotonic word sequences skip the
-/// sort+dedup and count bank occupancy directly.
-fn conflict_ways(
-    accesses: &[(u64, usize)],
-    num_banks: u32,
-    buf: &mut Vec<u64>,
-    counts: &mut [u32],
-) -> u64 {
-    if accesses.is_empty() {
-        return 0;
-    }
-    counts.fill(0);
-    let mut max = 0u32;
-    let mut have = false;
-    let mut prev = 0u64;
-    for &(off, len) in accesses {
-        if len == 0 {
-            continue;
-        }
-        let first = off / 4;
-        let last = off.saturating_add(len as u64 - 1) / 4;
-        // New words in this access: those above `prev` (every seen word
-        // is <= prev in the monotonic case; a range starting below it
-        // could contain unseen words we cannot cheaply distinguish).
-        let start = if !have {
-            have = true;
-            first
-        } else if first > prev {
-            first
-        } else if first == prev {
-            if last == prev {
-                continue;
-            }
-            prev + 1
-        } else {
-            return conflict_ways_slow(accesses, num_banks, buf, counts);
-        };
-        for w in start..=last {
-            let c = &mut counts[(w % num_banks as u64) as usize];
-            *c += 1;
-            max = max.max(*c);
-        }
-        prev = last;
-    }
-    (max as u64).max(1)
-}
-
-/// General-case twin: global sort+dedup, then per-bank occupancy.
-fn conflict_ways_slow(
-    accesses: &[(u64, usize)],
-    num_banks: u32,
-    buf: &mut Vec<u64>,
-    counts: &mut [u32],
-) -> u64 {
-    buf.clear();
-    for &(off, len) in accesses {
-        if len == 0 {
-            continue;
-        }
-        let first = off / 4;
-        let last = off.saturating_add(len as u64 - 1) / 4;
-        for w in first..=last {
-            buf.push(w);
-        }
-    }
-    buf.sort_unstable();
-    buf.dedup();
-    counts.fill(0);
-    let mut max = 0u32;
-    for &w in buf.iter() {
-        let c = &mut counts[(w % num_banks as u64) as usize];
-        *c += 1;
-        max = max.max(*c);
-    }
-    (max as u64).max(1)
-}
 
 /// Charge the warp's load/store whose accesses are in
 /// `exec.scratch_addr`: one entry per active lane, or a single entry when
@@ -2299,7 +2164,6 @@ fn exec_top<const OBSERVED: bool>(
 mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
-    use crate::coalesce;
     use crate::exec::{eval_bin, eval_cmp, eval_un};
 
     /// A kernel with uniform and per-lane values, a loop, and a barrier:
@@ -2421,70 +2285,6 @@ mod tests {
             lines: vec![],
         };
         assert!(CompiledKernel::compile(&k).is_none());
-    }
-
-    /// The allocation-free coalescing twins agree with the reference
-    /// implementations on representative and adversarial patterns.
-    #[test]
-    fn coalescing_twins_match_reference() {
-        let patterns: Vec<Vec<(u64, usize)>> = vec![
-            (0..32).map(|i| (i * 4, 4)).collect(),
-            (0..32).map(|i| (i * 128, 4)).collect(),
-            (0..32).map(|i| (64 + i * 4, 4)).collect(),
-            (0..32).map(|i| (i * 8, 8)).collect(),
-            std::iter::repeat_n((16, 4), 32).collect(),
-            (0..32).map(|i| (i * 32 * 4, 4)).collect(),
-            (0..32).map(|i| (i * 2 * 4, 4)).collect(),
-            vec![(126, 4)],
-            vec![(100, 0), (0, 4)],
-            vec![(u64::MAX - 1, 4), (u64::MAX, 8)],
-            vec![],
-            // Descending and shuffled sequences: the monotonic fast path
-            // must bail to the sort-and-dedup slow path, not miscount.
-            (0..32).rev().map(|i| (i * 4, 4)).collect(),
-            (0..32).rev().map(|i| (i * 128, 4)).collect(),
-            (0..32).map(|i| ((i * 7 % 32) * 4, 4)).collect(),
-            // Re-descending after an ascending prefix, with duplicates.
-            vec![(0, 4), (4, 4), (4, 4), (0, 4), (512, 4), (8, 4)],
-            // Ranges that restart below the running maximum but above an
-            // earlier start (partial overlap with seen words/segments).
-            vec![(0, 4), (640, 4), (256, 4), (384, 4)],
-            // A warp whose addresses wrap past `u64::MAX` (a wild base):
-            // ascending up to the edge, then restarting at 0.
-            (0..32u64)
-                .map(|i| ((u64::MAX - 63).wrapping_add(i * 4), 4))
-                .collect(),
-            (0..32u64)
-                .map(|i| ((u64::MAX - 200).wrapping_add(i * 16), 8))
-                .collect(),
-            // Descending with every address duplicated, and an access
-            // straddling each segment size's boundary.
-            (0..32).rev().map(|i| ((i / 2) * 8, 8)).collect(),
-            vec![(30, 4), (30, 4), (62, 4), (126, 4), (254, 4), (30, 4)],
-        ];
-        let mut buf = Vec::new();
-        let mut counts = vec![0u32; 32];
-        for p in &patterns {
-            for seg in [32, 64, 128, 256] {
-                assert_eq!(
-                    transactions(p, seg, &mut buf),
-                    coalesce::global_transactions(p, seg),
-                    "tx mismatch at segment {seg} for {p:?}"
-                );
-                // The dividing twin is the fallback for an unvalidated
-                // configuration; it must agree wherever both apply.
-                assert_eq!(
-                    transactions_slow(p, seg, &mut buf),
-                    coalesce::global_transactions(p, seg),
-                    "slow-twin mismatch at segment {seg} for {p:?}"
-                );
-            }
-            assert_eq!(
-                conflict_ways(p, 32, &mut buf, &mut counts),
-                coalesce::bank_conflict_degree(p, 32),
-                "ways mismatch for {p:?}"
-            );
-        }
     }
 
     #[test]

@@ -57,15 +57,6 @@ impl From<Value> for Operand {
     }
 }
 
-impl fmt::Display for Operand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operand::Reg(r) => write!(f, "{r}"),
-            Operand::Imm(v) => write!(f, "{v}"),
-        }
-    }
-}
-
 /// Special (read-only) hardware registers, as in CUDA/PTX.
 ///
 /// These are the CUDA builtins of the paper's Table 1: `threadIdx`,
@@ -265,19 +256,6 @@ impl MemRef {
     pub fn with_disp(mut self, disp: i64) -> Self {
         self.disp = disp;
         self
-    }
-}
-
-impl fmt::Display for MemRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}", self.base)?;
-        if let Some(idx) = self.index {
-            write!(f, " + {idx}*{}", self.scale)?;
-        }
-        if self.disp != 0 {
-            write!(f, " + {}", self.disp)?;
-        }
-        write!(f, "]")
     }
 }
 

@@ -56,23 +56,34 @@ impl<T: Default + Clone, const BITS: u32> Paged<T, BITS> {
     }
 
     /// The cell at `addr` for writing, allocating its page on first touch.
+    ///
+    /// The memo hit is inlined into every caller and the directory walk
+    /// never is, so the checkers' per-byte loops do not depend on how the
+    /// compiler happens to partition this crate.
+    #[inline]
     pub fn slot(&mut self, addr: u64) -> &mut T {
         let page = addr >> BITS;
         let idx = match self.last {
             Some((p, i)) if p == page => i,
-            _ => {
-                let pages = &mut self.pages;
-                let i = *self.dir.entry(page).or_insert_with(|| {
-                    // All-zero defaults of primitive arrays come from
-                    // `calloc`: untouched parts of the page stay uncommitted.
-                    pages.push(vec![T::default(); 1 << BITS].into_boxed_slice());
-                    pages.len() - 1
-                });
-                self.last = Some((page, i));
-                i
-            }
+            _ => self.resolve(page),
         };
         &mut self.pages[idx][(addr & Self::MASK) as usize]
+    }
+
+    /// The index of `page` in `pages`, allocating the page on first touch,
+    /// remembered as the last page resolved.
+    #[cold]
+    #[inline(never)]
+    fn resolve(&mut self, page: u64) -> usize {
+        let pages = &mut self.pages;
+        let i = *self.dir.entry(page).or_insert_with(|| {
+            // All-zero defaults of primitive arrays come from
+            // `calloc`: untouched parts of the page stay uncommitted.
+            pages.push(vec![T::default(); 1 << BITS].into_boxed_slice());
+            pages.len() - 1
+        });
+        self.last = Some((page, i));
+        i
     }
 
     /// Back to the all-default map, releasing every page.

@@ -16,7 +16,8 @@
 //! 2. **Affine per-thread evaluation** of shared-memory address
 //!    expressions (`k + cx·tidx + cy·tidy`): for each access whose
 //!    address and divergent guards are provably affine, the analysis
-//!    enumerates the exact byte footprint of every thread in the block.
+//!    enumerates the exact byte footprint of every thread in the block,
+//!    kept per access as ascending byte runs with the warps touching them.
 //!    Two accesses that may fall in the same barrier-delimited interval
 //!    (a reaching-barriers dataflow over the CFG, so loop back edges are
 //!    handled) and touch a common byte from *different warps* with at
@@ -33,12 +34,11 @@
 //! contract is zero false positives on hazard-free kernels, with simsan
 //! as the dynamic backstop for whatever stays unproven.
 
-use crate::coalesce::bank_conflict_degree;
+use crate::coalesce::conflict_ways;
 use crate::exec::LaunchConfig;
 use crate::ir::{Access, CmpOp, Flow, Inst, Kernel, MemRef, Operand, Reg, Space, SpecialReg};
 use crate::types::Value;
 use crate::warp::WARP_SIZE;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Classes of static findings, mirroring the dynamic
@@ -383,10 +383,14 @@ impl Aff {
         }
     }
 
-    /// Evaluate at a concrete thread `(x, y)`.
-    fn eval(self, x: i64, y: i64) -> Option<i64> {
+    /// Evaluate at a concrete thread `(x, y)`, exactly: `i64` terms at
+    /// `u32` thread ids cannot overflow an `i128`. `None` when the value
+    /// is not affine.
+    fn eval(self, x: u32, y: u32) -> Option<i128> {
         match self {
-            Aff::Lin { k, cx, cy } => Some(k + cx * x + cy * y),
+            Aff::Lin { k, cx, cy } => {
+                Some(k as i128 + cx as i128 * x as i128 + cy as i128 * y as i128)
+            }
             _ => None,
         }
     }
@@ -513,7 +517,7 @@ fn eval_cmp(op: CmpOp, a: i64, b: i64) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Per-byte warp footprints
+// Warp footprints as sorted byte runs
 // ---------------------------------------------------------------------------
 
 /// Which warps touch a byte. `Many` already implies a cross-warp pair, so
@@ -541,17 +545,127 @@ impl WarpSet {
     }
 }
 
+/// Consecutive bytes `start..end` that the same warps touch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Run {
+    start: i64,
+    end: i64,
+    warps: WarpSet,
+}
+
+/// A provable footprint: the bytes an access touches as ascending,
+/// disjoint runs, each with the warps that touch it.
+type Footprint = Vec<Run>;
+
+/// Sort `(byte, warp)` pairs once, merge each byte's warps, and join
+/// neighbouring bytes with the same warps into runs.
+fn footprint(pairs: &mut [(i64, u32)]) -> Footprint {
+    pairs.sort_unstable();
+    let mut fp: Footprint = Vec::new();
+    for byte in pairs.chunk_by(|p, q| p.0 == q.0) {
+        let (start, first) = byte[0];
+        let warps = byte[1..]
+            .iter()
+            .fold(WarpSet::One(first), |w, &(_, warp)| w.add(warp));
+        match fp.last_mut() {
+            Some(r) if r.end == start && r.warps == warps => r.end += 1,
+            _ => fp.push(Run {
+                start,
+                end: start + 1,
+                warps,
+            }),
+        }
+    }
+    fp
+}
+
+/// The first byte, ascending, that both footprints touch with two
+/// different warps between them: a merge-join of the two sorted runs.
+fn first_cross_warp_byte(a: &[Run], b: &[Run]) -> Option<i64> {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+        let first = x.start.max(y.start);
+        if first < x.end.min(y.end) && x.warps.cross_warp(y.warps) {
+            return Some(first);
+        }
+        if x.end <= y.end {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    None
+}
+
+/// The first byte, ascending, of `fp` outside `written`: ascending,
+/// disjoint `start..end` ranges.
+fn first_unwritten_byte(fp: &[Run], written: &[(i64, i64)]) -> Option<i64> {
+    let mut w = 0;
+    for r in fp {
+        let mut byte = r.start;
+        while byte < r.end {
+            while written.get(w).is_some_and(|&(_, end)| end <= byte) {
+                w += 1;
+            }
+            match written.get(w) {
+                Some(&(start, end)) if start <= byte => byte = end,
+                _ => return Some(byte),
+            }
+        }
+    }
+    None
+}
+
+/// A divergent guard on an access: thread `(x, y)` performs it iff
+/// `a op b` evaluates to `want` there.
+#[derive(Clone, Copy)]
+struct Guard {
+    op: CmpOp,
+    a: Aff,
+    b: Aff,
+    want: bool,
+}
+
+impl Guard {
+    /// Whether thread `(x, y)` passes the guard, or `None` when an operand
+    /// does not fit the `i64` the comparison is made in.
+    fn admits(self, x: u32, y: u32) -> Option<bool> {
+        let value = |v: Aff| v.eval(x, y).and_then(|v| i64::try_from(v).ok());
+        Some(eval_cmp(self.op, value(self.a)?, value(self.b)?) == self.want)
+    }
+}
+
+/// What running every thread of the block through one access yields.
+struct Walked {
+    touch: Footprint,
+    /// Worst bank-conflict degree over the block's warps.
+    bank_ways: u64,
+    /// The first thread, in thread order, whose access leaves the shared
+    /// window: `(first byte, x, y)`.
+    oob: Option<(i128, u32, u32)>,
+}
+
+/// Buffers one verification reuses across its accesses.
+struct Scratch {
+    /// `(byte, warp)` for every byte every thread touches.
+    pairs: Vec<(i64, u32)>,
+    /// `(offset, size)` per lane of the warp being walked.
+    lanes: Vec<(u64, usize)>,
+    /// [`conflict_ways`]' word buffer and per-bank counts.
+    words: Vec<u64>,
+    bank_counts: Vec<u32>,
+}
+
 /// One shared access with everything later phases need.
 struct SharedAccess {
     pc: usize,
     store: bool,
     /// Barrier-interval reach set (bit 0 = kernel entry).
     reach: u128,
-    /// Provable byte footprint: first byte -> warps touching it. `None`
-    /// when the address or a divergent guard was not provable.
-    touch: Option<BTreeMap<i64, WarpSet>>,
-    /// Per-warp `(addr, size)` lists for the bank-conflict diagnostic.
-    per_warp: HashMap<u32, Vec<(u64, usize)>>,
+    /// `None` when the address or a divergent guard was not provable.
+    touch: Option<Footprint>,
+    /// Worst bank-conflict degree over the block's warps; 0 when unproven.
+    bank_ways: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -568,8 +682,8 @@ struct Verifier<'a> {
     vals: Vec<Aff>,
     /// Static defs per register.
     def_count: Vec<u32>,
-    /// `r -> (op, a, b)` for predicate registers with exactly one def.
-    preds: HashMap<Reg, (CmpOp, Operand, Operand)>,
+    /// `(op, a, b)` per predicate register with exactly one def.
+    preds: Vec<Option<(CmpOp, Operand, Operand)>>,
     findings: Vec<VerifyFinding>,
     unproven: usize,
 }
@@ -592,7 +706,7 @@ impl<'a> Verifier<'a> {
             div_reg: vec![false; k.num_regs as usize],
             vals: vec![Aff::Bot; k.num_regs as usize],
             def_count,
-            preds: HashMap::new(),
+            preds: vec![None; k.num_regs as usize],
             findings: Vec::new(),
             unproven: 0,
         }
@@ -952,7 +1066,7 @@ impl<'a> Verifier<'a> {
         for inst in &self.k.insts {
             if let Inst::Cmp { op, dst, a, b, .. } = inst {
                 if self.def_count[dst.0 as usize] == 1 {
-                    self.preds.insert(*dst, (*op, *a, *b));
+                    self.preds[dst.0 as usize] = Some((*op, *a, *b));
                 }
             }
         }
@@ -1042,8 +1156,7 @@ impl<'a> Verifier<'a> {
     /// `None` when some divergent guard is not provable. Uniform guards
     /// are ignored: they gate whether the access happens at all, not
     /// *which* threads of the block perform it together.
-    #[allow(clippy::type_complexity)]
-    fn guards_of(&self, pc: usize) -> Option<Vec<(CmpOp, Aff, Aff, bool)>> {
+    fn guards_of(&self, pc: usize) -> Option<Vec<Guard>> {
         let b = self.cfg.block_of[pc];
         let mut out = Vec::new();
         for &(br, edge) in &self.deps[b] {
@@ -1053,15 +1166,15 @@ impl<'a> Verifier<'a> {
             if !self.div_reg[r.0 as usize] {
                 continue;
             }
-            let &(op, a, bb) = self.preds.get(&r)?;
-            let (aa, ba) = (self.operand_aff(&a), self.operand_aff(&bb));
-            if !matches!(aa, Aff::Lin { .. }) || !matches!(ba, Aff::Lin { .. }) {
+            let (op, a, b) = self.preds[r.0 as usize]?;
+            let (a, b) = (self.operand_aff(&a), self.operand_aff(&b));
+            if !matches!(a, Aff::Lin { .. }) || !matches!(b, Aff::Lin { .. }) {
                 return None;
             }
             // Membership: predicate == expect takes edge 0 (the branch),
             // != expect falls through to edge 1.
-            let want_true = expect == (edge == 0);
-            out.push((op, aa, ba, want_true));
+            let want = expect == (edge == 0);
+            out.push(Guard { op, a, b, want });
         }
         Some(out)
     }
@@ -1069,8 +1182,12 @@ impl<'a> Verifier<'a> {
     /// Enumerate every shared access with its interval reach set and, when
     /// provable, its exact per-byte warp footprint over the block.
     fn shared_accesses(&mut self, inn: &[u128]) -> Vec<SharedAccess> {
-        let (bx, by) = self.block;
-        let shared = self.k.shared_bytes as i64;
+        let mut scratch = Scratch {
+            pairs: Vec::new(),
+            lanes: Vec::new(),
+            words: Vec::new(),
+            bank_counts: vec![0; self.vc.shared_banks as usize],
+        };
         let mut out = Vec::new();
         for (pc, inst) in self.k.insts.iter().enumerate() {
             let Some(Access {
@@ -1085,45 +1202,12 @@ impl<'a> Verifier<'a> {
             let (store, size) = (kind.writes(), ty.size());
             let reach = inn[self.cfg.block_of[pc]];
             let addr = self.mref_aff(&mref);
-            let guards = self.guards_of(pc);
-            let (touch, per_warp, oob) = match (addr, guards) {
-                (Aff::Lin { .. }, Some(guards)) => {
-                    let mut touch = BTreeMap::new();
-                    let mut per_warp: HashMap<u32, Vec<(u64, usize)>> = HashMap::new();
-                    let mut oob: Option<(i64, u32, u32)> = None;
-                    for y in 0..by {
-                        for x in 0..bx {
-                            let member = guards.iter().all(|&(op, a, b, want)| {
-                                let (av, bv) =
-                                    (a.eval(x as i64, y as i64), b.eval(x as i64, y as i64));
-                                match (av, bv) {
-                                    (Some(av), Some(bv)) => eval_cmp(op, av, bv) == want,
-                                    _ => false,
-                                }
-                            });
-                            if !member {
-                                continue;
-                            }
-                            let byte = addr.eval(x as i64, y as i64).unwrap();
-                            if byte < 0 || byte + size as i64 > shared {
-                                oob.get_or_insert((byte, x, y));
-                            }
-                            let lin = y * bx + x;
-                            let warp = lin / WARP_SIZE;
-                            for b in byte..byte + size as i64 {
-                                touch
-                                    .entry(b)
-                                    .and_modify(|w: &mut WarpSet| *w = w.add(warp))
-                                    .or_insert(WarpSet::One(warp));
-                            }
-                            if byte >= 0 {
-                                per_warp.entry(warp).or_default().push((byte as u64, size));
-                            }
-                        }
-                    }
-                    (Some(touch), per_warp, oob)
-                }
-                _ => {
+            let walked = match (addr, self.guards_of(pc)) {
+                (Aff::Lin { .. }, Some(guards)) => self.walk(addr, size, &guards, &mut scratch),
+                _ => None,
+            };
+            match &walked {
+                None => {
                     self.unproven += 1;
                     self.findings.push(VerifyFinding {
                         class: VerifyClass::RaceCheck,
@@ -1137,30 +1221,83 @@ impl<'a> Verifier<'a> {
                             crate::ir::format_inst(inst)
                         ),
                     });
-                    (None, HashMap::new(), None)
                 }
-            };
-            if let Some((byte, x, y)) = oob {
-                self.findings.push(VerifyFinding {
-                    class: VerifyClass::BoundsCheck,
-                    pc,
-                    other_pc: None,
-                    warning: false,
-                    detail: format!(
-                        "thread ({x},{y}) touches shared byte {byte} outside the declared \
-                         {shared}-byte window"
-                    ),
-                });
+                Some(Walked {
+                    oob: Some((byte, x, y)),
+                    ..
+                }) => {
+                    self.findings.push(VerifyFinding {
+                        class: VerifyClass::BoundsCheck,
+                        pc,
+                        other_pc: None,
+                        warning: false,
+                        detail: format!(
+                            "thread ({x},{y}) touches shared byte {byte} outside the declared \
+                             {}-byte window",
+                            self.k.shared_bytes
+                        ),
+                    });
+                }
+                Some(_) => {}
             }
+            let (touch, bank_ways) = walked.map_or((None, 0), |w| (Some(w.touch), w.bank_ways));
             out.push(SharedAccess {
                 pc,
                 store,
                 reach,
                 touch,
-                per_warp,
+                bank_ways,
             });
         }
         out
+    }
+
+    /// Run every thread of the block, in thread order, through one access
+    /// of `size` bytes at `addr`. The lanes of a warp are consecutive in
+    /// that order, so each warp's bank degree is counted when its last
+    /// lane has been seen. An access whose bytes (end included) do not
+    /// fit an `i64` is out of the window and adds no bytes. `None` when a
+    /// guard cannot be evaluated at some thread: the access is unproven.
+    fn walk(&self, addr: Aff, size: usize, guards: &[Guard], s: &mut Scratch) -> Option<Walked> {
+        let (bx, by) = self.block;
+        let (shared, banks) = (self.k.shared_bytes as i128, self.vc.shared_banks);
+        s.pairs.clear();
+        s.lanes.clear();
+        let (mut bank_ways, mut lane_warp, mut oob) = (0, 0, None);
+        for y in 0..by {
+            'threads: for x in 0..bx {
+                for g in guards {
+                    if !g.admits(x, y)? {
+                        continue 'threads;
+                    }
+                }
+                let warp = (y * bx + x) / WARP_SIZE;
+                if warp != lane_warp {
+                    let ways = conflict_ways(&s.lanes, banks, &mut s.words, &mut s.bank_counts);
+                    bank_ways = bank_ways.max(ways);
+                    s.lanes.clear();
+                    lane_warp = warp;
+                }
+                let first = addr.eval(x, y)?;
+                let end = first + size as i128;
+                if first < 0 || end > shared {
+                    oob.get_or_insert((first, x, y));
+                }
+                let (Ok(lo), Ok(_)) = (i64::try_from(first), i64::try_from(end)) else {
+                    continue;
+                };
+                s.pairs.extend((0..size as i64).map(|o| (lo + o, warp)));
+                if lo >= 0 {
+                    s.lanes.push((lo as u64, size));
+                }
+            }
+        }
+        let ways = conflict_ways(&s.lanes, banks, &mut s.words, &mut s.bank_counts);
+        Some(Walked {
+            touch: footprint(&mut s.pairs),
+            bank_ways: bank_ways.max(ways),
+            oob,
+        })
     }
 
     fn mref_aff(&self, m: &MemRef) -> Aff {
@@ -1183,9 +1320,8 @@ impl<'a> Verifier<'a> {
     /// may share a barrier interval and touch a common byte from two
     /// different warps.
     fn racecheck(&mut self, accesses: &[SharedAccess]) {
-        for i in 0..accesses.len() {
-            for j in i..accesses.len() {
-                let (a, b) = (&accesses[i], &accesses[j]);
+        for (i, a) in accesses.iter().enumerate() {
+            for b in &accesses[i..] {
                 if !a.store && !b.store {
                     continue;
                 }
@@ -1195,17 +1331,7 @@ impl<'a> Verifier<'a> {
                 let (Some(ta), Some(tb)) = (&a.touch, &b.touch) else {
                     continue;
                 };
-                let (small, big) = if ta.len() <= tb.len() {
-                    (ta, tb)
-                } else {
-                    (tb, ta)
-                };
-                let conflict = small.iter().find_map(|(byte, wa)| {
-                    big.get(byte)
-                        .filter(|wb| wa.cross_warp(**wb))
-                        .map(|_| *byte)
-                });
-                if let Some(byte) = conflict {
+                if let Some(byte) = first_cross_warp_byte(ta, tb) {
                     let kind = match (a.store, b.store) {
                         (true, true) => "write-write",
                         _ => "read-write",
@@ -1234,15 +1360,22 @@ impl<'a> Verifier<'a> {
         if accesses.iter().any(|a| a.store && a.touch.is_none()) {
             return;
         }
-        let mut written: std::collections::HashSet<i64> = std::collections::HashSet::new();
-        for a in accesses.iter().filter(|a| a.store) {
-            if let Some(t) = &a.touch {
-                written.extend(t.keys());
+        let mut stored: Vec<(i64, i64)> = accesses
+            .iter()
+            .filter(|a| a.store)
+            .flat_map(|a| a.touch.iter().flatten().map(|r| (r.start, r.end)))
+            .collect();
+        stored.sort_unstable();
+        let mut written: Vec<(i64, i64)> = Vec::with_capacity(stored.len());
+        for (start, end) in stored {
+            match written.last_mut() {
+                Some(last) if start <= last.1 => last.1 = last.1.max(end),
+                _ => written.push((start, end)),
             }
         }
         for a in accesses.iter().filter(|a| !a.store) {
             let Some(t) = &a.touch else { continue };
-            if let Some(byte) = t.keys().find(|b| !written.contains(b)) {
+            if let Some(byte) = first_unwritten_byte(t, &written) {
                 self.findings.push(VerifyFinding {
                     class: VerifyClass::InitCheck,
                     pc: a.pc,
@@ -1257,32 +1390,21 @@ impl<'a> Verifier<'a> {
     }
 
     /// Warn-only bank-conflict diagnostic: worst replay degree of each
-    /// provable shared access across the block's warps, via the same
-    /// [`bank_conflict_degree`] model the timing simulator charges.
+    /// provable shared access across the block's warps, counted by the
+    /// same [`crate::coalesce`] rule the timing simulator charges.
     fn bank_conflicts(&mut self, accesses: &[SharedAccess]) {
-        for a in accesses {
-            if a.touch.is_none() {
-                continue;
-            }
-            let worst = a
-                .per_warp
-                .values()
-                .map(|accs| bank_conflict_degree(accs, self.vc.shared_banks))
-                .max()
-                .unwrap_or(0);
-            if worst > 1 {
-                self.findings.push(VerifyFinding {
-                    class: VerifyClass::BankConflict,
-                    pc: a.pc,
-                    other_pc: None,
-                    warning: true,
-                    detail: format!(
-                        "{}-way shared bank conflict (`{}`)",
-                        worst,
-                        crate::ir::format_inst(&self.k.insts[a.pc])
-                    ),
-                });
-            }
+        for a in accesses.iter().filter(|a| a.bank_ways > 1) {
+            self.findings.push(VerifyFinding {
+                class: VerifyClass::BankConflict,
+                pc: a.pc,
+                other_pc: None,
+                warning: true,
+                detail: format!(
+                    "{}-way shared bank conflict (`{}`)",
+                    a.bank_ways,
+                    crate::ir::format_inst(&self.k.insts[a.pc])
+                ),
+            });
         }
     }
 }
@@ -1471,6 +1593,87 @@ mod tests {
         assert_eq!(rep.count(VerifyClass::BankConflict), 1, "{rep}");
         // Degree is in the message.
         assert!(rep.findings[0].detail.contains("32-way"), "{rep}");
+    }
+
+    /// A wild constant address whose last byte does not fit an `i64` is an
+    /// out-of-window access, not a wrap into the window (a false clean)
+    /// or an overflow panic.
+    #[test]
+    fn address_past_i64_max_is_out_of_bounds() {
+        let k = slab_kernel(|b, _, tid| {
+            let t64 = b.cvt(Ty::I64, tid);
+            b.st_shared(
+                Ty::I64,
+                MemRef::direct(Value::U64(0x7fff_ffff_ffff_fffd)),
+                t64,
+            );
+        });
+        let rep = verify(&k, 32);
+        assert_eq!(rep.count(VerifyClass::BoundsCheck), 1, "{rep}");
+        assert!(
+            rep.findings[0]
+                .detail
+                .contains("thread (0,0) touches shared byte 9223372036854775805"),
+            "{rep}"
+        );
+        assert!(!rep.clean());
+    }
+
+    /// A divergent guard whose operand leaves `i64` at some thread cannot
+    /// be evaluated there: the access is unproven, not a panic.
+    #[test]
+    fn guard_past_i64_max_is_unproven() {
+        let k = slab_kernel(|b, slab, tid| {
+            let big = b.bin(BinOp::Mul, Ty::I64, tid, Value::I64(1 << 62));
+            let g = b.cmp(CmpOp::Lt, Ty::I64, big, Value::I64(5));
+            let skip = b.new_label();
+            b.bra_unless(g, skip);
+            b.st_shared(Ty::I32, MemRef::direct(Value::U64(slab as u64)), tid);
+            b.place(skip);
+        });
+        let rep = verify(&k, 32);
+        assert_eq!(rep.unproven, 1, "{rep}");
+        assert!(rep.clean(), "{rep}");
+    }
+
+    /// Footprints merge each byte's warps and join equal neighbours into
+    /// runs; the merge-joins report the first qualifying byte in
+    /// ascending order, whichever footprint is the longer.
+    #[test]
+    fn footprints_are_runs_and_merge_joins_report_the_first_byte() {
+        use WarpSet::*;
+        let run = |start, end, warps| Run { start, end, warps };
+        let mut pairs = vec![
+            (9, 1),
+            (0, 0),
+            (1, 0),
+            (8, 0),
+            (8, 1),
+            (2, 0),
+            (4, 2),
+            (9, 1),
+        ];
+        let fp = footprint(&mut pairs);
+        assert_eq!(
+            fp,
+            [
+                run(0, 3, One(0)),
+                run(4, 5, One(2)),
+                run(8, 9, Many),
+                run(9, 10, One(1))
+            ]
+        );
+        let a = [run(0, 8, One(0)), run(8, 12, One(1)), run(12, 16, Many)];
+        let b = [run(4, 16, One(0))];
+        assert_eq!(first_cross_warp_byte(&a, &b), Some(8));
+        assert_eq!(first_cross_warp_byte(&b, &a), Some(8));
+        assert_eq!(first_cross_warp_byte(&b, &b), None);
+        assert_eq!(first_cross_warp_byte(&a, &a), Some(12));
+        assert_eq!(first_cross_warp_byte(&a[..1], &b), None);
+        assert_eq!(first_unwritten_byte(&a, &[(0, 16)]), None);
+        assert_eq!(first_unwritten_byte(&a, &[(0, 8), (9, 16)]), Some(8));
+        assert_eq!(first_unwritten_byte(&b, &[(0, 3), (5, 20)]), Some(4));
+        assert_eq!(first_unwritten_byte(&b, &[]), Some(4));
     }
 
     /// An address the affine lattice cannot express (shared load through
