@@ -490,10 +490,13 @@ fn certify_inner(
         return Err("host scalar vector does not match the program".into());
     }
 
-    // 1. kverify precondition.
-    for l in compiled.launches() {
-        kverify_gate(l.kernel, l.config)?;
-    }
+    // 1. kverify precondition, once per artifact.
+    let gate = compiled.kverify_gate.get_or_init(|| {
+        compiled
+            .launches()
+            .try_for_each(|l| kverify_gate(l.kernel, l.config))
+    });
+    gate.clone()?;
 
     // 2. Lay out symbolic memory exactly like the runtime: array regions
     // in data-clause order, then temp buffers.

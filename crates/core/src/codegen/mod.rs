@@ -145,6 +145,7 @@ pub fn compile_region(
         results: cg.plan.results.clone(),
         writebacks: cg.plan.writebacks.clone(),
         mailbox: cg.plan.mailbox,
+        kverify_gate: std::sync::OnceLock::new(),
     })
 }
 

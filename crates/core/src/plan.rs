@@ -9,7 +9,7 @@
 use crate::types::machine_ty;
 use accparse::ast::{CType, RedOp};
 use gpsim::{Kernel, LaunchConfig, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Resolved launch geometry: the OpenACC `num_gangs`/`num_workers`/
 /// `vector_length` mapped to CUDA grid/block dims (gang -> block,
@@ -156,6 +156,10 @@ pub struct CompiledRegion {
     pub writebacks: Vec<HostWriteback>,
     /// Mailbox buffer index (present iff `writebacks` is non-empty).
     pub mailbox: Option<usize>,
+    /// redcert's kverify precondition over [`CompiledRegion::launches`],
+    /// judged on first use and kept with the artifact, so the sessions
+    /// that share it judge it once.
+    pub(crate) kverify_gate: OnceLock<Result<(), String>>,
 }
 
 /// One kernel launch of a region's plan.

@@ -56,7 +56,7 @@ use crate::memory::{
     AccessAbort, AddrSet, AtomicLogEntry, BlockOverlay, GlobalMemory, OverlayData, SharedMemory,
 };
 use crate::profile::{BlockProfile, LaunchProfile, PcCounters};
-use crate::sanitizer::{BlockSanitizer, LaunchSanitizer, SanitizerConfig};
+use crate::sanitizer::{BlockLog, BlockSanitizer, LaunchSanitizer, SanitizerConfig};
 use crate::stats::LaunchStats;
 use crate::trace::{MemTouch, Trace, TraceEvent};
 use crate::types::{Ty, Value};
@@ -266,7 +266,7 @@ pub(crate) struct BlockExec<'a, 'g> {
     pub(crate) scratch_addr: Vec<(u64, usize)>,
     pub(crate) view: MemView<'g>,
     pub(crate) trace: Option<Trace>,
-    pub(crate) san: Option<BlockSanitizer>,
+    pub(crate) san: Option<&'a mut BlockSanitizer>,
     pub(crate) prof: Option<BlockProfile>,
 }
 
@@ -291,7 +291,7 @@ impl BlockExec<'_, '_> {
     /// and feed the sanitizer, in the space and with the kind of the
     /// access at `pc`. `scratch_addr` holds one access per active
     /// lane — or, from the typed tier, the single access every lane of the
-    /// warp makes (same range; the sanitizer is still fed per lane).
+    /// warp makes (same range; the sanitizer still records every lane).
     pub(crate) fn observe_mem(&mut self, mask: &[usize], warp_id: u32, pc: usize, recorded: bool) {
         if !recorded && self.san.is_none() {
             return;
@@ -315,15 +315,8 @@ impl BlockExec<'_, '_> {
                 t.annotate_mem(MemTouch { space, lo, hi });
             }
         }
-        if let Some(s) = self.san.as_mut() {
-            let last = self.scratch_addr.len() - 1;
-            for (i, &l) in mask.iter().enumerate() {
-                let (a, sz) = self.scratch_addr[i.min(last)];
-                match space {
-                    Space::Shared => s.shared_access(l as u32, warp_id, pc, a, sz, kind.writes()),
-                    Space::Global => s.global_access(l as u32, warp_id, pc, a, sz, kind),
-                }
-            }
+        if let Some(s) = self.san.as_deref_mut() {
+            s.warp_step(warp_id, pc, space, kind, mask, &self.scratch_addr);
         }
     }
 
@@ -941,7 +934,7 @@ struct BlockOutcome {
     /// block already mutated global memory directly.
     overlay: Option<OverlayData>,
     trace: Option<Trace>,
-    san: Option<BlockSanitizer>,
+    san: Option<BlockLog>,
     prof: Option<BlockProfile>,
 }
 
@@ -976,14 +969,18 @@ impl Launch<'_> {
             // Fallback: the parallel attempt detected inter-block
             // communication and committed nothing; replay sequentially.
         }
-        let mut typed = self.typed_state();
+        let (mut typed, mut san) = (self.typed_state(), self.block_sanitizer());
         for id in 0..cfg.num_blocks() as usize {
+            let view = MemView::Direct(&mut *commit.global);
             let o = self
-                .run_block(id, MemView::Direct(&mut *commit.global), typed.as_mut())
+                .run_block(id, view, typed.as_mut(), san.as_mut())
                 .unwrap_or_else(|why| {
                     unreachable!("direct-view execution cannot request a fallback ({why})")
                 });
-            commit.block(id, o)?;
+            // The merged log's buffers serve the next block.
+            if let (Some(s), Some(log)) = (san.as_mut(), commit.block(id, o)?) {
+                s.recycle(log);
+            }
         }
         Ok(())
     }
@@ -994,6 +991,13 @@ impl Launch<'_> {
             .map(|tk| tk.state(self.cfg.threads_per_block() as usize, self.dev))
     }
 
+    /// One executor thread's block sanitizer, reused by all its blocks.
+    fn block_sanitizer(&self) -> Option<BlockSanitizer> {
+        self.san_cfg
+            .as_ref()
+            .map(|c| BlockSanitizer::new(c.clone(), self.kernel.shared_bytes))
+    }
+
     /// The block driver both executors share: run block `id` against
     /// `view` with the launch's instruments attached. `Err` names why an
     /// overlay run needs the sequential path.
@@ -1002,6 +1006,7 @@ impl Launch<'_> {
         id: usize,
         view: MemView,
         typed: Option<&mut TypedState>,
+        mut san: Option<&mut BlockSanitizer>,
     ) -> Result<BlockOutcome, &'static str> {
         let kernel = self.kernel;
         let block_idx = self.cfg.block_coords(id);
@@ -1013,6 +1018,9 @@ impl Launch<'_> {
         } else {
             kernel.num_regs as usize
         };
+        if let Some(s) = san.as_deref_mut() {
+            s.begin_block(block_idx);
+        }
         let mut exec = BlockExec {
             kernel,
             params: self.params,
@@ -1029,10 +1037,7 @@ impl Launch<'_> {
             scratch_addr: Vec::with_capacity(WARP_SIZE as usize),
             view,
             trace: self.trace_limit.map(Trace::with_limit),
-            san: self
-                .san_cfg
-                .as_ref()
-                .map(|c| BlockSanitizer::new(c.clone(), block_idx, kernel.shared_bytes)),
+            san,
             prof: self
                 .profiled
                 .then(|| BlockProfile::new(id as u32, kernel.insts.len(), warps as usize)),
@@ -1061,7 +1066,7 @@ impl Launch<'_> {
                 MemView::Direct(_) => None,
             },
             trace,
-            san,
+            san: san.map(BlockSanitizer::end_block),
             prof,
         })
     }
@@ -1092,7 +1097,7 @@ impl Launch<'_> {
                 .map(|_| {
                     scope.spawn(|| {
                         let mut out: Vec<(usize, BlockOutcome)> = Vec::new();
-                        let mut typed = self.typed_state();
+                        let (mut typed, mut san) = (self.typed_state(), self.block_sanitizer());
                         loop {
                             let id = next.fetch_add(1, Ordering::Relaxed);
                             if id >= num_blocks || needs_seq.load(Ordering::Relaxed) {
@@ -1102,7 +1107,7 @@ impl Launch<'_> {
                                 continue;
                             }
                             let view = MemView::Overlay(BlockOverlay::new(base));
-                            match self.run_block(id, view, typed.as_mut()) {
+                            match self.run_block(id, view, typed.as_mut(), san.as_mut()) {
                                 Err(_) => {
                                     needs_seq.store(true, Ordering::Relaxed);
                                     break;
@@ -1171,8 +1176,8 @@ impl Commit<'_> {
     /// Commit block `id`; blocks must arrive in linear block-id order. A
     /// failed block's partial effects and observations are committed too —
     /// the state a sequential run leaves behind — and then its error
-    /// surfaces.
-    fn block(&mut self, id: usize, o: BlockOutcome) -> Result<(), SimError> {
+    /// surfaces. Hands back the block's drained sanitizer log, if any.
+    fn block(&mut self, id: usize, o: BlockOutcome) -> Result<Option<BlockLog>, SimError> {
         if let Some(overlay) = o.overlay {
             for (&page, p) in &overlay.pages {
                 self.global.apply_overlay_page(page, p);
@@ -1192,8 +1197,9 @@ impl Commit<'_> {
         if let (Some(dst), Some(t)) = (self.trace.as_deref_mut(), o.trace) {
             dst.merge_from(t);
         }
-        if let (Some(dst), Some(b)) = (self.san.as_deref_mut(), o.san) {
-            dst.merge_block(b);
+        let mut log = o.san;
+        if let (Some(dst), Some(log)) = (self.san.as_deref_mut(), log.as_mut()) {
+            dst.merge_block(log);
         }
         // A failed block takes no modelled time: the profile shows an
         // empty span where it was placed.
@@ -1205,7 +1211,7 @@ impl Commit<'_> {
         o.result?;
         self.totals += o.stats;
         self.totals.blocks += 1;
-        Ok(())
+        Ok(log)
     }
 
     /// Close the launch: finish its profile on every outcome and, on

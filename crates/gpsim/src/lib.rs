@@ -77,8 +77,8 @@ pub use profile::{
     TimelineSpan,
 };
 pub use sanitizer::{
-    AccessInfo, BlockSanitizer, HazardClass, HazardReport, LaunchSanitizer, SanitizerConfig,
-    SanitizerLevel,
+    AccessInfo, BlockLog, BlockSanitizer, HazardClass, HazardReport, LaunchSanitizer,
+    SanitizerConfig, SanitizerLevel,
 };
 pub use stats::{LaunchStats, SessionStats};
 pub use trace::{MemTouch, Trace, TraceEvent};

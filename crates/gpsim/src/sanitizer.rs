@@ -32,34 +32,50 @@
 //! The shadow scheme is two-level so blocks can execute concurrently:
 //!
 //! - [`BlockSanitizer`] owns everything one block can judge on its own.
-//!   Shared memory keeps one cell per byte with the last writer, last
-//!   reader and a *barrier epoch* (incremented each time the block's
-//!   barrier releases). Two accesses conflict iff they touch the same
-//!   byte, at least one writes, they come from different warps, and they
-//!   share an epoch. Those reports — plus initcheck and synccheck — go
-//!   into an ordered per-block log. Global-memory accesses cannot be
-//!   judged locally (the conflicting access lives in another block), so
-//!   the log records them raw.
+//!   The executors hand it each memory warp-step once — warp, pc, space,
+//!   kind, active lanes and their addresses — and it appends one header to
+//!   the block's step list. Shared memory keeps one cell per byte with the
+//!   last writer, last reader and one more reader, each an id into that
+//!   list; barrier releases split the list into *epochs*. Two accesses
+//!   conflict iff they touch the same byte, at least one writes, they come
+//!   from different warps, and they share an epoch. Those reports — plus
+//!   initcheck and synccheck — go into the block's log, in order.
+//!   Global-memory accesses cannot be judged locally (the conflicting
+//!   access lives in another block), so the log records their lanes raw.
 //! - [`LaunchSanitizer`] merges block logs **in linear block-id order**,
-//!   replaying the raw global accesses through a launch-wide per-byte
-//!   shadow with the last writer and the last two readers from distinct
-//!   blocks. Because the merge order equals the sequential execution
-//!   order, the reports (text, order, count) are bit-identical at any
-//!   host thread count — and because both executors merge serially, the
-//!   shadow is single-threaded.
+//!   replaying the raw global lanes through a launch-wide per-byte shadow
+//!   with the last writer and the last two readers from distinct blocks.
+//!   Because the merge order equals the sequential execution order, the
+//!   reports (text, order, count) are bit-identical at any host thread
+//!   count — and because both executors merge serially, the shadow is
+//!   single-threaded.
+//!
+//! An id names a lane of a step: `(step + 1) << 6 | lane << 1 | atomic`.
+//! Ids grow with the step, so the epoch test is "id ≥ the first id since
+//! the last barrier release" and the launch's cross-block test is "0 < id
+//! < the first id of the block being merged"; the warp, pc and epoch come
+//! from the step, and an [`AccessInfo`] is only built to render a report.
+//! When every byte an access covers holds the same cell — the common case,
+//! a lane's aligned word — the access is judged once and the run filled:
+//! the bytes after the first would raise only reports with the same dedup
+//! key. Otherwise (mixed cells, or a run across a shadow page) it is
+//! judged byte by byte.
 //!
 //! The global shadow is a [`Paged`] table: 4 Ki-cell pages allocated on
-//! first touch, found through a last-page memo, so the per-byte step is an
-//! index and not a hash. A cell is three `u32` ids (12 bytes) into one
-//! launch-wide list that every merged access is appended to once; the
-//! all-zero cell is the empty one, so a fresh page is a `calloc`. **The
-//! memory bound:** 48 KiB per *touched page* (the hash map this replaced
-//! cost ~110 bytes per *touched byte*), plus 32 bytes per merged access.
-//! Dense access — every real reduction — is therefore ~9× smaller; the
-//! worst case is one access per page, 12 × the span of device addresses
-//! the kernel can reach, which the device's global-memory size bounds
-//! (a wild pointer past it is observed for the one warp instruction the
-//! bounds check then rejects, a block at a time).
+//! first touch, found through a last-page memo, so the per-access step is
+//! an index and not a hash. Every cell, shared or global, is three `u32`
+//! ids (12 bytes) and the all-zero cell is the empty one, so a fresh page
+//! is a `calloc`. **The memory bound:** per launch, 48 KiB per *touched
+//! page* of global shadow plus 24 bytes per merged global warp-step; per
+//! block until its merge, 12 bytes per shared byte, 20 bytes per memory
+//! warp-step and 16 bytes per global lane-access. An executor thread keeps
+//! one [`BlockSanitizer`] — shadow, dedup set and, on the sequential path,
+//! the log's buffers — for all the blocks it runs. Dense access — every
+//! real reduction — costs a few pages; the worst case is one access per
+//! page, 12 × the span of device addresses the kernel can reach, which the
+//! device's global-memory size bounds (a wild pointer past it is observed
+//! for the one warp instruction the bounds check then rejects, a block at
+//! a time). A block's step list holds under 2^26 memory warp-steps.
 //!
 //! Reports are deduplicated by the PC pair so a race inside a loop is
 //! reported once, and capped at [`SanitizerConfig::max_reports`] (the
@@ -70,6 +86,7 @@ use std::fmt;
 
 use crate::ir::{AccessKind, Space};
 use crate::shadow::Paged;
+use crate::warp::WARP_SIZE;
 
 /// How much checking to do during a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -221,73 +238,136 @@ impl fmt::Display for HazardReport {
 /// Dedup key: a hazard class plus the PC pair it fired on.
 type HazardKey = (HazardClass, usize, usize);
 
-#[derive(Clone, Default)]
-struct SharedCell {
-    written: bool,
-    last_write: Option<AccessInfo>,
-    last_read: Option<AccessInfo>,
-    /// Most recent read from a warp *other* than `last_read`'s. One slot
-    /// would let a warp's own read-before-write shadow an earlier reader
-    /// (tree steps load both operands before storing); two slots from
-    /// distinct warps are enough to catch any multi-warp read set, since
-    /// flagging one conflicting reader is all a report needs.
-    other_read: Option<AccessInfo>,
-}
-
-/// Launch-wide shadow of one global byte: `[last_write, last_read,
-/// other_read]`, the last being the most recent read from a block other
-/// than `last_read`'s (same two-slot rationale as
-/// [`SharedCell::other_read`]). Each is an id into
-/// [`LaunchSanitizer::accesses`] (index + 1; 0 = no such access), so a cell
-/// is 12 bytes, the all-zero cell is the empty one, and — an array of
-/// integers being what `vec!` zero-allocates — a fresh page is a `calloc`.
-type GlobalCell = [u32; 3];
+/// Shadow of one byte: `[last_write, last_read, other_read]` as access
+/// ids (see [`access_id`]; 0 = no such access). `other_read` is the most
+/// recent read from a warp (shared) or block (global) other than
+/// `last_read`'s. One read slot would let a warp's own read-before-write
+/// shadow an earlier reader (tree steps load both operands before
+/// storing); two slots from distinct warps are enough to catch any
+/// multi-warp read set, since flagging one conflicting reader is all a
+/// report needs. The all-zero cell is the empty one, so a fresh shadow —
+/// an array of integers being what `vec!` zero-allocates — is a `calloc`.
+type Cell = [u32; 3];
 
 /// Cells per page of the global shadow (see the module docs for the bound).
 const GLOBAL_PAGE_BITS: u32 = 12;
 
-/// One entry of a block's ordered hazard log.
-enum SanEvent {
-    /// A report fully determined inside one block (shared races,
-    /// initcheck, synccheck), already rendered, with its dedup key.
-    Local {
-        key: HazardKey,
-        report: HazardReport,
-    },
-    /// A raw global-memory access, replayed against the launch-wide
-    /// shadow at merge time — the conflicting access may live in another
-    /// block, so it cannot be judged locally.
-    Global {
-        acc: AccessInfo,
-        addr: u64,
-        size: usize,
-    },
+/// Bits of an access id below its step: the lane, then the atomic bit.
+const STEP_SHIFT: u32 = WARP_SIZE.trailing_zeros() + 1;
+
+/// The id of lane `lane`'s access in step `step` of a step list:
+/// `(step + 1) << STEP_SHIFT | lane << 1 | atomic`. Ids grow with the step,
+/// so "recorded since step `s`" is `id >= access_id(s, 0, false)`, and the
+/// atomic bit answers the atomic-vs-atomic exemption without a lookup.
+fn access_id(step: usize, lane: u32, atomic: bool) -> u32 {
+    u32::try_from(step + 1)
+        .ok()
+        .and_then(|s| s.checked_mul(1 << STEP_SHIFT))
+        .expect("under 2^26 memory warp-steps per step list")
+        | lane << 1
+        | atomic as u32
+}
+
+/// The step an id was recorded in.
+fn step_of(id: u32) -> usize {
+    (id >> STEP_SHIFT) as usize - 1
+}
+
+/// What a step list keeps of one warp-step: everything an [`AccessInfo`]
+/// of its lanes needs but the block and the lane.
+#[derive(Debug, Clone, Copy)]
+struct StepHead {
+    pc: u32,
+    warp: u32,
+    epoch: u32,
+    kind: AccessKind,
+    space: Space,
+}
+
+impl StepHead {
+    /// The access behind `id`, a lane of this step in `block`.
+    fn info(&self, block: (u32, u32), id: u32) -> AccessInfo {
+        AccessInfo {
+            block,
+            thread: self.warp * WARP_SIZE + (id >> 1) % WARP_SIZE,
+            warp: self.warp,
+            pc: self.pc as usize,
+            epoch: self.epoch,
+            kind: self.kind,
+        }
+    }
+}
+
+/// One observed memory warp-step of a block's log.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    head: StepHead,
+    /// End of the step's lane records in [`BlockLog::lanes`] (global
+    /// steps; a shared step is judged on the spot and logs no lanes).
+    end: u32,
+}
+
+/// One lane of a logged global step.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    addr: u64,
+    size: u32,
+    lane: u32,
+}
+
+/// A report fully determined inside one block (shared races, initcheck,
+/// synccheck), already rendered, with its dedup key and its place in the
+/// log: it precedes step `at`.
+#[derive(Debug)]
+struct Local {
+    at: usize,
+    key: HazardKey,
+    report: HazardReport,
+}
+
+/// What one block observed, in order, for [`LaunchSanitizer::merge_block`]:
+/// its memory warp-steps, the lanes of its global steps (raw — the
+/// conflicting access may live in another block, so they are judged at
+/// merge time) and its local reports.
+///
+/// A drained log keeps its buffers; [`BlockSanitizer::recycle`] hands them
+/// to the next block.
+#[derive(Debug, Default)]
+pub struct BlockLog {
+    block: (u32, u32),
+    steps: Vec<Step>,
+    lanes: Vec<Lane>,
+    locals: Vec<Local>,
 }
 
 /// Per-block sanitizer state: the shared-memory shadow, barrier epoch and
-/// an ordered log of what the block observed.
+/// the block's [`BlockLog`].
 ///
-/// One instance observes one block; it is safe to drive many of them from
-/// concurrent host threads. [`LaunchSanitizer::merge_block`] folds them
-/// back in linear block-id order, which reproduces the sequential report
-/// stream exactly.
+/// One instance serves the blocks one executor thread runs, one block at
+/// a time ([`BlockSanitizer::begin_block`] … [`BlockSanitizer::end_block`]);
+/// it is safe to drive many of them from concurrent host threads.
+/// [`LaunchSanitizer::merge_block`] folds the logs back in linear block-id
+/// order, which reproduces the sequential report stream exactly.
 pub struct BlockSanitizer {
     cfg: SanitizerConfig,
-    block: (u32, u32),
     epoch: u32,
-    shared: Vec<SharedCell>,
-    /// Block-local dedup of `Local` reports. This bounds log growth (a
-    /// race inside a loop logs once per block); the merge dedups again
+    /// The smallest id of the current barrier epoch.
+    epoch_start: u32,
+    /// One cell per shared byte, ids into `log.steps` (empty when neither
+    /// initcheck nor racecheck runs).
+    shared: Vec<Cell>,
+    /// Block-local dedup of local reports. This bounds log growth (a race
+    /// inside a loop logs once per block); the merge dedups again
     /// launch-wide, and keeping each block's *first* occurrence is exactly
     /// what the sequential order would have kept.
     seen: HashSet<HazardKey>,
-    log: Vec<SanEvent>,
+    log: BlockLog,
 }
 
 impl BlockSanitizer {
-    /// Fresh shadow state for one block with `shared_bytes` of shared
-    /// memory.
-    pub fn new(cfg: SanitizerConfig, block: (u32, u32), shared_bytes: usize) -> Self {
+    /// Shadow state for the blocks of a kernel with `shared_bytes` of
+    /// shared memory; call [`BlockSanitizer::begin_block`] before each.
+    pub fn new(cfg: SanitizerConfig, shared_bytes: usize) -> Self {
         let shared_bytes = if cfg.level.init() || cfg.level.race() {
             shared_bytes
         } else {
@@ -295,158 +375,218 @@ impl BlockSanitizer {
         };
         BlockSanitizer {
             cfg,
-            block,
             epoch: 0,
-            shared: vec![SharedCell::default(); shared_bytes],
+            epoch_start: 1,
+            shared: vec![[0; 3]; shared_bytes],
             seen: HashSet::new(),
-            log: Vec::new(),
+            log: BlockLog::default(),
         }
+    }
+
+    /// Start observing block `block`: a fresh shadow, epoch 0 (whose
+    /// first id is 1: every id).
+    pub fn begin_block(&mut self, block: (u32, u32)) {
+        self.epoch = 0;
+        self.epoch_start = 1;
+        self.shared.fill([0; 3]);
+        self.seen.clear();
+        self.log.block = block;
+    }
+
+    /// The finished block's log, to merge.
+    pub fn end_block(&mut self) -> BlockLog {
+        std::mem::take(&mut self.log)
+    }
+
+    /// Reuse a merged (drained) log's buffers for the next block.
+    pub fn recycle(&mut self, log: BlockLog) {
+        debug_assert!(log.steps.is_empty() && log.lanes.is_empty() && log.locals.is_empty());
+        self.log = log;
     }
 
     /// The block's barrier released: accesses before and after are ordered.
     pub fn barrier_release(&mut self) {
         self.epoch += 1;
+        self.epoch_start = access_id(self.log.steps.len(), 0, false);
     }
 
-    fn push(&mut self, report: HazardReport) {
-        let key = (
-            report.class,
-            report.first.map_or(usize::MAX, |a| a.pc),
-            report.second.map_or(usize::MAX, |a| a.pc),
-        );
-        self.push_keyed(key, report);
-    }
-
-    fn push_keyed(&mut self, key: HazardKey, report: HazardReport) {
-        if self.seen.insert(key) {
-            self.log.push(SanEvent::Local { key, report });
-        }
-    }
-
-    /// Observe one lane's shared-memory access of `size` bytes at byte
-    /// offset `off`.
-    pub fn shared_access(
+    /// Observe one warp-step of the memory instruction at `pc`: lane
+    /// `lanes[i]` (a thread of warp `warp`) accesses `addrs[i]` — or,
+    /// when `addrs` holds one entry, every lane accesses that one — as
+    /// `(offset or address, size in bytes)`. Shared accesses are judged
+    /// here; global ones are logged for the merge.
+    pub fn warp_step(
         &mut self,
-        thread: u32,
         warp: u32,
         pc: usize,
-        off: u64,
-        size: usize,
-        write: bool,
-    ) {
-        let acc = AccessInfo {
-            block: self.block,
-            thread,
-            warp,
-            pc,
-            epoch: self.epoch,
-            kind: if write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-        };
-        // Saturating: a wild offset near `u64::MAX` is observed before the
-        // access rejects it and must not overflow here.
-        for b in off..off.saturating_add(size as u64) {
-            let Some(cell) = self.shared.get(b as usize) else {
-                continue; // out of bounds: the interpreter reports that itself
-            };
-            if !write && self.cfg.level.init() && !cell.written {
-                self.push(HazardReport {
-                    class: HazardClass::InitCheck,
-                    space: Space::Shared,
-                    addr: b,
-                    first: None,
-                    second: Some(acc),
-                    detail: format!(
-                        "{} of uninitialized shared byte +{b} (never written since block start)",
-                        acc
-                    ),
-                });
-            }
-            if self.cfg.level.race() {
-                let conflicts = |p: &AccessInfo| p.warp != warp && p.epoch == self.epoch;
-                let cell = &self.shared[b as usize];
-                let prior = if write {
-                    cell.last_write
-                        .filter(conflicts)
-                        .or(cell.last_read.filter(conflicts))
-                        .or(cell.other_read.filter(conflicts))
-                } else {
-                    cell.last_write.filter(conflicts)
-                };
-                if let Some(p) = prior {
-                    self.push(HazardReport {
-                        class: HazardClass::RaceCheck,
-                        space: Space::Shared,
-                        addr: b,
-                        first: Some(p),
-                        second: Some(acc),
-                        detail: format!(
-                            "shared byte +{b}: {acc} conflicts with {p} — \
-                             different warps, no barrier between"
-                        ),
-                    });
-                }
-            }
-            let cell = &mut self.shared[b as usize];
-            if write {
-                cell.written = true;
-                cell.last_write = Some(acc);
-            } else {
-                if let Some(lr) = cell.last_read {
-                    if lr.warp != acc.warp {
-                        cell.other_read = Some(lr);
-                    }
-                }
-                cell.last_read = Some(acc);
-            }
-        }
-    }
-
-    /// Observe one lane's global-memory access of `size` bytes at device
-    /// address `addr`. Logged raw; judged at merge time.
-    pub fn global_access(
-        &mut self,
-        thread: u32,
-        warp: u32,
-        pc: usize,
-        addr: u64,
-        size: usize,
+        space: Space,
         kind: AccessKind,
+        lanes: &[usize],
+        addrs: &[(u64, usize)],
     ) {
-        if !self.cfg.level.race() {
+        let live = match space {
+            Space::Shared => !self.shared.is_empty(),
+            Space::Global => self.cfg.level.race(),
+        };
+        if !live || lanes.is_empty() {
             return;
         }
-        if self
-            .cfg
-            .global_ignore
-            .iter()
-            .any(|&(s, e)| addr >= s && addr < e)
-        {
-            return;
-        }
-        let acc = AccessInfo {
-            block: self.block,
-            thread,
+        let kind = match (space, kind.writes()) {
+            (Space::Shared, true) => AccessKind::Write,
+            (Space::Shared, false) => AccessKind::Read,
+            (Space::Global, _) => kind,
+        };
+        let head = StepHead {
+            pc: u32::try_from(pc).expect("pc fits in u32"),
             warp,
-            pc,
             epoch: self.epoch,
             kind,
+            space,
         };
-        self.log.push(SanEvent::Global { acc, addr, size });
+        let step = self.log.steps.len();
+        let last = addrs.len() - 1;
+        let lane_of = |thread: usize| {
+            debug_assert_eq!(thread as u32 / WARP_SIZE, warp, "lane of another warp");
+            thread as u32 % WARP_SIZE
+        };
+        match space {
+            Space::Shared => {
+                let end = self.log.steps.last().map_or(0, |s| s.end);
+                self.log.steps.push(Step { head, end });
+                for (i, &t) in lanes.iter().enumerate() {
+                    let (off, size) = addrs[i.min(last)];
+                    self.shared_lane(access_id(step, lane_of(t), false), off, size);
+                }
+            }
+            Space::Global => {
+                let ignore = &self.cfg.global_ignore;
+                for (i, &t) in lanes.iter().enumerate() {
+                    let (addr, size) = addrs[i.min(last)];
+                    if !ignore.iter().any(|&(s, e)| addr >= s && addr < e) {
+                        self.log.lanes.push(Lane {
+                            addr,
+                            size: u32::try_from(size).expect("access size fits in u32"),
+                            lane: lane_of(t),
+                        });
+                    }
+                }
+                let end = u32::try_from(self.log.lanes.len()).expect("under 2^32 lanes per block");
+                if self.log.steps.last().map_or(0, |s| s.end) < end {
+                    self.log.steps.push(Step { head, end });
+                }
+            }
+        }
+    }
+
+    /// Judge one lane's shared access `id` of `size` bytes at offset `off`
+    /// against the shadow and record it: once for the whole access when
+    /// every byte it covers holds the same state, else byte by byte.
+    fn shared_lane(&mut self, id: u32, off: u64, size: usize) {
+        // Saturating: a wild offset near `u64::MAX` is observed before the
+        // access rejects it and must not overflow here. Bytes past the
+        // slab are the interpreter's to report.
+        let len = self.shared.len() as u64;
+        let (lo, hi) = (
+            off.min(len) as usize,
+            off.saturating_add(size as u64).min(len) as usize,
+        );
+        let BlockSanitizer {
+            cfg,
+            epoch_start,
+            shared,
+            seen,
+            log,
+            ..
+        } = self;
+        let (block, steps) = (log.block, &log.steps);
+        let head = &steps[step_of(id)].head;
+        let (init, race, write) = (cfg.level.init(), cfg.level.race(), head.kind.writes());
+        let warp_of = |id: u32| steps[step_of(id)].head.warp;
+        let conflicts = |p: u32| p >= *epoch_start && warp_of(p) != head.warp;
+        let mut report = |key: HazardKey, b: u64, first: Option<u32>| {
+            if !seen.insert(key) {
+                return;
+            }
+            let acc = head.info(block, id);
+            let (class, first, detail) = match first {
+                None => (
+                    HazardClass::InitCheck,
+                    None,
+                    format!(
+                        "{acc} of uninitialized shared byte +{b} (never written since block start)"
+                    ),
+                ),
+                Some(p) => {
+                    let p = steps[step_of(p)].head.info(block, p);
+                    let detail = format!(
+                        "shared byte +{b}: {acc} conflicts with {p} — \
+                         different warps, no barrier between"
+                    );
+                    (HazardClass::RaceCheck, Some(p), detail)
+                }
+            };
+            let report = HazardReport {
+                class,
+                space: Space::Shared,
+                addr: b,
+                first,
+                second: Some(acc),
+                detail,
+            };
+            log.locals.push(Local {
+                at: steps.len(),
+                key,
+                report,
+            });
+        };
+        let pc = head.pc as usize;
+        let mut judge = |[last_write, last_read, other_read]: Cell, b: u64| -> Cell {
+            if init && !write && last_write == 0 {
+                report((HazardClass::InitCheck, usize::MAX, pc), b, None);
+            }
+            if race {
+                let prior = if write {
+                    [last_write, last_read, other_read]
+                        .into_iter()
+                        .find(|&p| conflicts(p))
+                } else {
+                    Some(last_write).filter(|&p| conflicts(p))
+                };
+                if let Some(p) = prior {
+                    let first_pc = steps[step_of(p)].head.pc as usize;
+                    report((HazardClass::RaceCheck, first_pc, pc), b, Some(p));
+                }
+            }
+            if write {
+                [id, last_read, other_read]
+            } else if last_read != 0 && warp_of(last_read) != head.warp {
+                [last_write, id, last_read]
+            } else {
+                [last_write, id, other_read]
+            }
+        };
+        let run = &mut shared[lo..hi];
+        match run.first().copied() {
+            Some(cell) if run.iter().all(|&c| c == cell) => run.fill(judge(cell, off)),
+            _ => {
+                for (k, c) in run.iter_mut().enumerate() {
+                    *c = judge(*c, off + k as u64);
+                }
+            }
+        }
     }
 
     /// Fold a divergent-barrier error into the report stream.
     pub fn sync_divergence(&mut self, pc_a: usize, pc_b: usize, detail: String) {
-        if !self.cfg.level.sync() {
+        let key = (HazardClass::SyncCheck, pc_a, pc_b);
+        if !self.cfg.level.sync() || !self.seen.insert(key) {
             return;
         }
-        let block = self.block;
-        self.push_keyed(
-            (HazardClass::SyncCheck, pc_a, pc_b),
-            HazardReport {
+        let block = self.log.block;
+        self.log.locals.push(Local {
+            at: self.log.steps.len(),
+            key,
+            report: HazardReport {
                 class: HazardClass::SyncCheck,
                 space: Space::Shared,
                 addr: 0,
@@ -458,7 +598,32 @@ impl BlockSanitizer {
                     block.0, block.1
                 ),
             },
-        );
+        });
+    }
+}
+
+/// The launch's collected reports and their dedup.
+struct Reports {
+    max: usize,
+    list: Vec<HazardReport>,
+    /// Distinct hazards observed (reports + those past `max`).
+    count: u64,
+    seen: HashSet<HazardKey>,
+}
+
+impl Reports {
+    /// Whether `key` is new; counts it if so.
+    fn fresh(&mut self, key: HazardKey) -> bool {
+        let fresh = self.seen.insert(key);
+        self.count += fresh as u64;
+        fresh
+    }
+
+    /// Keep a fresh report, unless the cap is reached.
+    fn keep(&mut self, report: HazardReport) {
+        if self.list.len() < self.max {
+            self.list.push(report);
+        }
     }
 }
 
@@ -468,92 +633,101 @@ impl BlockSanitizer {
 /// when the device's [`SanitizerConfig`] enables a checker and harvests
 /// its reports afterwards (on the error path too, so synccheck reports
 /// survive the launch failing). Blocks record into [`BlockSanitizer`]s —
-/// possibly concurrently — and are folded back with
+/// possibly concurrently — and their logs are folded back with
 /// [`LaunchSanitizer::merge_block`] in linear block-id order.
 pub struct LaunchSanitizer {
     cfg: SanitizerConfig,
-    reports: Vec<HazardReport>,
-    /// Distinct hazards observed (reports + those past `max_reports`).
-    count: u64,
-    seen: HashSet<HazardKey>,
-    global: Paged<GlobalCell, GLOBAL_PAGE_BITS>,
-    /// Every global access merged so far, in merge order; what the ids in
-    /// a [`GlobalCell`] point into.
-    accesses: Vec<AccessInfo>,
+    reports: Reports,
+    global: Paged<Cell, GLOBAL_PAGE_BITS>,
+    /// Every merged global step, in merge order, with its block; what the
+    /// ids in a global cell point into.
+    steps: Vec<(StepHead, (u32, u32))>,
 }
 
 impl LaunchSanitizer {
     /// Fresh state for one launch.
     pub fn new(cfg: SanitizerConfig) -> Self {
         LaunchSanitizer {
+            reports: Reports {
+                max: cfg.max_reports,
+                list: Vec::new(),
+                count: 0,
+                seen: HashSet::new(),
+            },
             cfg,
-            reports: Vec::new(),
-            count: 0,
-            seen: HashSet::new(),
             global: Paged::default(),
-            accesses: Vec::new(),
+            steps: Vec::new(),
         }
     }
 
-    /// The launch's sanitizer configuration (cloned into each block's
-    /// [`BlockSanitizer`]).
+    /// The launch's sanitizer configuration (cloned into each executor
+    /// thread's [`BlockSanitizer`]).
     pub fn config(&self) -> &SanitizerConfig {
         &self.cfg
     }
 
-    /// Fold one finished block's log into the launch state. Call in
-    /// linear block-id order: the merge order defines the report order,
-    /// and block-id order reproduces the sequential executor exactly.
-    pub fn merge_block(&mut self, block: BlockSanitizer) {
-        for ev in block.log {
-            match ev {
-                SanEvent::Local { key, report } => self.push_keyed(key, report),
-                SanEvent::Global { acc, addr, size } => self.replay_global(acc, addr, size),
+    /// Fold one finished block's log into the launch state, draining it.
+    /// Call in linear block-id order: the merge order defines the report
+    /// order, and block-id order reproduces the sequential executor
+    /// exactly.
+    pub fn merge_block(&mut self, log: &mut BlockLog) {
+        // Ids below this one were merged from earlier blocks.
+        let first = access_id(self.steps.len(), 0, false);
+        let mut locals = log.locals.drain(..).peekable();
+        let mut lanes = 0;
+        for (i, step) in log.steps.iter().enumerate() {
+            while let Some(l) = locals.next_if(|l| l.at <= i) {
+                if self.reports.fresh(l.key) {
+                    self.reports.keep(l.report);
+                }
+            }
+            if step.head.space == Space::Global {
+                let s = self.steps.len();
+                self.steps.push((step.head, log.block));
+                for lane in &log.lanes[lanes..step.end as usize] {
+                    let atomic = step.head.kind == AccessKind::Atomic;
+                    self.replay_global(first, access_id(s, lane.lane, atomic), *lane);
+                }
+                lanes = step.end as usize;
             }
         }
+        for l in locals {
+            if self.reports.fresh(l.key) {
+                self.reports.keep(l.report);
+            }
+        }
+        log.steps.clear();
+        log.lanes.clear();
     }
 
-    fn push_keyed(&mut self, key: HazardKey, report: HazardReport) {
-        if !self.seen.insert(key) {
-            return;
-        }
-        self.count += 1;
-        if self.reports.len() < self.cfg.max_reports {
-            self.reports.push(report);
-        }
-    }
-
-    /// Replay one logged global access against the launch-wide per-byte
-    /// shadow (level/ignore-range filtering already happened at log time).
-    fn replay_global(&mut self, acc: AccessInfo, addr: u64, size: usize) {
-        let kind = acc.kind;
-        self.accesses.push(acc);
-        let id = u32::try_from(self.accesses.len()).expect("under 2^32 global accesses per launch");
-        for b in addr..addr.saturating_add(size as u64) {
-            let [last_write, last_read, other_read] = *self.global.slot(b);
-            // The access behind an id, if it came from another block.
-            let foreign = |id: u32| {
-                let p = *self.accesses.get((id as usize).wrapping_sub(1))?;
-                (p.block != acc.block).then_some(p)
-            };
+    /// Replay one logged global lane-access `id` against the launch-wide
+    /// shadow (level/ignore-range filtering already happened at log
+    /// time): once for the whole access when every byte it covers holds
+    /// the same state on one page, else byte by byte. `first` is the
+    /// smallest id of the block being merged.
+    fn replay_global(&mut self, first: u32, id: u32, lane: Lane) {
+        let LaunchSanitizer {
+            reports,
+            global,
+            steps,
+            ..
+        } = self;
+        let (head, block) = &steps[step_of(id)];
+        let kind = head.kind;
+        let foreign = |p: u32| p != 0 && p < first;
+        let mut judge = |[last_write, last_read, other_read]: Cell, b: u64| -> Cell {
             let prior = match kind {
-                AccessKind::Read => foreign(last_write),
-                AccessKind::Write | AccessKind::Atomic => foreign(last_write)
-                    .filter(|p| !(kind == AccessKind::Atomic && p.kind == AccessKind::Atomic))
-                    .or_else(|| foreign(last_read))
-                    .or_else(|| foreign(other_read)),
-            };
-            let next = if kind.writes() {
-                [id, last_read, other_read]
-            } else if foreign(last_read).is_some() {
-                [last_write, id, last_read]
-            } else {
-                [last_write, id, other_read]
+                AccessKind::Read => Some(last_write).filter(|&p| foreign(p)),
+                AccessKind::Write | AccessKind::Atomic => Some(last_write)
+                    .filter(|&p| foreign(p) && !(kind == AccessKind::Atomic && p & 1 == 1))
+                    .or(Some(last_read).filter(|&p| foreign(p)))
+                    .or(Some(other_read).filter(|&p| foreign(p))),
             };
             if let Some(p) = prior {
-                self.push_keyed(
-                    (HazardClass::RaceCheck, p.pc, acc.pc),
-                    HazardReport {
+                let (p_head, p_block) = &steps[step_of(p)];
+                if reports.fresh((HazardClass::RaceCheck, p_head.pc as usize, head.pc as usize)) {
+                    let (p, acc) = (p_head.info(*p_block, p), head.info(*block, id));
+                    reports.keep(HazardReport {
                         class: HazardClass::RaceCheck,
                         space: Space::Global,
                         addr: b,
@@ -563,27 +737,54 @@ impl LaunchSanitizer {
                             "global address {b:#x}: {acc} conflicts with {p} — \
                              different blocks, no synchronization within a launch"
                         ),
-                    },
-                );
+                    });
+                }
             }
-            *self.global.slot(b) = next;
+            if kind.writes() {
+                [id, last_read, other_read]
+            } else if foreign(last_read) {
+                [last_write, id, last_read]
+            } else {
+                [last_write, id, other_read]
+            }
+        };
+        // Saturating: a wild address near `u64::MAX` is observed before
+        // the access rejects it and must not overflow here.
+        let addr = lane.addr;
+        let len = addr.saturating_add(u64::from(lane.size)) - addr;
+        if len == 0 {
+            return;
+        }
+        match global.run(addr, len) {
+            Some(run) if run.iter().all(|&c| c == run[0]) => run.fill(judge(run[0], addr)),
+            Some(run) => {
+                for (k, c) in run.iter_mut().enumerate() {
+                    *c = judge(*c, addr + k as u64);
+                }
+            }
+            None => {
+                for b in addr..addr + len {
+                    let c = global.slot(b);
+                    *c = judge(*c, b);
+                }
+            }
         }
     }
 
     /// Reports collected so far (capped at `max_reports`).
     pub fn reports(&self) -> &[HazardReport] {
-        &self.reports
+        &self.reports.list
     }
 
     /// Number of *distinct* hazards observed, including those past the
     /// report cap.
     pub fn hazard_count(&self) -> u64 {
-        self.count
+        self.reports.count
     }
 
     /// Drain the collected reports.
     pub fn take_reports(&mut self) -> Vec<HazardReport> {
-        std::mem::take(&mut self.reports)
+        std::mem::take(&mut self.reports.list)
     }
 
     /// Pages of global shadow allocated so far: what the launch's shadow
@@ -597,8 +798,82 @@ impl LaunchSanitizer {
 mod tests {
     use super::*;
 
+    /// One-lane warp-steps, the shape most tests need.
+    trait OneLane {
+        fn shared_access(
+            &mut self,
+            thread: u32,
+            warp: u32,
+            pc: usize,
+            off: u64,
+            size: usize,
+            write: bool,
+        );
+        fn global_access(
+            &mut self,
+            thread: u32,
+            warp: u32,
+            pc: usize,
+            addr: u64,
+            size: usize,
+            kind: AccessKind,
+        );
+    }
+
+    impl OneLane for BlockSanitizer {
+        fn shared_access(
+            &mut self,
+            thread: u32,
+            warp: u32,
+            pc: usize,
+            off: u64,
+            size: usize,
+            write: bool,
+        ) {
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            self.warp_step(
+                warp,
+                pc,
+                Space::Shared,
+                kind,
+                &[thread as usize],
+                &[(off, size)],
+            );
+        }
+
+        fn global_access(
+            &mut self,
+            thread: u32,
+            warp: u32,
+            pc: usize,
+            addr: u64,
+            size: usize,
+            kind: AccessKind,
+        ) {
+            self.warp_step(
+                warp,
+                pc,
+                Space::Global,
+                kind,
+                &[thread as usize],
+                &[(addr, size)],
+            );
+        }
+    }
+
+    /// A sanitizer observing `block` of a kernel with `shared_bytes`.
+    fn begin(cfg: SanitizerConfig, block: (u32, u32), shared_bytes: usize) -> BlockSanitizer {
+        let mut b = BlockSanitizer::new(cfg, shared_bytes);
+        b.begin_block(block);
+        b
+    }
+
     fn full_block(block: (u32, u32)) -> BlockSanitizer {
-        BlockSanitizer::new(SanitizerConfig::full(), block, 64)
+        begin(SanitizerConfig::full(), block, 64)
     }
 
     /// Run `f` against a single full-checking block and merge it.
@@ -606,8 +881,23 @@ mod tests {
         let mut launch = LaunchSanitizer::new(SanitizerConfig::full());
         let mut b = full_block((0, 0));
         f(&mut b);
-        launch.merge_block(b);
+        launch.merge_block(&mut b.end_block());
         launch
+    }
+
+    /// The sanitizer's memory is these records times what a launch
+    /// observes (see the module docs for the bound).
+    #[test]
+    fn records_and_cells_keep_their_size() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Cell>(), 12, "a shadow byte: three u32 ids");
+        assert_eq!(size_of::<Lane>(), 16, "a logged global lane");
+        assert_eq!(size_of::<Step>(), 20, "a logged warp-step");
+        assert_eq!(
+            size_of::<(StepHead, (u32, u32))>(),
+            24,
+            "a merged global step"
+        );
     }
 
     #[test]
@@ -681,11 +971,11 @@ mod tests {
         let mut b0 = full_block((0, 0));
         b0.global_access(0, 0, 10, 0x100, 4, AccessKind::Write);
         b0.global_access(32, 1, 20, 0x100, 4, AccessKind::Write); // same block
-        s.merge_block(b0);
+        s.merge_block(&mut b0.end_block());
         assert!(s.reports().is_empty());
         let mut b1 = full_block((1, 0));
         b1.global_access(0, 0, 30, 0x100, 4, AccessKind::Write);
-        s.merge_block(b1);
+        s.merge_block(&mut b1.end_block());
         assert_eq!(s.reports().len(), 1);
         assert_eq!(s.reports()[0].space, Space::Global);
     }
@@ -696,12 +986,12 @@ mod tests {
         for bx in 0..2 {
             let mut b = full_block((bx, 0));
             b.global_access(0, 0, 10, 0x40, 8, AccessKind::Atomic);
-            s.merge_block(b);
+            s.merge_block(&mut b.end_block());
         }
         assert!(s.reports().is_empty());
         let mut b2 = full_block((2, 0));
         b2.global_access(0, 0, 11, 0x40, 8, AccessKind::Write);
-        s.merge_block(b2);
+        s.merge_block(&mut b2.end_block());
         assert_eq!(s.reports().len(), 1);
     }
 
@@ -713,18 +1003,18 @@ mod tests {
             ..Default::default()
         };
         let mut s = LaunchSanitizer::new(cfg.clone());
-        let mut b0 = BlockSanitizer::new(cfg.clone(), (0, 0), 0);
+        let mut b0 = begin(cfg.clone(), (0, 0), 0);
         b0.global_access(0, 0, 10, 0x100, 8, AccessKind::Write);
-        s.merge_block(b0);
-        let mut b1 = BlockSanitizer::new(cfg.clone(), (1, 0), 0);
+        s.merge_block(&mut b0.end_block());
+        let mut b1 = begin(cfg.clone(), (1, 0), 0);
         b1.global_access(0, 0, 10, 0x100, 8, AccessKind::Write);
         // Outside the range still reports.
         b1.global_access(0, 0, 11, 0x108, 8, AccessKind::Write);
-        s.merge_block(b1);
+        s.merge_block(&mut b1.end_block());
         assert!(s.reports().is_empty());
-        let mut b2 = BlockSanitizer::new(cfg, (2, 0), 0);
+        let mut b2 = begin(cfg, (2, 0), 0);
         b2.global_access(0, 0, 12, 0x108, 8, AccessKind::Write);
-        s.merge_block(b2);
+        s.merge_block(&mut b2.end_block());
         assert_eq!(s.reports().len(), 1);
     }
 
@@ -736,11 +1026,11 @@ mod tests {
             ..Default::default()
         };
         let mut s = LaunchSanitizer::new(cfg.clone());
-        let mut b = BlockSanitizer::new(cfg, (0, 0), 1024);
+        let mut b = begin(cfg, (0, 0), 1024);
         for pc in 0..5 {
             b.shared_access(0, 0, pc, pc as u64, 1, false); // 5 distinct initchecks
         }
-        s.merge_block(b);
+        s.merge_block(&mut b.end_block());
         assert_eq!(s.reports().len(), 2);
         assert_eq!(s.hazard_count(), 5);
     }
@@ -760,10 +1050,10 @@ mod tests {
             ..Default::default()
         };
         let mut launch = LaunchSanitizer::new(cfg.clone());
-        let mut b = BlockSanitizer::new(cfg, (0, 0), 64);
+        let mut b = begin(cfg, (0, 0), 64);
         b.sync_divergence(1, 2, String::new());
         b.shared_access(0, 0, 1, 0, 4, false); // uninit read
-        launch.merge_block(b);
+        launch.merge_block(&mut b.end_block());
         assert!(launch.reports().is_empty());
     }
 
@@ -786,16 +1076,32 @@ mod tests {
     }
 
     #[test]
+    fn a_warps_second_read_does_not_evict_another_warps_reader() {
+        // Warp 1 reads the byte twice: its second read must not push warp
+        // 0's read out of the second slot, or its write races nothing.
+        let s = one_block(|b| {
+            b.shared_access(0, 0, 1, 0, 4, true);
+            b.barrier_release();
+            b.shared_access(0, 0, 10, 0, 4, false);
+            b.shared_access(32, 1, 11, 0, 4, false);
+            b.shared_access(33, 1, 12, 0, 4, false);
+            b.shared_access(32, 1, 13, 0, 4, true);
+        });
+        assert_eq!(s.reports().len(), 1, "{:?}", s.reports());
+        assert_eq!(s.reports()[0].first.unwrap().pc, 10);
+    }
+
+    #[test]
     fn epoch_and_shared_shadow_are_per_block() {
         let mut s = LaunchSanitizer::new(SanitizerConfig::full());
         let mut b0 = full_block((0, 0));
         b0.shared_access(0, 0, 10, 0, 4, true);
         b0.barrier_release();
-        s.merge_block(b0);
+        s.merge_block(&mut b0.end_block());
         // Fresh block: no carry-over of shared shadow or epoch.
         let mut b1 = full_block((1, 0));
         b1.shared_access(32, 1, 20, 0, 4, true);
-        s.merge_block(b1);
+        s.merge_block(&mut b1.end_block());
         assert!(s
             .reports()
             .iter()
@@ -818,8 +1124,8 @@ mod tests {
             })
             .collect();
         // Merge in block-id order regardless of completion order.
-        for b in blocks.drain(..) {
-            s.merge_block(b);
+        for mut b in blocks.drain(..) {
+            s.merge_block(&mut b.end_block());
         }
         assert_eq!(s.reports().len(), 1);
         assert_eq!(s.hazard_count(), 1);

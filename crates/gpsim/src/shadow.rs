@@ -62,12 +62,30 @@ impl<T: Default + Clone, const BITS: u32> Paged<T, BITS> {
     /// compiler happens to partition this crate.
     #[inline]
     pub fn slot(&mut self, addr: u64) -> &mut T {
-        let page = addr >> BITS;
-        let idx = match self.last {
+        let idx = self.page(addr >> BITS);
+        &mut self.pages[idx][(addr & Self::MASK) as usize]
+    }
+
+    /// The `len` cells from `addr` for writing when they lie on one page
+    /// (allocating it on first touch), so that a checker can judge a
+    /// whole access at once; `None` when the run crosses a page boundary.
+    #[inline]
+    pub fn run(&mut self, addr: u64, len: u64) -> Option<&mut [T]> {
+        let off = addr & Self::MASK;
+        if off + len > 1 << BITS {
+            return None;
+        }
+        let idx = self.page(addr >> BITS);
+        Some(&mut self.pages[idx][off as usize..(off + len) as usize])
+    }
+
+    /// The index of `page` in `pages`: the memo hit, else [`Paged::resolve`].
+    #[inline]
+    fn page(&mut self, page: u64) -> usize {
+        match self.last {
             Some((p, i)) if p == page => i,
             _ => self.resolve(page),
-        };
-        &mut self.pages[idx][(addr & Self::MASK) as usize]
+        }
     }
 
     /// The index of `page` in `pages`, allocating the page on first touch,

@@ -7,6 +7,10 @@
 //!   per-byte `HashMap` replay, kept here as an oracle: same random access
 //!   streams in, same reports (every field and the rendered text) and the
 //!   same hazard count out.
+//! - Its shared-memory shadow — compact ids, judged once per access when
+//!   the bytes agree — is held the same way against the old per-byte cells
+//!   of whole `AccessInfo`s, on mixed streams of shared and global
+//!   warp-steps, barriers and divergent barriers at every level.
 //! - Hostile addresses — a range that saturates at `u64::MAX`, a stride of
 //!   exactly one shadow page, a wild pointer the bounds check rejects after
 //!   the sanitizer observed it — stay cheap and total in both checkers.
@@ -261,7 +265,8 @@ proptest! {
         let mut old = OldReplay::new(cfg.clone());
         for (id, steps) in blocks.iter().enumerate() {
             let block = (id as u32 % 3, id as u32 / 3);
-            let mut b = BlockSanitizer::new(cfg.clone(), block, 0);
+            let mut b = BlockSanitizer::new(cfg.clone(), 0);
+            b.begin_block(block);
             let mut epoch = 0;
             for step in steps {
                 match *step {
@@ -271,13 +276,334 @@ proptest! {
                     }
                     BlockStep::Global { thread, pc, addr, size, kind } => {
                         let warp = thread / 32;
-                        b.global_access(thread, warp, pc, addr, size, kind);
+                        let lane = [thread as usize];
+                        b.warp_step(warp, pc, Space::Global, kind, &lane, &[(addr, size)]);
                         let acc = AccessInfo { block, thread, warp, pc, epoch, kind };
                         old.access(acc, addr, size);
                     }
                 }
             }
-            new.merge_block(b);
+            new.merge_block(&mut b.end_block());
+        }
+        prop_assert_eq!(new.hazard_count(), old.count);
+        prop_assert_eq!(new.reports(), &old.reports[..]);
+        let text = |rs: &[HazardReport]| rs.iter().map(|r| r.to_string()).collect::<Vec<_>>();
+        prop_assert_eq!(text(new.reports()), text(&old.reports));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The shared shadow against the old per-byte cells
+// ---------------------------------------------------------------------------
+
+/// Old shadow of one shared byte: whole accesses, not ids.
+#[derive(Clone, Default)]
+struct OldSharedCell {
+    written: bool,
+    last_write: Option<AccessInfo>,
+    last_read: Option<AccessInfo>,
+    other_read: Option<AccessInfo>,
+}
+
+/// The block sanitizer as it was before compact ids: one lane at a time,
+/// per byte, every judgement made again for every byte. Its log feeds
+/// [`OldReplay`] in order. Test-only; the reference for the new one.
+struct OldBlock {
+    cfg: SanitizerConfig,
+    block: (u32, u32),
+    epoch: u32,
+    shared: Vec<OldSharedCell>,
+    seen: HashSet<(HazardClass, usize, usize)>,
+    log: Vec<OldEvent>,
+}
+
+enum OldEvent {
+    Local((HazardClass, usize, usize), HazardReport),
+    Global(AccessInfo, u64, usize),
+}
+
+impl OldBlock {
+    fn new(cfg: SanitizerConfig, block: (u32, u32), shared_bytes: usize) -> Self {
+        let live = cfg.level.init() || cfg.level.race();
+        OldBlock {
+            cfg,
+            block,
+            epoch: 0,
+            shared: vec![OldSharedCell::default(); if live { shared_bytes } else { 0 }],
+            seen: HashSet::new(),
+            log: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, report: HazardReport) {
+        let key = (
+            report.class,
+            report.first.map_or(usize::MAX, |a| a.pc),
+            report.second.map_or(usize::MAX, |a| a.pc),
+        );
+        if self.seen.insert(key) {
+            self.log.push(OldEvent::Local(key, report));
+        }
+    }
+
+    fn shared_access(
+        &mut self,
+        thread: u32,
+        warp: u32,
+        pc: usize,
+        off: u64,
+        size: usize,
+        write: bool,
+    ) {
+        let kind = if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let acc = AccessInfo {
+            block: self.block,
+            thread,
+            warp,
+            pc,
+            epoch: self.epoch,
+            kind,
+        };
+        for b in off..off.saturating_add(size as u64) {
+            let Some(cell) = self.shared.get(b as usize).cloned() else {
+                continue;
+            };
+            if !write && self.cfg.level.init() && !cell.written {
+                self.push(HazardReport {
+                    class: HazardClass::InitCheck,
+                    space: Space::Shared,
+                    addr: b,
+                    first: None,
+                    second: Some(acc),
+                    detail: format!(
+                        "{acc} of uninitialized shared byte +{b} (never written since block start)"
+                    ),
+                });
+            }
+            if self.cfg.level.race() {
+                let conflicts = |p: &AccessInfo| p.warp != warp && p.epoch == self.epoch;
+                let prior = if write {
+                    cell.last_write
+                        .filter(conflicts)
+                        .or(cell.last_read.filter(conflicts))
+                        .or(cell.other_read.filter(conflicts))
+                } else {
+                    cell.last_write.filter(conflicts)
+                };
+                if let Some(p) = prior {
+                    self.push(HazardReport {
+                        class: HazardClass::RaceCheck,
+                        space: Space::Shared,
+                        addr: b,
+                        first: Some(p),
+                        second: Some(acc),
+                        detail: format!(
+                            "shared byte +{b}: {acc} conflicts with {p} — \
+                             different warps, no barrier between"
+                        ),
+                    });
+                }
+            }
+            let cell = &mut self.shared[b as usize];
+            if write {
+                cell.written = true;
+                cell.last_write = Some(acc);
+            } else {
+                if let Some(lr) = cell.last_read {
+                    if lr.warp != acc.warp {
+                        cell.other_read = Some(lr);
+                    }
+                }
+                cell.last_read = Some(acc);
+            }
+        }
+    }
+
+    fn global_access(
+        &mut self,
+        thread: u32,
+        warp: u32,
+        pc: usize,
+        addr: u64,
+        size: usize,
+        kind: AccessKind,
+    ) {
+        let acc = AccessInfo {
+            block: self.block,
+            thread,
+            warp,
+            pc,
+            epoch: self.epoch,
+            kind,
+        };
+        self.log.push(OldEvent::Global(acc, addr, size));
+    }
+
+    fn sync_divergence(&mut self, pc_a: usize, pc_b: usize, detail: &str) {
+        if !self.cfg.level.sync() {
+            return;
+        }
+        let key = (HazardClass::SyncCheck, pc_a, pc_b);
+        if self.seen.insert(key) {
+            let report = HazardReport {
+                class: HazardClass::SyncCheck,
+                space: Space::Shared,
+                addr: 0,
+                first: None,
+                second: None,
+                detail: format!(
+                    "block ({},{}): __syncthreads() under divergent control flow \
+                     (barrier sites pc {pc_a} vs pc {pc_b}); {detail}",
+                    self.block.0, self.block.1
+                ),
+            };
+            self.log.push(OldEvent::Local(key, report));
+        }
+    }
+}
+
+impl OldReplay {
+    /// Fold an old block's log in, in order.
+    fn merge(&mut self, block: OldBlock) {
+        for ev in block.log {
+            match ev {
+                OldEvent::Local(key, report) => {
+                    if self.seen.insert(key) {
+                        self.count += 1;
+                        if self.reports.len() < self.cfg.max_reports {
+                            self.reports.push(report);
+                        }
+                    }
+                }
+                OldEvent::Global(acc, addr, size) => self.access(acc, addr, size),
+            }
+        }
+    }
+}
+
+/// The shared slab of the mixed-stream blocks.
+const SLAB: usize = 64;
+
+/// One step of a block's life on the mixed stream.
+#[derive(Debug, Clone)]
+enum MixedStep {
+    /// A warp-step: `(lane, offset or address, size)` per active lane, in
+    /// ascending lane order.
+    Access {
+        warp: u32,
+        pc: usize,
+        space: Space,
+        kind: AccessKind,
+        lanes: Vec<(u32, u64, usize)>,
+    },
+    Barrier,
+    Diverge(usize, usize),
+}
+
+fn mixed_step() -> impl Strategy<Value = MixedStep> {
+    // Shared offsets inside the slab, straddling its end, past it and near
+    // `u64::MAX`; global addresses around a shadow page boundary.
+    let shared = vec![0u64, 1, 29, 60, 64, 90, u64::MAX - 9];
+    let global = vec![0u64, 0x1000 - 5, 0x3000, u64::MAX - 9];
+    let lanes = |anchors: Vec<u64>| {
+        let addr = (prop::sample::select(anchors), 0u64..12).prop_map(|(a, d)| a.saturating_add(d));
+        let lane = (0u32..32, addr, prop::sample::select(vec![1usize, 2, 4, 8]));
+        prop::collection::vec(lane, 1..6).prop_map(|mut ls| {
+            ls.sort_by_key(|l| l.0);
+            ls.dedup_by_key(|l| l.0);
+            ls
+        })
+    };
+    let kinds = |atomic: bool| {
+        let mut ks = vec![AccessKind::Read, AccessKind::Read, AccessKind::Write];
+        if atomic {
+            ks.push(AccessKind::Atomic);
+        }
+        prop::sample::select(ks)
+    };
+    let access = |space: Space, anchors: Vec<u64>| {
+        (
+            0u32..4,
+            0usize..7,
+            kinds(space == Space::Global),
+            lanes(anchors),
+        )
+            .prop_map(move |(warp, pc, kind, lanes)| MixedStep::Access {
+                warp,
+                pc,
+                space,
+                kind,
+                lanes,
+            })
+    };
+    prop_oneof![
+        access(Space::Shared, shared.clone()),
+        access(Space::Shared, shared.clone()),
+        access(Space::Shared, shared),
+        access(Space::Global, global),
+        (0u32..1).prop_map(|_| MixedStep::Barrier),
+        (0usize..3, 3usize..5).prop_map(|(a, b)| MixedStep::Diverge(a, b)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn shared_shadow_matches_the_old_per_byte_cells(
+        blocks in prop::collection::vec(prop::collection::vec(mixed_step(), 0..24), 1..5),
+        level in prop::sample::select(vec![
+            SanitizerLevel::Race,
+            SanitizerLevel::Init,
+            SanitizerLevel::Sync,
+            SanitizerLevel::Full,
+        ]),
+    ) {
+        let cfg = SanitizerConfig { level, max_reports: 3, global_ignore: vec![] };
+        let mut new = LaunchSanitizer::new(cfg.clone());
+        let mut old = OldReplay::new(cfg.clone());
+        // One block sanitizer for the launch, as an executor thread keeps it.
+        let mut b = BlockSanitizer::new(cfg.clone(), SLAB);
+        for (id, steps) in blocks.iter().enumerate() {
+            let block = (id as u32, 0);
+            b.begin_block(block);
+            let mut o = OldBlock::new(cfg.clone(), block, SLAB);
+            for step in steps {
+                match step {
+                    MixedStep::Barrier => {
+                        b.barrier_release();
+                        o.epoch += 1;
+                    }
+                    MixedStep::Diverge(pc_a, pc_b) => {
+                        b.sync_divergence(*pc_a, *pc_b, "2 thread(s)".into());
+                        o.sync_divergence(*pc_a, *pc_b, "2 thread(s)");
+                    }
+                    MixedStep::Access { warp, pc, space, kind, lanes } => {
+                        let threads: Vec<usize> =
+                            lanes.iter().map(|l| (warp * 32 + l.0) as usize).collect();
+                        let addrs: Vec<(u64, usize)> = lanes.iter().map(|l| (l.1, l.2)).collect();
+                        b.warp_step(*warp, *pc, *space, *kind, &threads, &addrs);
+                        for (&t, &(a, size)) in threads.iter().zip(&addrs) {
+                            match space {
+                                Space::Shared => {
+                                    o.shared_access(t as u32, *warp, *pc, a, size, kind.writes())
+                                }
+                                Space::Global => {
+                                    o.global_access(t as u32, *warp, *pc, a, size, *kind)
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let mut log = b.end_block();
+            new.merge_block(&mut log);
+            b.recycle(log);
+            old.merge(o);
         }
         prop_assert_eq!(new.hazard_count(), old.count);
         prop_assert_eq!(new.reports(), &old.reports[..]);
@@ -290,16 +616,29 @@ proptest! {
 // Hostile addresses: the sanitizer
 // ---------------------------------------------------------------------------
 
+/// Thread `thread` of warp 0 stores `size` bytes at `addr`.
+fn global_store(b: &mut BlockSanitizer, thread: usize, pc: usize, addr: u64, size: usize) {
+    b.warp_step(
+        0,
+        pc,
+        Space::Global,
+        AccessKind::Write,
+        &[thread],
+        &[(addr, size)],
+    );
+}
+
 /// Two blocks write 8 bytes at `u64::MAX - 3`: the byte range saturates
 /// (three bytes, `..u64::MAX`), lands on the table's last page, and the
 /// conflict is reported at its first byte.
 #[test]
 fn a_range_that_saturates_at_the_top_of_the_address_space() {
     let mut s = LaunchSanitizer::new(SanitizerConfig::full());
+    let mut b = BlockSanitizer::new(SanitizerConfig::full(), 0);
     for bx in 0..2 {
-        let mut b = BlockSanitizer::new(SanitizerConfig::full(), (bx, 0), 0);
-        b.global_access(0, 0, 7, u64::MAX - 3, 8, AccessKind::Write);
-        s.merge_block(b);
+        b.begin_block((bx, 0));
+        global_store(&mut b, 0, 7, u64::MAX - 3, 8);
+        s.merge_block(&mut b.end_block());
     }
     assert_eq!(s.hazard_count(), 1);
     assert_eq!(s.reports()[0].addr, u64::MAX - 3);
@@ -312,17 +651,21 @@ fn a_range_that_saturates_at_the_top_of_the_address_space() {
 fn one_access_per_page_allocates_one_page_each() {
     const PAGE: u64 = 1 << 12; // the global shadow's page: 4 Ki cells
     let mut s = LaunchSanitizer::new(SanitizerConfig::full());
-    let mut b = BlockSanitizer::new(SanitizerConfig::full(), (0, 0), 0);
-    // The last four bytes of 64 consecutive pages.
+    let mut b = BlockSanitizer::new(SanitizerConfig::full(), 0);
+    b.begin_block((0, 0));
+    // The last four bytes of 64 consecutive pages, two warp-steps of 32.
     let last_word = |page: u64| 0x10_0000 + (page + 1) * PAGE - 4;
-    for i in 0..64 {
-        b.global_access(i, 0, 3, last_word(u64::from(i)), 4, AccessKind::Write);
+    for warp in 0..2u32 {
+        let lanes: Vec<usize> = (warp as usize * 32..(warp as usize + 1) * 32).collect();
+        let addrs: Vec<(u64, usize)> = lanes.iter().map(|&t| (last_word(t as u64), 4)).collect();
+        b.warp_step(warp, 3, Space::Global, AccessKind::Write, &lanes, &addrs);
     }
-    s.merge_block(b);
+    s.merge_block(&mut b.end_block());
     assert_eq!(s.shadow_pages(), 64);
-    let mut b = BlockSanitizer::new(SanitizerConfig::full(), (1, 0), 0);
-    b.global_access(0, 0, 4, last_word(63) + 2, 4, AccessKind::Read);
-    s.merge_block(b);
+    b.begin_block((1, 0));
+    let read = [(last_word(63) + 2, 4)];
+    b.warp_step(0, 4, Space::Global, AccessKind::Read, &[0], &read);
+    s.merge_block(&mut b.end_block());
     assert_eq!(s.shadow_pages(), 65, "the straddle touched one new page");
     assert_eq!(
         s.hazard_count(),

@@ -707,6 +707,21 @@ pub fn certify(
     from: Artifacts,
     session: impl Fn(&mut AccRunner),
 ) -> Result<Vec<gpsim::CertReport>, AccError> {
+    // The sessions of one call share their compiled regions, and with
+    // them each region's kverify gate: without a cache of the caller's,
+    // through one of the call's own.
+    let from = match from {
+        Artifacts::Direct => {
+            let program = Arc::new(accparse::compile(src)?);
+            let regions = Arc::new(RegionCache::new(program.regions.len()));
+            Artifacts::Cached {
+                program,
+                regions,
+                key: 0,
+            }
+        }
+        cached => cached,
+    };
     let new_session = from.sessions(src, req)?;
     let mut merged: Vec<gpsim::CertReport> = Vec::new();
     for &n in &CERT_NS {
