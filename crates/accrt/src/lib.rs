@@ -3,7 +3,9 @@
 //! Executes programs compiled by [`uhacc_core`] on the [`gpsim`] simulated
 //! device: host data environment (scalar and array bindings), data-clause
 //! transfers, kernel launches, second-pass reduction kernels, and
-//! gang-reduction result folds.
+//! gang-reduction result folds. The host side — bindings, extents and the
+//! concrete expression evaluator — is [`host`], which the sequential CPU
+//! reference runs too.
 //!
 //! ```
 //! use accrt::{AccRunner, HostBuffer};
@@ -28,12 +30,12 @@
 
 pub mod cache;
 pub mod error;
+pub mod host;
 pub mod hostbuf;
-pub mod hosteval;
 pub mod runner;
 
 pub use cache::{Cache, CacheCounters, RegionCache, RegionKey};
 pub use error::AccError;
+pub use host::Host;
 pub use hostbuf::HostBuffer;
-pub use hosteval::{eval_host_expr, eval_host_extent};
 pub use runner::{AccRunner, RunnerObs};

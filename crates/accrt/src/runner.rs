@@ -5,10 +5,10 @@
 
 use crate::cache::{RegionCache, RegionKey};
 use crate::error::AccError;
+use crate::host::Host;
 use crate::hostbuf::HostBuffer;
-use crate::hosteval::{eval_host_expr, eval_host_extent};
-use accparse::ast::{CType, DataDir};
-use accparse::hir::{AnalyzedProgram, ArrayDecl};
+use accparse::ast::{CType, DataDir, Level};
+use accparse::hir::{AnalyzedProgram, HExpr};
 use gpsim::{
     BufferHandle, Device, HazardReport, ProfileConfig, SanitizerConfig, SanitizerLevel,
     SessionProfile, Value,
@@ -16,7 +16,7 @@ use gpsim::{
 use std::collections::HashMap;
 use std::sync::Arc;
 use uhacc_core::plan::{CompiledRegion, ParamSpec, Step};
-use uhacc_core::types::{apply_host, machine_ty};
+use uhacc_core::types::machine_ty;
 use uhacc_core::{CompilerOptions, LaunchDims};
 
 /// Cached device-side state for one compiled region: the shared immutable
@@ -57,9 +57,8 @@ pub struct AccRunner {
     device: Device,
     opts: CompilerOptions,
     default_dims: LaunchDims,
-    scalars: Vec<Value>,
-    scalar_bound: Vec<bool>,
-    arrays: Vec<Option<HostBuffer>>,
+    /// Host scalars and arrays, their binding rules and extents.
+    host: Host,
     dev_arrays: Vec<Option<(BufferHandle, u64)>>,
     /// Residency reference counts: arrays entered via [`AccRunner::enter_data`]
     /// or an enclosing `#pragma acc data` scope. While positive, per-region
@@ -72,7 +71,6 @@ pub struct AccRunner {
     /// Region compilations this session actually performed (cache misses
     /// and uncached compiles both count; warm cache hits do not).
     compiles: u64,
-    host_assigns_done: bool,
     /// Optional observability hook (see [`RunnerObs`]).
     obs: Option<RunnerObs>,
     /// Whether region executions are certified ([`AccRunner::certify`]).
@@ -139,23 +137,19 @@ impl AccRunner {
         default_dims: LaunchDims,
         device: Device,
     ) -> Self {
-        let n_scalars = prog.hosts.len();
         let n_arrays = prog.arrays.len();
         AccRunner {
+            host: Host::new(Arc::clone(&prog)),
             prog,
             src: None,
             device,
             opts,
             default_dims,
-            scalars: vec![Value::I32(0); n_scalars],
-            scalar_bound: vec![false; n_scalars],
-            arrays: (0..n_arrays).map(|_| None).collect(),
             dev_arrays: vec![None; n_arrays],
             resident: vec![0; n_arrays],
             instances: HashMap::new(),
             region_cache: None,
             compiles: 0,
-            host_assigns_done: false,
             obs: None,
             certify: false,
             cert_reports: Vec::new(),
@@ -345,25 +339,9 @@ impl AccRunner {
         self.device.take_verify_reports()
     }
 
-    fn host_index(&self, name: &str) -> Result<usize, AccError> {
-        self.prog
-            .host_index(name)
-            .ok_or_else(|| AccError::Binding(format!("no host scalar named `{name}`")))
-    }
-
-    fn array_index(&self, name: &str) -> Result<usize, AccError> {
-        self.prog
-            .array_index(name)
-            .ok_or_else(|| AccError::Binding(format!("no array named `{name}`")))
-    }
-
     /// Bind a host scalar by name.
     pub fn bind_scalar(&mut self, name: &str, v: Value) -> Result<(), AccError> {
-        let i = self.host_index(name)?;
-        let ty = machine_ty(self.prog.hosts[i].ty);
-        self.scalars[i] = v.convert(ty);
-        self.scalar_bound[i] = true;
-        Ok(())
+        self.host.bind_scalar(name, v)
     }
 
     /// Bind an integer host scalar by name.
@@ -378,46 +356,32 @@ impl AccRunner {
 
     /// Read a host scalar's current value.
     pub fn scalar(&self, name: &str) -> Result<Value, AccError> {
-        Ok(self.scalars[self.host_index(name)?])
+        self.host.scalar(name)
     }
 
     /// Bind a host array by name. The element type must match the
     /// declaration; the length is validated at region launch against the
     /// declared dimensions.
     pub fn bind_array(&mut self, name: &str, buf: HostBuffer) -> Result<(), AccError> {
-        let i = self.array_index(name)?;
-        let want = self.prog.arrays[i].ty;
-        if buf.ty() != want {
-            return Err(AccError::Binding(format!(
-                "array `{name}` is declared {want} but the binding is {}",
-                buf.ty()
-            )));
-        }
-        self.arrays[i] = Some(buf);
-        Ok(())
+        self.host.bind_array(name, buf)
     }
 
     /// Borrow a bound host array.
     pub fn array(&self, name: &str) -> Result<&HostBuffer, AccError> {
-        let i = self.array_index(name)?;
-        self.arrays[i]
-            .as_ref()
-            .ok_or_else(|| AccError::Binding(format!("array `{name}` is not bound")))
+        self.host.array(name)
     }
 
     /// Mutably borrow a bound host array.
     pub fn array_mut(&mut self, name: &str) -> Result<&mut HostBuffer, AccError> {
-        let i = self.array_index(name)?;
-        self.arrays[i]
-            .as_mut()
-            .ok_or_else(|| AccError::Binding(format!("array `{name}` is not bound")))
+        let i = self.host.array_index(name)?;
+        self.host.buffer_mut(i)
     }
 
     /// Swap two arrays' host and device bindings (the classic stencil
     /// double-buffer swap; both arrays must have identical shape/type).
     pub fn swap_arrays(&mut self, a: &str, b: &str) -> Result<(), AccError> {
-        let ia = self.array_index(a)?;
-        let ib = self.array_index(b)?;
+        let ia = self.host.array_index(a)?;
+        let ib = self.host.array_index(b)?;
         if self.prog.arrays[ia].ty != self.prog.arrays[ib].ty
             || self.prog.arrays[ia].dims.len() != self.prog.arrays[ib].dims.len()
         {
@@ -425,27 +389,41 @@ impl AccRunner {
                 "arrays `{a}` and `{b}` are not compatible"
             )));
         }
-        self.arrays.swap(ia, ib);
+        self.host.swap_arrays(ia, ib);
         self.dev_arrays.swap(ia, ib);
         self.resident.swap(ia, ib);
         Ok(())
     }
 
-    /// Ensure a device buffer of the declared size exists for array `i`.
-    fn ensure_device_array(&mut self, i: usize) -> Result<(BufferHandle, u64), AccError> {
-        let decl = self.prog.arrays[i].clone();
-        let elems = array_elems(&decl, &self.scalars)?;
-        let realloc = match self.dev_arrays[i] {
-            Some((_, have)) => have != elems,
-            None => true,
-        };
-        if realloc {
-            let h = self
-                .device
-                .alloc(elems * machine_ty(decl.ty).size() as u64)?;
-            self.dev_arrays[i] = Some((h, elems));
+    /// Array `i`'s device buffer, allocated anew unless it already holds
+    /// `elems` elements.
+    fn device_array(&mut self, i: usize, elems: u64) -> Result<BufferHandle, AccError> {
+        match self.dev_arrays[i] {
+            Some((h, have)) if have == elems => Ok(h),
+            _ => {
+                let bytes = elems * machine_ty(self.prog.arrays[i].ty).size() as u64;
+                let h = self.device.alloc(bytes)?;
+                self.dev_arrays[i] = Some((h, elems));
+                Ok(h)
+            }
         }
-        Ok(self.dev_arrays[i].unwrap())
+    }
+
+    /// Array `i`'s device buffer and its element count.
+    fn on_device(&self, i: usize) -> Result<(BufferHandle, u64), AccError> {
+        self.dev_arrays[i].ok_or_else(|| {
+            AccError::Binding(format!(
+                "array `{}` has no device buffer",
+                self.prog.arrays[i].name
+            ))
+        })
+    }
+
+    fn not_present(&self, i: usize) -> AccError {
+        AccError::Binding(format!(
+            "array `{}` marked present but not on the device",
+            self.prog.arrays[i].name
+        ))
     }
 
     /// Enter a structured-data binding: allocate, optionally upload, and
@@ -454,25 +432,13 @@ impl AccRunner {
     fn enter_binding(&mut self, i: usize, dir: DataDir) -> Result<(), AccError> {
         if self.resident[i] == 0 {
             if dir == DataDir::Present && self.dev_arrays[i].is_none() {
-                return Err(AccError::Binding(format!(
-                    "array `{}` marked present but not on the device",
-                    self.prog.arrays[i].name
-                )));
+                return Err(self.not_present(i));
             }
-            let (handle, elems) = self.ensure_device_array(i)?;
+            let elems = self.host.shape(i)?.elems();
+            let handle = self.device_array(i, elems)?;
             if matches!(dir, DataDir::CopyIn | DataDir::Copy) {
-                let host = self.arrays[i].as_ref().ok_or_else(|| {
-                    AccError::Binding(format!("array `{}` is not bound", self.prog.arrays[i].name))
-                })?;
-                if host.len() as u64 != elems {
-                    return Err(AccError::Binding(format!(
-                        "array `{}` declared with {elems} element(s) but bound with {}",
-                        self.prog.arrays[i].name,
-                        host.len()
-                    )));
-                }
-                let bytes = host.bytes().to_vec();
-                self.device.memcpy_h2d(handle, &bytes)?;
+                let host = self.host.sized(i, elems)?;
+                self.device.memcpy_h2d(handle, host.bytes())?;
             }
         }
         self.resident[i] += 1;
@@ -490,21 +456,12 @@ impl AccRunner {
         Ok(())
     }
 
+    /// Copy array `i`'s device buffer into its host binding (bound now,
+    /// zeroed, when there is none).
     fn download_array(&mut self, i: usize) -> Result<(), AccError> {
-        let (handle, elems) = self.dev_arrays[i].ok_or_else(|| {
-            AccError::Binding(format!(
-                "array `{}` has no device buffer",
-                self.prog.arrays[i].name
-            ))
-        })?;
-        let decl_ty = self.prog.arrays[i].ty;
-        if self.arrays[i].is_none() {
-            self.arrays[i] = Some(HostBuffer::new(decl_ty, elems as usize));
-        }
-        let host = self.arrays[i].as_mut().unwrap();
-        let mut bytes = vec![0u8; host.bytes().len()];
-        self.device.memcpy_d2h(handle, &mut bytes)?;
-        host.bytes_mut().copy_from_slice(&bytes);
+        let (handle, elems) = self.on_device(i)?;
+        let host = self.host.landing(i, elems);
+        self.device.memcpy_d2h(handle, host.bytes_mut())?;
         Ok(())
     }
 
@@ -514,14 +471,14 @@ impl AccRunner {
     /// [`AccRunner::exit_data`].
     pub fn enter_data(&mut self, name: &str) -> Result<(), AccError> {
         self.run_host_assigns()?;
-        let i = self.array_index(name)?;
+        let i = self.host.array_index(name)?;
         self.enter_binding(i, DataDir::Copy)
     }
 
     /// Download `name` from the device and end its residency (the OpenACC
     /// 2.0 `exit data copyout` behaviour).
     pub fn exit_data(&mut self, name: &str) -> Result<(), AccError> {
-        let i = self.array_index(name)?;
+        let i = self.host.array_index(name)?;
         if self.resident[i] == 0 {
             return Err(AccError::Binding(format!(
                 "array `{name}` is not device-resident"
@@ -533,48 +490,23 @@ impl AccRunner {
     /// `#pragma acc update host(name)`: refresh the host copy from the
     /// device without ending residency.
     pub fn update_host(&mut self, name: &str) -> Result<(), AccError> {
-        let i = self.array_index(name)?;
-        let (handle, elems) = self.dev_arrays[i]
-            .ok_or_else(|| AccError::Binding(format!("array `{name}` has no device buffer")))?;
-        let decl_ty = self.prog.arrays[i].ty;
-        if self.arrays[i].is_none() {
-            self.arrays[i] = Some(HostBuffer::new(decl_ty, elems as usize));
-        }
-        let host = self.arrays[i].as_mut().unwrap();
-        let mut bytes = vec![0u8; host.bytes().len()];
-        self.device.memcpy_d2h(handle, &mut bytes)?;
-        host.bytes_mut().copy_from_slice(&bytes);
-        Ok(())
+        let i = self.host.array_index(name)?;
+        self.download_array(i)
     }
 
     /// `#pragma acc update device(name)`: push the host copy to the device
     /// without ending residency.
     pub fn update_device(&mut self, name: &str) -> Result<(), AccError> {
-        let i = self.array_index(name)?;
-        let (handle, _) = self.dev_arrays[i]
-            .ok_or_else(|| AccError::Binding(format!("array `{name}` has no device buffer")))?;
-        let host = self.arrays[i]
-            .as_ref()
-            .ok_or_else(|| AccError::Binding(format!("array `{name}` is not bound")))?;
-        let bytes = host.bytes().to_vec();
-        self.device.memcpy_h2d(handle, &bytes)?;
+        let i = self.host.array_index(name)?;
+        let (handle, _) = self.on_device(i)?;
+        self.device
+            .memcpy_h2d(handle, self.host.buffer(i)?.bytes())?;
         Ok(())
     }
 
     /// Execute the program's host assignments (idempotent; runs once).
     pub fn run_host_assigns(&mut self) -> Result<(), AccError> {
-        if self.host_assigns_done {
-            return Ok(());
-        }
-        let assigns = self.prog.host_assigns.clone();
-        for ha in &assigns {
-            let v = eval_host_expr(&ha.value, &self.scalars)?;
-            let ty = machine_ty(self.prog.hosts[ha.host].ty);
-            self.scalars[ha.host] = v.convert(ty);
-            self.scalar_bound[ha.host] = true;
-        }
-        self.host_assigns_done = true;
-        Ok(())
+        self.host.run_assigns()
     }
 
     /// Run the whole program: host assignments, then every region in order,
@@ -615,46 +547,22 @@ impl AccRunner {
     /// the runner defaults; `num_workers` defaults to 1 unless the region
     /// names worker parallelism).
     pub fn resolve_dims(&self, region: usize) -> Result<LaunchDims, AccError> {
-        let r = &self.prog.regions[region];
-        let gangs = match &r.num_gangs {
-            Some(e) => eval_host_extent(e, &self.scalars, "num_gangs")? as u32,
-            None => self.default_dims.gangs,
+        let (r, d) = (&self.prog.regions[region], self.default_dims);
+        let clause = |e: &Option<HExpr>, what, default| match e {
+            Some(e) => self.host.extent(e, what).map(|n| n as u32),
+            None => Ok(default),
         };
-        let mut uses_worker = false;
-        let mut uses_vector = false;
+        let gangs = clause(&r.num_gangs, "num_gangs", d.gangs)?;
+        let (mut worker, mut vector) = (false, false);
         accparse::hir::visit_loops(&r.body, &mut |l| {
-            for lv in &l.sched {
-                match lv {
-                    accparse::ast::Level::Worker => uses_worker = true,
-                    accparse::ast::Level::Vector => uses_vector = true,
-                    _ => {}
-                }
-            }
+            worker |= l.sched.contains(&Level::Worker);
+            vector |= l.sched.contains(&Level::Vector);
         });
-        let workers = match &r.num_workers {
-            Some(e) => eval_host_extent(e, &self.scalars, "num_workers")? as u32,
-            None => {
-                if uses_worker {
-                    self.default_dims.workers
-                } else {
-                    1
-                }
-            }
-        };
-        let vector = match &r.vector_length {
-            Some(e) => eval_host_extent(e, &self.scalars, "vector_length")? as u32,
-            None => {
-                if uses_vector {
-                    self.default_dims.vector
-                } else {
-                    1
-                }
-            }
-        };
+        let pick = |used, n| if used { n } else { 1 };
         Ok(LaunchDims {
             gangs,
-            workers,
-            vector,
+            workers: clause(&r.num_workers, "num_workers", pick(worker, d.workers))?,
+            vector: clause(&r.vector_length, "vector_length", pick(vector, d.vector))?,
         })
     }
 
@@ -712,58 +620,29 @@ impl AccRunner {
 
         // Validate bindings and stage arrays.
         let t_h2d = self.obs_now();
-        let data = self.prog.regions[region].data.clone();
-        for db in &data {
-            let decl = self.prog.arrays[db.array].clone();
-            let elems = array_elems(&decl, &self.scalars)?;
-            // Ensure a device buffer of the right size exists.
-            let need_bytes = elems * machine_ty(decl.ty).size() as u64;
-            let realloc = match self.dev_arrays[db.array] {
-                Some((_, have)) => have != elems,
-                None => true,
-            };
-            if realloc {
-                if db.dir == DataDir::Present {
-                    return Err(AccError::Binding(format!(
-                        "array `{}` marked present but not on the device",
-                        decl.name
-                    )));
-                }
-                let h = self.device.alloc(need_bytes)?;
-                self.dev_arrays[db.array] = Some((h, elems));
+        let prog = Arc::clone(&self.prog);
+        let data = &prog.regions[region].data;
+        for db in data {
+            let elems = self.host.shape(db.array)?.elems();
+            let sized = matches!(self.dev_arrays[db.array], Some((_, have)) if have == elems);
+            if !sized && db.dir == DataDir::Present {
+                return Err(self.not_present(db.array));
             }
-            let (handle, _) = self.dev_arrays[db.array].unwrap();
+            let handle = self.device_array(db.array, elems)?;
             let resident = self.resident[db.array] > 0;
             let needs_in = !resident && matches!(db.dir, DataDir::CopyIn | DataDir::Copy);
             let needs_host = needs_in || (!resident && matches!(db.dir, DataDir::CopyOut));
             if needs_host {
-                let host = self.arrays[db.array].as_ref().ok_or_else(|| {
-                    AccError::Binding(format!("array `{}` is not bound", decl.name))
-                })?;
-                if host.len() as u64 != elems {
-                    return Err(AccError::Binding(format!(
-                        "array `{}` declared with {elems} element(s) but bound with {}",
-                        decl.name,
-                        host.len()
-                    )));
+                let host = self.host.sized(db.array, elems)?;
+                if needs_in {
+                    self.device.memcpy_h2d(handle, host.bytes())?;
                 }
-            }
-            if needs_in {
-                let bytes = self.arrays[db.array].as_ref().unwrap().bytes().to_vec();
-                self.device.memcpy_h2d(handle, &bytes)?;
             }
         }
         self.obs_record(&format!("h2d.region{region}"), t_h2d);
 
         // Check host scalars used are bound (assignments count as binding).
-        for &h in &self.prog.regions[region].hosts_used {
-            if !self.scalar_bound[h] {
-                return Err(AccError::Binding(format!(
-                    "host scalar `{}` is used by the region but never bound",
-                    self.prog.hosts[h].name
-                )));
-            }
-        }
+        self.host.check_used(region)?;
 
         let inst = &self.instances[&key];
         let (compiled, temp_buffers) = (inst.compiled.clone(), inst.temp_buffers.clone());
@@ -784,20 +663,16 @@ impl AccRunner {
         // execute the plan and compare against the source region at the
         // current scalar bindings and extents. Observational only.
         if self.certify {
-            let extents: Vec<Vec<u64>> = self
-                .prog
-                .arrays
-                .iter()
+            let extents: Vec<Vec<u64>> = (0..prog.arrays.len())
                 .map(|a| {
-                    a.dims
-                        .iter()
-                        .map(|e| eval_host_extent(e, &self.scalars, "dimension"))
-                        .collect::<Result<Vec<u64>, _>>()
+                    self.host
+                        .shape(a)
+                        .map(|s| s.dims().to_vec())
                         .unwrap_or_default()
                 })
                 .collect();
             let report =
-                uhacc_core::certify_region(&self.prog, region, &compiled, &self.scalars, &extents);
+                uhacc_core::certify_region(&prog, region, &compiled, self.host.scalars(), &extents);
             self.cert_reports.push(report);
         }
 
@@ -816,14 +691,14 @@ impl AccRunner {
                     self.device.launch(l.kernel, l.config, &args)?;
                 }
                 Step::Read(rd) => {
-                    let cty = self.prog.hosts[rd.host].ty;
-                    let addr = temp_buffers[rd.buffer].addr + rd.offset;
-                    let v = self.device.peek(machine_ty(cty), addr)?;
-                    self.scalars[rd.host] = match rd.fold {
-                        Some(op) => apply_host(op, cty, self.scalars[rd.host], v),
-                        None => v.convert(machine_ty(cty)),
-                    };
-                    self.scalar_bound[rd.host] = true;
+                    let ty = machine_ty(prog.hosts[rd.host].ty);
+                    let v = self
+                        .device
+                        .peek(ty, temp_buffers[rd.buffer].addr + rd.offset)?;
+                    match rd.fold {
+                        Some(op) => self.host.fold(rd.host, op, v),
+                        None => self.host.set(rd.host, v),
+                    }
                 }
             }
         }
@@ -831,20 +706,10 @@ impl AccRunner {
 
         // Data out.
         let t_d2h = self.obs_now();
-        for db in &data {
-            if self.resident[db.array] > 0 {
-                continue; // device-resident: host copy refreshed at scope exit
-            }
-            if matches!(db.dir, DataDir::CopyOut | DataDir::Copy) {
-                let (handle, elems) = self.dev_arrays[db.array].unwrap();
-                let decl_ty = self.prog.arrays[db.array].ty;
-                if self.arrays[db.array].is_none() {
-                    self.arrays[db.array] = Some(HostBuffer::new(decl_ty, elems as usize));
-                }
-                let host = self.arrays[db.array].as_mut().unwrap();
-                let mut bytes = vec![0u8; host.bytes().len()];
-                self.device.memcpy_d2h(handle, &mut bytes)?;
-                host.bytes_mut().copy_from_slice(&bytes);
+        for db in data {
+            // A device-resident array's host copy is refreshed at scope exit.
+            if self.resident[db.array] == 0 && matches!(db.dir, DataDir::CopyOut | DataDir::Copy) {
+                self.download_array(db.array)?;
             }
         }
         self.obs_record(&format!("d2h.region{region}"), t_d2h);
@@ -855,19 +720,14 @@ impl AccRunner {
     fn arg(&self, p: &ParamSpec, temp_buffers: &[BufferHandle]) -> Result<Value, AccError> {
         Ok(match *p {
             ParamSpec::ArrayBase(a) => {
-                let (h, _) = self.dev_arrays[a].ok_or_else(|| {
-                    AccError::Binding(format!(
-                        "array `{}` has no device buffer",
-                        self.prog.arrays[a].name
-                    ))
-                })?;
+                let (h, _) = self.on_device(a)?;
                 Value::U64(h.addr)
             }
             ParamSpec::ArrayDim { array, dim } => {
                 let e = &self.prog.arrays[array].dims[dim];
-                Value::I32(eval_host_extent(e, &self.scalars, "dimension")? as i32)
+                Value::I32(self.host.extent(e, "dimension")? as i32)
             }
-            ParamSpec::HostScalar(h) => self.scalars[h],
+            ParamSpec::HostScalar(h) => self.host.scalars()[h],
             ParamSpec::TempBuffer(i) => Value::U64(temp_buffers[i].addr),
             ParamSpec::ElemCount(n) => Value::I32(n as i32),
         })
@@ -880,25 +740,20 @@ impl AccRunner {
     /// and the `uhaccd` `/run` and `/profile` endpoints use, so the same
     /// source yields byte-identical results on every surface.
     pub fn bind_deterministic_inputs(&mut self, n: u64) -> Result<(), AccError> {
-        let hosts: Vec<(String, CType)> = self
-            .prog
-            .hosts
-            .iter()
-            .map(|h| (h.name.clone(), h.ty))
-            .collect();
-        for (name, ty) in &hosts {
-            match ty {
-                CType::Int | CType::Long => self.bind_int(name, n as i64)?,
-                CType::Float | CType::Double => self.bind_float(name, 0.0)?,
-            }
+        let prog = Arc::clone(&self.prog);
+        for (i, h) in prog.hosts.iter().enumerate() {
+            let v = match h.ty {
+                CType::Int | CType::Long => Value::I64(n as i64),
+                CType::Float | CType::Double => Value::F64(0.0),
+            };
+            self.host.set(i, v);
         }
         self.run_host_assigns()?;
-        let arrays = self.prog.arrays.clone();
         // Multi-dimensional arrays scale super-linearly in `n`; refuse
         // absurd allocations with a diagnostic instead of aborting OOM.
         const MAX_ELEMS: u64 = 1 << 28;
-        for a in &arrays {
-            let elems = array_elems(a, &self.scalars)?;
+        for (i, a) in prog.arrays.iter().enumerate() {
+            let elems = self.host.shape(i)?.elems();
             if elems > MAX_ELEMS {
                 return Err(AccError::Binding(format!(
                     "array `{}` needs {elems} elements at n={n}; the deterministic input \
@@ -923,9 +778,8 @@ impl AccRunner {
     /// Read one value from a device-resident array without a full copy-out
     /// (verification/debug helper).
     pub fn peek_device_array(&self, name: &str, index: u64) -> Result<Value, AccError> {
-        let i = self.array_index(name)?;
-        let (h, elems) = self.dev_arrays[i]
-            .ok_or_else(|| AccError::Binding(format!("array `{name}` has no device buffer")))?;
+        let i = self.host.array_index(name)?;
+        let (h, elems) = self.on_device(i)?;
         if index >= elems {
             return Err(AccError::Binding(format!(
                 "index {index} out of range ({elems})"
@@ -934,24 +788,4 @@ impl AccRunner {
         let ty = machine_ty(self.prog.arrays[i].ty);
         Ok(self.device.peek(ty, h.addr + index * ty.size() as u64)?)
     }
-}
-
-/// The element count of `decl` under the current scalars: the product of
-/// its evaluated dimensions. A count whose bytes do not fit in 64 bits is
-/// a binding error naming the array.
-fn array_elems(decl: &ArrayDecl, scalars: &[Value]) -> Result<u64, AccError> {
-    let what = format!("dimension of `{}`", decl.name);
-    let mut elems = 1u64;
-    for d in &decl.dims {
-        elems = elems
-            .checked_mul(eval_host_extent(d, scalars, &what)?)
-            .filter(|n| n.checked_mul(machine_ty(decl.ty).size() as u64).is_some())
-            .ok_or_else(|| {
-                AccError::Binding(format!(
-                    "array `{}` is too large: its size overflows 64 bits",
-                    decl.name
-                ))
-            })?;
-    }
-    Ok(elems)
 }

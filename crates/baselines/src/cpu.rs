@@ -5,20 +5,45 @@
 //! methodology. Loops run in source order; reduction clauses are ignored
 //! (sequential execution computes the same value by definition of the
 //! reduction update forms).
+//!
+//! The host side — binding, extents, element indices and expression
+//! evaluation — is [`accrt::host`], the module the runtime uses, so a
+//! binding the runtime refuses is refused here with the same words. What
+//! is left here is what belongs to the reference: region locals,
+//! statements, loops and reduction updates.
 
-use accparse::ast::{BinOpKind, CType, UnOpKind};
-use accparse::hir::{AnalyzedProgram, HExpr, HExprKind, HLoop, HStmt, MathFunc, Sym};
+use accparse::ast::{BinOpKind, CType};
+use accparse::hir::{AnalyzedProgram, HLoop, HStmt, Sym};
+use accrt::host::{element, eval, Env, Host, Shape};
 use accrt::{AccError, HostBuffer};
-use gpsim::{eval_bin, eval_cmp, eval_un, BinOp, CmpOp, Ty, UnOp, Value};
+use gpsim::{eval_bin, eval_cmp, BinOp, CmpOp, Value};
+use std::sync::Arc;
 use uhacc_core::types::{apply_host, machine_ty};
 
 /// Sequential interpreter state for one program.
 pub struct CpuExec {
-    prog: AnalyzedProgram,
-    scalars: Vec<Value>,
-    arrays: Vec<Option<HostBuffer>>,
+    host: Host,
+    /// The running region's locals, and the shapes of the arrays it binds
+    /// (evaluated once on entry, as a launch passes them).
     locals: Vec<Value>,
+    shapes: Vec<Option<Shape>>,
     cur_region: usize,
+}
+
+impl Env for CpuExec {
+    fn host(&self) -> &Host {
+        &self.host
+    }
+
+    fn local(&self, l: usize) -> Result<Value, AccError> {
+        Ok(self.locals[l])
+    }
+
+    fn shape(&self, a: usize) -> Result<&Shape, AccError> {
+        Ok(self.shapes[a]
+            .as_ref()
+            .expect("sema binds every array a region touches"))
+    }
 }
 
 impl CpuExec {
@@ -29,25 +54,18 @@ impl CpuExec {
 
     /// Build from an analyzed program.
     pub fn from_hir(prog: AnalyzedProgram) -> Self {
-        let ns = prog.hosts.len();
         let na = prog.arrays.len();
         CpuExec {
-            prog,
-            scalars: vec![Value::I32(0); ns],
-            arrays: (0..na).map(|_| None).collect(),
+            host: Host::new(Arc::new(prog)),
             locals: Vec::new(),
+            shapes: vec![None; na],
             cur_region: 0,
         }
     }
 
     /// Bind a host scalar.
     pub fn bind_scalar(&mut self, name: &str, v: Value) -> Result<(), AccError> {
-        let i = self
-            .prog
-            .host_index(name)
-            .ok_or_else(|| AccError::Binding(format!("no scalar `{name}`")))?;
-        self.scalars[i] = v.convert(machine_ty(self.prog.hosts[i].ty));
-        Ok(())
+        self.host.bind_scalar(name, v)
     }
 
     /// Bind an integer host scalar.
@@ -55,53 +73,48 @@ impl CpuExec {
         self.bind_scalar(name, Value::I64(v))
     }
 
-    /// Bind an array.
+    /// Bind an array. The element type must match the declaration; the
+    /// length is checked against the extents when a region uses it.
     pub fn bind_array(&mut self, name: &str, buf: HostBuffer) -> Result<(), AccError> {
-        let i = self
-            .prog
-            .array_index(name)
-            .ok_or_else(|| AccError::Binding(format!("no array `{name}`")))?;
-        self.arrays[i] = Some(buf);
-        Ok(())
+        self.host.bind_array(name, buf)
     }
 
     /// Read a scalar.
     pub fn scalar(&self, name: &str) -> Result<Value, AccError> {
-        let i = self
-            .prog
-            .host_index(name)
-            .ok_or_else(|| AccError::Binding(format!("no scalar `{name}`")))?;
-        Ok(self.scalars[i])
+        self.host.scalar(name)
     }
 
     /// Borrow an array.
     pub fn array(&self, name: &str) -> Result<&HostBuffer, AccError> {
-        let i = self
-            .prog
-            .array_index(name)
-            .ok_or_else(|| AccError::Binding(format!("no array `{name}`")))?;
-        self.arrays[i]
-            .as_ref()
-            .ok_or_else(|| AccError::Binding(format!("array `{name}` not bound")))
+        self.host.array(name)
     }
 
     /// Execute the whole program sequentially.
     pub fn run(&mut self) -> Result<(), AccError> {
-        let assigns = self.prog.host_assigns.clone();
-        for ha in &assigns {
-            let v = self.expr(&ha.value)?;
-            self.scalars[ha.host] = v.convert(machine_ty(self.prog.hosts[ha.host].ty));
-        }
-        for r in 0..self.prog.regions.len() {
+        self.host.run_assigns()?;
+        for r in 0..self.host.program().regions.len() {
             self.run_region(r)?;
         }
         Ok(())
     }
 
-    /// Execute one region sequentially.
+    /// Execute one region sequentially, after the host assignments (once)
+    /// and the runtime's binding checks: every array the region binds is
+    /// sized by the extent rule and must be bound at that length — the
+    /// reference has only host memory, so `create` and `present` arrays
+    /// need a binding too — and every host scalar it uses must be bound.
     pub fn run_region(&mut self, region: usize) -> Result<(), AccError> {
+        self.host.run_assigns()?;
+        let prog = Arc::clone(self.host.program());
+        let r = &prog.regions[region];
+        self.shapes.fill(None);
+        for db in &r.data {
+            let shape = self.host.shape(db.array)?;
+            self.host.sized(db.array, shape.elems())?;
+            self.shapes[db.array] = Some(shape);
+        }
+        self.host.check_used(region)?;
         self.cur_region = region;
-        let r = self.prog.regions[region].clone();
         self.locals = r
             .locals
             .iter()
@@ -112,7 +125,7 @@ impl CpuExec {
 
     /// Element type of a local of the active region.
     fn local_ty(&self, local: usize) -> CType {
-        self.prog.regions[self.cur_region].locals[local].ty
+        self.host.program().regions[self.cur_region].locals[local].ty
     }
 
     fn stmts(&mut self, stmts: &[HStmt]) -> Result<(), AccError> {
@@ -126,40 +139,37 @@ impl CpuExec {
         match s {
             HStmt::AssignLocal { local, value } => {
                 let ty = machine_ty(self.local_ty(*local));
-                let v = self.expr(value)?;
-                self.locals[*local] = v.convert(ty);
+                self.locals[*local] = eval(value, self)?.convert(ty);
             }
             HStmt::AssignHost { host, value } => {
-                let ty = machine_ty(self.prog.hosts[*host].ty);
-                let v = self.expr(value)?;
-                self.scalars[*host] = v.convert(ty);
+                let v = eval(value, self)?;
+                self.host.set(*host, v);
             }
             HStmt::Store {
                 array,
                 indices,
                 value,
             } => {
-                let idx = self.flat_index(*array, indices)?;
-                let v = self.expr(value)?;
-                let arr = self.arrays[*array]
-                    .as_mut()
-                    .ok_or_else(|| AccError::Binding("array not bound".into()))?;
-                arr.set(idx, v);
+                let i = element(self, *array, indices)?;
+                let v = eval(value, self)?;
+                self.host.buffer_mut(*array)?.set(i, v);
             }
             HStmt::ReduceUpdate { sym, op, value, .. } => {
-                let v = self.expr(value)?;
-                let (cur, cty) = match sym {
-                    Sym::Host(h) => (self.scalars[*h], self.prog.hosts[*h].ty),
-                    Sym::Local(l) => (self.locals[*l], self.local_ty(*l)),
-                };
-                let newv = apply_host(*op, cty, cur, v.convert(machine_ty(cty)));
-                match sym {
-                    Sym::Host(h) => self.scalars[*h] = newv,
-                    Sym::Local(l) => self.locals[*l] = newv,
+                let v = eval(value, self)?;
+                match *sym {
+                    Sym::Host(h) => {
+                        let ty = machine_ty(self.host.program().hosts[h].ty);
+                        self.host.fold(h, *op, v.convert(ty));
+                    }
+                    Sym::Local(l) => {
+                        let cty = self.local_ty(l);
+                        let cur = self.locals[l];
+                        self.locals[l] = apply_host(*op, cty, cur, v.convert(machine_ty(cty)));
+                    }
                 }
             }
             HStmt::If { cond, then, els } => {
-                if self.expr(cond)?.as_bool() {
+                if eval(cond, self)?.as_bool() {
                     self.stmts(then)?;
                 } else {
                     self.stmts(els)?;
@@ -172,141 +182,25 @@ impl CpuExec {
 
     fn run_loop(&mut self, l: &HLoop) -> Result<(), AccError> {
         let vt = machine_ty(self.local_ty(l.var));
-        let mut var = self.expr(&l.lower)?.convert(vt);
+        let mut var = eval(&l.lower, self)?.convert(vt);
         loop {
-            let bound = self.expr(&l.bound)?;
-            let cont = match l.cmp {
-                BinOpKind::Lt => eval_cmp(CmpOp::Lt, vt, var, bound.convert(vt)),
-                BinOpKind::Le => eval_cmp(CmpOp::Le, vt, var, bound.convert(vt)),
-                BinOpKind::Gt => eval_cmp(CmpOp::Gt, vt, var, bound.convert(vt)),
-                BinOpKind::Ge => eval_cmp(CmpOp::Ge, vt, var, bound.convert(vt)),
-                _ => unreachable!(),
+            let bound = eval(&l.bound, self)?.convert(vt);
+            let cmp = match l.cmp {
+                BinOpKind::Lt => CmpOp::Lt,
+                BinOpKind::Le => CmpOp::Le,
+                BinOpKind::Gt => CmpOp::Gt,
+                BinOpKind::Ge => CmpOp::Ge,
+                _ => unreachable!("sema canonicalizes loop tests to <, <=, > or >="),
             };
-            if !cont {
+            if !eval_cmp(cmp, vt, var, bound) {
                 break;
             }
             self.locals[l.var] = var;
             self.stmts(&l.body)?;
-            let step = self.expr(&l.step)?.convert(vt);
-            var = eval_bin(BinOp::Add, vt, self.locals[l.var], step).map_err(AccError::Device)?;
+            let step = eval(&l.step, self)?.convert(vt);
+            var = eval_bin(BinOp::Add, vt, self.locals[l.var], step)?;
         }
         Ok(())
-    }
-
-    fn flat_index(&mut self, array: usize, indices: &[HExpr]) -> Result<usize, AccError> {
-        let dims: Vec<i64> = {
-            let decl = self.prog.arrays[array].clone();
-            decl.dims
-                .iter()
-                .map(|d| self.expr(d).map(|v| v.as_i64()))
-                .collect::<Result<_, _>>()?
-        };
-        let mut off: i64 = 0;
-        for (d, ix) in indices.iter().enumerate() {
-            let i = self.expr(ix)?.as_i64();
-            off = off * dims[d] + i;
-        }
-        Ok(off as usize)
-    }
-
-    fn expr(&mut self, e: &HExpr) -> Result<Value, AccError> {
-        let ty = machine_ty(e.ty);
-        Ok(match &e.kind {
-            HExprKind::Int(v) => match ty {
-                Ty::I64 => Value::I64(*v),
-                _ => Value::I32(*v as i32),
-            },
-            HExprKind::Float(v) => match ty {
-                Ty::F32 => Value::F32(*v as f32),
-                _ => Value::F64(*v),
-            },
-            HExprKind::Sym(Sym::Host(h)) => self.scalars[*h],
-            HExprKind::Sym(Sym::Local(l)) => self.locals[*l],
-            HExprKind::Load { array, indices } => {
-                let idx = self.flat_index(*array, indices)?;
-                let arr = self.arrays[*array]
-                    .as_ref()
-                    .ok_or_else(|| AccError::Binding("array not bound".into()))?;
-                arr.get(idx)
-            }
-            HExprKind::Un { op, operand } => {
-                let v = self.expr(operand)?;
-                match op {
-                    UnOpKind::Neg => eval_un(UnOp::Neg, ty, v).map_err(AccError::Device)?,
-                    UnOpKind::BitNot => eval_un(UnOp::Not, ty, v).map_err(AccError::Device)?,
-                    UnOpKind::Not => Value::I32(if v.as_bool() { 0 } else { 1 }),
-                }
-            }
-            HExprKind::Bin {
-                op,
-                cmp_ty,
-                lhs,
-                rhs,
-            } => {
-                let a = self.expr(lhs)?;
-                let b = self.expr(rhs)?;
-                match op {
-                    BinOpKind::Add => eval_bin(BinOp::Add, ty, a, b).map_err(AccError::Device)?,
-                    BinOpKind::Sub => eval_bin(BinOp::Sub, ty, a, b).map_err(AccError::Device)?,
-                    BinOpKind::Mul => eval_bin(BinOp::Mul, ty, a, b).map_err(AccError::Device)?,
-                    BinOpKind::Div => eval_bin(BinOp::Div, ty, a, b).map_err(AccError::Device)?,
-                    BinOpKind::Rem => eval_bin(BinOp::Rem, ty, a, b).map_err(AccError::Device)?,
-                    BinOpKind::Shl => eval_bin(BinOp::Shl, ty, a, b).map_err(AccError::Device)?,
-                    BinOpKind::Shr => eval_bin(BinOp::Shr, ty, a, b).map_err(AccError::Device)?,
-                    BinOpKind::BitAnd => {
-                        eval_bin(BinOp::And, ty, a, b).map_err(AccError::Device)?
-                    }
-                    BinOpKind::BitOr => eval_bin(BinOp::Or, ty, a, b).map_err(AccError::Device)?,
-                    BinOpKind::BitXor => {
-                        eval_bin(BinOp::Xor, ty, a, b).map_err(AccError::Device)?
-                    }
-                    BinOpKind::Lt
-                    | BinOpKind::Le
-                    | BinOpKind::Gt
-                    | BinOpKind::Ge
-                    | BinOpKind::Eq
-                    | BinOpKind::Ne => {
-                        let cop = match op {
-                            BinOpKind::Lt => CmpOp::Lt,
-                            BinOpKind::Le => CmpOp::Le,
-                            BinOpKind::Gt => CmpOp::Gt,
-                            BinOpKind::Ge => CmpOp::Ge,
-                            BinOpKind::Eq => CmpOp::Eq,
-                            _ => CmpOp::Ne,
-                        };
-                        Value::I32(eval_cmp(cop, machine_ty(*cmp_ty), a, b) as i32)
-                    }
-                    BinOpKind::LogAnd => Value::I32((a.as_bool() && b.as_bool()) as i32),
-                    BinOpKind::LogOr => Value::I32((a.as_bool() || b.as_bool()) as i32),
-                }
-            }
-            HExprKind::Cond { cond, then, els } => {
-                if self.expr(cond)?.as_bool() {
-                    self.expr(then)?.convert(ty)
-                } else {
-                    self.expr(els)?.convert(ty)
-                }
-            }
-            HExprKind::Call { func, args } => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| self.expr(a))
-                    .collect::<Result<_, _>>()?;
-                match func {
-                    MathFunc::FMax | MathFunc::IMax => {
-                        eval_bin(BinOp::Max, ty, vals[0], vals[1]).map_err(AccError::Device)?
-                    }
-                    MathFunc::FMin | MathFunc::IMin => {
-                        eval_bin(BinOp::Min, ty, vals[0], vals[1]).map_err(AccError::Device)?
-                    }
-                    MathFunc::FAbs | MathFunc::IAbs => {
-                        eval_un(UnOp::Abs, ty, vals[0]).map_err(AccError::Device)?
-                    }
-                    MathFunc::Sqrt => eval_un(UnOp::Sqrt, ty, vals[0]).map_err(AccError::Device)?,
-                }
-            }
-            HExprKind::Cast { operand } => self.expr(operand)?.convert(ty),
-        })
     }
 }
 
@@ -358,6 +252,35 @@ mod tests {
         let t = c.array("t").unwrap();
         assert_eq!(t.get(0).as_i64(), 1 + 2 + 3);
         assert_eq!(t.get(3).as_i64(), 1 + 4 + 5 + 6);
+    }
+
+    #[test]
+    fn an_index_past_the_array_or_past_64_bits_is_an_error() {
+        let src = r#"
+            int N; long B; int s;
+            int a[N][N];
+            s = 0;
+            #pragma acc parallel loop gang vector reduction(+:s) copyin(a)
+            for (int i = 0; i < N; i++) { s += a[B][i]; }
+        "#;
+        for (b, ok) in [(1, true), (2, false), (-1, false), (1 << 62, false)] {
+            let mut c = CpuExec::new(src).unwrap();
+            c.bind_int("N", 2).unwrap();
+            c.bind_int("B", b).unwrap();
+            c.bind_array("a", HostBuffer::from_i32(&[1, 2, 3, 4]))
+                .unwrap();
+            match c.run() {
+                Ok(()) => assert!(ok && c.scalar("s").unwrap().as_i64() == 7),
+                Err(e) => assert_eq!(
+                    (ok, e.to_string()),
+                    (
+                        false,
+                        "binding error: index out of bounds for array `a` of 4 element(s)".into()
+                    ),
+                    "B = {b}"
+                ),
+            }
+        }
     }
 
     #[test]

@@ -32,14 +32,16 @@
 use std::collections::HashMap;
 
 use accparse::ast::{CType, DataDir, RedOp, UnOpKind};
-use accparse::hir::{AnalyzedProgram, HExpr, HExprKind, HLoop, HStmt, MathFunc, Sym};
+use accparse::hir::{AnalyzedProgram, HExpr, HExprKind, HLoop, HStmt, Sym};
 use gpsim::cert::{
     run_symbolic, sval_eq, CertObservable, CertReport, CertVerdict, SVal, SymMemory, TermPool,
     MAX_STEPS,
 };
 use gpsim::{verify_kernel, BinOp, CmpOp, LaunchConfig, Ty, UnOp, Value, VerifyConfig};
 
-use crate::codegen::expr::{classify, OpClass};
+use crate::codegen::expr::{
+    classify, classify_un, float_literal, int_literal, intrinsic, Intrinsic, OpClass, UnClass,
+};
 use crate::plan::{BufferPurpose, CompiledRegion, ParamSpec, Step};
 use crate::types::{combine_binop, machine_ty};
 
@@ -177,14 +179,8 @@ impl<'a> RefState<'a> {
         self.step()?;
         let ty = machine_ty(e.ty);
         Ok(match &e.kind {
-            HExprKind::Int(v) => SVal::C(match ty {
-                Ty::I64 => Value::I64(*v),
-                _ => Value::I32(*v as i32),
-            }),
-            HExprKind::Float(v) => SVal::C(match ty {
-                Ty::F32 => Value::F32(*v as f32),
-                _ => Value::F64(*v),
-            }),
+            HExprKind::Int(v) => SVal::C(int_literal(*v, ty)),
+            HExprKind::Float(v) => SVal::C(float_literal(*v, ty)),
             HExprKind::Sym(s) => self.read_sym(*s).0,
             HExprKind::Load { array, indices } => {
                 let off = self.element_offset(pool, *array, indices)?;
@@ -192,10 +188,9 @@ impl<'a> RefState<'a> {
             }
             HExprKind::Un { op, operand } => {
                 let v = self.expr(pool, operand)?;
-                match op {
-                    UnOpKind::Neg => pool.v_un(UnOp::Neg, ty, v)?,
-                    UnOpKind::BitNot => pool.v_un(UnOp::Not, ty, v)?,
-                    UnOpKind::Not => {
+                match classify_un(*op) {
+                    UnClass::Op(uop) => pool.v_un(uop, ty, v)?,
+                    UnClass::LogNot => {
                         let oty = machine_ty(operand.ty);
                         let p = pool.v_cmp(CmpOp::Eq, oty, v, SVal::C(Value::zero(oty)))?;
                         pool.v_sel(p, SVal::C(Value::I32(1)), SVal::C(Value::I32(0)))?
@@ -241,11 +236,9 @@ impl<'a> RefState<'a> {
                 for a in args {
                     vs.push(self.expr(pool, a)?);
                 }
-                match func {
-                    MathFunc::FMax | MathFunc::IMax => pool.v_bin(BinOp::Max, ty, vs[0], vs[1])?,
-                    MathFunc::FMin | MathFunc::IMin => pool.v_bin(BinOp::Min, ty, vs[0], vs[1])?,
-                    MathFunc::FAbs | MathFunc::IAbs => pool.v_un(UnOp::Abs, ty, vs[0])?,
-                    MathFunc::Sqrt => pool.v_un(UnOp::Sqrt, ty, vs[0])?,
+                match intrinsic(*func) {
+                    Intrinsic::Bin(bop) => pool.v_bin(bop, ty, vs[0], vs[1])?,
+                    Intrinsic::Un(uop) => pool.v_un(uop, ty, vs[0])?,
                 }
             }
             HExprKind::Cast { operand } => {

@@ -19,20 +19,8 @@ impl<'a> RegionCodegen<'a> {
     pub fn expr(&mut self, e: &HExpr) -> Result<Reg, Diag> {
         let ty = machine_ty(e.ty);
         Ok(match &e.kind {
-            HExprKind::Int(v) => {
-                let val = match ty {
-                    Ty::I64 => Value::I64(*v),
-                    _ => Value::I32(*v as i32),
-                };
-                self.b.mov_imm(val)
-            }
-            HExprKind::Float(v) => {
-                let val = match ty {
-                    Ty::F32 => Value::F32(*v as f32),
-                    _ => Value::F64(*v),
-                };
-                self.b.mov_imm(val)
-            }
+            HExprKind::Int(v) => self.b.mov_imm(int_literal(*v, ty)),
+            HExprKind::Float(v) => self.b.mov_imm(float_literal(*v, ty)),
             HExprKind::Sym(s) => self.sym_reg(*s),
             HExprKind::Load { array, indices } => {
                 let off = self.element_offset(*array, indices)?;
@@ -43,10 +31,9 @@ impl<'a> RegionCodegen<'a> {
             }
             HExprKind::Un { op, operand } => {
                 let v = self.expr(operand)?;
-                match op {
-                    UnOpKind::Neg => self.b.un(UnOp::Neg, ty, v),
-                    UnOpKind::BitNot => self.b.un(UnOp::Not, ty, v),
-                    UnOpKind::Not => {
+                match classify_un(*op) {
+                    UnClass::Op(uop) => self.b.un(uop, ty, v),
+                    UnClass::LogNot => {
                         let oty = machine_ty(operand.ty);
                         let p = self.b.cmp(CmpOp::Eq, oty, v, Value::zero(oty));
                         self.b.select(p, Value::I32(1), Value::I32(0))
@@ -95,11 +82,9 @@ impl<'a> RegionCodegen<'a> {
                     .iter()
                     .map(|a| self.expr(a))
                     .collect::<Result<_, _>>()?;
-                match func {
-                    MathFunc::FMax | MathFunc::IMax => self.b.bin(BinOp::Max, ty, regs[0], regs[1]),
-                    MathFunc::FMin | MathFunc::IMin => self.b.bin(BinOp::Min, ty, regs[0], regs[1]),
-                    MathFunc::FAbs | MathFunc::IAbs => self.b.un(UnOp::Abs, ty, regs[0]),
-                    MathFunc::Sqrt => self.b.un(UnOp::Sqrt, ty, regs[0]),
+                match intrinsic(*func) {
+                    Intrinsic::Bin(bop) => self.b.bin(bop, ty, regs[0], regs[1]),
+                    Intrinsic::Un(uop) => self.b.un(uop, ty, regs[0]),
                 }
             }
             HExprKind::Cast { operand } => {
@@ -177,9 +162,61 @@ impl<'a> RegionCodegen<'a> {
     }
 }
 
-/// Binary-operator classification shared by codegen and the reference
-/// interpreter of [`crate::cert`] — both sides must agree on which ops
-/// are arithmetic, comparisons, or (non-short-circuit) logic.
+// The lowering table, shared by codegen and the reference interpreter of
+// `crate::cert`: both sides must agree on how a literal, an operator and
+// an intrinsic become machine values and ops. The runtime's host side
+// (`accrt::host`) states the same semantics on its own, because kernels
+// are checked against it.
+
+/// The machine value of an integer literal of machine type `ty`.
+pub(crate) fn int_literal(v: i64, ty: Ty) -> Value {
+    match ty {
+        Ty::I64 => Value::I64(v),
+        _ => Value::I32(v as i32),
+    }
+}
+
+/// The machine value of a floating literal of machine type `ty`.
+pub(crate) fn float_literal(v: f64, ty: Ty) -> Value {
+    match ty {
+        Ty::F32 => Value::F32(v as f32),
+        _ => Value::F64(v),
+    }
+}
+
+/// How a unary operator lowers: one machine op at the expression's type,
+/// or C's `!` (compare the operand with zero, select 1 or 0).
+pub(crate) enum UnClass {
+    Op(UnOp),
+    LogNot,
+}
+
+pub(crate) fn classify_un(op: UnOpKind) -> UnClass {
+    match op {
+        UnOpKind::Neg => UnClass::Op(UnOp::Neg),
+        UnOpKind::BitNot => UnClass::Op(UnOp::Not),
+        UnOpKind::Not => UnClass::LogNot,
+    }
+}
+
+/// How a math intrinsic lowers: one binary or unary machine op at the
+/// call's type.
+pub(crate) enum Intrinsic {
+    Bin(BinOp),
+    Un(UnOp),
+}
+
+pub(crate) fn intrinsic(f: MathFunc) -> Intrinsic {
+    match f {
+        MathFunc::FMax | MathFunc::IMax => Intrinsic::Bin(BinOp::Max),
+        MathFunc::FMin | MathFunc::IMin => Intrinsic::Bin(BinOp::Min),
+        MathFunc::FAbs | MathFunc::IAbs => Intrinsic::Un(UnOp::Abs),
+        MathFunc::Sqrt => Intrinsic::Un(UnOp::Sqrt),
+    }
+}
+
+/// Binary-operator classification: which ops are arithmetic,
+/// comparisons, or (non-short-circuit) logic.
 pub(crate) enum OpClass {
     Arith(BinOp),
     Cmp(CmpOp),

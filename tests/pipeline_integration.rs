@@ -224,3 +224,108 @@ fn modelled_time_scales_with_work() {
     }
     assert!(times[1] > times[0] * 1.5, "{times:?}");
 }
+
+/// `int a[N]` summed into `s` at index `{ix}` (`i`, or `i + 1`).
+fn indexed_sum(ix: &str, extra: &str) -> String {
+    format!(
+        "int N; int M; int s;\nint a[N];\ns = 0;\n\
+         #pragma acc parallel loop gang vector reduction(+:s) copyin(a)\n\
+         for (int i = 0; i < N; i++) {{ s += a[{ix}]{extra}; }}\n"
+    )
+}
+
+/// Run `src` on the runtime and on the CPU reference with the same
+/// bindings; each result is `s` or the error's text.
+fn on_both(
+    src: &str,
+    ints: &[(&str, i64)],
+    arrays: &[(&str, HostBuffer)],
+) -> [Result<i64, String>; 2] {
+    let gpu = (|| -> Result<i64, AccError> {
+        let mut r = AccRunner::new(src)?;
+        for &(n, v) in ints {
+            r.bind_int(n, v)?;
+        }
+        for (n, b) in arrays {
+            r.bind_array(n, b.clone())?;
+        }
+        r.run()?;
+        Ok(r.scalar("s")?.as_i64())
+    })();
+    let cpu = (|| -> Result<i64, AccError> {
+        let mut c = CpuExec::new(src)?;
+        for &(n, v) in ints {
+            c.bind_int(n, v)?;
+        }
+        for (n, b) in arrays {
+            c.bind_array(n, b.clone())?;
+        }
+        c.run()?;
+        Ok(c.scalar("s")?.as_i64())
+    })();
+    [gpu, cpu].map(|r| r.map_err(|e| e.to_string()))
+}
+
+/// An index past the end is an error on both surfaces, not a panic.
+#[test]
+fn an_out_of_range_index_is_an_error_on_both_surfaces() {
+    let a = [("a", HostBuffer::from_i32(&[1, 2, 3, 4]))];
+    let [gpu, cpu] = on_both(&indexed_sum("i + 1", ""), &[("N", 4)], &a);
+    let gpu = gpu.unwrap_err();
+    assert!(gpu.contains("global memory access out of bounds"), "{gpu}");
+    assert_eq!(
+        cpu.unwrap_err(),
+        "binding error: index out of bounds for array `a` of 4 element(s)"
+    );
+    // In range, both read the same elements.
+    assert_eq!(
+        on_both(&indexed_sum("i", ""), &[("N", 4)], &a),
+        [Ok(10), Ok(10)]
+    );
+}
+
+/// The CPU reference refuses what the runtime refuses, in the same words:
+/// an array bound at the wrong type or length, and a scalar never bound.
+#[test]
+fn the_cpu_reference_refuses_the_bindings_the_runtime_refuses() {
+    let src = indexed_sum("i", "");
+    let uses_m = indexed_sum("i", " * M");
+    let four = [("a", HostBuffer::from_i32(&[1, 2, 3, 4]))];
+    let refused = |src: &str, ints: &[(&str, i64)], a: HostBuffer, want: &str| {
+        let err = Err(format!("binding error: {want}"));
+        assert_eq!(
+            on_both(src, ints, &[("a", a)]),
+            [err.clone(), err],
+            "{want}"
+        );
+    };
+    refused(
+        &src,
+        &[("N", 4)],
+        HostBuffer::from_f64(&[1.0, 2.0, 3.0, 4.0]),
+        "array `a` is declared int but the binding is double",
+    );
+    refused(
+        &src,
+        &[("N", 4)],
+        HostBuffer::from_i32(&[1, 2, 3]),
+        "array `a` declared with 4 element(s) but bound with 3",
+    );
+    refused(
+        &src,
+        &[],
+        four[0].1.clone(),
+        "dimension of `a` must be positive, got 0",
+    );
+    refused(
+        &uses_m,
+        &[("N", 4)],
+        four[0].1.clone(),
+        "host scalar `M` is used by the region but never bound",
+    );
+    // Bound at the declared type and length, both accept.
+    assert_eq!(
+        on_both(&uses_m, &[("N", 4), ("M", 2)], &four),
+        [Ok(20), Ok(20)]
+    );
+}
