@@ -235,13 +235,14 @@ fn sim_throughput(red_n: usize) {
         );
         println!(
             "  {:<30} shapes: {} steps once per warp, {} per lane ({:.1}% per-lane), \
-             {} syncs, {} demoted writes",
+             {} syncs, {} demoted writes, {} closed-form spans",
             "",
             c.once_per_warp,
             c.per_lane,
             100.0 * c.per_lane_share(),
             c.syncs,
             c.demoted,
+            c.spans,
         );
         if let Some(r) = sanitize_ratio {
             println!("  {:<30} fully sanitized: {r:.2}x its plain run", "");
@@ -259,7 +260,7 @@ fn sim_throughput(red_n: usize) {
              \"host_threads_4\": {{\"interpret_secs\": {int4_secs:.6}, \
              \"compiled_secs\": {cmp4_secs:.6}, \"speedup\": {:.3}}}, \
              \"shapes\": {{\"once_per_warp\": {}, \"per_lane\": {}, \"syncs\": {}, \
-             \"demoted\": {}, \"per_lane_share\": {:.4}}}}}",
+             \"demoted\": {}, \"spans\": {}, \"per_lane_share\": {:.4}}}}}",
             insts as f64 / int_secs / 1e6,
             insts as f64 / cmp_secs / 1e6,
             int4_secs / cmp4_secs,
@@ -267,6 +268,7 @@ fn sim_throughput(red_n: usize) {
             c.per_lane,
             c.syncs,
             c.demoted,
+            c.spans,
             c.per_lane_share(),
         ));
     }

@@ -10,7 +10,10 @@
 //! `transactions` and `conflict_ways` count the same things without
 //! allocating (reusable buffers, one pass on monotonic patterns): the
 //! typed tier charges both, and kverify's bank diagnostic reports
-//! `conflict_ways`.
+//! `conflict_ways`. `span_transactions` and `span_conflict_ways` count
+//! them in O(1) for a full warp whose lane `i` accesses `a0 + i * stride`
+//! (the typed tier's closed-form addresses), and decline with `None`
+//! wherever they could not be exact.
 
 use std::collections::HashSet;
 
@@ -219,9 +222,92 @@ fn conflict_ways_slow(
     (max as u64).max(1)
 }
 
+/// First and last byte of the `len` accesses `(a0 + i * stride, size)`,
+/// for a positive `stride` whose sequence does not pass `u64::MAX`: the
+/// conditions under which those accesses ascend without overlapping
+/// wrap-around, so their footprint is an interval.
+#[inline(always)]
+fn span_bytes(a0: u64, stride: u64, size: usize, len: usize) -> Option<(u64, u64)> {
+    if len == 0 || size == 0 || (stride as i64) <= 0 {
+        return None;
+    }
+    let last = stride
+        .checked_mul(len as u64 - 1)
+        .and_then(|d| a0.checked_add(d))?;
+    Some((a0, last.checked_add(size as u64 - 1)?))
+}
+
+/// Closed-form twin of [`global_transactions`] for the `len` accesses
+/// `(a0 + i * stride, size)`; `None` when no closed form applies.
+///
+/// * `stride < segment + size`: the gap between two neighbouring accesses
+///   is shorter than a segment, so every segment from the first byte's to
+///   the last byte's is touched.
+/// * `stride` a multiple of the segment and the first access inside one
+///   segment: every access has a segment of its own.
+#[inline]
+pub(crate) fn span_transactions(
+    a0: u64,
+    stride: u64,
+    size: usize,
+    len: usize,
+    segment_bytes: u64,
+) -> Option<u64> {
+    if !segment_bytes.is_power_of_two() {
+        return None;
+    }
+    let (first, end) = span_bytes(a0, stride, size, len)?;
+    let (shift, mask) = (segment_bytes.trailing_zeros(), segment_bytes - 1);
+    if stride < segment_bytes + size as u64 {
+        Some((end >> shift) - (first >> shift) + 1)
+    } else if stride & mask == 0 && (a0 & mask) + size as u64 <= segment_bytes {
+        Some(len as u64)
+    } else {
+        None
+    }
+}
+
+/// Closed-form twin of [`bank_conflict_degree`] for the `len` accesses
+/// `(a0 + i * stride, size)`; `None` when no closed form applies.
+///
+/// * `stride < 4 + size`: the words touched are one contiguous run of
+///   `W`, dealt round-robin over the banks: `ceil(W / banks)` ways.
+/// * `stride = 4k` and the first access inside one word: lane `i` touches
+///   word `w0 + i * k` alone, and lanes `i`, `j` share a bank iff
+///   `banks / gcd(k, banks)` divides `i - j`.
+#[inline]
+pub(crate) fn span_conflict_ways(
+    a0: u64,
+    stride: u64,
+    size: usize,
+    len: usize,
+    num_banks: u32,
+) -> Option<u64> {
+    let banks = num_banks as u64;
+    if banks == 0 {
+        return None;
+    }
+    let (first, end) = span_bytes(a0, stride, size, len)?;
+    if stride < 4 + size as u64 {
+        Some((end / 4 - first / 4 + 1).div_ceil(banks))
+    } else if stride.is_multiple_of(4) && a0 % 4 + size as u64 <= 4 {
+        Some((len as u64).div_ceil(banks / gcd(stride / 4, banks)))
+    } else {
+        None
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn lanes_f32(offsets: impl IntoIterator<Item = u64>) -> Vec<(u64, usize)> {
         offsets.into_iter().map(|o| (o, 4)).collect()
@@ -378,5 +464,94 @@ mod tests {
                 "ways mismatch for {p:?}"
             );
         }
+    }
+
+    /// Start addresses: anywhere, small and misaligned, and a few bytes
+    /// short of `u64::MAX` (where the warp's end overflows).
+    fn span_start() -> impl Strategy<Value = u64> {
+        prop_oneof![any::<u64>(), 0u64..4096, (u64::MAX - 4096)..u64::MAX,]
+    }
+
+    /// Strides: dense, small, segment and word multiples and their
+    /// neighbours, zero and negative.
+    fn span_stride() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            prop::sample::select(vec![1i64, 2, 4, 8]),
+            -300i64..300,
+            (1i64..9).prop_map(|k| k * 128),
+            (1i64..9).prop_map(|k| k * 128 + 4),
+            (1i64..33).prop_map(|k| k * 4),
+            any::<i64>(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// The closed-form counters are exact wherever they answer, and
+        /// answer for every dense or word/segment-strided warp access;
+        /// they decline a stride <= 0 and a long stride that is no
+        /// multiple of the unit.
+        #[test]
+        fn span_counters_match_the_references(
+            a0 in span_start(),
+            stride in span_stride(),
+            size in prop::sample::select(vec![1usize, 2, 4, 8]),
+            len in 1usize..33,
+        ) {
+            let s = stride as u64;
+            let list: Vec<(u64, usize)> = (0..len as u64)
+                .map(|i| (a0.wrapping_add(i.wrapping_mul(s)), size))
+                .collect();
+            let fits = (s as u128) * (len as u128 - 1) + size as u128 + a0 as u128
+                <= u64::MAX as u128 + 1;
+            for seg in [32u64, 64, 128] {
+                let got = span_transactions(a0, s, size, len, seg);
+                if let Some(tx) = got {
+                    prop_assert_eq!(tx, global_transactions(&list, seg), "seg {}", seg);
+                }
+                let spills = a0 % seg + size as u64 > seg;
+                let no_form = stride >= (seg + size as u64) as i64 && (!s.is_multiple_of(seg) || spills);
+                if stride <= 0 || no_form {
+                    prop_assert_eq!(got, None, "seg {}", seg);
+                } else if fits {
+                    prop_assert!(got.is_some(), "seg {} declined", seg);
+                }
+            }
+            for banks in [16u32, 32] {
+                let got = span_conflict_ways(a0, s, size, len, banks);
+                if let Some(ways) = got {
+                    prop_assert_eq!(ways, bank_conflict_degree(&list, banks), "banks {}", banks);
+                }
+                let spills = a0 % 4 + size as u64 > 4;
+                let no_form = stride >= 4 + size as i64 && (!s.is_multiple_of(4) || spills);
+                if stride <= 0 || no_form {
+                    prop_assert_eq!(got, None, "banks {}", banks);
+                } else if fits {
+                    prop_assert!(got.is_some(), "banks {} declined", banks);
+                }
+            }
+        }
+    }
+
+    /// The closed forms on the warps the typed tier sees most: dense `f32`
+    /// and `f64` rows, a misaligned one, matmul's column strides, and the
+    /// shared-memory strides of the tree reductions.
+    #[test]
+    fn span_counters_on_kernel_patterns() {
+        assert_eq!(span_transactions(4096, 4, 4, 32, 128), Some(1));
+        assert_eq!(span_transactions(4096, 8, 8, 32, 128), Some(2));
+        assert_eq!(span_transactions(4096 + 64, 4, 4, 32, 128), Some(2));
+        for k in [3, 4, 6] {
+            assert_eq!(span_transactions(4096, k * 128, 8, 32, 128), Some(32));
+        }
+        assert_eq!(span_conflict_ways(0, 4, 4, 32, 32), Some(1));
+        assert_eq!(span_conflict_ways(0, 8, 8, 32, 32), Some(2));
+        assert_eq!(span_conflict_ways(0, 8, 4, 32, 32), Some(2));
+        assert_eq!(span_conflict_ways(0, 128, 4, 32, 32), Some(32));
+        assert_eq!(span_conflict_ways(0, 12, 4, 32, 32), Some(1));
+        // A wrapping warp and a backwards one have no closed form.
+        assert_eq!(span_transactions(u64::MAX - 64, 4, 4, 32, 128), None);
+        assert_eq!(span_transactions(4096, (-4i64) as u64, 4, 32, 128), None);
     }
 }

@@ -93,6 +93,7 @@
 //! | integer `setp` with an `Affine` side | the verdict at the two end lanes as true integers; declines if a sequence wraps in its domain; ordered comparisons are monotone, `eq`/`ne` also need the difference not to cross zero; `Uniform` when the ends agree |
 //! | `select` on a `Uniform` condition | the chosen arm's shape |
 //! | load/store whose address rows are `Uniform` (and, for a store, its value) | one bounds-checked access; a load yields `Uniform` |
+//! | load/store/atomic of the full warp whose base and index are closed forms exact in 64 bits (a 32-bit `Affine` only if `base + (len-1)*stride <= u32::MAX`) | lane `i` accesses `a0 + i*S`, `S = bs + is*scale` wrapping: charged by the O(1) counters of [`crate::coalesce`] where they have a formula, moved by one span read/write when dense (`S` = size) and lane by lane otherwise; a span the memory refuses (bounds, alignment, the overlay's atomics) replays per lane. The address rows are not synced, and the lanes' accesses are listed only for an observer or a count without a formula |
 //! | `bra` on a `Uniform` predicate | moves the whole group without scanning the lanes |
 //! | value-returning atomic, load from per-lane addresses | `Rows` |
 //!
@@ -110,9 +111,17 @@
 //! traces, hazards and profiles are computed from the mask length and the
 //! addresses exactly as in the interpreter; a shape only decides how the
 //! *values* are produced. M identical accesses occupy exactly the
-//! segments/banks of one, and the sanitizer is still fed per lane. What
-//! the shapes did is reported separately ([`ShapeCensus`], beside
-//! [`crate::Device::tier_declines`]).
+//! segments/banks of one, and the sanitizer is still fed per lane. A
+//! closed-form access is counted in O(1) only where the count is a theorem
+//! about the lanes' list — positive `S`, no address past `u64::MAX`, a
+//! gap between neighbours shorter than a segment (word), or a stride of
+//! whole segments (words) with no access spilling — held against the
+//! reference counters by a property test; anything else lists the lanes
+//! and counts them with the same twins as before. Lane `i` is the `i`-th
+//! lane of the full warp, so a span replayed lane by lane faults at the
+//! interpreter's lane with the interpreter's partial writes, and an
+//! observer reads the same list. What the shapes did is reported
+//! separately ([`ShapeCensus`], beside [`crate::Device::tier_declines`]).
 //!
 //! Debug builds keep a shadow: every closed form is also expanded into its
 //! row when it is recorded or the block starts (still marked stale, so
@@ -198,7 +207,7 @@
 //! `Value::I32(0)`; a `Uniform(0)` slot reproduces that under any static
 //! type because zero is a fixed point of every conversion in the table.
 
-use crate::coalesce::{conflict_ways, transactions};
+use crate::coalesce::{conflict_ways, span_conflict_ways, span_transactions, transactions};
 use crate::cost::{CostModel, DeviceConfig, ExecTier};
 use crate::error::SimError;
 use crate::exec::{mref_addr, BlockExec, MemView};
@@ -908,30 +917,52 @@ impl CompiledKernel {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Charge the warp's load/store whose accesses are in
-/// `exec.scratch_addr`: one entry per active lane, or a single entry when
-/// every lane makes the same access — M identical accesses occupy exactly
-/// the segments/banks of one. Counted by the allocation-free twins, charged
-/// by the interpreter's [`BlockExec::charge`]; `d` is only filled for an
-/// observer.
+/// Charge the warp's load/store through `acc`, whose accesses are `size`
+/// bytes each. A closed form is counted by the O(1) twins; one that has
+/// none, and every listed access, by the allocation-free twins over
+/// `exec.scratch_addr` — one entry per active lane, or a single entry when
+/// every lane makes the same access (M identical accesses occupy exactly
+/// the segments/banks of one). Charged by the interpreter's
+/// [`BlockExec::charge`]; `d` is only filled for an observer.
 #[inline(always)]
 fn charge_mem<const OBSERVED: bool>(
     space: Space,
     exec: &mut BlockExec,
     st: &mut TypedState,
+    acc: Addrs,
+    size: usize,
     d: &mut PcCounters,
 ) {
+    let span = match acc {
+        Addrs::Span { a0, stride } => Some((a0, stride)),
+        _ => None,
+    };
     // The class is a constant per call, so the inlined `charge` folds its
     // match. One charge after a match on the space measured 14% slower
     // on the Table-2 simulation workload.
     match space {
         Space::Global => {
-            let tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
+            let seg = exec.dev.segment_bytes;
+            let tx = match span.and_then(|(a0, s)| span_transactions(a0, s, size, st.len, seg)) {
+                Some(tx) => tx,
+                None => {
+                    acc.list(&mut exec.scratch_addr, size, st.len);
+                    transactions(&exec.scratch_addr, seg, &mut st.seg_buf)
+                }
+            };
             exec.charge::<OBSERVED>(CostClass::Memory(Space::Global), tx, d);
         }
         Space::Shared => {
-            let (buf, counts) = (&mut st.seg_buf, &mut st.bank_counts);
-            let ways = conflict_ways(&exec.scratch_addr, exec.dev.shared_banks, buf, counts);
+            let banks = exec.dev.shared_banks;
+            let ways = match span.and_then(|(a0, s)| span_conflict_ways(a0, s, size, st.len, banks))
+            {
+                Some(ways) => ways,
+                None => {
+                    acc.list(&mut exec.scratch_addr, size, st.len);
+                    let (buf, counts) = (&mut st.seg_buf, &mut st.bank_counts);
+                    conflict_ways(&exec.scratch_addr, banks, buf, counts)
+                }
+            };
             exec.charge::<OBSERVED>(CostClass::Memory(Space::Shared), ways, d);
         }
     }
@@ -1237,6 +1268,21 @@ impl Shape {
         }
     }
 
+    /// `(base, stride)` of a closed form over `len` lanes whose `i`-th lane
+    /// is `base + i * stride` in wrapping 64-bit arithmetic, as addresses
+    /// compute: every 64-bit closed form, and a 32-bit `Affine` whose lanes
+    /// do not wrap in 32 bits. `None` for `Rows` and a wrapping 32-bit one.
+    fn exact(self, len: usize) -> Option<(u64, u64)> {
+        match self {
+            Shape::Affine {
+                base,
+                stride,
+                wide: false,
+            } => (base + (len as u64 - 1) * stride <= u32::MAX as u64).then_some((base, stride)),
+            s => s.linear(),
+        }
+    }
+
     /// Bits of the warp's `i`-th lane under a closed form.
     #[inline(always)]
     fn lane(self, i: usize) -> u64 {
@@ -1355,6 +1401,11 @@ pub struct ShapeCensus {
     /// Once-per-warp results written lane by lane because the mask was
     /// not all of the warp's lanes.
     pub demoted: u64,
+    /// Memory steps of a full warp whose per-lane addresses were decided
+    /// from the closed forms of their address rows: the rows were not
+    /// synced, and the lanes' accesses are listed only for an observer or
+    /// a count with no closed form.
+    pub spans: u64,
 }
 
 impl ShapeCensus {
@@ -1374,6 +1425,7 @@ impl std::ops::AddAssign for ShapeCensus {
         self.per_lane += o.per_lane;
         self.syncs += o.syncs;
         self.demoted += o.demoted;
+        self.spans += o.spans;
     }
 }
 
@@ -1712,21 +1764,37 @@ impl TypedState<'_> {
         false
     }
 
-    /// Gather the group's accesses through `mem` into `out`: a single
-    /// entry, returned, when the base and index rows are both `Uniform`
-    /// (every lane computes that one address); otherwise one entry per
-    /// active lane, read from the materialised address rows.
+    /// Decide where the group's lanes access memory through `mem`, from
+    /// the shapes of its address rows: one address when the base and the
+    /// index are both `Uniform`; a closed form when the group is the whole
+    /// warp and both are closed forms exact in 64 bits (nothing is synced
+    /// and no address is listed); otherwise one access per active lane in
+    /// `out`, read from the materialised address rows.
     #[inline(always)]
-    fn addrs(&mut self, mem: &TMem, out: &mut Vec<(u64, usize)>) -> Option<u64> {
-        out.clear();
+    fn addrs(&mut self, mem: &TMem, out: &mut Vec<(u64, usize)>) -> Addrs {
         let index = mem
             .index
             .map_or(Shape::Uniform(0), |(r, c)| self.seen(r, c));
-        if let (Shape::Uniform(base), Shape::Uniform(idx)) = (self.seen(mem.base, mem.bc), index) {
+        let base = self.seen(mem.base, mem.bc);
+        if let (Shape::Uniform(base), Shape::Uniform(idx)) = (base, index) {
             let addr = mref_addr(base, idx as i64, mem.scale, mem.disp);
+            out.clear();
             out.push((addr, mem.size));
-            return Some(addr);
+            return Addrs::Uniform(addr);
         }
+        if self.full {
+            if let (Some((bb, bs)), Some((ib, is))) = (base.exact(self.len), index.exact(self.len))
+            {
+                // `mref_addr` is linear in wrapping arithmetic: lane `i`
+                // accesses `a0 + i * (bs + is * scale)`.
+                self.census.spans += 1;
+                return Addrs::Span {
+                    a0: mref_addr(bb, ib as i64, mem.scale, mem.disp),
+                    stride: bs.wrapping_add(is.wrapping_mul(mem.scale as u64)),
+                };
+            }
+        }
+        out.clear();
         self.sync(mem.base);
         if let Some((r, _)) = mem.index {
             self.sync(r);
@@ -1738,16 +1806,73 @@ impl TypedState<'_> {
                 .map_or(0, |(r, c)| c.apply(self.bits[r * self.n + l]) as i64);
             out.push((mref_addr(base, idx, mem.scale, mem.disp), mem.size));
         }
-        None
+        Addrs::Lanes
     }
 }
 
-/// Spell a warp's single shared access out as one entry per active lane,
-/// for the instructions that must walk the lanes regardless.
-fn per_lane(accesses: &mut Vec<(u64, usize)>, lanes: usize) {
-    if let [one] = accesses[..] {
-        accesses.resize(lanes, one);
+/// Where a memory step's lanes access memory, as [`TypedState::addrs`]
+/// decided it. The list it refers to is `BlockExec::scratch_addr`.
+#[derive(Debug, Clone, Copy)]
+enum Addrs {
+    /// Every lane accesses this one address, the list's only entry.
+    Uniform(u64),
+    /// Lane `i` of the whole warp accesses `a0 + i * stride` (wrapping);
+    /// the list is stale until [`Addrs::list`] writes them out.
+    Span { a0: u64, stride: u64 },
+    /// The list holds one access per active lane.
+    Lanes,
+}
+
+impl Addrs {
+    /// Make the list hold every lane's access: a span's lanes are written
+    /// out only for a reader of the list — an observer, or a count with no
+    /// closed form.
+    fn list(self, out: &mut Vec<(u64, usize)>, size: usize, lanes: usize) {
+        if let Addrs::Span { a0, stride } = self {
+            out.clear();
+            out.extend((0..lanes as u64).map(|i| (a0.wrapping_add(i.wrapping_mul(stride)), size)));
+        }
     }
+
+    /// The `i`-th active lane's address.
+    #[inline(always)]
+    fn lane(self, list: &[(u64, usize)], i: usize) -> u64 {
+        match self {
+            Addrs::Uniform(a) => a,
+            Addrs::Span { a0, stride } => a0.wrapping_add((i as u64).wrapping_mul(stride)),
+            Addrs::Lanes => list[i].0,
+        }
+    }
+
+    /// The first address of a span read or write that can serve the
+    /// group: a dense closed form, or a contiguous group whose listed
+    /// accesses form one dense ascending run.
+    #[inline(always)]
+    fn dense(self, list: &[(u64, usize)], size: usize, contig: bool) -> Option<u64> {
+        match self {
+            Addrs::Uniform(_) => None,
+            Addrs::Span { a0, stride } => (stride == size as u64).then_some(a0),
+            Addrs::Lanes => (contig && coalesced(list, size)).then(|| list[0].0),
+        }
+    }
+}
+
+/// [`BlockExec::observe_mem`] for a typed step whose lanes access memory
+/// through `acc`, `size` bytes each. An observer reads the lanes'
+/// accesses, so a span writes them out first.
+#[inline(always)]
+fn observe(
+    exec: &mut BlockExec,
+    st: &TypedState,
+    acc: Addrs,
+    size: usize,
+    pc: usize,
+    recorded: bool,
+) {
+    if recorded || exec.san.is_some() {
+        acc.list(&mut exec.scratch_addr, size, st.len);
+    }
+    exec.observe_mem(&st.mask, st.w as u32, pc, recorded);
 }
 
 /// True when the warp's per-lane accesses form one dense ascending span
@@ -1889,6 +2014,12 @@ fn run_group_typed<const OBSERVED: bool>(
 /// when neither a tracer nor a profiler is attached: the step's
 /// instruction counts and static cycles were charged with its run, and
 /// the delta `d` is never filled.
+///
+/// Forced inline into `run_group_typed`: left to the compiler, the memory
+/// arms' closed-form paths made it an out-of-line call per step, and both
+/// simulator workloads measured slower (EXPERIMENTS.md, "Closed-form
+/// memory spans").
+#[inline(always)]
 fn exec_top<const OBSERVED: bool>(
     exec: &mut BlockExec,
     st: &mut TypedState,
@@ -1998,33 +2129,36 @@ fn exec_top<const OBSERVED: bool>(
             dst,
             mem,
         } => {
-            let uniform = st.addrs(mem, &mut exec.scratch_addr);
-            charge_mem::<OBSERVED>(*space, exec, st, &mut d);
+            let acc = st.addrs(mem, &mut exec.scratch_addr);
+            charge_mem::<OBSERVED>(*space, exec, st, acc, mem.size, &mut d);
             // The interpreter observes a shared load before the access
             // (which may fault) and a global one after it.
             if *space == Space::Shared {
-                exec.observe_mem(&st.mask, warp_id, pc, recorded);
+                observe(exec, st, acc, mem.size, pc, recorded);
             }
-            if let Some(a) = uniform {
+            if let Addrs::Uniform(a) = acc {
                 let v = exec.read_bits(*space, *ty, a)?;
                 st.set(*dst, Shape::Uniform(v));
             } else {
                 st.rows_dst(*dst);
                 let dr = dst * n;
-                let done = st.contig && coalesced(&exec.scratch_addr, mem.size) && {
-                    let a0 = exec.scratch_addr[0].0;
-                    exec.read_span_bits(*space, *ty, a0, &mut st.bits[dr + l0..dr + l0 + mlen])
-                };
+                let done = acc
+                    .dense(&exec.scratch_addr, mem.size, st.contig)
+                    .is_some_and(|a0| {
+                        let row = &mut st.bits[dr + l0..dr + l0 + mlen];
+                        exec.read_span_bits(*space, *ty, a0, row)
+                    });
                 if !done {
                     for (i, &l) in st.mask.iter().enumerate() {
-                        st.bits[dr + l] = exec.read_bits(*space, *ty, exec.scratch_addr[i].0)?;
+                        let a = acc.lane(&exec.scratch_addr, i);
+                        st.bits[dr + l] = exec.read_bits(*space, *ty, a)?;
                     }
                 }
             }
             if *space == Space::Global {
-                exec.observe_mem(&st.mask, warp_id, pc, recorded);
+                observe(exec, st, acc, mem.size, pc, recorded);
             }
-            uniform.is_some()
+            matches!(acc, Addrs::Uniform(_))
         }
         TOp::St {
             space,
@@ -2033,38 +2167,40 @@ fn exec_top<const OBSERVED: bool>(
             sc,
             mem,
         } => {
+            let acc = st.addrs(mem, &mut exec.scratch_addr);
             // One store serves the warp only if the value is uniform too
             // (otherwise the lanes write in order and the last one wins).
-            let once = match (st.addrs(mem, &mut exec.scratch_addr), st.seen(*src, *sc)) {
-                (Some(a), Shape::Uniform(v)) => Some((a, v)),
+            let once = match (acc, st.seen(*src, *sc)) {
+                (Addrs::Uniform(a), Shape::Uniform(v)) => Some((a, v)),
                 _ => None,
             };
-            charge_mem::<OBSERVED>(*space, exec, st, &mut d);
+            charge_mem::<OBSERVED>(*space, exec, st, acc, mem.size, &mut d);
             if let Some((a, v)) = once {
                 exec.write_bits(*space, *ty, a, v)?;
             } else {
-                per_lane(&mut exec.scratch_addr, mlen);
                 st.sync(*src);
                 let sr = src * n;
-                let done = st.contig && coalesced(&exec.scratch_addr, mem.size) && {
-                    let a0 = exec.scratch_addr[0].0;
-                    let row = &st.bits[sr + l0..sr + l0 + mlen];
-                    if *sc == Conv::Id {
-                        exec.write_span_bits(*space, *ty, a0, row)
-                    } else {
-                        st.tmp.clear();
-                        st.tmp.extend(row.iter().map(|&b| sc.apply(b)));
-                        exec.write_span_bits(*space, *ty, a0, &st.tmp)
-                    }
-                };
+                let done = acc
+                    .dense(&exec.scratch_addr, mem.size, st.contig)
+                    .is_some_and(|a0| {
+                        let row = &st.bits[sr + l0..sr + l0 + mlen];
+                        if *sc == Conv::Id {
+                            exec.write_span_bits(*space, *ty, a0, row)
+                        } else {
+                            st.tmp.clear();
+                            st.tmp.extend(row.iter().map(|&b| sc.apply(b)));
+                            exec.write_span_bits(*space, *ty, a0, &st.tmp)
+                        }
+                    });
                 if !done {
                     for (i, &l) in st.mask.iter().enumerate() {
-                        let bits = sc.apply(st.bits[sr + l]);
-                        exec.write_bits(*space, *ty, exec.scratch_addr[i].0, bits)?;
+                        let (a, bits) =
+                            (acc.lane(&exec.scratch_addr, i), sc.apply(st.bits[sr + l]));
+                        exec.write_bits(*space, *ty, a, bits)?;
                     }
                 }
             }
-            exec.observe_mem(&st.mask, warp_id, pc, recorded);
+            observe(exec, st, acc, mem.size, pc, recorded);
             once.is_some()
         }
         TOp::AtomGlobal {
@@ -2079,10 +2215,9 @@ fn exec_top<const OBSERVED: bool>(
             // always run per lane, whatever their operands' shapes.
             let sr = src * n;
             exec.charge::<OBSERVED>(CostClass::Atomic, mlen as u64, &mut d);
-            st.addrs(mem, &mut exec.scratch_addr);
-            per_lane(&mut exec.scratch_addr, mlen);
+            let acc = st.addrs(mem, &mut exec.scratch_addr);
             st.sync(*src);
-            exec.observe_mem(&st.mask, warp_id, pc, recorded);
+            observe(exec, st, acc, mem.size, pc, recorded);
             if dst.is_some() && matches!(exec.view, MemView::Overlay(_)) {
                 return Err(AccessAbort::NeedsSequential("atomic with a result operand"));
             }
@@ -2090,7 +2225,7 @@ fn exec_top<const OBSERVED: bool>(
                 st.rows_dst(*dr);
             }
             for (i, &l) in st.mask.iter().enumerate() {
-                let addr = exec.scratch_addr[i].0;
+                let addr = acc.lane(&exec.scratch_addr, i);
                 let v = bits_value(*ty, sc.apply(st.bits[sr + l]));
                 if let Some(old) = exec.view.atom(*op, *ty, addr, v)? {
                     if let Some(dr) = dst {
@@ -2296,6 +2431,25 @@ mod tests {
                 .is_some(),
             "single-typed kernel should get a typed plan"
         );
+    }
+
+    /// A closed form addresses lane `i` at `base + i * stride` in 64-bit
+    /// wrapping arithmetic; a 32-bit `Affine` only does while its lanes do
+    /// not wrap in 32 bits (a negative 32-bit stride always wraps).
+    #[test]
+    fn narrow_affines_are_exact_only_without_a_wrap() {
+        let top = u32::MAX as u64 - 31;
+        assert_eq!(Shape::affine(top, 1, false).exact(32), Some((top, 1)));
+        assert_eq!(Shape::affine(top, 1, false).exact(33), None);
+        let down = Shape::affine(40, -1i64 as u64, false);
+        assert_eq!(down.exact(1), Some((40, u32::MAX as u64)));
+        assert_eq!(down.exact(2), None);
+        assert_eq!(
+            Shape::affine(u64::MAX, 1, true).exact(32),
+            Some((u64::MAX, 1))
+        );
+        assert_eq!(Shape::Uniform(7).exact(32), Some((7, 0)));
+        assert_eq!(Shape::Rows.exact(32), None);
     }
 
     #[test]

@@ -369,9 +369,13 @@ fn data_init() -> Vec<Value> {
         .collect()
 }
 
-/// Run `kernel` once; returns the observables and the device's count of
-/// launches the typed tier declined.
-fn run_once(kernel: &Kernel, cfg: LaunchConfig, tier: ExecTier, mode: Mode) -> (Outcome, u64) {
+/// Number of i32 elements in the read-only `cols` buffer (parameter 2):
+/// room for a warp's column read at a stride of six 128-byte segments.
+const COLS_ELEMS: u64 = 32 * 192 + 256;
+
+/// Run `kernel` once; returns the observables and the device, whose
+/// counters say what the typed tier did.
+fn run_once(kernel: &Kernel, cfg: LaunchConfig, tier: ExecTier, mode: Mode) -> (Outcome, Device) {
     run_launches(&[(kernel, cfg)], tier, mode)
 }
 
@@ -381,7 +385,7 @@ fn run_launches(
     launches: &[(&Kernel, LaunchConfig)],
     tier: ExecTier,
     mode: Mode,
-) -> (Outcome, u64) {
+) -> (Outcome, Device) {
     let Mode {
         host_threads,
         sanitize,
@@ -400,10 +404,18 @@ fn run_launches(
     if profile {
         dev.set_profiler(Some(ProfileConfig::default()));
     }
+    // `out` is the last allocation: past its end is past device memory.
+    let cols = dev.alloc_elems(Ty::I32, COLS_ELEMS).unwrap();
     let data = dev.alloc_elems(Ty::I32, DATA_ELEMS).unwrap();
     let out = dev.alloc_elems(Ty::I32, 4 * 96).unwrap();
+    let col_bytes: Vec<u8> = (0..COLS_ELEMS * 4).map(|b| (b * 37 % 251) as u8).collect();
+    dev.memcpy_h2d(cols, &col_bytes).unwrap();
     dev.upload_values(data, &data_init()).unwrap();
-    let params = [Value::U64(data.addr), Value::U64(out.addr)];
+    let params = [
+        Value::U64(data.addr),
+        Value::U64(out.addr),
+        Value::U64(cols.addr),
+    ];
     let (mut res_str, mut trace_str) = (String::new(), String::new());
     for &(kernel, cfg) in launches {
         assert_eq!(cfg.threads_per_block() * cfg.num_blocks(), 4 * 96);
@@ -434,7 +446,7 @@ fn run_launches(
         profile: profile.then(|| format!("{:?}", dev.take_profile())),
         trace: trace_str,
     };
-    (outcome, dev.tier_declines())
+    (outcome, dev)
 }
 
 /// Assert interpreter ≡ `auto` for one kernel across the harness matrix,
@@ -462,7 +474,7 @@ fn assert_launches_agree(launches: &[(&Kernel, LaunchConfig)], seed: u64, declin
                         trace,
                     };
                     let (a, _) = run_launches(launches, ExecTier::Interpret, mode);
-                    let (b, declined) = run_launches(launches, ExecTier::Auto, mode);
+                    let (b, dev) = run_launches(launches, ExecTier::Auto, mode);
                     assert_eq!(
                         a,
                         b,
@@ -472,7 +484,11 @@ fn assert_launches_agree(launches: &[(&Kernel, LaunchConfig)], seed: u64, declin
                             .map(|(k, cfg)| format!("{cfg:?}\n{}", k.disasm()))
                             .collect::<String>()
                     );
-                    assert_eq!(declined, declines, "typed-tier declines: seed={seed}");
+                    assert_eq!(
+                        dev.tier_declines(),
+                        declines,
+                        "typed-tier declines: seed={seed}"
+                    );
                 }
             }
         }
@@ -1207,6 +1223,316 @@ fn shapes_carried_across_barriers_agree_across_tiers() {
     b.bra(meet);
     let k = b.finish();
     assert_shape_family_agrees(&k, D1, 0);
+}
+
+// --- Closed-form memory spans ----------------------------------------------------
+//
+// A full warp whose address rows are closed forms is charged and moved
+// from `a0 + i * stride` without listing its lanes. These rows hold each
+// way that could go wrong against the interpreter, and check that the
+// typed tier really took the span (`ShapeCensus::spans`) — or, for the
+// wrapping index, that it did not where it must not.
+
+/// Memory steps of `kernel` the typed tier served from a closed form.
+fn spans(kernel: &Kernel, cfg: LaunchConfig) -> u64 {
+    let mode = Mode {
+        trace: false,
+        ..PLAIN
+    };
+    run_once(kernel, cfg, ExecTier::Auto, mode)
+        .1
+        .shape_census()
+        .spans
+}
+
+/// `base + scale * (index + disp)`: an element at a displaced index.
+fn at(base: impl Into<gpsim::Operand>, index: gpsim::Reg, disp: i64, scale: u64) -> MemRef {
+    MemRef {
+        disp: disp * scale as i64,
+        ..MemRef::indexed(base, index, scale)
+    }
+}
+
+/// A dense span that runs past the end of device memory partway through
+/// a warp (`out` is the last allocation): the memory refuses the span and
+/// the lanes replay, so the fault is the first lane past the end and the
+/// lanes before it have stored — the interpreter's error, lane and
+/// partial writes. `I32` stores and loads, and `F64` stores whose fault
+/// falls mid-warp too.
+#[test]
+fn dense_spans_running_off_memory_agree_across_tiers() {
+    for variant in 0..3 {
+        let mut b = KernelBuilder::new(format!("off_the_end_{variant}"));
+        let _data = b.param(0);
+        let out = b.param(1);
+        let lin = linear_index(&mut b);
+        let l64 = b.cvt(Ty::I64, lin);
+        match variant {
+            0 => b.st_global(Ty::I32, at(out, l64, 16, 4), lin),
+            1 => {
+                let v = b.ld_global(Ty::I32, at(out, l64, 16, 4));
+                b.st_global(Ty::I32, MemRef::indexed(out, l64, 4), v);
+            }
+            _ => {
+                let f = b.cvt(Ty::F64, lin);
+                b.st_global(Ty::F64, at(out, l64, 8, 8), f);
+            }
+        }
+        let k = b.finish();
+        assert_tiers_agree(&k, variant, 0);
+        let (o, _) = run_once(&k, D1, ExecTier::Auto, PLAIN);
+        assert!(o.result.contains("GlobalOutOfBounds"), "{}", o.result);
+        if variant == 0 {
+            // The faulting warp's first 16 lanes stored `lin` = 352..368.
+            let stored = |i: usize| i32::from_le_bytes(o.out[i * 4..i * 4 + 4].try_into().unwrap());
+            assert_eq!((stored(368), stored(383)), (352, 367));
+        }
+        assert!(spans(&k, D1) > 0, "{}: no span taken", k.name);
+    }
+}
+
+/// Spans through the parallel executor's block overlay: dense `I32` and
+/// `F64` spans that straddle a 256-byte overlay page, a misaligned dense
+/// span (the overlay refuses it and the lanes replay), and a dense read
+/// after an atomic of the same block (the overlay refuses it, and the
+/// replay hands the launch to the sequential executor). The harness runs
+/// every row on 1 and 4 host threads.
+#[test]
+fn spans_through_the_block_overlay_agree_across_tiers() {
+    for atomic in [false, true] {
+        let mut b = KernelBuilder::new(format!("overlay_spans_{atomic}"));
+        let data = b.param(0);
+        let out = b.param(1);
+        let lin = linear_index(&mut b);
+        let tid = b.special(SpecialReg::TidX);
+        let t64 = b.cvt(Ty::I64, tid);
+        let l64 = b.cvt(Ty::I64, lin);
+        if atomic {
+            let zero = b.mov_imm(Value::I64(0));
+            b.atom_global(
+                AtomOp::Add,
+                Ty::I32,
+                MemRef::indexed(data, zero, 4),
+                tid,
+                false,
+            );
+        }
+        // Warp 1 reads bytes 192..320 of `data`: across the page edge.
+        let x = b.ld_global(Ty::I32, at(data, t64, 16, 4));
+        let f = b.ld_global(Ty::F64, at(data, t64, 8, 8));
+        let m = b.ld_global(
+            Ty::I32,
+            MemRef {
+                disp: 2,
+                ..MemRef::indexed(data, t64, 4)
+            },
+        );
+        let f = b.cvt(Ty::I32, f);
+        let r = b.bin(BinOp::Xor, Ty::I32, x, f);
+        let r = b.bin(BinOp::Add, Ty::I32, r, m);
+        // Shifted back 16 elements: every warp's store straddles a page.
+        b.st_global(Ty::I32, at(out, l64, -16, 4), r);
+        let k = b.finish();
+        assert_shape_family_agrees(&k, D1, atomic as u64);
+        assert!(spans(&k, D1) > 0, "{}: no span taken", k.name);
+    }
+}
+
+/// An `I32` index that wraps inside a warp is no closed form of its lanes'
+/// addresses. The base is placed so that the lanes before the wrap store
+/// into `data`: warp 0 never wraps and takes the span; warp 1 wraps at its
+/// tenth lane, whose address is wild — the launch must fault there, after
+/// nine stores, where a span would have stored on.
+#[test]
+fn an_i32_index_that_wraps_inside_a_warp_takes_no_span() {
+    let mut b = KernelBuilder::new("wrapping_index");
+    let data = b.param(0);
+    let _out = b.param(1);
+    let tid = b.special(SpecialReg::TidX);
+    let from = i32::MAX - 40;
+    let base = b.bin(BinOp::Sub, Ty::U64, data, Value::U64(4 * from as u64));
+    let i = b.bin(BinOp::Add, Ty::I32, tid, Value::I32(from));
+    let i64 = b.cvt(Ty::I64, i);
+    b.st_global(Ty::I32, MemRef::indexed(base, i64, 4), tid);
+    let k = b.finish();
+    assert_tiers_agree(&k, 0, 0);
+    let (o, _) = run_once(&k, D1, ExecTier::Auto, PLAIN);
+    assert!(o.result.contains("GlobalOutOfBounds"), "{}", o.result);
+    let stored = |i: usize| i32::from_le_bytes(o.data[i * 4..i * 4 + 4].try_into().unwrap());
+    assert_eq!((stored(31), stored(40)), (31, 40));
+    assert_eq!(stored(41), data_init()[41].as_i64() as i32);
+    assert_eq!(spans(&k, D1), 1, "only warp 0 of block 0 is a closed form");
+}
+
+/// Addresses the whole warp computed — closed forms — used by a smaller
+/// group: a prefix of each warp (lanes below 20) and a scattered set (all
+/// but every third lane), loading, storing, dense and strided, global and
+/// shared. A span describes all of a warp's lanes, so these steps list the
+/// group's lanes; only the final full-warp store of each warp is a span.
+#[test]
+fn closed_form_addresses_under_a_partial_mask_take_no_span() {
+    let mut b = KernelBuilder::new("partial_groups");
+    let data = b.param(0);
+    let out = b.param(1);
+    let lin = linear_index(&mut b);
+    let tid = b.special(SpecialReg::TidX);
+    let t64 = b.cvt(Ty::I64, tid);
+    let l64 = b.cvt(Ty::I64, lin);
+    let col = b.bin(BinOp::Mul, Ty::I64, t64, Value::I64(2));
+    b.alloc_shared(96 * 8, 8);
+    let acc = b.mov_imm(Value::I32(1));
+    let lane = b.bin(BinOp::And, Ty::I32, tid, Value::I32(31));
+    let low = b.cmp(CmpOp::Lt, Ty::I32, lane, Value::I32(20));
+    let prefix_done = b.new_label();
+    b.bra_unless(low, prefix_done);
+    let v = b.ld_global(Ty::I32, MemRef::indexed(data, t64, 4));
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, v);
+    let v = b.ld_global(Ty::I32, MemRef::indexed(data, col, 4));
+    b.bin_to(acc, BinOp::Xor, Ty::I32, acc, v);
+    b.st_shared(Ty::I32, MemRef::indexed(Value::U64(0), t64, 4), acc);
+    b.st_global(Ty::I32, MemRef::indexed(out, l64, 4), acc);
+    b.place(prefix_done);
+    let third = b.bin(BinOp::Rem, Ty::I32, lin, Value::I32(3));
+    let third = b.cmp(CmpOp::Eq, Ty::I32, third, Value::I32(1));
+    let scattered_done = b.new_label();
+    b.bra_if(third, scattered_done);
+    let v = b.ld_shared(Ty::I32, MemRef::indexed(Value::U64(0), col, 4));
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, v);
+    let v = b.ld_global(Ty::I32, MemRef::indexed(data, col, 4));
+    b.bin_to(acc, BinOp::Xor, Ty::I32, acc, v);
+    let wide = b.cvt(Ty::F64, acc);
+    b.st_shared(Ty::F64, MemRef::indexed(Value::U64(0), t64, 8), wide);
+    b.st_global(Ty::I32, MemRef::indexed(data, t64, 4), acc);
+    b.place(scattered_done);
+    let v = b.ld_global(Ty::I32, MemRef::indexed(out, l64, 4));
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, v);
+    b.st_global(Ty::I32, MemRef::indexed(out, l64, 4), acc);
+    let k = b.finish();
+    assert_shape_family_agrees(&k, D1, 0);
+    // Per warp, the final load and store: 4 blocks of 3 warps.
+    assert_eq!(spans(&k, D1), 2 * 12);
+}
+
+/// Closed forms the counters have no formula for: negative strides
+/// (reversed `I32` and `F64` rows, global and shared) are charged over the
+/// listed lanes and moved lane by lane.
+#[test]
+fn negative_stride_spans_agree_across_tiers() {
+    let mut b = KernelBuilder::new("reversed");
+    let data = b.param(0);
+    let out = b.param(1);
+    let ctaid = b.special(SpecialReg::CtaIdX);
+    let tid = b.special(SpecialReg::TidX);
+    b.alloc_shared(96 * 8, 8);
+    let rev = b.bin(BinOp::Sub, Ty::I32, Value::I32(95), tid);
+    let r64 = b.cvt(Ty::I64, rev);
+    let x = b.ld_global(Ty::I32, at(data, r64, 100, 4));
+    let f = b.cvt(Ty::F64, x);
+    b.st_shared(Ty::F64, MemRef::indexed(Value::U64(0), r64, 8), f);
+    b.bar();
+    let t64 = b.cvt(Ty::I64, tid);
+    let g = b.ld_shared(Ty::F64, MemRef::indexed(Value::U64(0), r64, 8));
+    let h = b.ld_shared(Ty::I32, MemRef::indexed(Value::U64(0), t64, 4));
+    let g = b.cvt(Ty::I32, g);
+    let r = b.bin(BinOp::Add, Ty::I32, g, h);
+    let row = b.bin(BinOp::Mul, Ty::I32, ctaid, Value::I32(96));
+    let slot = b.bin(BinOp::Add, Ty::I32, row, rev);
+    let slot = b.cvt(Ty::I64, slot);
+    b.st_global(Ty::I32, MemRef::indexed(out, slot, 4), r);
+    let k = b.finish();
+    assert_shape_family_agrees(&k, D1, 0);
+    assert!(spans(&k, D1) > 0, "no span taken");
+}
+
+/// Strided closed forms: matmul's column reads of 3, 4 and 6 segments per
+/// lane (one segment each, unless a misaligned `F64` spills into the
+/// next), short strides inside one segment, and shared-memory strides of
+/// 2 and 3 words and a dense `F64` row (bank ways).
+#[test]
+fn strided_column_spans_agree_across_tiers() {
+    let mut b = KernelBuilder::new("columns");
+    let _data = b.param(0);
+    let out = b.param(1);
+    let cols = b.param(2);
+    let lin = linear_index(&mut b);
+    let tx = b.special(SpecialReg::TidX);
+    let ty = b.special(SpecialReg::TidY);
+    b.alloc_shared(96 * 16, 8);
+    let acc = b.mov_imm(Value::I32(0));
+    let x64 = b.cvt(Ty::I64, tx);
+    let y64 = b.cvt(Ty::I64, ty);
+    for (segs, disp) in [(3, 0), (4, 5), (6, 1), (1, 0)] {
+        let step = b.bin(BinOp::Mul, Ty::I64, x64, Value::I64(32 * segs));
+        let i = b.bin(BinOp::Add, Ty::I64, step, y64);
+        let v = b.ld_global(Ty::I32, at(cols, i, disp, 4));
+        b.bin_to(acc, BinOp::Add, Ty::I32, acc, v);
+    }
+    // A misaligned `F64` column: every lane's access spills a segment.
+    let step = b.bin(BinOp::Mul, Ty::I64, x64, Value::I64(16 * 4));
+    let f = b.ld_global(
+        Ty::F64,
+        MemRef {
+            disp: 124,
+            ..MemRef::indexed(cols, step, 8)
+        },
+    );
+    let f = b.cvt(Ty::I32, f);
+    b.bin_to(acc, BinOp::Xor, Ty::I32, acc, f);
+    // Three lanes to a segment.
+    let v = b.ld_global(Ty::I32, MemRef::indexed(cols, x64, 40));
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, v);
+    let t64 = b.cvt(Ty::I64, lin);
+    for words in [2, 3] {
+        b.st_shared(Ty::I32, MemRef::indexed(Value::U64(0), x64, 4 * words), acc);
+        let v = b.ld_shared(Ty::I32, MemRef::indexed(Value::U64(0), x64, 4 * words));
+        b.bin_to(acc, BinOp::Add, Ty::I32, acc, v);
+    }
+    let wide = b.cvt(Ty::F64, acc);
+    b.st_shared(Ty::F64, MemRef::indexed(Value::U64(0), x64, 8), wide);
+    let v = b.ld_shared(Ty::F64, MemRef::indexed(Value::U64(0), x64, 8));
+    let v = b.cvt(Ty::I32, v);
+    b.bin_to(acc, BinOp::Add, Ty::I32, acc, v);
+    b.st_global(Ty::I32, MemRef::indexed(out, t64, 4), acc);
+    let k = b.finish();
+    // One warp per block row: `tid.x` is a closed form in every warp.
+    let cfg = LaunchConfig::gwv(4, 3, 32);
+    assert_shape_family_agrees(&k, cfg, 0);
+    assert!(spans(&k, cfg) > 0, "no span taken");
+}
+
+/// Spans under a tracer and under the sanitizer: both read the lanes'
+/// accesses, so a span writes them out first. Warp 0 stores a dense
+/// shared row that warp 1 reads, shifted, with no barrier between: the
+/// race must be reported with the same lanes and bytes, and the trace must
+/// carry the same touched ranges.
+#[test]
+fn observed_spans_agree_across_tiers() {
+    let mut b = KernelBuilder::new("observed_spans");
+    let data = b.param(0);
+    let out = b.param(1);
+    let lin = linear_index(&mut b);
+    let tid = b.special(SpecialReg::TidX);
+    let t64 = b.cvt(Ty::I64, tid);
+    b.alloc_shared(128 * 4, 4);
+    let x = b.ld_global(Ty::I32, MemRef::indexed(data, t64, 4));
+    b.st_shared(Ty::I32, MemRef::indexed(Value::U64(0), t64, 4), x);
+    let y = b.ld_shared(Ty::I32, at(Value::U64(0), t64, 20, 4));
+    let l64 = b.cvt(Ty::I64, lin);
+    b.st_global(Ty::I32, MemRef::indexed(out, l64, 4), y);
+    let k = b.finish();
+    assert_tiers_agree(&k, 0, 0);
+    let observed = Mode {
+        sanitize: true,
+        ..PLAIN
+    };
+    let (o, _) = run_once(&k, D1, ExecTier::Auto, observed);
+    assert!(
+        o.hazards.contains("Race"),
+        "no race reported: {}",
+        o.hazards
+    );
+    assert!(o.trace.contains("MemTouch"), "no touched range traced");
+    assert!(spans(&k, D1) > 0, "no span taken");
 }
 
 // --- Launch-scoped state ---------------------------------------------------------

@@ -6,7 +6,8 @@
 //! position plus Monte Carlo PI, under `auto` and `interpret`: equal
 //! results, equal session statistics (modelled cycles included), and no
 //! launch declined. It also pins that the engine a sweep asks for is the
-//! engine it gets, and that a sweep fails a row the typed tier declined.
+//! engine it gets, that a sweep fails a row the typed tier declined, and
+//! that the typed tier's closed-form memory spans fire at all.
 
 use accparse::ast::{CType, RedOp};
 use uhacc::prelude::*;
@@ -27,16 +28,20 @@ struct Outcome {
     stats: SessionStats,
 }
 
-fn finish(r: &AccRunner, scalar: &str) -> (Outcome, u64) {
+/// What a session left behind, the typed tier's declines and its census.
+type Finished = (Outcome, u64, ShapeCensus);
+
+fn finish(r: &AccRunner, scalar: &str) -> Finished {
     let outcome = Outcome {
         scalar: r.scalar(scalar).ok(),
         out: r.array("out").ok().cloned(),
         stats: *r.device().stats(),
     };
-    (outcome, r.device().tier_declines())
+    let dev = r.device();
+    (outcome, dev.tier_declines(), dev.shape_census())
 }
 
-fn run_position(pos: Position, t: CType, tier: ExecTier) -> (Outcome, u64) {
+fn run_position(pos: Position, t: CType, tier: ExecTier) -> Finished {
     let cfg = SuiteConfig {
         exec_tier: tier,
         ..SuiteConfig::quick()
@@ -47,7 +52,7 @@ fn run_position(pos: Position, t: CType, tier: ExecTier) -> (Outcome, u64) {
     finish(&r, "sum")
 }
 
-fn run_pi(tier: ExecTier) -> (Outcome, u64) {
+fn run_pi(tier: ExecTier) -> Finished {
     let cfg = uhacc::apps::PiConfig {
         samples: 1 << 12,
         ..Default::default()
@@ -69,15 +74,15 @@ fn run_pi(tier: ExecTier) -> (Outcome, u64) {
     r.bind_array("x", HostBuffer::from_f64(&xs)).unwrap();
     r.bind_array("y", HostBuffer::from_f64(&ys)).unwrap();
     r.run().unwrap();
-    let (outcome, declines) = finish(&r, "m");
+    let finished = finish(&r, "m");
     let hits = uhacc::apps::pi::cpu_hits(&xs, &ys);
-    assert_eq!(outcome.scalar, Some(Value::I32(hits as i32)));
-    (outcome, declines)
+    assert_eq!(finished.0.scalar, Some(Value::I32(hits as i32)));
+    finished
 }
 
-fn assert_engines_agree(what: &str, run: impl Fn(ExecTier) -> (Outcome, u64)) {
-    let (auto, declines) = run(ExecTier::Auto);
-    let (interp, _) = run(ExecTier::Interpret);
+fn assert_engines_agree(what: &str, run: impl Fn(ExecTier) -> Finished) {
+    let (auto, declines, _) = run(ExecTier::Auto);
+    let (interp, ..) = run(ExecTier::Interpret);
     assert_eq!(auto, interp, "{what}: typed tier and interpreter disagree");
     assert!(auto.stats.launches > 0, "{what}: nothing launched");
     assert_eq!(
@@ -100,6 +105,42 @@ fn table2_positions_agree_across_engines_without_declines() {
 #[test]
 fn pi_agrees_across_engines_without_declines() {
     assert_engines_agree("pi", run_pi);
+}
+
+/// The typed tier charges and moves a full warp's closed-form addresses
+/// without listing its lanes (`ShapeCensus::spans`). Switched off, that
+/// path would change no output and only cost time, so its firing is
+/// pinned here: a Table-2 case and a small heat2d take spans under `auto`,
+/// and their session statistics and results equal the interpreter's.
+#[test]
+fn closed_form_spans_fire_with_the_interpreters_statistics() {
+    let (auto, _, census) = run_position(Position::GangWorkerVector, CType::Int, ExecTier::Auto);
+    let (interp, ..) = run_position(Position::GangWorkerVector, CType::Int, ExecTier::Interpret);
+    assert_eq!(auto, interp, "Table-2 case: the tiers disagree");
+    assert!(census.spans > 0, "Table-2 case: no span taken: {census:?}");
+
+    let heat = uhacc::apps::heat2d::HeatConfig {
+        n: 32,
+        tol: 0.0,
+        max_iters: 3,
+        ..Default::default()
+    };
+    let run = |tier| {
+        let mut dev = Device::default();
+        dev.set_exec_tier(tier);
+        uhacc::apps::heat2d::run_heat_on(&heat, CompilerOptions::openuh(), dev).unwrap()
+    };
+    let (auto, interp) = (run(ExecTier::Auto), run(ExecTier::Interpret));
+    assert_eq!(
+        auto.sim.stats, interp.sim.stats,
+        "heat2d: the tiers disagree"
+    );
+    assert_eq!(auto.grid, interp.grid, "heat2d: the tiers disagree");
+    assert!(
+        auto.sim.census.spans > 0,
+        "heat2d: no span taken: {:?}",
+        auto.sim.census
+    );
 }
 
 /// `SuiteConfig::exec_tier` reaches the sessions the checker sweeps run:
