@@ -17,20 +17,22 @@
 //! [`ExecTier::Auto`] a launch runs here iff [`CompiledKernel::compile`]
 //! **and** the per-launch `CompiledKernel::specialize` both succeed;
 //! otherwise — and always under [`ExecTier::Interpret`] — the interpreter
-//! runs it. The tier declines:
+//! runs it. The tier declines, naming one [`Decline`]:
 //!
-//! * empty kernels, kernels whose last instruction is not a hard
-//!   terminator, and kernels with a branch target past the end of the
-//!   instruction stream (`compile` returns `None`; the interpreter's
-//!   handling of a lane reaching `pc == len` is kept by not modelling it);
-//! * kernels that write one register at two types, and kernels with a
-//!   `Select` whose arms carry two types (`specialize` returns `None`;
-//!   the interpreter's registers are dynamically typed, the rows here are
-//!   not).
+//! * an empty kernel (`Empty`), a kernel whose last instruction falls
+//!   through (`FallsThrough`) and one with a branch past the end of the
+//!   instruction stream (`BranchPastEnd`): `compile` returns `None`; the
+//!   interpreter's handling of a lane reaching `pc == len` is kept by not
+//!   modelling it;
+//! * a kernel that writes one register at two types (`TwoTypes`) and one
+//!   with a `Select` whose arms carry two types (`MixedSelect`):
+//!   `specialize` refuses it; the interpreter's registers are dynamically
+//!   typed, the rows here are not.
 //!
 //! No kernel `uhacc_core` codegen emits is declined. A decline costs the
 //! interpreter's 5–30× slowdown (`BENCH_sim_throughput.json`), so
-//! [`crate::Device::tier_declines`] counts them.
+//! [`crate::Device::tier_declines`] counts them, and
+//! [`crate::Device::tier_decline_reasons`] says why.
 //!
 //! # Pre-decoded runs
 //!
@@ -201,11 +203,39 @@
 //! every [`Inst`] is lowered to a `TOp`: branch labels resolved,
 //! operand conversions (`Conv`) resolved to mirror [`Value::convert`] /
 //! `as_u64` / `as_i64` / `as_bool` *exactly*, immediates pre-converted
-//! into broadcast constant rows, access sizes classified, and the
-//! `(op, ty)` dispatch hoisted out of the lane loops.
+//! into broadcast constant rows, and access sizes classified.
 //! Registers the kernel never writes hold the interpreter's
 //! `Value::I32(0)`; a `Uniform(0)` slot reproduces that under any static
 //! type because zero is a fixed point of every conversion in the table.
+//!
+//! # Lane kernels
+//!
+//! The semantics are stated once per family, as scalar evaluators over
+//! encoded bits: `bin_scalar`, `cmp_scalar`, `un_scalar`, `Conv::apply`
+//! and `cond_true`. A once-per-warp step calls them directly. A step that
+//! runs per lane (`Bin`, `Cmp`, `Un`, `Cvt`, `Select`) runs a *lane
+//! kernel*: a loop over slices with the evaluator inlined at one constant
+//! `(op, ty)`, `Conv` or `CondKind`, so nothing in it dispatches.
+//! `specialize` picks the kernel from one macro-built table
+//! (`per_variant!`) and stores it in the `TOp` as a `fn` pointer; a step
+//! pays one indirect call, not one per lane.
+//!
+//! **Faults are found before the loop.** A kernel cannot fault, because it
+//! is only given lanes that do not. Which lanes fault is a `Guard`, also
+//! decided at `specialize` by asking the evaluator itself: an ill-typed
+//! `(op, ty)` (`and.f64`, `add.pred`, `sqrt.s32`) faults at lane 0 and
+//! writes nothing; integer `div`/`rem` fault at the first lane whose
+//! converted divisor is zero — the step scans for it, runs the kernel over
+//! the lanes before it, and raises the evaluator's own `Err` for that
+//! lane. That is the interpreter's order exactly: lanes run in ascending
+//! order, the ones before a fault are written, none after it.
+//!
+//! **Operands and results.** A contiguous group's operand used through
+//! `Conv::Id` is read straight from its row; any other is gathered and
+//! converted (by its `Conv`'s in-place kernel) into launch-scoped scratch
+//! in `TypedState`, never zeroed per step. Results go to scratch as well
+//! and reach the destination row after every operand was read, because a
+//! row can be both.
 
 use crate::coalesce::{conflict_ways, span_conflict_ways, span_transactions, transactions};
 use crate::cost::{CostModel, DeviceConfig, ExecTier};
@@ -239,6 +269,48 @@ struct Run {
     term: Term,
 }
 
+/// Why the typed tier declined a launch, which then ran on the
+/// interpreter (see "Tier selection" in the module docs).
+/// [`crate::Device::tier_decline_reasons`] counts them by reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decline {
+    /// The kernel has no instructions.
+    Empty,
+    /// Its last instruction falls through: a lane could reach the end of
+    /// the instruction stream.
+    FallsThrough,
+    /// A branch targets the end of the instruction stream.
+    BranchPastEnd,
+    /// A register is written at two types.
+    TwoTypes,
+    /// A `Select`'s arms carry two types.
+    MixedSelect,
+}
+
+impl Decline {
+    /// Every reason, in declaration order (so `reason as usize` is its
+    /// index here), the order [`crate::Device`] reports them in.
+    pub const ALL: [Decline; 5] = [
+        Decline::Empty,
+        Decline::FallsThrough,
+        Decline::BranchPastEnd,
+        Decline::TwoTypes,
+        Decline::MixedSelect,
+    ];
+}
+
+impl std::fmt::Display for Decline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Decline::Empty => "an empty kernel",
+            Decline::FallsThrough => "the last instruction falls through",
+            Decline::BranchPastEnd => "a branch past the end",
+            Decline::TwoTypes => "a register written at two types",
+            Decline::MixedSelect => "a select with mixed arms",
+        })
+    }
+}
+
 /// The launch-independent part of the typed tier's pre-decoding: the run
 /// structure. `specialize` lowers the instructions themselves once the
 /// parameter types are known.
@@ -256,19 +328,25 @@ impl CompiledKernel {
     /// instruction stream) — the launch runs on the interpreter,
     /// preserving its behavior exactly.
     pub fn compile(kernel: &Kernel) -> Option<CompiledKernel> {
+        CompiledKernel::decode(kernel).ok()
+    }
+
+    /// [`CompiledKernel::compile`], naming why it declines.
+    fn decode(kernel: &Kernel) -> Result<CompiledKernel, Decline> {
         let n = kernel.insts.len();
         // The last instruction must not fall through, otherwise a lane can
         // advance to pc == n (the interpreter treats that as a malformed
         // kernel; keep its behavior by declining). A branch target of n
         // (one past the end — the builder permits labels placed after the
         // final `ret`) is likewise left to the interpreter.
-        if kernel.insts.last()?.flow().falls_through() {
-            return None;
+        let last = kernel.insts.last().ok_or(Decline::Empty)?;
+        if last.flow().falls_through() {
+            return Err(Decline::FallsThrough);
         }
         for inst in &kernel.insts {
             if let Flow::Branch { target, .. } = inst.flow() {
                 if !matches!(kernel.label_targets.get(target.0 as usize), Some(&t) if t < n) {
-                    return None;
+                    return Err(Decline::BranchPastEnd);
                 }
             }
         }
@@ -292,7 +370,7 @@ impl CompiledKernel {
                 }
             })
             .collect();
-        Some(CompiledKernel {
+        Ok(CompiledKernel {
             num_regs: kernel.num_regs as usize,
             runs,
             run_of,
@@ -518,42 +596,33 @@ enum TOp {
         sr: SpecialReg,
     },
     Bin {
-        op: BinOp,
-        ty: Ty,
+        k: BinK,
         dst: usize,
-        a: usize,
-        b: usize,
-        ca: Conv,
-        cb: Conv,
+        a: Arg,
+        b: Arg,
     },
     Cmp {
-        op: CmpOp,
-        ty: Ty,
+        k: CmpK,
         dst: usize,
-        a: usize,
-        b: usize,
-        ca: Conv,
-        cb: Conv,
+        a: Arg,
+        b: Arg,
     },
     Un {
-        op: UnOp,
-        ty: Ty,
+        k: UnK,
         dst: usize,
-        a: usize,
-        ca: Conv,
+        a: Arg,
     },
     Select {
+        k: SelK,
         dst: usize,
-        cond: usize,
-        kind: CondKind,
-        a: usize,
-        b: usize,
+        cond: Arg,
+        a: Arg,
+        b: Arg,
     },
     /// Row-to-row conversion; `Conv::Id` is a plain `Mov`.
     Cvt {
         dst: usize,
-        src: usize,
-        cv: Conv,
+        src: Arg,
     },
     /// `LdGlobal`/`LdShared`.
     Ld {
@@ -594,9 +663,9 @@ fn ri(r: Reg) -> usize {
 /// register must produce one type (its [`Inst::def_ty`]; `Mov`/`Select`
 /// propagate their source types to a fixpoint and `ReadParam` takes its
 /// parameter's; never-written registers keep the interpreter's `I32`
-/// zero). Returns `None` when a register is written at two types — the
-/// launch runs on the interpreter.
-fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Option<Vec<Ty>> {
+/// zero). Declines when a register is written at two types or a `Select`
+/// mixes its arms' types — the launch runs on the interpreter.
+fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Result<Vec<Ty>, Decline> {
     let opnd_ty = |tys: &[Option<Ty>], o: &Operand| match o {
         Operand::Reg(r) => tys[ri(*r)],
         Operand::Imm(v) => Some(v.ty()),
@@ -630,7 +699,7 @@ fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Option<Vec<Ty>> {
                         (Some(x), Some(y)) if x == y => Some(x),
                         // A select whose arms carry two types passes
                         // values through unconverted: not typeable.
-                        (Some(_), Some(_)) => return None,
+                        (Some(_), Some(_)) => return Err(Decline::MixedSelect),
                         _ => None,
                     },
                     // Every other def's type is the table's.
@@ -643,7 +712,7 @@ fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Option<Vec<Ty>> {
                         changed = true;
                     }
                     (Some(u), Some(t)) if u == t => {}
-                    (Some(_), Some(_)) => return None,
+                    (Some(_), Some(_)) => return Err(Decline::TwoTypes),
                 }
             }
             if !changed {
@@ -651,7 +720,7 @@ fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Option<Vec<Ty>> {
             }
         }
     }
-    Some(tys.into_iter().map(|t| t.unwrap_or(Ty::I32)).collect())
+    Ok(tys.into_iter().map(|t| t.unwrap_or(Ty::I32)).collect())
 }
 
 /// Lowering state: the inferred register types plus the constant-row
@@ -689,6 +758,12 @@ impl Lower {
         }
     }
 
+    /// [`Lower::row`] as a lane-kernel operand.
+    fn arg(&mut self, o: &Operand, to: Option<Ty>) -> Arg {
+        let (row, cv) = self.row(o, to);
+        Arg::new(row, cv)
+    }
+
     /// Address rows: base as `as_u64`, index as `as_i64` — exactly the
     /// conversions the interpreter's `resolve_mref` applies.
     fn tmem(&mut self, m: &MemRef, ty: Ty) -> TMem {
@@ -723,18 +798,21 @@ pub(crate) struct TypedKernel {
 }
 
 impl TypedKernel {
-    /// The engine for one launch: `Some` runs on the typed tier, `None`
-    /// on the interpreter (see the module docs for the decline reasons).
-    /// The only place `(tier, kernel, params)` maps to an engine.
+    /// The engine for one launch: `Ok(Some)` runs on the typed tier,
+    /// `Ok(None)` on the interpreter as asked, `Err` on the interpreter
+    /// because the tier declined, and why. The only place `(tier, kernel,
+    /// params)` maps to an engine.
     pub(crate) fn select(
         tier: ExecTier,
         kernel: &Kernel,
         params: &[Value],
         cost: &CostModel,
-    ) -> Option<Self> {
+    ) -> Result<Option<Self>, Decline> {
         match tier {
-            ExecTier::Interpret => None,
-            ExecTier::Auto => CompiledKernel::compile(kernel)?.specialize(kernel, params, cost),
+            ExecTier::Interpret => Ok(None),
+            ExecTier::Auto => CompiledKernel::decode(kernel)?
+                .specialize(kernel, params, cost)
+                .map(Some),
         }
     }
 
@@ -747,14 +825,14 @@ impl TypedKernel {
 impl CompiledKernel {
     /// Lower `kernel` (the one `self` was compiled from) to [`TOp`]s for a
     /// concrete parameter list and cost model — parameter types feed the
-    /// register type inference, so this happens once per launch. `None`
+    /// register type inference, so this happens once per launch. Declines
     /// when the kernel is not statically typeable.
     pub(crate) fn specialize(
         self,
         kernel: &Kernel,
         params: &[Value],
         cost: &CostModel,
-    ) -> Option<TypedKernel> {
+    ) -> Result<TypedKernel, Decline> {
         let mut lo = Lower {
             rt: infer_reg_types(kernel, params)?,
             num_regs: self.num_regs,
@@ -772,8 +850,7 @@ impl CompiledKernel {
                 },
                 Inst::Mov { dst, src } => TOp::Cvt {
                     dst: ri(*dst),
-                    src: ri(*src),
-                    cv: Conv::Id,
+                    src: Arg::new(ri(*src), Conv::Id),
                 },
                 Inst::ReadSpecial { dst, sr } => TOp::ReadSpecial {
                     dst: ri(*dst),
@@ -786,60 +863,36 @@ impl CompiledKernel {
                     },
                     None => TOp::BadParams,
                 },
-                Inst::Bin { op, ty, dst, a, b } => {
-                    let (a, ca) = lo.row(a, Some(*ty));
-                    let (b, cb) = lo.row(b, Some(*ty));
-                    TOp::Bin {
-                        op: *op,
-                        ty: *ty,
-                        dst: ri(*dst),
-                        a,
-                        b,
-                        ca,
-                        cb,
-                    }
-                }
-                Inst::Cmp { op, ty, dst, a, b } => {
-                    let (a, ca) = lo.row(a, Some(*ty));
-                    let (b, cb) = lo.row(b, Some(*ty));
-                    TOp::Cmp {
-                        op: *op,
-                        ty: *ty,
-                        dst: ri(*dst),
-                        a,
-                        b,
-                        ca,
-                        cb,
-                    }
-                }
-                Inst::Un { op, ty, dst, a } => {
-                    let (a, ca) = lo.row(a, Some(*ty));
-                    TOp::Un {
-                        op: *op,
-                        ty: *ty,
-                        dst: ri(*dst),
-                        a,
-                        ca,
-                    }
-                }
-                Inst::Select { dst, cond, a, b } => {
-                    // Select passes values through unconverted; the
-                    // inference guaranteed both arms are the dst type.
-                    let (a, _) = lo.row(a, None);
-                    let (b, _) = lo.row(b, None);
-                    TOp::Select {
-                        dst: ri(*dst),
-                        cond: ri(*cond),
-                        kind: cond_kind(lo.rt[ri(*cond)]),
-                        a,
-                        b,
-                    }
-                }
+                Inst::Bin { op, ty, dst, a, b } => TOp::Bin {
+                    k: BinK::of(*op, *ty),
+                    dst: ri(*dst),
+                    a: lo.arg(a, Some(*ty)),
+                    b: lo.arg(b, Some(*ty)),
+                },
+                Inst::Cmp { op, ty, dst, a, b } => TOp::Cmp {
+                    k: CmpK::of(*op, *ty),
+                    dst: ri(*dst),
+                    a: lo.arg(a, Some(*ty)),
+                    b: lo.arg(b, Some(*ty)),
+                },
+                Inst::Un { op, ty, dst, a } => TOp::Un {
+                    k: UnK::of(*op, *ty),
+                    dst: ri(*dst),
+                    a: lo.arg(a, Some(*ty)),
+                },
+                // Select passes values through unconverted; the inference
+                // guaranteed both arms are the dst type.
+                Inst::Select { dst, cond, a, b } => TOp::Select {
+                    k: SelK::of(cond_kind(lo.rt[ri(*cond)])),
+                    dst: ri(*dst),
+                    cond: Arg::new(ri(*cond), Conv::Id),
+                    a: lo.arg(a, None),
+                    b: lo.arg(b, None),
+                },
                 Inst::Cvt { dst, ty, src } => match src {
                     Operand::Reg(r) => TOp::Cvt {
                         dst: ri(*dst),
-                        src: ri(*r),
-                        cv: conv_for(lo.rt[ri(*r)], *ty),
+                        src: Arg::new(ri(*r), conv_for(lo.rt[ri(*r)], *ty)),
                     },
                     Operand::Imm(v) => TOp::Broadcast {
                         dst: ri(*dst),
@@ -903,7 +956,7 @@ impl CompiledKernel {
                 row: RowState::Initial,
             })
             .collect();
-        Some(TypedKernel {
+        Ok(TypedKernel {
             ck: self,
             tops,
             init,
@@ -1014,9 +1067,9 @@ impl BlockExec<'_, '_> {
 
 /// The `(BinOp, Ty)` table over encoded bits, operands already converted
 /// to `ty`: the bit-level image of [`crate::exec::eval_bin`]. This is the
-/// primitive — a once-per-warp step calls it once, the lane loop of
-/// [`TypedState::bin`] calls it per lane with `op` and `ty` bound to
-/// constants so it folds to the one operator.
+/// primitive — a once-per-warp step calls it once, and the lane kernel
+/// `BinK::of` chooses calls it per lane with `op` and `ty` bound to
+/// constants, so it folds to the one operator.
 #[inline(always)]
 fn bin_scalar(op: BinOp, ty: Ty, x: u64, y: u64) -> Result<u64, SimError> {
     macro_rules! int {
@@ -1149,83 +1202,241 @@ fn un_scalar(op: UnOp, ty: Ty, x: u64) -> Result<u64, SimError> {
     })
 }
 
-/// `match $e { T::V => { let $x = T::V; $body } … }` over the listed
-/// variants: `$body` runs with `$x` rebound to the *constant* `$e` equals,
-/// so an inlined scalar evaluator folds its dispatch out of the lane loop.
-/// Wildcard-free — a new variant stops compiling until it is listed.
-macro_rules! with_const {
-    ($e:expr, |$x:ident| $body:expr; $t:ident: $($v:ident)+) => {
-        match $e { $($t::$v => { let $x = $t::$v; $body })+ }
+// --- Lane kernels: the tables above, one monomorphic loop per entry ---------
+
+/// One warp is at most this many lanes: the width of a lane kernel's
+/// operand and result scratch.
+const LANES: usize = WARP_SIZE as usize;
+
+/// `out[i] = f(x[i])` over the group's lanes.
+type Lanes1 = fn(&mut [u64], &[u64]);
+/// `out[i] = f(x[i], y[i])`.
+type Lanes2 = fn(&mut [u64], &[u64], &[u64]);
+/// `out[i] = f(c[i], x[i], y[i])`.
+type Lanes3 = fn(&mut [u64], &[u64], &[u64], &[u64]);
+/// `x[i] = f(x[i])`, in place.
+type Lanes0 = fn(&mut [u64]);
+
+/// `match $e { T::V => { const $c: T = T::V; $body } … }` over the listed
+/// variants: `$body` sees the variant as the constant `$c`, so a closure in
+/// it that calls an inlined scalar evaluator captures nothing, coerces to a
+/// `fn` pointer and is compiled once per variant with the evaluator's
+/// dispatch folded away. Wildcard-free — a new variant stops compiling
+/// until it is listed.
+macro_rules! per_variant {
+    ($e:expr, $t:ident: [$($v:ident)+], |$c:ident| $body:expr) => {
+        match $e { $($t::$v => { const $c: $t = $t::$v; $body })+ }
     };
 }
 
-/// [`with_const`] over [`Ty`].
-macro_rules! with_const_ty {
-    ($e:expr, |$x:ident| $body:expr) => {
-        with_const!($e, |$x| $body; Ty: I32 I64 U64 F32 F64 Pred)
+/// [`per_variant`] over [`Ty`].
+macro_rules! per_ty {
+    ($e:expr, |$c:ident| $body:expr) => {
+        per_variant!($e, Ty: [I32 I64 U64 F32 F64 Pred], |$c| $body)
     };
 }
 
-/// Apply `f` lane-wise over two converted source rows into `dst`: the
-/// lane loop around a scalar evaluator. Errors abort mid-loop with earlier
-/// lanes already written, in ascending lane order — exactly the
-/// interpreter's partial-write semantics for faults like division by zero.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn map2(
-    bits: &mut [u64],
-    n: usize,
-    mask: &[usize],
-    contig: bool,
-    dst: usize,
-    (a, ca): (usize, Conv),
-    (b, cb): (usize, Conv),
-    f: impl Fn(u64, u64) -> Result<u64, SimError>,
-) -> Result<(), SimError> {
-    let (dr, ar, br) = (dst * n, a * n, b * n);
-    if contig {
-        let lo = mask[0];
-        let hi = lo + mask.len();
-        if ca == Conv::Id && cb == Conv::Id {
-            for l in lo..hi {
-                bits[dr + l] = f(bits[ar + l], bits[br + l])?;
-            }
+/// Which of a step's lanes fault, decided at `specialize` by asking the
+/// scalar evaluator itself. A lane kernel is only ever given the lanes
+/// before the first fault, so it has none to raise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Guard {
+    /// No lane can fault.
+    Never,
+    /// A lane faults iff its converted divisor is zero (integer
+    /// `div`/`rem`).
+    ZeroDivisor,
+    /// The `(op, ty)` is ill-typed: lane 0 faults, nothing is written.
+    Always,
+}
+
+impl Guard {
+    /// How many leading lanes run before the first fault, given the
+    /// converted divisor lanes `y` (read only by `ZeroDivisor`). A zero
+    /// test on the encoded bits is the evaluator's test: an `I32` row is
+    /// zero-extended.
+    #[inline(always)]
+    fn live(self, y: &[u64]) -> usize {
+        match self {
+            Guard::Never => y.len(),
+            Guard::ZeroDivisor => y.iter().position(|&d| d == 0).unwrap_or(y.len()),
+            Guard::Always => 0,
+        }
+    }
+}
+
+/// A `Bin` chosen at `specialize`: the lanes of `bin_scalar(op, ty, ..)`
+/// and which of them fault.
+#[derive(Debug, Clone, Copy)]
+struct BinK {
+    op: BinOp,
+    ty: Ty,
+    lanes: Lanes2,
+    guard: Guard,
+}
+
+impl BinK {
+    fn of(op: BinOp, ty: Ty) -> BinK {
+        // `unwrap_or` is only the type of a fault the guard keeps out of
+        // the kernel; it folds away wherever the evaluator cannot fail.
+        let lanes = per_variant!(op, BinOp: [Add Sub Mul Div Rem Min Max And Or Xor Shl Shr], |OP| {
+            per_ty!(ty, |TY| (|out: &mut [u64], x: &[u64], y: &[u64]| {
+                for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                    *o = bin_scalar(OP, TY, x, y).unwrap_or(0);
+                }
+            }) as Lanes2)
+        });
+        let guard = if bin_scalar(op, ty, 1, 1).is_err() {
+            Guard::Always
+        } else if bin_scalar(op, ty, 1, 0).is_err() {
+            Guard::ZeroDivisor
         } else {
-            for l in lo..hi {
-                bits[dr + l] = f(ca.apply(bits[ar + l]), cb.apply(bits[br + l]))?;
-            }
-        }
-    } else {
-        for &l in mask {
-            bits[dr + l] = f(ca.apply(bits[ar + l]), cb.apply(bits[br + l]))?;
+            Guard::Never
+        };
+        BinK {
+            op,
+            ty,
+            lanes,
+            guard,
         }
     }
-    Ok(())
 }
 
-/// Unary twin of [`map2`].
+/// A `Cmp` chosen at `specialize`: the lanes of `cmp_scalar(op, ty, ..)`,
+/// which cannot fault.
+#[derive(Debug, Clone, Copy)]
+struct CmpK {
+    op: CmpOp,
+    ty: Ty,
+    lanes: Lanes2,
+}
+
+impl CmpK {
+    fn of(op: CmpOp, ty: Ty) -> CmpK {
+        let lanes = per_variant!(op, CmpOp: [Eq Ne Lt Le Gt Ge], |OP| {
+            per_ty!(ty, |TY| (|out: &mut [u64], x: &[u64], y: &[u64]| {
+                for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                    *o = cmp_scalar(OP, TY, x, y) as u64;
+                }
+            }) as Lanes2)
+        });
+        CmpK { op, ty, lanes }
+    }
+}
+
+/// A `Un` chosen at `specialize`: the lanes of `un_scalar(op, ty, ..)`,
+/// which fault only when ill-typed (`Guard::Always`).
+#[derive(Debug, Clone, Copy)]
+struct UnK {
+    op: UnOp,
+    ty: Ty,
+    lanes: Lanes1,
+    guard: Guard,
+}
+
+impl UnK {
+    fn of(op: UnOp, ty: Ty) -> UnK {
+        let lanes = per_variant!(op, UnOp: [Neg Abs Sqrt Not], |OP| {
+            per_ty!(ty, |TY| (|out: &mut [u64], x: &[u64]| {
+                for (o, &x) in out.iter_mut().zip(x) {
+                    *o = un_scalar(OP, TY, x).unwrap_or(0);
+                }
+            }) as Lanes1)
+        });
+        let guard = match un_scalar(op, ty, 0) {
+            Ok(_) => Guard::Never,
+            Err(_) => Guard::Always,
+        };
+        UnK {
+            op,
+            ty,
+            lanes,
+            guard,
+        }
+    }
+}
+
+/// A `Select` chosen at `specialize`: its condition's truth test, once
+/// per warp (`kind`) and per lane (`lanes`, through `cond_true`).
+#[derive(Debug, Clone, Copy)]
+struct SelK {
+    kind: CondKind,
+    lanes: Lanes3,
+}
+
+impl SelK {
+    fn of(kind: CondKind) -> SelK {
+        let lanes = per_variant!(kind, CondKind: [Int F32 F64], |K| {
+            (|out: &mut [u64], c: &[u64], x: &[u64], y: &[u64]| {
+                for (((o, &c), &x), &y) in out.iter_mut().zip(c).zip(x).zip(y) {
+                    *o = if cond_true(K, c) { x } else { y };
+                }
+            }) as Lanes3
+        });
+        SelK { kind, lanes }
+    }
+}
+
+/// A lane-kernel operand: its row, the conversion it is used through, and
+/// that conversion's in-place kernel (`Conv::apply` per lane).
+#[derive(Debug, Clone, Copy)]
+struct Arg {
+    row: usize,
+    cv: Conv,
+    conv: Lanes0,
+}
+
+impl Arg {
+    fn new(row: usize, cv: Conv) -> Arg {
+        let conv = per_variant!(cv, Conv: [Id Low32 SextI32 F32ToI32 F64ToI32 F32ToI64 F64ToI64
+            I32ToF32 I64ToF32 U64ToF32 F32Round F64ToF32 PredToF32 I32ToF64 I64ToF64 U64ToF64
+            F32ToF64 PredToF64 IntPred F32Pred F64Pred], |CV| {
+            (|x: &mut [u64]| {
+                for b in x {
+                    *b = CV.apply(*b);
+                }
+            }) as Lanes0
+        });
+        Arg { row, cv, conv }
+    }
+}
+
+/// Write the group's lanes of `a`, converted, into `buf` (one entry per
+/// active lane).
 #[inline(always)]
-fn map1(
-    bits: &mut [u64],
+fn gather(bits: &[u64], n: usize, mask: &[usize], contig: bool, a: Arg, buf: &mut [u64]) {
+    let row = &bits[a.row * n..(a.row + 1) * n];
+    if contig {
+        buf.copy_from_slice(&row[mask[0]..mask[0] + buf.len()]);
+    } else {
+        for (b, &l) in buf.iter_mut().zip(mask) {
+            *b = row[l];
+        }
+    }
+    if a.cv != Conv::Id {
+        (a.conv)(buf);
+    }
+}
+
+/// The group's lanes of `a`, converted: the row's own lanes when the group
+/// is contiguous and the conversion is the identity, else [`gather`]ed
+/// into `buf`.
+#[inline(always)]
+fn operand<'a>(
+    bits: &'a [u64],
     n: usize,
     mask: &[usize],
     contig: bool,
-    dst: usize,
-    (a, ca): (usize, Conv),
-    f: impl Fn(u64) -> Result<u64, SimError>,
-) -> Result<(), SimError> {
-    let (dr, ar) = (dst * n, a * n);
-    if contig {
-        let lo = mask[0];
-        for l in lo..lo + mask.len() {
-            bits[dr + l] = f(ca.apply(bits[ar + l]))?;
-        }
-    } else {
-        for &l in mask {
-            bits[dr + l] = f(ca.apply(bits[ar + l]))?;
-        }
+    a: Arg,
+    buf: &'a mut [u64; LANES],
+) -> &'a [u64] {
+    if contig && a.cv == Conv::Id {
+        let at = a.row * n + mask[0];
+        return &bits[at..at + mask.len()];
     }
-    Ok(())
+    let buf = &mut buf[..mask.len()];
+    gather(bits, n, mask, contig, a, buf);
+    buf
 }
 
 // --- Warp shapes ---------------------------------------------------------------
@@ -1478,6 +1689,10 @@ pub(crate) struct TypedState<'k> {
     bank_counts: Vec<u32>,
     /// Conversion scratch for coalesced span stores.
     tmp: Vec<u64>,
+    /// Lane kernels' gathered operands and results (see [`operand`] and
+    /// `TypedState::put`).
+    xs: [[u64; LANES]; 3],
+    out: [u64; LANES],
 }
 
 impl TypedKernel {
@@ -1501,6 +1716,8 @@ impl TypedKernel {
             seg_buf: Vec::with_capacity(2 * warp),
             bank_counts: vec![0; dev.shared_banks as usize],
             tmp: Vec::with_capacity(warp),
+            xs: [[0; LANES]; 3],
+            out: [0; LANES],
         }
     }
 }
@@ -1627,6 +1844,24 @@ impl TypedState<'_> {
         };
     }
 
+    /// Write the lane kernel's first `len` results (`out`) to the group's
+    /// first `len` lanes of row `dst`. Results reach a row only through
+    /// here, after every operand was read: a row can be both a source and
+    /// the destination.
+    #[inline(always)]
+    fn put(&mut self, dst: usize, len: usize) {
+        let row = &mut self.bits[dst * self.n..(dst + 1) * self.n];
+        let vals = &self.out[..len];
+        if self.contig {
+            let lo = self.mask[0];
+            row[lo..lo + len].copy_from_slice(vals);
+        } else {
+            for (&l, &v) in self.mask.iter().zip(vals) {
+                row[l] = v;
+            }
+        }
+    }
+
     /// Debug shadow check: a closed form equals the row the per-lane path
     /// would hold. Run on every read of a shape and, for the shapes nobody
     /// read, over the whole table when the block ends.
@@ -1653,114 +1888,126 @@ impl TypedState<'_> {
         }
     }
 
-    /// `Bin`. Returns whether the step was decided once for the warp.
-    fn bin(
-        &mut self,
-        op: BinOp,
-        ty: Ty,
-        dst: usize,
-        a: (usize, Conv),
-        b: (usize, Conv),
-    ) -> Result<bool, SimError> {
-        let out = match (self.seen(a.0, a.1), self.seen(b.0, b.1)) {
+    /// `Bin`. Returns whether the step was decided once for the warp. Per
+    /// lane, the guard finds the first faulting lane before the kernel
+    /// runs; the lanes before it are written and the step raises
+    /// `bin_scalar`'s own `Err` for it — the interpreter's partial writes,
+    /// in ascending lane order.
+    fn bin(&mut self, k: &BinK, dst: usize, a: Arg, b: Arg) -> Result<bool, SimError> {
+        let out = match (self.seen(a.row, a.cv), self.seen(b.row, b.cv)) {
             (Shape::Uniform(x), Shape::Uniform(y)) => {
-                Some(Shape::Uniform(bin_scalar(op, ty, x, y)?))
+                Some(Shape::Uniform(bin_scalar(k.op, k.ty, x, y)?))
             }
-            (sa, sb) => affine_bin(op, ty, sa, sb),
+            (sa, sb) => affine_bin(k.op, k.ty, sa, sb),
         };
         if let Some(shape) = out {
             self.set(dst, shape);
             return Ok(true);
         }
-        self.sync(a.0);
-        self.sync(b.0);
+        self.sync(a.row);
+        self.sync(b.row);
         self.rows_dst(dst);
-        let (bits, n, mask, contig) = (&mut self.bits[..], self.n, &self.mask[..], self.contig);
-        with_const!(op, |op| with_const_ty!(ty, |ty| {
-            map2(bits, n, mask, contig, dst, a, b, |x, y| bin_scalar(op, ty, x, y))
-        }); BinOp: Add Sub Mul Div Rem Min Max And Or Xor Shl Shr)?;
-        Ok(false)
+        let (n, mask, contig) = (self.n, &self.mask[..], self.contig);
+        let [xa, xb, _] = &mut self.xs;
+        let x = operand(&self.bits, n, mask, contig, a, xa);
+        let y = operand(&self.bits, n, mask, contig, b, xb);
+        let live = k.guard.live(y);
+        (k.lanes)(&mut self.out[..live], &x[..live], &y[..live]);
+        let fault = (live < x.len()).then(|| {
+            bin_scalar(k.op, k.ty, x[live], y[live]).expect_err("the guard finds a faulting lane")
+        });
+        self.put(dst, live);
+        fault.map_or(Ok(false), Err)
     }
 
     /// `Cmp`; comparisons cannot fault.
-    fn cmp(&mut self, op: CmpOp, ty: Ty, dst: usize, a: (usize, Conv), b: (usize, Conv)) -> bool {
-        let verdict = match (self.seen(a.0, a.1), self.seen(b.0, b.1)) {
-            (Shape::Uniform(x), Shape::Uniform(y)) => Some(cmp_scalar(op, ty, x, y)),
-            (sa, sb) => affine_cmp(op, ty, sa, sb, self.len),
+    fn cmp(&mut self, k: &CmpK, dst: usize, a: Arg, b: Arg) -> bool {
+        let verdict = match (self.seen(a.row, a.cv), self.seen(b.row, b.cv)) {
+            (Shape::Uniform(x), Shape::Uniform(y)) => Some(cmp_scalar(k.op, k.ty, x, y)),
+            (sa, sb) => affine_cmp(k.op, k.ty, sa, sb, self.len),
         };
         if let Some(v) = verdict {
             self.set(dst, Shape::Uniform(v as u64));
             return true;
         }
-        self.sync(a.0);
-        self.sync(b.0);
+        self.sync(a.row);
+        self.sync(b.row);
         self.rows_dst(dst);
-        let (bits, n, mask, contig) = (&mut self.bits[..], self.n, &self.mask[..], self.contig);
-        let done = with_const!(op, |op| with_const_ty!(ty, |ty| {
-            map2(bits, n, mask, contig, dst, a, b, |x, y| Ok(cmp_scalar(op, ty, x, y) as u64))
-        }); CmpOp: Eq Ne Lt Le Gt Ge);
-        debug_assert!(done.is_ok());
+        let (n, mask, contig) = (self.n, &self.mask[..], self.contig);
+        let [xa, xb, _] = &mut self.xs;
+        let x = operand(&self.bits, n, mask, contig, a, xa);
+        let y = operand(&self.bits, n, mask, contig, b, xb);
+        (k.lanes)(&mut self.out[..mask.len()], x, y);
+        self.put(dst, self.mask.len());
         false
     }
 
-    /// `Un`.
-    fn un(&mut self, op: UnOp, ty: Ty, dst: usize, a: (usize, Conv)) -> Result<bool, SimError> {
-        if let Shape::Uniform(x) = self.seen(a.0, a.1) {
-            self.set(dst, Shape::Uniform(un_scalar(op, ty, x)?));
+    /// `Un`; an ill-typed `(op, ty)` faults at lane 0 and writes nothing.
+    fn un(&mut self, k: &UnK, dst: usize, a: Arg) -> Result<bool, SimError> {
+        if let Shape::Uniform(x) = self.seen(a.row, a.cv) {
+            self.set(dst, Shape::Uniform(un_scalar(k.op, k.ty, x)?));
             return Ok(true);
         }
-        self.sync(a.0);
+        self.sync(a.row);
         self.rows_dst(dst);
-        let (bits, n, mask, contig) = (&mut self.bits[..], self.n, &self.mask[..], self.contig);
-        with_const!(op, |op| with_const_ty!(ty, |ty| {
-            map1(bits, n, mask, contig, dst, a, |x| un_scalar(op, ty, x))
-        }); UnOp: Neg Abs Sqrt Not)?;
+        let (n, mask, contig) = (self.n, &self.mask[..], self.contig);
+        let x = operand(&self.bits, n, mask, contig, a, &mut self.xs[0]);
+        if k.guard.live(x) == 0 {
+            return Err(un_scalar(k.op, k.ty, x[0]).expect_err("an ill-typed unary faults"));
+        }
+        (k.lanes)(&mut self.out[..mask.len()], x);
+        self.put(dst, self.mask.len());
         Ok(false)
     }
 
     /// `Cvt`/`Mov`: the conversion table applied to the shape.
-    fn cvt(&mut self, dst: usize, src: usize, cv: Conv) -> bool {
-        let shape = self.seen(src, cv);
+    fn cvt(&mut self, dst: usize, src: Arg) -> bool {
+        let shape = self.seen(src.row, src.cv);
         if shape != Shape::Rows {
             self.set(dst, shape);
             return true;
         }
-        self.sync(src);
+        self.sync(src.row);
         self.rows_dst(dst);
-        let (dr, sr, l0, mlen) = (dst * self.n, src * self.n, self.mask[0], self.mask.len());
-        if self.contig && cv == Conv::Id {
-            self.bits.copy_within(sr + l0..sr + l0 + mlen, dr + l0);
+        let (n, mask, contig) = (self.n, &self.mask[..], self.contig);
+        if contig && src.cv == Conv::Id {
+            let (from, to) = (src.row * n + mask[0], dst * n + mask[0]);
+            self.bits.copy_within(from..from + mask.len(), to);
         } else {
-            for &l in &self.mask {
-                self.bits[dr + l] = cv.apply(self.bits[sr + l]);
-            }
+            gather(
+                &self.bits,
+                n,
+                mask,
+                contig,
+                src,
+                &mut self.out[..mask.len()],
+            );
+            self.put(dst, mask.len());
         }
         false
     }
 
     /// `Select`: a uniform condition passes the chosen arm's shape through.
-    fn select(&mut self, dst: usize, cond: usize, kind: CondKind, a: usize, b: usize) -> bool {
-        if let Shape::Uniform(c) = self.seen(cond, Conv::Id) {
-            let arm = if cond_true(kind, c) { a } else { b };
-            let shape = self.seen(arm, Conv::Id);
+    fn select(&mut self, k: &SelK, dst: usize, cond: Arg, a: Arg, b: Arg) -> bool {
+        if let Shape::Uniform(c) = self.seen(cond.row, Conv::Id) {
+            let arm = if cond_true(k.kind, c) { a } else { b };
+            let shape = self.seen(arm.row, Conv::Id);
             if shape != Shape::Rows {
                 self.set(dst, shape);
                 return true;
             }
         }
-        self.sync(cond);
-        self.sync(a);
-        self.sync(b);
+        self.sync(cond.row);
+        self.sync(a.row);
+        self.sync(b.row);
         self.rows_dst(dst);
-        let (n, bits) = (self.n, &mut self.bits);
-        for &l in &self.mask {
-            let arm = if cond_true(kind, bits[cond * n + l]) {
-                a
-            } else {
-                b
-            };
-            bits[dst * n + l] = bits[arm * n + l];
-        }
+        let (n, mask, contig) = (self.n, &self.mask[..], self.contig);
+        let [xc, xa, xb] = &mut self.xs;
+        let c = operand(&self.bits, n, mask, contig, cond, xc);
+        let x = operand(&self.bits, n, mask, contig, a, xa);
+        let y = operand(&self.bits, n, mask, contig, b, xb);
+        (k.lanes)(&mut self.out[..mask.len()], c, x, y);
+        self.put(dst, self.mask.len());
         false
     }
 
@@ -2093,36 +2340,11 @@ fn exec_top<const OBSERVED: bool>(
                 false
             }
         }
-        TOp::Bin {
-            op,
-            ty,
-            dst,
-            a,
-            b,
-            ca,
-            cb,
-            ..
-        } => st.bin(*op, *ty, *dst, (*a, *ca), (*b, *cb))?,
-        TOp::Cmp {
-            op,
-            ty,
-            dst,
-            a,
-            b,
-            ca,
-            cb,
-        } => st.cmp(*op, *ty, *dst, (*a, *ca), (*b, *cb)),
-        TOp::Un {
-            op, ty, dst, a, ca, ..
-        } => st.un(*op, *ty, *dst, (*a, *ca))?,
-        TOp::Select {
-            dst,
-            cond,
-            kind,
-            a,
-            b,
-        } => st.select(*dst, *cond, *kind, *a, *b),
-        TOp::Cvt { dst, src, cv } => st.cvt(*dst, *src, *cv),
+        TOp::Bin { k, dst, a, b } => st.bin(k, *dst, *a, *b)?,
+        TOp::Cmp { k, dst, a, b } => st.cmp(k, *dst, *a, *b),
+        TOp::Un { k, dst, a } => st.un(k, *dst, *a)?,
+        TOp::Select { k, dst, cond, a, b } => st.select(k, *dst, *cond, *a, *b),
+        TOp::Cvt { dst, src } => st.cvt(*dst, *src),
         TOp::Ld {
             space,
             ty,
@@ -2388,7 +2610,7 @@ mod tests {
             num_params: 0,
             lines: vec![],
         };
-        assert!(CompiledKernel::compile(&k).is_none());
+        assert_eq!(CompiledKernel::decode(&k).err(), Some(Decline::Empty));
         // Falls off the end (no hard terminator).
         let k = Kernel {
             name: "fall".into(),
@@ -2402,7 +2624,10 @@ mod tests {
             num_params: 0,
             lines: vec![],
         };
-        assert!(CompiledKernel::compile(&k).is_none());
+        assert_eq!(
+            CompiledKernel::decode(&k).err(),
+            Some(Decline::FallsThrough)
+        );
         // Branch to one past the end.
         let k = Kernel {
             name: "off".into(),
@@ -2419,6 +2644,10 @@ mod tests {
             num_params: 0,
             lines: vec![],
         };
+        assert_eq!(
+            CompiledKernel::decode(&k).err(),
+            Some(Decline::BranchPastEnd)
+        );
         assert!(CompiledKernel::compile(&k).is_none());
     }
 
@@ -2428,7 +2657,7 @@ mod tests {
         let ck = CompiledKernel::compile(&k).expect("compiles");
         assert!(
             ck.specialize(&k, &[Value::U64(0x1000)], &CostModel::default())
-                .is_some(),
+                .is_ok(),
             "single-typed kernel should get a typed plan"
         );
     }
@@ -2459,9 +2688,21 @@ mod tests {
         b.bin_to(r, BinOp::Add, Ty::F32, r, Value::F32(1.0));
         let k = b.finish();
         let ck = CompiledKernel::compile(&k).expect("compiles");
-        assert!(
-            ck.specialize(&k, &[], &CostModel::default()).is_none(),
+        assert_eq!(
+            ck.specialize(&k, &[], &CostModel::default()).err(),
+            Some(Decline::TwoTypes),
             "a register written at two types must decline to the interpreter"
+        );
+        // A select whose arms carry two types.
+        let mut b = KernelBuilder::new("mixed_select");
+        let c = b.mov_imm(Value::Pred(true));
+        b.select(c, Value::I32(1), Value::F64(2.0));
+        b.ret();
+        let k = b.finish();
+        let ck = CompiledKernel::compile(&k).expect("compiles");
+        assert_eq!(
+            ck.specialize(&k, &[], &CostModel::default()).err(),
+            Some(Decline::MixedSelect)
         );
     }
 
@@ -2576,6 +2817,58 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Each lane kernel `specialize` can choose is its scalar evaluator's
+    /// `(op, ty)`, `Conv` or `CondKind` entry, lane for lane, and each
+    /// guard names exactly the operands that evaluator faults on.
+    #[test]
+    fn lane_kernels_and_guards_are_their_scalar_evaluators() {
+        let edges = edge_values();
+        let mut out = [0u64; 1];
+        for ty in TYS {
+            for &a in &edges {
+                let x = conv_for(a.ty(), ty).apply(value_bits(a));
+                for op in UN_OPS {
+                    let k = UnK::of(op, ty);
+                    let want = un_scalar(op, ty, x);
+                    assert_eq!(want.is_err(), k.guard.live(&[x]) == 0, "{op} {ty} {a:?}");
+                    if let Ok(want) = want {
+                        (k.lanes)(&mut out, &[x]);
+                        assert_eq!(out[0], want, "{op} {ty} {a:?}");
+                    }
+                }
+                for &b in &edges {
+                    let y = conv_for(b.ty(), ty).apply(value_bits(b));
+                    for op in BIN_OPS {
+                        let k = BinK::of(op, ty);
+                        let want = bin_scalar(op, ty, x, y);
+                        let at = || format!("{op} {ty} {a:?} {b:?} ({:?})", k.guard);
+                        assert_eq!(want.is_err(), k.guard.live(&[y]) == 0, "{}", at());
+                        if let Ok(want) = want {
+                            (k.lanes)(&mut out, &[x], &[y]);
+                            assert_eq!(out[0], want, "{}", at());
+                        }
+                    }
+                    for op in CMP_OPS {
+                        (CmpK::of(op, ty).lanes)(&mut out, &[x], &[y]);
+                        assert_eq!(out[0], cmp_scalar(op, ty, x, y) as u64, "{op} {ty}");
+                    }
+                }
+            }
+        }
+        for v in edge_values() {
+            let bits = value_bits(v);
+            for to in TYS {
+                let cv = conv_for(v.ty(), to);
+                let mut lane = [bits];
+                (Arg::new(0, cv).conv)(&mut lane);
+                assert_eq!(lane[0], cv.apply(bits), "{v:?} -> {to}");
+            }
+            let kind = cond_kind(v.ty());
+            (SelK::of(kind).lanes)(&mut out, &[bits], &[1], &[2]);
+            assert_eq!(out[0], if cond_true(kind, bits) { 1 } else { 2 }, "{v:?}");
         }
     }
 
@@ -2833,7 +3126,7 @@ mod tests {
                     let ca = conv_for(p.ty, ty);
                     for op in UN_OPS {
                         let mut st = shaped_state(&tks, g, &[p]);
-                        let got = st.un(op, ty, 1, (0, ca));
+                        let got = st.un(&UnK::of(op, ty), 1, Arg::new(0, ca));
                         check_shaped(
                             st,
                             g,
@@ -2843,7 +3136,7 @@ mod tests {
                         );
                     }
                     let mut st = shaped_state(&tks, g, &[p]);
-                    let got = Ok(st.cvt(1, 0, ca));
+                    let got = Ok(st.cvt(1, Arg::new(0, ca)));
                     let left = check_shaped(
                         st,
                         g,
@@ -2883,7 +3176,7 @@ mod tests {
                     let at = |op: &dyn std::fmt::Display| format!("{op} {ty} {a:?} {b:?}");
                     for op in BIN_OPS {
                         let mut st = shaped_state(&tks, g, &[a, b]);
-                        let got = st.bin(op, ty, 2, (0, ca), (1, cb));
+                        let got = st.bin(&BinK::of(op, ty), 2, Arg::new(0, ca), Arg::new(1, cb));
                         let both_uniform =
                             matches!((a.shape, b.shape), (Shape::Uniform(_), Shape::Uniform(_)));
                         if let Ok(once) = got {
@@ -2900,7 +3193,8 @@ mod tests {
                     }
                     for op in CMP_OPS {
                         let mut st = shaped_state(&tks, g, &[a, b]);
-                        let got = Ok(st.cmp(op, ty, 2, (0, ca), (1, cb)));
+                        let got =
+                            Ok(st.cmp(&CmpK::of(op, ty), 2, Arg::new(0, ca), Arg::new(1, cb)));
                         check_shaped(
                             st,
                             g,
@@ -2930,6 +3224,7 @@ mod tests {
         .map(uniform)
         .chain(all_rows.iter().cloned())
         .collect();
+        let id = |row| Arg::new(row, Conv::Id);
         for c in &conds {
             for ty in [Ty::I32, Ty::I64, Ty::U64, Ty::F64] {
                 let arms: Vec<&Pres> = all_uniform
@@ -2942,7 +3237,8 @@ mod tests {
                     for &b in &arms {
                         for g in &groups {
                             let mut st = shaped_state(&tks, g, &[c, a, b]);
-                            let got = Ok(st.select(3, 0, cond_kind(c.ty), 1, 2));
+                            let got =
+                                Ok(st.select(&SelK::of(cond_kind(c.ty)), 3, id(0), id(1), id(2)));
                             check_shaped(
                                 st,
                                 g,
@@ -2964,6 +3260,114 @@ mod tests {
             kept_affine > 10_000,
             "only {kept_affine} steps stayed affine"
         );
+    }
+
+    /// Integer `div`/`rem` whose divisor is zero at one active lane — the
+    /// first, a middle or the last, under every group shape, and at `I32`
+    /// also a 64-bit divisor that is zero only after `Low32` — raises
+    /// `DivisionByZero`, writes exactly the group's lanes before that one
+    /// and leaves every other lane of the row with its old bits. An
+    /// ill-typed step (`and.f64`, `add.pred`, `sqrt.s32`) raises the
+    /// evaluator's `TypeError` and writes no lane at all.
+    #[test]
+    fn a_faulting_lane_stops_the_kernel_before_it() {
+        let tks: Vec<TypedKernel> = (0..=3).map(bare_kernel).collect();
+        let old = |l: usize| 0xa000 + l as u64;
+        let of = |ty: Ty, f: &dyn Fn(usize) -> i64| Pres {
+            ty,
+            shape: Shape::Rows,
+            lanes: (0..N)
+                .map(|l| match ty {
+                    Ty::I32 => Value::I32(f(l) as i32),
+                    Ty::I64 => Value::I64(f(l)),
+                    Ty::U64 => Value::U64(f(l) as u64),
+                    Ty::F64 => Value::F64(f(l) as f64),
+                    Ty::Pred => Value::Pred(f(l) % 2 == 0),
+                    Ty::F32 => Value::F32(f(l) as f32),
+                })
+                .collect(),
+        };
+        // The step, on a `dst` (row 2) that holds `old` in every lane.
+        let step = |g: &Group,
+                    x: &Pres,
+                    y: &Pres,
+                    run: &dyn Fn(&mut TypedState) -> Result<bool, SimError>| {
+            let mut st = shaped_state(&tks, g, &[x, y]);
+            for l in 0..N {
+                st.bits[2 * N + l] = old(l);
+            }
+            *st.slot(2) = Slot {
+                shape: Shape::Rows,
+                row: RowState::Held,
+            };
+            let got = run(&mut st);
+            (got, st.bits[2 * N..3 * N].to_vec())
+        };
+        let dividend = |l: usize| 1000 - 37 * l as i64;
+        for g in &groups() {
+            for fault in [0, g.mask.len() / 2, g.mask.len() - 1] {
+                let at = g.mask[fault];
+                for (row_ty, ty, zero) in [
+                    (Ty::I32, Ty::I32, 0),
+                    (Ty::I64, Ty::I64, 0),
+                    (Ty::U64, Ty::U64, 0),
+                    (Ty::I64, Ty::I32, 1 << 32),
+                ] {
+                    let x = of(row_ty, &dividend);
+                    let y = of(row_ty, &|l| if l == at { zero } else { (l % 5) as i64 + 1 });
+                    let cv = conv_for(row_ty, ty);
+                    for op in [BinOp::Div, BinOp::Rem] {
+                        let (got, row) = step(g, &x, &y, &|st| {
+                            st.bin(&BinK::of(op, ty), 2, Arg::new(0, cv), Arg::new(1, cv))
+                        });
+                        let what =
+                            format!("{op} {ty} from {row_ty} [{}] zero at lane {at}", g.name);
+                        assert_eq!(got, Err(SimError::DivisionByZero), "{what}");
+                        for (l, &bits) in row.iter().enumerate() {
+                            let want = if g.mask[..fault].contains(&l) {
+                                value_bits(eval_bin(op, ty, x.lanes[l], y.lanes[l]).unwrap())
+                            } else {
+                                old(l)
+                            };
+                            assert_eq!(bits, want, "{what}: lane {l}");
+                        }
+                    }
+                }
+            }
+            let ill = |ty: Ty| (of(ty, &dividend), of(ty, &|l| l as i64 + 1));
+            for (op, ty) in [(BinOp::And, Ty::F64), (BinOp::Add, Ty::Pred)] {
+                let (x, y) = ill(ty);
+                let (got, row) = step(g, &x, &y, &|st| {
+                    st.bin(
+                        &BinK::of(op, ty),
+                        2,
+                        Arg::new(0, Conv::Id),
+                        Arg::new(1, Conv::Id),
+                    )
+                });
+                let l0 = g.mask[0];
+                let want = eval_bin(op, ty, x.lanes[l0], y.lanes[l0]).map(value_bits);
+                assert!(matches!(want, Err(SimError::TypeError { .. })), "{op} {ty}");
+                assert_eq!(got.map(|_| 0), want, "{op} {ty} [{}]", g.name);
+                assert!(
+                    row.iter().enumerate().all(|(l, &b)| b == old(l)),
+                    "{op} {ty} [{}]",
+                    g.name
+                );
+            }
+            let (x, y) = ill(Ty::I32);
+            let (got, row) = step(g, &x, &y, &|st| {
+                st.un(&UnK::of(UnOp::Sqrt, Ty::I32), 2, Arg::new(0, Conv::Id))
+            });
+            let want = eval_un(UnOp::Sqrt, Ty::I32, x.lanes[g.mask[0]]).map(value_bits);
+            assert!(matches!(want, Err(SimError::TypeError { .. })));
+            assert_eq!(got.map(|_| 0), want, "sqrt.s32 [{}]", g.name);
+            assert!(
+                row.iter().enumerate().all(|(l, &b)| b == old(l)),
+                "sqrt.s32 [{}]",
+                g.name
+            );
+        }
     }
 
     /// Every `conv_for(from, to)` entry is the bit-level image of

@@ -2,7 +2,7 @@
 //! session statistics behind one handle — the simulated analogue of a CUDA
 //! context.
 
-use crate::compiled::{ShapeCensus, TypedKernel};
+use crate::compiled::{Decline, ShapeCensus, TypedKernel};
 use crate::cost::{CostModel, DeviceConfig, ExecTier};
 use crate::error::SimError;
 use crate::exec::{run_kernel_instrumented, LaunchConfig};
@@ -22,7 +22,8 @@ pub struct Device {
     cost: CostModel,
     global: GlobalMemory,
     stats: SessionStats,
-    tier_declines: u64,
+    /// Declined launches, per reason (indexed like [`Decline::ALL`]).
+    tier_declines: [u64; Decline::ALL.len()],
     shape_census: ShapeCensus,
     sanitizer: SanitizerConfig,
     hazards: Vec<HazardReport>,
@@ -57,7 +58,7 @@ impl Device {
             cost,
             global,
             stats: SessionStats::default(),
-            tier_declines: 0,
+            tier_declines: [0; Decline::ALL.len()],
             shape_census: ShapeCensus::default(),
             sanitizer: SanitizerConfig::default(),
             hazards: Vec::new(),
@@ -87,7 +88,17 @@ impl Device {
     /// [`SessionStats`]: those are bit-identical across tiers, this is a
     /// property of the tier choice itself.
     pub fn tier_declines(&self) -> u64 {
-        self.tier_declines
+        self.tier_declines.iter().sum()
+    }
+
+    /// [`Device::tier_declines`] by reason: every [`Decline`] that
+    /// happened, with its count, in [`Decline::ALL`] order.
+    pub fn tier_decline_reasons(&self) -> Vec<(Decline, u64)> {
+        Decline::ALL
+            .into_iter()
+            .zip(self.tier_declines)
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// What the typed tier decided over this device's launches: steps
@@ -305,10 +316,11 @@ impl Device {
             .profile
             .as_ref()
             .map(|pc| LaunchProfile::new(kernel, cfg, pc));
-        let ck = TypedKernel::select(self.config.exec_tier, kernel, params, &self.cost);
-        if ck.is_none() && self.config.exec_tier == ExecTier::Auto {
-            self.tier_declines += 1;
-        }
+        let ck = TypedKernel::select(self.config.exec_tier, kernel, params, &self.cost)
+            .unwrap_or_else(|why| {
+                self.tier_declines[why as usize] += 1;
+                None
+            });
         let result = run_kernel_instrumented(
             kernel,
             cfg,

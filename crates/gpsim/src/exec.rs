@@ -839,7 +839,9 @@ pub fn run_kernel(
     dev: &DeviceConfig,
     cost: &CostModel,
 ) -> Result<LaunchStats, SimError> {
-    let ck = TypedKernel::select(dev.exec_tier, kernel, params, cost);
+    let ck = TypedKernel::select(dev.exec_tier, kernel, params, cost)
+        .ok()
+        .flatten();
     run_kernel_instrumented(
         kernel,
         cfg,
@@ -2005,7 +2007,7 @@ mod tests {
             });
             let params = [Value::U64(buf.addr)];
             let cost = CostModel::default();
-            let ck = TypedKernel::select(crate::cost::ExecTier::Auto, &k, &params, &cost);
+            let ck = TypedKernel::select(crate::cost::ExecTier::Auto, &k, &params, &cost).unwrap();
             run_kernel_instrumented(
                 &k,
                 cfg,
@@ -2046,7 +2048,7 @@ mod tests {
             let mut t = Trace::with_limit(11); // truncates mid-block
             let params = [Value::U64(buf.addr)];
             let cost = CostModel::default();
-            let ck = TypedKernel::select(crate::cost::ExecTier::Auto, &k, &params, &cost);
+            let ck = TypedKernel::select(crate::cost::ExecTier::Auto, &k, &params, &cost).unwrap();
             run_kernel_instrumented(
                 &k,
                 cfg,

@@ -62,7 +62,7 @@ pub use builder::KernelBuilder;
 pub use cert::{
     run_symbolic, CertObservable, CertReport, CertVerdict, SVal, SymMemory, TermId, TermPool,
 };
-pub use compiled::{CompiledKernel, ShapeCensus};
+pub use compiled::{CompiledKernel, Decline, ShapeCensus};
 pub use cost::{CostModel, DeviceConfig, ExecTier};
 pub use device::Device;
 pub use error::SimError;

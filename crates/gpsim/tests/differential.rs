@@ -782,6 +782,36 @@ fn error_paths_bit_identical_across_tiers() {
     }
 }
 
+/// A `div.s32` whose divisor is zero at one lane in the middle of a warp
+/// (global thread 141: block 1, warp 1, lane 13) faults with the same
+/// `Err` and leaves the same global memory on both tiers — the typed tier
+/// finds the lane before its kernel runs. Once with the whole warp
+/// active and once under a scattered mask that keeps the lane.
+#[test]
+fn a_zero_divisor_mid_warp_faults_identically_across_tiers() {
+    for scattered in [false, true] {
+        let mut b = KernelBuilder::new(if scattered { "div0_scattered" } else { "div0" });
+        let out = b.param(1);
+        let lin = linear_index(&mut b);
+        store_out(&mut b, out, lin, lin);
+        let skip = b.new_label();
+        if scattered {
+            let r = b.bin(BinOp::Rem, Ty::I32, lin, Value::I32(3));
+            let off = b.cmp(CmpOp::Eq, Ty::I32, r, Value::I32(1));
+            b.bra_if(off, skip);
+        }
+        let d = b.bin(BinOp::Sub, Ty::I32, lin, Value::I32(141));
+        let x = b.bin(BinOp::Mul, Ty::I32, lin, Value::I32(7));
+        let q = b.bin(BinOp::Div, Ty::I32, x, d);
+        store_out(&mut b, out, lin, q);
+        b.place(skip);
+        let k = b.finish();
+        let (o, _) = run_once(&k, D1, ExecTier::Auto, PLAIN);
+        assert_eq!(o.result, "err: DivisionByZero", "{}", k.name);
+        assert_tiers_agree(&k, scattered as u64, 0);
+    }
+}
+
 /// The watchdog counts warp-instructions per block and trips after the
 /// first one past its limit, whose effects stay committed. The typed tier
 /// charges a run's instructions at its entry and only watches a run that
@@ -918,6 +948,10 @@ fn compiled_tier_falls_back_on_unmodelled_shapes() {
     let mut dev = Device::test_small();
     dev.launch(&k2, LaunchConfig::d1(1, 32), &[]).unwrap();
     assert_eq!(dev.tier_declines(), 1);
+    assert_eq!(
+        dev.tier_decline_reasons(),
+        vec![(gpsim::Decline::BranchPastEnd, 1)]
+    );
 }
 
 // --- Warp-shape families -------------------------------------------------------

@@ -313,9 +313,17 @@ impl Case {
 pub fn no_declines(dev: &Device) -> Result<(), String> {
     match dev.tier_declines() {
         0 => Ok(()),
-        n => Err(format!(
-            "typed tier declined {n} launch(es); they ran on the interpreter"
-        )),
+        n => {
+            let why: Vec<String> = dev
+                .tier_decline_reasons()
+                .into_iter()
+                .map(|(reason, k)| format!("{k} × {reason}"))
+                .collect();
+            Err(format!(
+                "typed tier declined {n} launch(es) ({}); they ran on the interpreter",
+                why.join(", ")
+            ))
+        }
     }
 }
 

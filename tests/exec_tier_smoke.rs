@@ -200,7 +200,10 @@ fn a_declined_launch_fails_its_sweep_row() {
     assert!(!san.ok());
     let text = format_matrix(&[san]);
     assert!(text.contains("FAIL"), "{text}");
-    assert!(text.contains("typed tier declined 1 launch(es)"), "{text}");
+    assert!(
+        text.contains("typed tier declined 1 launch(es) (1 × a register written at two types)"),
+        "{text}"
+    );
     assert!(
         text.contains("1 case(s), 1 unexpected outcome(s)"),
         "{text}"
@@ -210,5 +213,8 @@ fn a_declined_launch_fails_its_sweep_row() {
     assert!(!cert.certified && !cert.ok() && !cert.false_certified());
     let text = format_cert_sweep(&[cert]);
     assert!(text.contains("  FAIL\n"), "{text}");
-    assert!(text.contains("typed tier declined 1 launch(es)"), "{text}");
+    assert!(
+        text.contains("typed tier declined 1 launch(es) (1 × a register written at two types)"),
+        "{text}"
+    );
 }
