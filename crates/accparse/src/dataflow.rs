@@ -24,7 +24,7 @@
 
 use crate::ast::{BinOpKind, RedOp};
 use crate::diag::Span;
-use crate::hir::{HExpr, HExprKind, HLoop, HStmt, Sym};
+use crate::hir::{visit_stmts, HExpr, HExprKind, HLoop, HStmt, Sym};
 use crate::reduction::update_form;
 use std::collections::{BTreeMap, HashSet};
 
@@ -44,35 +44,6 @@ pub fn strip_casts(e: &HExpr) -> &HExpr {
         HExprKind::Cast { operand } => strip_casts(operand),
         _ => e,
     }
-}
-
-pub(crate) fn children(e: &HExpr) -> Vec<&HExpr> {
-    match &e.kind {
-        HExprKind::Int(_) | HExprKind::Float(_) | HExprKind::Sym(_) => Vec::new(),
-        HExprKind::Load { indices, .. } => indices.iter().collect(),
-        HExprKind::Un { operand, .. } | HExprKind::Cast { operand } => vec![operand],
-        HExprKind::Bin { lhs, rhs, .. } => vec![lhs, rhs],
-        HExprKind::Cond { cond, then, els } => vec![cond, then, els],
-        HExprKind::Call { args, .. } => args.iter().collect(),
-    }
-}
-
-/// Collect every scalar symbol read by `e`.
-pub fn expr_syms(e: &HExpr, out: &mut HashSet<Sym>) {
-    if let HExprKind::Sym(s) = &e.kind {
-        out.insert(*s);
-    }
-    for c in children(e) {
-        expr_syms(c, out);
-    }
-}
-
-/// Does `e` read scalar `s` anywhere?
-pub fn expr_reads_sym(e: &HExpr, s: Sym) -> bool {
-    if matches!(&e.kind, HExprKind::Sym(t) if *t == s) {
-        return true;
-    }
-    children(e).into_iter().any(|c| expr_reads_sym(c, s))
 }
 
 /// Span-insensitive structural equality of expressions.
@@ -165,17 +136,9 @@ fn sym_of(e: &HExpr) -> Option<Sym> {
 /// `min`/`max` forms. The operand must not read `s` again (an expression
 /// like `s = s + s` is not a clean reduction).
 pub fn update_shape(stmt: &HStmt) -> Option<UpdateShape<'_>> {
-    let (target, value) = match stmt {
-        HStmt::AssignLocal { local, value } => (Sym::Local(*local), value),
-        HStmt::AssignHost { host, value } => (Sym::Host(*host), value),
-        _ => return None,
-    };
+    let (target, value) = stmt.scalar_target()?;
     let v = strip_casts(value);
-    let (op, operand) = update_form(
-        v,
-        |e| sym_of(e) == Some(target),
-        |e| !expr_reads_sym(e, target),
-    )?;
+    let (op, operand) = update_form(v, |e| sym_of(e) == Some(target), |e| !e.reads_sym(target))?;
     Some(UpdateShape {
         sym: target,
         op,
@@ -213,89 +176,57 @@ pub struct ScalarEvent<'a> {
 }
 
 struct EventWalker<'a> {
-    chain: Vec<&'a HLoop>,
     order: usize,
     out: Vec<ScalarEvent<'a>>,
 }
 
 impl<'a> EventWalker<'a> {
-    fn reads(&mut self, e: &'a HExpr) {
-        let mut syms = HashSet::new();
-        expr_syms(e, &mut syms);
-        for sym in syms {
-            self.out.push(ScalarEvent {
-                sym,
-                kind: ScalarEventKind::Read,
-                chain: self.chain.clone(),
-                order: self.order,
-                span: e.span,
-            });
-        }
+    /// One read per distinct symbol of `e`, in the order of its first read.
+    fn reads(&mut self, e: &HExpr, chain: &[&'a HLoop]) {
+        let first = self.out.len();
+        e.walk(&mut |n| {
+            if let HExprKind::Sym(sym) = n.kind {
+                if !self.out[first..].iter().any(|ev| ev.sym == sym) {
+                    self.event(sym, ScalarEventKind::Read, e.span, chain);
+                }
+            }
+        });
     }
 
-    fn event(&mut self, sym: Sym, kind: ScalarEventKind, span: Span) {
+    fn event(&mut self, sym: Sym, kind: ScalarEventKind, span: Span, chain: &[&'a HLoop]) {
         self.out.push(ScalarEvent {
             sym,
             kind,
-            chain: self.chain.clone(),
+            chain: chain.to_vec(),
             order: self.order,
             span,
         });
     }
 
-    fn stmts(&mut self, stmts: &'a [HStmt]) {
-        for s in stmts {
-            self.stmt(s);
-        }
-    }
-
-    fn stmt(&mut self, stmt: &'a HStmt) {
+    fn stmt(&mut self, stmt: &'a HStmt, chain: &[&'a HLoop]) {
         self.order += 1;
+        if let Some(u) = update_shape(stmt) {
+            self.reads(u.operand, chain);
+            self.event(u.sym, ScalarEventKind::Update(u.op), u.span, chain);
+            return;
+        }
+        for e in stmt.exprs() {
+            self.reads(e, chain);
+        }
         match stmt {
-            HStmt::AssignLocal { .. } | HStmt::AssignHost { .. } => {
-                if let Some(u) = update_shape(stmt) {
-                    self.reads(u.operand);
-                    self.event(u.sym, ScalarEventKind::Update(u.op), u.span);
-                } else {
-                    let (sym, value) = match stmt {
-                        HStmt::AssignLocal { local, value } => (Sym::Local(*local), value),
-                        HStmt::AssignHost { host, value } => (Sym::Host(*host), value),
-                        _ => unreachable!(),
-                    };
-                    self.reads(value);
-                    self.event(sym, ScalarEventKind::Write, value.span);
-                }
-            }
-            HStmt::Store { indices, value, .. } => {
-                for ix in indices {
-                    self.reads(ix);
-                }
-                self.reads(value);
-            }
-            HStmt::ReduceUpdate {
-                sym,
-                op,
-                value,
-                span,
-            } => {
-                self.reads(value);
-                self.event(*sym, ScalarEventKind::ClauseUpdate(*op), *span);
-            }
-            HStmt::If { cond, then, els } => {
-                self.reads(cond);
-                self.stmts(then);
-                self.stmts(els);
+            HStmt::ReduceUpdate { sym, op, span, .. } => {
+                self.event(*sym, ScalarEventKind::ClauseUpdate(*op), *span, chain)
             }
             HStmt::Loop(l) => {
-                self.reads(&l.lower);
-                self.reads(&l.bound);
-                self.reads(&l.step);
-                self.chain.push(l);
+                // The loop defines its induction variable, inside the loop.
                 self.order += 1;
-                // The loop defines its induction variable.
-                self.event(Sym::Local(l.var), ScalarEventKind::Write, l.span);
-                self.stmts(&l.body);
-                self.chain.pop();
+                let inner: Vec<&HLoop> = chain.iter().copied().chain([l]).collect();
+                self.event(Sym::Local(l.var), ScalarEventKind::Write, l.span, &inner);
+            }
+            _ => {
+                if let Some((sym, value)) = stmt.scalar_target() {
+                    self.event(sym, ScalarEventKind::Write, value.span, chain);
+                }
             }
         }
     }
@@ -305,11 +236,10 @@ impl<'a> EventWalker<'a> {
 /// positions.
 pub fn scalar_events(body: &[HStmt]) -> Vec<ScalarEvent<'_>> {
     let mut w = EventWalker {
-        chain: Vec::new(),
         order: 0,
         out: Vec::new(),
     };
-    w.stmts(body);
+    visit_stmts(body, &mut |s, chain| w.stmt(s, chain));
     w.out
 }
 
@@ -336,7 +266,11 @@ pub fn consume_liveness(body: &[HStmt], exit_live: &HashSet<Sym>) -> Liveness {
 }
 
 fn gen_expr(e: &HExpr, live: &mut HashSet<Sym>) {
-    expr_syms(e, live);
+    e.walk(&mut |n| {
+        if let HExprKind::Sym(s) = n.kind {
+            live.insert(s);
+        }
+    });
 }
 
 fn stmts_live(stmts: &[HStmt], live: &mut HashSet<Sym>, lv: &mut Liveness) {
@@ -347,28 +281,6 @@ fn stmts_live(stmts: &[HStmt], live: &mut HashSet<Sym>, lv: &mut Liveness) {
 
 fn stmt_live(stmt: &HStmt, live: &mut HashSet<Sym>, lv: &mut Liveness) {
     match stmt {
-        HStmt::AssignLocal { .. } | HStmt::AssignHost { .. } => {
-            if let Some(u) = update_shape(stmt) {
-                // kill nothing (the accumulated value flows through),
-                // gen the operand but not the self-read.
-                gen_expr(u.operand, live);
-            } else {
-                let (sym, value) = match stmt {
-                    HStmt::AssignLocal { local, value } => (Sym::Local(*local), value),
-                    HStmt::AssignHost { host, value } => (Sym::Host(*host), value),
-                    _ => unreachable!(),
-                };
-                live.remove(&sym);
-                gen_expr(value, live);
-            }
-        }
-        HStmt::Store { indices, value, .. } => {
-            for ix in indices {
-                gen_expr(ix, live);
-            }
-            gen_expr(value, live);
-        }
-        HStmt::ReduceUpdate { value, .. } => gen_expr(value, live),
         HStmt::If { cond, then, els } => {
             let mut t = live.clone();
             stmts_live(then, &mut t, lv);
@@ -393,9 +305,25 @@ fn stmt_live(stmt: &HStmt, live: &mut HashSet<Sym>, lv: &mut Liveness) {
                 }
             }
             live.remove(&Sym::Local(l.var));
-            gen_expr(&l.lower, live);
-            gen_expr(&l.bound, live);
-            gen_expr(&l.step, live);
+            stmt.exprs().for_each(|e| gen_expr(e, live));
+        }
+        _ => {
+            // Any other statement runs its nested bodies (none today)
+            // once, after its own expressions.
+            for body in stmt.bodies().iter().rev() {
+                stmts_live(body, live, lv);
+            }
+            match update_shape(stmt) {
+                // kill nothing (the accumulated value flows through),
+                // gen the operand but not the self-read.
+                Some(u) => gen_expr(u.operand, live),
+                None => {
+                    if let Some((sym, _)) = stmt.scalar_target() {
+                        live.remove(&sym);
+                    }
+                    stmt.exprs().for_each(|e| gen_expr(e, live));
+                }
+            }
         }
     }
 }
@@ -404,93 +332,80 @@ fn stmt_live(stmt: &HStmt, live: &mut HashSet<Sym>, lv: &mut Liveness) {
 
 /// Forward must-assigned analysis: report, for each tracked symbol, the
 /// first read that can execute before any write on some path (the
-/// `private` read-before-write check). Loop bodies are treated as
-/// possibly executing zero times, so writes inside a nested loop do not
-/// count as definite. Reads inside `ReduceUpdate` self-positions do not
-/// count (codegen initializes the accumulator with the identity).
+/// `private` read-before-write check), one report per symbol in the order
+/// of those reads. Loop bodies are treated as possibly executing zero
+/// times, so writes inside a nested loop do not count as definite. Reads
+/// inside `ReduceUpdate` self-positions do not count (codegen initializes
+/// the accumulator with the identity).
 pub fn read_before_write(
     body: &[HStmt],
     tracked: &HashSet<Sym>,
     pre_assigned: &HashSet<Sym>,
 ) -> Vec<(Sym, Span)> {
-    let mut reports: BTreeMap<usize, (Sym, Span)> = BTreeMap::new();
-    let mut assigned = pre_assigned.clone();
-    let mut seen: HashSet<Sym> = HashSet::new();
-    da_stmts(body, tracked, &mut assigned, &mut seen, &mut reports);
-    reports.into_values().collect()
+    let mut da = DefiniteAssignment {
+        tracked,
+        seen: HashSet::new(),
+        reports: Vec::new(),
+    };
+    da.stmts(body, &mut pre_assigned.clone());
+    da.reports
 }
 
-fn da_check(
-    e: &HExpr,
-    tracked: &HashSet<Sym>,
-    assigned: &HashSet<Sym>,
-    seen: &mut HashSet<Sym>,
-    reports: &mut BTreeMap<usize, (Sym, Span)>,
-) {
-    let mut syms = HashSet::new();
-    expr_syms(e, &mut syms);
-    for s in syms {
-        if tracked.contains(&s) && !assigned.contains(&s) && seen.insert(s) {
-            reports.insert(e.span.start, (s, e.span));
-        }
-    }
+struct DefiniteAssignment<'t> {
+    tracked: &'t HashSet<Sym>,
+    seen: HashSet<Sym>,
+    reports: Vec<(Sym, Span)>,
 }
 
-fn da_stmts(
-    stmts: &[HStmt],
-    tracked: &HashSet<Sym>,
-    assigned: &mut HashSet<Sym>,
-    seen: &mut HashSet<Sym>,
-    reports: &mut BTreeMap<usize, (Sym, Span)>,
-) {
-    for s in stmts {
-        da_stmt(s, tracked, assigned, seen, reports);
-    }
-}
-
-fn da_stmt(
-    stmt: &HStmt,
-    tracked: &HashSet<Sym>,
-    assigned: &mut HashSet<Sym>,
-    seen: &mut HashSet<Sym>,
-    reports: &mut BTreeMap<usize, (Sym, Span)>,
-) {
-    match stmt {
-        HStmt::AssignLocal { local, value } => {
-            da_check(value, tracked, assigned, seen, reports);
-            assigned.insert(Sym::Local(*local));
-        }
-        HStmt::AssignHost { host, value } => {
-            da_check(value, tracked, assigned, seen, reports);
-            assigned.insert(Sym::Host(*host));
-        }
-        HStmt::Store { indices, value, .. } => {
-            for ix in indices {
-                da_check(ix, tracked, assigned, seen, reports);
+impl DefiniteAssignment<'_> {
+    /// Report each tracked, unassigned symbol `e` reads, the first time
+    /// it is read; the report carries the span of the whole expression.
+    fn check(&mut self, e: &HExpr, assigned: &HashSet<Sym>) {
+        e.walk(&mut |n| {
+            if let HExprKind::Sym(s) = n.kind {
+                if self.tracked.contains(&s) && !assigned.contains(&s) && self.seen.insert(s) {
+                    self.reports.push((s, e.span));
+                }
             }
-            da_check(value, tracked, assigned, seen, reports);
+        });
+    }
+
+    fn stmts(&mut self, stmts: &[HStmt], assigned: &mut HashSet<Sym>) {
+        for s in stmts {
+            self.stmt(s, assigned);
         }
-        HStmt::ReduceUpdate { sym, value, .. } => {
-            da_check(value, tracked, assigned, seen, reports);
-            assigned.insert(*sym);
+    }
+
+    fn stmt(&mut self, stmt: &HStmt, assigned: &mut HashSet<Sym>) {
+        for e in stmt.exprs() {
+            self.check(e, assigned);
         }
-        HStmt::If { cond, then, els } => {
-            da_check(cond, tracked, assigned, seen, reports);
-            let mut a_then = assigned.clone();
-            let mut a_els = assigned.clone();
-            da_stmts(then, tracked, &mut a_then, seen, reports);
-            da_stmts(els, tracked, &mut a_els, seen, reports);
-            *assigned = a_then.intersection(&a_els).copied().collect();
-        }
-        HStmt::Loop(l) => {
-            da_check(&l.lower, tracked, assigned, seen, reports);
-            da_check(&l.bound, tracked, assigned, seen, reports);
-            da_check(&l.step, tracked, assigned, seen, reports);
-            // The body may run zero times: analyze it (the loop var is
-            // assigned inside), but discard its assignments.
-            let mut a_body = assigned.clone();
-            a_body.insert(Sym::Local(l.var));
-            da_stmts(&l.body, tracked, &mut a_body, seen, reports);
+        match stmt {
+            HStmt::If { then, els, .. } => {
+                let mut a_then = assigned.clone();
+                let mut a_els = assigned.clone();
+                self.stmts(then, &mut a_then);
+                self.stmts(els, &mut a_els);
+                *assigned = a_then.intersection(&a_els).copied().collect();
+            }
+            HStmt::Loop(l) => {
+                // The body may run zero times: analyze it (the loop var is
+                // assigned inside), but discard its assignments.
+                let mut a_body = assigned.clone();
+                a_body.insert(Sym::Local(l.var));
+                self.stmts(&l.body, &mut a_body);
+            }
+            HStmt::ReduceUpdate { sym, .. } => {
+                assigned.insert(*sym);
+            }
+            _ => {
+                assigned.extend(stmt.scalar_target().map(|(sym, _)| sym));
+                // Any other statement runs its nested bodies (none today)
+                // once, in order.
+                for body in stmt.bodies() {
+                    self.stmts(body, assigned);
+                }
+            }
         }
     }
 }
@@ -506,58 +421,37 @@ pub struct ArrayAccess<'a> {
     pub span: Span,
 }
 
-fn expr_accesses<'a>(e: &'a HExpr, out: &mut Vec<ArrayAccess<'a>>) {
-    if let HExprKind::Load { array, indices } = &e.kind {
-        out.push(ArrayAccess {
-            array: *array,
-            indices,
-            is_write: false,
-            span: e.span,
-        });
-    }
-    for c in children(e) {
-        expr_accesses(c, out);
-    }
-}
-
 /// Collect every array access (loads and stores) in `stmts`, descending
-/// into nested control flow and loops.
+/// into nested control flow and loops. A store precedes the loads of its
+/// own subscripts and value.
 pub fn collect_array_accesses<'a>(stmts: &'a [HStmt], out: &mut Vec<ArrayAccess<'a>>) {
-    for s in stmts {
-        match s {
-            HStmt::AssignLocal { value, .. } | HStmt::AssignHost { value, .. } => {
-                expr_accesses(value, out)
-            }
-            HStmt::Store {
-                array,
+    visit_stmts(stmts, &mut |s, _| {
+        if let HStmt::Store {
+            array,
+            indices,
+            value,
+        } = s
+        {
+            out.push(ArrayAccess {
+                array: *array,
                 indices,
-                value,
-            } => {
-                out.push(ArrayAccess {
-                    array: *array,
-                    indices,
-                    is_write: true,
-                    span: indices.first().map(|e| e.span).unwrap_or(value.span),
-                });
-                for ix in indices {
-                    expr_accesses(ix, out);
-                }
-                expr_accesses(value, out);
-            }
-            HStmt::ReduceUpdate { value, .. } => expr_accesses(value, out),
-            HStmt::If { cond, then, els } => {
-                expr_accesses(cond, out);
-                collect_array_accesses(then, out);
-                collect_array_accesses(els, out);
-            }
-            HStmt::Loop(l) => {
-                expr_accesses(&l.lower, out);
-                expr_accesses(&l.bound, out);
-                expr_accesses(&l.step, out);
-                collect_array_accesses(&l.body, out);
-            }
+                is_write: true,
+                span: indices.first().map(|e| e.span).unwrap_or(value.span),
+            });
         }
-    }
+        for e in s.exprs() {
+            e.walk(&mut |n| {
+                if let HExprKind::Load { array, indices } = &n.kind {
+                    out.push(ArrayAccess {
+                        array: *array,
+                        indices,
+                        is_write: false,
+                        span: n.span,
+                    });
+                }
+            });
+        }
+    });
 }
 
 /// Symbols whose value varies across iterations of a loop body: targets
@@ -591,7 +485,7 @@ pub fn affine_in(e: &HExpr, var: usize) -> Option<AffineForm<'_>> {
             base: None,
         });
     }
-    if !expr_reads_sym(e, Sym::Local(var)) {
+    if !e.reads_sym(Sym::Local(var)) {
         return Some(AffineForm {
             coeff: 0,
             offset: 0,
@@ -691,12 +585,9 @@ fn dim_rel(a: &HExpr, b: &HExpr, var: usize, varying: &HashSet<Sym>) -> DimRel {
     // loop, otherwise the "same base" reasoning is unsound (e.g. an inner
     // induction variable takes every value in every outer iteration).
     let base_invariant = |base: Option<&HExpr>| {
-        base.map(|e| {
-            let mut syms = HashSet::new();
-            expr_syms(e, &mut syms);
-            syms.is_disjoint(varying)
+        base.is_none_or(|e| {
+            !e.any(&mut |n| matches!(n.kind, HExprKind::Sym(s) if varying.contains(&s)))
         })
-        .unwrap_or(true)
     };
     let bases_known = match (fa.base, fb.base) {
         (None, None) => true,

@@ -157,6 +157,49 @@ impl HExpr {
             _ => None,
         }
     }
+
+    /// Call `f` on each direct operand, in evaluation (source) order.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a HExpr)) {
+        match &self.kind {
+            HExprKind::Int(_) | HExprKind::Float(_) | HExprKind::Sym(_) => {}
+            HExprKind::Load { indices: xs, .. } | HExprKind::Call { args: xs, .. } => {
+                xs.iter().for_each(f)
+            }
+            HExprKind::Un { operand, .. } | HExprKind::Cast { operand } => f(operand),
+            HExprKind::Bin { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            HExprKind::Cond { cond, then, els } => {
+                f(cond);
+                f(then);
+                f(els);
+            }
+        }
+    }
+
+    /// Pre-order walk: `f` sees this node, then every sub-expression, in
+    /// source order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a HExpr)) {
+        f(self);
+        self.for_each_child(|c| c.walk(f));
+    }
+
+    /// Does any node of the walk satisfy `pred`? Stops descending at the
+    /// first hit.
+    pub fn any(&self, pred: &mut impl FnMut(&HExpr) -> bool) -> bool {
+        if pred(self) {
+            return true;
+        }
+        let mut hit = false;
+        self.for_each_child(|c| hit = hit || c.any(pred));
+        hit
+    }
+
+    /// Does this expression read scalar `s` anywhere?
+    pub fn reads_sym(&self, s: Sym) -> bool {
+        self.any(&mut |e| matches!(e.kind, HExprKind::Sym(t) if t == s))
+    }
 }
 
 /// A reduction attached to a loop, with its detected span.
@@ -248,6 +291,51 @@ pub enum HStmt {
         els: Vec<HStmt>,
     },
     Loop(HLoop),
+}
+
+/// The structural facts of a statement. These three accessors are the only
+/// place outside the semantic engines (codegen, the reference evaluators)
+/// that matches every variant; the front-end analyses read them instead of
+/// re-deriving the shape of each statement.
+impl HStmt {
+    /// The expressions the statement evaluates itself, in evaluation order
+    /// (a store's subscripts before its value; a loop's lower, bound and
+    /// step). Expressions of nested bodies are not included.
+    pub fn exprs(&self) -> impl Iterator<Item = &HExpr> {
+        let (head, tail): (&[HExpr], [Option<&HExpr>; 3]) = match self {
+            HStmt::AssignLocal { value, .. }
+            | HStmt::AssignHost { value, .. }
+            | HStmt::ReduceUpdate { value, .. } => (&[], [Some(value), None, None]),
+            HStmt::Store { indices, value, .. } => (indices, [Some(value), None, None]),
+            HStmt::If { cond, .. } => (&[], [Some(cond), None, None]),
+            HStmt::Loop(l) => (&[], [Some(&l.lower), Some(&l.bound), Some(&l.step)]),
+        };
+        head.iter().chain(tail.into_iter().flatten())
+    }
+
+    /// The nested statement lists, in source order; unused slots are empty.
+    pub fn bodies(&self) -> [&[HStmt]; 2] {
+        match self {
+            HStmt::AssignLocal { .. }
+            | HStmt::AssignHost { .. }
+            | HStmt::Store { .. }
+            | HStmt::ReduceUpdate { .. } => [&[], &[]],
+            HStmt::If { then, els, .. } => [then, els],
+            HStmt::Loop(l) => [&l.body, &[]],
+        }
+    }
+
+    /// The scalar a plain assignment writes, with the assigned value.
+    pub fn scalar_target(&self) -> Option<(Sym, &HExpr)> {
+        match self {
+            HStmt::AssignLocal { local, value } => Some((Sym::Local(*local), value)),
+            HStmt::AssignHost { host, value } => Some((Sym::Host(*host), value)),
+            HStmt::Store { .. }
+            | HStmt::ReduceUpdate { .. }
+            | HStmt::If { .. }
+            | HStmt::Loop(_) => None,
+        }
+    }
 }
 
 /// A resolved data clause.
@@ -344,21 +432,37 @@ impl AnalyzedProgram {
     }
 }
 
-/// Walk helper: visit every loop in a statement list (depth-first).
-pub fn visit_loops<'a>(stmts: &'a [HStmt], f: &mut impl FnMut(&'a HLoop)) {
-    for s in stmts {
-        match s {
-            HStmt::Loop(l) => {
-                f(l);
-                visit_loops(&l.body, f);
+/// The one statement walk: `f` sees every statement of `stmts` and of
+/// every nested body, pre-order, with the chain of loops enclosing it
+/// (outermost first; a loop's own chain excludes the loop itself).
+pub fn visit_stmts<'a>(stmts: &'a [HStmt], f: &mut impl FnMut(&'a HStmt, &[&'a HLoop])) {
+    fn go<'a>(
+        stmts: &'a [HStmt],
+        chain: &mut Vec<&'a HLoop>,
+        f: &mut impl FnMut(&'a HStmt, &[&'a HLoop]),
+    ) {
+        for s in stmts {
+            f(s, chain);
+            let depth = chain.len();
+            if let HStmt::Loop(l) = s {
+                chain.push(l);
             }
-            HStmt::If { then, els, .. } => {
-                visit_loops(then, f);
-                visit_loops(els, f);
+            for body in s.bodies() {
+                go(body, chain, f);
             }
-            _ => {}
+            chain.truncate(depth);
         }
     }
+    go(stmts, &mut Vec::new(), f)
+}
+
+/// Visit every loop in a statement list, pre-order.
+pub fn visit_loops<'a>(stmts: &'a [HStmt], f: &mut impl FnMut(&'a HLoop)) {
+    visit_stmts(stmts, &mut |s, _| {
+        if let HStmt::Loop(l) = s {
+            f(l)
+        }
+    });
 }
 
 #[cfg(test)]
@@ -402,6 +506,113 @@ mod tests {
             span: Span::default(),
         };
         assert_eq!(sym.const_int(), None);
+    }
+
+    /// Every `HStmt` and `HExprKind` variant, with a store under an `if`
+    /// in a loop in an `if`.
+    const EVERY_VARIANT: &str = "int N; int k; double s; double h;\n\
+         double a[N]; double b[N];\n\
+         #pragma acc parallel copy(a) copyin(b)\n{\n\
+         if (k > 0) {\n\
+         #pragma acc loop gang reduction(+:s)\n\
+         for (int i = 0; i < N; i++) {\n\
+         double t = -b[i];\n\
+         if (t > 0.5) { a[i] = fmax(t, 1.0); }\n\
+         s += (t > 0.0) ? t : (double)k;\n\
+         for (int j = 0; j < 2; j++) { t = t * 0.5; }\n\
+         }\n\
+         }\n\
+         for (int m = 0; m < k; m++) { h = 2; }\n}";
+
+    /// Variant tags and node count of the expression tree, from an
+    /// exhaustive match independent of the walk.
+    fn expr_census(e: &HExpr, tags: &mut std::collections::BTreeSet<&'static str>) -> usize {
+        let (tag, kids): (_, Vec<&HExpr>) = match &e.kind {
+            HExprKind::Int(_) => ("Int", vec![]),
+            HExprKind::Float(_) => ("Float", vec![]),
+            HExprKind::Sym(_) => ("Sym", vec![]),
+            HExprKind::Load { indices, .. } => ("Load", indices.iter().collect()),
+            HExprKind::Un { operand, .. } => ("Un", vec![operand]),
+            HExprKind::Bin { lhs, rhs, .. } => ("Bin", vec![lhs, rhs]),
+            HExprKind::Cond { cond, then, els } => ("Cond", vec![cond, then, els]),
+            HExprKind::Call { args, .. } => ("Call", args.iter().collect()),
+            HExprKind::Cast { operand } => ("Cast", vec![operand]),
+        };
+        tags.insert(tag);
+        1 + kids
+            .into_iter()
+            .map(|k| expr_census(k, tags))
+            .sum::<usize>()
+    }
+
+    fn stmt_tag(s: &HStmt) -> &'static str {
+        match s {
+            HStmt::AssignLocal { .. } => "AssignLocal",
+            HStmt::AssignHost { .. } => "AssignHost",
+            HStmt::Store { .. } => "Store",
+            HStmt::ReduceUpdate { .. } => "ReduceUpdate",
+            HStmt::If { .. } => "If",
+            HStmt::Loop(_) => "Loop",
+        }
+    }
+
+    #[test]
+    fn the_walk_reaches_every_variant_once_in_source_order() {
+        let p = crate::compile(EVERY_VARIANT).expect("compile");
+        let body = &p.regions[0].body;
+        let (mut stmt_tags, mut expr_tags) = (Vec::new(), std::collections::BTreeSet::new());
+        let (mut census, mut starts) = (0, Vec::new());
+        let mut loop_chains = Vec::new();
+        let mut store_chain = None;
+        visit_stmts(body, &mut |s, chain| {
+            stmt_tags.push(stmt_tag(s));
+            for e in s.exprs() {
+                census += expr_census(e, &mut expr_tags);
+                e.walk(&mut |n| starts.push(n.span.start));
+            }
+            let vars = |c: &[&HLoop]| c.iter().map(|l| l.var).collect::<Vec<_>>();
+            match s {
+                HStmt::Loop(l) => loop_chains.push((l.var, vars(chain))),
+                HStmt::Store { .. } => store_chain = Some(vars(chain)),
+                _ => {}
+            }
+        });
+        let mut want = vec![
+            "AssignLocal",
+            "AssignHost",
+            "Store",
+            "ReduceUpdate",
+            "If",
+            "Loop",
+        ];
+        let mut seen = stmt_tags.clone();
+        seen.sort();
+        seen.dedup();
+        want.sort();
+        assert_eq!(seen, want, "statement variants reached: {stmt_tags:?}");
+        assert_eq!(
+            expr_tags.into_iter().collect::<Vec<_>>(),
+            ["Bin", "Call", "Cast", "Cond", "Float", "Int", "Load", "Sym", "Un"]
+        );
+        // Every expression node exactly once, in source order.
+        assert_eq!(starts.len(), census);
+        assert!(starts.windows(2).all(|w| w[0] <= w[1]), "{starts:?}");
+        // `i` sits in an `if` at region level, `j` in `i`, `m` after both;
+        // the store sits under an `if` in `i`.
+        let local = |name| {
+            p.regions[0]
+                .locals
+                .iter()
+                .position(|l| l.name == name)
+                .unwrap()
+        };
+        let (i, j, m) = (local("i"), local("j"), local("m"));
+        assert_eq!(loop_chains, [(i, vec![]), (j, vec![i]), (m, vec![])]);
+        assert_eq!(store_chain, Some(vec![i]));
+        let mut accs = Vec::new();
+        crate::dataflow::collect_array_accesses(body, &mut accs);
+        let a = p.array_index("a").unwrap();
+        assert!(accs.iter().any(|x| x.is_write && x.array == a));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::dataflow::{
     scalar_events, varying_syms, DepResult, Liveness, LoopKey, ScalarEvent, ScalarEventKind,
 };
 use crate::diag::{Diag, Span};
-use crate::hir::{visit_loops, AnalyzedProgram, AnalyzedRegion, HLoop, HStmt, Sym};
+use crate::hir::{visit_loops, visit_stmts, AnalyzedProgram, AnalyzedRegion, HLoop, HStmt, Sym};
 use crate::redflow::{self, ArrayRedVerdict};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -168,27 +168,6 @@ struct LoopInfo<'a> {
     chain: Vec<&'a HLoop>,
 }
 
-fn collect_loops<'a>(stmts: &'a [HStmt], chain: &mut Vec<&'a HLoop>, out: &mut Vec<LoopInfo<'a>>) {
-    for s in stmts {
-        match s {
-            HStmt::Loop(l) => {
-                out.push(LoopInfo {
-                    l,
-                    chain: chain.clone(),
-                });
-                chain.push(l);
-                collect_loops(&l.body, chain, out);
-                chain.pop();
-            }
-            HStmt::If { then, els, .. } => {
-                collect_loops(then, chain, out);
-                collect_loops(els, chain, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 fn common_prefix_len(a: &[&HLoop], b: &[&HLoop]) -> usize {
     a.iter()
         .zip(b.iter())
@@ -230,7 +209,14 @@ impl<'a> RegionCx<'a> {
     fn new(p: &'a AnalyzedProgram, r: &'a AnalyzedRegion) -> Self {
         let events = scalar_events(&r.body);
         let mut loops = Vec::new();
-        collect_loops(&r.body, &mut Vec::new(), &mut loops);
+        visit_stmts(&r.body, &mut |s, chain| {
+            if let HStmt::Loop(l) = s {
+                loops.push(LoopInfo {
+                    l,
+                    chain: chain.to_vec(),
+                });
+            }
+        });
         let hosts_written: HashSet<Sym> = r.hosts_written.iter().map(|h| Sym::Host(*h)).collect();
         let liveness = consume_liveness(&r.body, &hosts_written);
         RegionCx {
@@ -1669,6 +1655,23 @@ mod tests {
              for (int i = 0; i < N; i++) { b[i] = t * a[i]; t = a[i]; }\n}";
         let c = codes(src);
         assert!(c.contains(&"L304"), "{c:?}");
+    }
+
+    #[test]
+    fn private_read_before_write_reports_every_variable_in_read_order() {
+        let src = "int N;\ndouble a[N]; double b[N];\n\
+             #pragma acc parallel copyin(a) copyout(b)\n{\n\
+             double t = 1.0; double u = 2.0;\n\
+             #pragma acc loop gang private(u, t)\n\
+             for (int i = 0; i < N; i++) { b[i] = t * u * a[i]; }\n}";
+        let vars: Vec<String> = findings(src)
+            .into_iter()
+            .filter_map(|f| match f.kind {
+                FindingKind::PrivateReadBeforeWrite { var } => Some(var),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(vars, ["t", "u"]);
     }
 
     #[test]

@@ -41,11 +41,10 @@
 
 use crate::ast::{Level, RedOp};
 use crate::dataflow::{
-    children, collect_array_accesses, expr_eq, expr_syms, scalar_events, strip_casts,
-    ScalarEventKind,
+    collect_array_accesses, expr_eq, scalar_events, strip_casts, ScalarEventKind,
 };
 use crate::diag::{json_escape, Span};
-use crate::hir::{AnalyzedProgram, AnalyzedRegion, HExpr, HExprKind, HStmt, Sym};
+use crate::hir::{visit_stmts, AnalyzedProgram, AnalyzedRegion, HExpr, HExprKind, HStmt, Sym};
 use crate::reduction::update_form;
 use std::collections::BTreeSet;
 
@@ -100,22 +99,17 @@ pub enum ArrayRedVerdict {
     Overwrite { update: Span, write: Span },
 }
 
-/// Does `e` load `array` anywhere?
-fn expr_loads_array(e: &HExpr, array: usize) -> bool {
-    if matches!(&e.kind, HExprKind::Load { array: a, .. } if *a == array) {
-        return true;
-    }
-    children(e).into_iter().any(|c| expr_loads_array(c, array))
+fn is_load_of(e: &HExpr, array: usize) -> bool {
+    matches!(&e.kind, HExprKind::Load { array: a, .. } if *a == array)
 }
 
 /// Collect spans of every load of `array` in `e`.
-fn expr_array_reads(e: &HExpr, array: usize, out: &mut Vec<Span>) {
-    if matches!(&e.kind, HExprKind::Load { array: a, .. } if *a == array) {
-        out.push(e.span);
-    }
-    for c in children(e) {
-        expr_array_reads(c, array, out);
-    }
+fn array_reads(e: &HExpr, array: usize, out: &mut Vec<Span>) {
+    e.walk(&mut |n| {
+        if is_load_of(n, array) {
+            out.push(n.span);
+        }
+    });
 }
 
 /// Recognize a store as an array reduction update ([`update_form`]):
@@ -139,59 +133,9 @@ pub fn store_update_shape<'a>(
         }
         _ => false,
     };
-    update_form(strip_casts(value), is_self, |e| !expr_loads_array(e, array))
-}
-
-fn array_info_walk(stmts: &[HStmt], array: usize, info: &mut ArrayRedInfo) {
-    for s in stmts {
-        match s {
-            HStmt::AssignLocal { value, .. } | HStmt::AssignHost { value, .. } => {
-                expr_array_reads(value, array, &mut info.stray_reads);
-            }
-            HStmt::ReduceUpdate { value, .. } => {
-                expr_array_reads(value, array, &mut info.stray_reads);
-            }
-            HStmt::Store {
-                array: a,
-                indices,
-                value,
-            } => {
-                // Loads of the target array inside any subscript are
-                // always stray: the reduction proof only licenses the
-                // self-read in value position.
-                for ix in indices {
-                    expr_array_reads(ix, array, &mut info.stray_reads);
-                }
-                if *a == array {
-                    if let Some((op, _)) = store_update_shape(array, indices, value) {
-                        info.updates.push(ArrayUpdateSite {
-                            op,
-                            span: value.span,
-                        });
-                        // The self-load is licensed; the shape check
-                        // already proved the other operand is `a`-free.
-                    } else {
-                        info.plain_writes
-                            .push(indices.first().map(|e| e.span).unwrap_or(value.span));
-                        expr_array_reads(value, array, &mut info.stray_reads);
-                    }
-                } else {
-                    expr_array_reads(value, array, &mut info.stray_reads);
-                }
-            }
-            HStmt::If { cond, then, els } => {
-                expr_array_reads(cond, array, &mut info.stray_reads);
-                array_info_walk(then, array, info);
-                array_info_walk(els, array, info);
-            }
-            HStmt::Loop(l) => {
-                expr_array_reads(&l.lower, array, &mut info.stray_reads);
-                expr_array_reads(&l.bound, array, &mut info.stray_reads);
-                expr_array_reads(&l.step, array, &mut info.stray_reads);
-                array_info_walk(&l.body, array, info);
-            }
-        }
-    }
+    update_form(strip_casts(value), is_self, |e| {
+        !e.any(&mut |n| is_load_of(n, array))
+    })
 }
 
 /// Gather every update site, plain write and stray read of `array` in
@@ -199,7 +143,35 @@ fn array_info_walk(stmts: &[HStmt], array: usize, info: &mut ArrayRedInfo) {
 /// conditional update still counts — the proof is path-insensitive).
 pub fn array_reduction_info(body: &[HStmt], array: usize) -> ArrayRedInfo {
     let mut info = ArrayRedInfo::default();
-    array_info_walk(body, array, &mut info);
+    visit_stmts(body, &mut |s, _| {
+        if let HStmt::Store {
+            array: a,
+            indices,
+            value,
+        } = s
+        {
+            if *a == array {
+                if let Some((op, _)) = store_update_shape(array, indices, value) {
+                    info.updates.push(ArrayUpdateSite {
+                        op,
+                        span: value.span,
+                    });
+                    // The self-load is licensed and the shape check proved
+                    // the other operand `a`-free; a load of the target
+                    // inside a subscript is still stray.
+                    for ix in indices {
+                        array_reads(ix, array, &mut info.stray_reads);
+                    }
+                    return;
+                }
+                info.plain_writes
+                    .push(indices.first().map(|e| e.span).unwrap_or(value.span));
+            }
+        }
+        for e in s.exprs() {
+            array_reads(e, array, &mut info.stray_reads);
+        }
+    });
     info
 }
 
@@ -504,12 +476,9 @@ fn judge_pair(p: &AnalyzedProgram, facts: &[RegionFacts], i: usize) -> FusionPai
         if !between {
             continue;
         }
-        let mut read: std::collections::HashSet<Sym> = std::collections::HashSet::new();
-        expr_syms(&ha.value, &mut read);
-        let depends = read
-            .iter()
-            .any(|s| matches!(s, Sym::Host(h) if pf.writes_hosts.contains(h)))
-            || pf.writes_hosts.contains(&ha.host);
+        let depends = ha.value.any(
+            &mut |e| matches!(e.kind, HExprKind::Sym(Sym::Host(h)) if pf.writes_hosts.contains(&h)),
+        ) || pf.writes_hosts.contains(&ha.host);
         if depends {
             return reject(format!(
                 "interleaved host mutation of `{}` between the regions",

@@ -1317,20 +1317,9 @@ mod tests {
         assert!(found);
         // i_sum += ... became a ReduceUpdate
         let mut has_update = false;
-        fn find_update(stmts: &[HStmt], has: &mut bool) {
-            for s in stmts {
-                match s {
-                    HStmt::ReduceUpdate { .. } => *has = true,
-                    HStmt::Loop(l) => find_update(&l.body, has),
-                    HStmt::If { then, els, .. } => {
-                        find_update(then, has);
-                        find_update(els, has);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        find_update(&r.body, &mut has_update);
+        crate::hir::visit_stmts(&r.body, &mut |s, _| {
+            has_update |= matches!(s, HStmt::ReduceUpdate { .. })
+        });
         assert!(has_update);
     }
 

@@ -9,7 +9,7 @@
 //! reference semantics is the HIR itself.
 
 use crate::ast::{CType, DataDir, Level, RedOp};
-use crate::hir::{visit_loops, AnalyzedProgram, HExpr, HExprKind, HStmt, Sym};
+use crate::hir::{visit_stmts, AnalyzedProgram, HExpr, HExprKind, HStmt, Sym};
 
 /// One reduction clause as the paper's `(var, op, identity)` triple.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,83 +122,41 @@ pub fn expr_text(prog: &AnalyzedProgram, region: usize, e: &HExpr) -> String {
     }
 }
 
-fn stores_in(stmts: &[HStmt], out: &mut Vec<usize>) {
-    for s in stmts {
-        match s {
-            HStmt::Store { array, .. } => {
-                if !out.contains(array) {
-                    out.push(*array);
-                }
-            }
-            HStmt::If { then, els, .. } => {
-                stores_in(then, out);
-                stores_in(els, out);
-            }
-            HStmt::Loop(l) => stores_in(&l.body, out),
-            HStmt::AssignLocal { .. } | HStmt::AssignHost { .. } | HStmt::ReduceUpdate { .. } => {}
-        }
-    }
-}
-
-fn loop_depths(stmts: &[HStmt], depth: usize, out: &mut Vec<(usize, *const crate::hir::HLoop)>) {
-    for s in stmts {
-        match s {
-            HStmt::Loop(l) => {
-                out.push((depth, l as *const _));
-                loop_depths(&l.body, depth + 1, out);
-            }
-            HStmt::If { then, els, .. } => {
-                loop_depths(then, depth, out);
-                loop_depths(els, depth, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Summarize one region of the analyzed program.
 pub fn summarize_region(prog: &AnalyzedProgram, region: usize) -> RegionSummary {
     let r = &prog.regions[region];
-    let mut depths: Vec<(usize, *const crate::hir::HLoop)> = Vec::new();
-    loop_depths(&r.body, 0, &mut depths);
-    let depth_of = |l: &crate::hir::HLoop| -> usize {
-        depths
-            .iter()
-            .find(|(_, p)| std::ptr::eq(*p, l as *const _))
-            .map(|(d, _)| *d)
-            .unwrap_or(0)
-    };
-
     let mut reductions = Vec::new();
     let mut loops = Vec::new();
-    visit_loops(&r.body, &mut |l| {
-        let var = r
-            .locals
-            .get(l.var)
-            .map(|s| s.name.clone())
-            .unwrap_or_else(|| format!("local{}", l.var));
-        loops.push(LoopSpace {
-            var,
-            lower: expr_text(prog, region, &l.lower),
-            bound: expr_text(prog, region, &l.bound),
-            step: expr_text(prog, region, &l.step),
-            levels: l.sched.clone(),
-            depth: depth_of(l),
-        });
-        for red in &l.reductions {
-            reductions.push(ReductionTriple {
-                var: sym_name(prog, region, red.sym),
-                op: red.op,
-                identity: red.op.identity_text(red.ty).to_string(),
-                ty: red.ty,
-                clause_levels: red.clause_levels.clone(),
-                span_levels: red.span_levels.clone(),
+    let mut stored: Vec<usize> = Vec::new();
+    visit_stmts(&r.body, &mut |s, chain| match s {
+        HStmt::Store { array, .. } if !stored.contains(array) => stored.push(*array),
+        HStmt::Loop(l) => {
+            let var = r
+                .locals
+                .get(l.var)
+                .map(|s| s.name.clone())
+                .unwrap_or_else(|| format!("local{}", l.var));
+            loops.push(LoopSpace {
+                var,
+                lower: expr_text(prog, region, &l.lower),
+                bound: expr_text(prog, region, &l.bound),
+                step: expr_text(prog, region, &l.step),
+                levels: l.sched.clone(),
+                depth: chain.len(),
             });
+            for red in &l.reductions {
+                reductions.push(ReductionTriple {
+                    var: sym_name(prog, region, red.sym),
+                    op: red.op,
+                    identity: red.op.identity_text(red.ty).to_string(),
+                    ty: red.ty,
+                    clause_levels: red.clause_levels.clone(),
+                    span_levels: red.span_levels.clone(),
+                });
+            }
         }
+        _ => {}
     });
-
-    let mut stored = Vec::new();
-    stores_in(&r.body, &mut stored);
     let outputs = stored
         .into_iter()
         .map(|a| OutputSummary {

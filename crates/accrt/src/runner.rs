@@ -10,8 +10,7 @@ use crate::hostbuf::HostBuffer;
 use accparse::ast::{CType, DataDir, Level};
 use accparse::hir::{AnalyzedProgram, HExpr};
 use gpsim::{
-    BufferHandle, Device, HazardReport, ProfileConfig, SanitizerConfig, SanitizerLevel,
-    SessionProfile, Value,
+    BufferHandle, Device, HazardReport, SanitizerConfig, SanitizerLevel, SessionProfile, Value,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -278,7 +277,7 @@ impl AccRunner {
     /// results and modelled cycles are unchanged, and every exported byte
     /// is identical at any host thread count.
     pub fn profile(&mut self, on: bool) {
-        self.device.set_profiler(on.then(ProfileConfig::default));
+        self.device.set_profiler(on);
     }
 
     /// Human-readable profile report, with per-line rows quoting the

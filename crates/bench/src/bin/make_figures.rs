@@ -95,10 +95,11 @@ fn modelled(cfg: &SuiteConfig, cells: &[Cell], check: bool) {
 /// host's cores, which the file records. The `_n96` row is all block
 /// set-up: its launches' blocks of 1,024 threads each do almost nothing.
 ///
-/// The `SANITIZED` rows are timed a third time, fully shadowed:
-/// `sanitize_ratio` is the sanitized wall time of the same launches over
-/// the plain one (typed tier, sequential executor) — the checker rails'
-/// committed number, gated at 2x like the speedups are at 0.8x.
+/// The `SANITIZED` rows are timed a third time, in pairs: each fully
+/// shadowed run right after a plain one of the same launches (typed tier,
+/// sequential executor). `sanitize_ratio` is the median of the pairs'
+/// sanitized-over-plain wall times — the checker rails' committed number,
+/// gated at 2x like the speedups are at 0.8x.
 fn sim_throughput(red_n: usize) {
     use acc_apps::{HeatConfig, MatmulConfig, PiConfig, SimWork};
     use gpsim::{Device, ExecTier, SanitizerConfig, SanitizerLevel};
@@ -195,13 +196,12 @@ fn sim_throughput(red_n: usize) {
     for (name, run) in &workloads {
         // Best-of-REPS per configuration; a fresh session every rep so
         // caches and allocations don't carry over.
-        let measure_at = |tier: ExecTier, host_threads: u32, level| -> TimedCase {
+        let measure = |tier: ExecTier, host_threads: u32| -> TimedCase {
             (0..REPS)
-                .map(|_| run(tier, host_threads, level))
+                .map(|_| run(tier, host_threads, SanitizerLevel::Off))
                 .min_by(|a, b| a.secs.total_cmp(&b.secs))
                 .expect("REPS > 0")
         };
-        let measure = |tier, host_threads| measure_at(tier, host_threads, SanitizerLevel::Off);
         let interp = measure(ExecTier::Interpret, 1);
         let typed = measure(ExecTier::Auto, 1);
         let (int_secs, cmp_secs, insts) = (interp.secs, typed.secs, typed.lane_insts);
@@ -214,9 +214,18 @@ fn sim_throughput(red_n: usize) {
             "{name}: tiers disagree on simulated instruction count"
         );
         let speedup = int_secs / cmp_secs;
-        let sanitize_ratio = SANITIZED
-            .contains(name)
-            .then(|| measure_at(ExecTier::Auto, 1, SanitizerLevel::Full).secs / cmp_secs);
+        // Each sanitized rep runs right after a plain rep of the same row,
+        // so the two see one machine state; the median pair is kept.
+        let sanitize_ratio = SANITIZED.contains(name).then(|| {
+            let mut ratios: Vec<f64> = (0..REPS)
+                .map(|_| {
+                    let plain = run(ExecTier::Auto, 1, SanitizerLevel::Off).secs;
+                    run(ExecTier::Auto, 1, SanitizerLevel::Full).secs / plain
+                })
+                .collect();
+            ratios.sort_by(f64::total_cmp);
+            ratios[REPS / 2]
+        });
         let c = typed.census;
         println!(
             "  {name:<30} {insts:>12} lane-insts  interpret {:>8.1} Minst/s  \

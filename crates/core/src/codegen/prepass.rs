@@ -255,7 +255,8 @@ pub(crate) fn prepass(
 }
 
 /// Walk statements, assigning loop ids (pre-order) and reduction ids (walk
-/// order) and computing padding.
+/// order) and computing padding. Loop ids follow the walk order of loops
+/// the code generator uses: pre-order over statements.
 fn walk_stmts(
     stmts: &[HStmt],
     plan: &mut Plan,
@@ -265,39 +266,35 @@ fn walk_stmts(
 ) -> Result<bool, Diag> {
     let mut subtree_bars = false;
     for s in stmts {
-        match s {
-            HStmt::Loop(l) => {
-                let my_id = plan.padded.len();
-                plan.padded.push(false); // placeholder, fixed below
-                for r in &l.reductions {
-                    on_red(r, plan)?;
-                }
-                let inner_bars = walk_stmts(&l.body, plan, dims, opts, on_red)?;
-                let pos_on_tid = l
-                    .sched
-                    .iter()
-                    .any(|lv| matches!(lv, Level::Worker | Level::Vector));
-                plan.padded[my_id] = pos_on_tid && inner_bars;
-                // Bars visible to *enclosing* loops: inner bars plus this
-                // loop's own combines.
-                let own_bars = l
-                    .reductions
-                    .iter()
-                    .any(|r| combine_has_bars(&effective_span(r, opts), dims, opts));
-                subtree_bars |= inner_bars || own_bars;
+        let HStmt::Loop(l) = s else {
+            for body in s.bodies() {
+                subtree_bars |= walk_stmts(body, plan, dims, opts, on_red)?;
             }
-            HStmt::If { then, els, .. } => {
-                subtree_bars |= walk_stmts(then, plan, dims, opts, on_red)?;
-                subtree_bars |= walk_stmts(els, plan, dims, opts, on_red)?;
-            }
-            _ => {}
+            continue;
+        };
+        let my_id = plan.padded.len();
+        plan.padded.push(false); // placeholder, fixed below
+        for r in &l.reductions {
+            on_red(r, plan)?;
         }
+        let inner_bars = walk_stmts(&l.body, plan, dims, opts, on_red)?;
+        let pos_on_tid = l
+            .sched
+            .iter()
+            .any(|lv| matches!(lv, Level::Worker | Level::Vector));
+        plan.padded[my_id] = pos_on_tid && inner_bars;
+        // Bars visible to *enclosing* loops: inner bars plus this
+        // loop's own combines.
+        let own_bars = l
+            .reductions
+            .iter()
+            .any(|r| combine_has_bars(&effective_span(r, opts), dims, opts));
+        subtree_bars |= inner_bars || own_bars;
     }
     Ok(subtree_bars)
 }
 
-/// Host-side helper mirroring the walk order of loops used by `prepass`
-/// and the code generator: pre-order over statements.
+/// The largest power of two that is at most `n` (`n >= 1`).
 pub(crate) fn next_pow2_at_most(n: u32) -> u32 {
     debug_assert!(n >= 1);
     let mut p = 1u32;

@@ -86,10 +86,10 @@ pub struct DeviceConfig {
     /// [`std::thread::available_parallelism`]; `1` forces the sequential
     /// path.
     pub host_threads: u32,
-    /// Profiler configuration; `None` disables profiling (no per-step
-    /// attribution cost). Like `host_threads`, a *simulator* knob:
+    /// Profile launches and transfers; `false` (the default) costs no
+    /// per-step attribution. Like `host_threads`, a *simulator* knob:
     /// enabling it never changes modelled cycles.
-    pub profile: Option<crate::profile::ProfileConfig>,
+    pub profile: bool,
     /// Which engine runs launches (typed tier vs interpreter). Like
     /// `host_threads`, a *simulator* knob: every observable output is
     /// bit-identical across tiers.
@@ -108,7 +108,7 @@ impl Default for DeviceConfig {
             global_mem_bytes: 1 << 30,
             clock_hz: 706e6,
             host_threads: 0,
-            profile: None,
+            profile: false,
             exec_tier: ExecTier::Auto,
         }
     }

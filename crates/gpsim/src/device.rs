@@ -8,7 +8,7 @@ use crate::error::SimError;
 use crate::exec::{run_kernel_instrumented, LaunchConfig};
 use crate::ir::Kernel;
 use crate::memory::{BufferHandle, GlobalMemory};
-use crate::profile::{LaunchProfile, ProfileConfig, SessionProfile, SpanKind};
+use crate::profile::{LaunchProfile, SessionProfile, SpanKind};
 use crate::sanitizer::{HazardReport, LaunchSanitizer, SanitizerConfig};
 use crate::stats::{LaunchStats, SessionStats};
 use crate::trace::Trace;
@@ -160,11 +160,11 @@ impl Device {
         std::mem::take(&mut self.verify_reports)
     }
 
-    /// Enable (or disable, with `None`) the profiler for subsequent
-    /// launches and transfers (see [`crate::profile`]). Profiling never
-    /// changes modelled cycles or results; it only observes them.
-    pub fn set_profiler(&mut self, cfg: Option<ProfileConfig>) {
-        self.config.profile = cfg;
+    /// Enable or disable the profiler for subsequent launches and
+    /// transfers (see [`crate::profile`]). Profiling never changes
+    /// modelled cycles or results; it only observes them.
+    pub fn set_profiler(&mut self, on: bool) {
+        self.config.profile = on;
     }
 
     /// The session profile accumulated so far (empty when the profiler
@@ -232,7 +232,7 @@ impl Device {
         let cycles = self.cost.transfer_cycles(src.len() as u64);
         self.stats.bytes_h2d += src.len() as u64;
         self.stats.transfer_cycles += cycles;
-        if self.config.profile.is_some() {
+        if self.config.profile {
             self.session_profile
                 .add_transfer(SpanKind::H2d, src.len() as u64, cycles);
         }
@@ -245,7 +245,7 @@ impl Device {
         let cycles = self.cost.transfer_cycles(dst.len() as u64);
         self.stats.bytes_d2h += dst.len() as u64;
         self.stats.transfer_cycles += cycles;
-        if self.config.profile.is_some() {
+        if self.config.profile {
             self.session_profile
                 .add_transfer(SpanKind::D2h, dst.len() as u64, cycles);
         }
@@ -311,11 +311,7 @@ impl Device {
             .level
             .enabled()
             .then(|| LaunchSanitizer::new(self.sanitizer.clone()));
-        let mut prof = self
-            .config
-            .profile
-            .as_ref()
-            .map(|pc| LaunchProfile::new(kernel, cfg, pc));
+        let mut prof = self.config.profile.then(|| LaunchProfile::new(kernel, cfg));
         let ck = TypedKernel::select(self.config.exec_tier, kernel, params, &self.cost)
             .unwrap_or_else(|why| {
                 self.tier_declines[why as usize] += 1;
@@ -517,7 +513,7 @@ mod profile_tests {
     fn run_profiled(host_threads: u32) -> (LaunchStats, SessionProfile) {
         let cfg = DeviceConfig {
             host_threads,
-            profile: Some(ProfileConfig::default()),
+            profile: true,
             ..DeviceConfig::test_small()
         };
         let mut d = Device::new(cfg, CostModel::default());

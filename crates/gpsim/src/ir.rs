@@ -1040,7 +1040,7 @@ mod tests {
     #[test]
     fn cost_classes_predict_the_profiler_buckets() {
         use crate::cost::{CostModel, DeviceConfig, ExecTier};
-        use crate::profile::{PcCounters, ProfileConfig};
+        use crate::profile::PcCounters;
         use crate::{Device, LaunchConfig};
         let c = CostModel::default();
         for inst in every_variant() {
@@ -1095,7 +1095,7 @@ mod tests {
             for tier in [ExecTier::Auto, ExecTier::Interpret] {
                 let cfg = DeviceConfig {
                     host_threads: 1,
-                    profile: Some(ProfileConfig::default()),
+                    profile: true,
                     exec_tier: tier,
                     ..DeviceConfig::test_small()
                 };

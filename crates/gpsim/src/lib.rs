@@ -73,8 +73,7 @@ pub use ir::{
 };
 pub use memory::{BufferHandle, GlobalMemory, SharedMemory};
 pub use profile::{
-    BlockProfile, BlockSpan, LaunchProfile, PcCounters, ProfileConfig, SessionProfile, SpanKind,
-    TimelineSpan,
+    BlockProfile, BlockSpan, LaunchProfile, PcCounters, SessionProfile, SpanKind, TimelineSpan,
 };
 pub use sanitizer::{
     AccessInfo, BlockLog, BlockSanitizer, HazardClass, HazardReport, LaunchSanitizer,

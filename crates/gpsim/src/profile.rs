@@ -47,27 +47,10 @@ use crate::ir::Kernel;
 use std::fmt::Write as _;
 use std::ops::AddAssign;
 
-/// Profiler configuration (set on
-/// [`DeviceConfig::profile`](crate::cost::DeviceConfig) /
-/// [`Device::set_profiler`](crate::Device::set_profiler)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileConfig {
-    /// Maximum per-block timeline spans kept per launch; blocks beyond
-    /// this are still fully counted in every bucket, only their timeline
-    /// spans are dropped (and reported in `spans_dropped`).
-    pub timeline_blocks: usize,
-    /// Emit per-warp sub-spans inside each block's timeline span.
-    pub per_warp_spans: bool,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig {
-            timeline_blocks: 256,
-            per_warp_spans: true,
-        }
-    }
-}
+/// Maximum per-block timeline spans kept per launch; blocks beyond this
+/// are still fully counted in every bucket, only their timeline spans are
+/// dropped (and reported in `spans_dropped`).
+pub const TIMELINE_BLOCKS: usize = 256;
 
 /// One attribution bucket: counters plus the stall-reason cycle split.
 /// The same struct serves as the per-step delta the interpreter produces
@@ -226,8 +209,7 @@ pub struct LaunchProfile {
     pub blocks: u64,
     /// Modelled cycles per SM at the end of the launch.
     pub sm_cycles: Vec<u64>,
-    /// Per-block timeline spans (bounded by
-    /// [`ProfileConfig::timeline_blocks`]).
+    /// Per-block timeline spans (bounded by [`TIMELINE_BLOCKS`]).
     pub block_spans: Vec<BlockSpan>,
     /// Blocks whose timeline spans were dropped by the bound.
     pub spans_dropped: u64,
@@ -237,12 +219,11 @@ pub struct LaunchProfile {
     pub cycles: u64,
     /// False when the launch errored out (partial attribution kept).
     pub completed: bool,
-    cfg: ProfileConfig,
 }
 
 impl LaunchProfile {
     /// Fresh profile for launching `kernel` with geometry `cfg`.
-    pub fn new(kernel: &Kernel, cfg: LaunchConfig, pc: &ProfileConfig) -> Self {
+    pub fn new(kernel: &Kernel, cfg: LaunchConfig) -> Self {
         LaunchProfile {
             kernel: kernel.name.clone(),
             grid: cfg.grid,
@@ -258,7 +239,6 @@ impl LaunchProfile {
             launch_overhead: 0,
             cycles: 0,
             completed: false,
-            cfg: pc.clone(),
         }
     }
 
@@ -275,7 +255,7 @@ impl LaunchProfile {
             }
             self.intervals[i] += *iv;
         }
-        if self.block_spans.len() < self.cfg.timeline_blocks {
+        if self.block_spans.len() < TIMELINE_BLOCKS {
             self.block_spans.push(BlockSpan {
                 block: bp.block_id,
                 sm: at.sm,
@@ -575,7 +555,7 @@ impl SessionProfile {
                     bs.cycles,
                     bs.sm
                 ));
-                if lp.cfg.per_warp_spans && bs.warp_cycles.len() > 1 {
+                if bs.warp_cycles.len() > 1 {
                     for (w, dur) in scale_warp_spans(&bs.warp_cycles, bs.cycles) {
                         let mut off = 0u64;
                         // Recompute offset as prefix sum of earlier warps.
@@ -789,7 +769,7 @@ fn render_launch(out: &mut String, lp: &LaunchProfile, src_lines: &[&str]) {
         let _ = writeln!(
             out,
             "  (timeline: {} block span(s) dropped beyond the {}-block bound)",
-            lp.spans_dropped, lp.cfg.timeline_blocks
+            lp.spans_dropped, TIMELINE_BLOCKS
         );
     }
 }

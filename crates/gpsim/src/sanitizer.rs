@@ -94,13 +94,7 @@ pub enum SanitizerLevel {
     /// No instrumentation (the default; zero overhead).
     #[default]
     Off,
-    /// Race detection only (shared cross-warp + global cross-block).
-    Race,
-    /// Uninitialized-shared-read detection only.
-    Init,
-    /// Barrier-misuse reporting only.
-    Sync,
-    /// All checkers.
+    /// Every checker: racecheck, initcheck and synccheck.
     Full,
 }
 
@@ -108,21 +102,6 @@ impl SanitizerLevel {
     /// Is any checker active?
     pub fn enabled(&self) -> bool {
         !matches!(self, SanitizerLevel::Off)
-    }
-
-    /// Is racecheck active?
-    pub fn race(&self) -> bool {
-        matches!(self, SanitizerLevel::Race | SanitizerLevel::Full)
-    }
-
-    /// Is initcheck active?
-    pub fn init(&self) -> bool {
-        matches!(self, SanitizerLevel::Init | SanitizerLevel::Full)
-    }
-
-    /// Is synccheck active?
-    pub fn sync(&self) -> bool {
-        matches!(self, SanitizerLevel::Sync | SanitizerLevel::Full)
     }
 }
 
@@ -368,11 +347,6 @@ impl BlockSanitizer {
     /// Shadow state for the blocks of a kernel with `shared_bytes` of
     /// shared memory; call [`BlockSanitizer::begin_block`] before each.
     pub fn new(cfg: SanitizerConfig, shared_bytes: usize) -> Self {
-        let shared_bytes = if cfg.level.init() || cfg.level.race() {
-            shared_bytes
-        } else {
-            0
-        };
         BlockSanitizer {
             cfg,
             epoch: 0,
@@ -424,11 +398,7 @@ impl BlockSanitizer {
         lanes: &[usize],
         addrs: &[(u64, usize)],
     ) {
-        let live = match space {
-            Space::Shared => !self.shared.is_empty(),
-            Space::Global => self.cfg.level.race(),
-        };
-        if !live || lanes.is_empty() {
+        if (space == Space::Shared && self.shared.is_empty()) || lanes.is_empty() {
             return;
         }
         let kind = match (space, kind.writes()) {
@@ -491,7 +461,6 @@ impl BlockSanitizer {
             off.saturating_add(size as u64).min(len) as usize,
         );
         let BlockSanitizer {
-            cfg,
             epoch_start,
             shared,
             seen,
@@ -500,7 +469,7 @@ impl BlockSanitizer {
         } = self;
         let (block, steps) = (log.block, &log.steps);
         let head = &steps[step_of(id)].head;
-        let (init, race, write) = (cfg.level.init(), cfg.level.race(), head.kind.writes());
+        let write = head.kind.writes();
         let warp_of = |id: u32| steps[step_of(id)].head.warp;
         let conflicts = |p: u32| p >= *epoch_start && warp_of(p) != head.warp;
         let mut report = |key: HazardKey, b: u64, first: Option<u32>| {
@@ -541,21 +510,19 @@ impl BlockSanitizer {
         };
         let pc = head.pc as usize;
         let mut judge = |[last_write, last_read, other_read]: Cell, b: u64| -> Cell {
-            if init && !write && last_write == 0 {
+            if !write && last_write == 0 {
                 report((HazardClass::InitCheck, usize::MAX, pc), b, None);
             }
-            if race {
-                let prior = if write {
-                    [last_write, last_read, other_read]
-                        .into_iter()
-                        .find(|&p| conflicts(p))
-                } else {
-                    Some(last_write).filter(|&p| conflicts(p))
-                };
-                if let Some(p) = prior {
-                    let first_pc = steps[step_of(p)].head.pc as usize;
-                    report((HazardClass::RaceCheck, first_pc, pc), b, Some(p));
-                }
+            let prior = if write {
+                [last_write, last_read, other_read]
+                    .into_iter()
+                    .find(|&p| conflicts(p))
+            } else {
+                Some(last_write).filter(|&p| conflicts(p))
+            };
+            if let Some(p) = prior {
+                let first_pc = steps[step_of(p)].head.pc as usize;
+                report((HazardClass::RaceCheck, first_pc, pc), b, Some(p));
             }
             if write {
                 [id, last_read, other_read]
@@ -579,7 +546,7 @@ impl BlockSanitizer {
     /// Fold a divergent-barrier error into the report stream.
     pub fn sync_divergence(&mut self, pc_a: usize, pc_b: usize, detail: String) {
         let key = (HazardClass::SyncCheck, pc_a, pc_b);
-        if !self.cfg.level.sync() || !self.seen.insert(key) {
+        if !self.seen.insert(key) {
             return;
         }
         let block = self.log.block;
@@ -701,7 +668,7 @@ impl LaunchSanitizer {
     }
 
     /// Replay one logged global lane-access `id` against the launch-wide
-    /// shadow (level/ignore-range filtering already happened at log
+    /// shadow (ignore-range filtering already happened at log
     /// time): once for the whole access when every byte it covers holds
     /// the same state on one page, else byte by byte. `first` is the
     /// smallest id of the block being merged.
@@ -1036,25 +1003,13 @@ mod tests {
     }
 
     #[test]
-    fn sync_reports_and_level_gating() {
+    fn sync_reports() {
         let s = one_block(|b| {
             b.sync_divergence(5, 9, "4 threads at pc 5, 28 at pc 9".into());
         });
         assert_eq!(s.reports().len(), 1);
         assert!(s.reports()[0].to_string().contains("synccheck"));
         assert!(s.reports()[0].detail.contains("pc 5 vs pc 9"));
-
-        // Race-only level ignores sync and init events.
-        let cfg = SanitizerConfig {
-            level: SanitizerLevel::Race,
-            ..Default::default()
-        };
-        let mut launch = LaunchSanitizer::new(cfg.clone());
-        let mut b = begin(cfg, (0, 0), 64);
-        b.sync_divergence(1, 2, String::new());
-        b.shared_access(0, 0, 1, 0, 4, false); // uninit read
-        launch.merge_block(&mut b.end_block());
-        assert!(launch.reports().is_empty());
     }
 
     #[test]

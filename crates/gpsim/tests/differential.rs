@@ -19,8 +19,8 @@
 
 use gpsim::{
     run_symbolic, AtomOp, BinOp, CmpOp, Device, ExecTier, Kernel, KernelBuilder, LaunchConfig,
-    MemRef, ProfileConfig, SVal, SanitizerConfig, SanitizerLevel, SpecialReg, SymMemory, TermPool,
-    Ty, UnOp, Value,
+    MemRef, SVal, SanitizerConfig, SanitizerLevel, SpecialReg, SymMemory, TermPool, Ty, UnOp,
+    Value,
 };
 
 /// xorshift64* — deterministic, no external crates.
@@ -402,7 +402,7 @@ fn run_launches(
         });
     }
     if profile {
-        dev.set_profiler(Some(ProfileConfig::default()));
+        dev.set_profiler(true);
     }
     // `out` is the last allocation: past its end is past device memory.
     let cols = dev.alloc_elems(Ty::I32, COLS_ELEMS).unwrap();

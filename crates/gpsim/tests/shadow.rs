@@ -10,7 +10,7 @@
 //! - Its shared-memory shadow — compact ids, judged once per access when
 //!   the bytes agree — is held the same way against the old per-byte cells
 //!   of whole `AccessInfo`s, on mixed streams of shared and global
-//!   warp-steps, barriers and divergent barriers at every level.
+//!   warp-steps, barriers and divergent barriers.
 //! - Hostile addresses — a range that saturates at `u64::MAX`, a stride of
 //!   exactly one shadow page, a wild pointer the bounds check rejects after
 //!   the sanitizer observed it — stay cheap and total in both checkers.
@@ -159,7 +159,7 @@ impl OldReplay {
 
     fn access(&mut self, acc: AccessInfo, addr: u64, size: usize) {
         let ignored = |&(s, e): &(u64, u64)| addr >= s && addr < e;
-        if !self.cfg.level.race() || self.cfg.global_ignore.iter().any(ignored) {
+        if self.cfg.global_ignore.iter().any(ignored) {
             return;
         }
         let kind = acc.kind;
@@ -253,11 +253,9 @@ proptest! {
     fn global_shadow_matches_the_old_per_byte_map(
         blocks in prop::collection::vec(prop::collection::vec(block_step(), 0..24), 2..7),
         ignore in any::<bool>(),
-        race in 0u32..8,
     ) {
         let cfg = SanitizerConfig {
-            // Mostly racecheck on; `Init` exercises the level gate.
-            level: if race == 0 { SanitizerLevel::Init } else { SanitizerLevel::Full },
+            level: SanitizerLevel::Full,
             max_reports: 2,
             global_ignore: if ignore { vec![(0x1002, 0x1006), (0x3000, 0x3004)] } else { vec![] },
         };
@@ -309,7 +307,6 @@ struct OldSharedCell {
 /// per byte, every judgement made again for every byte. Its log feeds
 /// [`OldReplay`] in order. Test-only; the reference for the new one.
 struct OldBlock {
-    cfg: SanitizerConfig,
     block: (u32, u32),
     epoch: u32,
     shared: Vec<OldSharedCell>,
@@ -323,13 +320,11 @@ enum OldEvent {
 }
 
 impl OldBlock {
-    fn new(cfg: SanitizerConfig, block: (u32, u32), shared_bytes: usize) -> Self {
-        let live = cfg.level.init() || cfg.level.race();
+    fn new(block: (u32, u32), shared_bytes: usize) -> Self {
         OldBlock {
-            cfg,
             block,
             epoch: 0,
-            shared: vec![OldSharedCell::default(); if live { shared_bytes } else { 0 }],
+            shared: vec![OldSharedCell::default(); shared_bytes],
             seen: HashSet::new(),
             log: Vec::new(),
         }
@@ -372,7 +367,7 @@ impl OldBlock {
             let Some(cell) = self.shared.get(b as usize).cloned() else {
                 continue;
             };
-            if !write && self.cfg.level.init() && !cell.written {
+            if !write && !cell.written {
                 self.push(HazardReport {
                     class: HazardClass::InitCheck,
                     space: Space::Shared,
@@ -384,29 +379,27 @@ impl OldBlock {
                     ),
                 });
             }
-            if self.cfg.level.race() {
-                let conflicts = |p: &AccessInfo| p.warp != warp && p.epoch == self.epoch;
-                let prior = if write {
-                    cell.last_write
-                        .filter(conflicts)
-                        .or(cell.last_read.filter(conflicts))
-                        .or(cell.other_read.filter(conflicts))
-                } else {
-                    cell.last_write.filter(conflicts)
-                };
-                if let Some(p) = prior {
-                    self.push(HazardReport {
-                        class: HazardClass::RaceCheck,
-                        space: Space::Shared,
-                        addr: b,
-                        first: Some(p),
-                        second: Some(acc),
-                        detail: format!(
-                            "shared byte +{b}: {acc} conflicts with {p} — \
-                             different warps, no barrier between"
-                        ),
-                    });
-                }
+            let conflicts = |p: &AccessInfo| p.warp != warp && p.epoch == self.epoch;
+            let prior = if write {
+                cell.last_write
+                    .filter(conflicts)
+                    .or(cell.last_read.filter(conflicts))
+                    .or(cell.other_read.filter(conflicts))
+            } else {
+                cell.last_write.filter(conflicts)
+            };
+            if let Some(p) = prior {
+                self.push(HazardReport {
+                    class: HazardClass::RaceCheck,
+                    space: Space::Shared,
+                    addr: b,
+                    first: Some(p),
+                    second: Some(acc),
+                    detail: format!(
+                        "shared byte +{b}: {acc} conflicts with {p} — \
+                         different warps, no barrier between"
+                    ),
+                });
             }
             let cell = &mut self.shared[b as usize];
             if write {
@@ -444,9 +437,6 @@ impl OldBlock {
     }
 
     fn sync_divergence(&mut self, pc_a: usize, pc_b: usize, detail: &str) {
-        if !self.cfg.level.sync() {
-            return;
-        }
         let key = (HazardClass::SyncCheck, pc_a, pc_b);
         if self.seen.insert(key) {
             let report = HazardReport {
@@ -556,14 +546,8 @@ proptest! {
     #[test]
     fn shared_shadow_matches_the_old_per_byte_cells(
         blocks in prop::collection::vec(prop::collection::vec(mixed_step(), 0..24), 1..5),
-        level in prop::sample::select(vec![
-            SanitizerLevel::Race,
-            SanitizerLevel::Init,
-            SanitizerLevel::Sync,
-            SanitizerLevel::Full,
-        ]),
     ) {
-        let cfg = SanitizerConfig { level, max_reports: 3, global_ignore: vec![] };
+        let cfg = SanitizerConfig { max_reports: 3, ..SanitizerConfig::full() };
         let mut new = LaunchSanitizer::new(cfg.clone());
         let mut old = OldReplay::new(cfg.clone());
         // One block sanitizer for the launch, as an executor thread keeps it.
@@ -571,7 +555,7 @@ proptest! {
         for (id, steps) in blocks.iter().enumerate() {
             let block = (id as u32, 0);
             b.begin_block(block);
-            let mut o = OldBlock::new(cfg.clone(), block, SLAB);
+            let mut o = OldBlock::new(block, SLAB);
             for step in steps {
                 match step {
                     MixedStep::Barrier => {

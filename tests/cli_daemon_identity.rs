@@ -189,3 +189,60 @@ fn every_pass_prints_on_the_cli_what_the_daemon_splices() {
         "the corpus exercises the failing side too"
     );
 }
+
+/// Two uninitialized privates read in one expression: one L304 each, in
+/// the order of their reads, with the same bytes from every CLI run (each
+/// a fresh process, so a fresh hash seed) and from `/lint`.
+#[test]
+fn both_uninitialized_privates_report_the_same_bytes_on_both_surfaces() {
+    const TWO: &str = "int N;\ndouble a[N]; double b[N];\n\
+        #pragma acc parallel copyin(a) copyout(b)\n{\n\
+        double t = 1.0; double u = 2.0;\n\
+        #pragma acc loop gang private(t, u)\n\
+        for (int i = 0; i < N; i++) {\n    b[i] = t * u * a[i];\n}\n}\n";
+    let path = std::env::temp_dir().join(format!("uhacc-two-privates-{}.c", std::process::id()));
+    std::fs::write(&path, TWO).expect("write the source");
+    let runs: Vec<String> = (0..4)
+        .map(|_| {
+            let out = Command::new(env!("CARGO_BIN_EXE_uhacc-cc"))
+                .arg(&path)
+                .args(["--lint", "--json"])
+                .output()
+                .expect("spawn uhacc-cc");
+            String::from_utf8(out.stdout).expect("stdout is UTF-8")
+        })
+        .collect();
+    std::fs::remove_file(&path).ok();
+    assert!(runs.iter().all(|r| *r == runs[0]), "{runs:#?}");
+    let diagnostics = runs[0]
+        .trim_end()
+        .strip_prefix(&format!(
+            "{{\"schema_version\":{},\"diagnostics\":",
+            uhacc::parse::diag::LINT_SCHEMA_VERSION
+        ))
+        .and_then(|s| s.strip_suffix('}'))
+        .expect("a lint envelope");
+    let (t, u) = (
+        diagnostics
+            .find("private variable `t`")
+            .expect("t reported"),
+        diagnostics
+            .find("private variable `u`")
+            .expect("u reported"),
+    );
+    assert!(t < u, "{diagnostics}");
+    assert_eq!(
+        diagnostics.matches("\"code\":\"L304\"").count(),
+        2,
+        "{diagnostics}"
+    );
+
+    let (addr, _daemon) = uhaccd::spawn(DaemonConfig::default(), "127.0.0.1:0").expect("spawn");
+    let body = format!("{{\"source\":{}}}", Json::Str(TWO.to_string()));
+    let (status, resp) = http::post(addr, Pass::Lint.route(), &body).expect("post");
+    assert_eq!(status, 200, "{resp}");
+    assert!(
+        resp.contains(&format!("\"diagnostics\":{diagnostics}")),
+        "`/lint` differs from the CLI\n{resp}\nwant: {diagnostics}"
+    );
+}

@@ -14,8 +14,7 @@
 
 use uhacc::sim::{
     BinOp, CmpOp, CostModel, Device, DeviceConfig, ExecTier, Kernel, KernelBuilder, LaunchConfig,
-    LaunchProfile, LaunchStats, MemRef, ProfileConfig, SessionProfile, SimError, SpanKind,
-    SpecialReg, Ty, Value,
+    LaunchProfile, LaunchStats, MemRef, SessionProfile, SimError, SpanKind, SpecialReg, Ty, Value,
 };
 
 const BLOCKS: u32 = 7;
@@ -35,7 +34,7 @@ fn device(host_threads: u32, exec_tier: ExecTier) -> Device {
     let cfg = DeviceConfig {
         host_threads,
         exec_tier,
-        profile: Some(ProfileConfig::default()),
+        profile: true,
         ..DeviceConfig::test_small()
     };
     assert!(cfg.num_sms < BLOCKS, "the grid must wrap around the SMs");
